@@ -7,18 +7,26 @@ the stiffness operator defines the H1 seminorm; the stiffness annihilates
 constant fields, which is the discrete form of the zero-flux boundary
 condition.  Lumping keeps every pointwise nonlinearity diagonal, so the
 implicit solves in the stepper are (diagonal + stiffness) SPD systems.
+
+In 1D those systems are tridiagonal and solved by banded Cholesky.  In 2D
+the mass and stiffness are Kronecker products of 1D ones, so fast
+diagonalization (Lynch, Rice & Thomas 1964) solves (a M + c K) x = r
+exactly with four small matrix products; a diagonal that is not a multiple
+of the mass uses that solve as a conjugate-gradient preconditioner, whose
+iteration count does not grow with the mesh.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
+from scipy.linalg import eigh_tridiagonal, solveh_banded
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import FieldShapeError, InvalidConfigError, NumericalError
 
-# Relative tolerance of the conjugate-gradient fallback used for 2D solves.
+# Relative tolerance of the preconditioned conjugate gradient used for 2D
+# solves whose diagonal is not a multiple of the lumped mass.
 CG_RTOL = 1e-13
 
 
@@ -64,6 +72,9 @@ class SpatialOperators:
     coordinates : (P, dimension) node coordinates, x varying slowest in 2D.
     axis_nodes : nodes per axis, e.g. (nx+1,) or (nx+1, ny+1).
     spacings : mesh width per axis.
+    axis_eigenpairs : in 2D, per axis the generalized eigenpairs
+        (values, vectors) of the 1D pencil (K_axis, M_axis), scaled so that
+        V^T M_axis V = I; empty in 1D.
     """
 
     dimension: int
@@ -74,6 +85,7 @@ class SpatialOperators:
     coordinates: np.ndarray = field(repr=False)
     axis_nodes: tuple
     spacings: tuple
+    axis_eigenpairs: tuple = field(default=(), repr=False)
 
 
 def _operators_1d(cells, length):
@@ -87,6 +99,19 @@ def _operators_1d(cells, length):
     stiffness = sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
     coords = np.linspace(0.0, length, n)
     return mass, stiffness, coords
+
+
+def _axis_eigenpairs(mass, stiffness):
+    """Eigenpairs of K v = lam M v on one axis, scaled so that V^T M V = I.
+
+    M^(-1/2) K M^(-1/2) is symmetric tridiagonal; its orthonormal
+    eigenvectors W give V = M^(-1/2) W.
+    """
+    scale = 1.0 / np.sqrt(mass)
+    values, vectors = eigh_tridiagonal(
+        stiffness.diagonal() * scale**2, stiffness.diagonal(1) * scale[:-1] * scale[1:]
+    )
+    return values, scale[:, None] * vectors
 
 
 def build_operators(dimension, cells, lengths):
@@ -138,6 +163,7 @@ def build_operators(dimension, cells, lengths):
         coordinates=coords,
         axis_nodes=(mx.size, my.size),
         spacings=(float(lengths[0]) / int(cells[0]), float(lengths[1]) / int(cells[1])),
+        axis_eigenpairs=(_axis_eigenpairs(mx, kx), _axis_eigenpairs(my, ky)),
     )
 
 
@@ -173,11 +199,32 @@ def apply_shifted(ops, diagonal, shift, v):
     return diagonal * v + shift * (ops.stiffness @ v)
 
 
+def _fast_diagonalization(ops, scale, shift):
+    """Exact solver of (scale * M + shift * K) x = r on a 2D mesh.
+
+    With V = Vx (x) Vy from the axis eigenpairs, V^T M V = I and
+    V^T K V = Lx (+) Ly, so the inverse is V diag(1 / (scale + shift *
+    (lx_i + ly_j))) V^T; x varies slowest, so a field reshapes to (nx, ny).
+    """
+    (lx, vx), (ly, vy) = ops.axis_eigenpairs
+    denominators = scale + shift * np.add.outer(lx, ly)
+
+    def solve(r):
+        coefficients = vx.T @ r.reshape(denominators.shape) @ vy
+        return (vx @ (coefficients / denominators) @ vy.T).ravel()
+
+    return solve
+
+
 def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
     """Solve (diag(diagonal) + shift * K) x = rhs for an SPD combination.
 
-    In 1D the system is tridiagonal and solved by banded Cholesky; in 2D a
-    diagonally preconditioned conjugate gradient is used.  Raises
+    In 1D the system is tridiagonal and solved by banded Cholesky.  In 2D a
+    diagonal that is a scalar multiple of the lumped mass is solved directly
+    by fast diagonalization; any other diagonal runs conjugate gradient to
+    ``CG_RTOL``, preconditioned by the fast-diagonalization solve of
+    (a M + shift K) with a between the extremes of diagonal / lumped mass,
+    which bounds the condition number by their ratio on every mesh.  Raises
     NumericalError if the relative residual exceeds ``rtol``.
     """
     rhs = np.asarray(rhs, dtype=float)
@@ -187,13 +234,20 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
         band[0, 1:] = shift * ops.stiffness.diagonal(1)
         x = solveh_banded(band, rhs)
     else:
-        matrix = (sp.diags(diagonal) + shift * ops.stiffness).tocsr()
-        inv_diag = 1.0 / matrix.diagonal()
-        precond = LinearOperator(matrix.shape, matvec=lambda y: inv_diag * y)
-        x, info = cg(matrix, rhs, rtol=CG_RTOL, atol=0.0, M=precond)
-        if info != 0:
-            residual = float(np.linalg.norm(matrix @ x - rhs))
-            raise NumericalError("conjugate gradient did not converge", residual=residual)
+        ratio = diagonal / ops.lumped_mass
+        low, high = float(ratio.min()), float(ratio.max())
+        direct_solve = _fast_diagonalization(ops, 0.5 * (low + high), shift)
+        if low == high:
+            x = direct_solve(rhs)
+        else:
+            shape = (ops.node_count, ops.node_count)
+            matrix = LinearOperator(shape, matvec=lambda v: apply_shifted(ops, diagonal, shift, v))
+            x, info = cg(
+                matrix, rhs, rtol=CG_RTOL, atol=0.0, M=LinearOperator(shape, matvec=direct_solve)
+            )
+            if info != 0:
+                residual = float(np.linalg.norm(apply_shifted(ops, diagonal, shift, x) - rhs))
+                raise NumericalError("conjugate gradient did not converge", residual=residual)
     residual = float(np.linalg.norm(apply_shifted(ops, diagonal, shift, x) - rhs))
     if residual > rtol * (1.0 + float(np.linalg.norm(rhs))):
         raise NumericalError("shifted-operator solve missed its tolerance", residual=residual)

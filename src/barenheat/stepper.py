@@ -30,7 +30,7 @@ from .errors import (
     InvalidConfigError,
     NonConvergenceError,
 )
-from .grids import TimeGrid, apply_shifted, l2_norm, solve_shifted
+from .grids import TimeGrid, l2_norm, solve_shifted
 from .noise import partial_sums
 
 DEFAULT_INNER_TOL = 1e-11
@@ -58,15 +58,18 @@ class StepReport:
     chi-iterate differences, the quantity the theoretical factor
     ``factor_bound`` = 1 / (2 (tilde_coercivity/dt - 1/2)) bounds; the first
     difference has no predecessor and yields no factor.
+    ``newton_iterations`` totals the Newton iterations of every inner
+    iteration, and ``line_search_halvings`` is the most halvings any of
+    them took; ``newton_residual`` is the last Newton solve's residual.
     """
 
     inner_iterations: int
     chi_differences: list
     contraction_factors: list
     factor_bound: float
-    theta_residual: float
     newton_residual: float
     newton_iterations: int
+    line_search_halvings: int
 
 
 @dataclass
@@ -191,12 +194,16 @@ def step(
     factors = []
     converged = False
     iterations = 0
+    newton_iterations = 0
+    halvings = 0
     for _ in range(max_inner):
         theta = solve_theta(chi_iterate, state_n, h_n, dw_n, grid, ops)
         chi_next, newton_report = solve_chi(
             theta, state_n, h_n, dw_n, grid, ops, nl, tol=newton_tol
         )
         iterations += 1
+        newton_iterations += newton_report.iterations
+        halvings = max(halvings, newton_report.line_search_halvings)
         diff = l2_norm(chi_next - chi_iterate, ops)
         if differences and differences[-1] > 0.0:
             factors.append((diff / differences[-1]) ** 2)
@@ -213,12 +220,6 @@ def step(
     # Final heat solve so the linear equation holds exactly against the
     # accepted chi; the nonlinear equation then holds up to ``tol``.
     theta = solve_theta(chi_iterate, state_n, h_n, dw_n, grid, ops)
-    theta_residual = float(
-        np.linalg.norm(
-            apply_shifted(ops, ops.lumped_mass, dt, theta)
-            - ops.lumped_mass * (state_n.theta - chi_iterate + state_n.chi + h_n * dw_n)
-        )
-    )
     u_field = state_n.u_field + (chi_iterate - state_n.chi - h_n * dw_n)
     next_state = SystemState(
         index=state_n.index + 1, theta=theta, chi=chi_iterate, u_field=u_field
@@ -228,9 +229,9 @@ def step(
         chi_differences=differences,
         contraction_factors=factors,
         factor_bound=contraction_factor_bound(nl, dt),
-        theta_residual=theta_residual,
         newton_residual=newton_report.residual,
-        newton_iterations=newton_report.iterations,
+        newton_iterations=newton_iterations,
+        line_search_halvings=halvings,
     )
     return next_state, report
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 import barenheat as bh
+from barenheat import grids
 from barenheat.errors import FieldShapeError, InvalidConfigError
 
 
@@ -130,3 +133,52 @@ class TestNorms:
             bh.l2_norm(np.ones(7), ops65)
         with pytest.raises(FieldShapeError):
             bh.l2_inner(np.ones(65), np.ones(64), ops65)
+
+
+class TestSolveShifted2D:
+    @pytest.fixture(scope="class")
+    def ops_rect(self):
+        # Non-square, non-unit mesh: an axis swap or a wrong reshape shows.
+        return bh.build_operators(2, (7, 4), (1.0, 2.5))
+
+    @pytest.mark.parametrize(
+        "case,shift",
+        [("direct", 0.3), ("variable", 0.3), ("variable", 0.0)],
+    )
+    def test_matches_sparse_direct_solve(self, ops_rect, case, shift):
+        rng = np.random.default_rng(11)
+        mass = ops_rect.lumped_mass
+        scale = 2.7 if case == "direct" else rng.uniform(2.0, 4.0, mass.size)
+        diagonal = scale * mass
+        rhs = rng.standard_normal(mass.size)
+        matrix = (sp.diags(diagonal) + shift * ops_rect.stiffness).tocsc()
+        expected = spsolve(matrix, rhs)
+        x = grids.solve_shifted(ops_rect, diagonal, shift, rhs)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_mass_multiple_needs_no_iteration(self, ops_rect, monkeypatch):
+        def no_cg(*args, **kwargs):
+            raise AssertionError("a mass-multiple diagonal must be solved directly")
+
+        monkeypatch.setattr(grids, "cg", no_cg)
+        rhs = np.random.default_rng(12).standard_normal(ops_rect.node_count)
+        grids.solve_shifted(ops_rect, 1.5 * ops_rect.lumped_mass, 0.05, rhs)
+
+    def test_preconditioned_iterations_mesh_independent(self, monkeypatch):
+        counts = []
+        real_cg = grids.cg
+
+        def counting_cg(*args, **kwargs):
+            def callback(xk):
+                counts[-1] += 1
+
+            return real_cg(*args, callback=callback, **kwargs)
+
+        monkeypatch.setattr(grids, "cg", counting_cg)
+        rng = np.random.default_rng(13)
+        for cells in (8, 64):
+            ops = bh.build_operators(2, (cells, cells), (1.0, 1.0))
+            diagonal = rng.uniform(2.0, 4.0, ops.node_count) * ops.lumped_mass
+            counts.append(0)
+            grids.solve_shifted(ops, diagonal, 0.5, rng.standard_normal(ops.node_count))
+        assert all(0 < count <= 20 for count in counts), counts

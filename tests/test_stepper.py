@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import barenheat as bh
+from barenheat import stepper
 from barenheat.errors import (
     ContractionConditionError,
     InvalidConfigError,
@@ -155,6 +156,42 @@ class TestStep:
         state = make_state(0.0, 0.0, ops65)
         with pytest.raises(InvalidConfigError):
             bh.step(state, 0.0, np.zeros(65), grid, ops65, nl)
+
+    def test_newton_work_totals_over_inner_iterations(self, ops65, cos_field, monkeypatch):
+        # Every Newton iteration makes one shifted solve and every heat solve
+        # one more, so the solves counted outside solve_theta are the Newton
+        # iterations actually run.
+        nl = bh.saturating(2.0)
+        grid = bh.build_time_grid(1.0, 4)
+        counts = {"shifted": 0, "theta": 0}
+        reports = []
+        real_shifted, real_theta, real_newton = (
+            stepper.solve_shifted, stepper.solve_theta, stepper._newton
+        )
+
+        def counting_shifted(*args, **kwargs):
+            counts["shifted"] += 1
+            return real_shifted(*args, **kwargs)
+
+        def counting_theta(*args, **kwargs):
+            counts["theta"] += 1
+            return real_theta(*args, **kwargs)
+
+        def recording_newton(*args, **kwargs):
+            u, report = real_newton(*args, **kwargs)
+            reports.append(report)
+            return u, report
+
+        monkeypatch.setattr(stepper, "solve_shifted", counting_shifted)
+        monkeypatch.setattr(stepper, "solve_theta", counting_theta)
+        monkeypatch.setattr(stepper, "_newton", recording_newton)
+        state = make_state(cos_field, 0.5 * cos_field, ops65)
+        _, report = bh.step(state, 0.4, 3.0 * cos_field, grid, ops65, nl)
+        assert report.inner_iterations > 1 and len(reports) == report.inner_iterations
+        assert report.newton_iterations == counts["shifted"] - counts["theta"]
+        assert report.newton_iterations == sum(r.iterations for r in reports)
+        assert report.newton_iterations > reports[-1].iterations
+        assert report.line_search_halvings == max(r.line_search_halvings for r in reports)
 
     def test_inner_iteration_cap(self, ops65, grid16, unit_nl, cos_field):
         state = make_state(cos_field, cos_field, ops65)
