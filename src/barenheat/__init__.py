@@ -27,6 +27,7 @@ from .errors import (
     FieldShapeError,
     InvalidConfigError,
     NonConvergenceError,
+    NonFiniteError,
     NumericalError,
 )
 from .expressions import Expression, evaluate_on_mesh, parse_expression

@@ -338,8 +338,9 @@ def _build_parser():
                         help=f"base seed (env {SEED_ENV_VAR} takes precedence)")
     parser.add_argument("--dt-list", default=None,
                         help="comma-separated dt levels, overrides the config")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker pool size for Monte Carlo runs")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for Monte Carlo runs (default 1; paths hold "
+                             "the interpreter lock, so more threads rarely help)")
     parser.add_argument("--override-picard-condition", action="store_true",
                         help="run picard even if the weight condition fails")
     parser.add_argument("--timings", action="store_true",

@@ -78,7 +78,10 @@ def mc_expectation(sample, count, seed, threads=1):
 
     ``sample`` may return a float or an ndarray; the reduction is performed
     in path-id order from a buffered table, so the result does not depend on
-    ``threads``.
+    ``threads``.  ``threads`` > 1 runs the samples on a thread pool, but a
+    sample is mostly Python and holds the interpreter lock, so the serial
+    default is the fastest choice on CPython; the estimators in this module
+    and the CLI's ``--threads`` default to 1 for that reason.
     """
     if count < 2:
         raise InvalidConfigError(f"Monte Carlo needs at least 2 paths, got {count}")

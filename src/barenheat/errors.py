@@ -42,6 +42,24 @@ class NonConvergenceError(NumericalError):
     """An iteration hit its cap before meeting the requested tolerance."""
 
 
+class NonFiniteError(NumericalError):
+    """A solve met a NaN or infinite value, typically alpha or alpha'
+    evaluated outside the range where they are finite.
+
+    ``step`` (the step from t_n to t_{n+1} is step n) and ``path_id`` say
+    where it happened; ``run_additive`` fills them in, and they are None on
+    errors raised by a single solve.
+    """
+
+    def __init__(self, message, residual=None, step=None, path_id=None):
+        self.reason = message
+        if step is not None:
+            message = f"{message} at step {step} of path {path_id}"
+        super().__init__(message, residual=residual)
+        self.step = step
+        self.path_id = path_id
+
+
 class ConfigValidationError(InvalidConfigError):
     """One or more validation failures in a run configuration file."""
 

@@ -8,7 +8,14 @@ constant fields, which is the discrete form of the zero-flux boundary
 condition.  Lumping keeps every pointwise nonlinearity diagonal, so the
 implicit solves in the stepper are (diagonal + stiffness) SPD systems.
 
-In 1D those systems are tridiagonal and solved by banded Cholesky.  In 2D
+In 1D those systems are symmetric positive-definite tridiagonal.  Each
+distinct (shift, diagonal) pair is factored once by LAPACK ``dpttrf`` and
+every right-hand side is solved by ``dpttrs`` against the stored factor, so
+the heat operator M + dt K is factored once per time step size and the
+linear-alpha Newton Jacobian once as well; the factors live in a small
+bounded cache owned by the operators.  ``solveh_banded`` on a two-row band
+calls ``?ptsv``, which is exactly ``pttrf`` followed by ``pttrs``, so the
+cached solve returns the same bits as refactoring on every call.  In 2D
 the mass and stiffness are Kronecker products of 1D ones, so fast
 diagonalization (Lynch, Rice & Thomas 1964) solves (a M + c K) x = r
 exactly with four small matrix products; a diagonal that is not a multiple
@@ -16,18 +23,29 @@ of the mass uses that solve as a conjugate-gradient preconditioner, whose
 iteration count does not grow with the mesh.
 """
 
+import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, solveh_banded
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .errors import FieldShapeError, InvalidConfigError, NumericalError
+from .errors import FieldShapeError, InvalidConfigError, NonFiniteError, NumericalError
 
 # Relative tolerance of the preconditioned conjugate gradient used for 2D
 # solves whose diagonal is not a multiple of the lumped mass.
 CG_RTOL = 1e-13
+
+# Tridiagonal factors kept per 1D operator set.  Each time step size needs
+# one for the heat operator and, with linear alpha, one for the Newton
+# Jacobian, so a Monte Carlo study over up to eight dt levels keeps all of
+# them; nonlinear alpha adds a new Jacobian per Newton iteration, which the
+# least-recently-used eviction discards while the reused factors stay.
+FACTOR_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -44,6 +62,9 @@ class TimeGrid:
             return NotImplemented
         return self.horizon == other.horizon and self.steps == other.steps
 
+    def __hash__(self):
+        return hash((self.horizon, self.steps))
+
 
 def build_time_grid(horizon, steps):
     """Build the uniform time grid with nodes t_n = n * (T/N), n = 0..N."""
@@ -55,6 +76,53 @@ def build_time_grid(horizon, steps):
     dt = horizon / steps
     nodes = np.linspace(0.0, horizon, steps + 1)
     return TimeGrid(horizon=float(horizon), steps=steps, dt=dt, nodes=nodes)
+
+
+class _TridiagonalFactors:
+    """Bounded, thread-safe cache of ``dpttrf`` factors of diag + shift K.
+
+    Keyed by the shift and the diagonal's bytes, so a factor is reused only
+    for a bit-equal diagonal.  The Monte Carlo pool shares one operator set
+    between threads; every access to the dict holds the lock, and the
+    factorization itself runs outside it (two threads may factor the same
+    key; both results are identical).
+    """
+
+    def __init__(self, main, off):
+        self.main = main
+        self.off = off
+        self._factors = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        # Locks do not pickle or deep-copy; a copy starts with no factors.
+        return type(self), (self.main, self.off)
+
+    def __len__(self):
+        with self._lock:
+            return len(self._factors)
+
+    def solve(self, diagonal, shift, rhs):
+        key = (shift, diagonal.tobytes())
+        with self._lock:
+            factor = self._factors.get(key)
+            if factor is not None:
+                self._factors.move_to_end(key)
+        if factor is None:
+            d, e, info = dpttrf(diagonal + shift * self.main, shift * self.off)
+            if info != 0:
+                raise NumericalError(
+                    f"shifted operator is not positive definite (leading minor {info})"
+                )
+            factor = (d, e)
+            with self._lock:
+                self._factors[key] = factor
+                while len(self._factors) > FACTOR_CACHE_SIZE:
+                    self._factors.popitem(last=False)
+        x, info = dpttrs(*factor, rhs)
+        if info != 0:
+            raise NumericalError(f"tridiagonal solve rejected its arguments (info {info})")
+        return x
 
 
 @dataclass(frozen=True)
@@ -86,6 +154,7 @@ class SpatialOperators:
     axis_nodes: tuple
     spacings: tuple
     axis_eigenpairs: tuple = field(default=(), repr=False)
+    tridiagonal: _TridiagonalFactors | None = field(default=None, repr=False, compare=False)
 
 
 def _operators_1d(cells, length):
@@ -146,6 +215,7 @@ def build_operators(dimension, cells, lengths):
             coordinates=coords.reshape(-1, 1),
             axis_nodes=(mass.size,),
             spacings=(float(lengths[0]) / int(cells[0]),),
+            tridiagonal=_TridiagonalFactors(stiffness.diagonal(), stiffness.diagonal(1)),
         )
 
     mx, kx, cx = _operators_1d(int(cells[0]), float(lengths[0]))
@@ -219,20 +289,23 @@ def _fast_diagonalization(ops, scale, shift):
 def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
     """Solve (diag(diagonal) + shift * K) x = rhs for an SPD combination.
 
-    In 1D the system is tridiagonal and solved by banded Cholesky.  In 2D a
+    In 1D the system is tridiagonal: the ``dpttrf`` factor of each distinct
+    (shift, diagonal) is computed once, kept on ``ops``, and reused by
+    ``dpttrs`` whenever the diagonal is bit-equal to the cached one.  The
+    bits equal those of ``solveh_banded`` on the two-row band, which runs
+    ``?ptsv`` = ``pttrf`` + ``pttrs`` on the same inputs.  In 2D a
     diagonal that is a scalar multiple of the lumped mass is solved directly
     by fast diagonalization; any other diagonal runs conjugate gradient to
     ``CG_RTOL``, preconditioned by the fast-diagonalization solve of
     (a M + shift K) with a between the extremes of diagonal / lumped mass,
     which bounds the condition number by their ratio on every mesh.  Raises
-    NumericalError if the relative residual exceeds ``rtol``.
+    NumericalError if the operator is not positive definite or the relative
+    residual exceeds ``rtol``, and NonFiniteError if the residual is NaN or
+    infinite.
     """
     rhs = np.asarray(rhs, dtype=float)
     if ops.dimension == 1:
-        band = np.zeros((2, ops.node_count))
-        band[1] = diagonal + shift * ops.stiffness.diagonal()
-        band[0, 1:] = shift * ops.stiffness.diagonal(1)
-        x = solveh_banded(band, rhs)
+        x = ops.tridiagonal.solve(np.asarray(diagonal, dtype=float), float(shift), rhs)
     else:
         ratio = diagonal / ops.lumped_mass
         low, high = float(ratio.min()), float(ratio.max())
@@ -249,6 +322,9 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
                 residual = float(np.linalg.norm(apply_shifted(ops, diagonal, shift, x) - rhs))
                 raise NumericalError("conjugate gradient did not converge", residual=residual)
     residual = float(np.linalg.norm(apply_shifted(ops, diagonal, shift, x) - rhs))
+    if not math.isfinite(residual):
+        raise NonFiniteError("shifted-operator solve produced a non-finite residual",
+                             residual=residual)
     if residual > rtol * (1.0 + float(np.linalg.norm(rhs))):
         raise NumericalError("shifted-operator solve missed its tolerance", residual=residual)
     return x

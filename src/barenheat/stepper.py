@@ -10,6 +10,10 @@ chi iterates stop moving:
   substitution chi = chi_n + dt u + h_n dw_n.  The Jacobian
   M diag(alphatilde'(u)) + dt K is SPD because alphatilde' >= 1.
 
+Both operators are fixed for linear alpha, so in 1D ``solve_shifted``
+factors each once and reuses the factor for every inner iteration, step and
+path; the load K (chi_n + h_n dw_n) is computed once per step.
+
 The alternation is a strict contraction in the discrete L2 norm whenever
 dt < 1 + coercivity(alpha); the squared-difference ratio of successive
 iterates is bounded by 1 / (2 (tilde_coercivity/dt - 1/2)), and the step
@@ -29,6 +33,7 @@ from .errors import (
     FieldShapeError,
     InvalidConfigError,
     NonConvergenceError,
+    NonFiniteError,
 )
 from .grids import TimeGrid, l2_norm, solve_shifted
 from .noise import partial_sums
@@ -96,8 +101,23 @@ def solve_theta(chi_candidate, state_n, h_n, dw_n, grid, ops, rtol=1e-12):
     return solve_shifted(ops, ops.lumped_mass, grid.dt, rhs, rtol=rtol)
 
 
+def _newton_failure(message, residual, met_non_finite):
+    if met_non_finite:
+        return NonFiniteError(
+            f"{message}; line-search trials met non-finite values of alphatilde",
+            residual=residual,
+        )
+    return NonConvergenceError(message, residual=residual)
+
+
 def _newton(ops, nl, dt, rhs, tol):
-    """Solve M alphatilde(u) + dt K u = rhs for u, Newton with backtracking."""
+    """Solve M alphatilde(u) + dt K u = rhs for u, Newton with backtracking.
+
+    Raises NonFiniteError when the residual or the Jacobian at an iterate is
+    NaN or infinite, or when the line search or the iteration cap fails
+    after trial steps met non-finite residuals; backtracking out of such
+    trials is allowed, since it keeps u where alphatilde is finite.
+    """
     mass = ops.lumped_mass
     u = np.zeros(ops.node_count)
     threshold = tol * (1.0 + float(np.linalg.norm(rhs)))
@@ -107,11 +127,16 @@ def _newton(ops, nl, dt, rhs, tol):
 
     res = residual_vec(u)
     res_norm = float(np.linalg.norm(res))
+    if not math.isfinite(res_norm):
+        raise NonFiniteError("nonlinear sub-problem has a non-finite residual", residual=res_norm)
     halvings_used = 0
+    met_non_finite = False
     for iteration in range(MAX_NEWTON_ITERATIONS):
         if res_norm <= threshold:
             return u, NewtonReport(res_norm, iteration, halvings_used)
         jac_diag = mass * nl.alpha_tilde_prime(u)
+        if not np.isfinite(jac_diag).all():
+            raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite", residual=res_norm)
         delta = solve_shifted(ops, jac_diag, dt, -res, rtol=1e-10)
         scale = 1.0
         for halving in range(MAX_LINE_SEARCH_HALVINGS + 1):
@@ -121,32 +146,39 @@ def _newton(ops, nl, dt, rhs, tol):
             if trial_norm < res_norm:
                 halvings_used = max(halvings_used, halving)
                 break
+            met_non_finite = met_non_finite or not math.isfinite(trial_norm)
             scale *= 0.5
         else:
-            raise NonConvergenceError(
+            raise _newton_failure(
                 "Newton line search stalled on the nonlinear sub-problem",
-                residual=res_norm,
+                res_norm,
+                met_non_finite,
             )
         u, res, res_norm = trial, trial_res, trial_norm
     if res_norm <= threshold:
         return u, NewtonReport(res_norm, MAX_NEWTON_ITERATIONS, halvings_used)
-    raise NonConvergenceError(
-        "Newton did not reach tolerance on the nonlinear sub-problem", residual=res_norm
+    raise _newton_failure(
+        "Newton did not reach tolerance on the nonlinear sub-problem", res_norm, met_non_finite
     )
 
 
-def solve_chi(theta, state_n, h_n, dw_n, grid, ops, nl, tol=DEFAULT_NEWTON_TOL):
+def solve_chi(theta, state_n, h_n, dw_n, grid, ops, nl, tol=DEFAULT_NEWTON_TOL,
+              stiffness_shift=None):
     """Solve the nonlinear sub-problem for a frozen theta.
 
     Returns the new chi and a NewtonReport.  Works on the time-increment
     variable u, for which the Jacobian is SPD, then maps back through
-    chi = chi_n + dt u + h_n dw_n.
+    chi = chi_n + dt u + h_n dw_n.  ``stiffness_shift`` is
+    K (chi_n + h_n dw_n), which does not depend on theta; ``step`` passes
+    it in once per step, and it is computed here when omitted.
     """
     if not grid.dt < 1.0:
         raise InvalidConfigError(f"nonlinear sub-problem requires dt < 1, got dt = {grid.dt}")
     _check_state_shapes(state_n, h_n, ops)
     shift = state_n.chi + h_n * dw_n
-    rhs = ops.lumped_mass * theta - ops.stiffness @ shift
+    if stiffness_shift is None:
+        stiffness_shift = ops.stiffness @ shift
+    rhs = ops.lumped_mass * theta - stiffness_shift
     u, report = _newton(ops, nl, grid.dt, rhs, tol)
     chi = shift + grid.dt * u
     return chi, report
@@ -188,7 +220,9 @@ def step(
     ``tol``, then re-solves the heat sub-problem against the accepted chi.
     """
     check_step_preconditions(grid, nl)
+    _check_state_shapes(state_n, h_n, ops)
     dt = grid.dt
+    stiffness_shift = ops.stiffness @ (state_n.chi + h_n * dw_n)
     chi_iterate = state_n.chi
     differences = []
     factors = []
@@ -199,7 +233,8 @@ def step(
     for _ in range(max_inner):
         theta = solve_theta(chi_iterate, state_n, h_n, dw_n, grid, ops)
         chi_next, newton_report = solve_chi(
-            theta, state_n, h_n, dw_n, grid, ops, nl, tol=newton_tol
+            theta, state_n, h_n, dw_n, grid, ops, nl, tol=newton_tol,
+            stiffness_shift=stiffness_shift,
         )
         iterations += 1
         newton_iterations += newton_report.iterations
@@ -273,7 +308,8 @@ def run_additive(
     """Run the additive-noise scheme along one Brownian path.
 
     Returns a Trajectory with N+1 field snapshots; u is populated as
-    chi - B_n from the path's partial sums.
+    chi - B_n from the path's partial sums.  A NonFiniteError from a step
+    is re-raised with that step's index and the path's id.
     """
     if path.grid != grid or integrand.grid != grid:
         raise FieldShapeError("path, integrand, and run must share one time grid")
@@ -292,17 +328,22 @@ def run_additive(
     traj.u[0] = chi0 - sums.values[0]
     state = SystemState(index=0, theta=theta0, chi=chi0, u_field=traj.u[0])
     for n in range(grid.steps):
-        state, report = step(
-            state,
-            float(path.increments[n]),
-            integrand.values[n],
-            grid,
-            ops,
-            nl,
-            tol=tol,
-            max_inner=max_inner,
-            newton_tol=newton_tol,
-        )
+        try:
+            state, report = step(
+                state,
+                float(path.increments[n]),
+                integrand.values[n],
+                grid,
+                ops,
+                nl,
+                tol=tol,
+                max_inner=max_inner,
+                newton_tol=newton_tol,
+            )
+        except NonFiniteError as exc:
+            raise NonFiniteError(
+                exc.reason, residual=exc.residual, step=n, path_id=path.path_id
+            ) from exc
         traj.theta[n + 1] = state.theta
         traj.chi[n + 1] = state.chi
         traj.u[n + 1] = state.chi - sums.values[n + 1]

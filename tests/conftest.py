@@ -1,6 +1,24 @@
+import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 import barenheat as bh
+
+
+def _reference_solve_1d(ops, diagonal, shift, rhs, rtol=None):
+    """The former per-call 1D shifted solve: build the two-row band,
+    refactor and solve with ``solveh_banded`` on every call.  ``rtol`` is
+    accepted and ignored so that it can stand in for ``solve_shifted``."""
+    band = np.zeros((2, ops.node_count))
+    band[1] = diagonal + shift * ops.stiffness.diagonal()
+    band[0, 1:] = shift * ops.stiffness.diagonal(1)
+    return solveh_banded(band, rhs)
+
+
+@pytest.fixture(scope="session")
+def reference_solve_1d():
+    """Refactoring 1D solve that the cached ``solve_shifted`` must match bit for bit."""
+    return _reference_solve_1d
 
 
 @pytest.fixture(scope="session")

@@ -167,6 +167,13 @@ class TestCli:
         assert summary["statistic"] == pytest.approx(expected.stability_constant, rel=1e-15)
         assert summary["gronwall_exponent"] == pytest.approx(8.0 / 3.0, rel=1e-15)
 
+    def test_threads_default_to_one(self, tmp_path):
+        config = write_config(tmp_path, MINIMAL)
+        outdir = str(tmp_path / "out")
+        assert run_cli("constants", "--config", config, "--out", outdir) == 0
+        manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+        assert manifest["threads"] == 1
+
     def test_seed_env_takes_precedence(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, MINIMAL)
         out_a = str(tmp_path / "a")

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -117,6 +120,40 @@ class TestMcExpectation:
         pooled = bh.mc_expectation(sample, 32, 3, threads=4)
         assert np.array_equal(serial[0], pooled[0])
         assert np.array_equal(serial[1], pooled[1])
+
+    def test_pool_sharing_one_operator_set_matches_serial(self):
+        # More threads than cores share one operator set and its factor
+        # cache; even paths reuse the linear-alpha factors, odd ones churn
+        # the cache with saturating-alpha Jacobians.  A lost or mixed-up
+        # factor would change some path's numbers.
+        grid = bh.build_time_grid(1.0, 16)
+        nls = (bh.linear(1.0), bh.saturating(2.0))
+
+        def make_sample(ops):
+            data = bh.evaluate_on_mesh("cos(pi*x)", ops)
+            integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops)
+
+            def sample(seed, pid):
+                path = bh.sample_path(grid, seed, pid)
+                traj = bh.run_additive(data, data, integ, path, grid, ops, nls[pid % 2])
+                return np.concatenate([traj.theta[-1], traj.chi[-1]])
+
+            return sample
+
+        serial = bh.mc_expectation(make_sample(bh.build_operators(1, 16, 1.0)), 24, 9)
+        threads = min(4 * (os.cpu_count() or 1), 16)
+        outer = ThreadPoolExecutor(max_workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            future = outer.submit(bh.mc_expectation, make_sample(bh.build_operators(1, 16, 1.0)),
+                                  24, 9, threads=threads)
+            pooled = future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            outer.shutdown(wait=False)
+        assert np.array_equal(pooled[0], serial[0])
+        assert np.array_equal(pooled[1], serial[1])
 
     def test_requires_two_paths(self):
         with pytest.raises(InvalidConfigError):

@@ -5,7 +5,7 @@ from scipy.sparse.linalg import spsolve
 
 import barenheat as bh
 from barenheat import grids
-from barenheat.errors import FieldShapeError, InvalidConfigError
+from barenheat.errors import FieldShapeError, InvalidConfigError, NonFiniteError, NumericalError
 
 
 class TestTimeGrid:
@@ -33,6 +33,14 @@ class TestTimeGrid:
     def test_invalid_configs(self, horizon, steps):
         with pytest.raises(InvalidConfigError):
             bh.build_time_grid(horizon, steps)
+
+    def test_hash_consistent_with_equality(self):
+        grid, same = bh.build_time_grid(1.0, 4), bh.build_time_grid(1.0, 4)
+        assert grid == same and grid is not same
+        assert hash(grid) == hash(same)
+        table = {grid: "coarse", bh.build_time_grid(1.0, 8): "fine"}
+        assert table[same] == "coarse"
+        assert len(table) == 2 and len({grid, same}) == 1
 
 
 class TestOperators1D:
@@ -133,6 +141,58 @@ class TestNorms:
             bh.l2_norm(np.ones(7), ops65)
         with pytest.raises(FieldShapeError):
             bh.l2_inner(np.ones(65), np.ones(64), ops65)
+
+
+class TestSolveShifted1D:
+    def test_bitwise_equal_to_refactoring_reference(self, reference_solve_1d):
+        ops = bh.build_operators(1, 40, 1.7)
+        rng = np.random.default_rng(21)
+        mass = ops.lumped_mass
+        for trial in range(40):
+            diagonal = mass * (rng.uniform(1.0, 6.0, mass.size) if trial % 2 else 1.0)
+            shift = float(rng.uniform(1e-3, 1.0))
+            # Repeated solves hit the cached factor; each must still match.
+            for _ in range(5):
+                rhs = rng.standard_normal(mass.size) * 10.0 ** rng.uniform(-6, 6)
+                x = grids.solve_shifted(ops, diagonal, shift, rhs)
+                assert np.array_equal(x, reference_solve_1d(ops, diagonal, shift, rhs))
+
+    def test_reuses_factor_only_for_bit_equal_diagonal(self, monkeypatch, reference_solve_1d):
+        ops = bh.build_operators(1, 16, 1.0)
+        calls = []
+        real_dpttrf = grids.dpttrf
+
+        def counting_dpttrf(*args, **kwargs):
+            calls.append(1)
+            return real_dpttrf(*args, **kwargs)
+
+        monkeypatch.setattr(grids, "dpttrf", counting_dpttrf)
+        rhs = np.linspace(-1.0, 1.0, ops.node_count)
+        diagonal = 2.0 * ops.lumped_mass
+        grids.solve_shifted(ops, diagonal, 0.1, rhs)
+        grids.solve_shifted(ops, diagonal.copy(), 0.1, 2.0 * rhs)
+        assert len(calls) == 1
+        nudged = diagonal.copy()
+        nudged[3] = np.nextafter(nudged[3], np.inf)
+        x = grids.solve_shifted(ops, nudged, 0.1, rhs)
+        assert len(calls) == 2
+        assert np.array_equal(x, reference_solve_1d(ops, nudged, 0.1, rhs))
+        grids.solve_shifted(ops, diagonal, 0.2, rhs)
+        assert len(calls) == 3
+
+    def test_non_spd_operator_raises(self):
+        ops = bh.build_operators(1, 8, 1.0)
+        diagonal = ops.lumped_mass.copy()
+        diagonal[4] = -1.0
+        with pytest.raises(NumericalError):
+            grids.solve_shifted(ops, diagonal, 0.01, np.ones(ops.node_count))
+
+    def test_non_finite_rhs_raises(self):
+        ops = bh.build_operators(1, 8, 1.0)
+        rhs = np.ones(ops.node_count)
+        rhs[2] = np.nan
+        with pytest.raises(NonFiniteError):
+            grids.solve_shifted(ops, ops.lumped_mass, 0.1, rhs)
 
 
 class TestSolveShifted2D:

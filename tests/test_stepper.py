@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import barenheat as bh
-from barenheat import stepper
+from barenheat import grids, stepper
 from barenheat.errors import (
     ContractionConditionError,
     InvalidConfigError,
     NonConvergenceError,
+    NonFiniteError,
 )
 from barenheat.stepper import SystemState
 
@@ -308,3 +309,113 @@ class TestRunAdditive:
         assert len(traj.reports) == 4
         assert all(r.inner_iterations >= 1 for r in traj.reports)
         assert all(len(r.chi_differences) == r.inner_iterations for r in traj.reports)
+
+
+def nan_beyond(limit, broken):
+    """Saturating alpha(x) = x + x / (1 + |x|) with ``broken`` ("alpha" or
+    "prime") returning NaN for |x| > limit; needs several Newton steps."""
+    base = bh.saturating(1.0)
+
+    def alpha(x):
+        x = np.asarray(x, dtype=float)
+        value = base.alpha(x)
+        return np.where(np.abs(x) <= limit, value, np.nan) if broken == "alpha" else value
+
+    def alpha_prime(x):
+        x = np.asarray(x, dtype=float)
+        value = base.alpha_prime(x)
+        return np.where(np.abs(x) <= limit, value, np.nan) if broken == "prime" else value
+
+    return bh.make_nonlinearity(f"nan-{broken}", alpha, 2.0, 1.0, alpha_prime=alpha_prime)
+
+
+class TestFactorReuse:
+    @pytest.fixture
+    def run_inputs(self):
+        grid = bh.build_time_grid(1.0, 32)
+        ops = bh.build_operators(1, 64, 1.0)
+        integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops)
+        return grid, ops, integ, bh.sample_path(grid, 31, 2)
+
+    @pytest.mark.parametrize("nl", [bh.linear(1.0), bh.saturating(2.0)], ids=lambda nl: nl.name)
+    def test_trajectory_bitwise_equal_to_reference_solve(
+        self, run_inputs, cos_field, nl, monkeypatch, reference_solve_1d
+    ):
+        grid, ops, integ, path = run_inputs
+        cached = bh.run_additive(cos_field, 0.5 * cos_field, integ, path, grid, ops, nl)
+        monkeypatch.setattr(stepper, "solve_shifted", reference_solve_1d)
+        reference = bh.run_additive(cos_field, 0.5 * cos_field, integ, path, grid, ops, nl)
+        assert np.array_equal(cached.theta, reference.theta)
+        assert np.array_equal(cached.chi, reference.chi)
+        assert [r.inner_iterations for r in cached.reports] == [
+            r.inner_iterations for r in reference.reports
+        ]
+
+    def _record_factorizations(self, monkeypatch):
+        factored = []
+        real_dpttrf = grids.dpttrf
+
+        def recording_dpttrf(d, e, *args, **kwargs):
+            factored.append(np.array(d))
+            return real_dpttrf(d, e, *args, **kwargs)
+
+        monkeypatch.setattr(grids, "dpttrf", recording_dpttrf)
+        return factored
+
+    def test_linear_run_factors_each_operator_once_per_dt(
+        self, run_inputs, cos_field, monkeypatch
+    ):
+        grid, ops, integ, path = run_inputs
+        factored = self._record_factorizations(monkeypatch)
+        nl = bh.linear(1.0)
+        traj = bh.run_additive(cos_field, cos_field, integ, path, grid, ops, nl)
+        assert sum(r.inner_iterations for r in traj.reports) > 2 * grid.steps
+        # The heat operator M + dt K and the fixed Newton Jacobian.
+        assert len(factored) == 2
+        heat = ops.lumped_mass + grid.dt * ops.tridiagonal.main
+        assert np.array_equal(factored[0], heat)
+        bh.run_additive(cos_field, cos_field, integ, bh.sample_path(grid, 31, 3), grid, ops, nl)
+        assert len(factored) == 2
+        finer = bh.build_time_grid(1.0, 64)
+        finer_integ = bh.discretize_integrand("cos(pi*x)*(1+t)", finer, ops)
+        bh.run_additive(cos_field, cos_field, finer_integ, bh.sample_path(finer, 31, 2),
+                        finer, ops, nl)
+        assert len(factored) == 4
+
+    def test_saturating_run_keeps_cache_bounded_and_heat_factor(
+        self, cos_field, monkeypatch
+    ):
+        ops = bh.build_operators(1, 64, 1.0)
+        grid = bh.build_time_grid(1.0, 128)
+        integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops)
+        factored = self._record_factorizations(monkeypatch)
+        traj = bh.run_additive(cos_field, cos_field, integ, bh.sample_path(grid, 5, 0),
+                               grid, ops, bh.saturating(2.0))
+        # At most one factorization per Newton iteration plus the heat one.
+        newton = sum(r.newton_iterations for r in traj.reports)
+        assert grids.FACTOR_CACHE_SIZE < len(factored) <= newton + 1
+        assert len(ops.tridiagonal) <= grids.FACTOR_CACHE_SIZE
+        heat = ops.lumped_mass + grid.dt * ops.tridiagonal.main
+        assert sum(np.array_equal(d, heat) for d in factored) == 1
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("broken", ["alpha", "prime"])
+    def test_reported_with_step_and_path(self, broken):
+        ops = bh.build_operators(1, 16, 1.0)
+        grid = bh.build_time_grid(1.0, 8)
+        data = 5.0 * bh.evaluate_on_mesh("cos(pi*x)", ops)
+        integ = bh.discretize_integrand("0", grid, ops)
+        path = bh.sample_path(grid, 1, 3)
+        nl = nan_beyond(0.5, broken)
+        with pytest.raises(NonFiniteError) as info:
+            bh.run_additive(data, np.zeros(ops.node_count), integ, path, grid, ops, nl)
+        assert info.value.step == 0 and info.value.path_id == 3
+        assert "at step 0 of path 3" in str(info.value)
+
+    def test_non_finite_data_reported(self, ops65, grid16, unit_nl):
+        theta = np.zeros(65)
+        theta[7] = np.inf
+        state = make_state(theta, 0.0, ops65)
+        with pytest.raises(NonFiniteError):
+            bh.step(state, 0.1, np.zeros(65), grid16, ops65, unit_nl)
