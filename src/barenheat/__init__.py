@@ -3,23 +3,6 @@ system with zero-flux boundaries, plus a Monte Carlo verification harness."""
 
 __version__ = "0.1.0"
 
-from .diagnostics import (
-    AdditiveSetup,
-    ConvergenceStudy,
-    EnergyReport,
-    RateReport,
-    StabilityConstants,
-    StabilityReport,
-    compute_stability_constant,
-    energy_estimate_check,
-    energy_statistic,
-    grid_difference_rates,
-    mc_expectation,
-    self_convergence,
-    simulate,
-    stability_check,
-    weak_identity_defects,
-)
 from .errors import (
     ConfigValidationError,
     ContractionConditionError,
@@ -79,3 +62,30 @@ from .stepper import (
     solve_theta,
     step,
 )
+from .theory import StabilityConstants, compute_stability_constant
+
+# The Monte Carlo harness in ``diagnostics`` loads on first use of one of its
+# names, so that importing the solver does not import it.
+_DIAGNOSTICS_NAMES = (
+    "AdditiveSetup",
+    "ConvergenceStudy",
+    "EnergyReport",
+    "RateReport",
+    "StabilityReport",
+    "energy_estimate_check",
+    "energy_statistic",
+    "grid_difference_rates",
+    "mc_expectation",
+    "self_convergence",
+    "simulate",
+    "stability_check",
+    "weak_identity_defects",
+)
+
+
+def __getattr__(name):
+    if name in _DIAGNOSTICS_NAMES:
+        from . import diagnostics
+
+        return getattr(diagnostics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,9 +34,9 @@ import scipy
 from . import __version__
 from .config import parse_config
 from .diagnostics import (
-    compute_stability_constant,
     energy_estimate_check,
     grid_difference_rates,
+    path_batches,
     self_convergence,
     simulate,
     stability_check,
@@ -48,6 +48,7 @@ from .grids import build_time_grid, h1_seminorm, l2_norm
 from .multiplicative import PicardConfig, picard_solve
 from .noise import discretize_integrand, sample_path
 from .stepper import contraction_factor_bound
+from .theory import compute_stability_constant
 
 WEAK_IDENTITY_TOL = 1e-10
 FACTOR_SLACK = 1e-6
@@ -165,7 +166,7 @@ def cmd_mc(args, config, outdir, seed):
              "mc needs [time] dt_levels with at least 2 levels")
     _require(config.paths >= 2, "mc needs at least 2 paths")
     report = energy_estimate_check(_setup(config), config.horizon, config.dt_levels,
-                                   config.paths, seed, threads=args.threads)
+                                   config.paths, seed)
     rows = list(zip(report.dts, report.statistics, report.standard_errors))
     _write_csv(os.path.join(outdir, "energy.csv"),
                ["dt", "statistic", "standard_error"], rows)
@@ -186,7 +187,7 @@ def cmd_converge(args, config, outdir, seed):
     _require(config.paths >= 2, "converge needs at least 2 paths")
     runner = grid_difference_rates if config.study_kind == "grid_difference" else self_convergence
     study = runner(_setup(config), config.horizon, config.dt_levels,
-                   config.paths, seed, threads=args.threads)
+                   config.paths, seed)
     rows = [
         [dt, et, set_, ec, sec]
         for dt, et, set_, ec, sec in zip(
@@ -216,7 +217,7 @@ def cmd_stability(args, config, outdir, seed):
     _require(config.paths >= 2, "stability needs at least 2 paths")
     grid = build_time_grid(config.horizon, config.steps)
     report = stability_check(_setup(config), config.integrand_hat, grid,
-                             config.paths, seed, threads=args.threads)
+                             config.paths, seed)
     rows = []
     for n in range(grid.steps + 1):
         ratio = report.lhs[n] / report.rhs[n] if report.rhs[n] > 0 else 0.0
@@ -245,12 +246,12 @@ def cmd_contraction(args, config, outdir, seed):
         integrand = discretize_integrand(setup.integrand, grid, config.ops)
         bound = contraction_factor_bound(nl, grid.dt)
         worst = 0.0
-        for pid in range(config.paths):
-            path = sample_path(grid, seed, pid)
-            traj = simulate(setup, grid, path, integrand=integrand)
-            for report in traj.reports:
-                if report.contraction_factors:
-                    worst = max(worst, max(report.contraction_factors))
+        for batch in path_batches(config.paths):
+            paths = [sample_path(grid, seed, pid) for pid in batch]
+            for traj in simulate(setup, grid, paths, integrand=integrand):
+                for report in traj.reports:
+                    if report.contraction_factors:
+                        worst = max(worst, max(report.contraction_factors))
         level_ok = worst <= bound * (1.0 + FACTOR_SLACK)
         passed = passed and level_ok
         rows.append([grid.dt, bound, worst, config.paths, grid.steps])
@@ -339,8 +340,8 @@ def _build_parser():
     parser.add_argument("--dt-list", default=None,
                         help="comma-separated dt levels, overrides the config")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for Monte Carlo runs (default 1; paths hold "
-                             "the interpreter lock, so more threads rarely help)")
+                        help="accepted and ignored: Monte Carlo paths run as one batch "
+                             "in this process (recorded in manifest.json)")
     parser.add_argument("--override-picard-condition", action="store_true",
                         help="run picard even if the weight condition fails")
     parser.add_argument("--timings", action="store_true",

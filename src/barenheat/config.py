@@ -56,11 +56,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nonlinearity as nonlin
-from .diagnostics import compute_stability_constant
 from .errors import ConfigValidationError, ExpressionError, InvalidConfigError
 from .expressions import parse_expression
 from .grids import build_operators
 from .multiplicative import MultiplicativeMap, PicardConfig, affine_map, damped_map
+from .theory import compute_stability_constant
 
 _KNOWN_KEYS = {
     "mesh": {"dimension", "cells", "lengths"},

@@ -3,8 +3,12 @@
 Everything here reduces trajectories to scalars or small arrays and averages
 them over Brownian paths with deterministic seeding: path k is always drawn
 from the (seed, k) stream and the reduction runs in path-id order from a
-buffered table, so the results are bit-reproducible for a fixed (seed, M)
-regardless of thread count.
+buffered table, so the results are bit-reproducible for a fixed (seed, M).
+The estimators advance up to ``BATCH_PATHS`` paths at a time as one batch
+of ``run_additive``; every path gets the bits of a run on its own, so the
+results do not depend on the batch size either.  The ``threads`` arguments
+are accepted for compatibility and ignored: all paths run in the calling
+thread.
 
 Continuum norms are replaced by their discrete surrogates on the lumped
 mesh: squared space-time norms become sums of dt-weighted squared nodal
@@ -14,7 +18,6 @@ the dt/3 factor below.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,83 +26,49 @@ from .errors import InvalidConfigError
 from .grids import build_time_grid, h1_seminorm, l2_norm
 from .noise import aggregate_path, discretize_integrand, sample_path
 from .stepper import run_additive
+from .theory import StabilityConstants, compute_stability_constant
+
+# Most paths advanced together as one batch; bounds the memory a batch's
+# trajectories take, and does not change any result.
+BATCH_PATHS = 64
 
 
-@dataclass(frozen=True)
-class StabilityConstants:
-    """Explicit constants of the continuous-dependence estimate.
-
-    ``gronwall_exponent`` is the rate ((lipschitz^2 + 1)/(2 coercivity + 1)
-    + 2) that drives the Gronwall factor, and ``stability_constant`` is the
-    constant assembled from the three inequality chains of the estimate:
-    with E = 1 + g T e^{g T} (g the exponent) and
-    F = (lipschitz^2 + 1)/(coercivity + 1/2) + T/2,
-
-        C = (1/(coercivity + 1/2) + 1) (T/2 E F + 1) + E F + 1/2.
-
-    It bounds the ratio tested by ``stability_check`` from above; any slack
-    in it only loosens that one-sided test.
-    """
-
-    lipschitz: float
-    coercivity: float
-    horizon: float
-    gronwall_exponent: float
-    stability_constant: float
+def _require_paths(count):
+    if count < 2:
+        raise InvalidConfigError(f"Monte Carlo needs at least 2 paths, got {count}")
 
 
-def compute_stability_constant(lipschitz, coercivity, horizon):
-    """Assemble the continuous-dependence constants from alpha's constants and T."""
-    if not (lipschitz > 0 and coercivity > 0 and horizon > 0):
-        raise InvalidConfigError(
-            "stability constants need positive lipschitz, coercivity, and horizon; "
-            f"got {lipschitz}, {coercivity}, {horizon}"
-        )
-    squares = lipschitz**2 + 1.0
-    exponent = squares / (2.0 * coercivity + 1.0) + 2.0
-    growth = 1.0 + exponent * horizon * math.exp(exponent * horizon)
-    forcing = squares / (coercivity + 0.5) + horizon / 2.0
-    constant = (
-        (1.0 / (coercivity + 0.5) + 1.0) * (horizon / 2.0 * growth * forcing + 1.0)
-        + growth * forcing
-        + 0.5
-    )
-    return StabilityConstants(
-        lipschitz=float(lipschitz),
-        coercivity=float(coercivity),
-        horizon=float(horizon),
-        gronwall_exponent=exponent,
-        stability_constant=constant,
-    )
+def _path_statistics(table):
+    """Mean and standard error over the first axis, one row per path in path-id order."""
+    table = np.asarray(table, dtype=float)
+    mean = table.mean(axis=0)
+    stderr = table.std(axis=0, ddof=1) / math.sqrt(len(table))
+    if mean.ndim == 0:
+        return float(mean), float(stderr)
+    return mean, stderr
+
+
+def path_batches(count):
+    """Path ids 0..count-1 in consecutive ranges of at most BATCH_PATHS,
+    each of which runs as one batch."""
+    for start in range(0, count, BATCH_PATHS):
+        yield range(start, min(start + BATCH_PATHS, count))
 
 
 def mc_expectation(sample, count, seed, threads=1):
     """Sample mean and standard error of ``sample(seed, path_id)`` over paths.
 
     ``sample`` may return a float or an ndarray; the reduction is performed
-    in path-id order from a buffered table, so the result does not depend on
-    ``threads``.  ``threads`` > 1 runs the samples on a thread pool, but a
-    sample is mostly Python and holds the interpreter lock, so the serial
-    default is the fastest choice on CPython; the estimators in this module
-    and the CLI's ``--threads`` default to 1 for that reason.
+    in path-id order from a buffered table.  ``threads`` is accepted and
+    ignored: samples run one after another in the calling thread, because a
+    sample is mostly Python and holds the interpreter lock, so a thread pool
+    only made runs slower.  The estimators below batch their paths instead
+    and reduce through the same ordered reduction.
     """
-    if count < 2:
-        raise InvalidConfigError(f"Monte Carlo needs at least 2 paths, got {count}")
-    values = [None] * count
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(sample, seed, pid): pid for pid in range(count)}
-            for future, pid in futures.items():
-                values[pid] = np.asarray(future.result(), dtype=float)
-    else:
-        for pid in range(count):
-            values[pid] = np.asarray(sample(seed, pid), dtype=float)
-    stacked = np.stack(values)
-    mean = stacked.mean(axis=0)
-    stderr = stacked.std(axis=0, ddof=1) / math.sqrt(count)
-    if mean.ndim == 0:
-        return float(mean), float(stderr)
-    return mean, stderr
+    _require_paths(count)
+    return _path_statistics(
+        [np.asarray(sample(seed, pid), dtype=float) for pid in range(count)]
+    )
 
 
 @dataclass(frozen=True)
@@ -116,7 +85,11 @@ class AdditiveSetup:
 
 
 def simulate(setup, grid, path, integrand=None):
-    """Run the additive scheme for ``setup`` on ``grid`` along ``path``."""
+    """Run the additive scheme for ``setup`` on ``grid`` along ``path``.
+
+    ``path`` is one BrownianPath or a sequence of them, as in
+    ``run_additive``.
+    """
     if integrand is None:
         integrand = discretize_integrand(setup.integrand, grid, setup.ops)
     return run_additive(
@@ -149,6 +122,28 @@ def _level_grids(horizon, dts):
                 f"level with {coarse.steps} steps does not divide the finer {fine.steps}"
             )
     return grids
+
+
+def _level_table(setup, grids, paths, seed, statistic):
+    """Array of ``statistic(grid, trajectory)`` indexed by [path id, level].
+
+    Each path is drawn once on the finest grid and aggregated onto every
+    level, which couples the levels.  A batch of up to BATCH_PATHS paths
+    runs as one ``run_additive`` per level, and only the statistics of a
+    level are kept, not its trajectories.
+    """
+    finest = grids[-1]
+    integrands = [discretize_integrand(setup.integrand, g, setup.ops) for g in grids]
+    rows = []
+    for batch in path_batches(paths):
+        fine_paths = [sample_path(finest, seed, pid) for pid in batch]
+        levels = []
+        for grid, integrand in zip(grids, integrands):
+            level_paths = [aggregate_path(p, finest.steps // grid.steps) for p in fine_paths]
+            levels.append([statistic(grid, traj) for traj in
+                           simulate(setup, grid, level_paths, integrand=integrand)])
+        rows.extend(zip(*levels))
+    return np.array(rows, dtype=float)
 
 
 @dataclass
@@ -200,25 +195,17 @@ def grid_difference_rates(setup, horizon, dts, paths, seed, threads=1):
     grids = _level_grids(horizon, dts)
     if len(grids) < 3:
         raise InvalidConfigError(f"need at least 3 dt levels, got {len(grids)}")
+    _require_paths(paths)
     ops = setup.ops
-    finest = grids[-1]
-    integrands = [discretize_integrand(setup.integrand, g, ops) for g in grids]
 
-    def sample(seed_, pid):
-        fine_path = sample_path(finest, seed_, pid)
-        out = np.empty((len(grids), 2))
-        for idx, grid in enumerate(grids):
-            path = aggregate_path(fine_path, finest.steps // grid.steps)
-            traj = simulate(setup, grid, path, integrand=integrands[idx])
-            dtheta = np.diff(traj.theta, axis=0)
-            dchi = np.diff(traj.chi, axis=0)
-            theta_sq = sum(l2_norm(row, ops) ** 2 for row in dtheta)
-            chi_sq = sum(l2_norm(row, ops) ** 2 + h1_seminorm(row, ops) ** 2 for row in dchi)
-            out[idx, 0] = grid.dt / 3.0 * theta_sq
-            out[idx, 1] = grid.dt / 3.0 * chi_sq
-        return out
+    def gaps(grid, traj):
+        dtheta = np.diff(traj.theta, axis=0)
+        dchi = np.diff(traj.chi, axis=0)
+        theta_sq = sum(l2_norm(row, ops) ** 2 for row in dtheta)
+        chi_sq = sum(l2_norm(row, ops) ** 2 + h1_seminorm(row, ops) ** 2 for row in dchi)
+        return grid.dt / 3.0 * theta_sq, grid.dt / 3.0 * chi_sq
 
-    mean, se = mc_expectation(sample, paths, seed, threads=threads)
+    mean, se = _path_statistics(_level_table(setup, grids, paths, seed, gaps))
     level_dts = [g.dt for g in grids]
     return ConvergenceStudy(
         theta=_rate_report(level_dts, mean[:, 0], se[:, 0]),
@@ -235,24 +222,16 @@ def self_convergence(setup, horizon, dts, paths, seed, threads=1):
     grids = _level_grids(horizon, dts)
     if len(grids) < 2:
         raise InvalidConfigError(f"need at least 2 dt levels, got {len(grids)}")
+    _require_paths(paths)
     ops = setup.ops
-    finest = grids[-1]
-    integrands = [discretize_integrand(setup.integrand, g, ops) for g in grids]
-
-    def sample(seed_, pid):
-        fine_path = sample_path(finest, seed_, pid)
-        finals = []
-        for idx, grid in enumerate(grids):
-            path = aggregate_path(fine_path, finest.steps // grid.steps)
-            traj = simulate(setup, grid, path, integrand=integrands[idx])
-            finals.append((traj.theta[-1], traj.chi[-1]))
-        out = np.empty((len(grids) - 1, 2))
+    finals = _level_table(setup, grids, paths, seed,
+                          lambda grid, traj: np.stack((traj.theta[-1], traj.chi[-1])))
+    table = np.empty((paths, len(grids) - 1, 2))
+    for pid in range(paths):
         for idx in range(len(grids) - 1):
-            out[idx, 0] = l2_norm(finals[idx][0] - finals[idx + 1][0], ops) ** 2
-            out[idx, 1] = l2_norm(finals[idx][1] - finals[idx + 1][1], ops) ** 2
-        return out
-
-    mean, se = mc_expectation(sample, paths, seed, threads=threads)
+            table[pid, idx, 0] = l2_norm(finals[pid, idx, 0] - finals[pid, idx + 1, 0], ops) ** 2
+            table[pid, idx, 1] = l2_norm(finals[pid, idx, 1] - finals[pid, idx + 1, 1], ops) ** 2
+    mean, se = _path_statistics(table)
     pair_dts = [g.dt for g in grids[:-1]]
     return ConvergenceStudy(
         theta=_rate_report(pair_dts, mean[:, 0], se[:, 0]),
@@ -300,23 +279,23 @@ def stability_check(setup, integrand_hat, grid, paths, seed, threads=1):
     np.cumsum(grid.dt * step_sq, out=rhs[1:])
     rhs *= constants.stability_constant
 
-    def sample(seed_, pid):
-        path = sample_path(grid, seed_, pid)
-        traj = simulate(setup, grid, path, integrand=base)
-        traj_hat = simulate(setup, grid, path, integrand=other)
-        dtheta = traj.theta - traj_hat.theta
-        dchi = traj.chi - traj_hat.chi
-        lhs = np.empty(grid.steps + 1)
-        for n in range(grid.steps + 1):
-            lhs[n] = (
-                l2_norm(dtheta[n], ops) ** 2
-                + h1_seminorm(dtheta[n], ops) ** 2
-                + 0.25 * l2_norm(dchi[n], ops) ** 2
-                + 0.25 * h1_seminorm(dchi[n], ops) ** 2
-            )
-        return lhs
-
-    lhs_mean, lhs_se = mc_expectation(sample, paths, seed, threads=threads)
+    _require_paths(paths)
+    table = np.empty((paths, grid.steps + 1))
+    for batch in path_batches(paths):
+        level_paths = [sample_path(grid, seed, pid) for pid in batch]
+        runs = zip(batch, simulate(setup, grid, level_paths, integrand=base),
+                   simulate(setup, grid, level_paths, integrand=other))
+        for pid, traj, traj_hat in runs:
+            dtheta = traj.theta - traj_hat.theta
+            dchi = traj.chi - traj_hat.chi
+            for n in range(grid.steps + 1):
+                table[pid, n] = (
+                    l2_norm(dtheta[n], ops) ** 2
+                    + h1_seminorm(dtheta[n], ops) ** 2
+                    + 0.25 * l2_norm(dchi[n], ops) ** 2
+                    + 0.25 * h1_seminorm(dchi[n], ops) ** 2
+                )
+    lhs_mean, lhs_se = _path_statistics(table)
     active = rhs > 0
     ratios = np.divide(lhs_mean, rhs, out=np.zeros_like(rhs), where=active)
     max_ratio = float(ratios.max()) if active.any() else 0.0
@@ -375,20 +354,10 @@ def energy_estimate_check(setup, horizon, dts, paths, seed, threads=1, growth_sl
     grids = _level_grids(horizon, dts)
     if len(grids) < 2:
         raise InvalidConfigError(f"need at least 2 dt levels, got {len(grids)}")
-    ops = setup.ops
-    finest = grids[-1]
-    integrands = [discretize_integrand(setup.integrand, g, ops) for g in grids]
-
-    def sample(seed_, pid):
-        fine_path = sample_path(finest, seed_, pid)
-        out = np.empty(len(grids))
-        for idx, grid in enumerate(grids):
-            path = aggregate_path(fine_path, finest.steps // grid.steps)
-            traj = simulate(setup, grid, path, integrand=integrands[idx])
-            out[idx] = energy_statistic(traj, ops)
-        return out
-
-    mean, se = mc_expectation(sample, paths, seed, threads=threads)
+    _require_paths(paths)
+    table = _level_table(setup, grids, paths, seed,
+                         lambda grid, traj: energy_statistic(traj, setup.ops))
+    mean, se = _path_statistics(table)
     passed = True
     for idx in range(len(grids) - 1):
         combined = math.hypot(se[idx], se[idx + 1])

@@ -29,13 +29,25 @@ class ExpressionError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A linear or nonlinear solve failed to reach its tolerance."""
+    """A linear or nonlinear solve failed to reach its tolerance.
 
-    def __init__(self, message, residual=None):
+    ``step`` (the step from t_n to t_{n+1} is step n) and ``path_id`` say
+    where it happened; ``run_additive`` fills them in, and they are None on
+    errors raised by a single solve.  ``row`` is the row of the failing
+    field when a solve works on an (M, P) batch of fields.
+    """
+
+    def __init__(self, message, residual=None, step=None, path_id=None, row=None):
+        self.reason = message
+        if step is not None:
+            message = f"{message} at step {step} of path {path_id}"
         if residual is not None:
             message = f"{message} (residual {residual:.3e})"
         super().__init__(message)
         self.residual = residual
+        self.step = step
+        self.path_id = path_id
+        self.row = row
 
 
 class NonConvergenceError(NumericalError):
@@ -44,20 +56,7 @@ class NonConvergenceError(NumericalError):
 
 class NonFiniteError(NumericalError):
     """A solve met a NaN or infinite value, typically alpha or alpha'
-    evaluated outside the range where they are finite.
-
-    ``step`` (the step from t_n to t_{n+1} is step n) and ``path_id`` say
-    where it happened; ``run_additive`` fills them in, and they are None on
-    errors raised by a single solve.
-    """
-
-    def __init__(self, message, residual=None, step=None, path_id=None):
-        self.reason = message
-        if step is not None:
-            message = f"{message} at step {step} of path {path_id}"
-        super().__init__(message, residual=residual)
-        self.step = step
-        self.path_id = path_id
+    evaluated outside the range where they are finite."""
 
 
 class ConfigValidationError(InvalidConfigError):

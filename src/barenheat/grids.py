@@ -8,30 +8,40 @@ constant fields, which is the discrete form of the zero-flux boundary
 condition.  Lumping keeps every pointwise nonlinearity diagonal, so the
 implicit solves in the stepper are (diagonal + stiffness) SPD systems.
 
+Fields are nodal vectors of length P, and a batch of M fields (one per
+Monte Carlo path) is an (M, P) array whose rows are treated one by one, so
+every row gets the bits it would get on its own.
+
 In 1D those systems are symmetric positive-definite tridiagonal.  Each
 distinct (shift, diagonal) pair is factored once by LAPACK ``dpttrf`` and
 every right-hand side is solved by ``dpttrs`` against the stored factor, so
 the heat operator M + dt K is factored once per time step size and the
-linear-alpha Newton Jacobian once as well; the factors live in a small
-bounded cache owned by the operators.  ``solveh_banded`` on a two-row band
+linear-alpha Newton Jacobian once as well, and a batch that shares the
+diagonal is solved by one multi-column ``dpttrs`` call; the factors live in
+a small bounded cache owned by the operators.  ``solveh_banded`` on a two-row band
 calls ``?ptsv``, which is exactly ``pttrf`` followed by ``pttrs``, so the
 cached solve returns the same bits as refactoring on every call.  In 2D
 the mass and stiffness are Kronecker products of 1D ones, so fast
 diagonalization (Lynch, Rice & Thomas 1964) solves (a M + c K) x = r
-exactly with four small matrix products; a diagonal that is not a multiple
-of the mass uses that solve as a conjugate-gradient preconditioner, whose
-iteration count does not grow with the mesh.
+exactly with four small matrix products, on a whole batch at once; a
+diagonal that is not a multiple of the mass uses that solve as a
+conjugate-gradient preconditioner, row by row, whose iteration count does
+not grow with the mesh.
 """
 
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
+# The CSR kernels behind ``stiffness @ v``, called without scipy.sparse's
+# Python dispatch; private to SciPy, present in every version the pin allows.
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import FieldShapeError, InvalidConfigError, NonFiniteError, NumericalError
@@ -82,10 +92,10 @@ class _TridiagonalFactors:
     """Bounded, thread-safe cache of ``dpttrf`` factors of diag + shift K.
 
     Keyed by the shift and the diagonal's bytes, so a factor is reused only
-    for a bit-equal diagonal.  The Monte Carlo pool shares one operator set
-    between threads; every access to the dict holds the lock, and the
-    factorization itself runs outside it (two threads may factor the same
-    key; both results are identical).
+    for a bit-equal diagonal.  Callers may share one operator set between
+    threads; every access to the dict holds the lock, and the factorization
+    itself runs outside it (two threads may factor the same key; both
+    results are identical).
     """
 
     def __init__(self, main, off):
@@ -103,6 +113,7 @@ class _TridiagonalFactors:
             return len(self._factors)
 
     def solve(self, diagonal, shift, rhs):
+        """Solve for one field (P,) or for every row of an (M, P) batch."""
         key = (shift, diagonal.tobytes())
         with self._lock:
             factor = self._factors.get(key)
@@ -119,10 +130,11 @@ class _TridiagonalFactors:
                 self._factors[key] = factor
                 while len(self._factors) > FACTOR_CACHE_SIZE:
                     self._factors.popitem(last=False)
-        x, info = dpttrs(*factor, rhs)
+        # The rows of a C-ordered batch are the columns that dpttrs solves.
+        x, info = dpttrs(*factor, rhs.T)
         if info != 0:
             raise NumericalError(f"tridiagonal solve rejected its arguments (info {info})")
-        return x
+        return x.T
 
 
 @dataclass(frozen=True)
@@ -257,6 +269,22 @@ def l2_norm(v, ops):
     return float(np.sqrt(np.dot(ops.lumped_mass, v * v)))
 
 
+def l2_norms(fields, ops):
+    """``l2_norm`` of each row of an (M, P) batch, as a list of M floats."""
+    squares = fields * fields
+    mass = ops.lumped_mass
+    return [math.sqrt(mass.dot(squares[i])) for i in range(len(squares))]
+
+
+def row_norms(fields):
+    """Euclidean norm of each row of an (M, P) batch, as a list of M floats.
+
+    sqrt(x . x) per row is what ``np.linalg.norm`` computes for a real
+    vector, so the bits are the same, without its per-call overhead.
+    """
+    return [math.sqrt(fields[i].dot(fields[i])) for i in range(len(fields))]
+
+
 def h1_seminorm(v, ops):
     """Discrete H1 seminorm sqrt(v . K v); zero on constants."""
     v = _check_field(v, ops)
@@ -264,9 +292,32 @@ def h1_seminorm(v, ops):
     return float(np.sqrt(max(quad, 0.0)))
 
 
+def apply_stiffness(ops, fields):
+    """K v for one field (P,), or for each row of an (M, P) batch.
+
+    Runs the CSR kernels that ``ops.stiffness @ v`` runs, so every row gets
+    the bits of that product, without scipy.sparse's per-call dispatch.
+    """
+    stiffness = ops.stiffness
+    size = ops.node_count
+    fields = np.asarray(fields, dtype=float)
+    if fields.ndim == 1 or len(fields) == 1:
+        # One field, possibly as a one-row batch: both are P contiguous values.
+        fields = np.ascontiguousarray(fields)
+        out = np.zeros(fields.shape)
+        csr_matvec(size, size, stiffness.indptr, stiffness.indices, stiffness.data, fields, out)
+        return out
+    count = len(fields)
+    columns = np.ascontiguousarray(fields.T)
+    out = np.zeros((size, count))
+    csr_matvecs(size, size, count, stiffness.indptr, stiffness.indices, stiffness.data,
+                columns.ravel(), out.ravel())
+    return np.ascontiguousarray(out.T)
+
+
 def apply_shifted(ops, diagonal, shift, v):
-    """Apply diag(diagonal) + shift * K to a field."""
-    return diagonal * v + shift * (ops.stiffness @ v)
+    """Apply diag(diagonal) + shift * K to a field or to each row of a batch."""
+    return diagonal * v + shift * apply_stiffness(ops, v)
 
 
 def _fast_diagonalization(ops, scale, shift):
@@ -274,57 +325,106 @@ def _fast_diagonalization(ops, scale, shift):
 
     With V = Vx (x) Vy from the axis eigenpairs, V^T M V = I and
     V^T K V = Lx (+) Ly, so the inverse is V diag(1 / (scale + shift *
-    (lx_i + ly_j))) V^T; x varies slowest, so a field reshapes to (nx, ny).
+    (lx_i + ly_j))) V^T; x varies slowest, so a field reshapes to (nx, ny),
+    and a batch to (M, nx, ny), whose matrix products run row by row.
     """
     (lx, vx), (ly, vy) = ops.axis_eigenpairs
     denominators = scale + shift * np.add.outer(lx, ly)
 
     def solve(r):
-        coefficients = vx.T @ r.reshape(denominators.shape) @ vy
-        return (vx @ (coefficients / denominators) @ vy.T).ravel()
+        coefficients = vx.T @ r.reshape(r.shape[:-1] + denominators.shape) @ vy
+        return (vx @ (coefficients / denominators) @ vy.T).reshape(r.shape)
 
     return solve
+
+
+def _solve_2d(ops, diagonal, shift, rhs):
+    ratio = diagonal / ops.lumped_mass
+    low, high = float(ratio.min()), float(ratio.max())
+    direct_solve = _fast_diagonalization(ops, 0.5 * (low + high), shift)
+    if low == high:
+        return direct_solve(rhs)
+    shape = (ops.node_count, ops.node_count)
+    matrix = LinearOperator(shape, matvec=lambda v: apply_shifted(ops, diagonal, shift, v))
+    preconditioner = LinearOperator(shape, matvec=direct_solve)
+
+    def conjugate_gradient(b):
+        x, info = cg(matrix, b, rtol=CG_RTOL, atol=0.0, M=preconditioner)
+        if info != 0:
+            residual = float(np.linalg.norm(apply_shifted(ops, diagonal, shift, x) - b))
+            raise NumericalError("conjugate gradient did not converge", residual=residual)
+        return x
+
+    return _by_row(conjugate_gradient, rhs) if rhs.ndim == 2 else conjugate_gradient(rhs)
+
+
+def _by_row(solve, *batches):
+    """Stack ``solve`` over the rows of the batches; a failure names its row."""
+    rows = []
+    for row, args in enumerate(zip(*batches)):
+        try:
+            rows.append(solve(*args))
+        except NumericalError as exc:
+            exc.row = row
+            raise
+    return np.stack(rows)
+
+
+def _check_residual(ops, diagonal, shift, x, rhs, rtol):
+    """Raise unless every row meets |A x - rhs| <= rtol (1 + |rhs|).
+
+    The norms only gate, so a batch takes them with one ``einsum``.
+    """
+    residual = apply_shifted(ops, diagonal, shift, x) - rhs
+    if rhs.ndim == 1:
+        norms = [math.sqrt(residual.dot(residual))]
+        limits = [rtol * (1.0 + math.sqrt(rhs.dot(rhs)))]
+        if norms[0] <= limits[0]:
+            return
+    else:
+        norms = np.sqrt(np.einsum("ij,ij->i", residual, residual))
+        limits = rtol * (1.0 + np.sqrt(np.einsum("ij,ij->i", rhs, rhs)))
+        if (norms <= limits).all():
+            return
+    row = next(i for i, (norm, limit) in enumerate(zip(norms, limits)) if not norm <= limit)
+    norm = float(norms[row])
+    row = row if rhs.ndim == 2 else None
+    if not math.isfinite(norm):
+        raise NonFiniteError("shifted-operator solve produced a non-finite residual",
+                             residual=norm, row=row)
+    raise NumericalError("shifted-operator solve missed its tolerance", residual=norm, row=row)
 
 
 def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
     """Solve (diag(diagonal) + shift * K) x = rhs for an SPD combination.
 
+    ``rhs`` is one field (P,) or a batch (M, P) whose rows are solved as if
+    one by one; ``diagonal`` is (P,), shared by every row, or (M, P), one
+    per row, and a batch whose diagonal rows are all equal counts as shared.
     In 1D the system is tridiagonal: the ``dpttrf`` factor of each distinct
     (shift, diagonal) is computed once, kept on ``ops``, and reused by
-    ``dpttrs`` whenever the diagonal is bit-equal to the cached one.  The
+    ``dpttrs`` whenever the diagonal is bit-equal to the cached one; a
+    shared diagonal solves the whole batch with one multi-column call.  The
     bits equal those of ``solveh_banded`` on the two-row band, which runs
     ``?ptsv`` = ``pttrf`` + ``pttrs`` on the same inputs.  In 2D a
     diagonal that is a scalar multiple of the lumped mass is solved directly
     by fast diagonalization; any other diagonal runs conjugate gradient to
-    ``CG_RTOL``, preconditioned by the fast-diagonalization solve of
-    (a M + shift K) with a between the extremes of diagonal / lumped mass,
-    which bounds the condition number by their ratio on every mesh.  Raises
-    NumericalError if the operator is not positive definite or the relative
-    residual exceeds ``rtol``, and NonFiniteError if the residual is NaN or
-    infinite.
+    ``CG_RTOL`` on each row, preconditioned by the fast-diagonalization
+    solve of (a M + shift K) with a between the extremes of diagonal /
+    lumped mass, which bounds the condition number by their ratio on every
+    mesh.  Raises NumericalError if the operator is not positive definite or
+    the relative residual of a row exceeds ``rtol``, and NonFiniteError if
+    it is NaN or infinite; on a batch the error's ``row`` names the row.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if ops.dimension == 1:
-        x = ops.tridiagonal.solve(np.asarray(diagonal, dtype=float), float(shift), rhs)
+    diagonal = np.asarray(diagonal, dtype=float)
+    shift = float(shift)
+    if diagonal.ndim == 2 and (diagonal == diagonal[0]).all():
+        diagonal = diagonal[0]
+    solve = ops.tridiagonal.solve if ops.dimension == 1 else partial(_solve_2d, ops)
+    if diagonal.ndim == 2:
+        x = _by_row(lambda d, r: solve(d, shift, r), diagonal, rhs)
     else:
-        ratio = diagonal / ops.lumped_mass
-        low, high = float(ratio.min()), float(ratio.max())
-        direct_solve = _fast_diagonalization(ops, 0.5 * (low + high), shift)
-        if low == high:
-            x = direct_solve(rhs)
-        else:
-            shape = (ops.node_count, ops.node_count)
-            matrix = LinearOperator(shape, matvec=lambda v: apply_shifted(ops, diagonal, shift, v))
-            x, info = cg(
-                matrix, rhs, rtol=CG_RTOL, atol=0.0, M=LinearOperator(shape, matvec=direct_solve)
-            )
-            if info != 0:
-                residual = float(np.linalg.norm(apply_shifted(ops, diagonal, shift, x) - rhs))
-                raise NumericalError("conjugate gradient did not converge", residual=residual)
-    residual = float(np.linalg.norm(apply_shifted(ops, diagonal, shift, x) - rhs))
-    if not math.isfinite(residual):
-        raise NonFiniteError("shifted-operator solve produced a non-finite residual",
-                             residual=residual)
-    if residual > rtol * (1.0 + float(np.linalg.norm(rhs))):
-        raise NumericalError("shifted-operator solve missed its tolerance", residual=residual)
+        x = solve(diagonal, shift, rhs)
+    _check_residual(ops, diagonal, shift, x, rhs, rtol)
     return x

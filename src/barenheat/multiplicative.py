@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import compute_stability_constant
 from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError
 from .grids import h1_seminorm, l2_norm
 from .noise import AdditiveIntegrand
 from .stepper import run_additive
+from .theory import compute_stability_constant
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Paths are drawn from a counter-based Philox generator keyed by
 (seed, path_id), so path k is bit-reproducible no matter how many paths are
-sampled, in what order, or on how many threads.  A deterministic integrand
+sampled, in what order, or in what batches they run (the ``threads``
+settings of the harness are ignored; every path runs in the calling
+thread).  A deterministic integrand
 h(t, x) is reduced to one nodal field per step,
 
     h_n = (1/dt) * integral of h(s, .) over [t_{n-1}, t_n],

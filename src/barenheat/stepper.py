@@ -14,6 +14,14 @@ Both operators are fixed for linear alpha, so in 1D ``solve_shifted``
 factors each once and reuses the factor for every inner iteration, step and
 path; the load K (chi_n + h_n dw_n) is computed once per step.
 
+Fields are stored as (M, P) blocks, one row per Brownian path, and a single
+path is the batch M = 1: ``run_additive`` advances all paths of a grid
+together, so every solve and matrix product runs once per inner iteration
+for the whole batch.  Each path keeps its own Newton thresholds, line-search
+scales and iteration counts and its own inner convergence test; a path that
+has converged leaves the batch, so its numbers are bit for bit those of a
+run on its own.
+
 The alternation is a strict contraction in the discrete L2 norm whenever
 dt < 1 + coercivity(alpha); the squared-difference ratio of successive
 iterates is bounded by 1 / (2 (tilde_coercivity/dt - 1/2)), and the step
@@ -34,9 +42,10 @@ from .errors import (
     InvalidConfigError,
     NonConvergenceError,
     NonFiniteError,
+    NumericalError,
 )
-from .grids import TimeGrid, l2_norm, solve_shifted
-from .noise import partial_sums
+from .grids import TimeGrid, apply_stiffness, l2_norms, row_norms, solve_shifted
+from .noise import BrownianPath, partial_sums
 
 DEFAULT_INNER_TOL = 1e-11
 DEFAULT_NEWTON_TOL = 1e-12
@@ -47,17 +56,16 @@ DEFAULT_MAX_INNER = 500
 
 @dataclass(frozen=True)
 class SystemState:
-    """Nodal fields at one time node, with u_field = chi - B_n."""
+    """Nodal fields at one time node: (P,) for one path, (M, P) for a batch."""
 
     index: int
     theta: np.ndarray = field(repr=False)
     chi: np.ndarray = field(repr=False)
-    u_field: np.ndarray = field(repr=False)
 
 
 @dataclass
 class StepReport:
-    """Inner-iteration diagnostics of one coupled step.
+    """Inner-iteration diagnostics of one coupled step of one path.
 
     ``contraction_factors`` are ratios of successive *squared* discrete-L2
     chi-iterate differences, the quantity the theoretical factor
@@ -79,87 +87,166 @@ class StepReport:
 
 @dataclass
 class NewtonReport:
+    """Final residual, iterations and most halvings of a Newton solve.
+
+    Scalars for one field; for a batch, arrays with one entry per row.
+    """
+
     residual: float
     iterations: int
     line_search_halvings: int
 
 
 def _check_state_shapes(state, h_n, ops):
-    for name, v in (("theta", state.theta), ("chi", state.chi), ("h_n", h_n)):
-        if np.shape(v) != (ops.node_count,):
-            raise FieldShapeError(
-                f"{name} has shape {np.shape(v)}, operators expect ({ops.node_count},)"
-            )
+    shape = np.shape(state.theta)
+    if (len(shape) in (1, 2) and shape[-1] == ops.node_count
+            and np.shape(state.chi) == shape and np.shape(h_n) == (ops.node_count,)):
+        return
+    expected = shape[:-1] + (ops.node_count,) if len(shape) == 2 else (ops.node_count,)
+    for name, v, want in (("theta", state.theta, expected), ("chi", state.chi, expected),
+                          ("h_n", h_n, (ops.node_count,))):
+        if np.shape(v) != want:
+            raise FieldShapeError(f"{name} has shape {np.shape(v)}, operators expect {want}")
+
+
+def _take(array, rows):
+    """The rows of a batch still iterating; ``None`` means all of them."""
+    return array if rows is None else array[rows]
+
+
+def _lift(exc, rows):
+    """Point a NumericalError raised on the rows ``rows`` at the full batch."""
+    row = exc.row or 0
+    exc.row = row if rows is None else int(rows[row])
+
+
+def _solve(ops, diagonal, shift, rhs, rtol):
+    """``solve_shifted`` on a field or a batch; a one-row batch goes in as a
+    plain field, which skips the comparison of diagonal rows and the
+    batched residual gate."""
+    if rhs.ndim == 1 or len(rhs) > 1:
+        return solve_shifted(ops, diagonal, shift, rhs, rtol=rtol)
+    diagonal = diagonal[0] if diagonal.ndim == 2 else diagonal
+    return solve_shifted(ops, diagonal, shift, rhs[0], rtol=rtol)[None]
 
 
 def solve_theta(chi_candidate, state_n, h_n, dw_n, grid, ops, rtol=1e-12):
-    """Solve the implicit heat sub-problem for a frozen chi candidate."""
+    """Solve the implicit heat sub-problem for a frozen chi candidate.
+
+    Works on one path, or on a batch with (M, P) fields and ``dw_n`` an
+    (M, 1) column of increments.
+    """
     if grid.dt > 1.0:
         raise InvalidConfigError(f"heat sub-problem requires dt <= 1, got dt = {grid.dt}")
     _check_state_shapes(state_n, h_n, ops)
     rhs = ops.lumped_mass * (state_n.theta - chi_candidate + state_n.chi + h_n * dw_n)
-    return solve_shifted(ops, ops.lumped_mass, grid.dt, rhs, rtol=rtol)
+    return _solve(ops, ops.lumped_mass, grid.dt, rhs, rtol)
 
 
-def _newton_failure(message, residual, met_non_finite):
+def _newton_failure(message, residual, met_non_finite, row):
     if met_non_finite:
         return NonFiniteError(
             f"{message}; line-search trials met non-finite values of alphatilde",
-            residual=residual,
+            residual=residual, row=row,
         )
-    return NonConvergenceError(message, residual=residual)
+    return NonConvergenceError(message, residual=residual, row=row)
 
 
 def _newton(ops, nl, dt, rhs, tol):
-    """Solve M alphatilde(u) + dt K u = rhs for u, Newton with backtracking.
+    """Solve M alphatilde(u) + dt K u = rhs for each row of an (M, P) batch,
+    Newton with backtracking.
 
-    Raises NonFiniteError when the residual or the Jacobian at an iterate is
-    NaN or infinite, or when the line search or the iteration cap fails
-    after trial steps met non-finite residuals; backtracking out of such
-    trials is allowed, since it keeps u where alphatilde is finite.
+    Every row keeps its own threshold, step scale, iteration count and
+    halvings, and a row leaves the iteration once it has converged, so its
+    numbers are those of a solve on its own.  Raises NonFiniteError when the
+    residual or the Jacobian at an iterate is NaN or infinite, or when the
+    line search or the iteration cap fails after trial steps met non-finite
+    residuals; backtracking out of such trials is allowed, since it keeps u
+    where alphatilde is finite.  The error's ``row`` names the failing row.
     """
     mass = ops.lumped_mass
-    u = np.zeros(ops.node_count)
-    threshold = tol * (1.0 + float(np.linalg.norm(rhs)))
+    count = len(rhs)
 
-    def residual_vec(v):
-        return mass * nl.alpha_tilde(v) + dt * (ops.stiffness @ v) - rhs
+    def residual(v, b):
+        return mass * nl.alpha_tilde(v) + dt * apply_stiffness(ops, v) - b
 
-    res = residual_vec(u)
-    res_norm = float(np.linalg.norm(res))
-    if not math.isfinite(res_norm):
-        raise NonFiniteError("nonlinear sub-problem has a non-finite residual", residual=res_norm)
-    halvings_used = 0
-    met_non_finite = False
-    for iteration in range(MAX_NEWTON_ITERATIONS):
-        if res_norm <= threshold:
-            return u, NewtonReport(res_norm, iteration, halvings_used)
-        jac_diag = mass * nl.alpha_tilde_prime(u)
-        if not np.isfinite(jac_diag).all():
-            raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite", residual=res_norm)
-        delta = solve_shifted(ops, jac_diag, dt, -res, rtol=1e-10)
+    u = np.zeros(rhs.shape)
+    thresholds = [tol * (1.0 + norm) for norm in row_norms(rhs)]
+    # At u = 0 the stiffness term dt K u is +0.0 in every entry, and adding
+    # it is adding 0.0, so this is residual(u, rhs) bit for bit.
+    res = (mass * nl.alpha_tilde(u) + 0.0) - rhs
+    norms = row_norms(res)
+    for row, norm in enumerate(norms):
+        if not math.isfinite(norm):
+            raise NonFiniteError("nonlinear sub-problem has a non-finite residual",
+                                 residual=norm, row=row)
+    iterations = [0] * count
+    halvings = [0] * count
+    met_non_finite = [False] * count
+    active = [row for row in range(count) if norms[row] > thresholds[row]]
+    for _ in range(MAX_NEWTON_ITERATIONS):
+        if not active:
+            break
+        rows = None if len(active) == count else np.array(active)
+        u_active, rhs_active = _take(u, rows), _take(rhs, rows)
+        jac_diag = mass * nl.alpha_tilde_prime(u_active)
+        finite = np.isfinite(jac_diag)
+        if not finite.all():
+            row = active[int(np.flatnonzero(~finite.all(axis=1))[0])]
+            raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
+                                 residual=norms[row], row=row)
+        try:
+            delta = _solve(ops, jac_diag, dt, -_take(res, rows), 1e-10)
+        except NumericalError as exc:
+            _lift(exc, rows)
+            raise
+        # Line search, per row: halve the step until the residual drops.
+        trial = u_active + delta
+        trial_res = residual(trial, rhs_active)
+        trial_norms = row_norms(trial_res)
+        pending = [i for i, row in enumerate(active) if not trial_norms[i] < norms[row]]
         scale = 1.0
-        for halving in range(MAX_LINE_SEARCH_HALVINGS + 1):
-            trial = u + scale * delta
-            trial_res = residual_vec(trial)
-            trial_norm = float(np.linalg.norm(trial_res))
-            if trial_norm < res_norm:
-                halvings_used = max(halvings_used, halving)
+        for halving in range(1, MAX_LINE_SEARCH_HALVINGS + 2):
+            if not pending:
                 break
-            met_non_finite = met_non_finite or not math.isfinite(trial_norm)
+            for i in pending:
+                met_non_finite[active[i]] |= not math.isfinite(trial_norms[i])
+            if halving > MAX_LINE_SEARCH_HALVINGS:
+                row = active[pending[0]]
+                raise _newton_failure(
+                    "Newton line search stalled on the nonlinear sub-problem",
+                    norms[row], met_non_finite[row], row,
+                )
             scale *= 0.5
+            retrying = slice(None) if len(pending) == len(active) else pending
+            retry = u_active[retrying] + scale * delta[retrying]
+            retry_res = residual(retry, rhs_active[retrying])
+            trial[retrying] = retry
+            trial_res[retrying] = retry_res
+            still = []
+            for i, norm in zip(pending, row_norms(retry_res)):
+                trial_norms[i] = norm
+                if norm < norms[active[i]]:
+                    halvings[active[i]] = max(halvings[active[i]], halving)
+                else:
+                    still.append(i)
+            pending = still
+        if rows is None:
+            u, res = trial, trial_res
         else:
-            raise _newton_failure(
-                "Newton line search stalled on the nonlinear sub-problem",
-                res_norm,
-                met_non_finite,
-            )
-        u, res, res_norm = trial, trial_res, trial_norm
-    if res_norm <= threshold:
-        return u, NewtonReport(res_norm, MAX_NEWTON_ITERATIONS, halvings_used)
-    raise _newton_failure(
-        "Newton did not reach tolerance on the nonlinear sub-problem", res_norm, met_non_finite
-    )
+            u[rows] = trial
+            res[rows] = trial_res
+        for i, row in enumerate(active):
+            norms[row] = trial_norms[i]
+            iterations[row] += 1
+        active = [row for row in active if norms[row] > thresholds[row]]
+    if active:
+        row = active[0]
+        raise _newton_failure(
+            "Newton did not reach tolerance on the nonlinear sub-problem",
+            norms[row], met_non_finite[row], row,
+        )
+    return u, NewtonReport(np.array(norms), np.array(iterations), np.array(halvings))
 
 
 def solve_chi(theta, state_n, h_n, dw_n, grid, ops, nl, tol=DEFAULT_NEWTON_TOL,
@@ -170,16 +257,23 @@ def solve_chi(theta, state_n, h_n, dw_n, grid, ops, nl, tol=DEFAULT_NEWTON_TOL,
     variable u, for which the Jacobian is SPD, then maps back through
     chi = chi_n + dt u + h_n dw_n.  ``stiffness_shift`` is
     K (chi_n + h_n dw_n), which does not depend on theta; ``step`` passes
-    it in once per step, and it is computed here when omitted.
+    it in once per step, and it is computed here when omitted.  Works on
+    one path, or on a batch as ``solve_theta`` does.
     """
     if not grid.dt < 1.0:
         raise InvalidConfigError(f"nonlinear sub-problem requires dt < 1, got dt = {grid.dt}")
     _check_state_shapes(state_n, h_n, ops)
     shift = state_n.chi + h_n * dw_n
     if stiffness_shift is None:
-        stiffness_shift = ops.stiffness @ shift
+        stiffness_shift = apply_stiffness(ops, shift)
     rhs = ops.lumped_mass * theta - stiffness_shift
-    u, report = _newton(ops, nl, grid.dt, rhs, tol)
+    if rhs.ndim == 1:
+        u, batch_report = _newton(ops, nl, grid.dt, rhs[None], tol)
+        u = u[0]
+        report = NewtonReport(float(batch_report.residual[0]), int(batch_report.iterations[0]),
+                              int(batch_report.line_search_halvings[0]))
+    else:
+        u, report = _newton(ops, nl, grid.dt, rhs, tol)
     chi = shift + grid.dt * u
     return chi, report
 
@@ -202,6 +296,89 @@ def check_step_preconditions(grid, nl):
         )
 
 
+def _advance(state_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
+    """One coupled step of every path of a batch state.
+
+    ``state_n`` holds (M, P) fields and ``dw`` the (M, 1) column of the
+    paths' increments.  Returns the next theta and chi blocks and one
+    StepReport per path.  A NumericalError's ``row`` names the failing path.
+    """
+    count = len(state_n.chi)
+    stiffness_shift = apply_stiffness(ops, state_n.chi + h_n * dw)
+    chi = state_n.chi
+    differences = [[] for _ in range(count)]
+    factors = [[] for _ in range(count)]
+    inner = [0] * count
+    newton_iterations = [0] * count
+    halvings = [0] * count
+    newton_residuals = [0.0] * count
+    # Paths whose chi iterates still move; rows is None while that is all.
+    active = list(range(count))
+    rows = None
+    sub_state, sub_dw, sub_shift = state_n, dw, stiffness_shift
+    for _ in range(max_inner):
+        chi_iterate = _take(chi, rows)
+        try:
+            theta = solve_theta(chi_iterate, sub_state, h_n, sub_dw, grid, ops)
+            chi_next, newton = solve_chi(
+                theta, sub_state, h_n, sub_dw, grid, ops, nl, tol=newton_tol,
+                stiffness_shift=sub_shift,
+            )
+        except NumericalError as exc:
+            _lift(exc, rows)
+            raise
+        diffs = l2_norms(chi_next - chi_iterate, ops)
+        for row, diff, its, most, residual in zip(
+            active, diffs, newton.iterations.tolist(), newton.line_search_halvings.tolist(),
+            newton.residual.tolist(),
+        ):
+            previous = differences[row]
+            if previous and previous[-1] > 0.0:
+                factors[row].append((diff / previous[-1]) ** 2)
+            previous.append(diff)
+            inner[row] += 1
+            newton_iterations[row] += its
+            halvings[row] = max(halvings[row], most)
+            newton_residuals[row] = residual
+        if rows is None:
+            chi = chi_next
+        else:
+            chi[rows] = chi_next
+        remaining = [row for row, diff in zip(active, diffs) if not diff <= tol]
+        if not remaining:
+            break
+        if len(remaining) < len(active):
+            active = remaining
+            rows = np.array(active)
+            sub_state = SystemState(state_n.index, theta=state_n.theta[rows],
+                                    chi=state_n.chi[rows])
+            sub_dw, sub_shift = dw[rows], stiffness_shift[rows]
+    else:
+        row = active[0]
+        raise NonConvergenceError(
+            f"inner fixed point did not reach tol={tol} in {max_inner} iterations",
+            residual=differences[row][-1] if differences[row] else math.inf,
+            row=row,
+        )
+    # Final heat solve so the linear equation holds exactly against the
+    # accepted chi; the nonlinear equation then holds up to ``tol``.
+    theta = solve_theta(chi, state_n, h_n, dw, grid, ops)
+    bound = contraction_factor_bound(nl, grid.dt)
+    reports = [
+        StepReport(
+            inner_iterations=inner[row],
+            chi_differences=differences[row],
+            contraction_factors=factors[row],
+            factor_bound=bound,
+            newton_residual=newton_residuals[row],
+            newton_iterations=newton_iterations[row],
+            line_search_halvings=halvings[row],
+        )
+        for row in range(count)
+    ]
+    return theta, chi, reports
+
+
 def step(
     state_n,
     dw_n,
@@ -218,57 +395,21 @@ def step(
     Starts the chi iterate at chi_n, alternates heat solve / nonlinear solve
     until the discrete-L2 difference of consecutive chi iterates drops to
     ``tol``, then re-solves the heat sub-problem against the accepted chi.
+    Returns the next state and a StepReport; for a batch state with (M, P)
+    fields, ``dw_n`` holds the M increments and the reports are a list.
     """
     check_step_preconditions(grid, nl)
     _check_state_shapes(state_n, h_n, ops)
-    dt = grid.dt
-    stiffness_shift = ops.stiffness @ (state_n.chi + h_n * dw_n)
-    chi_iterate = state_n.chi
-    differences = []
-    factors = []
-    converged = False
-    iterations = 0
-    newton_iterations = 0
-    halvings = 0
-    for _ in range(max_inner):
-        theta = solve_theta(chi_iterate, state_n, h_n, dw_n, grid, ops)
-        chi_next, newton_report = solve_chi(
-            theta, state_n, h_n, dw_n, grid, ops, nl, tol=newton_tol,
-            stiffness_shift=stiffness_shift,
-        )
-        iterations += 1
-        newton_iterations += newton_report.iterations
-        halvings = max(halvings, newton_report.line_search_halvings)
-        diff = l2_norm(chi_next - chi_iterate, ops)
-        if differences and differences[-1] > 0.0:
-            factors.append((diff / differences[-1]) ** 2)
-        differences.append(diff)
-        chi_iterate = chi_next
-        if diff <= tol:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergenceError(
-            f"inner fixed point did not reach tol={tol} in {max_inner} iterations",
-            residual=differences[-1] if differences else math.inf,
-        )
-    # Final heat solve so the linear equation holds exactly against the
-    # accepted chi; the nonlinear equation then holds up to ``tol``.
-    theta = solve_theta(chi_iterate, state_n, h_n, dw_n, grid, ops)
-    u_field = state_n.u_field + (chi_iterate - state_n.chi - h_n * dw_n)
-    next_state = SystemState(
-        index=state_n.index + 1, theta=theta, chi=chi_iterate, u_field=u_field
-    )
-    report = StepReport(
-        inner_iterations=iterations,
-        chi_differences=differences,
-        contraction_factors=factors,
-        factor_bound=contraction_factor_bound(nl, dt),
-        newton_residual=newton_report.residual,
-        newton_iterations=newton_iterations,
-        line_search_halvings=halvings,
-    )
-    return next_state, report
+    single = np.ndim(state_n.chi) == 1
+    batch = state_n
+    if single:
+        batch = SystemState(state_n.index, theta=np.asarray(state_n.theta, dtype=float)[None],
+                            chi=np.asarray(state_n.chi, dtype=float)[None])
+    dw = np.reshape(np.asarray(dw_n, dtype=float), (-1, 1))
+    theta, chi, reports = _advance(batch, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
+    if single:
+        return SystemState(state_n.index + 1, theta=theta[0], chi=chi[0]), reports[0]
+    return SystemState(state_n.index + 1, theta=theta, chi=chi), reports
 
 
 @dataclass
@@ -286,7 +427,7 @@ class Trajectory:
     reports: list = field(default_factory=list, repr=False)
 
     def state(self, n):
-        return SystemState(index=n, theta=self.theta[n], chi=self.chi[n], u_field=self.u[n])
+        return SystemState(index=n, theta=self.theta[n], chi=self.chi[n])
 
     @property
     def final_state(self):
@@ -305,52 +446,48 @@ def run_additive(
     max_inner=DEFAULT_MAX_INNER,
     newton_tol=DEFAULT_NEWTON_TOL,
 ):
-    """Run the additive-noise scheme along one Brownian path.
+    """Run the additive-noise scheme along one Brownian path or a batch.
 
-    Returns a Trajectory with N+1 field snapshots; u is populated as
-    chi - B_n from the path's partial sums.  A NonFiniteError from a step
-    is re-raised with that step's index and the path's id.
+    ``path`` is one BrownianPath, which returns one Trajectory, or a
+    sequence of paths on ``grid``, which run as one batch and return one
+    Trajectory per path in the given order; every path gets the bits of a
+    run on its own.  Each trajectory has N+1 field snapshots, with u set to
+    chi - B_n from the path's partial sums.  A NumericalError from a step is
+    re-raised with that step's index and the failing path's id.
     """
-    if path.grid != grid or integrand.grid != grid:
+    single = isinstance(path, BrownianPath)
+    paths = [path] if single else list(path)
+    if not paths:
+        raise InvalidConfigError("run_additive needs at least one path")
+    if integrand.grid != grid or any(p.grid != grid for p in paths):
         raise FieldShapeError("path, integrand, and run must share one time grid")
     theta0 = np.asarray(theta0, dtype=float)
     chi0 = np.asarray(chi0, dtype=float)
-    sums = partial_sums(path, integrand)
-    count = grid.steps + 1
-    traj = Trajectory(
-        grid=grid,
-        theta=np.empty((count, ops.node_count)),
-        chi=np.empty((count, ops.node_count)),
-        u=np.empty((count, ops.node_count)),
-    )
-    traj.theta[0] = theta0
-    traj.chi[0] = chi0
-    traj.u[0] = chi0 - sums.values[0]
-    state = SystemState(index=0, theta=theta0, chi=chi0, u_field=traj.u[0])
+    _check_state_shapes(SystemState(0, theta=theta0, chi=chi0), integrand.values[0], ops)
+    check_step_preconditions(grid, nl)
+    shape = (len(paths), grid.steps + 1, ops.node_count)
+    theta, chi = np.empty(shape), np.empty(shape)
+    theta[:, 0] = theta0
+    chi[:, 0] = chi0
+    increments = np.array([p.increments for p in paths])
+    reports = [[] for _ in paths]
     for n in range(grid.steps):
+        state = SystemState(n, theta=theta[:, n], chi=chi[:, n])
         try:
-            state, report = step(
-                state,
-                float(path.increments[n]),
-                integrand.values[n],
-                grid,
-                ops,
-                nl,
-                tol=tol,
-                max_inner=max_inner,
-                newton_tol=newton_tol,
+            theta[:, n + 1], chi[:, n + 1], step_reports = _advance(
+                state, increments[:, n:n + 1], integrand.values[n], grid, ops, nl,
+                tol, max_inner, newton_tol,
             )
-        except NonFiniteError as exc:
-            raise NonFiniteError(
-                exc.reason, residual=exc.residual, step=n, path_id=path.path_id
+        except NumericalError as exc:
+            raise type(exc)(
+                exc.reason, residual=exc.residual, step=n,
+                path_id=paths[exc.row or 0].path_id, row=exc.row,
             ) from exc
-        traj.theta[n + 1] = state.theta
-        traj.chi[n + 1] = state.chi
-        traj.u[n + 1] = state.chi - sums.values[n + 1]
-        traj.reports.append(report)
-        # Pin the state's derived field to the directly accumulated B_n so
-        # states and trajectory agree bit for bit.
-        state = SystemState(
-            index=state.index, theta=state.theta, chi=state.chi, u_field=traj.u[n + 1]
-        )
-    return traj
+        for path_reports, report in zip(reports, step_reports):
+            path_reports.append(report)
+    trajectories = [
+        Trajectory(grid=grid, theta=theta[k], chi=chi[k],
+                   u=chi[k] - partial_sums(p, integrand).values, reports=reports[k])
+        for k, p in enumerate(paths)
+    ]
+    return trajectories[0] if single else trajectories

@@ -1,0 +1,240 @@
+"""A batch of paths advanced as one (M, P) block gives every path the bits
+of a run on its own."""
+
+import dataclasses
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import barenheat as bh
+from barenheat import diagnostics, grids
+from barenheat.errors import NonConvergenceError, NonFiniteError
+from barenheat.stepper import SystemState
+
+PATHS = 5
+
+
+def report_fields(report):
+    """Every StepReport field, with floats in round-trip form (bitwise compare)."""
+    return repr(dataclasses.astuple(report))
+
+
+def assert_batch_matches_singles(ops, nl, grid, integrand, theta0, chi0, paths):
+    batch = bh.run_additive(theta0, chi0, integrand, paths, grid, ops, nl)
+    assert len(batch) == len(paths)
+    for path, traj in zip(paths, batch):
+        alone = bh.run_additive(theta0, chi0, integrand, path, grid, ops, nl)
+        assert np.array_equal(traj.theta, alone.theta)
+        assert np.array_equal(traj.chi, alone.chi)
+        assert np.array_equal(traj.u, alone.u)
+        assert [report_fields(r) for r in traj.reports] == [
+            report_fields(r) for r in alone.reports
+        ]
+    return batch
+
+
+@pytest.fixture(scope="module")
+def grid16():
+    return bh.build_time_grid(1.0, 16)
+
+
+def noisy_inputs(ops, grid, seed=11):
+    integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops)
+    paths = [bh.sample_path(grid, seed, pid) for pid in range(PATHS)]
+    return integ, paths
+
+
+class TestBatchEqualsSingleRuns:
+    def test_linear_alpha_1d(self, ops65, grid16, cos_field):
+        integ, paths = noisy_inputs(ops65, grid16)
+        batch = assert_batch_matches_singles(
+            ops65, bh.linear(1.0), grid16, integ, cos_field, 0.5 * cos_field, paths
+        )
+        # Paths leave the inner iteration at different counts, so the
+        # convergence mask was exercised.
+        counts = {tuple(traj.reports[n].inner_iterations for traj in batch)
+                  for n in range(grid16.steps)}
+        assert any(len(set(step_counts)) > 1 for step_counts in counts)
+
+    def test_saturating_alpha_1d_per_path_jacobians(self, ops65, grid16, cos_field):
+        # Noise amplitudes over three decades give the paths' Newton solves
+        # thresholds and iteration counts of their own.
+        integ, paths = noisy_inputs(ops65, grid16)
+        paths = [dataclasses.replace(p, increments=scale * p.increments)
+                 for p, scale in zip(paths, (0.01, 0.1, 1.0, 3.0, 10.0))]
+        batch = assert_batch_matches_singles(
+            ops65, bh.saturating(2.0), grid16, integ, 3.0 * cos_field, cos_field, paths
+        )
+        assert all(r.newton_iterations > r.inner_iterations
+                   for traj in batch for r in traj.reports)
+
+    def test_saturating_alpha_2d_per_row_cg(self, monkeypatch):
+        ops = bh.build_operators(2, (7, 4), (1.0, 2.5))
+        grid = bh.build_time_grid(0.5, 8)
+        integ = bh.discretize_integrand("cos(pi*x)*cos(pi*y)*(1+t)", grid, ops)
+        paths = [bh.sample_path(grid, 23, pid) for pid in range(PATHS)]
+        data = 2.0 * bh.evaluate_on_mesh("cos(pi*x)*(2+cos(pi*y))", ops)
+        solved = []
+        real_cg = grids.cg
+
+        def recording_cg(matrix, b, *args, **kwargs):
+            solved.append(np.shape(b))
+            return real_cg(matrix, b, *args, **kwargs)
+
+        monkeypatch.setattr(grids, "cg", recording_cg)
+        assert_batch_matches_singles(ops, bh.saturating(2.0), grid, integ, data, data, paths)
+        assert solved and all(shape == (ops.node_count,) for shape in solved)
+
+    def test_newton_rows_keep_their_own_thresholds(self, ops65, grid16, cos_field):
+        # Data over six decades: each row stops at its own threshold and
+        # iteration count, as a lone solve does.
+        rng = np.random.default_rng(12)
+        scales = np.array([1e-3, 1e-1, 1.0, 1e1, 1e3])[:, None]
+        theta = scales * rng.standard_normal((PATHS, ops65.node_count))
+        chi = scales * rng.standard_normal((PATHS, ops65.node_count))
+        dws = rng.standard_normal((PATHS, 1))
+        nl = bh.saturating(2.0)
+        chi_next, report = bh.solve_chi(theta, SystemState(0, theta, chi), cos_field, dws,
+                                        grid16, ops65, nl)
+        assert len(set(report.iterations.tolist())) > 1
+        for row in range(PATHS):
+            alone, single = bh.solve_chi(theta[row], SystemState(0, theta[row], chi[row]),
+                                         cos_field, dws[row, 0], grid16, ops65, nl)
+            assert np.array_equal(chi_next[row], alone)
+            assert (report.residual[row], report.iterations[row],
+                    report.line_search_halvings[row]) == (
+                single.residual, single.iterations, single.line_search_halvings)
+
+    def test_order_follows_the_given_paths(self, ops65, grid16, cos_field):
+        integ, paths = noisy_inputs(ops65, grid16)
+        nl = bh.linear(1.0)
+        forward = bh.run_additive(cos_field, cos_field, integ, paths, grid16, ops65, nl)
+        backward = bh.run_additive(cos_field, cos_field, integ, paths[::-1], grid16, ops65, nl)
+        for a, b in zip(forward, backward[::-1]):
+            assert np.array_equal(a.chi, b.chi)
+
+    def test_step_on_a_batch_state(self, ops65, grid16, cos_field):
+        rng = np.random.default_rng(3)
+        theta = cos_field + 0.1 * rng.standard_normal((PATHS, ops65.node_count))
+        chi = 0.5 * cos_field + 0.1 * rng.standard_normal((PATHS, ops65.node_count))
+        dws = 0.2 * rng.standard_normal(PATHS)
+        nl = bh.saturating(1.0)
+        state, reports = bh.step(SystemState(0, theta, chi), dws, cos_field, grid16, ops65, nl)
+        assert len(reports) == PATHS
+        for row in range(PATHS):
+            alone, report = bh.step(SystemState(0, theta[row], chi[row]), dws[row], cos_field,
+                                    grid16, ops65, nl)
+            assert np.array_equal(state.theta[row], alone.theta)
+            assert np.array_equal(state.chi[row], alone.chi)
+            assert report_fields(reports[row]) == report_fields(report)
+
+
+class TestFactorsInBatches:
+    def test_linear_batch_factors_twice_per_dt(self, cos_field, monkeypatch):
+        ops = bh.build_operators(1, 64, 1.0)
+        factored, solved = [], []
+        real_dpttrf, real_dpttrs = grids.dpttrf, grids.dpttrs
+
+        def recording_dpttrf(d, e, *args, **kwargs):
+            factored.append(np.array(d))
+            return real_dpttrf(d, e, *args, **kwargs)
+
+        def recording_dpttrs(d, e, b, *args, **kwargs):
+            solved.append(np.shape(b))
+            return real_dpttrs(d, e, b, *args, **kwargs)
+
+        monkeypatch.setattr(grids, "dpttrf", recording_dpttrf)
+        monkeypatch.setattr(grids, "dpttrs", recording_dpttrs)
+        nl = bh.linear(1.0)
+        for steps, total in ((32, 2), (64, 4)):
+            grid = bh.build_time_grid(1.0, steps)
+            integ, paths = noisy_inputs(ops, grid)
+            bh.run_additive(cos_field, cos_field, integ, paths, grid, ops, nl)
+            assert len(factored) == total
+        # The shared heat operator and Jacobian solve all paths in one call.
+        assert (ops.node_count, PATHS) in solved
+
+
+def nan_beyond(limit):
+    """Saturating alpha that returns NaN for |x| > limit."""
+    base = bh.saturating(1.0)
+
+    def alpha(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) <= limit, base.alpha(x), np.nan)
+
+    return bh.make_nonlinearity("nan-alpha", alpha, 2.0, 1.0, alpha_prime=base.alpha_prime)
+
+
+class TestFailuresNameTheirPath:
+    def test_nan_in_one_path_names_it_and_its_step(self, grid16):
+        ops = bh.build_operators(1, 16, 1.0)
+        integ = bh.discretize_integrand("cos(pi*x)", grid16, ops)
+        rng = np.random.default_rng(4)
+        paths = []
+        for pid in range(PATHS):
+            increments = 1e-3 * rng.standard_normal(grid16.steps)
+            if pid == 3:
+                increments[5] = 50.0
+            paths.append(bh.BrownianPath(grid=grid16, increments=increments, seed=0,
+                                         path_id=pid))
+        data = 0.1 * bh.evaluate_on_mesh("cos(pi*x)", ops)
+        zero = np.zeros(ops.node_count)
+        nl = nan_beyond(2.0)
+        with pytest.raises(NonFiniteError) as info:
+            bh.run_additive(data, zero, integ, paths, grid16, ops, nl)
+        assert info.value.step == 5 and info.value.path_id == 3
+        assert "at step 5 of path 3" in str(info.value)
+        with pytest.raises(NonFiniteError) as alone:
+            bh.run_additive(data, zero, integ, paths[3], grid16, ops, nl)
+        assert alone.value.step == 5 and alone.value.reason == info.value.reason
+        bh.run_additive(data, zero, integ, paths[:3] + paths[4:], grid16, ops, nl)
+
+    def test_inner_cap_names_path_and_step(self, ops65, grid16, cos_field):
+        integ, paths = noisy_inputs(ops65, grid16)
+        with pytest.raises(NonConvergenceError) as info:
+            bh.run_additive(cos_field, cos_field, integ, paths[2:], grid16, ops65,
+                            bh.linear(1.0), max_inner=2)
+        assert info.value.step == 0 and info.value.path_id == 2
+        assert "at step 0 of path 2" in str(info.value)
+
+
+class TestEstimatorBatches:
+    @pytest.fixture
+    def setup(self, ops_small):
+        data = bh.evaluate_on_mesh("cos(pi*x)", ops_small)
+        return bh.AdditiveSetup(ops=ops_small, nonlinearity=bh.saturating(1.0), theta0=data,
+                                chi0=data, integrand="cos(pi*x)*(1+t)")
+
+    def test_bits_do_not_depend_on_batch_size(self, setup, monkeypatch):
+        dts = [0.25, 0.125, 0.0625]
+        whole = bh.grid_difference_rates(setup, 1.0, dts, 5, 8)
+        monkeypatch.setattr(diagnostics, "BATCH_PATHS", 2)
+        split = bh.grid_difference_rates(setup, 1.0, dts, 5, 8)
+        assert whole.theta.errors == split.theta.errors
+        assert whole.chi.standard_errors == split.chi.standard_errors
+
+    def test_energy_matches_path_by_path_reduction(self, setup):
+        dts = [0.25, 0.125]
+        grids_ = [bh.build_time_grid(1.0, 4), bh.build_time_grid(1.0, 8)]
+
+        def sample(seed, pid):
+            fine = bh.sample_path(grids_[-1], seed, pid)
+            return [bh.energy_statistic(bh.simulate(setup, g, bh.aggregate_path(fine, 8 // g.steps)),
+                                        setup.ops) for g in grids_]
+
+        mean, se = bh.mc_expectation(sample, 5, 9)
+        report = bh.energy_estimate_check(setup, 1.0, dts, 5, 9)
+        assert report.statistics == mean.tolist()
+        assert report.standard_errors == se.tolist()
+
+
+def test_solver_import_leaves_out_the_harness():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bh.__file__)))
+    code = ("import sys; import barenheat.multiplicative, barenheat.config; "
+            "sys.exit('barenheat.diagnostics' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

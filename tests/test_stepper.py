@@ -17,7 +17,7 @@ from barenheat.stepper import SystemState
 def make_state(theta, chi, ops):
     theta = np.full(ops.node_count, theta) if np.isscalar(theta) else theta
     chi = np.full(ops.node_count, chi) if np.isscalar(chi) else chi
-    return SystemState(index=0, theta=theta, chi=chi, u_field=chi.copy())
+    return SystemState(index=0, theta=theta, chi=chi)
 
 
 @pytest.fixture(scope="module")
