@@ -113,23 +113,11 @@ def _require(condition, message):
 
 
 def _trajectory_rows(traj, ops):
-    rows = [[0, 0.0, l2_norm(traj.theta[0], ops), h1_seminorm(traj.theta[0], ops),
-             l2_norm(traj.chi[0], ops), h1_seminorm(traj.chi[0], ops),
-             l2_norm(traj.u[0], ops), 0, 0.0]]
-    for n, report in enumerate(traj.reports, start=1):
-        factors = report.contraction_factors
-        rows.append([
-            n,
-            traj.grid.nodes[n],
-            l2_norm(traj.theta[n], ops),
-            h1_seminorm(traj.theta[n], ops),
-            l2_norm(traj.chi[n], ops),
-            h1_seminorm(traj.chi[n], ops),
-            l2_norm(traj.u[n], ops),
-            report.inner_iterations,
-            max(factors) if factors else 0.0,
-        ])
-    return rows
+    norms = zip(l2_norm(traj.theta, ops), h1_seminorm(traj.theta, ops), l2_norm(traj.chi, ops),
+                h1_seminorm(traj.chi, ops), l2_norm(traj.u, ops))
+    steps = [(0, [])] + [(r.inner_iterations, r.contraction_factors) for r in traj.reports]
+    return [[n, traj.grid.nodes[n], *row, inner, max(factors, default=0.0)]
+            for n, (row, (inner, factors)) in enumerate(zip(norms, steps))]
 
 
 _TRAJECTORY_HEADER = [
@@ -394,10 +382,7 @@ def main(argv=None):
             "wall_time_seconds": time.perf_counter() - started,
         })
         return 0 if passed else 2
-    except InvalidConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # solver failures, I/O, ...
+    except Exception as exc:  # invalid configs, solver failures, I/O, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -59,8 +59,14 @@ from . import nonlinearity as nonlin
 from .errors import ConfigValidationError, ExpressionError, InvalidConfigError
 from .expressions import parse_expression
 from .grids import build_operators
-from .multiplicative import MultiplicativeMap, PicardConfig, affine_map, damped_map
-from .theory import compute_stability_constant
+from .multiplicative import (
+    MultiplicativeMap,
+    PicardConfig,
+    _picard_threshold,
+    affine_map,
+    damped_map,
+)
+from .stepper import check_step_preconditions
 
 _KNOWN_KEYS = {
     "mesh": {"dimension", "cells", "lengths"},
@@ -225,13 +231,10 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
             violations.append(f"dt level {dt} does not divide the horizon T = {horizon}")
     if nl is not None:
         for dt in requested_dts:
-            if dt >= nl.tilde_coercivity:
-                violations.append(
-                    f"dt = {dt} violates the contraction requirement "
-                    f"dt < 1 + coercivity(alpha) = {nl.tilde_coercivity}"
-                )
-            elif not dt < 1.0:
-                violations.append(f"dt = {dt} violates the solvability requirement dt < 1")
+            try:
+                check_step_preconditions(dt, nl)
+            except InvalidConfigError as exc:
+                violations.append(str(exc))
 
     # --- initial data ---
     theta0_expression = get("initial", "theta0", "0")
@@ -304,13 +307,10 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
         except (InvalidConfigError, ExpressionError, ValueError) as exc:
             violations.append(f"noise: {exc}")
         if picard is not None and noise_map is not None and nl is not None:
-            constants = compute_stability_constant(nl.lipschitz, nl.coercivity, horizon)
-            threshold = 4.0 * constants.stability_constant * noise_map.lipschitz**2
-            if not override_picard_condition and not picard.weight > threshold:
-                violations.append(
-                    f"picard weight a = {picard.weight} must exceed "
-                    f"4 * stability_constant * lipschitz(H)^2 = {threshold:.6g}"
-                )
+            try:
+                _picard_threshold(nl, noise_map, horizon, picard.weight, override_picard_condition)
+            except InvalidConfigError as exc:
+                violations.append(str(exc))
     else:
         violations.append(f"noise kind must be additive or multiplicative, got {noise_kind!r}")
 

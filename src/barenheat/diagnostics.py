@@ -201,8 +201,9 @@ def grid_difference_rates(setup, horizon, dts, paths, seed, threads=1):
     def gaps(grid, traj):
         dtheta = np.diff(traj.theta, axis=0)
         dchi = np.diff(traj.chi, axis=0)
-        theta_sq = sum(l2_norm(row, ops) ** 2 for row in dtheta)
-        chi_sq = sum(l2_norm(row, ops) ** 2 + h1_seminorm(row, ops) ** 2 for row in dchi)
+        theta_sq = sum(l2 ** 2 for l2 in l2_norm(dtheta, ops))
+        chi_sq = sum(l2 ** 2 + h1 ** 2
+                     for l2, h1 in zip(l2_norm(dchi, ops), h1_seminorm(dchi, ops)))
         return grid.dt / 3.0 * theta_sq, grid.dt / 3.0 * chi_sq
 
     mean, se = _path_statistics(_level_table(setup, grids, paths, seed, gaps))
@@ -226,11 +227,9 @@ def self_convergence(setup, horizon, dts, paths, seed, threads=1):
     ops = setup.ops
     finals = _level_table(setup, grids, paths, seed,
                           lambda grid, traj: np.stack((traj.theta[-1], traj.chi[-1])))
-    table = np.empty((paths, len(grids) - 1, 2))
-    for pid in range(paths):
-        for idx in range(len(grids) - 1):
-            table[pid, idx, 0] = l2_norm(finals[pid, idx, 0] - finals[pid, idx + 1, 0], ops) ** 2
-            table[pid, idx, 1] = l2_norm(finals[pid, idx, 1] - finals[pid, idx + 1, 1], ops) ** 2
+    gaps = finals[:, :-1] - finals[:, 1:]
+    norms = l2_norm(gaps.reshape(-1, ops.node_count), ops)
+    table = np.array([norm ** 2 for norm in norms]).reshape(gaps.shape[:-1])
     mean, se = _path_statistics(table)
     pair_dts = [g.dt for g in grids[:-1]]
     return ConvergenceStudy(
@@ -272,9 +271,8 @@ def stability_check(setup, integrand_hat, grid, paths, seed, threads=1):
     other = discretize_integrand(integrand_hat, grid, ops)
 
     diff_values = base.values - other.values
-    step_sq = np.array(
-        [l2_norm(row, ops) ** 2 + h1_seminorm(row, ops) ** 2 for row in diff_values]
-    )
+    step_sq = np.array([l2 ** 2 + h1 ** 2 for l2, h1 in
+                        zip(l2_norm(diff_values, ops), h1_seminorm(diff_values, ops))])
     rhs = np.zeros(grid.steps + 1)
     np.cumsum(grid.dt * step_sq, out=rhs[1:])
     rhs *= constants.stability_constant
@@ -288,13 +286,11 @@ def stability_check(setup, integrand_hat, grid, paths, seed, threads=1):
         for pid, traj, traj_hat in runs:
             dtheta = traj.theta - traj_hat.theta
             dchi = traj.chi - traj_hat.chi
-            for n in range(grid.steps + 1):
-                table[pid, n] = (
-                    l2_norm(dtheta[n], ops) ** 2
-                    + h1_seminorm(dtheta[n], ops) ** 2
-                    + 0.25 * l2_norm(dchi[n], ops) ** 2
-                    + 0.25 * h1_seminorm(dchi[n], ops) ** 2
-                )
+            table[pid] = [
+                a ** 2 + b ** 2 + 0.25 * c ** 2 + 0.25 * d ** 2
+                for a, b, c, d in zip(l2_norm(dtheta, ops), h1_seminorm(dtheta, ops),
+                                      l2_norm(dchi, ops), h1_seminorm(dchi, ops))
+            ]
     lhs_mean, lhs_se = _path_statistics(table)
     active = rhs > 0
     ratios = np.divide(lhs_mean, rhs, out=np.zeros_like(rhs), where=active)
@@ -337,11 +333,11 @@ def energy_statistic(traj, ops):
     dchi = np.diff(traj.chi, axis=0)
     du = np.diff(traj.u, axis=0) / dt
     total = l2_norm(traj.theta[-1], ops) ** 2
-    total += sum(l2_norm(row, ops) ** 2 for row in dtheta)
-    total += dt * sum(h1_seminorm(row, ops) ** 2 for row in traj.theta[1:])
-    total += dt * sum(l2_norm(row, ops) ** 2 for row in du)
+    total += sum(norm ** 2 for norm in l2_norm(dtheta, ops))
+    total += dt * sum(norm ** 2 for norm in h1_seminorm(traj.theta[1:], ops))
+    total += dt * sum(norm ** 2 for norm in l2_norm(du, ops))
     total += h1_seminorm(traj.chi[-1], ops) ** 2
-    total += 0.5 * sum(h1_seminorm(row, ops) ** 2 for row in dchi)
+    total += 0.5 * sum(norm ** 2 for norm in h1_seminorm(dchi, ops))
     return total
 
 

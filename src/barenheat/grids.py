@@ -9,8 +9,10 @@ condition.  Lumping keeps every pointwise nonlinearity diagonal, so the
 implicit solves in the stepper are (diagonal + stiffness) SPD systems.
 
 Fields are nodal vectors of length P, and a batch of M fields (one per
-Monte Carlo path) is an (M, P) array whose rows are treated one by one, so
-every row gets the bits it would get on its own.
+Monte Carlo path, or one per time node) is an (M, P) array whose rows are
+treated one by one, so every row gets the bits it would get on its own:
+``l2_norm`` and ``h1_seminorm`` reduce a block to its M row norms with one
+dot product per row, never a matrix product, whose summation order differs.
 
 In 1D those systems are symmetric positive-definite tridiagonal.  Each
 distinct (shift, diagonal) pair is factored once by LAPACK ``dpttrf`` and
@@ -249,10 +251,12 @@ def build_operators(dimension, cells, lengths):
     )
 
 
-def _check_field(v, ops):
+def _check_field(v, ops, block=False):
+    """One field (P,) as floats; with ``block``, an (M, P) block as well."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (ops.node_count,):
-        raise FieldShapeError(f"field has shape {v.shape}, operators expect ({ops.node_count},)")
+    if v.shape[-1:] != (ops.node_count,) or v.ndim > 1 + block:
+        expected = f"({ops.node_count},)" + (f" or (M, {ops.node_count})" if block else "")
+        raise FieldShapeError(f"field has shape {v.shape}, operators expect {expected}")
     return v
 
 
@@ -264,16 +268,13 @@ def l2_inner(u, v, ops):
 
 
 def l2_norm(v, ops):
-    """Discrete L2 norm sqrt(sum_i M_i v_i^2)."""
-    v = _check_field(v, ops)
-    return float(np.sqrt(np.dot(ops.lumped_mass, v * v)))
-
-
-def l2_norms(fields, ops):
-    """``l2_norm`` of each row of an (M, P) batch, as a list of M floats."""
-    squares = fields * fields
-    mass = ops.lumped_mass
-    return [math.sqrt(mass.dot(squares[i])) for i in range(len(squares))]
+    """Discrete L2 norm sqrt(sum_i M_i v_i^2): a float for one field (P,), an
+    array of the M row norms for an (M, P) block."""
+    v = _check_field(v, ops, block=True)
+    squares = v * v
+    if v.ndim == 1:
+        return math.sqrt(ops.lumped_mass.dot(squares))
+    return np.array([math.sqrt(ops.lumped_mass.dot(row)) for row in squares])
 
 
 def row_norms(fields):
@@ -286,10 +287,13 @@ def row_norms(fields):
 
 
 def h1_seminorm(v, ops):
-    """Discrete H1 seminorm sqrt(v . K v); zero on constants."""
-    v = _check_field(v, ops)
-    quad = float(v @ (ops.stiffness @ v))
-    return float(np.sqrt(max(quad, 0.0)))
+    """Discrete H1 seminorm sqrt(v . K v), zero on constants: a float for one
+    field (P,), an array of the M row seminorms for an (M, P) block."""
+    v = _check_field(v, ops, block=True)
+    kv = apply_stiffness(ops, v)
+    if v.ndim == 1:
+        return math.sqrt(max(v.dot(kv), 0.0))
+    return np.array([math.sqrt(max(row.dot(k), 0.0)) for row, k in zip(v, kv)])
 
 
 def apply_stiffness(ops, fields):

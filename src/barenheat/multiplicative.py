@@ -75,14 +75,14 @@ def damped_map(gain, lipschitz=None):
 
 
 def evaluate_H(noise_map, chi):
-    """Apply the noise map to one nodal field."""
+    """Apply the noise map to one nodal field (P,) or to a block (..., P)."""
     chi = np.asarray(chi, dtype=float)
     if noise_map.kind == "affine":
         out = noise_map.scale * chi
         if noise_map.offset is not None:
-            if noise_map.offset.shape != chi.shape:
+            if noise_map.offset.shape != chi.shape[-1:]:
                 raise FieldShapeError(
-                    f"offset shape {noise_map.offset.shape} != field shape {chi.shape}"
+                    f"offset shape {noise_map.offset.shape} != field shape {chi.shape[-1:]}"
                 )
             out = out + noise_map.offset
         return out
@@ -128,11 +128,27 @@ class PicardConfig:
 
 def weighted_norm(values, grid, ops, weight):
     """W(v) over a (N+1, P) array of nodal fields; node 0 carries no weight."""
-    total = 0.0
-    for n in range(1, grid.steps + 1):
-        factor = grid.dt * np.exp(-weight * grid.nodes[n])
-        total += factor * (l2_norm(values[n], ops) ** 2 + h1_seminorm(values[n], ops) ** 2)
+    fields = values[1:grid.steps + 1]
+    total = sum(
+        grid.dt * np.exp(-weight * t) * (l2 ** 2 + h1 ** 2)
+        for t, l2, h1 in zip(grid.nodes[1:], l2_norm(fields, ops), h1_seminorm(fields, ops))
+    )
     return float(np.sqrt(total))
+
+
+def _picard_threshold(nl, noise_map, horizon, weight, override):
+    """The weight threshold 4 * stability_constant * C_H^2 of the contraction.
+
+    Raises InvalidConfigError unless ``weight`` exceeds it or ``override``.
+    """
+    constants = compute_stability_constant(nl.lipschitz, nl.coercivity, horizon)
+    threshold = 4.0 * constants.stability_constant * noise_map.lipschitz**2
+    if not override and not weight > threshold:
+        raise InvalidConfigError(
+            f"picard weight a = {weight} must exceed "
+            f"4 * stability_constant * lipschitz(H)^2 = {threshold:.6g}"
+        )
+    return threshold
 
 
 @dataclass
@@ -156,14 +172,9 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     same path, and measures W(chi_new - chi_old).  Requires the weight
     condition a > 4 * stability_constant * C_H^2 unless overridden.
     """
-    constants = compute_stability_constant(nl.lipschitz, nl.coercivity, grid.horizon)
-    threshold = 4.0 * constants.stability_constant * noise_map.lipschitz**2
+    threshold = _picard_threshold(nl, noise_map, grid.horizon, config.weight,
+                                  config.override_condition)
     modulus = threshold / config.weight
-    if not config.override_condition and not config.weight > threshold:
-        raise InvalidConfigError(
-            f"picard weight a = {config.weight} must exceed "
-            f"4 * stability_constant * lipschitz(H)^2 = {threshold:.6g}"
-        )
     theta0 = np.asarray(theta0, dtype=float)
     chi0 = np.asarray(chi0, dtype=float)
     iterate = np.tile(chi0, (grid.steps + 1, 1))
@@ -174,8 +185,7 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     for iteration in range(1, config.max_iterations + 1):
         started = time.perf_counter()
         values = np.zeros((grid.steps, ops.node_count))
-        for n in range(1, grid.steps):
-            values[n] = evaluate_H(noise_map, iterate[n])
+        values[1:] = evaluate_H(noise_map, iterate[1:grid.steps])
         integrand = AdditiveIntegrand(grid=grid, values=values, expression=None)
         trajectory = run_additive(
             theta0, chi0, integrand, path, grid, ops, nl, tol=tol, newton_tol=newton_tol

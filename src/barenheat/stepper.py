@@ -44,7 +44,7 @@ from .errors import (
     NonFiniteError,
     NumericalError,
 )
-from .grids import TimeGrid, apply_stiffness, l2_norms, row_norms, solve_shifted
+from .grids import TimeGrid, apply_stiffness, l2_norm, row_norms, solve_shifted
 from .noise import BrownianPath, partial_sums
 
 DEFAULT_INNER_TOL = 1e-11
@@ -136,8 +136,7 @@ def solve_theta(chi_candidate, state_n, h_n, dw_n, grid, ops, rtol=1e-12):
     Works on one path, or on a batch with (M, P) fields and ``dw_n`` an
     (M, 1) column of increments.
     """
-    if grid.dt > 1.0:
-        raise InvalidConfigError(f"heat sub-problem requires dt <= 1, got dt = {grid.dt}")
+    check_step_preconditions(grid.dt)
     _check_state_shapes(state_n, h_n, ops)
     rhs = ops.lumped_mass * (state_n.theta - chi_candidate + state_n.chi + h_n * dw_n)
     return _solve(ops, ops.lumped_mass, grid.dt, rhs, rtol)
@@ -260,8 +259,7 @@ def solve_chi(theta, state_n, h_n, dw_n, grid, ops, nl, tol=DEFAULT_NEWTON_TOL,
     it in once per step, and it is computed here when omitted.  Works on
     one path, or on a batch as ``solve_theta`` does.
     """
-    if not grid.dt < 1.0:
-        raise InvalidConfigError(f"nonlinear sub-problem requires dt < 1, got dt = {grid.dt}")
+    check_step_preconditions(grid.dt)
     _check_state_shapes(state_n, h_n, ops)
     shift = state_n.chi + h_n * dw_n
     if stiffness_shift is None:
@@ -283,17 +281,16 @@ def contraction_factor_bound(nl, dt):
     return 1.0 / (2.0 * (nl.tilde_coercivity / dt - 0.5))
 
 
-def check_step_preconditions(grid, nl):
-    """Raise unless dt < 1 and dt < 1 + coercivity(alpha)."""
-    if grid.dt >= nl.tilde_coercivity:
+def check_step_preconditions(dt, nl=None):
+    """Raise unless dt < 1 + coercivity(alpha) (contraction of the inner
+    iteration) and dt < 1 (solvability, the only check when ``nl`` is None)."""
+    if nl is not None and dt >= nl.tilde_coercivity:
         raise ContractionConditionError(
-            f"dt = {grid.dt} violates the contraction requirement "
+            f"dt = {dt} violates the contraction requirement "
             f"dt < 1 + coercivity(alpha) = {nl.tilde_coercivity}"
         )
-    if not grid.dt < 1.0:
-        raise InvalidConfigError(
-            f"dt = {grid.dt} violates the solvability requirement dt < 1"
-        )
+    if not dt < 1.0:
+        raise InvalidConfigError(f"dt = {dt} violates the solvability requirement dt < 1")
 
 
 def _advance(state_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
@@ -327,7 +324,7 @@ def _advance(state_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
         except NumericalError as exc:
             _lift(exc, rows)
             raise
-        diffs = l2_norms(chi_next - chi_iterate, ops)
+        diffs = l2_norm(chi_next - chi_iterate, ops).tolist()
         for row, diff, its, most, residual in zip(
             active, diffs, newton.iterations.tolist(), newton.line_search_halvings.tolist(),
             newton.residual.tolist(),
@@ -398,7 +395,7 @@ def step(
     Returns the next state and a StepReport; for a batch state with (M, P)
     fields, ``dw_n`` holds the M increments and the reports are a list.
     """
-    check_step_preconditions(grid, nl)
+    check_step_preconditions(grid.dt, nl)
     _check_state_shapes(state_n, h_n, ops)
     single = np.ndim(state_n.chi) == 1
     batch = state_n
@@ -464,7 +461,7 @@ def run_additive(
     theta0 = np.asarray(theta0, dtype=float)
     chi0 = np.asarray(chi0, dtype=float)
     _check_state_shapes(SystemState(0, theta=theta0, chi=chi0), integrand.values[0], ops)
-    check_step_preconditions(grid, nl)
+    check_step_preconditions(grid.dt, nl)
     shape = (len(paths), grid.steps + 1, ops.node_count)
     theta, chi = np.empty(shape), np.empty(shape)
     theta[:, 0] = theta0

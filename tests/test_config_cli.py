@@ -5,6 +5,7 @@ import os
 import pytest
 
 import barenheat as bh
+from barenheat import stepper
 from barenheat.cli import main
 from barenheat.config import parse_config
 from barenheat.errors import ConfigValidationError, InvalidConfigError
@@ -122,6 +123,70 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, text))
         joined = "\n".join(excinfo.value.violations)
         assert "mesh" in joined and "horizon" in joined
+
+
+def rejection(call):
+    """What an InvalidConfigError from ``call()`` says, or None; the
+    violations of a config, one a line."""
+    try:
+        call()
+    except ConfigValidationError as exc:
+        return "\n".join(exc.violations)
+    except InvalidConfigError as exc:
+        return str(exc)
+    return None
+
+
+class TestPreconditionsAgree:
+    """The config validator and the solvers reject the same inputs, in the same words."""
+
+    @pytest.mark.parametrize("c", [0.5, 3.0])
+    def test_steps_config_rejected_exactly_when_the_stepper_rejects(self, tmp_path, c):
+        nl = bh.linear(c)
+        outcomes = set()
+        # Four steps of dt each: horizon / steps is dt again, bit for bit.
+        for dt in (0.5, 0.99, 1.0, 1.01, 1.0 + c - 0.01, 1.0 + c, 1.0 + c + 0.01):
+            text = MINIMAL.replace("horizon = 1.0", f"horizon = {4 * dt!r}").replace(
+                "steps = 16", "steps = 4").replace("c = 1.0", f"c = {c!r}")
+            path = write_config(tmp_path, text)
+            grid = bh.build_time_grid(4 * dt, 4)
+            expected = rejection(lambda: stepper.check_step_preconditions(grid.dt, nl))
+            assert rejection(lambda: parse_config(path)) == expected
+            outcomes.add(expected.split(" violates")[1] if expected else None)
+        contraction = f" the contraction requirement dt < 1 + coercivity(alpha) = {1.0 + c}"
+        assert outcomes == {None, " the solvability requirement dt < 1", contraction}
+
+    def test_picard_threshold_agrees_just_below_and_above(self, tmp_path):
+        scale = 0.5
+        constants = bh.compute_stability_constant(1.0, 1.0, 1.0)
+        threshold = 4.0 * constants.stability_constant * scale**2
+        for weight, accepted in ((threshold * (1 - 1e-12), False), (threshold * (1 + 1e-12), True)):
+            text = MINIMAL.replace(
+                "kind = additive\nexpression = cos(pi*x)*(1+t)\n",
+                f"kind = multiplicative\nmap = affine\nscale = {scale}\nweight = {weight!r}\n",
+            )
+            path = write_config(tmp_path, text)
+            grid = bh.build_time_grid(1.0, 16)
+            ops = bh.build_operators(1, 16, 1.0)
+            chi0 = bh.evaluate_on_mesh("cos(pi*x)", ops)
+
+            def solve():
+                bh.picard_solve(chi0, chi0, bh.affine_map(scale), bh.sample_path(grid, 0, 0),
+                                grid, ops, bh.linear(1.0), bh.PicardConfig(weight=weight))
+
+            config_says = rejection(lambda: parse_config(path))
+            assert config_says == rejection(solve)
+            assert (config_says is None) == accepted
+
+    def test_threshold_without_constants_is_one_more_violation(self, tmp_path):
+        text = MINIMAL.replace("horizon = 1.0", "horizon = -1.0").replace(
+            "kind = additive\nexpression = cos(pi*x)*(1+t)\n",
+            "kind = multiplicative\nmap = affine\nscale = 0.5\nweight = 100\n",
+        )
+        with pytest.raises(ConfigValidationError) as excinfo:
+            parse_config(write_config(tmp_path, text))
+        joined = "\n".join(excinfo.value.violations)
+        assert "horizon must be positive" in joined and "stability constants need" in joined
 
 
 def run_cli(*args):

@@ -143,6 +143,37 @@ class TestNorms:
             bh.l2_inner(np.ones(65), np.ones(64), ops65)
 
 
+class TestBlockNorms:
+    """An (M, P) block is reduced row by row with the bits of single calls."""
+
+    MESHES = {
+        "1d-65": bh.build_operators(1, 64, 1.0),
+        "2d-7x4": bh.build_operators(2, (7, 4), (1.0, 2.5)),
+    }
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("rows", [1, 2, 17])
+    def test_rows_equal_single_calls(self, mesh, rows):
+        ops = self.MESHES[mesh]
+        rng = np.random.default_rng(rows)
+        block = rng.standard_normal((rows, ops.node_count)) * 10.0 ** rng.integers(-6, 7, (rows, 1))
+        for norm in (bh.l2_norm, bh.h1_seminorm):
+            values = norm(block, ops)
+            assert values.shape == (rows,)
+            assert np.array_equal(values, [norm(row, ops) for row in block])
+        # A single field keeps the bits of the reductions it used before blocks.
+        mass, stiffness = ops.lumped_mass, ops.stiffness
+        for row in block:
+            assert bh.l2_norm(row, ops) == float(np.sqrt(np.dot(mass, row * row)))
+            assert bh.h1_seminorm(row, ops) == float(np.sqrt(max(row @ (stiffness @ row), 0.0)))
+
+    @pytest.mark.parametrize("shape", [(3, 64), (3, 66), (2, 3, 65), ()])
+    def test_wrong_shapes_rejected(self, ops65, shape):
+        for norm in (bh.l2_norm, bh.h1_seminorm):
+            with pytest.raises(FieldShapeError):
+                norm(np.ones(shape), ops65)
+
+
 class TestSolveShifted1D:
     def test_bitwise_equal_to_refactoring_reference(self, reference_solve_1d):
         ops = bh.build_operators(1, 40, 1.7)

@@ -35,6 +35,18 @@ class TestEvaluateH:
         with pytest.raises(FieldShapeError):
             bh.evaluate_H(noise_map, np.zeros(65))
 
+    @pytest.mark.parametrize("kind", ["affine", "damped"])
+    def test_block_equals_stacked_rows(self, cos_field, kind):
+        noise_map = bh.affine_map(0.35, cos_field) if kind == "affine" else bh.damped_map(0.5)
+        block = np.random.default_rng(5).standard_normal((6, 65))
+        stacked = np.stack([bh.evaluate_H(noise_map, row) for row in block])
+        assert np.array_equal(bh.evaluate_H(noise_map, block), stacked)
+
+    def test_offset_shape_checked_on_a_block(self):
+        noise_map = bh.affine_map(1.0, np.zeros(7))
+        with pytest.raises(FieldShapeError):
+            bh.evaluate_H(noise_map, np.zeros((4, 65)))
+
     def test_affine_lipschitz_audit_exact(self, ops65, cos_field):
         noise_map = bh.affine_map(0.35, cos_field)
         worst = bh.lipschitz_audit(noise_map, ops65, samples=30, seed=1)

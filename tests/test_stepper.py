@@ -52,6 +52,15 @@ class TestSolveTheta:
         with pytest.raises(InvalidConfigError):
             bh.solve_theta(np.zeros(65), state, np.zeros(65), 0.0, grid, ops65)
 
+    def test_both_sub_problems_reject_dt_one(self, ops65):
+        grid = bh.build_time_grid(2.0, 2)
+        state = make_state(0.0, 0.0, ops65)
+        zeros = np.zeros(65)
+        with pytest.raises(InvalidConfigError, match="solvability requirement dt < 1"):
+            bh.solve_theta(zeros, state, zeros, 0.0, grid, ops65)
+        with pytest.raises(InvalidConfigError, match="solvability requirement dt < 1"):
+            bh.solve_chi(zeros, state, zeros, 0.0, grid, ops65, bh.linear(3.0))
+
 
 class TestSolveChi:
     def test_zero_data(self, ops65, grid16, unit_nl):
