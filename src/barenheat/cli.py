@@ -11,8 +11,11 @@ Subcommands::
     constants    print the stability constants
 
 Every command writes ``summary.json`` ({check_name, pass, statistic,
-threshold}, plus command specifics) and ``manifest.json`` (config hash,
-effective seed and its source, versions, wall time).  CSV bodies are
+threshold, warnings}, plus command specifics) and ``manifest.json`` (config
+hash, effective seed and its source, versions, wall time; for ``solve`` and
+``picard`` also the deterministic ``solver`` counters of the trajectory they
+write).  ``warnings`` lists what was also printed to stderr as a warning,
+such as a failed conformance check of the nonlinearity.  CSV bodies are
 byte-reproducible for a fixed config and seed: floats use shortest
 round-trip formatting, the Monte Carlo reduction is ordered, and wall-clock
 readings stay out of the CSVs unless ``--timings`` opts in.  Exit codes:
@@ -120,6 +123,19 @@ def _trajectory_rows(traj, ops):
             for n, (row, (inner, factors)) in enumerate(zip(norms, steps))]
 
 
+def _solver_counters(reports):
+    """Totals and extremes over the StepReports of one trajectory."""
+    return {
+        "inner_iterations": sum(r.inner_iterations for r in reports),
+        "newton_iterations": sum(r.newton_iterations for r in reports),
+        "max_line_search_halvings": max((r.line_search_halvings for r in reports), default=0),
+        "worst_factor_over_bound": max(
+            (max(r.contraction_factors, default=0.0) / r.factor_bound for r in reports),
+            default=0.0),
+        "worst_newton_residual": max((r.newton_residual for r in reports), default=0.0),
+    }
+
+
 _TRAJECTORY_HEADER = [
     "step", "t", "l2_theta", "h1semi_theta", "l2_chi", "h1semi_chi",
     "l2_u", "inner_iters", "max_contraction_factor",
@@ -145,7 +161,7 @@ def cmd_solve(args, config, outdir, seed):
         "pass": passed,
         "statistic": worst,
         "threshold": WEAK_IDENTITY_TOL,
-    }
+    }, _solver_counters(traj.reports)
 
 
 def cmd_mc(args, config, outdir, seed):
@@ -164,7 +180,7 @@ def cmd_mc(args, config, outdir, seed):
         "statistic": max(report.statistics),
         "threshold": "growth < 25% + 4 se per halving",
         "levels": rows,
-    }
+    }, None
 
 
 def cmd_converge(args, config, outdir, seed):
@@ -194,7 +210,7 @@ def cmd_converge(args, config, outdir, seed):
         "threshold": config.slope_threshold,
         "theta_slope": study.theta.slope,
         "chi_slope": study.chi.slope,
-    }
+    }, None
 
 
 def cmd_stability(args, config, outdir, seed):
@@ -218,7 +234,7 @@ def cmd_stability(args, config, outdir, seed):
         "statistic": report.max_ratio,
         "threshold": "ratio <= 1 + 4 se",
         "stability_constant": report.constants.stability_constant,
-    }
+    }, None
 
 
 def cmd_contraction(args, config, outdir, seed):
@@ -251,7 +267,7 @@ def cmd_contraction(args, config, outdir, seed):
         "statistic": max(row[2] for row in rows),
         "threshold": f"factor <= bound * (1 + {FACTOR_SLACK})",
         "levels": [[row[0], row[1], row[2]] for row in rows],
-    }
+    }, None
 
 
 def cmd_picard(args, config, outdir, seed):
@@ -283,7 +299,7 @@ def cmd_picard(args, config, outdir, seed):
         "iterations": report.iterations,
         "modulus": report.modulus,
         "iteration_wall_times": report.wall_times,
-    }
+    }, _solver_counters(traj.reports)
 
 
 def cmd_constants(args, config, outdir, seed):
@@ -300,7 +316,7 @@ def cmd_constants(args, config, outdir, seed):
         "statistic": constants.stability_constant,
         "threshold": None,
         "gronwall_exponent": constants.gronwall_exponent,
-    }
+    }, None
 
 
 _COMMANDS = {
@@ -354,17 +370,16 @@ def main(argv=None):
         seed, seed_source = _effective_seed(args, config)
         if not 0 <= seed < 2**64:
             raise InvalidConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        warnings = []
         if config.nonlinearity_report is not None and not config.nonlinearity_report.passed:
-            print(
-                "warning: declared nonlinearity constants failed the sampled "
-                "conformance check; contraction and stability bounds may not hold",
-                file=sys.stderr,
-            )
+            warnings.append("declared nonlinearity constants failed the sampled conformance "
+                            "check; contraction and stability bounds may not hold")
+            print(f"warning: {warnings[-1]}", file=sys.stderr)
         outdir = args.out or config.output_directory
         os.makedirs(outdir, exist_ok=True)
-        passed, summary = _COMMANDS[args.command](args, config, outdir, seed)
-        _write_json(os.path.join(outdir, "summary.json"), summary)
-        _write_json(os.path.join(outdir, "manifest.json"), {
+        passed, summary, solver = _COMMANDS[args.command](args, config, outdir, seed)
+        _write_json(os.path.join(outdir, "summary.json"), {**summary, "warnings": warnings})
+        manifest = {
             "command": args.command,
             "config_path": str(args.config),
             "config_sha256": _sha256(args.config),
@@ -380,7 +395,10 @@ def main(argv=None):
             },
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "wall_time_seconds": time.perf_counter() - started,
-        })
+        }
+        if solver is not None:
+            manifest["solver"] = solver
+        _write_json(os.path.join(outdir, "manifest.json"), manifest)
         return 0 if passed else 2
     except Exception as exc:  # invalid configs, solver failures, I/O, ...
         print(f"error: {exc}", file=sys.stderr)

@@ -15,12 +15,15 @@ treated one by one, so every row gets the bits it would get on its own:
 dot product per row, never a matrix product, whose summation order differs.
 
 In 1D those systems are symmetric positive-definite tridiagonal.  Each
-distinct (shift, diagonal) pair is factored once by LAPACK ``dpttrf`` and
-every right-hand side is solved by ``dpttrs`` against the stored factor, so
-the heat operator M + dt K is factored once per time step size and the
-linear-alpha Newton Jacobian once as well, and a batch that shares the
-diagonal is solved by one multi-column ``dpttrs`` call; the factors live in
-a small bounded cache owned by the operators.  ``solveh_banded`` on a two-row band
+distinct (shift, diagonal) pair whose diagonal is a multiple of the lumped
+mass is factored once by LAPACK ``dpttrf`` and every right-hand side is
+solved by ``dpttrs`` against the stored factor, so the heat operator
+M + dt K is factored once per time step size and the linear-alpha Newton
+Jacobian once as well, and a batch that shares the diagonal is solved by
+one multi-column ``dpttrs`` call; the factors live in a small bounded cache
+owned by the operators.  Any other diagonal, such as a Newton Jacobian of
+nonlinear alpha, is factored and solved on the spot, row by row for a batch
+whose diagonal rows differ.  ``solveh_banded`` on a two-row band
 calls ``?ptsv``, which is exactly ``pttrf`` followed by ``pttrs``, so the
 cached solve returns the same bits as refactoring on every call.  In 2D
 the mass and stiffness are Kronecker products of 1D ones, so fast
@@ -52,11 +55,12 @@ from .errors import FieldShapeError, InvalidConfigError, NonFiniteError, Numeric
 # solves whose diagonal is not a multiple of the lumped mass.
 CG_RTOL = 1e-13
 
-# Tridiagonal factors kept per 1D operator set.  Each time step size needs
-# one for the heat operator and, with linear alpha, one for the Newton
-# Jacobian, so a Monte Carlo study over up to eight dt levels keeps all of
-# them; nonlinear alpha adds a new Jacobian per Newton iteration, which the
-# least-recently-used eviction discards while the reused factors stay.
+# Tridiagonal factors kept per 1D operator set.  Only shared operators are
+# kept, those whose diagonal is a multiple of the lumped mass: each time step
+# size needs one for the heat operator and, with linear alpha, one for the
+# Newton Jacobian, so a Monte Carlo study over up to eight dt levels keeps
+# all of them.  A Jacobian of nonlinear alpha is never bit-equal again, so
+# it is factored and solved without entering the cache.
 FACTOR_CACHE_SIZE = 16
 
 
@@ -94,25 +98,43 @@ class _TridiagonalFactors:
     """Bounded, thread-safe cache of ``dpttrf`` factors of diag + shift K.
 
     Keyed by the shift and the diagonal's bytes, so a factor is reused only
-    for a bit-equal diagonal.  Callers may share one operator set between
-    threads; every access to the dict holds the lock, and the factorization
-    itself runs outside it (two threads may factor the same key; both
-    results are identical).
+    for a bit-equal diagonal; a factor enters the cache only when its
+    diagonal is a multiple of the lumped mass ``mass``.  Callers may share
+    one operator set between threads; every access to the dict holds the
+    lock, and the factorization itself runs outside it (two threads may
+    factor the same key; both results are identical).
     """
 
-    def __init__(self, main, off):
+    def __init__(self, main, off, mass):
         self.main = main
         self.off = off
+        self.mass = mass
         self._factors = OrderedDict()
         self._lock = threading.Lock()
 
     def __reduce__(self):
         # Locks do not pickle or deep-copy; a copy starts with no factors.
-        return type(self), (self.main, self.off)
+        return type(self), (self.main, self.off, self.mass)
 
     def __len__(self):
         with self._lock:
             return len(self._factors)
+
+    def _factor(self, diagonal, shift):
+        d, e, info = dpttrf(diagonal + shift * self.main, shift * self.off)
+        if info != 0:
+            raise NumericalError(
+                f"shifted operator is not positive definite (leading minor {info})"
+            )
+        return d, e
+
+    @staticmethod
+    def _apply(factor, rhs):
+        # The rows of a C-ordered batch are the columns that dpttrs solves.
+        x, info = dpttrs(*factor, rhs.T)
+        if info != 0:
+            raise NumericalError(f"tridiagonal solve rejected its arguments (info {info})")
+        return x.T
 
     def solve(self, diagonal, shift, rhs):
         """Solve for one field (P,) or for every row of an (M, P) batch."""
@@ -122,21 +144,18 @@ class _TridiagonalFactors:
             if factor is not None:
                 self._factors.move_to_end(key)
         if factor is None:
-            d, e, info = dpttrf(diagonal + shift * self.main, shift * self.off)
-            if info != 0:
-                raise NumericalError(
-                    f"shifted operator is not positive definite (leading minor {info})"
-                )
-            factor = (d, e)
-            with self._lock:
-                self._factors[key] = factor
-                while len(self._factors) > FACTOR_CACHE_SIZE:
-                    self._factors.popitem(last=False)
-        # The rows of a C-ordered batch are the columns that dpttrs solves.
-        x, info = dpttrs(*factor, rhs.T)
-        if info != 0:
-            raise NumericalError(f"tridiagonal solve rejected its arguments (info {info})")
-        return x.T
+            factor = self._factor(diagonal, shift)
+            ratio = diagonal / self.mass
+            if ratio.min() == ratio.max():
+                with self._lock:
+                    self._factors[key] = factor
+                    while len(self._factors) > FACTOR_CACHE_SIZE:
+                        self._factors.popitem(last=False)
+        return self._apply(factor, rhs)
+
+    def solve_once(self, diagonal, shift, rhs):
+        """Factor and solve without the cache, for a diagonal used once."""
+        return self._apply(self._factor(diagonal, shift), rhs)
 
 
 @dataclass(frozen=True)
@@ -229,7 +248,7 @@ def build_operators(dimension, cells, lengths):
             coordinates=coords.reshape(-1, 1),
             axis_nodes=(mass.size,),
             spacings=(float(lengths[0]) / int(cells[0]),),
-            tridiagonal=_TridiagonalFactors(stiffness.diagonal(), stiffness.diagonal(1)),
+            tridiagonal=_TridiagonalFactors(stiffness.diagonal(), stiffness.diagonal(1), mass),
         )
 
     mx, kx, cx = _operators_1d(int(cells[0]), float(lengths[0]))
@@ -406,9 +425,11 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
     one by one; ``diagonal`` is (P,), shared by every row, or (M, P), one
     per row, and a batch whose diagonal rows are all equal counts as shared.
     In 1D the system is tridiagonal: the ``dpttrf`` factor of each distinct
-    (shift, diagonal) is computed once, kept on ``ops``, and reused by
-    ``dpttrs`` whenever the diagonal is bit-equal to the cached one; a
-    shared diagonal solves the whole batch with one multi-column call.  The
+    (shift, diagonal) whose diagonal is a multiple of the lumped mass is
+    computed once, kept on ``ops``, and reused by ``dpttrs`` whenever the
+    diagonal is bit-equal to the cached one; any other diagonal is factored
+    for this call only, per row when the rows differ; a shared diagonal
+    solves the whole batch with one multi-column call.  The
     bits equal those of ``solveh_banded`` on the two-row band, which runs
     ``?ptsv`` = ``pttrf`` + ``pttrs`` on the same inputs.  In 2D a
     diagonal that is a scalar multiple of the lumped mass is solved directly
@@ -425,7 +446,10 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
     shift = float(shift)
     if diagonal.ndim == 2 and (diagonal == diagonal[0]).all():
         diagonal = diagonal[0]
-    solve = ops.tridiagonal.solve if ops.dimension == 1 else partial(_solve_2d, ops)
+    if ops.dimension == 2:
+        solve = partial(_solve_2d, ops)
+    else:
+        solve = ops.tridiagonal.solve if diagonal.ndim == 1 else ops.tridiagonal.solve_once
     if diagonal.ndim == 2:
         x = _by_row(lambda d, r: solve(d, shift, r), diagonal, rhs)
     else:

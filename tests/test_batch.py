@@ -157,6 +157,35 @@ class TestFactorsInBatches:
         # The shared heat operator and Jacobian solve all paths in one call.
         assert (ops.node_count, PATHS) in solved
 
+    def test_saturating_batch_factors_heat_once_per_dt(self, cos_field, monkeypatch):
+        # Jacobians of nonlinear alpha differ per row and per iteration and
+        # are factored without entering the cache, so they cannot evict the
+        # heat factor.
+        ops = bh.build_operators(1, 64, 1.0)
+        grid = bh.build_time_grid(1.0, 64)
+        integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops)
+        paths = [bh.sample_path(grid, 5, pid) for pid in range(16)]
+        nl = bh.saturating(2.0)
+        factored = []
+        real_dpttrf = grids.dpttrf
+
+        def recording_dpttrf(d, e, *args, **kwargs):
+            factored.append(np.array(d))
+            return real_dpttrf(d, e, *args, **kwargs)
+
+        monkeypatch.setattr(grids, "dpttrf", recording_dpttrf)
+        batch = bh.run_additive(cos_field, cos_field, integ, paths, grid, ops, nl)
+        heat = ops.lumped_mass + grid.dt * ops.tridiagonal.main
+        assert sum(np.array_equal(d, heat) for d in factored) == 1
+        assert len(factored) > grids.FACTOR_CACHE_SIZE
+        # Besides the heat factor the cache holds one Jacobian: the one at
+        # u = 0 that every path shares in step 0, where h_0 = 0.
+        assert len(ops.tridiagonal) == 2
+        for pid in (0, len(paths) - 1):
+            alone = bh.run_additive(cos_field, cos_field, integ, paths[pid], grid, ops, nl)
+            assert np.array_equal(batch[pid].theta, alone.theta)
+            assert np.array_equal(batch[pid].chi, alone.chi)
+
 
 def nan_beyond(limit):
     """Saturating alpha that returns NaN for |x| > limit."""

@@ -322,6 +322,50 @@ class TestCli:
         summary = json.load(open(os.path.join(outdir, "summary.json")))
         assert summary["pass"] is True
         assert len(summary["iteration_wall_times"]) == summary["iterations"]
+        # The solver counters describe the trajectory that picard wrote.
+        solver = json.load(open(os.path.join(outdir, "manifest.json")))["solver"]
+        inner = [int(row[7]) for row in read_rows(os.path.join(outdir, "trajectory.csv"))[1:]]
+        assert solver["inner_iterations"] == sum(inner) > 0
+        assert solver["newton_iterations"] == solver["inner_iterations"]
+
+    def test_solve_manifest_counts_the_solver_work(self, tmp_path):
+        text = MINIMAL.replace("kind = linear\nc = 1.0", "kind = saturating\na = 2.0")
+        config = write_config(tmp_path, text)
+        outdir = str(tmp_path / "out")
+        assert run_cli("solve", "--config", config, "--out", outdir, "--seed", "3") == 0
+        solver = json.load(open(os.path.join(outdir, "manifest.json")))["solver"]
+        parsed = parse_config(config)
+        grid = bh.build_time_grid(parsed.horizon, parsed.steps)
+        integrand = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, parsed.ops)
+        reports = bh.run_additive(parsed.theta0, parsed.chi0, integrand,
+                                  bh.sample_path(grid, 3, 0), grid, parsed.ops,
+                                  parsed.nonlinearity).reports
+        assert solver == {
+            "inner_iterations": sum(r.inner_iterations for r in reports),
+            "newton_iterations": sum(r.newton_iterations for r in reports),
+            "max_line_search_halvings": max(r.line_search_halvings for r in reports),
+            "worst_factor_over_bound": max(
+                max(r.contraction_factors, default=0.0) / r.factor_bound for r in reports),
+            "worst_newton_residual": max(r.newton_residual for r in reports),
+        }
+        assert 0.0 < solver["worst_factor_over_bound"] <= 1.0
+
+    def test_failed_conformance_check_is_a_summary_warning(self, tmp_path, capsys):
+        text = MINIMAL.replace("kind = linear\nc = 1.0",
+                               "kind = saturating\na = 2.0\nlipschitz = 1.5")
+        config = write_config(tmp_path, text)
+        outdir = str(tmp_path / "out")
+        assert run_cli("solve", "--config", config, "--out", outdir) == 0
+        warnings = json.load(open(os.path.join(outdir, "summary.json")))["warnings"]
+        assert len(warnings) == 1 and "conformance" in warnings[0]
+        assert f"warning: {warnings[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["additive.ini", "multiplicative.ini"])
+    def test_demo_configs_have_no_warnings(self, tmp_path, name):
+        config = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos", "configs", name)
+        outdir = str(tmp_path / "out")
+        assert run_cli("constants", "--config", config, "--out", outdir) == 0
+        assert json.load(open(os.path.join(outdir, "summary.json")))["warnings"] == []
 
     def test_mc_command(self, tmp_path):
         config = write_config(tmp_path, MINIMAL)

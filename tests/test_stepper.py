@@ -169,14 +169,14 @@ class TestStep:
 
     def test_newton_work_totals_over_inner_iterations(self, ops65, cos_field, monkeypatch):
         # Every Newton iteration makes one shifted solve and every heat solve
-        # one more, so the solves counted outside solve_theta are the Newton
-        # iterations actually run.
+        # one more, so the solves counted outside the heat kernel
+        # _solve_theta are the Newton iterations actually run.
         nl = bh.saturating(2.0)
         grid = bh.build_time_grid(1.0, 4)
         counts = {"shifted": 0, "theta": 0}
         reports = []
         real_shifted, real_theta, real_newton = (
-            stepper.solve_shifted, stepper.solve_theta, stepper._newton
+            stepper.solve_shifted, stepper._solve_theta, stepper._newton
         )
 
         def counting_shifted(*args, **kwargs):
@@ -193,7 +193,7 @@ class TestStep:
             return u, report
 
         monkeypatch.setattr(stepper, "solve_shifted", counting_shifted)
-        monkeypatch.setattr(stepper, "solve_theta", counting_theta)
+        monkeypatch.setattr(stepper, "_solve_theta", counting_theta)
         monkeypatch.setattr(stepper, "_newton", recording_newton)
         state = make_state(cos_field, 0.5 * cos_field, ops65)
         _, report = bh.step(state, 0.4, 3.0 * cos_field, grid, ops65, nl)
@@ -202,6 +202,24 @@ class TestStep:
         assert report.newton_iterations == sum(r.iterations for r in reports)
         assert report.newton_iterations > reports[-1].iterations
         assert report.line_search_halvings == max(r.line_search_halvings for r in reports)
+
+    @pytest.mark.parametrize("paths", [1, 4])
+    def test_linear_alpha_takes_one_newton_iteration_per_inner_iteration(
+        self, ops65, cos_field, paths
+    ):
+        # Linear alpha starts Newton from u = 0, where its residual is the
+        # whole right-hand side and one exact step converges; nonlinear alpha
+        # starts from the chi iterate instead.
+        grid = bh.build_time_grid(1.0, 32)
+        integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops65)
+        trajs = bh.run_additive(cos_field, cos_field, integ,
+                                [bh.sample_path(grid, 3, pid) for pid in range(paths)],
+                                grid, ops65, bh.linear(1.0))
+        for traj in trajs:
+            assert all(r.inner_iterations > 1 for r in traj.reports[1:])
+            assert [r.newton_iterations for r in traj.reports] == [
+                r.inner_iterations for r in traj.reports
+            ]
 
     def test_inner_iteration_cap(self, ops65, grid16, unit_nl, cos_field):
         state = make_state(cos_field, cos_field, ops65)
