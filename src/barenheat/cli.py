@@ -15,11 +15,15 @@ threshold, warnings}, plus command specifics) and ``manifest.json`` (config
 hash, effective seed and its source, versions, wall time; for ``solve`` and
 ``picard`` also the deterministic ``solver`` counters of the trajectory they
 write).  ``warnings`` lists what was also printed to stderr as a warning,
-such as a failed conformance check of the nonlinearity.  CSV bodies are
-byte-reproducible for a fixed config and seed: floats use shortest
-round-trip formatting, the Monte Carlo reduction is ordered, and wall-clock
-readings stay out of the CSVs unless ``--timings`` opts in.  Exit codes:
-0 success, 2 a check failed, 1 error.
+such as a failed conformance check of the nonlinearity.  A run that fails
+after its config was accepted still writes both files: ``summary.json``
+with ``pass: false`` and ``manifest.json`` with ``error`` ({type, message,
+step, path_id, row}; the last three are null when the error does not say
+where it happened).  A config that fails validation writes nothing.  CSV
+bodies are byte-reproducible for a fixed config and seed: floats use
+shortest round-trip formatting, the Monte Carlo reduction is ordered, and
+wall-clock readings stay out of the CSVs unless ``--timings`` opts in.
+Exit codes: 0 success, 2 a check failed, 1 error.
 """
 
 import argparse
@@ -377,28 +381,47 @@ def main(argv=None):
             print(f"warning: {warnings[-1]}", file=sys.stderr)
         outdir = args.out or config.output_directory
         os.makedirs(outdir, exist_ok=True)
-        passed, summary, solver = _COMMANDS[args.command](args, config, outdir, seed)
+
+        def write_manifest(**extra):
+            _write_json(os.path.join(outdir, "manifest.json"), {
+                "command": args.command,
+                "config_path": str(args.config),
+                "config_sha256": _sha256(args.config),
+                "seed": seed,
+                "seed_source": seed_source,
+                "paths": config.paths,
+                "threads": args.threads,
+                "versions": {
+                    "barenheat": __version__,
+                    "numpy": np.__version__,
+                    "scipy": scipy.__version__,
+                    "python": sys.version.split()[0],
+                },
+                "created_utc": datetime.now(timezone.utc).isoformat(),
+                "wall_time_seconds": time.perf_counter() - started,
+                **extra,
+            })
+
+        try:
+            passed, summary, solver = _COMMANDS[args.command](args, config, outdir, seed)
+        except InvalidConfigError:
+            raise
+        except Exception as exc:
+            # A failure after the config was accepted still leaves a record.
+            _write_json(os.path.join(outdir, "summary.json"), {
+                "check_name": None, "pass": False, "statistic": None, "threshold": None,
+                "warnings": warnings,
+            })
+            write_manifest(error={
+                "type": type(exc).__name__,
+                "message": str(exc),
+                "step": getattr(exc, "step", None),
+                "path_id": getattr(exc, "path_id", None),
+                "row": getattr(exc, "row", None),
+            })
+            raise
         _write_json(os.path.join(outdir, "summary.json"), {**summary, "warnings": warnings})
-        manifest = {
-            "command": args.command,
-            "config_path": str(args.config),
-            "config_sha256": _sha256(args.config),
-            "seed": seed,
-            "seed_source": seed_source,
-            "paths": config.paths,
-            "threads": args.threads,
-            "versions": {
-                "barenheat": __version__,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "python": sys.version.split()[0],
-            },
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "wall_time_seconds": time.perf_counter() - started,
-        }
-        if solver is not None:
-            manifest["solver"] = solver
-        _write_json(os.path.join(outdir, "manifest.json"), manifest)
+        write_manifest(**({} if solver is None else {"solver": solver}))
         return 0 if passed else 2
     except Exception as exc:  # invalid configs, solver failures, I/O, ...
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,13 @@ h_n = H(chi^(k)(t_n)) for n >= 1 (the value at step zero stays the zero
 field, matching the additive convention that the integrand vanishes before
 time zero, so a constant map reduces bit-for-bit to the additive solver).
 Freezing at the left endpoint keeps every integrand value measurable at the
-time it multiplies the increment.
+time it multiplies the increment.  It also means that step n of iterate
+k + 1 reads iterate k only at t_n, so ``picard_solve`` runs iterate 1 on
+its own and every later iterate one or more steps behind its predecessor,
+all running iterates advancing together as one batch.  An iterate starts
+only once the part of its predecessor's weighted difference summed so far
+exceeds the tolerance, so no iterate runs that the sequential iteration
+would not run.
 
 Convergence is measured in an exponentially weighted space-time norm
 
@@ -18,15 +24,16 @@ once the weight satisfies a > 4 C C_H^2; the iteration enforces that
 condition unless explicitly overridden.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError
+from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError, NumericalError
 from .grids import h1_seminorm, l2_norm
-from .noise import AdditiveIntegrand
-from .stepper import run_additive
+from .noise import AdditiveIntegrand, partial_sums
+from .stepper import DEFAULT_MAX_INNER, SystemState, Trajectory, _advance, run_additive
 from .theory import compute_stability_constant
 
 
@@ -126,13 +133,22 @@ class PicardConfig:
             raise InvalidConfigError("need at least one iteration")
 
 
+def _norm_terms(fields, times, grid, ops, weight):
+    """The terms dt exp(-a t) (||v||^2 + ||grad v||^2) of W(v)^2 for a block
+    of fields at the time nodes ``times``."""
+    return [grid.dt * np.exp(-weight * t) * (l2 ** 2 + h1 ** 2)
+            for t, l2, h1 in zip(times, l2_norm(fields, ops), h1_seminorm(fields, ops))]
+
+
 def weighted_norm(values, grid, ops, weight):
-    """W(v) over a (N+1, P) array of nodal fields; node 0 carries no weight."""
-    fields = values[1:grid.steps + 1]
-    total = sum(
-        grid.dt * np.exp(-weight * t) * (l2 ** 2 + h1 ** 2)
-        for t, l2, h1 in zip(grid.nodes[1:], l2_norm(fields, ops), h1_seminorm(fields, ops))
-    )
+    """W(v) over a (N+1, P) array of nodal fields; node 0 carries no weight.
+
+    The terms are added left to right, so a running sum over nodes 1..n is
+    bit for bit a prefix of this sum.
+    """
+    total = 0.0
+    for term in _norm_terms(values[1:grid.steps + 1], grid.nodes[1:], grid, ops, weight):
+        total += term
     return float(np.sqrt(total))
 
 
@@ -153,7 +169,12 @@ def _picard_threshold(nl, noise_map, horizon, weight, override):
 
 @dataclass
 class PicardReport:
-    """Per-iteration weighted differences of the outer fixed point."""
+    """Per-iteration weighted differences of the outer fixed point.
+
+    ``wall_times[k]`` runs from the start of iterate k + 1 to the end of its
+    weighted difference.  From iterate 2 on the iterates overlap, so the
+    wall times no longer add up to the time of the run.
+    """
 
     iterations: int
     w_differences: list
@@ -163,49 +184,160 @@ class PicardReport:
     converged: bool
 
 
+@dataclass
+class _Iterate:
+    """A Picard iterate while it runs: its fields up to node ``step``, the
+    integrand values it has read from its predecessor's chi ``previous``,
+    and the running sum of its weighted-norm terms."""
+
+    number: int
+    previous: np.ndarray = field(repr=False)
+    theta: np.ndarray = field(repr=False)
+    chi: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    started: float
+    reports: list = field(default_factory=list, repr=False)
+    step: int = 0
+    partial: float = 0.0
+    successor: bool = False
+
+
+def _start_iterate(number, previous, theta0, chi0, grid, ops):
+    shape = (grid.steps + 1, ops.node_count)
+    theta, chi = np.empty(shape), np.empty(shape)
+    theta[0] = theta0
+    chi[0] = chi0
+    # h_0 stays the zero field; h_n = H(previous[n]) is filled in at step n.
+    return _Iterate(number, previous, theta, chi, np.zeros((grid.steps, ops.node_count)),
+                    time.perf_counter())
+
+
 def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
                  tol=1e-11, newton_tol=1e-12):
     """Iterate integrand-freezing until the weighted chi difference is small.
 
-    Each iteration evaluates the map on the previous chi iterate (constant
-    in time at first, chi0 everywhere), reruns the additive solver on the
-    same path, and measures W(chi_new - chi_old).  Requires the weight
-    condition a > 4 * stability_constant * C_H^2 unless overridden.
+    Iterate k + 1 runs the additive solver on the same path with the
+    integrand h_n = H(chi^(k)_n) frozen along iterate k (chi0 everywhere for
+    k = 0), and W(chi^(k+1) - chi^(k)) measures its difference.  Requires the
+    weight condition a > 4 * stability_constant * C_H^2 unless overridden.
+
+    Iterate 1 is one ``run_additive`` call.  Step n of iterate k + 1 reads
+    iterate k only at node n, so later iterates run staggered: every running
+    iterate takes one step per ``_advance`` call on their common batch, each
+    at its own step.  Iterate k + 1 starts once the square root of the
+    running sum of iterate k's weighted-norm terms exceeds the tolerance:
+    the terms are non-negative, so iterate k can no longer converge, and
+    every iterate that runs is one the sequential iteration runs too.  The
+    rows of a batch are independent, so the trajectory, reports and errors
+    are bit for bit those of the sequential iteration: a NumericalError
+    names the step and path of the lowest failing iterate, and no iterate
+    past it runs on.
     """
     threshold = _picard_threshold(nl, noise_map, grid.horizon, config.weight,
                                   config.override_condition)
     modulus = threshold / config.weight
     theta0 = np.asarray(theta0, dtype=float)
     chi0 = np.asarray(chi0, dtype=float)
-    iterate = np.tile(chi0, (grid.steps + 1, 1))
     w_diffs = []
     ratios = []
     wall_times = []
-    trajectory = None
-    for iteration in range(1, config.max_iterations + 1):
-        started = time.perf_counter()
-        values = np.zeros((grid.steps, ops.node_count))
-        values[1:] = evaluate_H(noise_map, iterate[1:grid.steps])
-        integrand = AdditiveIntegrand(grid=grid, values=values, expression=None)
-        trajectory = run_additive(
-            theta0, chi0, integrand, path, grid, ops, nl, tol=tol, newton_tol=newton_tol
-        )
-        diff = weighted_norm(trajectory.chi - iterate, grid, ops, config.weight)
+
+    def converged(chi, previous, started):
+        """Record the weighted difference of a finished iterate; True when
+        it meets the tolerance."""
+        diff = weighted_norm(chi - previous, grid, ops, config.weight)
         wall_times.append(time.perf_counter() - started)
         if w_diffs:
             ratios.append(diff / w_diffs[-1] if w_diffs[-1] > 0 else 0.0)
         w_diffs.append(diff)
-        iterate = trajectory.chi
-        if diff <= config.tolerance:
-            report = PicardReport(
-                iterations=iteration,
-                w_differences=w_diffs,
-                ratios=ratios,
-                wall_times=wall_times,
-                modulus=modulus,
-                converged=True,
-            )
-            return trajectory, report
+        return diff <= config.tolerance
+
+    def result(trajectory):
+        return trajectory, PicardReport(
+            iterations=len(w_diffs),
+            w_differences=w_diffs,
+            ratios=ratios,
+            wall_times=wall_times,
+            modulus=modulus,
+            converged=True,
+        )
+
+    started = time.perf_counter()
+    iterate = np.tile(chi0, (grid.steps + 1, 1))
+    values = np.zeros((grid.steps, ops.node_count))
+    values[1:] = evaluate_H(noise_map, iterate[1:grid.steps])
+    integrand = AdditiveIntegrand(grid=grid, values=values, expression=None)
+    first = run_additive(
+        theta0, chi0, integrand, path, grid, ops, nl, tol=tol, newton_tol=newton_tol
+    )
+    if converged(first.chi, iterate, started):
+        return result(first)
+    running = []
+    failure = None
+
+    def start_successor(it):
+        it.successor = True
+        running.append(_start_iterate(it.number + 1, it.chi, theta0, chi0, grid, ops))
+
+    if config.max_iterations > 1:
+        running.append(_start_iterate(2, first.chi, theta0, chi0, grid, ops))
+    while running:
+        reading = [it for it in running if it.step]
+        if reading:
+            images = evaluate_H(noise_map, np.array([it.previous[it.step] for it in reading]))
+            for it, image in zip(reading, images):
+                it.values[it.step] = image
+        advanced = None
+        while running and advanced is None:
+            # The rows sit at different steps; _advance does not read the index.
+            state = SystemState(running[0].step,
+                                theta=np.array([it.theta[it.step] for it in running]),
+                                chi=np.array([it.chi[it.step] for it in running]))
+            try:
+                advanced = _advance(
+                    state, path.increments[[it.step for it in running]][:, None],
+                    np.array([it.values[it.step] for it in running]),
+                    grid, ops, nl, tol, DEFAULT_MAX_INNER, newton_tol,
+                )
+            except NumericalError as exc:
+                # Drop the failing iterate and its successors, which read
+                # its chi; the earlier ones all have successors, so none
+                # starts again.  The rows are independent, so rerunning the
+                # step gives the others' bits.
+                row = exc.row or 0
+                failure = (type(exc)(exc.reason, residual=exc.residual, step=running[row].step,
+                                     path_id=path.path_id, row=0), exc)
+                running = running[:row]
+        if advanced is None:
+            break
+        for it, theta_next, chi_next, report in zip(running, *advanced):
+            it.step += 1
+            it.theta[it.step] = theta_next
+            it.chi[it.step] = chi_next
+            it.reports.append(report)
+        terms = _norm_terms(np.array([it.chi[it.step] - it.previous[it.step] for it in running]),
+                            grid.nodes[[it.step for it in running]], grid, ops, config.weight)
+        for it, term in zip(list(running), terms):
+            it.partial += term
+            if (not it.successor and it.number < config.max_iterations
+                    and math.sqrt(it.partial) > config.tolerance):
+                start_successor(it)
+        # Iterates start one step or more apart, so only the oldest can finish.
+        if running[0].step < grid.steps:
+            continue
+        it = running.pop(0)
+        if converged(it.chi, it.previous, it.started):
+            integrand = AdditiveIntegrand(grid=grid, values=it.values, expression=None)
+            return result(Trajectory(grid=grid, theta=it.theta, chi=it.chi,
+                                     u=it.chi - partial_sums(path, integrand).values,
+                                     reports=it.reports))
+        if not it.successor and it.number < config.max_iterations:
+            # Not reached while the running sum is a prefix of W's sum: an
+            # iterate that does not converge has crossed by its last step.
+            start_successor(it)
+    if failure is not None:
+        error, cause = failure
+        raise error from cause
     raise NonConvergenceError(
         f"picard iteration did not converge in {config.max_iterations} iterations",
         residual=w_diffs[-1],

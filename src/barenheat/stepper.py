@@ -322,10 +322,13 @@ def _advance(state_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
     """One coupled step of every path of a batch state.
 
     ``state_n`` holds (M, P) fields and ``dw`` the (M, 1) column of the
-    paths' increments.  Returns the next theta and chi blocks and one
-    StepReport per path.  A NumericalError's ``row`` names the failing path.
-    The callers have checked the preconditions and the shapes once per run,
-    so the inner loop calls the solve kernels without repeating the checks.
+    paths' increments; the integrand ``h_n`` is one (P,) field shared by
+    every path, or an (M, P) block with one row per path, so the rows may
+    also sit at different steps or read different integrands.  Returns the
+    next theta and chi blocks and one StepReport per path.  A
+    NumericalError's ``row`` names the failing path.  The callers have
+    checked the preconditions and the shapes once per run, so the inner
+    loop calls the solve kernels without repeating the checks.
     """
     count = len(state_n.chi)
     dt = grid.dt

@@ -12,7 +12,9 @@ import pytest
 import barenheat as bh
 from barenheat import diagnostics, grids
 from barenheat.errors import NonConvergenceError, NonFiniteError
-from barenheat.stepper import SystemState
+from barenheat.stepper import (
+    DEFAULT_INNER_TOL, DEFAULT_MAX_INNER, DEFAULT_NEWTON_TOL, SystemState, _advance,
+)
 
 PATHS = 5
 
@@ -130,6 +132,34 @@ class TestBatchEqualsSingleRuns:
             assert np.array_equal(state.theta[row], alone.theta)
             assert np.array_equal(state.chi[row], alone.chi)
             assert report_fields(reports[row]) == report_fields(report)
+
+    @pytest.mark.parametrize("case", ["1d-linear", "2d-saturating"])
+    def test_integrand_row_per_path(self, case):
+        # _advance takes h_n as one (M, P) row per path, as the staggered
+        # Picard iteration passes it: three rows with their own h, dw and
+        # state, over a few steps, each bit for bit a run of ``step``.
+        if case == "1d-linear":
+            ops, nl = bh.build_operators(1, 64, 1.0), bh.linear(1.0)
+        else:
+            ops, nl = bh.build_operators(2, (7, 4), (1.0, 2.5)), bh.saturating(2.0)
+        grid = bh.build_time_grid(0.5, 8)
+        rng = np.random.default_rng(31)
+        base = bh.evaluate_on_mesh("cos(pi*x)", ops)
+        rows = 3
+        theta = base + 0.3 * rng.standard_normal((rows, ops.node_count))
+        chi = 0.5 * base + 0.3 * rng.standard_normal((rows, ops.node_count))
+        singles = [SystemState(0, theta[row], chi[row]) for row in range(rows)]
+        for n in range(4):
+            h = np.array([scale * base + 0.1 * n for scale in (0.2, -1.0, 3.0)])
+            dw = np.sqrt(grid.dt) * rng.standard_normal((rows, 1))
+            theta, chi, reports = _advance(SystemState(n, theta, chi), dw, h, grid, ops, nl,
+                                           DEFAULT_INNER_TOL, DEFAULT_MAX_INNER,
+                                           DEFAULT_NEWTON_TOL)
+            for row in range(rows):
+                singles[row], report = bh.step(singles[row], dw[row, 0], h[row], grid, ops, nl)
+                assert np.array_equal(theta[row], singles[row].theta)
+                assert np.array_equal(chi[row], singles[row].chi)
+                assert report_fields(reports[row]) == report_fields(report)
 
 
 class TestFactorsInBatches:

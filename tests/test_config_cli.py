@@ -328,6 +328,49 @@ class TestCli:
         assert solver["inner_iterations"] == sum(inner) > 0
         assert solver["newton_iterations"] == solver["inner_iterations"]
 
+    @pytest.mark.parametrize("cap, recorded", [(1, True), (0, False)])
+    def test_runtime_failure_is_recorded(self, tmp_path, capsys, cap, recorded):
+        # One Picard iteration cannot converge: a failure after the config
+        # was accepted.  A cap of 0 fails validation and writes nothing.
+        text = MINIMAL.replace(
+            "kind = additive\nexpression = cos(pi*x)*(1+t)\n",
+            "kind = multiplicative\nmap = affine\nscale = 0.01\nweight = 1.0\n"
+            f"picard_max_iterations = {cap}\n",
+        )
+        config = write_config(tmp_path, text)
+        outdir = str(tmp_path / "out")
+        assert run_cli("picard", "--config", config, "--out", outdir) == 1
+        stderr = capsys.readouterr().err.splitlines()
+        assert stderr[0].startswith("error: ")
+        if not recorded:
+            assert not os.path.exists(outdir)
+            return
+        assert len(stderr) == 1
+        assert sorted(os.listdir(outdir)) == ["manifest.json", "summary.json"]
+        summary = json.load(open(os.path.join(outdir, "summary.json")))
+        assert summary["pass"] is False and summary["warnings"] == []
+        manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+        assert manifest["error"] == {
+            "type": "NonConvergenceError",
+            "message": stderr[0][len("error: "):],
+            "step": None, "path_id": None, "row": None,
+        }
+        assert stderr[0].startswith("error: picard iteration did not converge in 1 iterations")
+        assert manifest["command"] == "picard" and "solver" not in manifest
+
+    def test_failure_record_names_step_and_path(self, tmp_path, monkeypatch):
+        def failing_run(*args, **kwargs):
+            raise bh.NonFiniteError("a solve met NaN", residual=float("nan"), step=3,
+                                    path_id=0, row=0)
+
+        monkeypatch.setattr("barenheat.diagnostics.run_additive", failing_run)
+        outdir = str(tmp_path / "out")
+        assert run_cli("solve", "--config", write_config(tmp_path, MINIMAL),
+                       "--out", outdir) == 1
+        error = json.load(open(os.path.join(outdir, "manifest.json")))["error"]
+        assert (error["type"], error["step"], error["path_id"], error["row"]) == (
+            "NonFiniteError", 3, 0, 0)
+
     def test_solve_manifest_counts_the_solver_work(self, tmp_path):
         text = MINIMAL.replace("kind = linear\nc = 1.0", "kind = saturating\na = 2.0")
         config = write_config(tmp_path, text)

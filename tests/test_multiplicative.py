@@ -1,8 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 import barenheat as bh
+from barenheat.config import parse_config
 from barenheat.errors import FieldShapeError, InvalidConfigError, NonConvergenceError
+from barenheat.stepper import DEFAULT_MAX_INNER, SystemState, _advance
+
+DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
+                           "multiplicative.ini")
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +204,37 @@ class TestPicardSolve:
         )
         # Same increments up to the cut produce the same fields up to the cut.
         assert np.allclose(short_fixed.chi[: cut + 1], fixed.chi[: cut + 1], atol=1e-7)
+
+
+def causal_pass(theta0, chi0, noise_map, path, grid, ops, nl, tol, newton_tol):
+    """One forward pass that computes h_n = H(chi_n) just before step n
+    (h_0 = 0): the discrete fixed point the Picard iteration converges to."""
+    theta = np.empty((grid.steps + 1, ops.node_count))
+    chi = np.empty_like(theta)
+    theta[0], chi[0] = theta0, chi0
+    for n in range(grid.steps):
+        h = np.zeros(ops.node_count) if n == 0 else bh.evaluate_H(noise_map, chi[n])
+        state = SystemState(n, theta=theta[n][None], chi=chi[n][None])
+        next_theta, next_chi, _ = _advance(state, path.increments[n:n + 1, None], h, grid,
+                                           ops, nl, tol, DEFAULT_MAX_INNER, newton_tol)
+        theta[n + 1], chi[n + 1] = next_theta[0], next_chi[0]
+    return chi
+
+
+@pytest.mark.parametrize("seed", [7, 11, 2024])
+def test_picard_limit_is_the_causal_pass(seed):
+    # A contraction with modulus q places the fixed point within
+    # q / (1 - q) times the last difference of the last iterate.  Both
+    # sides stop their inner iterations once chi moves by at most the
+    # inner tolerance, so neither is resolved finer than that.
+    config = parse_config(DEMO_CONFIG)
+    grid = bh.build_time_grid(config.horizon, config.steps)
+    path = bh.sample_path(grid, seed, 0)
+    args = (config.theta0, config.chi0, config.noise_map, path, grid, config.ops,
+            config.nonlinearity)
+    fixed, report = bh.picard_solve(*args, config.picard, tol=config.inner_tol,
+                                    newton_tol=config.newton_tol)
+    causal = causal_pass(*args, config.inner_tol, config.newton_tol)
+    distance = bh.weighted_norm(fixed.chi - causal, grid, config.ops, config.picard.weight)
+    bound = report.modulus / (1.0 - report.modulus) * report.w_differences[-1]
+    assert distance <= bound + config.inner_tol
