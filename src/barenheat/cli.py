@@ -52,7 +52,7 @@ from .diagnostics import (
 )
 from .errors import InvalidConfigError
 from .grids import build_time_grid, h1_seminorm, l2_norm
-from .multiplicative import PicardConfig, picard_solve
+from .multiplicative import picard_solve
 from .noise import discretize_integrand, sample_path
 from .stepper import contraction_factor_bound
 from .theory import compute_stability_constant
@@ -93,13 +93,15 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _effective_seed(args, config):
+def _seed_override(args):
+    """The seed that replaces the config's, and its source; the config
+    validates it like its own."""
     env_value = os.environ.get(SEED_ENV_VAR)
     if env_value is not None:
-        return int(env_value), "env"
+        return env_value, "env"
     if args.seed is not None:
         return args.seed, "flag"
-    return config.seed, "config"
+    return None, "config"
 
 
 def _setup(config):
@@ -108,7 +110,7 @@ def _setup(config):
         nonlinearity=config.nonlinearity,
         theta0=config.theta0,
         chi0=config.chi0,
-        integrand=config.integrand if config.integrand is not None else "0",
+        integrand=config.integrand,
         tol=config.inner_tol,
         newton_tol=config.newton_tol,
     )
@@ -278,13 +280,9 @@ def cmd_picard(args, config, outdir, seed):
     _require(config.noise_kind == "multiplicative", "picard needs a multiplicative noise block")
     _require(config.steps is not None, "picard needs [time] steps")
     grid = build_time_grid(config.horizon, config.steps)
-    picard = config.picard
-    if args.override_picard_condition and not picard.override_condition:
-        picard = PicardConfig(weight=picard.weight, tolerance=picard.tolerance,
-                              max_iterations=picard.max_iterations, override_condition=True)
     path = sample_path(grid, seed, 0)
     traj, report = picard_solve(config.theta0, config.chi0, config.noise_map, path,
-                                grid, config.ops, config.nonlinearity, picard,
+                                grid, config.ops, config.nonlinearity, config.picard,
                                 tol=config.inner_tol, newton_tol=config.newton_tol)
     rows = []
     for idx, wdiff in enumerate(report.w_differences, start=1):
@@ -299,7 +297,7 @@ def cmd_picard(args, config, outdir, seed):
         "check_name": "picard_convergence",
         "pass": report.converged,
         "statistic": report.w_differences[-1],
-        "threshold": picard.tolerance,
+        "threshold": config.picard.tolerance,
         "iterations": report.iterations,
         "modulus": report.modulus,
         "iteration_wall_times": report.wall_times,
@@ -362,18 +360,15 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        dt_levels = None
-        if args.dt_list:
-            dt_levels = [float(piece) for piece in args.dt_list.split(",") if piece.strip()]
+        seed, seed_source = _seed_override(args)
         config = parse_config(
             args.config,
             paths=args.paths,
-            dt_levels=dt_levels,
+            seed=seed,
+            dt_levels=args.dt_list or None,
             override_picard_condition=args.override_picard_condition,
         )
-        seed, seed_source = _effective_seed(args, config)
-        if not 0 <= seed < 2**64:
-            raise InvalidConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        seed = config.seed
         warnings = []
         if config.nonlinearity_report is not None and not config.nonlinearity_report.passed:
             warnings.append("declared nonlinearity constants failed the sampled conformance "

@@ -1,8 +1,8 @@
 """Run configuration files: flat sectioned key=value text.
 
-A config is an INI-style file with the sections below; unknown keys are
-rejected so typos fail loudly.  Validation gathers every violation and
-raises one ConfigValidationError naming the broken conditions.
+A config is an INI-style file with the sections below; unknown sections and
+keys are rejected so typos fail loudly.  Validation gathers every violation
+and raises one ConfigValidationError naming the broken conditions.
 
 ::
 
@@ -22,7 +22,10 @@ raises one ConfigValidationError naming the broken conditions.
 
     [nonlinearity]
     kind = linear         ; linear | saturating | ramp
-    c = 1.0               ; parameters of the chosen kind
+    c = 1.0               ; linear; defaults to 1 when no parameter is given
+    ; saturating: a = 2.0
+    ; ramp: inner_slope = 1.0  outer_slope = 0.5  knee = 1.0
+    ; lipschitz = 1.0  coercivity = 1.0   (replace the kind's own constants)
 
     [noise]
     kind = additive       ; additive | multiplicative
@@ -51,7 +54,8 @@ raises one ConfigValidationError naming the broken conditions.
 """
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,50 +63,68 @@ from . import nonlinearity as nonlin
 from .errors import ConfigValidationError, ExpressionError, InvalidConfigError
 from .expressions import parse_expression
 from .grids import build_operators
-from .multiplicative import (
-    MultiplicativeMap,
-    PicardConfig,
-    _picard_threshold,
-    affine_map,
-    damped_map,
-)
-from .stepper import check_step_preconditions
+from .multiplicative import PicardConfig, _picard_threshold, affine_map, damped_map
+from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, check_step_preconditions
 
-_KNOWN_KEYS = {
-    "mesh": {"dimension", "cells", "lengths"},
-    "time": {"horizon", "steps", "dt_levels"},
-    "initial": {"theta0", "chi0"},
-    "nonlinearity": {"kind", "c", "a", "inner_slope", "outer_slope", "knee",
-                     "lipschitz", "coercivity"},
-    "noise": {"kind", "expression", "expression_hat", "map", "scale", "offset",
-              "gain", "lipschitz", "weight", "picard_tolerance",
-              "picard_max_iterations"},
-    "monte_carlo": {"paths", "seed"},
-    "tolerances": {"inner", "newton"},
-    "study": {"kind", "slope_threshold"},
-    "output": {"directory"},
+
+def _float(text):
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"{text!r} is not a finite number")
+    return number
+
+
+def _floats(text):
+    """Comma-separated finite floats; an override may pass the list itself."""
+    if isinstance(text, str):
+        text = [piece for piece in text.split(",") if piece.strip()]
+    return [_float(piece) for piece in text]
+
+
+def _ints(text):
+    return [int(piece) for piece in text.split(",") if piece.strip()]
+
+
+_ALPHA_PARAMETERS = ("c", "a", "inner_slope", "outer_slope", "knee")
+
+# Every key of every section: (parser, default).  A default of None means
+# the key is absent.
+_KEYS = {
+    "mesh": {"dimension": (int, 1), "cells": (_ints, [64]), "lengths": (_floats, [1.0])},
+    "time": {"horizon": (_float, 1.0), "steps": (int, None), "dt_levels": (_floats, None)},
+    "initial": {"theta0": (str, "0"), "chi0": (str, "0")},
+    "nonlinearity": {
+        "kind": (str, "linear"),
+        **dict.fromkeys(_ALPHA_PARAMETERS + ("lipschitz", "coercivity"), (_float, None)),
+    },
+    "noise": {
+        "kind": (str, "additive"),
+        "expression": (str, "0"),
+        "expression_hat": (str, None),
+        "map": (str, "affine"),
+        "scale": (_float, 0.0),
+        "offset": (str, None),
+        "gain": (_float, 0.0),
+        "lipschitz": (_float, None),
+        "weight": (_float, 1.0),
+        "picard_tolerance": (_float, PicardConfig.tolerance),
+        "picard_max_iterations": (int, PicardConfig.max_iterations),
+    },
+    "monte_carlo": {"paths": (int, 64), "seed": (int, 0)},
+    "tolerances": {"inner": (_float, DEFAULT_INNER_TOL), "newton": (_float, DEFAULT_NEWTON_TOL)},
+    "study": {"kind": (str, "grid_difference"), "slope_threshold": (_float, 0.4)},
+    "output": {"directory": (str, "out")},
 }
-
-DEFAULT_PATHS = 64
-DEFAULT_SEED = 0
-DEFAULT_INNER_TOL = 1e-11
-DEFAULT_NEWTON_TOL = 1e-12
 
 
 @dataclass
 class RunConfig:
     """Validated, materialized run configuration."""
 
-    source: str
-    dimension: int
-    cells: tuple
-    lengths: tuple
     ops: object = field(repr=False)
     horizon: float
     steps: int | None
     dt_levels: list | None
-    theta0_expression: str
-    chi0_expression: str
     theta0: np.ndarray = field(repr=False)
     chi0: np.ndarray = field(repr=False)
     nonlinearity: object
@@ -111,7 +133,6 @@ class RunConfig:
     integrand: str | None
     integrand_hat: str | None
     noise_map: object
-    offset_expression: str | None
     picard: PicardConfig | None
     paths: int
     seed: int
@@ -122,12 +143,30 @@ class RunConfig:
     output_directory: str
 
 
-def _floats(text):
-    return [float(piece.strip()) for piece in text.split(",") if piece.strip()]
-
-
-def _ints(text):
-    return [int(piece.strip()) for piece in text.split(",") if piece.strip()]
+def _read(parser, overrides):
+    """Every key of ``_KEYS`` parsed, an override in place of the file's
+    value; the violations; and the sections whose checks to skip, because
+    a malformed value in them is a violation and reads as its default."""
+    violations = []
+    for section in parser.sections():
+        if section not in _KEYS:
+            violations.append(f"unknown section [{section}]")
+            continue
+        violations += [f"unknown key {key!r} in section [{section}]"
+                       for key in parser[section] if key not in _KEYS[section]]
+    value, malformed = {}, set()
+    for section, keys in _KEYS.items():
+        for key, (parse, default) in keys.items():
+            try:
+                raw = overrides.get((section, key))
+                if raw is None:
+                    raw = parser.get(section, key, fallback=None)
+                value[section, key] = default if raw is None else parse(raw)
+            except (ValueError, configparser.Error) as exc:
+                violations.append(f"key {key!r} in section [{section}]: {exc}")
+                value[section, key] = default
+                malformed.add(section)
+    return value, violations, malformed
 
 
 def parse_config(path, *, paths=None, seed=None, dt_levels=None,
@@ -135,7 +174,8 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
     """Parse and validate a run configuration file.
 
     Keyword arguments override the corresponding file values (the CLI wires
-    its flags through here) before validation runs.
+    its flags through here): each, as text or as a value, replaces the
+    file's value before the key is parsed and validated.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -145,124 +185,82 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
         raise InvalidConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise InvalidConfigError(f"config parse error in {path!r}: {exc}") from exc
-
-    violations = []
-    for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            violations.append(f"unknown section [{section}]")
-            continue
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                violations.append(f"unknown key {key!r} in section [{section}]")
-
-    def get(section, key, fallback=None):
-        return parser.get(section, key, fallback=fallback)
-
-    def typed(getter, section, key, fallback):
-        """Fetch a typed value; a malformed literal becomes a violation."""
-        try:
-            return getter(section, key, fallback=fallback)
-        except ValueError as exc:
-            violations.append(f"key {key!r} in section [{section}]: {exc}")
-            return fallback
+    value, violations, malformed = _read(parser, {
+        ("monte_carlo", "paths"): paths, ("monte_carlo", "seed"): seed,
+        ("time", "dt_levels"): dt_levels})
 
     # --- mesh ---
-    dimension = typed(parser.getint, "mesh", "dimension", 1)
     ops = None
-    try:
-        cells = tuple(_ints(get("mesh", "cells", "64")))
-        lengths = tuple(_floats(get("mesh", "lengths", "1.0")))
-        ops = build_operators(dimension, cells, lengths)
-    except (InvalidConfigError, ValueError) as exc:
-        cells, lengths = (), ()
-        violations.append(f"mesh: {exc}")
+    if "mesh" not in malformed:
+        try:
+            ops = build_operators(value["mesh", "dimension"], value["mesh", "cells"],
+                                  value["mesh", "lengths"])
+        except ValueError as exc:
+            violations.append(f"mesh: {exc}")
 
     # --- time ---
-    horizon = typed(parser.getfloat, "time", "horizon", 1.0)
-    steps = typed(parser.getint, "time", "steps", None)
-    if dt_levels is None and parser.has_option("time", "dt_levels"):
-        try:
-            dt_levels = _floats(get("time", "dt_levels"))
-        except ValueError as exc:
-            violations.append(f"time dt_levels: {exc}")
+    horizon, steps = value["time", "horizon"], value["time", "steps"]
+    dt_levels = value["time", "dt_levels"]
     if horizon <= 0:
         violations.append(f"time horizon must be positive, got {horizon}")
     if steps is not None and steps < 1:
         violations.append(f"steps must be >= 1, got {steps}")
 
     # --- nonlinearity ---
-    nl_kind = get("nonlinearity", "kind", "linear")
     nl = None
-    try:
-        nl_params = {}
-        if parser.has_section("nonlinearity"):
-            for key in parser["nonlinearity"]:
-                if key in ("kind", "lipschitz", "coercivity"):
-                    continue
-                nl_params[key] = parser.getfloat("nonlinearity", key)
+    if "nonlinearity" not in malformed:
+        nl_kind = value["nonlinearity", "kind"]
+        nl_params = {key: value["nonlinearity", key] for key in _ALPHA_PARAMETERS
+                     if value["nonlinearity", key] is not None}
         if nl_kind == "linear" and not nl_params:
             nl_params = {"c": 1.0}
-        nl = nonlin.from_name(nl_kind, **nl_params)
-        if parser.has_option("nonlinearity", "lipschitz") or parser.has_option(
-            "nonlinearity", "coercivity"
-        ):
-            nl = nonlin.make_nonlinearity(
-                name=nl.name,
-                alpha=nl.alpha,
-                alpha_prime=nl.alpha_prime,
-                lipschitz=parser.getfloat("nonlinearity", "lipschitz", fallback=nl.lipschitz),
-                coercivity=parser.getfloat("nonlinearity", "coercivity", fallback=nl.coercivity),
-            )
-    except (InvalidConfigError, ValueError) as exc:
-        violations.append(f"nonlinearity: {exc}")
+        lipschitz = value["nonlinearity", "lipschitz"]
+        coercivity = value["nonlinearity", "coercivity"]
+        try:
+            nl = nonlin.from_name(nl_kind, **nl_params)
+            if lipschitz is not None or coercivity is not None:
+                nl = nonlin.make_nonlinearity(
+                    nl.name, nl.alpha, nl.lipschitz if lipschitz is None else lipschitz,
+                    nl.coercivity if coercivity is None else coercivity, nl.alpha_prime)
+        except InvalidConfigError as exc:
+            violations.append(f"nonlinearity: {exc}")
 
     # Advisory conformance check on the declared constants.
-    nl_report = None
-    if nl is not None:
-        nl_report = nonlin.check_properties(nl, sample_range=10.0, samples=2000, seed=0)
+    nl_report = None if nl is None else nonlin.check_properties(
+        nl, sample_range=10.0, samples=2000, seed=0)
 
     # --- requested time steps vs stepper preconditions ---
-    requested_dts = []
-    if steps is not None:
-        requested_dts.append(horizon / steps)
-    for dt in dt_levels or []:
-        requested_dts.append(dt)
-        if dt <= 0 or abs(round(horizon / dt) * dt - horizon) > 1e-9 * horizon:
-            violations.append(f"dt level {dt} does not divide the horizon T = {horizon}")
-    if nl is not None:
-        for dt in requested_dts:
+    if "time" not in malformed:
+        requested_dts = [horizon / steps] if steps is not None and steps >= 1 else []
+        for dt in dt_levels or []:
+            requested_dts.append(dt)
+            count = horizon / dt if dt > 0 else math.inf
+            if not math.isfinite(count) or abs(round(count) * dt - horizon) > 1e-9 * horizon:
+                violations.append(f"dt level {dt} does not divide the horizon T = {horizon}")
+        for dt in requested_dts if nl is not None else ():
             try:
                 check_step_preconditions(dt, nl)
             except InvalidConfigError as exc:
                 violations.append(str(exc))
 
     # --- initial data ---
-    theta0_expression = get("initial", "theta0", "0")
-    chi0_expression = get("initial", "chi0", "0")
-    theta0 = chi0 = None
-    for label, text in (("theta0", theta0_expression), ("chi0", chi0_expression)):
+    initial = {}
+    for label in ("theta0", "chi0"):
+        text = value["initial", label]
         try:
             expr = parse_expression(text)
             if expr.depends_on_time:
                 violations.append(f"initial data {label} must not depend on t: {text!r}")
             elif ops is not None:
-                data = expr(0.0, ops.coordinates)
-                if label == "theta0":
-                    theta0 = data
-                else:
-                    chi0 = data
+                initial[label] = expr(0.0, ops.coordinates)
         except ExpressionError as exc:
             violations.append(f"initial data {label}: {exc}")
 
     # --- noise ---
-    noise_kind = get("noise", "kind", "additive")
-    integrand = integrand_hat = None
-    noise_map = None
-    offset_expression = None
-    picard = None
+    noise_kind = value["noise", "kind"]
+    integrand = integrand_hat = noise_map = picard = None
     if noise_kind == "additive":
-        integrand = get("noise", "expression", "0")
-        integrand_hat = get("noise", "expression_hat", None)
+        integrand, integrand_hat = value["noise", "expression"], value["noise", "expression_hat"]
         for label, text in (("expression", integrand), ("expression_hat", integrand_hat)):
             if text is None:
                 continue
@@ -270,98 +268,61 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
                 parse_expression(text)
             except ExpressionError as exc:
                 violations.append(f"noise {label}: {exc}")
-    elif noise_kind == "multiplicative":
-        map_kind = get("noise", "map", "affine")
+    elif noise_kind != "multiplicative":
+        violations.append(f"noise kind must be additive or multiplicative, got {noise_kind!r}")
+    elif "noise" not in malformed:
+        map_kind, declared = value["noise", "map"], value["noise", "lipschitz"]
         try:
-            declared = (
-                parser.getfloat("noise", "lipschitz")
-                if parser.has_option("noise", "lipschitz")
-                else None
-            )
             if map_kind == "affine":
-                scale = parser.getfloat("noise", "scale", fallback=0.0)
-                offset_expression = get("noise", "offset", None)
                 offset = None
-                if offset_expression is not None and ops is not None:
-                    offset_expr = parse_expression(offset_expression)
+                if value["noise", "offset"] is not None and ops is not None:
+                    offset_expr = parse_expression(value["noise", "offset"])
                     if offset_expr.depends_on_time:
                         raise InvalidConfigError("affine offset must not depend on t")
                     offset = offset_expr(0.0, ops.coordinates)
-                if declared is None:
-                    noise_map = affine_map(scale, offset)
-                else:
-                    noise_map = MultiplicativeMap(
-                        kind="affine", lipschitz=declared, scale=scale, offset=offset
-                    )
+                noise_map = affine_map(value["noise", "scale"], offset)
+                if declared is not None:
+                    noise_map = replace(noise_map, lipschitz=declared)
             elif map_kind == "damped":
-                gain = parser.getfloat("noise", "gain", fallback=0.0)
-                noise_map = damped_map(gain, lipschitz=declared)
+                noise_map = damped_map(value["noise", "gain"], lipschitz=declared)
             else:
                 raise InvalidConfigError(f"unknown multiplicative map {map_kind!r}")
             picard = PicardConfig(
-                weight=parser.getfloat("noise", "weight", fallback=1.0),
-                tolerance=parser.getfloat("noise", "picard_tolerance", fallback=1e-8),
-                max_iterations=parser.getint("noise", "picard_max_iterations", fallback=25),
+                weight=value["noise", "weight"],
+                tolerance=value["noise", "picard_tolerance"],
+                max_iterations=value["noise", "picard_max_iterations"],
                 override_condition=override_picard_condition,
             )
-        except (InvalidConfigError, ExpressionError, ValueError) as exc:
+        except (InvalidConfigError, ExpressionError) as exc:
             violations.append(f"noise: {exc}")
-        if picard is not None and noise_map is not None and nl is not None:
+        if picard is not None and nl is not None and "time" not in malformed:
             try:
                 _picard_threshold(nl, noise_map, horizon, picard.weight, override_picard_condition)
             except InvalidConfigError as exc:
                 violations.append(str(exc))
-    else:
-        violations.append(f"noise kind must be additive or multiplicative, got {noise_kind!r}")
 
-    # --- monte carlo / tolerances / study / output ---
-    if paths is None:
-        paths = typed(parser.getint, "monte_carlo", "paths", DEFAULT_PATHS)
-    if seed is None:
-        seed = typed(parser.getint, "monte_carlo", "seed", DEFAULT_SEED)
+    # --- monte carlo / tolerances / study ---
+    paths, seed = value["monte_carlo", "paths"], value["monte_carlo", "seed"]
     if paths < 1:
         violations.append(f"paths must be >= 1, got {paths}")
     if not 0 <= seed < 2**64:
         violations.append(f"seed must be an unsigned 64-bit integer, got {seed}")
-    inner_tol = typed(parser.getfloat, "tolerances", "inner", DEFAULT_INNER_TOL)
-    newton_tol = typed(parser.getfloat, "tolerances", "newton", DEFAULT_NEWTON_TOL)
+    inner_tol, newton_tol = value["tolerances", "inner"], value["tolerances", "newton"]
     if inner_tol <= 0 or newton_tol <= 0:
         violations.append("tolerances must be positive")
-    study_kind = get("study", "kind", "grid_difference")
+    study_kind = value["study", "kind"]
     if study_kind not in ("grid_difference", "self"):
         violations.append(f"study kind must be grid_difference or self, got {study_kind!r}")
-    slope_threshold = typed(parser.getfloat, "study", "slope_threshold", 0.4)
-    output_directory = get("output", "directory", "out")
 
     if violations:
         raise ConfigValidationError(violations)
 
     return RunConfig(
-        source=str(path),
-        dimension=dimension,
-        cells=cells,
-        lengths=lengths,
-        ops=ops,
-        horizon=horizon,
-        steps=steps,
-        dt_levels=list(dt_levels) if dt_levels else None,
-        theta0_expression=theta0_expression,
-        chi0_expression=chi0_expression,
-        theta0=theta0,
-        chi0=chi0,
-        nonlinearity=nl,
-        nonlinearity_report=nl_report,
-        noise_kind=noise_kind,
-        integrand=integrand,
-        integrand_hat=integrand_hat,
-        noise_map=noise_map,
-        offset_expression=offset_expression,
-        picard=picard,
-        paths=paths,
-        seed=seed,
-        inner_tol=inner_tol,
-        newton_tol=newton_tol,
-        study_kind=study_kind,
-        slope_threshold=slope_threshold,
-        output_directory=output_directory,
+        ops=ops, horizon=horizon, steps=steps, dt_levels=dt_levels or None,
+        theta0=initial.get("theta0"), chi0=initial.get("chi0"),
+        nonlinearity=nl, nonlinearity_report=nl_report, noise_kind=noise_kind,
+        integrand=integrand, integrand_hat=integrand_hat, noise_map=noise_map, picard=picard,
+        paths=paths, seed=seed, inner_tol=inner_tol, newton_tol=newton_tol,
+        study_kind=study_kind, slope_threshold=value["study", "slope_threshold"],
+        output_directory=value["output", "directory"],
     )

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidConfigError
 from .grids import build_time_grid, h1_seminorm, l2_norm
 from .noise import aggregate_path, discretize_integrand, sample_path
-from .stepper import run_additive
+from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, run_additive
 from .theory import StabilityConstants, compute_stability_constant
 
 # Most paths advanced together as one batch; bounds the memory a batch's
@@ -80,8 +80,8 @@ class AdditiveSetup:
     theta0: np.ndarray = field(repr=False)
     chi0: np.ndarray = field(repr=False)
     integrand: str = "0"
-    tol: float = 1e-11
-    newton_tol: float = 1e-12
+    tol: float = DEFAULT_INNER_TOL
+    newton_tol: float = DEFAULT_NEWTON_TOL
 
 
 def simulate(setup, grid, path, integrand=None):

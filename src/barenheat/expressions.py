@@ -10,8 +10,9 @@ Grammar (whitespace ignored)::
 
 ``x`` and ``y`` are the spatial coordinates (``y`` only on 2D meshes), ``t``
 is time.  Arguments of ``cos`` must be spatial, and time dependence is
-limited to polynomials so that the two-point Gauss quadrature used for the
-per-step averages is exact.  Division is deliberately absent.
+limited to polynomials of degree at most 3, so that the two-point Gauss
+quadrature used for the per-step averages is exact; ``parse_expression``
+rejects a higher degree.  Division is deliberately absent.
 """
 
 import re
@@ -20,6 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ExpressionError
+
+# Two-point Gauss quadrature is exact for polynomials up to this degree.
+MAX_TIME_DEGREE = 3
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -213,15 +217,22 @@ def _evaluate(node, t, coords):
 
 
 def parse_expression(text):
-    """Parse ``text`` into an Expression; raises ExpressionError with a column."""
+    """Parse ``text`` into an Expression; raises ExpressionError with a column,
+    or without one when the time degree exceeds ``MAX_TIME_DEGREE``."""
     if isinstance(text, Expression):
         return text
     root = _Parser(text).parse()
+    degree = _time_degree(root)
+    if degree > MAX_TIME_DEGREE:
+        raise ExpressionError(
+            f"time degree {degree} exceeds {MAX_TIME_DEGREE}, the highest that the "
+            f"two-point Gauss average integrates exactly: {text!r}"
+        )
     return Expression(
         text=text,
         _root=root,
         depends_on_time=_depends_on_time(root),
-        time_degree=_time_degree(root),
+        time_degree=degree,
     )
 
 

@@ -33,7 +33,8 @@ import numpy as np
 from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError, NumericalError
 from .grids import h1_seminorm, l2_norm
 from .noise import AdditiveIntegrand, partial_sums
-from .stepper import DEFAULT_MAX_INNER, SystemState, Trajectory, _advance, run_additive
+from .stepper import (DEFAULT_INNER_TOL, DEFAULT_MAX_INNER, DEFAULT_NEWTON_TOL, SystemState,
+                      Trajectory, _advance, run_additive)
 from .theory import compute_stability_constant
 
 
@@ -213,7 +214,7 @@ def _start_iterate(number, previous, theta0, chi0, grid, ops):
 
 
 def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
-                 tol=1e-11, newton_tol=1e-12):
+                 tol=DEFAULT_INNER_TOL, newton_tol=DEFAULT_NEWTON_TOL):
     """Iterate integrand-freezing until the weighted chi difference is small.
 
     Iterate k + 1 runs the additive solver on the same path with the
@@ -242,10 +243,9 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     ratios = []
     wall_times = []
 
-    def converged(chi, previous, started):
+    def converged(diff, started):
         """Record the weighted difference of a finished iterate; True when
         it meets the tolerance."""
-        diff = weighted_norm(chi - previous, grid, ops, config.weight)
         wall_times.append(time.perf_counter() - started)
         if w_diffs:
             ratios.append(diff / w_diffs[-1] if w_diffs[-1] > 0 else 0.0)
@@ -270,15 +270,10 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     first = run_additive(
         theta0, chi0, integrand, path, grid, ops, nl, tol=tol, newton_tol=newton_tol
     )
-    if converged(first.chi, iterate, started):
+    if converged(weighted_norm(first.chi - iterate, grid, ops, config.weight), started):
         return result(first)
     running = []
     failure = None
-
-    def start_successor(it):
-        it.successor = True
-        running.append(_start_iterate(it.number + 1, it.chi, theta0, chi0, grid, ops))
-
     if config.max_iterations > 1:
         running.append(_start_iterate(2, first.chi, theta0, chi0, grid, ops))
     while running:
@@ -321,20 +316,18 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
             it.partial += term
             if (not it.successor and it.number < config.max_iterations
                     and math.sqrt(it.partial) > config.tolerance):
-                start_successor(it)
+                it.successor = True
+                running.append(_start_iterate(it.number + 1, it.chi, theta0, chi0, grid, ops))
         # Iterates start one step or more apart, so only the oldest can finish.
         if running[0].step < grid.steps:
             continue
         it = running.pop(0)
-        if converged(it.chi, it.previous, it.started):
+        # The running sum is bit for bit the sum in weighted_norm.
+        if converged(math.sqrt(it.partial), it.started):
             integrand = AdditiveIntegrand(grid=grid, values=it.values, expression=None)
             return result(Trajectory(grid=grid, theta=it.theta, chi=it.chi,
                                      u=it.chi - partial_sums(path, integrand).values,
                                      reports=it.reports))
-        if not it.successor and it.number < config.max_iterations:
-            # Not reached while the running sum is a prefix of W's sum: an
-            # iterate that does not converge has crossed by its last step.
-            start_successor(it)
     if failure is not None:
         error, cause = failure
         raise error from cause

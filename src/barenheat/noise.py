@@ -83,9 +83,9 @@ def discretize_integrand(expression, grid, ops):
     """Reduce a deterministic integrand expression to per-step nodal averages.
 
     Uses two-point Gauss quadrature in time on each [t_{n-1}, t_n], exact
-    for the polynomial time dependence of the built-in expression set.  The
-    convention that the integrand vanishes before time zero forces the first
-    value to be the zero field.
+    for polynomials in t of degree at most 3, the most ``parse_expression``
+    accepts.  The convention that the integrand vanishes before time zero
+    forces the first value to be the zero field.
     """
     expr = parse_expression(expression)
     values = np.zeros((grid.steps, ops.node_count))

@@ -2,12 +2,16 @@ import csv
 import json
 import os
 
+import re
+
+import numpy as np
 import pytest
 
 import barenheat as bh
+from barenheat import config as config_module
 from barenheat import stepper
 from barenheat.cli import main
-from barenheat.config import parse_config
+from barenheat.config import _KEYS, parse_config
 from barenheat.errors import ConfigValidationError, InvalidConfigError
 
 MINIMAL = """\
@@ -123,6 +127,141 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, text))
         joined = "\n".join(excinfo.value.violations)
         assert "mesh" in joined and "horizon" in joined
+
+
+EVERY_KEY = {
+    "mesh": {"dimension": "2", "cells": "4, 2", "lengths": "2.0, 0.5"},
+    "time": {"horizon": "0.5", "steps": "8", "dt_levels": "0.25, 0.125"},
+    "initial": {"theta0": "x*y", "chi0": "1 + x"},
+    "nonlinearity": {"kind": "ramp", "inner_slope": "2.0", "outer_slope": "0.5",
+                     "knee": "0.7", "lipschitz": "2.5", "coercivity": "0.4"},
+    "noise": {"kind": "multiplicative", "map": "affine", "scale": "0.02",
+              "offset": "cos(pi*x)", "lipschitz": "0.03", "weight": "9.0",
+              "picard_tolerance": "1e-7", "picard_max_iterations": "12",
+              "expression": "x", "expression_hat": "y", "gain": "0.5"},
+    "monte_carlo": {"paths": "5", "seed": "77"},
+    "tolerances": {"inner": "1e-10", "newton": "1e-11"},
+    "study": {"kind": "self", "slope_threshold": "0.3"},
+    "output": {"directory": "elsewhere"},
+}
+
+# The keys EVERY_KEY sets but its kinds do not read, read by other kinds.
+OTHER_KINDS = {
+    "c": {"nonlinearity": {"kind": "linear", "c": "2.0"}},
+    "a": {"nonlinearity": {"kind": "saturating", "a": "2.0"}},
+    "gain": {"noise": {"kind": "multiplicative", "map": "damped", "gain": "0.02",
+                       "weight": "9.0"}},
+    "expression": {"noise": {"kind": "additive", "expression": "x*(1+t)",
+                             "expression_hat": "y"}},
+}
+
+
+def render(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for name, keys in sections.items())
+
+
+def every_key_config(tmp_path, **sections):
+    return write_config(tmp_path, render({**EVERY_KEY, **sections}))
+
+
+class TestKeyTable:
+    """One table names every key with its parser and default."""
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        config = parse_config(every_key_config(tmp_path))
+        ops = bh.build_operators(2, (4, 2), (2.0, 0.5))
+        assert np.array_equal(config.ops.coordinates, ops.coordinates)
+        assert (config.horizon, config.steps, config.dt_levels) == (0.5, 8, [0.25, 0.125])
+        assert np.array_equal(config.theta0, bh.evaluate_on_mesh("x*y", ops))
+        assert np.array_equal(config.chi0, bh.evaluate_on_mesh("1 + x", ops))
+        nl = config.nonlinearity
+        assert (nl.name, nl.lipschitz, nl.coercivity) == (
+            "ramp(s_in=2.0, s_out=0.5, knee=0.7)", 2.5, 0.4)
+        assert config.nonlinearity_report.passed
+        assert (config.noise_kind, config.integrand, config.integrand_hat) == (
+            "multiplicative", None, None)
+        noise_map = config.noise_map
+        assert (noise_map.kind, noise_map.scale, noise_map.lipschitz) == ("affine", 0.02, 0.03)
+        assert np.array_equal(noise_map.offset, bh.evaluate_on_mesh("cos(pi*x)", ops))
+        assert config.picard == bh.PicardConfig(weight=9.0, tolerance=1e-7, max_iterations=12)
+        assert (config.paths, config.seed) == (5, 77)
+        assert (config.inner_tol, config.newton_tol) == (1e-10, 1e-11)
+        assert (config.study_kind, config.slope_threshold) == ("self", 0.3)
+        assert config.output_directory == "elsewhere"
+
+    def test_keys_of_the_other_kinds_reach_their_fields(self, tmp_path):
+        config = parse_config(every_key_config(tmp_path, **OTHER_KINDS["c"]))
+        assert config.nonlinearity.name == "linear(c=2.0)"
+        config = parse_config(every_key_config(tmp_path, **OTHER_KINDS["a"]))
+        assert config.nonlinearity.name == "saturating(a=2.0)"
+        config = parse_config(every_key_config(tmp_path, **OTHER_KINDS["gain"]))
+        assert (config.noise_map.kind, config.noise_map.lipschitz) == ("pointwise", 0.02)
+        config = parse_config(every_key_config(tmp_path, **OTHER_KINDS["expression"]))
+        assert (config.integrand, config.integrand_hat, config.noise_map) == ("x*(1+t)", "y", None)
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in _KEYS.items()
+        for key, (parse, _) in keys.items() if parse is not str
+    ])
+    def test_malformed_number_is_one_named_violation(self, tmp_path, section, key):
+        sections = OTHER_KINDS.get(key, {})
+        sections = {**sections, section: {**sections.get(section, EVERY_KEY[section]),
+                                          key: "abc"}}
+        with pytest.raises(ConfigValidationError) as excinfo:
+            parse_config(every_key_config(tmp_path, **sections))
+        assert len(excinfo.value.violations) == 1
+        assert excinfo.value.violations[0].startswith(f"key {key!r} in section [{section}]: ")
+
+    def test_sample_in_the_module_docstring_names_every_key(self):
+        sample = config_module.__doc__.split("::", 1)[1]
+        blocks = dict(re.findall(r"\[(\w+)\]\n(.*?)(?=\n\s*\[|\Z)", sample, re.S))
+        assert set(blocks) == set(_KEYS)
+        for section, keys in _KEYS.items():
+            for key in keys:
+                assert re.search(rf"\b{key} =", blocks[section]), (section, key)
+
+
+NON_FINITE = [
+    ("time", "horizon", {"time": {"horizon": "nan", "dt_levels": "0.25"}}),
+    ("time", "horizon", {"time": {"horizon": "inf", "dt_levels": "0.25"}}),
+    ("time", "dt_levels", {"time": {"dt_levels": "nan"}}),
+    ("mesh", "lengths", {"mesh": {"lengths": "nan"}}),
+    ("tolerances", "inner", {"tolerances": {"inner": "nan"}}),
+    ("tolerances", "newton", {"tolerances": {"newton": "inf"}}),
+    ("study", "slope_threshold", {"study": {"slope_threshold": "nan"}}),
+    ("nonlinearity", "a", {"nonlinearity": {"kind": "saturating", "a": "inf"}}),
+]
+
+
+@pytest.mark.parametrize("section, key, sections", NON_FINITE)
+def test_non_finite_number_is_a_named_violation(tmp_path, section, key, sections):
+    with pytest.raises(ConfigValidationError) as excinfo:
+        parse_config(write_config(tmp_path, render(sections)))
+    value = sections[section][key]
+    assert excinfo.value.violations == [
+        f"key {key!r} in section [{section}]: {value!r} is not a finite number"]
+
+
+@pytest.mark.parametrize("dt", ["1e-320", "0", "-0.25"])
+def test_dt_level_that_cannot_divide_is_a_violation(tmp_path, dt):
+    with pytest.raises(ConfigValidationError) as excinfo:
+        parse_config(write_config(tmp_path, f"[time]\ndt_levels = {dt}\n"))
+    assert excinfo.value.violations == [
+        f"dt level {float(dt)} does not divide the horizon T = 1.0"]
+
+
+def test_zero_steps_is_a_violation(tmp_path):
+    with pytest.raises(ConfigValidationError, match="steps must be >= 1, got 0"):
+        parse_config(write_config(tmp_path, MINIMAL.replace("steps = 16", "steps = 0")))
+
+
+def test_integrand_of_time_degree_four_fails_validation(tmp_path):
+    text = MINIMAL.replace("expression = cos(pi*x)*(1+t)", "expression = cos(pi*x)*t^4")
+    with pytest.raises(ConfigValidationError, match="noise expression: time degree 4"):
+        parse_config(write_config(tmp_path, text))
+    text = MINIMAL.replace("expression = cos(pi*x)*(1+t)", "expression = cos(pi*x)*t^3")
+    assert parse_config(write_config(tmp_path, text)).integrand == "cos(pi*x)*t^3"
 
 
 def rejection(call):
@@ -409,6 +548,34 @@ class TestCli:
         outdir = str(tmp_path / "out")
         assert run_cli("constants", "--config", config, "--out", outdir) == 0
         assert json.load(open(os.path.join(outdir, "summary.json")))["warnings"] == []
+
+    @pytest.mark.parametrize("dt_list, reason", [
+        ("nan", "'nan' is not a finite number"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_malformed_dt_list_names_its_key(self, tmp_path, capsys, dt_list, reason):
+        outdir = str(tmp_path / "out")
+        assert run_cli("converge", "--config", write_config(tmp_path, MINIMAL), "--out", outdir,
+                       "--dt-list", dt_list) == 1
+        assert f"key 'dt_levels' in section [time]: {reason}" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("env, flag, file_seed, shown", [
+        ("-1", None, "0", "-1"),
+        (None, str(2**64), "0", str(2**64)),
+        (None, None, "-3", "-3"),
+        ("abc", "1", "0", "invalid literal for int() with base 10: 'abc'"),
+    ])
+    def test_one_seed_check_covers_env_flag_and_file(self, tmp_path, capsys, monkeypatch,
+                                                     env, flag, file_seed, shown):
+        if env is not None:
+            monkeypatch.setenv("SOLVER_SEED", env)
+        config = write_config(tmp_path, MINIMAL + f"\n[monte_carlo]\nseed = {file_seed}\n")
+        outdir = str(tmp_path / "out")
+        argv = ["solve", "--config", config, "--out", outdir]
+        assert run_cli(*argv, *(["--seed", flag] if flag else [])) == 1
+        assert shown in capsys.readouterr().err
+        assert not os.path.exists(outdir)
 
     def test_mc_command(self, tmp_path):
         config = write_config(tmp_path, MINIMAL)

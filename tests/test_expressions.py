@@ -77,3 +77,19 @@ def test_trailing_garbage():
 def test_fractional_exponent_rejected():
     with pytest.raises(ExpressionError, match="exponent"):
         parse_expression("x^1.5")
+
+
+@pytest.mark.parametrize("text", ["t^4", "t^2*t^2", "(1+t)^4"])
+def test_time_degree_above_three_rejected(text):
+    with pytest.raises(ExpressionError, match="time degree 4 exceeds 3"):
+        parse_expression(text)
+
+
+def test_cubic_in_time_is_averaged_exactly():
+    expr = parse_expression("t^3")
+    assert expr.time_degree == 3
+    grid = bh.build_time_grid(1.0, 2)
+    ops = bh.build_operators(1, 2, 1.0)
+    # h_1 averages t^3 over [0, 0.5]: 0.5^4 / 4 / 0.5 = 0.03125.
+    values = bh.discretize_integrand(expr, grid, ops).values
+    assert values[1] == pytest.approx(np.full(3, 0.03125), rel=1e-15)
