@@ -177,7 +177,10 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
     its flags through here): each, as text or as a value, replaces the
     file's value before the key is parsed and validated.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # A header line cannot hold a newline, so no section can be the
+    # parser's default section, whose keys would reach every section:
+    # "[DEFAULT]" is then one more unknown section.
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="\n")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)

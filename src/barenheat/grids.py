@@ -11,8 +11,11 @@ implicit solves in the stepper are (diagonal + stiffness) SPD systems.
 Fields are nodal vectors of length P, and a batch of M fields (one per
 Monte Carlo path, or one per time node) is an (M, P) array whose rows are
 treated one by one, so every row gets the bits it would get on its own:
-``l2_norm`` and ``h1_seminorm`` reduce a block to its M row norms with one
-dot product per row, never a matrix product, whose summation order differs.
+``l2_norm``, ``h1_seminorm`` and ``row_norms`` reduce a block to its M row
+norms with one stacked product of (1, P) by (P, 1) items, ``_row_dots``,
+which numpy hands item by item to the BLAS ``ddot`` that ``row.dot(row)``
+calls.  A matrix-vector product (M, P) @ (P,) is never used: it runs gemv,
+whose summation order differs.
 
 In 1D those systems are symmetric positive-definite tridiagonal.  Each
 distinct (shift, diagonal) pair whose diagonal is a multiple of the lumped
@@ -286,6 +289,16 @@ def l2_inner(u, v, ops):
     return float(np.dot(ops.lumped_mass * u, v))
 
 
+def _row_dots(a, b):
+    """a_i . b_i for each row i of an (M, P) block ``a``; ``b`` is a block
+    of the same shape, or one (P,) field shared by every row.
+
+    Each (1, P) by (P, 1) item of the stacked product goes to the BLAS
+    ``ddot`` that ``a[i].dot(b[i])`` calls, so every entry has its bits.
+    """
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
 def l2_norm(v, ops):
     """Discrete L2 norm sqrt(sum_i M_i v_i^2): a float for one field (P,), an
     array of the M row norms for an (M, P) block."""
@@ -293,16 +306,18 @@ def l2_norm(v, ops):
     squares = v * v
     if v.ndim == 1:
         return math.sqrt(ops.lumped_mass.dot(squares))
-    return np.array([math.sqrt(ops.lumped_mass.dot(row)) for row in squares])
+    return np.sqrt(_row_dots(squares, ops.lumped_mass))
 
 
 def row_norms(fields):
     """Euclidean norm of each row of an (M, P) batch, as a list of M floats.
 
     sqrt(x . x) per row is what ``np.linalg.norm`` computes for a real
-    vector, so the bits are the same, without its per-call overhead.
+    vector, without its per-call overhead; ``_row_dots`` takes the M dot
+    products in one call, and ``np.sqrt``, like ``math.sqrt``, is correctly
+    rounded, so every entry has the bits of ``math.sqrt(row.dot(row))``.
     """
-    return [math.sqrt(fields[i].dot(fields[i])) for i in range(len(fields))]
+    return np.sqrt(_row_dots(fields, fields)).tolist()
 
 
 def h1_seminorm(v, ops):
@@ -312,7 +327,7 @@ def h1_seminorm(v, ops):
     kv = apply_stiffness(ops, v)
     if v.ndim == 1:
         return math.sqrt(max(v.dot(kv), 0.0))
-    return np.array([math.sqrt(max(row.dot(k), 0.0)) for row, k in zip(v, kv)])
+    return np.sqrt(np.maximum(_row_dots(v, kv), 0.0))
 
 
 def apply_stiffness(ops, fields):
@@ -396,9 +411,17 @@ def _by_row(solve, *batches):
 def _check_residual(ops, diagonal, shift, x, rhs, rtol):
     """Raise unless every row meets |A x - rhs| <= rtol (1 + |rhs|).
 
+    One dot product over the whole residual settles the common case: every
+    row norm is at most the block norm and every limit is at least rtol, so
+    a block norm of at most rtol / 2, a margin far above the rounding of
+    either side, passes every row.  Any other block, NaN and infinity
+    included, goes through the per-row test, which decides what is raised.
     The norms only gate, so a batch takes them with one ``einsum``.
     """
     residual = apply_shifted(ops, diagonal, shift, x) - rhs
+    flat = residual.ravel()
+    if math.sqrt(flat.dot(flat)) <= 0.5 * rtol:
+        return
     if rhs.ndim == 1:
         norms = [math.sqrt(residual.dot(residual))]
         limits = [rtol * (1.0 + math.sqrt(rhs.dot(rhs)))]

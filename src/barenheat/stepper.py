@@ -190,11 +190,16 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
         return mass * nl.alpha_tilde(v) + dt * apply_stiffness(ops, v) - b
 
     thresholds = [tol * (1.0 + norm) for norm in row_norms(rhs)]
-    if start is None:
+    # From u = 0 every row has the same alphatilde and Jacobian, so both are
+    # evaluated on one (P,) field: the first solve then sees one shared
+    # diagonal.  The values, and so the bits, are those of the full block.
+    at_zero = start is None
+    if at_zero:
+        zero = np.zeros(mass.shape)
         u = np.zeros(rhs.shape)
         # At u = 0 the stiffness term dt K u is +0.0 in every entry, and
         # adding it is adding 0.0, so this is residual(u, rhs) bit for bit.
-        res = (mass * nl.alpha_tilde(u) + 0.0) - rhs
+        res = (mass * nl.alpha_tilde(zero) + 0.0) - rhs
     else:
         u = start
         res = residual(u, rhs)
@@ -212,10 +217,12 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
             break
         rows = None if len(active) == count else np.array(active)
         u_active, rhs_active = _take(u, rows), _take(rhs, rows)
-        jac_diag = mass * nl.alpha_tilde_prime(u_active)
+        jac_diag = mass * nl.alpha_tilde_prime(zero if at_zero else u_active)
+        at_zero = False
         finite = np.isfinite(jac_diag)
         if not finite.all():
-            row = active[int(np.flatnonzero(~finite.all(axis=1))[0])]
+            bad = 0 if jac_diag.ndim == 1 else int(np.flatnonzero(~finite.all(axis=1))[0])
+            row = active[bad]
             raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
                                  residual=norms[row], row=row)
         try:

@@ -73,6 +73,18 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError, match="unknown key"):
             parse_config(write_config(tmp_path, MINIMAL + "speling = 1\n"))
 
+    def test_lone_default_section_is_an_unknown_section(self, tmp_path):
+        # configparser's own default section would be dropped without a word.
+        with pytest.raises(ConfigValidationError) as excinfo:
+            parse_config(write_config(tmp_path, "[DEFAULT]\nseed = 5\n"))
+        assert excinfo.value.violations == ["unknown section [DEFAULT]"]
+
+    def test_default_section_beside_others_is_one_violation(self, tmp_path):
+        # ... and its keys would be reported once in every other section.
+        with pytest.raises(ConfigValidationError) as excinfo:
+            parse_config(write_config(tmp_path, "[DEFAULT]\nseed = 5\n\n" + MINIMAL))
+        assert excinfo.value.violations == ["unknown section [DEFAULT]"]
+
     def test_time_dependent_initial_data_rejected(self, tmp_path):
         text = MINIMAL.replace("theta0 = cos(pi*x)", "theta0 = t*x")
         with pytest.raises(ConfigValidationError, match="theta0"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -172,6 +174,171 @@ class TestBlockNorms:
         for norm in (bh.l2_norm, bh.h1_seminorm):
             with pytest.raises(FieldShapeError):
                 norm(np.ones(shape), ops65)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestBlockNormBits:
+    """Block reductions equal per-row ``.dot`` and ``math.sqrt`` bit for bit.
+
+    They take all M dot products in one stacked product; this guards the
+    assumption that numpy hands each of its items to the ``ddot`` of
+    ``row.dot(row)``, on every numpy version the pin allows.
+    """
+
+    MESHES = {
+        **{f"1d-{cells + 1}": (1, cells, 1.0) for cells in (2, 16, 64, 128, 1024, 4224)},
+        "2d-33x17": (2, (32, 16), (1.0, 0.5)),
+    }
+
+    @pytest.fixture(scope="class")
+    def meshes(self):
+        return {name: bh.build_operators(*args) for name, args in self.MESHES.items()}
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("rows", [1, 2, 4, 5, 16, 64])
+    def test_rows_equal_per_row_references(self, meshes, mesh, rows):
+        ops = meshes[mesh]
+        rng = np.random.default_rng(rows * 7919 + ops.node_count)
+        scales = 10.0 ** rng.uniform(-8.0, 8.0, (rows, 1))
+        block = rng.standard_normal((rows, ops.node_count)) * scales
+        # A near-constant row, whose v . K v may round below zero.
+        block[0] = 3.7 + 1e-13 * block[0] / scales[0]
+        mass, stiffness = ops.lumped_mass, ops.stiffness
+        assert _bits(grids.row_norms(block)) == _bits(
+            [math.sqrt(row.dot(row)) for row in block])
+        assert _bits(bh.l2_norm(block, ops)) == _bits(
+            [math.sqrt(mass.dot(row * row)) for row in block])
+        assert _bits(bh.h1_seminorm(block, ops)) == _bits(
+            [math.sqrt(max(row.dot(stiffness @ row), 0.0)) for row in block])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_rows_stay_non_finite(self, ops65):
+        block = np.ones((3, ops65.node_count))
+        block[1, 5] = np.nan
+        block[2, 7] = np.inf
+        for values in (grids.row_norms(block), bh.l2_norm(block, ops65),
+                       bh.h1_seminorm(block, ops65)):
+            assert math.isfinite(values[0])
+            assert math.isnan(values[1])
+            assert not math.isfinite(values[2])
+
+
+def _outcome(check, *args):
+    """What a residual gate does: None, or the class, row and residual it raises."""
+    try:
+        check(*args)
+    except NumericalError as exc:
+        return type(exc), exc.row, repr(exc.residual)
+    return None
+
+
+def _per_row_gate(ops, diagonal, shift, x, rhs, rtol):
+    """The gate's per-row test alone, as it stood before the one-dot test."""
+    residual = grids.apply_shifted(ops, diagonal, shift, x) - rhs
+    if rhs.ndim == 1:
+        norms = [math.sqrt(residual.dot(residual))]
+        limits = [rtol * (1.0 + math.sqrt(rhs.dot(rhs)))]
+    else:
+        norms = np.sqrt(np.einsum("ij,ij->i", residual, residual))
+        limits = rtol * (1.0 + np.sqrt(np.einsum("ij,ij->i", rhs, rhs)))
+    for row, (norm, limit) in enumerate(zip(norms, limits)):
+        if not norm <= limit:
+            row = row if rhs.ndim == 2 else None
+            if not math.isfinite(norm):
+                raise NonFiniteError("non-finite", residual=float(norm), row=row)
+            raise NumericalError("missed", residual=float(norm), row=row)
+
+
+class TestResidualGate:
+    """The one-dot test ahead of the per-row gate changes no outcome."""
+
+    RTOL = 1e-10
+
+    @pytest.fixture(scope="class")
+    def ops(self):
+        return bh.build_operators(1, 16, 1.0)
+
+    def assert_same_outcome(self, ops, x, rhs, expected=None):
+        """Gate (M + K / 4) x = rhs and the per-row test alike; ``expected``
+        is the class and row that must be raised."""
+        args = (ops, ops.lumped_mass, 0.25, x, rhs, self.RTOL)
+        outcome = _outcome(grids._check_residual, *args)
+        assert outcome == _outcome(_per_row_gate, *args)
+        if expected is not None:
+            assert outcome is not None and outcome[:2] == expected
+        return outcome
+
+    def gate_on(self, ops, residual, expected=None):
+        """Gate a given residual: with x = 0 every entry of A x is +0.0, so
+        rhs = -residual leaves exactly that residual."""
+        residual = np.asarray(residual, dtype=float)
+        return self.assert_same_outcome(ops, np.zeros(residual.shape), -residual, expected)
+
+    def block_norm(self, residual):
+        flat = np.ravel(residual)
+        return math.sqrt(flat.dot(flat))
+
+    def rows(self, ops, count, seed=0, norm=1.0):
+        """``count`` random rows, each of Euclidean norm ``norm``."""
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((count, ops.node_count))
+        return norm * block / np.sqrt(np.einsum("ij,ij->i", block, block))[:, None]
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_solved_batch_passes(self, ops, count):
+        rhs = np.random.default_rng(count).standard_normal((count, ops.node_count))
+        x = grids.solve_shifted(ops, ops.lumped_mass, 0.25, rhs)
+        assert self.assert_same_outcome(ops, x, rhs) is None
+        assert self.assert_same_outcome(ops, x[0], rhs[0]) is None
+
+    @pytest.mark.parametrize("bad", [0, 2, 3])
+    def test_one_failing_row_is_named(self, ops, bad):
+        residual = self.rows(ops, 4, norm=1e-12)
+        residual[bad] *= 1e4
+        self.gate_on(ops, residual, (NumericalError, bad))
+        self.gate_on(ops, residual[bad], (NumericalError, None))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+    def test_non_finite_row_is_named(self, ops, value):
+        # A finite right-hand side, so every limit is finite.
+        rhs = np.random.default_rng(3).standard_normal((4, ops.node_count))
+        x = grids.solve_shifted(ops, ops.lumped_mass, 0.25, rhs)
+        x[1, 3] = x[3, 5] = value
+        self.assert_same_outcome(ops, x, rhs, (NonFiniteError, 1))
+        self.assert_same_outcome(ops, x[1], rhs[1], (NonFiniteError, None))
+
+    def test_zero_right_hand_side(self, ops):
+        zero = np.zeros((3, ops.node_count))
+        assert self.assert_same_outcome(ops, zero, zero) is None
+        assert self.assert_same_outcome(ops, zero[0], zero[0]) is None
+        # The limit of a zero row is rtol itself: a residual just below it
+        # passes and one just above fails, though neither block passes the
+        # one-dot test.
+        for factor, expected in ((0.99, None), (1.01, (NumericalError, 2))):
+            residual = self.rows(ops, 3, norm=1e-13)
+            residual[2] *= factor * self.RTOL / 1e-13
+            x = grids.solve_shifted(ops, ops.lumped_mass, 0.25, residual)
+            assert self.block_norm(grids.apply_shifted(ops, ops.lumped_mass, 0.25, x)) > (
+                0.5 * self.RTOL)
+            outcome = self.assert_same_outcome(ops, x, zero)
+            assert outcome == expected or outcome[:2] == expected
+            single = self.assert_same_outcome(ops, x[2], zero[2])
+            assert (single is None) == (expected is None)
+
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_block_norm_at_the_margin(self, ops, count, side):
+        # Scale the block to rtol / 2, then step to the side under test.
+        residual = self.rows(ops, count, seed=count) / math.sqrt(count)
+        residual *= 0.5 * self.RTOL / self.block_norm(residual)
+        while (self.block_norm(residual) <= 0.5 * self.RTOL) != (side < 0):
+            residual *= 1.0 + side * 1e-15
+        assert self.gate_on(ops, residual) is None
+        assert self.gate_on(ops, residual[0]) is None
 
 
 class TestSolveShifted1D:

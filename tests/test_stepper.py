@@ -108,6 +108,63 @@ class TestSolveChi:
         assert report.residual <= 1e-10
 
 
+class TestNewtonFromZero:
+    """Newton from u = 0 evaluates alphatilde and its Jacobian on one (P,)
+    field; every row keeps the bits of a solve on its own and of a start
+    from an (M, P) block of zeros."""
+
+    DT = 1.0 / 16
+    TOL = stepper.DEFAULT_NEWTON_TOL
+    MESHES = {"1d-65": (1, 64, 1.0), "2d-9x7": (2, (8, 6), (1.0, 0.75))}
+    ALPHAS = {"linear": bh.linear(1.0), "saturating": bh.saturating(2.0),
+              "ramp": bh.ramp(0.5, 3.0, 0.2)}
+
+    def rhs_block(self, ops, rows):
+        rng = np.random.default_rng(rows)
+        rhs = rng.standard_normal((rows, ops.node_count)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        if rows > 1:
+            rhs[1] = 0.0  # starts converged
+        return rhs
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_rows_get_the_bits_of_lone_solves(self, mesh, alpha, rows):
+        ops, nl = bh.build_operators(*self.MESHES[mesh]), self.ALPHAS[alpha]
+        rhs = self.rhs_block(ops, rows)
+        u, report = stepper._newton(ops, nl, self.DT, rhs, self.TOL)
+        zeros_u, zeros_report = stepper._newton(ops, nl, self.DT, rhs, self.TOL,
+                                                np.zeros(rhs.shape))
+        assert u.tobytes() == zeros_u.tobytes()
+        for name in ("residual", "iterations", "line_search_halvings"):
+            assert getattr(report, name).tobytes() == getattr(zeros_report, name).tobytes()
+        for row in range(rows):
+            alone, single = stepper._newton(ops, nl, self.DT, rhs[row:row + 1], self.TOL)
+            assert u[row].tobytes() == alone[0].tobytes()
+            assert (report.residual[row], report.iterations[row],
+                    report.line_search_halvings[row]) == (
+                single.residual[0], single.iterations[0], single.line_search_halvings[0])
+        if rows > 1:
+            assert report.iterations[1] == 0 and not u[1].any()
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_non_finite_jacobian_names_the_first_active_row(self, ops65, rows):
+        nl = bh.make_nonlinearity("nan-slope", lambda x: np.asarray(x, dtype=float), 1.0, 1.0,
+                                  alpha_prime=lambda x: np.full(np.shape(x), np.nan))
+        rhs = self.rhs_block(ops65, rows)
+        first_active = 0
+        if rows > 1:
+            rhs[0] = 0.0
+            first_active = 2
+        raised = []
+        for start in (None, np.zeros(rhs.shape)):
+            with pytest.raises(NonFiniteError, match="Jacobian") as excinfo:
+                stepper._newton(ops65, nl, self.DT, rhs, self.TOL, start)
+            raised.append((excinfo.value.row, repr(excinfo.value.residual)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] == first_active
+
+
 class TestStep:
     def test_zero_fixed_point(self, ops65, grid16, unit_nl):
         state = make_state(0.0, 0.0, ops65)
