@@ -19,7 +19,8 @@ such as a failed conformance check of the nonlinearity.  A run that fails
 after its config was accepted still writes both files: ``summary.json``
 with ``pass: false`` and ``manifest.json`` with ``error`` ({type, message,
 step, path_id, row}; the last three are null when the error does not say
-where it happened).  A config that fails validation writes nothing.  CSV
+where it happened).  A config that fails validation or the subcommand's
+checks writes nothing: the output directory is made by the first write.  CSV
 bodies are byte-reproducible for a fixed config and seed: floats use
 shortest round-trip formatting, the Monte Carlo reduction is ordered, and
 wall-clock readings stay out of the CSVs unless ``--timings`` opts in.
@@ -41,6 +42,7 @@ import scipy
 from . import __version__
 from .config import parse_config
 from .diagnostics import (
+    ENERGY_GROWTH_SLACK,
     energy_estimate_check,
     grid_difference_rates,
     path_batches,
@@ -73,6 +75,7 @@ def _fmt(value):
 
 
 def _write_csv(path, header, rows):
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -81,6 +84,7 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -184,7 +188,7 @@ def cmd_mc(args, config, outdir, seed):
         "check_name": "energy_boundedness",
         "pass": report.passed,
         "statistic": max(report.statistics),
-        "threshold": "growth < 25% + 4 se per halving",
+        "threshold": f"growth < {ENERGY_GROWTH_SLACK:.0%} + 4 se per halving",
         "levels": rows,
     }, None
 
@@ -375,7 +379,6 @@ def main(argv=None):
                             "check; contraction and stability bounds may not hold")
             print(f"warning: {warnings[-1]}", file=sys.stderr)
         outdir = args.out or config.output_directory
-        os.makedirs(outdir, exist_ok=True)
 
         def write_manifest(**extra):
             _write_json(os.path.join(outdir, "manifest.json"), {

@@ -32,6 +32,9 @@ from .theory import StabilityConstants, compute_stability_constant
 # trajectories take, and does not change any result.
 BATCH_PATHS = 64
 
+# Energy growth per dt halving allowed beyond 4 standard errors (criterion 5).
+ENERGY_GROWTH_SLACK = 0.25
+
 
 def _require_paths(count):
     if count < 2:
@@ -341,11 +344,11 @@ def energy_statistic(traj, ops):
     return total
 
 
-def energy_estimate_check(setup, horizon, dts, paths, seed, threads=1, growth_slack=0.25):
+def energy_estimate_check(setup, horizon, dts, paths, seed, threads=1):
     """Monte Carlo estimate of the energy aggregate at each dt level.
 
     Passes when halving dt never grows the statistic by more than
-    ``growth_slack`` (25%) plus four combined standard errors.
+    ``ENERGY_GROWTH_SLACK`` (25%) plus four combined standard errors.
     """
     grids = _level_grids(horizon, dts)
     if len(grids) < 2:
@@ -357,7 +360,7 @@ def energy_estimate_check(setup, horizon, dts, paths, seed, threads=1, growth_sl
     passed = True
     for idx in range(len(grids) - 1):
         combined = math.hypot(se[idx], se[idx + 1])
-        if mean[idx + 1] - mean[idx] > growth_slack * mean[idx] + 4.0 * combined:
+        if mean[idx + 1] - mean[idx] > ENERGY_GROWTH_SLACK * mean[idx] + 4.0 * combined:
             passed = False
     return EnergyReport(
         dts=[g.dt for g in grids],

@@ -9,12 +9,12 @@ condition.  Lumping keeps every pointwise nonlinearity diagonal, so the
 implicit solves in the stepper are (diagonal + stiffness) SPD systems.
 
 Fields are nodal vectors of length P, and a batch of M fields (one per
-Monte Carlo path, or one per time node) is an (M, P) array whose rows are
-treated one by one, so every row gets the bits it would get on its own:
-``l2_norm``, ``h1_seminorm`` and ``row_norms`` reduce a block to its M row
-norms with one stacked product of (1, P) by (P, 1) items, ``_row_dots``,
-which numpy hands item by item to the BLAS ``ddot`` that ``row.dot(row)``
-calls.  A matrix-vector product (M, P) @ (P,) is never used: it runs gemv,
+Monte Carlo path, or one per time node) is an (M, P) block whose rows are
+treated one by one, so every row gets the bits it would get on its own;
+``solve_shifted``, ``l2_norm`` and ``h1_seminorm`` solve or reduce one (P,)
+field as a one-row block.  Every row norm, the residual gate's included,
+comes from ``_row_dots``, which numpy hands row by row to the BLAS ``ddot``
+that ``row.dot(row)`` calls, never to a gemv (M, P) @ (P,) with M > 1,
 whose summation order differs.
 
 In 1D those systems are symmetric positive-definite tridiagonal.  Each
@@ -140,7 +140,7 @@ class _TridiagonalFactors:
         return x.T
 
     def solve(self, diagonal, shift, rhs):
-        """Solve for one field (P,) or for every row of an (M, P) batch."""
+        """Solve for every row of an (M, P) block."""
         key = (shift, diagonal.tobytes())
         with self._lock:
             factor = self._factors.get(key)
@@ -294,8 +294,11 @@ def _row_dots(a, b):
     of the same shape, or one (P,) field shared by every row.
 
     Each (1, P) by (P, 1) item of the stacked product goes to the BLAS
-    ``ddot`` that ``a[i].dot(b[i])`` calls, so every entry has its bits.
+    ``ddot`` that ``a[i].dot(b[i])`` calls, so every entry has its bits;
+    numpy takes a one-row block dot (P,) as two vectors, one such ``ddot``.
     """
+    if len(a) == 1:
+        return a.dot(b.reshape(-1))
     return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
@@ -303,10 +306,9 @@ def l2_norm(v, ops):
     """Discrete L2 norm sqrt(sum_i M_i v_i^2): a float for one field (P,), an
     array of the M row norms for an (M, P) block."""
     v = _check_field(v, ops, block=True)
-    squares = v * v
-    if v.ndim == 1:
-        return math.sqrt(ops.lumped_mass.dot(squares))
-    return np.sqrt(_row_dots(squares, ops.lumped_mass))
+    block = v.reshape(-1, ops.node_count)
+    norms = np.sqrt(_row_dots(block * block, ops.lumped_mass))
+    return float(norms[0]) if v.ndim == 1 else norms
 
 
 def row_norms(fields):
@@ -324,10 +326,9 @@ def h1_seminorm(v, ops):
     """Discrete H1 seminorm sqrt(v . K v), zero on constants: a float for one
     field (P,), an array of the M row seminorms for an (M, P) block."""
     v = _check_field(v, ops, block=True)
-    kv = apply_stiffness(ops, v)
-    if v.ndim == 1:
-        return math.sqrt(max(v.dot(kv), 0.0))
-    return np.sqrt(np.maximum(_row_dots(v, kv), 0.0))
+    block = v.reshape(-1, ops.node_count)
+    norms = np.sqrt(np.maximum(_row_dots(block, apply_stiffness(ops, block)), 0.0))
+    return float(norms[0]) if v.ndim == 1 else norms
 
 
 def apply_stiffness(ops, fields):
@@ -393,7 +394,7 @@ def _solve_2d(ops, diagonal, shift, rhs):
             raise NumericalError("conjugate gradient did not converge", residual=residual)
         return x
 
-    return _by_row(conjugate_gradient, rhs) if rhs.ndim == 2 else conjugate_gradient(rhs)
+    return _by_row(conjugate_gradient, rhs)
 
 
 def _by_row(solve, *batches):
@@ -409,32 +410,25 @@ def _by_row(solve, *batches):
 
 
 def _check_residual(ops, diagonal, shift, x, rhs, rtol):
-    """Raise unless every row meets |A x - rhs| <= rtol (1 + |rhs|).
+    """Raise unless every row of the block meets |A x - rhs| <= rtol (1 + |rhs|).
 
     One dot product over the whole residual settles the common case: every
     row norm is at most the block norm and every limit is at least rtol, so
     a block norm of at most rtol / 2, a margin far above the rounding of
     either side, passes every row.  Any other block, NaN and infinity
-    included, goes through the per-row test, which decides what is raised.
-    The norms only gate, so a batch takes them with one ``einsum``.
+    included, goes through the per-row test on ``_row_dots`` norms, which
+    decides what is raised with the bits a row has on its own.
     """
     residual = apply_shifted(ops, diagonal, shift, x) - rhs
     flat = residual.ravel()
     if math.sqrt(flat.dot(flat)) <= 0.5 * rtol:
         return
-    if rhs.ndim == 1:
-        norms = [math.sqrt(residual.dot(residual))]
-        limits = [rtol * (1.0 + math.sqrt(rhs.dot(rhs)))]
-        if norms[0] <= limits[0]:
-            return
-    else:
-        norms = np.sqrt(np.einsum("ij,ij->i", residual, residual))
-        limits = rtol * (1.0 + np.sqrt(np.einsum("ij,ij->i", rhs, rhs)))
-        if (norms <= limits).all():
-            return
-    row = next(i for i, (norm, limit) in enumerate(zip(norms, limits)) if not norm <= limit)
+    norms = np.sqrt(_row_dots(residual, residual))
+    passed = norms <= rtol * (1.0 + np.sqrt(_row_dots(rhs, rhs)))
+    if passed.all():
+        return
+    row = int(passed.argmin())
     norm = float(norms[row])
-    row = row if rhs.ndim == 2 else None
     if not math.isfinite(norm):
         raise NonFiniteError("shifted-operator solve produced a non-finite residual",
                              residual=norm, row=row)
@@ -444,15 +438,16 @@ def _check_residual(ops, diagonal, shift, x, rhs, rtol):
 def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
     """Solve (diag(diagonal) + shift * K) x = rhs for an SPD combination.
 
-    ``rhs`` is one field (P,) or a batch (M, P) whose rows are solved as if
-    one by one; ``diagonal`` is (P,), shared by every row, or (M, P), one
-    per row, and a batch whose diagonal rows are all equal counts as shared.
+    ``rhs`` is a block (M, P) whose rows are solved as if one by one, or one
+    field (P,), solved as the one-row block whose row 0 is returned;
+    ``diagonal`` is (P,), shared by every row, or (M, P), one per row, and a
+    block whose diagonal rows are all equal counts as shared.
     In 1D the system is tridiagonal: the ``dpttrf`` factor of each distinct
     (shift, diagonal) whose diagonal is a multiple of the lumped mass is
     computed once, kept on ``ops``, and reused by ``dpttrs`` whenever the
     diagonal is bit-equal to the cached one; any other diagonal is factored
     for this call only, per row when the rows differ; a shared diagonal
-    solves the whole batch with one multi-column call.  The
+    solves the whole block with one multi-column call.  The
     bits equal those of ``solveh_banded`` on the two-row band, which runs
     ``?ptsv`` = ``pttrf`` + ``pttrs`` on the same inputs.  In 2D a
     diagonal that is a scalar multiple of the lumped mass is solved directly
@@ -462,9 +457,11 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
     lumped mass, which bounds the condition number by their ratio on every
     mesh.  Raises NumericalError if the operator is not positive definite or
     the relative residual of a row exceeds ``rtol``, and NonFiniteError if
-    it is NaN or infinite; on a batch the error's ``row`` names the row.
+    it is NaN or infinite; the error's ``row`` names the row of a block,
+    and is None for a field.
     """
     rhs = np.asarray(rhs, dtype=float)
+    block = rhs[None] if rhs.ndim == 1 else rhs
     diagonal = np.asarray(diagonal, dtype=float)
     shift = float(shift)
     if diagonal.ndim == 2 and (diagonal == diagonal[0]).all():
@@ -473,9 +470,14 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
         solve = partial(_solve_2d, ops)
     else:
         solve = ops.tridiagonal.solve if diagonal.ndim == 1 else ops.tridiagonal.solve_once
-    if diagonal.ndim == 2:
-        x = _by_row(lambda d, r: solve(d, shift, r), diagonal, rhs)
-    else:
-        x = solve(diagonal, shift, rhs)
-    _check_residual(ops, diagonal, shift, x, rhs, rtol)
-    return x
+    try:
+        if diagonal.ndim == 2:
+            x = _by_row(lambda d, r: solve(d, shift, r)[0], diagonal, block[:, None])
+        else:
+            x = solve(diagonal, shift, block)
+        _check_residual(ops, diagonal, shift, x, block, rtol)
+    except NumericalError as exc:
+        if rhs.ndim == 1:
+            exc.row = None
+        raise
+    return x[0] if rhs.ndim == 1 else x

@@ -27,7 +27,9 @@ u = 0; ``step`` and ``run_additive`` check theirs once per call and run the
 inner loop on the same kernels without the checks.
 
 Fields are stored as (M, P) blocks, one row per Brownian path, and a single
-path is the batch M = 1: ``run_additive`` advances all paths of a grid
+path is the batch M = 1, the only path through the kernels:
+``solve_theta``, ``solve_chi`` and ``step`` lift a one-path state to that
+batch and return its row 0.  ``run_additive`` advances all paths of a grid
 together, so every solve and matrix product runs once per inner iteration
 for the whole batch.  Each path keeps its own Newton thresholds, line-search
 scales and iteration counts and its own inner convergence test; a path that
@@ -132,24 +134,25 @@ def _lift(exc, rows):
     exc.row = row if rows is None else int(rows[row])
 
 
-def _solve(ops, diagonal, shift, rhs, rtol):
-    """``solve_shifted`` on a field or a batch; a one-row batch goes in as a
-    plain field, which skips the comparison of diagonal rows and the
-    batched residual gate."""
-    if rhs.ndim == 1 or len(rhs) > 1:
-        return solve_shifted(ops, diagonal, shift, rhs, rtol=rtol)
-    diagonal = diagonal[0] if diagonal.ndim == 2 else diagonal
-    return solve_shifted(ops, diagonal, shift, rhs[0], rtol=rtol)[None]
+def _as_batch(state_n, dw_n):
+    """The state as (M, P) blocks and ``dw_n`` as the (M, 1) column of the
+    paths' increments, with whether the state was one path: one path is
+    the batch M = 1, whose row 0 the public entry points return."""
+    single = np.ndim(state_n.chi) == 1
+    if single:
+        state_n = SystemState(state_n.index, theta=np.asarray(state_n.theta, dtype=float)[None],
+                              chi=np.asarray(state_n.chi, dtype=float)[None])
+    return state_n, np.reshape(np.asarray(dw_n, dtype=float), (-1, 1)), single
 
 
-def _solve_theta(chi_candidate, theta_n, chi_n, noise, dt, ops, rtol=1e-12):
+def _solve_theta(chi_candidate, theta_n, chi_n, noise, dt, ops):
     """The heat solve of ``solve_theta`` without its checks; ``noise`` is
     h_n dw_n."""
     rhs = ops.lumped_mass * (theta_n - chi_candidate + chi_n + noise)
-    return _solve(ops, ops.lumped_mass, dt, rhs, rtol)
+    return solve_shifted(ops, ops.lumped_mass, dt, rhs)
 
 
-def solve_theta(chi_candidate, state_n, h_n, dw_n, grid, ops, rtol=1e-12):
+def solve_theta(chi_candidate, state_n, h_n, dw_n, grid, ops):
     """Solve the implicit heat sub-problem for a frozen chi candidate.
 
     Works on one path, or on a batch with (M, P) fields and ``dw_n`` an
@@ -157,8 +160,9 @@ def solve_theta(chi_candidate, state_n, h_n, dw_n, grid, ops, rtol=1e-12):
     """
     check_step_preconditions(grid.dt)
     _check_state_shapes(state_n, h_n, ops)
-    return _solve_theta(chi_candidate, state_n.theta, state_n.chi, h_n * dw_n, grid.dt, ops,
-                        rtol)
+    batch, dw, single = _as_batch(state_n, dw_n)
+    theta = _solve_theta(chi_candidate, batch.theta, batch.chi, h_n * dw, grid.dt, ops)
+    return theta[0] if single else theta
 
 
 def _newton_failure(message, residual, met_non_finite, row):
@@ -226,7 +230,7 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
             raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
                                  residual=norms[row], row=row)
         try:
-            delta = _solve(ops, jac_diag, dt, -_take(res, rows), 1e-10)
+            delta = solve_shifted(ops, jac_diag, dt, -_take(res, rows), rtol=1e-10)
         except NumericalError as exc:
             _lift(exc, rows)
             raise
@@ -279,32 +283,24 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
     return u, NewtonReport(np.array(norms), np.array(iterations), np.array(halvings))
 
 
-def solve_chi(theta, state_n, h_n, dw_n, grid, ops, nl, tol=DEFAULT_NEWTON_TOL,
-              stiffness_shift=None):
+def solve_chi(theta, state_n, h_n, dw_n, grid, ops, nl, tol=DEFAULT_NEWTON_TOL):
     """Solve the nonlinear sub-problem for a frozen theta.
 
     Returns the new chi and a NewtonReport.  Works on the time-increment
     variable u, for which the Jacobian is SPD, then maps back through
-    chi = chi_n + dt u + h_n dw_n.  ``stiffness_shift`` is
-    K (chi_n + h_n dw_n), which does not depend on theta; a caller that
-    solves repeatedly within one step can pass it in, and it is computed
-    here when omitted.  Newton starts from u = 0.  Works on one path, or on
-    a batch as ``solve_theta`` does.
+    chi = chi_n + dt u + h_n dw_n.  Newton starts from u = 0.  Works on one
+    path, or on a batch as ``solve_theta`` does.
     """
     check_step_preconditions(grid.dt)
     _check_state_shapes(state_n, h_n, ops)
-    shift = state_n.chi + h_n * dw_n
-    if stiffness_shift is None:
-        stiffness_shift = apply_stiffness(ops, shift)
-    rhs = ops.lumped_mass * theta - stiffness_shift
-    if rhs.ndim == 1:
-        u, batch_report = _newton(ops, nl, grid.dt, rhs[None], tol)
-        u = u[0]
-        report = NewtonReport(float(batch_report.residual[0]), int(batch_report.iterations[0]),
-                              int(batch_report.line_search_halvings[0]))
-    else:
-        u, report = _newton(ops, nl, grid.dt, rhs, tol)
+    batch, dw, single = _as_batch(state_n, dw_n)
+    shift = batch.chi + h_n * dw
+    rhs = ops.lumped_mass * theta - apply_stiffness(ops, shift)
+    u, report = _newton(ops, nl, grid.dt, rhs, tol)
     chi = shift + grid.dt * u
+    if single:
+        return chi[0], NewtonReport(float(report.residual[0]), int(report.iterations[0]),
+                                    int(report.line_search_halvings[0]))
     return chi, report
 
 
@@ -442,12 +438,7 @@ def step(
     """
     check_step_preconditions(grid.dt, nl)
     _check_state_shapes(state_n, h_n, ops)
-    single = np.ndim(state_n.chi) == 1
-    batch = state_n
-    if single:
-        batch = SystemState(state_n.index, theta=np.asarray(state_n.theta, dtype=float)[None],
-                            chi=np.asarray(state_n.chi, dtype=float)[None])
-    dw = np.reshape(np.asarray(dw_n, dtype=float), (-1, 1))
+    batch, dw, single = _as_batch(state_n, dw_n)
     theta, chi, reports = _advance(batch, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
     if single:
         return SystemState(state_n.index + 1, theta=theta[0], chi=chi[0]), reports[0]

@@ -7,12 +7,14 @@ import barenheat as bh
 
 def _reference_solve_1d(ops, diagonal, shift, rhs, rtol=None):
     """The former per-call 1D shifted solve: build the two-row band,
-    refactor and solve with ``solveh_banded`` on every call.  ``rtol`` is
-    accepted and ignored so that it can stand in for ``solve_shifted``."""
+    refactor and solve with ``solveh_banded`` on every call, for one field
+    (P,) or for the rows of an (M, P) block, which are its columns.  The
+    diagonal is shared by every row.  ``rtol`` is accepted and ignored so
+    that it can stand in for ``solve_shifted``."""
     band = np.zeros((2, ops.node_count))
     band[1] = diagonal + shift * ops.stiffness.diagonal()
     band[0, 1:] = shift * ops.stiffness.diagonal(1)
-    return solveh_banded(band, rhs)
+    return solveh_banded(band, rhs.T).T
 
 
 @pytest.fixture(scope="session")

@@ -374,6 +374,19 @@ class TestCli:
         assert run_cli("solve", "--config", config, "--out", outdir) == 1
         assert not os.path.exists(outdir)
 
+    @pytest.mark.parametrize("command, name", [
+        ("solve", "multiplicative.ini"),
+        ("picard", "additive.ini"),
+        ("stability", "multiplicative.ini"),
+    ])
+    def test_command_check_failure_leaves_no_directory(self, tmp_path, capsys, command, name):
+        # The config is valid, but the subcommand's own check rejects it.
+        config = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos", "configs", name)
+        outdir = str(tmp_path / "never")
+        assert run_cli(command, "--config", config, "--out", outdir) == 1
+        assert "error: " in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
     def test_constants_summary(self, tmp_path):
         config = write_config(tmp_path, MINIMAL)
         outdir = str(tmp_path / "out")

@@ -236,24 +236,20 @@ def _outcome(check, *args):
 
 
 def _per_row_gate(ops, diagonal, shift, x, rhs, rtol):
-    """The gate's per-row test alone, as it stood before the one-dot test."""
+    """The gate's per-row test alone, one rule for every row of a block:
+    |r| = sqrt(r . r) against rtol (1 + |b|), as a row on its own takes it."""
     residual = grids.apply_shifted(ops, diagonal, shift, x) - rhs
-    if rhs.ndim == 1:
-        norms = [math.sqrt(residual.dot(residual))]
-        limits = [rtol * (1.0 + math.sqrt(rhs.dot(rhs)))]
-    else:
-        norms = np.sqrt(np.einsum("ij,ij->i", residual, residual))
-        limits = rtol * (1.0 + np.sqrt(np.einsum("ij,ij->i", rhs, rhs)))
-    for row, (norm, limit) in enumerate(zip(norms, limits)):
-        if not norm <= limit:
-            row = row if rhs.ndim == 2 else None
+    for row, (r, b) in enumerate(zip(residual, rhs)):
+        norm = math.sqrt(r.dot(r))
+        if not norm <= rtol * (1.0 + math.sqrt(b.dot(b))):
             if not math.isfinite(norm):
                 raise NonFiniteError("non-finite", residual=float(norm), row=row)
             raise NumericalError("missed", residual=float(norm), row=row)
 
 
 class TestResidualGate:
-    """The one-dot test ahead of the per-row gate changes no outcome."""
+    """The one-dot test ahead of the per-row gate changes no outcome, and a
+    row alone, as a one-row block, gets the outcome it gets in a batch."""
 
     RTOL = 1e-10
 
@@ -292,14 +288,15 @@ class TestResidualGate:
         rhs = np.random.default_rng(count).standard_normal((count, ops.node_count))
         x = grids.solve_shifted(ops, ops.lumped_mass, 0.25, rhs)
         assert self.assert_same_outcome(ops, x, rhs) is None
-        assert self.assert_same_outcome(ops, x[0], rhs[0]) is None
+        assert self.assert_same_outcome(ops, x[:1], rhs[:1]) is None
 
     @pytest.mark.parametrize("bad", [0, 2, 3])
     def test_one_failing_row_is_named(self, ops, bad):
         residual = self.rows(ops, 4, norm=1e-12)
         residual[bad] *= 1e4
-        self.gate_on(ops, residual, (NumericalError, bad))
-        self.gate_on(ops, residual[bad], (NumericalError, None))
+        in_batch = self.gate_on(ops, residual, (NumericalError, bad))
+        alone = self.gate_on(ops, residual[bad:bad + 1], (NumericalError, 0))
+        assert alone[2] == in_batch[2]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
@@ -309,12 +306,12 @@ class TestResidualGate:
         x = grids.solve_shifted(ops, ops.lumped_mass, 0.25, rhs)
         x[1, 3] = x[3, 5] = value
         self.assert_same_outcome(ops, x, rhs, (NonFiniteError, 1))
-        self.assert_same_outcome(ops, x[1], rhs[1], (NonFiniteError, None))
+        self.assert_same_outcome(ops, x[1:2], rhs[1:2], (NonFiniteError, 0))
 
     def test_zero_right_hand_side(self, ops):
         zero = np.zeros((3, ops.node_count))
         assert self.assert_same_outcome(ops, zero, zero) is None
-        assert self.assert_same_outcome(ops, zero[0], zero[0]) is None
+        assert self.assert_same_outcome(ops, zero[:1], zero[:1]) is None
         # The limit of a zero row is rtol itself: a residual just below it
         # passes and one just above fails, though neither block passes the
         # one-dot test.
@@ -326,7 +323,7 @@ class TestResidualGate:
                 0.5 * self.RTOL)
             outcome = self.assert_same_outcome(ops, x, zero)
             assert outcome == expected or outcome[:2] == expected
-            single = self.assert_same_outcome(ops, x[2], zero[2])
+            single = self.assert_same_outcome(ops, x[2:], zero[2:])
             assert (single is None) == (expected is None)
 
     @pytest.mark.parametrize("count", [1, 5])
@@ -338,7 +335,67 @@ class TestResidualGate:
         while (self.block_norm(residual) <= 0.5 * self.RTOL) != (side < 0):
             residual *= 1.0 + side * 1e-15
         assert self.gate_on(ops, residual) is None
-        assert self.gate_on(ops, residual[0]) is None
+        assert self.gate_on(ops, residual[:1]) is None
+
+
+class TestFieldIsOneRowBlock:
+    """A (P,) field is solved as the one-row block it views: row 0 of that
+    block bit for bit, and on a missed tolerance the error the row raises
+    in a batch, apart from ``row``, which is None for a field."""
+
+    MESHES = {"1d": (1, 64, 1.0), "2d": (2, (8, 6), (1.0, 0.75))}
+    CASES = {
+        "1d-shared": ("1d", "mass"),
+        "1d-per-row": ("1d", "varied"),
+        "2d-direct": ("2d", "mass"),
+        "2d-cg": ("2d", "varied"),
+    }
+    SHIFT = 0.3
+
+    @pytest.fixture(scope="class")
+    def meshes(self):
+        return {name: bh.build_operators(*args) for name, args in self.MESHES.items()}
+
+    def inputs(self, meshes, case, seed, rows=1):
+        """Operators, ``rows`` diagonals and a right-hand side whose entries
+        span eight decades, so that the row norms of the residual round."""
+        mesh, kind = self.CASES[case]
+        ops = meshes[mesh]
+        rng = np.random.default_rng(seed)
+        size = ops.node_count
+        rhs = rng.standard_normal(size) * 10.0 ** rng.uniform(-4.0, 4.0, size)
+        factors = 2.0 if kind == "mass" else rng.uniform(1.0, 3.0, (rows, size))
+        return ops, np.broadcast_to(factors * ops.lumped_mass, (rows, size)), rhs
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_field_equals_row_zero_of_its_block(self, meshes, case, seed):
+        ops, diagonals, rhs = self.inputs(meshes, case, seed, rows=3)
+        x = grids.solve_shifted(ops, diagonals[0], self.SHIFT, rhs)
+        assert x.shape == rhs.shape
+        for diagonal in (diagonals[0], diagonals[:1]):
+            block = grids.solve_shifted(ops, diagonal, self.SHIFT, rhs[None])
+            assert block.shape == (1, rhs.size) and block[0].tobytes() == x.tobytes()
+        # Rows with diagonals of their own are solved as fields one by one.
+        rows = grids.solve_shifted(ops, diagonals, self.SHIFT, np.stack([rhs, -rhs, 2.0 * rhs]))
+        for row, (diagonal, scale) in enumerate(zip(diagonals, (1.0, -1.0, 2.0))):
+            single = grids.solve_shifted(ops, diagonal, self.SHIFT, scale * rhs)
+            assert rows[row].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_missed_tolerance_reads_the_same_alone_and_in_a_batch(self, meshes, case, seed):
+        # No residual of rounding size meets rtol = 1e-300, but a zero row
+        # (residual 0, limit rtol) does, so the batch fails at row 2 only.
+        ops, diagonals, rhs = self.inputs(meshes, case, seed, rows=4)
+        batch = np.zeros((4, rhs.size))
+        batch[2] = rhs
+        calls = ((diagonals[2], rhs), (diagonals[2:3], rhs[None]), (diagonals, batch))
+        outcomes = [_outcome(grids.solve_shifted, ops, diagonal, self.SHIFT, b, 1e-300)
+                    for diagonal, b in calls]
+        assert [outcome[:2] for outcome in outcomes] == [
+            (NumericalError, None), (NumericalError, 0), (NumericalError, 2)]
+        assert outcomes[0][2] == outcomes[1][2] == outcomes[2][2]
 
 
 class TestSolveShifted1D:
