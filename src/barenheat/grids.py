@@ -34,7 +34,11 @@ diagonalization (Lynch, Rice & Thomas 1964) solves (a M + c K) x = r
 exactly with four small matrix products, on a whole batch at once; a
 diagonal that is not a multiple of the mass uses that solve as a
 conjugate-gradient preconditioner, row by row, whose iteration count does
-not grow with the mesh.
+not grow with the mesh.  The conjugate gradient, ``cg``, is a short loop
+with the arithmetic of ``scipy.sparse.linalg.cg`` and without its
+operator dispatch; a caller may hand each row an absolute residual target,
+capped inside the residual gate, so that an inexact Newton correction is
+solved only as far as Newton needs.
 """
 
 import math
@@ -50,7 +54,6 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 # The CSR kernels behind ``stiffness @ v``, called without scipy.sparse's
 # Python dispatch; private to SciPy, present in every version the pin allows.
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import FieldShapeError, InvalidConfigError, NonFiniteError, NumericalError
 
@@ -139,8 +142,9 @@ class _TridiagonalFactors:
             raise NumericalError(f"tridiagonal solve rejected its arguments (info {info})")
         return x.T
 
-    def solve(self, diagonal, shift, rhs):
-        """Solve for every row of an (M, P) block."""
+    def solve(self, diagonal, shift, rhs, atol=None):
+        """Solve for every row of an (M, P) block; the solve is direct, so
+        ``atol`` is ignored."""
         key = (shift, diagonal.tobytes())
         with self._lock:
             factor = self._factors.get(key)
@@ -156,7 +160,7 @@ class _TridiagonalFactors:
                         self._factors.popitem(last=False)
         return self._apply(factor, rhs)
 
-    def solve_once(self, diagonal, shift, rhs):
+    def solve_once(self, diagonal, shift, rhs, atol=None):
         """Factor and solve without the cache, for a diagonal used once."""
         return self._apply(self._factor(diagonal, shift), rhs)
 
@@ -377,24 +381,76 @@ def _fast_diagonalization(ops, scale, shift):
     return solve
 
 
-def _solve_2d(ops, diagonal, shift, rhs):
+def cg(matvec, b, psolve, rtol, atol=0.0, callback=None):
+    """Preconditioned conjugate gradient for A x = b from x = 0.
+
+    ``matvec`` applies the SPD matrix A and ``psolve`` the SPD
+    preconditioner to a (P,) vector.  Stops once |r| < max(atol, rtol |b|)
+    for the recursively updated residual r, or after 10 P iterations, and
+    returns ``(x, info)``: info is 0 on convergence, else the iterations
+    run.  The arithmetic, its order and the stopping rule are those of
+    ``scipy.sparse.linalg.cg`` with ``x0=None``, so x has its bits; it calls
+    ``callback(x)`` after each iteration as that does.  Raises
+    NonFiniteError at the first NaN or infinite residual norm or
+    ``r . z``, where scipy would run all its iterations.
+    """
+    bnorm = math.sqrt(b.dot(b))
+    atol = max(float(atol), rtol * bnorm)
+    if bnorm == 0:
+        return b, 0
+    maxiter = 10 * len(b)
+    x = np.zeros(b.shape)
+    r = b.copy()
+    p = None
+    rho_prev = None
+    for _ in range(maxiter):
+        norm = math.sqrt(r.dot(r))
+        if norm < atol:
+            return x, 0
+        z = psolve(r)
+        rho = r.dot(z)
+        if not (math.isfinite(norm) and math.isfinite(rho)):
+            raise NonFiniteError("conjugate gradient met a non-finite residual",
+                                 residual=norm)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = matvec(p)
+        alpha = rho / p.dot(q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
+
+
+def _solve_2d(ops, diagonal, shift, rhs, atol, rtol):
+    """Solve the rows of ``rhs`` in 2D; ``atol`` is None or the (M,) row
+    targets of ``solve_shifted``."""
     ratio = diagonal / ops.lumped_mass
     low, high = float(ratio.min()), float(ratio.max())
     direct_solve = _fast_diagonalization(ops, 0.5 * (low + high), shift)
     if low == high:
         return direct_solve(rhs)
-    shape = (ops.node_count, ops.node_count)
-    matrix = LinearOperator(shape, matvec=lambda v: apply_shifted(ops, diagonal, shift, v))
-    preconditioner = LinearOperator(shape, matvec=direct_solve)
 
-    def conjugate_gradient(b):
-        x, info = cg(matrix, b, rtol=CG_RTOL, atol=0.0, M=preconditioner)
+    def matvec(v):
+        return apply_shifted(ops, diagonal, shift, v)
+
+    def conjugate_gradient(b, target):
+        if target is None:
+            target = 0.0
+        else:
+            target = min(float(target), 0.5 * rtol * (1.0 + math.sqrt(b.dot(b))))
+        x, info = cg(matvec, b, direct_solve, CG_RTOL, target)
         if info != 0:
-            residual = float(np.linalg.norm(apply_shifted(ops, diagonal, shift, x) - b))
+            residual = float(np.linalg.norm(matvec(x) - b))
             raise NumericalError("conjugate gradient did not converge", residual=residual)
         return x
 
-    return _by_row(conjugate_gradient, rhs)
+    return _by_row(conjugate_gradient, rhs, [None] * len(rhs) if atol is None else atol)
 
 
 def _by_row(solve, *batches):
@@ -435,7 +491,7 @@ def _check_residual(ops, diagonal, shift, x, rhs, rtol):
     raise NumericalError("shifted-operator solve missed its tolerance", residual=norm, row=row)
 
 
-def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
+def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
     """Solve (diag(diagonal) + shift * K) x = rhs for an SPD combination.
 
     ``rhs`` is a block (M, P) whose rows are solved as if one by one, or one
@@ -451,11 +507,21 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
     bits equal those of ``solveh_banded`` on the two-row band, which runs
     ``?ptsv`` = ``pttrf`` + ``pttrs`` on the same inputs.  In 2D a
     diagonal that is a scalar multiple of the lumped mass is solved directly
-    by fast diagonalization; any other diagonal runs conjugate gradient to
-    ``CG_RTOL`` on each row, preconditioned by the fast-diagonalization
-    solve of (a M + shift K) with a between the extremes of diagonal /
-    lumped mass, which bounds the condition number by their ratio on every
-    mesh.  Raises NumericalError if the operator is not positive definite or
+    by fast diagonalization; any other diagonal runs the conjugate gradient
+    ``cg`` on each row, preconditioned by the fast-diagonalization solve of
+    (a M + shift K) with a between the extremes of diagonal / lumped mass,
+    which bounds the condition number by their ratio on every mesh.
+
+    ``atol``, None or an (M,) array (one entry for a field), is an absolute
+    residual target per row that a caller such as inexact Newton may ask
+    for instead of a full solve.  A conjugate-gradient row i stops once its
+    residual is below max(CG_RTOL |b_i|, min(atol_i, rtol (1 + |b_i|) / 2)):
+    the cap keeps every stop well inside the residual gate below, so a
+    target can never make the gate fail.  Direct solves, all of 1D and the
+    2D mass multiples, ignore ``atol``; with ``atol`` None every row runs to
+    ``CG_RTOL`` and has the bits of ``scipy.sparse.linalg.cg``.
+
+    Raises NumericalError if the operator is not positive definite or
     the relative residual of a row exceeds ``rtol``, and NonFiniteError if
     it is NaN or infinite; the error's ``row`` names the row of a block,
     and is None for a field.
@@ -467,14 +533,19 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12):
     if diagonal.ndim == 2 and (diagonal == diagonal[0]).all():
         diagonal = diagonal[0]
     if ops.dimension == 2:
-        solve = partial(_solve_2d, ops)
+        solve = partial(_solve_2d, ops, rtol=rtol)
+        if atol is not None:
+            atol = np.reshape(atol, -1)
     else:
         solve = ops.tridiagonal.solve if diagonal.ndim == 1 else ops.tridiagonal.solve_once
+        atol = None
     try:
         if diagonal.ndim == 2:
-            x = _by_row(lambda d, r: solve(d, shift, r)[0], diagonal, block[:, None])
+            targets = [None] * len(block) if atol is None else atol[:, None]
+            x = _by_row(lambda d, r, a: solve(d, shift, r, a)[0],
+                        diagonal, block[:, None], targets)
         else:
-            x = solve(diagonal, shift, block)
+            x = solve(diagonal, shift, block, atol)
         _check_residual(ops, diagonal, shift, x, block, rtol)
     except NumericalError as exc:
         if rhs.ndim == 1:

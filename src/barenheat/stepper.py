@@ -21,8 +21,17 @@ and less, so it needs about half the iterations of a start from u = 0.
 Linear alpha keeps the start u = 0: there Newton converges in one exact
 step from anywhere, so a warm start saves nothing and would only move
 bits.  Alpha counts as linear when its declared Lipschitz and coercivity
-constants are equal, which with alpha(0) = 0 forces alpha = c x.  The
-public ``solve_theta`` and ``solve_chi`` check their inputs and start from
+constants are equal, which with alpha(0) = 0 forces alpha = c x.
+
+Newton is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+1982): each correction's linear solve may stop once its residual is below
+``NEWTON_FORCING`` = 0.1 times the row's Newton threshold
+newton_tol (1 + |rhs|).  The Newton residual after a step is that linear
+residual plus a term quadratic in the step, so solving further buys no
+Newton iteration.  Only the 2D conjugate-gradient solves stop early; the
+direct solves, all of 1D, are exact and keep their bits.
+
+The public ``solve_theta`` and ``solve_chi`` check their inputs and start from
 u = 0; ``step`` and ``run_additive`` check theirs once per call and run the
 inner loop on the same kernels without the checks.
 
@@ -64,6 +73,9 @@ from .noise import BrownianPath, partial_sums
 DEFAULT_INNER_TOL = 1e-11
 DEFAULT_NEWTON_TOL = 1e-12
 MAX_NEWTON_ITERATIONS = 50
+# Forcing term of the inexact Newton solve (see the module docstring): the
+# fraction of a row's Newton threshold that its linear correction must meet.
+NEWTON_FORCING = 0.1
 MAX_LINE_SEARCH_HALVINGS = 30
 DEFAULT_MAX_INNER = 500
 
@@ -186,6 +198,8 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
     line search or the iteration cap fails after trial steps met non-finite
     residuals; backtracking out of such trials is allowed, since it keeps u
     where alphatilde is finite.  The error's ``row`` names the failing row.
+    Each correction asks ``solve_shifted`` for a residual below
+    ``NEWTON_FORCING`` times the row's threshold.
     """
     mass = ops.lumped_mass
     count = len(rhs)
@@ -194,6 +208,7 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
         return mass * nl.alpha_tilde(v) + dt * apply_stiffness(ops, v) - b
 
     thresholds = [tol * (1.0 + norm) for norm in row_norms(rhs)]
+    targets = NEWTON_FORCING * np.array(thresholds)
     # From u = 0 every row has the same alphatilde and Jacobian, so both are
     # evaluated on one (P,) field: the first solve then sees one shared
     # diagonal.  The values, and so the bits, are those of the full block.
@@ -230,7 +245,8 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
             raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
                                  residual=norms[row], row=row)
         try:
-            delta = solve_shifted(ops, jac_diag, dt, -_take(res, rows), rtol=1e-10)
+            delta = solve_shifted(ops, jac_diag, dt, -_take(res, rows), rtol=1e-10,
+                                  atol=_take(targets, rows))
         except NumericalError as exc:
             _lift(exc, rows)
             raise

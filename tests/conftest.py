@@ -5,12 +5,12 @@ from scipy.linalg import solveh_banded
 import barenheat as bh
 
 
-def _reference_solve_1d(ops, diagonal, shift, rhs, rtol=None):
+def _reference_solve_1d(ops, diagonal, shift, rhs, rtol=None, atol=None):
     """The former per-call 1D shifted solve: build the two-row band,
     refactor and solve with ``solveh_banded`` on every call, for one field
     (P,) or for the rows of an (M, P) block, which are its columns.  The
-    diagonal is shared by every row.  ``rtol`` is accepted and ignored so
-    that it can stand in for ``solve_shifted``."""
+    diagonal is shared by every row.  ``rtol`` and ``atol`` are accepted
+    and ignored so that it can stand in for ``solve_shifted``."""
     band = np.zeros((2, ops.node_count))
     band[1] = diagonal + shift * ops.stiffness.diagonal()
     band[0, 1:] = shift * ops.stiffness.diagonal(1)

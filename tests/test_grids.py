@@ -497,3 +497,144 @@ class TestSolveShifted2D:
             counts.append(0)
             grids.solve_shifted(ops, diagonal, 0.5, rng.standard_normal(ops.node_count))
         assert all(0 < count <= 20 for count in counts), counts
+
+
+def _scipy_cg(matvec, b, psolve, rtol, atol=0.0, callback=None):
+    """``grids.cg`` through scipy's ``LinearOperator`` and ``cg``: the oracle
+    whose arithmetic the in-house conjugate gradient reproduces."""
+    from scipy.sparse.linalg import LinearOperator, cg
+
+    shape = (b.size, b.size)
+    return cg(LinearOperator(shape, matvec=matvec), b, rtol=rtol, atol=atol,
+              M=LinearOperator(shape, matvec=psolve), callback=callback)
+
+
+class TestConjugateGradient:
+    """The in-house conjugate gradient against scipy's, and the per-row
+    absolute targets that ``solve_shifted`` hands it."""
+
+    SHIFT = 0.4
+
+    @staticmethod
+    def problem(cells, seed):
+        ops = bh.build_operators(2, cells, (1.0, 1.5))
+        rng = np.random.default_rng(seed)
+        diagonal = rng.uniform(2.0, 4.0, ops.node_count) * ops.lumped_mass
+        return ops, diagonal, rng
+
+    @staticmethod
+    def count_iterations(monkeypatch):
+        """Patch ``grids.cg`` to count its iterations, one entry per call."""
+        counts = []
+        real_cg = grids.cg
+
+        def counting_cg(*args, **kwargs):
+            counts.append(0)
+
+            def callback(xk):
+                counts[-1] += 1
+
+            return real_cg(*args, callback=callback, **kwargs)
+
+        monkeypatch.setattr(grids, "cg", counting_cg)
+        return counts
+
+    @staticmethod
+    def counted(solver, *args, **kwargs):
+        calls = []
+        x, info = solver(*args, callback=lambda xk: calls.append(1), **kwargs)
+        return x, info, len(calls)
+
+    @pytest.mark.parametrize("cells", [(8, 8), (32, 32), (32, 16)])
+    def test_bit_for_bit_scipy(self, cells):
+        ops, diagonal, rng = self.problem(cells, 31)
+        ratio = diagonal / ops.lumped_mass
+        psolve = grids._fast_diagonalization(ops, 0.5 * (ratio.min() + ratio.max()), self.SHIFT)
+
+        def matvec(v):
+            return grids.apply_shifted(ops, diagonal, self.SHIFT, v)
+
+        for b in (rng.standard_normal(ops.node_count),
+                  1e6 * rng.standard_normal(ops.node_count), np.zeros(ops.node_count)):
+            ours = self.counted(grids.cg, matvec, b, psolve, grids.CG_RTOL)
+            theirs = self.counted(_scipy_cg, matvec, b, psolve, grids.CG_RTOL)
+            assert ours[0].tobytes() == theirs[0].tobytes()
+            assert ours[1:] == theirs[1:]
+            if not b.any():
+                assert not ours[0].any() and ours[1:] == (0, 0)
+            else:
+                assert ours[1] == 0 and ours[2] > 0
+
+    @pytest.mark.parametrize("cells", [(8, 8), (32, 16)])
+    @pytest.mark.parametrize("targets", [None, "rows"])
+    def test_solve_shifted_bits_are_those_of_scipy_cg(self, monkeypatch, cells, targets):
+        ops, diagonal, rng = self.problem(cells, 32)
+        diagonals = np.stack([diagonal, rng.uniform(2.0, 4.0, ops.node_count) * ops.lumped_mass])
+        rhs = rng.standard_normal((2, ops.node_count))
+        atol = None if targets is None else np.array([1e-3, 1e-9])
+        for diag in (diagonal, diagonals):
+            ours = grids.solve_shifted(ops, diag, self.SHIFT, rhs, atol=atol)
+            monkeypatch.setattr(grids, "cg", _scipy_cg)
+            theirs = grids.solve_shifted(ops, diag, self.SHIFT, rhs, atol=atol)
+            monkeypatch.undo()
+            assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_each_row_stops_at_its_own_target(self, monkeypatch, per_row):
+        ops, diagonal, rng = self.problem((16, 16), 33)
+        b = rng.standard_normal(ops.node_count)
+        rhs = np.stack([b, b])
+        diag = np.stack([diagonal, diagonal.copy()]) if per_row else diagonal
+        if per_row:
+            # Equal rows would count as one shared diagonal; a nudge keeps
+            # them apart without changing what the rows converge to.
+            diag[1, 0] = np.nextafter(diag[1, 0], np.inf)
+        counts = self.count_iterations(monkeypatch)
+        rtol = 1e-10
+        loose = 1e-4 * math.sqrt(b.dot(b))
+        x = grids.solve_shifted(ops, diag, 0.3, rhs, rtol=rtol, atol=np.array([loose, 0.0]))
+        assert counts[0] < counts[1]
+        del counts[:]
+        for row, target in enumerate((loose, 0.0)):
+            d = diag[row] if per_row else diag
+            alone = grids.solve_shifted(ops, d, 0.3, b, rtol=rtol, atol=np.array([target]))
+            assert alone.tobytes() == x[row].tobytes()
+            residual = np.linalg.norm(grids.apply_shifted(ops, d, 0.3, alone) - b)
+            assert residual <= max(target, grids.CG_RTOL * np.linalg.norm(b)) * 1.01
+
+    def test_target_is_capped_inside_the_residual_gate(self):
+        ops, diagonal, rng = self.problem((16, 16), 34)
+        rtol = 1e-10
+        for scale in (1e-8, 1.0, 1e8):
+            b = scale * rng.standard_normal(ops.node_count)
+            x = grids.solve_shifted(ops, diagonal, 0.3, b, rtol=rtol, atol=np.array([np.inf]))
+            residual = np.linalg.norm(grids.apply_shifted(ops, diagonal, 0.3, x) - b)
+            assert 0.0 < residual <= 0.5 * rtol * (1.0 + np.linalg.norm(b)) * 1.01
+
+    def test_direct_solves_ignore_targets(self):
+        # All of 1D and the 2D mass multiples are solved directly.
+        rng = np.random.default_rng(35)
+        one_d = bh.build_operators(1, 32, 1.0)
+        two_d = bh.build_operators(2, (8, 8), (1.0, 1.0))
+        for ops, factor in ((one_d, 2.0), (one_d, rng.uniform(2.0, 4.0, one_d.node_count)),
+                            (two_d, 2.0)):
+            diagonal = factor * ops.lumped_mass
+            rhs = rng.standard_normal((2, ops.node_count))
+            exact = grids.solve_shifted(ops, diagonal, 0.3, rhs)
+            loose = grids.solve_shifted(ops, diagonal, 0.3, rhs, atol=np.array([1.0, 1.0]))
+            assert exact.tobytes() == loose.tobytes()
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_non_finite_rhs_fails_fast_and_names_its_row(self, monkeypatch, per_row):
+        ops, diagonal, rng = self.problem((32, 32), 36)
+        rhs = rng.standard_normal((2, ops.node_count))
+        rhs[1, 7] = np.nan
+        diag = np.stack([diagonal, 1.5 * diagonal]) if per_row else diagonal
+        counts = self.count_iterations(monkeypatch)
+        with pytest.raises(NonFiniteError) as info:
+            grids.solve_shifted(ops, diag, 0.3, rhs)
+        assert info.value.row == 1
+        assert len(counts) == 2 and counts[0] > 1 and counts[1] <= 1
+        with pytest.raises(NonFiniteError) as info:
+            grids.solve_shifted(ops, diagonal, 0.3, rhs[1])
+        assert info.value.row is None

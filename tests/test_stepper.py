@@ -503,3 +503,59 @@ class TestNonFiniteValues:
         state = make_state(theta, 0.0, ops65)
         with pytest.raises(NonFiniteError):
             bh.step(state, 0.1, np.zeros(65), grid16, ops65, unit_nl)
+
+
+class TestInexactNewton:
+    """2D Newton corrections stop at NEWTON_FORCING times the row's Newton
+    threshold: the run keeps its iteration counts and, to round-off, its
+    fields, with fewer conjugate-gradient iterations."""
+
+    @staticmethod
+    def run(monkeypatch, scale=1.0, exact=False):
+        ops = bh.build_operators(2, (12, 12), (1.0, 1.0))
+        grid = bh.build_time_grid(0.5, 8)
+        integ = bh.discretize_integrand("cos(pi*x)*(1+cos(2*pi*y))*(1+t)", grid, ops)
+        paths = [bh.sample_path(grid, 7, pid) for pid in range(2)]
+        theta0 = scale * bh.evaluate_on_mesh("cos(pi*x)*(2+cos(pi*y))", ops)
+        chi0 = scale * bh.evaluate_on_mesh("cos(pi*x)*cos(pi*y)", ops)
+        iterations = [0]
+        real_cg = grids.cg
+
+        def counting_cg(*args, callback=None, **kwargs):
+            def counted(xk):
+                iterations[0] += 1
+
+            return real_cg(*args, callback=counted, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(grids, "cg", counting_cg)
+            if exact:
+                patch.setattr(stepper, "solve_shifted",
+                              lambda *args, atol=None, **kwargs: grids.solve_shifted(*args, **kwargs))
+            trajectories = bh.run_additive(theta0, chi0, integ, paths, grid, ops, bh.saturating(2.0))
+        return trajectories, iterations[0]
+
+    @staticmethod
+    def counts(trajectories):
+        return [[(r.inner_iterations, r.newton_iterations, r.line_search_halvings)
+                 for r in traj.reports] for traj in trajectories]
+
+    def test_same_iterations_fewer_cg_iterations(self, monkeypatch):
+        inexact, cg_inexact = self.run(monkeypatch)
+        exact, cg_exact = self.run(monkeypatch, exact=True)
+        assert self.counts(inexact) == self.counts(exact)
+        assert sum(r.newton_iterations for t in exact for r in t.reports) > \
+            sum(r.inner_iterations for t in exact for r in t.reports)
+        for ours, full in zip(inexact, exact):
+            for field in ("theta", "chi"):
+                a, b = getattr(ours, field), getattr(full, field)
+                assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
+        assert 0 < cg_inexact < cg_exact
+
+    def test_large_data_stay_inside_the_residual_gate(self, monkeypatch):
+        # |rhs| of order 1e5 makes NEWTON_FORCING times the Newton threshold
+        # larger than the residual gate of a small correction allows; the
+        # cap in solve_shifted keeps every stop inside the gate.
+        trajectories, cg_iterations = self.run(monkeypatch, scale=1e5)
+        assert cg_iterations > 0
+        assert all(np.isfinite(traj.chi).all() for traj in trajectories)
