@@ -52,16 +52,7 @@ from .nonlinearity import (
     ramp,
     saturating,
 )
-from .stepper import (
-    StepReport,
-    SystemState,
-    Trajectory,
-    contraction_factor_bound,
-    run_additive,
-    solve_chi,
-    solve_theta,
-    step,
-)
+from .stepper import StepReport, Trajectory, contraction_factor_bound, run_additive
 from .theory import StabilityConstants, compute_stability_constant
 
 # The Monte Carlo harness in ``diagnostics`` loads on first use of one of its

@@ -14,8 +14,9 @@ Every command writes ``summary.json`` ({check_name, pass, statistic,
 threshold, warnings}, plus command specifics) and ``manifest.json`` (config
 hash, effective seed and its source, versions, wall time; for ``solve`` and
 ``picard`` also the deterministic ``solver`` counters of the trajectory they
-write).  ``warnings`` lists what was also printed to stderr as a warning,
-such as a failed conformance check of the nonlinearity.  A run that fails
+write).  ``warnings`` lists what was also printed to stderr as a warning:
+a failed conformance check of the nonlinearity, or a failed sampled audit
+of a pointwise noise map's declared Lipschitz constant.  A run that fails
 after its config was accepted still writes both files: ``summary.json``
 with ``pass: false`` and ``manifest.json`` with ``error`` ({type, message,
 step, path_id, row}; the last three are null when the error does not say
@@ -54,13 +55,14 @@ from .diagnostics import (
 )
 from .errors import InvalidConfigError
 from .grids import build_time_grid, h1_seminorm, l2_norm
-from .multiplicative import picard_solve
+from .multiplicative import lipschitz_audit, picard_solve
 from .noise import discretize_integrand, sample_path
 from .stepper import contraction_factor_bound
 from .theory import compute_stability_constant
 
 WEAK_IDENTITY_TOL = 1e-10
 FACTOR_SLACK = 1e-6
+NOISE_MAP_AUDIT_SAMPLES = 64
 
 SEED_ENV_VAR = "SOLVER_SEED"
 
@@ -377,7 +379,15 @@ def main(argv=None):
         if config.nonlinearity_report is not None and not config.nonlinearity_report.passed:
             warnings.append("declared nonlinearity constants failed the sampled conformance "
                             "check; contraction and stability bounds may not hold")
-            print(f"warning: {warnings[-1]}", file=sys.stderr)
+        # An affine map's constant is exact; a pointwise map's is only declared.
+        noise_map = config.noise_map
+        if (noise_map is not None and noise_map.kind == "pointwise"
+                and lipschitz_audit(noise_map, config.ops, NOISE_MAP_AUDIT_SAMPLES, seed=0)
+                > noise_map.lipschitz):
+            warnings.append("declared noise-map lipschitz constant failed the sampled audit; "
+                            "the picard weight condition may not hold")
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         outdir = args.out or config.output_directory
 
         def write_manifest(**extra):

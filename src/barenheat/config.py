@@ -34,7 +34,7 @@ and raises one ConfigValidationError naming the broken conditions.
     ; multiplicative:
     ; map = affine | damped
     ; scale = 0.05  offset = 0   (affine)  /  gain = 0.05  (damped)
-    ; lipschitz = 0.05           (defaults to |scale| or |gain|)
+    ; lipschitz = 0.05           (defaults to |scale| or |gain|; affine: >= |scale|)
     ; weight = 8.0  picard_tolerance = 1e-8  picard_max_iterations = 25
 
     [monte_carlo]
@@ -285,6 +285,11 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
                     offset = offset_expr(0.0, ops.coordinates)
                 noise_map = affine_map(value["noise", "scale"], offset)
                 if declared is not None:
+                    # |scale| is the exact constant; only a larger one is sound.
+                    if declared < noise_map.lipschitz:
+                        raise InvalidConfigError(
+                            f"declared lipschitz {declared} is below the affine map's exact "
+                            f"constant |scale| = {noise_map.lipschitz}")
                     noise_map = replace(noise_map, lipschitz=declared)
             elif map_kind == "damped":
                 noise_map = damped_map(value["noise", "gain"], lipschitz=declared)

@@ -6,9 +6,8 @@ from the (seed, k) stream and the reduction runs in path-id order from a
 buffered table, so the results are bit-reproducible for a fixed (seed, M).
 The estimators advance up to ``BATCH_PATHS`` paths at a time as one batch
 of ``run_additive``; every path gets the bits of a run on its own, so the
-results do not depend on the batch size either.  The ``threads`` arguments
-are accepted for compatibility and ignored: all paths run in the calling
-thread.
+results do not depend on the batch size either.  All paths run in the
+calling thread.
 
 Continuum norms are replaced by their discrete surrogates on the lumped
 mesh: squared space-time norms become sums of dt-weighted squared nodal
@@ -186,7 +185,7 @@ class ConvergenceStudy:
     chi: RateReport
 
 
-def grid_difference_rates(setup, horizon, dts, paths, seed, threads=1):
+def grid_difference_rates(setup, horizon, dts, paths, seed):
     """Measure how fast the two time interpolants of a run approach each other.
 
     For each dt level the piecewise-linear and piecewise-constant interpolants
@@ -217,7 +216,7 @@ def grid_difference_rates(setup, horizon, dts, paths, seed, threads=1):
     )
 
 
-def self_convergence(setup, horizon, dts, paths, seed, threads=1):
+def self_convergence(setup, horizon, dts, paths, seed):
     """Strong final-time error between consecutive dt levels on coupled paths.
 
     Reports E[||x^{dt}(T) - x^{dt_next}(T)||^2]^{1/2} for theta and chi,
@@ -254,7 +253,7 @@ class StabilityReport:
     constants: StabilityConstants
 
 
-def stability_check(setup, integrand_hat, grid, paths, seed, threads=1):
+def stability_check(setup, integrand_hat, grid, paths, seed):
     """Compare two runs that differ only in the deterministic integrand.
 
     Both runs share every Brownian increment, and at each time node the
@@ -344,7 +343,7 @@ def energy_statistic(traj, ops):
     return total
 
 
-def energy_estimate_check(setup, horizon, dts, paths, seed, threads=1):
+def energy_estimate_check(setup, horizon, dts, paths, seed):
     """Monte Carlo estimate of the energy aggregate at each dt level.
 
     Passes when halving dt never grows the statistic by more than

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError, NumericalError
 from .grids import h1_seminorm, l2_norm
 from .noise import AdditiveIntegrand, partial_sums
-from .stepper import (DEFAULT_INNER_TOL, DEFAULT_MAX_INNER, DEFAULT_NEWTON_TOL, SystemState,
-                      Trajectory, _advance, run_additive)
+from .stepper import (DEFAULT_INNER_TOL, DEFAULT_MAX_INNER, DEFAULT_NEWTON_TOL, Trajectory,
+                      _advance, run_additive)
 from .theory import compute_stability_constant
 
 
@@ -284,13 +284,11 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
                 it.values[it.step] = image
         advanced = None
         while running and advanced is None:
-            # The rows sit at different steps; _advance does not read the index.
-            state = SystemState(running[0].step,
-                                theta=np.array([it.theta[it.step] for it in running]),
-                                chi=np.array([it.chi[it.step] for it in running]))
             try:
                 advanced = _advance(
-                    state, path.increments[[it.step for it in running]][:, None],
+                    np.array([it.theta[it.step] for it in running]),
+                    np.array([it.chi[it.step] for it in running]),
+                    path.increments[[it.step for it in running]][:, None],
                     np.array([it.values[it.step] for it in running]),
                     grid, ops, nl, tol, DEFAULT_MAX_INNER, newton_tol,
                 )

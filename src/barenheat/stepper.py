@@ -31,19 +31,18 @@ residual plus a term quadratic in the step, so solving further buys no
 Newton iteration.  Only the 2D conjugate-gradient solves stop early; the
 direct solves, all of 1D, are exact and keep their bits.
 
-The public ``solve_theta`` and ``solve_chi`` check their inputs and start from
-u = 0; ``step`` and ``run_additive`` check theirs once per call and run the
-inner loop on the same kernels without the checks.
+``run_additive`` is the one public way to step.  It checks the
+preconditions and the shapes of its data once per run, and its inner loop
+calls the solve kernels without repeating them; ``parse_config`` checks the
+same preconditions for every time step a config requests.
 
 Fields are stored as (M, P) blocks, one row per Brownian path, and a single
-path is the batch M = 1, the only path through the kernels:
-``solve_theta``, ``solve_chi`` and ``step`` lift a one-path state to that
-batch and return its row 0.  ``run_additive`` advances all paths of a grid
-together, so every solve and matrix product runs once per inner iteration
-for the whole batch.  Each path keeps its own Newton thresholds, line-search
-scales and iteration counts and its own inner convergence test; a path that
-has converged leaves the batch, so its numbers are bit for bit those of a
-run on its own.
+path is the batch M = 1, the only path through the kernels.
+``run_additive`` advances all paths of a grid together, so every solve and
+matrix product runs once per inner iteration for the whole batch.  Each
+path keeps its own Newton thresholds, line-search scales and iteration
+counts and its own inner convergence test; a path that has converged leaves
+the batch, so its numbers are bit for bit those of a run on its own.
 
 The alternation is a strict contraction in the discrete L2 norm whenever
 dt < 1 + coercivity(alpha); the squared-difference ratio of successive
@@ -80,15 +79,6 @@ MAX_LINE_SEARCH_HALVINGS = 30
 DEFAULT_MAX_INNER = 500
 
 
-@dataclass(frozen=True)
-class SystemState:
-    """Nodal fields at one time node: (P,) for one path, (M, P) for a batch."""
-
-    index: int
-    theta: np.ndarray = field(repr=False)
-    chi: np.ndarray = field(repr=False)
-
-
 @dataclass
 class StepReport:
     """Inner-iteration diagnostics of one coupled step of one path.
@@ -123,16 +113,12 @@ class NewtonReport:
     line_search_halvings: int
 
 
-def _check_state_shapes(state, h_n, ops):
-    shape = np.shape(state.theta)
-    if (len(shape) in (1, 2) and shape[-1] == ops.node_count
-            and np.shape(state.chi) == shape and np.shape(h_n) == (ops.node_count,)):
-        return
-    expected = shape[:-1] + (ops.node_count,) if len(shape) == 2 else (ops.node_count,)
-    for name, v, want in (("theta", state.theta, expected), ("chi", state.chi, expected),
-                          ("h_n", h_n, (ops.node_count,))):
-        if np.shape(v) != want:
-            raise FieldShapeError(f"{name} has shape {np.shape(v)}, operators expect {want}")
+def _check_initial_shapes(ops, **fields):
+    """Raise unless every named field is one (P,) nodal field."""
+    for name, v in fields.items():
+        if np.shape(v) != (ops.node_count,):
+            raise FieldShapeError(
+                f"{name} has shape {np.shape(v)}, operators expect ({ops.node_count},)")
 
 
 def _take(array, rows):
@@ -146,35 +132,12 @@ def _lift(exc, rows):
     exc.row = row if rows is None else int(rows[row])
 
 
-def _as_batch(state_n, dw_n):
-    """The state as (M, P) blocks and ``dw_n`` as the (M, 1) column of the
-    paths' increments, with whether the state was one path: one path is
-    the batch M = 1, whose row 0 the public entry points return."""
-    single = np.ndim(state_n.chi) == 1
-    if single:
-        state_n = SystemState(state_n.index, theta=np.asarray(state_n.theta, dtype=float)[None],
-                              chi=np.asarray(state_n.chi, dtype=float)[None])
-    return state_n, np.reshape(np.asarray(dw_n, dtype=float), (-1, 1)), single
-
-
 def _solve_theta(chi_candidate, theta_n, chi_n, noise, dt, ops):
-    """The heat solve of ``solve_theta`` without its checks; ``noise`` is
-    h_n dw_n."""
+    """Solve the implicit heat sub-problem (M + dt K) theta =
+    M (theta_n - chi~ + chi_n + noise) for a frozen chi candidate; ``noise``
+    is h_n dw_n."""
     rhs = ops.lumped_mass * (theta_n - chi_candidate + chi_n + noise)
     return solve_shifted(ops, ops.lumped_mass, dt, rhs)
-
-
-def solve_theta(chi_candidate, state_n, h_n, dw_n, grid, ops):
-    """Solve the implicit heat sub-problem for a frozen chi candidate.
-
-    Works on one path, or on a batch with (M, P) fields and ``dw_n`` an
-    (M, 1) column of increments.
-    """
-    check_step_preconditions(grid.dt)
-    _check_state_shapes(state_n, h_n, ops)
-    batch, dw, single = _as_batch(state_n, dw_n)
-    theta = _solve_theta(chi_candidate, batch.theta, batch.chi, h_n * dw, grid.dt, ops)
-    return theta[0] if single else theta
 
 
 def _newton_failure(message, residual, met_non_finite, row):
@@ -299,36 +262,15 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
     return u, NewtonReport(np.array(norms), np.array(iterations), np.array(halvings))
 
 
-def solve_chi(theta, state_n, h_n, dw_n, grid, ops, nl, tol=DEFAULT_NEWTON_TOL):
-    """Solve the nonlinear sub-problem for a frozen theta.
-
-    Returns the new chi and a NewtonReport.  Works on the time-increment
-    variable u, for which the Jacobian is SPD, then maps back through
-    chi = chi_n + dt u + h_n dw_n.  Newton starts from u = 0.  Works on one
-    path, or on a batch as ``solve_theta`` does.
-    """
-    check_step_preconditions(grid.dt)
-    _check_state_shapes(state_n, h_n, ops)
-    batch, dw, single = _as_batch(state_n, dw_n)
-    shift = batch.chi + h_n * dw
-    rhs = ops.lumped_mass * theta - apply_stiffness(ops, shift)
-    u, report = _newton(ops, nl, grid.dt, rhs, tol)
-    chi = shift + grid.dt * u
-    if single:
-        return chi[0], NewtonReport(float(report.residual[0]), int(report.iterations[0]),
-                                    int(report.line_search_halvings[0]))
-    return chi, report
-
-
 def contraction_factor_bound(nl, dt):
     """Theoretical bound on squared-difference ratios of the inner iteration."""
     return 1.0 / (2.0 * (nl.tilde_coercivity / dt - 0.5))
 
 
-def check_step_preconditions(dt, nl=None):
+def check_step_preconditions(dt, nl):
     """Raise unless dt < 1 + coercivity(alpha) (contraction of the inner
-    iteration) and dt < 1 (solvability, the only check when ``nl`` is None)."""
-    if nl is not None and dt >= nl.tilde_coercivity:
+    iteration) and dt < 1 (solvability)."""
+    if dt >= nl.tilde_coercivity:
         raise ContractionConditionError(
             f"dt = {dt} violates the contraction requirement "
             f"dt < 1 + coercivity(alpha) = {nl.tilde_coercivity}"
@@ -337,28 +279,28 @@ def check_step_preconditions(dt, nl=None):
         raise InvalidConfigError(f"dt = {dt} violates the solvability requirement dt < 1")
 
 
-def _advance(state_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
-    """One coupled step of every path of a batch state.
+def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
+    """One coupled step of every path of a batch.
 
-    ``state_n`` holds (M, P) fields and ``dw`` the (M, 1) column of the
-    paths' increments; the integrand ``h_n`` is one (P,) field shared by
-    every path, or an (M, P) block with one row per path, so the rows may
-    also sit at different steps or read different integrands.  Returns the
-    next theta and chi blocks and one StepReport per path.  A
+    ``theta_n`` and ``chi_n`` are (M, P) blocks and ``dw`` the (M, 1) column
+    of the paths' increments; the integrand ``h_n`` is one (P,) field
+    shared by every path, or an (M, P) block with one row per path, so the
+    rows may also sit at different steps or read different integrands.
+    Returns the next theta and chi blocks and one StepReport per path.  A
     NumericalError's ``row`` names the failing path.  The callers have
     checked the preconditions and the shapes once per run, so the inner
     loop calls the solve kernels without repeating the checks.
     """
-    count = len(state_n.chi)
+    count = len(chi_n)
     dt = grid.dt
     noise = h_n * dw
-    shift = state_n.chi + noise
+    shift = chi_n + noise
     stiffness_shift = apply_stiffness(ops, shift)
     # Equal declared constants and alpha(0) = 0 make alpha linear, and
     # Newton then converges in one iteration from u = 0; every other alpha
     # starts from the u of the current chi iterate.
     warm_start = nl.lipschitz != nl.coercivity
-    chi = state_n.chi
+    chi = chi_n
     differences = [[] for _ in range(count)]
     factors = [[] for _ in range(count)]
     inner = [0] * count
@@ -368,12 +310,12 @@ def _advance(state_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
     # Paths whose chi iterates still move; rows is None while that is all.
     active = list(range(count))
     rows = None
-    sub = (state_n.theta, state_n.chi, noise, shift, stiffness_shift)
+    sub = (theta_n, chi_n, noise, shift, stiffness_shift)
     for _ in range(max_inner):
         chi_iterate = _take(chi, rows)
-        theta_n, chi_n, sub_noise, sub_shift, sub_stiffness_shift = sub
+        sub_theta_n, sub_chi_n, sub_noise, sub_shift, sub_stiffness_shift = sub
         try:
-            theta = _solve_theta(chi_iterate, theta_n, chi_n, sub_noise, dt, ops)
+            theta = _solve_theta(chi_iterate, sub_theta_n, sub_chi_n, sub_noise, dt, ops)
             u, newton = _newton(
                 ops, nl, dt, ops.lumped_mass * theta - sub_stiffness_shift, newton_tol,
                 (chi_iterate - sub_shift) / dt if warm_start else None,
@@ -406,7 +348,7 @@ def _advance(state_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
             active = remaining
             rows = np.array(active)
             sub = tuple(block[rows] for block in
-                        (state_n.theta, state_n.chi, noise, shift, stiffness_shift))
+                        (theta_n, chi_n, noise, shift, stiffness_shift))
     else:
         row = active[0]
         raise NonConvergenceError(
@@ -416,7 +358,7 @@ def _advance(state_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
         )
     # Final heat solve so the linear equation holds exactly against the
     # accepted chi; the nonlinear equation then holds up to ``tol``.
-    theta = _solve_theta(chi, state_n.theta, state_n.chi, noise, dt, ops)
+    theta = _solve_theta(chi, theta_n, chi_n, noise, dt, ops)
     bound = contraction_factor_bound(nl, dt)
     reports = [
         StepReport(
@@ -433,34 +375,6 @@ def _advance(state_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
     return theta, chi, reports
 
 
-def step(
-    state_n,
-    dw_n,
-    h_n,
-    grid,
-    ops,
-    nl,
-    tol=DEFAULT_INNER_TOL,
-    max_inner=DEFAULT_MAX_INNER,
-    newton_tol=DEFAULT_NEWTON_TOL,
-):
-    """Advance one coupled step by the alternating fixed-point iteration.
-
-    Starts the chi iterate at chi_n, alternates heat solve / nonlinear solve
-    until the discrete-L2 difference of consecutive chi iterates drops to
-    ``tol``, then re-solves the heat sub-problem against the accepted chi.
-    Returns the next state and a StepReport; for a batch state with (M, P)
-    fields, ``dw_n`` holds the M increments and the reports are a list.
-    """
-    check_step_preconditions(grid.dt, nl)
-    _check_state_shapes(state_n, h_n, ops)
-    batch, dw, single = _as_batch(state_n, dw_n)
-    theta, chi, reports = _advance(batch, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
-    if single:
-        return SystemState(state_n.index + 1, theta=theta[0], chi=chi[0]), reports[0]
-    return SystemState(state_n.index + 1, theta=theta, chi=chi), reports
-
-
 @dataclass
 class Trajectory:
     """Dense record of one path: fields at every node plus step reports.
@@ -474,13 +388,6 @@ class Trajectory:
     chi: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     reports: list = field(default_factory=list, repr=False)
-
-    def state(self, n):
-        return SystemState(index=n, theta=self.theta[n], chi=self.chi[n])
-
-    @property
-    def final_state(self):
-        return self.state(self.grid.steps)
 
 
 def run_additive(
@@ -500,7 +407,8 @@ def run_additive(
     ``path`` is one BrownianPath, which returns one Trajectory, or a
     sequence of paths on ``grid``, which run as one batch and return one
     Trajectory per path in the given order; every path gets the bits of a
-    run on its own.  Each trajectory has N+1 field snapshots, with u set to
+    run on its own.  ``theta0`` and ``chi0`` are (P,) fields, the initial
+    data of every path.  Each trajectory has N+1 field snapshots, with u set to
     chi - B_n from the path's partial sums.  A NumericalError from a step is
     re-raised with that step's index and the failing path's id.
     """
@@ -512,7 +420,7 @@ def run_additive(
         raise FieldShapeError("path, integrand, and run must share one time grid")
     theta0 = np.asarray(theta0, dtype=float)
     chi0 = np.asarray(chi0, dtype=float)
-    _check_state_shapes(SystemState(0, theta=theta0, chi=chi0), integrand.values[0], ops)
+    _check_initial_shapes(ops, theta0=theta0, chi0=chi0, h_0=integrand.values[0])
     check_step_preconditions(grid.dt, nl)
     shape = (len(paths), grid.steps + 1, ops.node_count)
     theta, chi = np.empty(shape), np.empty(shape)
@@ -521,11 +429,10 @@ def run_additive(
     increments = np.array([p.increments for p in paths])
     reports = [[] for _ in paths]
     for n in range(grid.steps):
-        state = SystemState(n, theta=theta[:, n], chi=chi[:, n])
         try:
             theta[:, n + 1], chi[:, n + 1], step_reports = _advance(
-                state, increments[:, n:n + 1], integrand.values[n], grid, ops, nl,
-                tol, max_inner, newton_tol,
+                theta[:, n], chi[:, n], increments[:, n:n + 1], integrand.values[n], grid, ops,
+                nl, tol, max_inner, newton_tol,
             )
         except NumericalError as exc:
             raise type(exc)(

@@ -23,6 +23,24 @@ def reference_solve_1d():
     return _reference_solve_1d
 
 
+def _one_step(theta_n, chi_n, h_n, dw, dt, ops, nl, **kwargs):
+    """One coupled step through ``run_additive``: a one-step grid of length
+    ``dt``, a hand-built path whose one increment is ``dw`` and a hand-built
+    integrand whose step-0 value is ``h_n``.  Returns the next theta, the
+    next chi and the step's StepReport."""
+    grid = bh.build_time_grid(dt, 1)
+    path = bh.BrownianPath(grid=grid, increments=np.array([float(dw)]), seed=0, path_id=0)
+    integrand = bh.AdditiveIntegrand(grid=grid, values=np.array([h_n], dtype=float))
+    traj = bh.run_additive(theta_n, chi_n, integrand, path, grid, ops, nl, **kwargs)
+    return traj.theta[1], traj.chi[1], traj.reports[0]
+
+
+@pytest.fixture(scope="session")
+def one_step():
+    """``run_additive`` over a single step with given data, noise and dt."""
+    return _one_step
+
+
 @pytest.fixture(scope="session")
 def ops65():
     """1D unit-interval mesh with 65 nodes, the standard test mesh."""

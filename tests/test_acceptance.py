@@ -5,6 +5,7 @@ lines.  Tolerances are fixed here, not tuned at runtime.
 """
 
 import csv
+import json
 import math
 import subprocess
 import sys
@@ -286,23 +287,37 @@ picard_max_iterations = 20
 """
 
 
-def _run_cli(command, config, outdir, threads):
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "barenheat.cli", command,
-            "--config", str(config), "--out", str(outdir), "--threads", str(threads),
-        ],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode in (0, 2), (
-        f"{command} failed (rc={result.returncode}): {result.stderr}"
-    )
-    return result.returncode
+# Runs every argv list of the JSON array in argv[1] through ``cli.main`` and
+# prints their exit codes as the last line of standard output.
+_CLI_SESSION = (
+    "import json, sys\n"
+    "from barenheat.cli import main\n"
+    "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+    "print(json.dumps(codes))\n"
+)
+
+
+def _run_cli_session(runs):
+    """Run every (command, config, outdir, threads) of ``runs`` in one fresh
+    interpreter; returns the exit codes in order."""
+    argvs = [[command, "--config", str(config), "--out", str(outdir), "--threads", str(threads)]
+             for command, config, outdir, threads in runs]
+    result = subprocess.run([sys.executable, "-c", _CLI_SESSION, json.dumps(argvs)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, f"CLI session failed: {result.stderr}"
+    codes = json.loads(result.stdout.splitlines()[-1])
+    for (command, *_), code in zip(runs, codes):
+        assert code in (0, 2), f"{command} failed (rc={code}): {result.stderr}"
+    return codes
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    """Reruns with identical config and seed give byte-identical CSV bodies."""
+    """Reruns with identical config and seed give byte-identical CSV bodies.
+
+    Each (threads, rerun) pair runs all seven commands in one interpreter of
+    its own, so every compared pair of CSV files comes from two separate
+    interpreters.
+    """
     additive = tmp_path / "additive.ini"
     additive.write_text(CLI_ADDITIVE)
     multiplicative = tmp_path / "multiplicative.ini"
@@ -316,17 +331,22 @@ def test_criterion_9_cli_determinism(tmp_path):
         ("picard", multiplicative),
         ("constants", additive),
     ]
+    codes = {command: set() for command, _ in commands}
+    for threads in (1, 8):
+        for rep in (0, 1):
+            runs = [(command, config, tmp_path / f"{command}-t{threads}-r{rep}", threads)
+                    for command, config in commands]
+            for (command, _), code in zip(commands, _run_cli_session(runs)):
+                codes[command].add(code)
     checked = []
-    for command, config in commands:
+    for command, _ in commands:
+        assert len(codes[command]) == 1, f"{command}: exit code changed across reruns"
         bodies = {}
-        codes = set()
         for threads in (1, 8):
             for rep in (0, 1):
                 outdir = tmp_path / f"{command}-t{threads}-r{rep}"
-                codes.add(_run_cli(command, config, outdir, threads))
                 for csv_path in sorted(outdir.glob("*.csv")):
                     bodies.setdefault(csv_path.name, []).append(csv_path.read_bytes())
-        assert len(codes) == 1, f"{command}: exit code changed across reruns"
         for name, variants in bodies.items():
             assert len(variants) == 4
             assert all(v == variants[0] for v in variants), (

@@ -11,9 +11,9 @@ import pytest
 
 import barenheat as bh
 from barenheat import diagnostics, grids
-from barenheat.errors import NonConvergenceError, NonFiniteError
+from barenheat.errors import FieldShapeError, NonConvergenceError, NonFiniteError
 from barenheat.stepper import (
-    DEFAULT_INNER_TOL, DEFAULT_MAX_INNER, DEFAULT_NEWTON_TOL, SystemState, _advance,
+    DEFAULT_INNER_TOL, DEFAULT_MAX_INNER, DEFAULT_NEWTON_TOL, _advance, _newton,
 )
 
 PATHS = 5
@@ -98,17 +98,16 @@ class TestBatchEqualsSingleRuns:
         theta = scales * rng.standard_normal((PATHS, ops65.node_count))
         chi = scales * rng.standard_normal((PATHS, ops65.node_count))
         dws = rng.standard_normal((PATHS, 1))
+        rhs = ops65.lumped_mass * theta - grids.apply_stiffness(ops65, chi + cos_field * dws)
         nl = bh.saturating(2.0)
-        chi_next, report = bh.solve_chi(theta, SystemState(0, theta, chi), cos_field, dws,
-                                        grid16, ops65, nl)
+        u, report = _newton(ops65, nl, grid16.dt, rhs, DEFAULT_NEWTON_TOL)
         assert len(set(report.iterations.tolist())) > 1
         for row in range(PATHS):
-            alone, single = bh.solve_chi(theta[row], SystemState(0, theta[row], chi[row]),
-                                         cos_field, dws[row, 0], grid16, ops65, nl)
-            assert np.array_equal(chi_next[row], alone)
+            alone, single = _newton(ops65, nl, grid16.dt, rhs[row:row + 1], DEFAULT_NEWTON_TOL)
+            assert np.array_equal(u[row], alone[0])
             assert (report.residual[row], report.iterations[row],
                     report.line_search_halvings[row]) == (
-                single.residual, single.iterations, single.line_search_halvings)
+                single.residual[0], single.iterations[0], single.line_search_halvings[0])
 
     def test_order_follows_the_given_paths(self, ops65, grid16, cos_field):
         integ, paths = noisy_inputs(ops65, grid16)
@@ -118,26 +117,30 @@ class TestBatchEqualsSingleRuns:
         for a, b in zip(forward, backward[::-1]):
             assert np.array_equal(a.chi, b.chi)
 
-    def test_step_on_a_batch_state(self, ops65, grid16, cos_field):
+    def test_step_on_a_batch_state(self, ops65, grid16, cos_field, one_step):
+        # Each row of a batch with its own data and increment is bit for bit
+        # a one-step run_additive on its own.
         rng = np.random.default_rng(3)
         theta = cos_field + 0.1 * rng.standard_normal((PATHS, ops65.node_count))
         chi = 0.5 * cos_field + 0.1 * rng.standard_normal((PATHS, ops65.node_count))
-        dws = 0.2 * rng.standard_normal(PATHS)
+        dws = 0.2 * rng.standard_normal((PATHS, 1))
         nl = bh.saturating(1.0)
-        state, reports = bh.step(SystemState(0, theta, chi), dws, cos_field, grid16, ops65, nl)
+        theta_next, chi_next, reports = _advance(theta, chi, dws, cos_field, grid16, ops65, nl,
+                                                 DEFAULT_INNER_TOL, DEFAULT_MAX_INNER,
+                                                 DEFAULT_NEWTON_TOL)
         assert len(reports) == PATHS
         for row in range(PATHS):
-            alone, report = bh.step(SystemState(0, theta[row], chi[row]), dws[row], cos_field,
-                                    grid16, ops65, nl)
-            assert np.array_equal(state.theta[row], alone.theta)
-            assert np.array_equal(state.chi[row], alone.chi)
+            alone_theta, alone_chi, report = one_step(theta[row], chi[row], cos_field,
+                                                      dws[row, 0], grid16.dt, ops65, nl)
+            assert np.array_equal(theta_next[row], alone_theta)
+            assert np.array_equal(chi_next[row], alone_chi)
             assert report_fields(reports[row]) == report_fields(report)
 
     @pytest.mark.parametrize("case", ["1d-linear", "2d-saturating"])
-    def test_integrand_row_per_path(self, case):
+    def test_integrand_row_per_path(self, case, one_step):
         # _advance takes h_n as one (M, P) row per path, as the staggered
         # Picard iteration passes it: three rows with their own h, dw and
-        # state, over a few steps, each bit for bit a run of ``step``.
+        # state, over a few steps, each bit for bit a one-step run_additive.
         if case == "1d-linear":
             ops, nl = bh.build_operators(1, 64, 1.0), bh.linear(1.0)
         else:
@@ -148,18 +151,37 @@ class TestBatchEqualsSingleRuns:
         rows = 3
         theta = base + 0.3 * rng.standard_normal((rows, ops.node_count))
         chi = 0.5 * base + 0.3 * rng.standard_normal((rows, ops.node_count))
-        singles = [SystemState(0, theta[row], chi[row]) for row in range(rows)]
+        singles = [(theta[row], chi[row]) for row in range(rows)]
         for n in range(4):
             h = np.array([scale * base + 0.1 * n for scale in (0.2, -1.0, 3.0)])
             dw = np.sqrt(grid.dt) * rng.standard_normal((rows, 1))
-            theta, chi, reports = _advance(SystemState(n, theta, chi), dw, h, grid, ops, nl,
-                                           DEFAULT_INNER_TOL, DEFAULT_MAX_INNER,
-                                           DEFAULT_NEWTON_TOL)
+            theta, chi, reports = _advance(theta, chi, dw, h, grid, ops, nl, DEFAULT_INNER_TOL,
+                                           DEFAULT_MAX_INNER, DEFAULT_NEWTON_TOL)
             for row in range(rows):
-                singles[row], report = bh.step(singles[row], dw[row, 0], h[row], grid, ops, nl)
-                assert np.array_equal(theta[row], singles[row].theta)
-                assert np.array_equal(chi[row], singles[row].chi)
+                *singles[row], report = one_step(*singles[row], h[row], dw[row, 0], grid.dt,
+                                                 ops, nl)
+                assert np.array_equal(theta[row], singles[row][0])
+                assert np.array_equal(chi[row], singles[row][1])
                 assert report_fields(reports[row]) == report_fields(report)
+
+
+class TestInitialData:
+    @pytest.mark.parametrize("rows", [PATHS, 3])
+    def test_block_initial_data_is_rejected(self, ops65, grid16, cos_field, rows):
+        # theta0 and chi0 are (P,) fields shared by every path.  An (M, P)
+        # block used to run as per-path data when M was the path count and
+        # to raise a bare broadcast error otherwise.
+        integ, paths = noisy_inputs(ops65, grid16)
+        block = np.tile(cos_field, (rows, 1))
+        for theta0, chi0, name in ((block, cos_field, "theta0"), (cos_field, block, "chi0")):
+            with pytest.raises(FieldShapeError, match=rf"{name} has shape \({rows}, 65\)"):
+                bh.run_additive(theta0, chi0, integ, paths, grid16, ops65, bh.linear(1.0))
+
+    def test_integrand_of_another_mesh_is_rejected(self, ops65, grid16, cos_field):
+        integ = bh.discretize_integrand("cos(pi*x)", grid16, bh.build_operators(1, 16, 1.0))
+        with pytest.raises(FieldShapeError, match=r"h_0 has shape \(17,\)"):
+            bh.run_additive(cos_field, cos_field, integ, bh.sample_path(grid16, 1, 0), grid16,
+                            ops65, bh.linear(1.0))
 
 
 class TestFactorsInBatches:

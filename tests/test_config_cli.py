@@ -574,6 +574,46 @@ class TestCli:
         assert run_cli("constants", "--config", config, "--out", outdir) == 0
         assert json.load(open(os.path.join(outdir, "summary.json")))["warnings"] == []
 
+    @staticmethod
+    def multiplicative_text(noise):
+        """demos/configs/multiplicative.ini on 16 steps, its affine map
+        replaced by the [noise] lines ``noise``."""
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos", "configs",
+                            "multiplicative.ini")
+        with open(path) as handle:
+            text = handle.read()
+        return text.replace("steps = 64", "steps = 16").replace(
+            "map = affine\nscale = 0.061", noise)
+
+    def test_declared_affine_constant_below_scale_is_a_violation(self, tmp_path, capsys):
+        # |scale| is the exact constant of an affine map.  Trusting the
+        # smaller one reported a modulus of 0.0067 with no warning, while
+        # the ratios in picard.csv reached 0.166.
+        text = self.multiplicative_text("map = affine\nscale = 0.9\nlipschitz = 0.01")
+        outdir = tmp_path / "out"
+        assert run_cli("picard", "--config", write_config(tmp_path, text),
+                       "--out", str(outdir)) == 1
+        assert ("declared lipschitz 0.01 is below the affine map's exact constant "
+                "|scale| = 0.9") in capsys.readouterr().err
+        assert not outdir.exists()
+        for declared in ("0.061", "0.07"):
+            text = self.multiplicative_text(f"map = affine\nscale = 0.061\nlipschitz = {declared}")
+            noise_map = parse_config(write_config(tmp_path, text)).noise_map
+            assert noise_map.lipschitz == float(declared)
+
+    def test_failed_noise_map_audit_is_a_summary_warning(self, tmp_path, capsys):
+        text = self.multiplicative_text("map = damped\ngain = 0.08\nlipschitz = 0.02")
+        outdir = str(tmp_path / "out")
+        assert run_cli("picard", "--config", write_config(tmp_path, text), "--out", outdir) == 0
+        warnings = json.load(open(os.path.join(outdir, "summary.json")))["warnings"]
+        assert len(warnings) == 1 and "noise-map lipschitz" in warnings[0]
+        assert f"warning: {warnings[0]}" in capsys.readouterr().err
+        # The constant damped_map derives from the gain passes the audit.
+        honest = write_config(tmp_path, self.multiplicative_text("map = damped\ngain = 0.08"),
+                              name="honest.ini")
+        assert run_cli("constants", "--config", honest, "--out", outdir) == 0
+        assert json.load(open(os.path.join(outdir, "summary.json")))["warnings"] == []
+
     @pytest.mark.parametrize("dt_list, reason", [
         ("nan", "'nan' is not a finite number"),
         ("abc", "could not convert string to float: 'abc'"),

@@ -6,7 +6,7 @@ import pytest
 import barenheat as bh
 from barenheat.config import parse_config
 from barenheat.errors import FieldShapeError, InvalidConfigError, NonConvergenceError
-from barenheat.stepper import DEFAULT_MAX_INNER, SystemState, _advance
+from barenheat.stepper import DEFAULT_MAX_INNER, _advance
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
                            "multiplicative.ini")
@@ -214,9 +214,9 @@ def causal_pass(theta0, chi0, noise_map, path, grid, ops, nl, tol, newton_tol):
     theta[0], chi[0] = theta0, chi0
     for n in range(grid.steps):
         h = np.zeros(ops.node_count) if n == 0 else bh.evaluate_H(noise_map, chi[n])
-        state = SystemState(n, theta=theta[n][None], chi=chi[n][None])
-        next_theta, next_chi, _ = _advance(state, path.increments[n:n + 1, None], h, grid,
-                                           ops, nl, tol, DEFAULT_MAX_INNER, newton_tol)
+        next_theta, next_chi, _ = _advance(theta[n][None], chi[n][None],
+                                           path.increments[n:n + 1, None], h, grid, ops, nl,
+                                           tol, DEFAULT_MAX_INNER, newton_tol)
         theta[n + 1], chi[n + 1] = next_theta[0], next_chi[0]
     return chi
 

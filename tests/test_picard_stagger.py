@@ -201,11 +201,11 @@ class TestSameErrorsAsSequential:
         failing_batches = []
         real_advance = multiplicative._advance
 
-        def advance(state, *args):
+        def advance(theta_n, chi_n, *args):
             try:
-                return real_advance(state, *args)
+                return real_advance(theta_n, chi_n, *args)
             except NumericalError:
-                failing_batches.append(len(state.chi))
+                failing_batches.append(len(chi_n))
                 raise
 
         monkeypatch.setattr(multiplicative, "_advance", advance)
@@ -230,12 +230,12 @@ class TestSameErrorsAsSequential:
         met = []
         real_advance = stepper._advance
 
-        def advance(state, dw, h, *args):
-            for row, h_row in enumerate(np.broadcast_to(h, np.shape(state.chi))):
+        def advance(theta_n, chi_n, dw, h, *args):
+            for row, h_row in enumerate(np.broadcast_to(h, np.shape(chi_n))):
                 if h_row.tobytes() in plan:
                     met.append(plan[h_row.tobytes()])
                     raise NonFiniteError("injected failure", residual=1.0, row=row)
-            return real_advance(state, dw, h, *args)
+            return real_advance(theta_n, chi_n, dw, h, *args)
 
         monkeypatch.setattr(stepper, "_advance", advance)
         monkeypatch.setattr(multiplicative, "_advance", advance)
@@ -254,9 +254,9 @@ def test_iterate_one_runs_first_and_no_step_is_wasted(ops33, grid32, cos33, monk
         calls.append(0)
         return real_run(*args, **kwargs)
 
-    def advance(state, *args):
-        calls.append(len(state.chi))
-        return real_advance(state, *args)
+    def advance(theta_n, chi_n, *args):
+        calls.append(len(chi_n))
+        return real_advance(theta_n, chi_n, *args)
 
     monkeypatch.setattr(multiplicative, "run_additive", run)
     monkeypatch.setattr(multiplicative, "_advance", advance)

@@ -11,84 +11,70 @@ from barenheat.errors import (
     NonConvergenceError,
     NonFiniteError,
 )
-from barenheat.stepper import SystemState
+
+DT = 1.0 / 16
 
 
-def make_state(theta, chi, ops):
-    theta = np.full(ops.node_count, theta) if np.isscalar(theta) else theta
-    chi = np.full(ops.node_count, chi) if np.isscalar(chi) else chi
-    return SystemState(index=0, theta=theta, chi=chi)
+def solve_chi(theta, chi_n, h, dw, dt, ops, nl, tol=stepper.DEFAULT_NEWTON_TOL):
+    """The nonlinear sub-problem for a frozen theta, as ``_advance`` poses it
+    to the Newton kernel: u = 0 start, chi = chi_n + h dw + dt u.  Takes and
+    returns one field; the report holds the row's scalars."""
+    shift = chi_n + h * dw
+    rhs = ops.lumped_mass * theta - grids.apply_stiffness(ops, shift)
+    u, report = stepper._newton(ops, nl, dt, np.atleast_2d(rhs), tol)
+    return shift + dt * u[0], stepper.NewtonReport(
+        float(report.residual[0]), int(report.iterations[0]),
+        int(report.line_search_halvings[0]))
 
 
-@pytest.fixture(scope="module")
-def grid16():
-    return bh.build_time_grid(1.0, 16)
+def solve_theta(chi_candidate, theta_n, chi_n, h, dw, dt, ops):
+    """The heat kernel on one field, lifted to a one-row block."""
+    return stepper._solve_theta(chi_candidate[None], theta_n[None], chi_n[None], h * dw,
+                                dt, ops)[0]
 
 
 class TestSolveTheta:
-    def test_zero_data(self, ops65, grid16):
-        state = make_state(0.0, 0.0, ops65)
-        theta = bh.solve_theta(np.zeros(65), state, np.zeros(65), 0.0, grid16, ops65)
+    def test_zero_data(self, ops65):
+        zeros = np.zeros(65)
+        theta = solve_theta(zeros, zeros, zeros, zeros, 0.0, DT, ops65)
         assert np.all(theta == 0.0)
 
-    def test_constant_data(self, ops65, grid16):
+    def test_constant_data(self, ops65):
         # Constants kill the stiffness, so theta = theta_n + noise amplitude.
-        state = make_state(2.0, 0.7, ops65)
-        h = np.ones(65)
-        theta = bh.solve_theta(np.full(65, 0.7), state, h, 0.3, grid16, ops65)
+        theta = solve_theta(np.full(65, 0.7), np.full(65, 2.0), np.full(65, 0.7), np.ones(65),
+                            0.3, DT, ops65)
         assert np.allclose(theta, 2.3, atol=1e-12)
 
-    def test_mirror_symmetry(self, ops65, grid16):
+    def test_mirror_symmetry(self, ops65):
         rng = np.random.default_rng(5)
         half = rng.standard_normal(65)
         symmetric = 0.5 * (half + half[::-1])
-        state = make_state(symmetric, symmetric, ops65)
-        theta = bh.solve_theta(symmetric, state, symmetric, 0.4, grid16, ops65)
+        theta = solve_theta(symmetric, symmetric, symmetric, symmetric, 0.4, DT, ops65)
         assert np.allclose(theta, theta[::-1], atol=1e-12)
-
-    def test_rejects_large_dt(self, ops65):
-        grid = bh.build_time_grid(3.0, 2)
-        state = make_state(0.0, 0.0, ops65)
-        with pytest.raises(InvalidConfigError):
-            bh.solve_theta(np.zeros(65), state, np.zeros(65), 0.0, grid, ops65)
-
-    def test_both_sub_problems_reject_dt_one(self, ops65):
-        grid = bh.build_time_grid(2.0, 2)
-        state = make_state(0.0, 0.0, ops65)
-        zeros = np.zeros(65)
-        with pytest.raises(InvalidConfigError, match="solvability requirement dt < 1"):
-            bh.solve_theta(zeros, state, zeros, 0.0, grid, ops65)
-        with pytest.raises(InvalidConfigError, match="solvability requirement dt < 1"):
-            bh.solve_chi(zeros, state, zeros, 0.0, grid, ops65, bh.linear(3.0))
 
 
 class TestSolveChi:
-    def test_zero_data(self, ops65, grid16, unit_nl):
-        state = make_state(0.0, 0.0, ops65)
-        chi, report = bh.solve_chi(
-            np.zeros(65), state, np.zeros(65), 0.0, grid16, ops65, unit_nl
-        )
+    def test_zero_data(self, ops65, unit_nl):
+        zeros = np.zeros(65)
+        chi, report = solve_chi(zeros, zeros, zeros, 0.0, DT, ops65, unit_nl)
         assert np.all(chi == 0.0)
         assert report.iterations == 0  # residual vanishes at the zero guess
 
-    def test_constant_data(self, ops65, grid16, unit_nl):
+    def test_constant_data(self, ops65, unit_nl):
         # alphatilde(u) = 2u and constants: 2u = a, chi = b + dt a / 2.
         a, b = 1.7, 0.4
-        state = make_state(0.0, b, ops65)
-        chi, _ = bh.solve_chi(
-            np.full(65, a), state, np.zeros(65), 0.0, grid16, ops65, unit_nl
-        )
-        assert np.allclose(chi, b + grid16.dt * a / 2.0, atol=1e-12)
+        chi, _ = solve_chi(np.full(65, a), np.full(65, b), np.zeros(65), 0.0, DT, ops65, unit_nl)
+        assert np.allclose(chi, b + DT * a / 2.0, atol=1e-12)
 
-    def test_residual_identity(self, ops65, grid16, unit_nl):
+    def test_residual_identity(self, ops65, unit_nl):
         # The returned chi satisfies M alphatilde(u) + K chi = M theta.
         rng = np.random.default_rng(6)
         theta = rng.standard_normal(65)
-        state = make_state(rng.standard_normal(65), rng.standard_normal(65), ops65)
+        chi_n = rng.standard_normal(65)
         h = rng.standard_normal(65)
         dw = 0.11
-        chi, _ = bh.solve_chi(theta, state, h, dw, grid16, ops65, unit_nl)
-        u = (chi - state.chi - h * dw) / grid16.dt
+        chi, _ = solve_chi(theta, chi_n, h, dw, DT, ops65, unit_nl)
+        u = (chi - chi_n - h * dw) / DT
         residual = (
             ops65.lumped_mass * unit_nl.alpha_tilde(u)
             + ops65.stiffness @ chi
@@ -96,14 +82,12 @@ class TestSolveChi:
         )
         assert np.linalg.norm(residual) <= 1e-12 * (1 + np.linalg.norm(theta))
 
-    def test_kinked_nonlinearity_converges(self, ops65, grid16):
+    def test_kinked_nonlinearity_converges(self, ops65):
         nl = bh.ramp(0.5, 3.0, 0.2)
         rng = np.random.default_rng(7)
-        state = make_state(rng.standard_normal(65), rng.standard_normal(65), ops65)
-        chi, report = bh.solve_chi(
-            2.0 * rng.standard_normal(65), state, rng.standard_normal(65), 0.2,
-            grid16, ops65, nl,
-        )
+        chi_n = rng.standard_normal(65)
+        chi, report = solve_chi(2.0 * rng.standard_normal(65), chi_n, rng.standard_normal(65),
+                                0.2, DT, ops65, nl)
         assert np.all(np.isfinite(chi))
         assert report.residual <= 1e-10
 
@@ -166,20 +150,21 @@ class TestNewtonFromZero:
 
 
 class TestStep:
-    def test_zero_fixed_point(self, ops65, grid16, unit_nl):
-        state = make_state(0.0, 0.0, ops65)
-        new, report = bh.step(state, 0.0, np.zeros(65), grid16, ops65, unit_nl)
-        assert report.inner_iterations == 1
-        assert np.all(new.theta == 0.0) and np.all(new.chi == 0.0)
+    """One coupled step, taken by ``run_additive`` on a one-step grid."""
 
-    def test_contraction_factor_bound_at_half_coercivity(self, ops65, cos_field):
+    def test_zero_fixed_point(self, ops65, unit_nl, one_step):
+        zeros = np.zeros(65)
+        theta, chi, report = one_step(zeros, zeros, zeros, 0.0, DT, ops65, unit_nl)
+        assert report.inner_iterations == 1
+        assert np.all(theta == 0.0) and np.all(chi == 0.0)
+
+    def test_contraction_factor_bound_at_half_coercivity(self, ops65, cos_field, one_step):
         # tilde coercivity 1.5 at dt = 0.75 gives the bound
         # 1 / (2 (1.5/0.75 - 1/2)) = 1/3.
         nl = bh.linear(0.5)
         grid = bh.build_time_grid(3.0, 4)
         assert bh.contraction_factor_bound(nl, grid.dt) == pytest.approx(1.0 / 3.0)
-        state = make_state(cos_field, cos_field, ops65)
-        _, report = bh.step(state, 0.31, cos_field, grid, ops65, nl)
+        _, _, report = one_step(cos_field, cos_field, cos_field, 0.31, grid.dt, ops65, nl)
         assert report.factor_bound == pytest.approx(1.0 / 3.0)
         assert report.contraction_factors, "expected a multi-iteration step"
         assert max(report.contraction_factors) <= 1.0 / 3.0 + 1e-6
@@ -188,48 +173,44 @@ class TestStep:
         "nl", [bh.linear(1.0), bh.saturating(0.25), bh.ramp(0.5, 2.0, 0.3)],
         ids=["linear", "saturating", "ramp"],
     )
-    def test_factor_bound_holds_for_all_builtins(self, ops65, cos_field, nl):
-        grid = bh.build_time_grid(1.0, 4)
-        state = make_state(cos_field, 0.5 * cos_field, ops65)
-        _, report = bh.step(state, 0.4, cos_field, grid, ops65, nl)
+    def test_factor_bound_holds_for_all_builtins(self, ops65, cos_field, nl, one_step):
+        _, _, report = one_step(cos_field, 0.5 * cos_field, cos_field, 0.4, 0.25, ops65, nl)
         for factor in report.contraction_factors:
             assert factor <= report.factor_bound * (1 + 1e-6)
 
-    def test_conservation_identity(self, ops65, grid16, unit_nl, cos_field):
+    def test_conservation_identity(self, ops65, unit_nl, cos_field, one_step):
         # Testing against constants: the mean of theta + chi moves only by
         # the injected noise mass.
         rng = np.random.default_rng(8)
         theta0 = rng.standard_normal(65)
         chi0 = rng.standard_normal(65)
-        state = make_state(theta0, chi0, ops65)
         dw = 0.17
-        new, _ = bh.step(state, dw, cos_field, grid16, ops65, unit_nl)
+        theta, chi, _ = one_step(theta0, chi0, cos_field, dw, DT, ops65, unit_nl)
         mass = ops65.lumped_mass
         before = float(np.dot(mass, theta0 + chi0))
-        after = float(np.dot(mass, new.theta + new.chi))
+        after = float(np.dot(mass, theta + chi))
         injected = dw * float(np.dot(mass, cos_field))
         assert abs(after - before - injected) <= 1e-10 * (1 + abs(after) + abs(before))
 
-    def test_contraction_condition_violation(self, ops65, unit_nl):
-        grid = bh.build_time_grid(8.0, 4)  # dt = 2 = tilde coercivity
-        state = make_state(0.0, 0.0, ops65)
+    def test_contraction_condition_violation(self, ops65, unit_nl, one_step):
+        zeros = np.zeros(65)
         with pytest.raises(ContractionConditionError):
-            bh.step(state, 0.0, np.zeros(65), grid, ops65, unit_nl)
+            # dt = 2 = tilde coercivity
+            one_step(zeros, zeros, zeros, 0.0, 2.0, ops65, unit_nl)
 
-    def test_solvability_violation(self, ops65):
-        # Large coercivity keeps the contraction fine, but dt = 1 is still out.
-        nl = bh.linear(3.0)
-        grid = bh.build_time_grid(2.0, 2)
-        state = make_state(0.0, 0.0, ops65)
-        with pytest.raises(InvalidConfigError):
-            bh.step(state, 0.0, np.zeros(65), grid, ops65, nl)
+    @pytest.mark.parametrize("dt", [1.0, 1.5])
+    def test_solvability_violation(self, ops65, dt, one_step):
+        # Large coercivity keeps the contraction fine, but dt >= 1 is still out.
+        zeros = np.zeros(65)
+        with pytest.raises(InvalidConfigError, match="solvability requirement dt < 1"):
+            one_step(zeros, zeros, zeros, 0.0, dt, ops65, bh.linear(3.0))
 
-    def test_newton_work_totals_over_inner_iterations(self, ops65, cos_field, monkeypatch):
+    def test_newton_work_totals_over_inner_iterations(self, ops65, cos_field, monkeypatch,
+                                                      one_step):
         # Every Newton iteration makes one shifted solve and every heat solve
         # one more, so the solves counted outside the heat kernel
         # _solve_theta are the Newton iterations actually run.
         nl = bh.saturating(2.0)
-        grid = bh.build_time_grid(1.0, 4)
         counts = {"shifted": 0, "theta": 0}
         reports = []
         real_shifted, real_theta, real_newton = (
@@ -252,8 +233,8 @@ class TestStep:
         monkeypatch.setattr(stepper, "solve_shifted", counting_shifted)
         monkeypatch.setattr(stepper, "_solve_theta", counting_theta)
         monkeypatch.setattr(stepper, "_newton", recording_newton)
-        state = make_state(cos_field, 0.5 * cos_field, ops65)
-        _, report = bh.step(state, 0.4, 3.0 * cos_field, grid, ops65, nl)
+        _, _, report = one_step(cos_field, 0.5 * cos_field, 3.0 * cos_field, 0.4, 0.25, ops65,
+                                nl)
         assert report.inner_iterations > 1 and len(reports) == report.inner_iterations
         assert report.newton_iterations == counts["shifted"] - counts["theta"]
         assert report.newton_iterations == sum(r.iterations for r in reports)
@@ -278,10 +259,10 @@ class TestStep:
                 r.inner_iterations for r in traj.reports
             ]
 
-    def test_inner_iteration_cap(self, ops65, grid16, unit_nl, cos_field):
-        state = make_state(cos_field, cos_field, ops65)
+    def test_inner_iteration_cap(self, ops65, unit_nl, cos_field, one_step):
         with pytest.raises(NonConvergenceError):
-            bh.step(state, 0.3, cos_field, grid16, ops65, unit_nl, tol=0.0, max_inner=3)
+            one_step(cos_field, cos_field, cos_field, 0.3, DT, ops65, unit_nl, tol=0.0,
+                     max_inner=3)
 
 
 class TestRunAdditive:
@@ -497,12 +478,12 @@ class TestNonFiniteValues:
         assert info.value.step == 0 and info.value.path_id == 3
         assert "at step 0 of path 3" in str(info.value)
 
-    def test_non_finite_data_reported(self, ops65, grid16, unit_nl):
+    def test_non_finite_data_reported(self, ops65, unit_nl, one_step):
         theta = np.zeros(65)
         theta[7] = np.inf
-        state = make_state(theta, 0.0, ops65)
-        with pytest.raises(NonFiniteError):
-            bh.step(state, 0.1, np.zeros(65), grid16, ops65, unit_nl)
+        with pytest.raises(NonFiniteError) as info:
+            one_step(theta, np.zeros(65), np.zeros(65), 0.1, DT, ops65, unit_nl)
+        assert info.value.step == 0 and info.value.path_id == 0
 
 
 class TestInexactNewton:
