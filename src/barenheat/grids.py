@@ -183,6 +183,8 @@ class SpatialOperators:
     axis_eigenpairs : in 2D, per axis the generalized eigenpairs
         (values, vectors) of the 1D pencil (K_axis, M_axis), scaled so that
         V^T M_axis V = I; empty in 1D.
+    eigenvalue_sums : in 2D, the (nx, ny) table lx_i + ly_j of the axis
+        eigenvalues, the spectrum of K in the basis Vx (x) Vy; None in 1D.
     """
 
     dimension: int
@@ -194,6 +196,7 @@ class SpatialOperators:
     axis_nodes: tuple
     spacings: tuple
     axis_eigenpairs: tuple = field(default=(), repr=False)
+    eigenvalue_sums: np.ndarray | None = field(default=None, repr=False, compare=False)
     tridiagonal: _TridiagonalFactors | None = field(default=None, repr=False, compare=False)
 
 
@@ -264,6 +267,7 @@ def build_operators(dimension, cells, lengths):
     stiffness = (sp.kron(kx, sp.diags(my)) + sp.kron(sp.diags(mx), ky)).tocsr()
     xs, ys = np.meshgrid(cx, cy, indexing="ij")
     coords = np.column_stack([xs.ravel(), ys.ravel()])
+    eigenpairs = (_axis_eigenpairs(mx, kx), _axis_eigenpairs(my, ky))
     return SpatialOperators(
         dimension=2,
         node_count=mass.size,
@@ -273,7 +277,8 @@ def build_operators(dimension, cells, lengths):
         coordinates=coords,
         axis_nodes=(mx.size, my.size),
         spacings=(float(lengths[0]) / int(cells[0]), float(lengths[1]) / int(cells[1])),
-        axis_eigenpairs=(_axis_eigenpairs(mx, kx), _axis_eigenpairs(my, ky)),
+        axis_eigenpairs=eigenpairs,
+        eigenvalue_sums=np.add.outer(eigenpairs[0][0], eigenpairs[1][0]),
     )
 
 
@@ -369,10 +374,11 @@ def _fast_diagonalization(ops, scale, shift):
     With V = Vx (x) Vy from the axis eigenpairs, V^T M V = I and
     V^T K V = Lx (+) Ly, so the inverse is V diag(1 / (scale + shift *
     (lx_i + ly_j))) V^T; x varies slowest, so a field reshapes to (nx, ny),
-    and a batch to (M, nx, ny), whose matrix products run row by row.
+    and a batch to (M, nx, ny), whose matrix products run row by row.  The
+    table lx_i + ly_j is built once with the operators.
     """
-    (lx, vx), (ly, vy) = ops.axis_eigenpairs
-    denominators = scale + shift * np.add.outer(lx, ly)
+    (_, vx), (_, vy) = ops.axis_eigenpairs
+    denominators = scale + shift * ops.eigenvalue_sums
 
     def solve(r):
         coefficients = vx.T @ r.reshape(r.shape[:-1] + denominators.shape) @ vy

@@ -31,6 +31,39 @@ residual plus a term quadratic in the step, so solving further buys no
 Newton iteration.  Only the 2D conjugate-gradient solves stop early; the
 direct solves, all of 1D, are exact and keep their bits.
 
+For nonlinear alpha the inner iteration is inexact as well: only its limit
+is the step's solution, so an iterate needs to be accurate only relative to
+the distance still left to go.  In inner iteration k a row's Newton solve
+stops at the relative tolerance max(newton_tol, min(LOOSEST_NEWTON_TOL,
+INNER_FORCING d_{k-1})), where d_{k-1} is the row's last chi difference and
+the first solve uses LOOSEST_NEWTON_TOL = 1e-6.  The size of these
+constants follows from coercivity: alphatilde' >= tilde_coercivity and
+K is positive semidefinite, so testing the Newton equation with the error
+e = u - u* gives tilde_coercivity |e|_M^2 <= e . r, and a Newton residual r
+moves chi = s + dt u by at most dt |r| / (tilde_coercivity sqrt(min M)) in
+the discrete L2 norm.  A relaxed solve thus moves the next difference by at
+most INNER_FORCING (1 + |rhs|) dt / (tilde_coercivity sqrt(min M)) times
+d_{k-1}.  On the 33 x 33 mesh of ``perfbench/configs/solve2d.ini``
+(dt = 1/32, tilde_coercivity = 2, sqrt(min M) = 1/64, |rhs| <= 0.45) that
+is at most 1.5e-3 d_{k-1}, against the ratio sqrt(factor_bound) = 0.089
+that the contraction bound allows per iteration and the ratio of about
+0.007 observed; Newton's quadratic convergence leaves most residuals far
+below their threshold, so the measured contraction factors move by a few
+percent.  The cap keeps the first iterations, whose differences are still
+of the size of the whole step, at 1e-6: there an uncapped INNER_FORCING d_1
+of about 1e-4 would allow the second iterate an error of a fifth of d_2.
+A row whose residual at the warm start already meets newton_tol takes no
+Newton iteration; any other row takes at least one, whose correction aims
+at a tenth of its residual when that is below the relaxed threshold, so
+an inner iteration never stalls on its own iterate and reads that as a
+zero difference.  A row whose difference meets ``tol`` while its Newton
+residual meets only the relaxed threshold is not accepted: it runs one
+more inner iteration at newton_tol, so the accepted iterate always meets
+the full tolerance.  Each row's tolerance reads only its own differences,
+so a batch row keeps the bits of a run on its own.  Linear alpha keeps newton_tol on every solve: its Newton needs
+one iteration, or two on some rows, and a looser tolerance would move
+their bits.
+
 ``run_additive`` is the one public way to step.  It checks the
 preconditions and the shapes of its data once per run, and its inner loop
 calls the solve kernels without repeating them; ``parse_config`` checks the
@@ -75,6 +108,12 @@ MAX_NEWTON_ITERATIONS = 50
 # Forcing term of the inexact Newton solve (see the module docstring): the
 # fraction of a row's Newton threshold that its linear correction must meet.
 NEWTON_FORCING = 0.1
+# Inner forcing of nonlinear alpha (see the module docstring): a row's Newton
+# solve in inner iteration k stops at the relative tolerance
+# max(newton_tol, min(LOOSEST_NEWTON_TOL, INNER_FORCING * d_{k-1})), with
+# d_{k-1} the row's last chi difference and d_0 = infinity.
+INNER_FORCING = 1e-3
+LOOSEST_NEWTON_TOL = 1e-6
 MAX_LINE_SEARCH_HALVINGS = 30
 DEFAULT_MAX_INNER = 500
 
@@ -89,7 +128,8 @@ class StepReport:
     difference has no predecessor and yields no factor.
     ``newton_iterations`` totals the Newton iterations of every inner
     iteration, and ``line_search_halvings`` is the most halvings any of
-    them took; ``newton_residual`` is the last Newton solve's residual.
+    them took; ``newton_residual`` is the residual of the last Newton
+    solve, the one of the accepted iterate, which always meets newton_tol.
     """
 
     inner_iterations: int
@@ -103,7 +143,10 @@ class StepReport:
 
 @dataclass
 class NewtonReport:
-    """Final residual, iterations and most halvings of a Newton solve.
+    """Final residual, iterations and most halvings of a Newton solve, and
+    whether the residual meets the full tolerance, not only a relaxed one;
+    ``met_tol`` is None for a solve without relaxed tolerances, whose rows
+    all meet it.
 
     Scalars for one field; for a batch, arrays with one entry per row.
     """
@@ -111,6 +154,7 @@ class NewtonReport:
     residual: float
     iterations: int
     line_search_halvings: int
+    met_tol: object = None
 
 
 def _check_initial_shapes(ops, **fields):
@@ -149,10 +193,14 @@ def _newton_failure(message, residual, met_non_finite, row):
     return NonConvergenceError(message, residual=residual, row=row)
 
 
-def _newton(ops, nl, dt, rhs, tol, start=None):
+def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
     """Solve M alphatilde(u) + dt K u = rhs for each row of an (M, P) batch,
     Newton with backtracking from ``start``, or from u = 0 when it is None;
-    ``start`` is updated in place.
+    ``start`` is updated in place.  Row i takes no iteration when its
+    residual is at most tol (1 + |rhs_i|) at the start, and otherwise
+    iterates until it is; ``relaxed``, None or a list of one relative
+    tolerance per row, lets row i stop at relaxed_i (1 + |rhs_i|) instead,
+    once it has taken an iteration.
 
     Every row keeps its own threshold, step scale, iteration count and
     halvings, and a row leaves the iteration once it has converged, so its
@@ -162,7 +210,8 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
     residuals; backtracking out of such trials is allowed, since it keeps u
     where alphatilde is finite.  The error's ``row`` names the failing row.
     Each correction asks ``solve_shifted`` for a residual below
-    ``NEWTON_FORCING`` times the row's threshold.
+    ``NEWTON_FORCING`` times the row's threshold, or times its residual
+    where that is smaller.
     """
     mass = ops.lumped_mass
     count = len(rhs)
@@ -170,8 +219,8 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
     def residual(v, b):
         return mass * nl.alpha_tilde(v) + dt * apply_stiffness(ops, v) - b
 
-    thresholds = [tol * (1.0 + norm) for norm in row_norms(rhs)]
-    targets = NEWTON_FORCING * np.array(thresholds)
+    rhs_norms = row_norms(rhs)
+    thresholds = gates = [tol * (1.0 + norm) for norm in rhs_norms]
     # From u = 0 every row has the same alphatilde and Jacobian, so both are
     # evaluated on one (P,) field: the first solve then sees one shared
     # diagonal.  The values, and so the bits, are those of the full block.
@@ -193,7 +242,15 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
     iterations = [0] * count
     halvings = [0] * count
     met_non_finite = [False] * count
-    active = [row for row in range(count) if norms[row] > thresholds[row]]
+    active = [row for row in range(count) if norms[row] > gates[row]]
+    if relaxed is None:
+        targets = NEWTON_FORCING * np.array(thresholds)
+    else:
+        thresholds = [t * (1.0 + norm) for t, norm in zip(relaxed, rhs_norms)]
+        # A correction aims at a fraction of the row's threshold or, where
+        # the residual is already below it (a row that then takes one
+        # iteration), of the residual, so that it still moves u.
+        targets = NEWTON_FORCING * np.minimum(thresholds, norms)
     for _ in range(MAX_NEWTON_ITERATIONS):
         if not active:
             break
@@ -259,7 +316,10 @@ def _newton(ops, nl, dt, rhs, tol, start=None):
             "Newton did not reach tolerance on the nonlinear sub-problem",
             norms[row], met_non_finite[row], row,
         )
-    return u, NewtonReport(np.array(norms), np.array(iterations), np.array(halvings))
+    report = NewtonReport(np.array(norms), np.array(iterations), np.array(halvings))
+    if relaxed is not None:
+        report.met_tol = np.array([norm <= gate for norm, gate in zip(norms, gates)])
+    return u, report
 
 
 def contraction_factor_bound(nl, dt):
@@ -277,6 +337,12 @@ def check_step_preconditions(dt, nl):
         )
     if not dt < 1.0:
         raise InvalidConfigError(f"dt = {dt} violates the solvability requirement dt < 1")
+
+
+def _inner_newton_tol(newton_tol, difference):
+    """Relative Newton tolerance of a row's next inner iteration, after one
+    that moved its chi iterate by ``difference``."""
+    return max(newton_tol, min(LOOSEST_NEWTON_TOL, INNER_FORCING * difference))
 
 
 def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
@@ -300,6 +366,9 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
     # Newton then converges in one iteration from u = 0; every other alpha
     # starts from the u of the current chi iterate.
     warm_start = nl.lipschitz != nl.coercivity
+    # Relative Newton tolerance of each path's next solve, relaxed while the
+    # chi iterates still move (nonlinear alpha only).
+    newton_tols = [_inner_newton_tol(newton_tol, math.inf)] * count if warm_start else None
     chi = chi_n
     differences = [[] for _ in range(count)]
     factors = [[] for _ in range(count)]
@@ -319,15 +388,18 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
             u, newton = _newton(
                 ops, nl, dt, ops.lumped_mass * theta - sub_stiffness_shift, newton_tol,
                 (chi_iterate - sub_shift) / dt if warm_start else None,
+                [newton_tols[row] for row in active] if warm_start else None,
             )
         except NumericalError as exc:
             _lift(exc, rows)
             raise
         chi_next = sub_shift + dt * u
         diffs = l2_norm(chi_next - chi_iterate, ops).tolist()
-        for row, diff, its, most, residual in zip(
+        remaining = []
+        met = newton.met_tol.tolist() if warm_start else [True] * len(active)
+        for row, diff, its, most, residual, met_tol in zip(
             active, diffs, newton.iterations.tolist(), newton.line_search_halvings.tolist(),
-            newton.residual.tolist(),
+            newton.residual.tolist(), met,
         ):
             previous = differences[row]
             if previous and previous[-1] > 0.0:
@@ -337,11 +409,17 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
             newton_iterations[row] += its
             halvings[row] = max(halvings[row], most)
             newton_residuals[row] = residual
+            if warm_start:
+                newton_tols[row] = _inner_newton_tol(newton_tol, 0.0 if diff <= tol else diff)
+            # Only an iterate whose Newton residual meets newton_tol is
+            # accepted; one that meets tol after a relaxed solve runs once
+            # more at newton_tol.
+            if not (diff <= tol and met_tol):
+                remaining.append(row)
         if rows is None:
             chi = chi_next
         else:
             chi[rows] = chi_next
-        remaining = [row for row, diff in zip(active, diffs) if not diff <= tol]
         if not remaining:
             break
         if len(remaining) < len(active):

@@ -70,8 +70,15 @@ class TestBatchEqualsSingleRuns:
         batch = assert_batch_matches_singles(
             ops65, bh.saturating(2.0), grid16, integ, 3.0 * cos_field, cos_field, paths
         )
-        assert all(r.newton_iterations > r.inner_iterations
-                   for traj in batch for r in traj.reports)
+        # Each path counts its own Newton iterations: in some step, paths
+        # with the same inner count took different Newton counts, and some
+        # step took more Newton than inner iterations.
+        steps = [[traj.reports[n] for traj in batch] for n in range(grid16.steps)]
+        assert any(
+            len({r.newton_iterations for r in step if r.inner_iterations == inner}) > 1
+            for step in steps for inner in {r.inner_iterations for r in step}
+        )
+        assert any(r.newton_iterations > r.inner_iterations for step in steps for r in step)
 
     def test_saturating_alpha_2d_per_row_cg(self, monkeypatch):
         ops = bh.build_operators(2, (7, 4), (1.0, 2.5))

@@ -614,6 +614,17 @@ class TestCli:
         assert run_cli("constants", "--config", honest, "--out", outdir) == 0
         assert json.load(open(os.path.join(outdir, "summary.json")))["warnings"] == []
 
+    def test_audit_samples_small_fields(self, tmp_path):
+        # Fields of amplitude 1 give damped_map quotients of about half its
+        # gain, small fields nearly the gain: a declared 0.6 * gain passed
+        # an audit that drew amplitude-1 fields only.
+        text = self.multiplicative_text("map = damped\ngain = 0.08\nlipschitz = 0.048")
+        outdir = str(tmp_path / "out")
+        assert run_cli("constants", "--config", write_config(tmp_path, text),
+                       "--out", outdir) == 0
+        warnings = json.load(open(os.path.join(outdir, "summary.json")))["warnings"]
+        assert len(warnings) == 1 and "noise-map lipschitz" in warnings[0]
+
     @pytest.mark.parametrize("dt_list, reason", [
         ("nan", "'nan' is not a finite number"),
         ("abc", "could not convert string to float: 'abc'"),

@@ -498,6 +498,21 @@ class TestSolveShifted2D:
             grids.solve_shifted(ops, diagonal, 0.5, rng.standard_normal(ops.node_count))
         assert all(0 < count <= 20 for count in counts), counts
 
+    def test_eigenvalue_table_built_once_keeps_the_bits(self, ops_rect):
+        # The operators carry the table lx_i + ly_j; a solve with it has the
+        # bits of one that rebuilds the table from the axis eigenpairs.
+        (lx, vx), (ly, vy) = ops_rect.axis_eigenpairs
+        assert np.array_equal(ops_rect.eigenvalue_sums, np.add.outer(lx, ly))
+        assert bh.build_operators(1, 8, 1.0).eigenvalue_sums is None
+        rhs = np.random.default_rng(14).standard_normal((3, ops_rect.node_count))
+        for scale, shift in ((2.7, 0.3), (1.0, 1e-4)):
+            denominators = scale + shift * np.add.outer(lx, ly)
+            coefficients = vx.T @ rhs.reshape(3, *denominators.shape) @ vy
+            expected = (vx @ (coefficients / denominators) @ vy.T).reshape(rhs.shape)
+            solve = grids._fast_diagonalization(ops_rect, scale, shift)
+            assert np.array_equal(solve(rhs), expected)
+            assert np.array_equal(solve(rhs[0]), expected[0])
+
 
 def _scipy_cg(matvec, b, psolve, rtol, atol=0.0, callback=None):
     """``grids.cg`` through scipy's ``LinearOperator`` and ``cg``: the oracle
