@@ -20,7 +20,6 @@ from .grids import (
     build_operators,
     build_time_grid,
     h1_seminorm,
-    l2_inner,
     l2_norm,
 )
 from .multiplicative import (
@@ -37,7 +36,6 @@ from .multiplicative import (
 from .noise import (
     AdditiveIntegrand,
     BrownianPath,
-    NoisePartialSums,
     aggregate_path,
     discretize_integrand,
     partial_sums,

@@ -57,15 +57,15 @@ def path_batches(count):
         yield range(start, min(start + BATCH_PATHS, count))
 
 
-def mc_expectation(sample, count, seed, threads=1):
+def mc_expectation(sample, count, seed):
     """Sample mean and standard error of ``sample(seed, path_id)`` over paths.
 
     ``sample`` may return a float or an ndarray; the reduction is performed
-    in path-id order from a buffered table.  ``threads`` is accepted and
-    ignored: samples run one after another in the calling thread, because a
-    sample is mostly Python and holds the interpreter lock, so a thread pool
-    only made runs slower.  The estimators below batch their paths instead
-    and reduce through the same ordered reduction.
+    in path-id order from a buffered table.  Samples run one after another
+    in the calling thread, because a sample is mostly Python and holds the
+    interpreter lock, so a thread pool only made runs slower.  The
+    estimators below batch their paths instead and reduce through the same
+    ordered reduction.
     """
     _require_paths(count)
     return _path_statistics(
@@ -86,14 +86,13 @@ class AdditiveSetup:
     newton_tol: float = DEFAULT_NEWTON_TOL
 
 
-def simulate(setup, grid, path, integrand=None):
-    """Run the additive scheme for ``setup`` on ``grid`` along ``path``.
+def simulate(setup, grid, path, integrand):
+    """Run the additive scheme for ``setup`` on ``grid`` along ``path``
+    with the discretized ``integrand``.
 
     ``path`` is one BrownianPath or a sequence of them, as in
     ``run_additive``.
     """
-    if integrand is None:
-        integrand = discretize_integrand(setup.integrand, grid, setup.ops)
     return run_additive(
         setup.theta0,
         setup.chi0,
@@ -107,9 +106,12 @@ def simulate(setup, grid, path, integrand=None):
     )
 
 
-def _level_grids(horizon, dts):
-    """Validate a decreasing dt ladder where each level divides the finer ones."""
-    dts = [float(dt) for dt in dts]
+def _level_grids(horizon, dts, minimum):
+    """Validate a decreasing dt ladder of at least ``minimum`` levels, where
+    each level divides the finer ones; ``dts`` None has no levels."""
+    dts = [] if dts is None else [float(dt) for dt in dts]
+    if len(dts) < minimum:
+        raise InvalidConfigError(f"need at least {minimum} dt levels, got {len(dts)}")
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise InvalidConfigError(f"dt levels must be strictly decreasing, got {dts}")
     grids = []
@@ -194,9 +196,7 @@ def grid_difference_rates(setup, horizon, dts, paths, seed):
     norm, chi in the full H1 norm.  Paths are coupled across levels by
     aggregating increments of the finest grid.
     """
-    grids = _level_grids(horizon, dts)
-    if len(grids) < 3:
-        raise InvalidConfigError(f"need at least 3 dt levels, got {len(grids)}")
+    grids = _level_grids(horizon, dts, 3)
     _require_paths(paths)
     ops = setup.ops
 
@@ -222,9 +222,7 @@ def self_convergence(setup, horizon, dts, paths, seed):
     Reports E[||x^{dt}(T) - x^{dt_next}(T)||^2]^{1/2} for theta and chi,
     indexed by the coarser dt of each pair.
     """
-    grids = _level_grids(horizon, dts)
-    if len(grids) < 2:
-        raise InvalidConfigError(f"need at least 2 dt levels, got {len(grids)}")
+    grids = _level_grids(horizon, dts, 2)
     _require_paths(paths)
     ops = setup.ops
     finals = _level_table(setup, grids, paths, seed,
@@ -349,9 +347,7 @@ def energy_estimate_check(setup, horizon, dts, paths, seed):
     Passes when halving dt never grows the statistic by more than
     ``ENERGY_GROWTH_SLACK`` (25%) plus four combined standard errors.
     """
-    grids = _level_grids(horizon, dts)
-    if len(grids) < 2:
-        raise InvalidConfigError(f"need at least 2 dt levels, got {len(grids)}")
+    grids = _level_grids(horizon, dts, 2)
     _require_paths(paths)
     table = _level_table(setup, grids, paths, seed,
                          lambda grid, traj: energy_statistic(traj, setup.ops))

@@ -9,10 +9,11 @@ Grammar (whitespace ignored)::
     atom   := NUMBER | 'pi' | 't' | 'x' | 'y' | 'cos' '(' expr ')' | '(' expr ')'
 
 ``x`` and ``y`` are the spatial coordinates (``y`` only on 2D meshes), ``t``
-is time.  Arguments of ``cos`` must be spatial, and time dependence is
-limited to polynomials of degree at most 3, so that the two-point Gauss
-quadrature used for the per-step averages is exact; ``parse_expression``
-rejects a higher degree.  Division is deliberately absent.
+is time.  Arguments of ``cos`` must be spatial, of time degree 0 (``t^0``
+counts as constant), and time dependence is limited to polynomials of
+degree at most 3, so that the two-point Gauss quadrature used for the
+per-step averages is exact; ``parse_expression`` rejects a higher degree.
+Division is deliberately absent.
 """
 
 import re
@@ -38,8 +39,12 @@ class Expression:
 
     text: str
     _root: tuple = field(repr=False)
-    depends_on_time: bool = False
     time_degree: int = 0
+
+    @property
+    def depends_on_time(self):
+        """True unless the expression is a polynomial of degree 0 in t."""
+        return self.time_degree > 0
 
     def __call__(self, t, coords):
         """Evaluate at time ``t`` on node coordinates ``coords`` of shape (P, d)."""
@@ -150,7 +155,7 @@ class _Parser:
                 self.expect_op("(")
                 inner = self.expr()
                 self.expect_op(")")
-                if _depends_on_time(inner):
+                if _time_degree(inner) > 0:
                     raise ExpressionError("cos arguments must be spatial only", position=pos)
                 return ("cos", inner)
             raise ExpressionError(f"unknown symbol {value!r}", position=pos)
@@ -159,19 +164,6 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ExpressionError("expected a number, symbol, or parenthesis", position=pos)
-
-
-def _depends_on_time(node):
-    tag = node[0]
-    if tag == "t":
-        return True
-    if tag in ("const", "x", "y"):
-        return False
-    if tag in ("neg", "cos"):
-        return _depends_on_time(node[1])
-    if tag == "pow":
-        return _depends_on_time(node[1])
-    return _depends_on_time(node[1]) or _depends_on_time(node[2])
 
 
 def _time_degree(node):
@@ -231,7 +223,6 @@ def parse_expression(text):
     return Expression(
         text=text,
         _root=root,
-        depends_on_time=_depends_on_time(root),
         time_degree=degree,
     )
 

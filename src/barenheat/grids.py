@@ -45,7 +45,6 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,9 +141,8 @@ class _TridiagonalFactors:
             raise NumericalError(f"tridiagonal solve rejected its arguments (info {info})")
         return x.T
 
-    def solve(self, diagonal, shift, rhs, atol=None):
-        """Solve for every row of an (M, P) block; the solve is direct, so
-        ``atol`` is ignored."""
+    def solve(self, diagonal, shift, rhs):
+        """Solve for every row of an (M, P) block."""
         key = (shift, diagonal.tobytes())
         with self._lock:
             factor = self._factors.get(key)
@@ -160,7 +158,7 @@ class _TridiagonalFactors:
                         self._factors.popitem(last=False)
         return self._apply(factor, rhs)
 
-    def solve_once(self, diagonal, shift, rhs, atol=None):
+    def solve_once(self, diagonal, shift, rhs):
         """Factor and solve without the cache, for a diagonal used once."""
         return self._apply(self._factor(diagonal, shift), rhs)
 
@@ -178,8 +176,6 @@ class SpatialOperators:
     stiffness : symmetric positive-semidefinite sparse P x P operator whose
         kernel contains the constant field.
     coordinates : (P, dimension) node coordinates, x varying slowest in 2D.
-    axis_nodes : nodes per axis, e.g. (nx+1,) or (nx+1, ny+1).
-    spacings : mesh width per axis.
     axis_eigenpairs : in 2D, per axis the generalized eigenpairs
         (values, vectors) of the 1D pencil (K_axis, M_axis), scaled so that
         V^T M_axis V = I; empty in 1D.
@@ -193,8 +189,6 @@ class SpatialOperators:
     lumped_mass: np.ndarray = field(repr=False)
     stiffness: sp.csr_matrix = field(repr=False)
     coordinates: np.ndarray = field(repr=False)
-    axis_nodes: tuple
-    spacings: tuple
     axis_eigenpairs: tuple = field(default=(), repr=False)
     eigenvalue_sums: np.ndarray | None = field(default=None, repr=False, compare=False)
     tridiagonal: _TridiagonalFactors | None = field(default=None, repr=False, compare=False)
@@ -256,8 +250,6 @@ def build_operators(dimension, cells, lengths):
             lumped_mass=mass,
             stiffness=stiffness,
             coordinates=coords.reshape(-1, 1),
-            axis_nodes=(mass.size,),
-            spacings=(float(lengths[0]) / int(cells[0]),),
             tridiagonal=_TridiagonalFactors(stiffness.diagonal(), stiffness.diagonal(1), mass),
         )
 
@@ -275,27 +267,18 @@ def build_operators(dimension, cells, lengths):
         lumped_mass=mass,
         stiffness=stiffness,
         coordinates=coords,
-        axis_nodes=(mx.size, my.size),
-        spacings=(float(lengths[0]) / int(cells[0]), float(lengths[1]) / int(cells[1])),
         axis_eigenpairs=eigenpairs,
         eigenvalue_sums=np.add.outer(eigenpairs[0][0], eigenpairs[1][0]),
     )
 
 
-def _check_field(v, ops, block=False):
-    """One field (P,) as floats; with ``block``, an (M, P) block as well."""
+def _check_field(v, ops):
+    """One field (P,) or an (M, P) block, as floats."""
     v = np.asarray(v, dtype=float)
-    if v.shape[-1:] != (ops.node_count,) or v.ndim > 1 + block:
-        expected = f"({ops.node_count},)" + (f" or (M, {ops.node_count})" if block else "")
-        raise FieldShapeError(f"field has shape {v.shape}, operators expect {expected}")
+    if v.shape[-1:] != (ops.node_count,) or v.ndim > 2:
+        raise FieldShapeError(f"field has shape {v.shape}, operators expect "
+                              f"({ops.node_count},) or (M, {ops.node_count})")
     return v
-
-
-def l2_inner(u, v, ops):
-    """Discrete L2 inner product sum_i M_i u_i v_i."""
-    u = _check_field(u, ops)
-    v = _check_field(v, ops)
-    return float(np.dot(ops.lumped_mass * u, v))
 
 
 def _row_dots(a, b):
@@ -314,7 +297,7 @@ def _row_dots(a, b):
 def l2_norm(v, ops):
     """Discrete L2 norm sqrt(sum_i M_i v_i^2): a float for one field (P,), an
     array of the M row norms for an (M, P) block."""
-    v = _check_field(v, ops, block=True)
+    v = _check_field(v, ops)
     block = v.reshape(-1, ops.node_count)
     norms = np.sqrt(_row_dots(block * block, ops.lumped_mass))
     return float(norms[0]) if v.ndim == 1 else norms
@@ -334,7 +317,7 @@ def row_norms(fields):
 def h1_seminorm(v, ops):
     """Discrete H1 seminorm sqrt(v . K v), zero on constants: a float for one
     field (P,), an array of the M row seminorms for an (M, P) block."""
-    v = _check_field(v, ops, block=True)
+    v = _check_field(v, ops)
     block = v.reshape(-1, ops.node_count)
     norms = np.sqrt(np.maximum(_row_dots(block, apply_stiffness(ops, block)), 0.0))
     return float(norms[0]) if v.ndim == 1 else norms
@@ -433,9 +416,9 @@ def cg(matvec, b, psolve, rtol, atol=0.0, callback=None):
     return x, maxiter
 
 
-def _solve_2d(ops, diagonal, shift, rhs, atol, rtol):
-    """Solve the rows of ``rhs`` in 2D; ``atol`` is None or the (M,) row
-    targets of ``solve_shifted``."""
+def _solve_2d(ops, diagonal, shift, rhs, targets, rtol):
+    """Solve the rows of ``rhs`` in 2D; ``targets`` are the (M,) absolute
+    residual targets of the rows, zero for a full solve."""
     ratio = diagonal / ops.lumped_mass
     low, high = float(ratio.min()), float(ratio.max())
     direct_solve = _fast_diagonalization(ops, 0.5 * (low + high), shift)
@@ -446,17 +429,14 @@ def _solve_2d(ops, diagonal, shift, rhs, atol, rtol):
         return apply_shifted(ops, diagonal, shift, v)
 
     def conjugate_gradient(b, target):
-        if target is None:
-            target = 0.0
-        else:
-            target = min(float(target), 0.5 * rtol * (1.0 + math.sqrt(b.dot(b))))
+        target = min(float(target), 0.5 * rtol * (1.0 + math.sqrt(b.dot(b))))
         x, info = cg(matvec, b, direct_solve, CG_RTOL, target)
         if info != 0:
             residual = float(np.linalg.norm(matvec(x) - b))
             raise NumericalError("conjugate gradient did not converge", residual=residual)
         return x
 
-    return _by_row(conjugate_gradient, rhs, [None] * len(rhs) if atol is None else atol)
+    return _by_row(conjugate_gradient, rhs, targets)
 
 
 def _by_row(solve, *batches):
@@ -538,20 +518,20 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
     shift = float(shift)
     if diagonal.ndim == 2 and (diagonal == diagonal[0]).all():
         diagonal = diagonal[0]
-    if ops.dimension == 2:
-        solve = partial(_solve_2d, ops, rtol=rtol)
-        if atol is not None:
-            atol = np.reshape(atol, -1)
-    else:
-        solve = ops.tridiagonal.solve if diagonal.ndim == 1 else ops.tridiagonal.solve_once
-        atol = None
     try:
-        if diagonal.ndim == 2:
-            targets = [None] * len(block) if atol is None else atol[:, None]
-            x = _by_row(lambda d, r, a: solve(d, shift, r, a)[0],
-                        diagonal, block[:, None], targets)
+        if ops.dimension == 1:
+            if diagonal.ndim == 1:
+                x = ops.tridiagonal.solve(diagonal, shift, block)
+            else:
+                x = _by_row(lambda d, r: ops.tridiagonal.solve_once(d, shift, r)[0],
+                            diagonal, block[:, None])
         else:
-            x = solve(diagonal, shift, block, atol)
+            targets = np.zeros(len(block)) if atol is None else np.reshape(atol, -1)
+            if diagonal.ndim == 1:
+                x = _solve_2d(ops, diagonal, shift, block, targets, rtol)
+            else:
+                x = _by_row(lambda d, r, a: _solve_2d(ops, d, shift, r, a, rtol)[0],
+                            diagonal, block[:, None], targets[:, None])
         _check_residual(ops, diagonal, shift, x, block, rtol)
     except NumericalError as exc:
         if rhs.ndim == 1:

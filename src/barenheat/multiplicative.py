@@ -173,7 +173,8 @@ def _picard_threshold(nl, noise_map, horizon, weight, override):
 
 @dataclass
 class PicardReport:
-    """Per-iteration weighted differences of the outer fixed point.
+    """Per-iteration weighted differences of the outer fixed point, which
+    has converged: ``picard_solve`` raises NonConvergenceError otherwise.
 
     ``wall_times[k]`` runs from the start of iterate k + 1 to the end of its
     weighted difference.  From iterate 2 on the iterates overlap, so the
@@ -185,7 +186,6 @@ class PicardReport:
     ratios: list
     wall_times: list
     modulus: float
-    converged: bool
 
 
 @dataclass
@@ -262,14 +262,13 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
             ratios=ratios,
             wall_times=wall_times,
             modulus=modulus,
-            converged=True,
         )
 
     started = time.perf_counter()
     iterate = np.tile(chi0, (grid.steps + 1, 1))
     values = np.zeros((grid.steps, ops.node_count))
     values[1:] = evaluate_H(noise_map, iterate[1:grid.steps])
-    integrand = AdditiveIntegrand(grid=grid, values=values, expression=None)
+    integrand = AdditiveIntegrand(grid=grid, values=values)
     first = run_additive(
         theta0, chi0, integrand, path, grid, ops, nl, tol=tol, newton_tol=newton_tol
     )
@@ -325,9 +324,9 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
         it = running.pop(0)
         # The running sum is bit for bit the sum in weighted_norm.
         if converged(math.sqrt(it.partial), it.started):
-            integrand = AdditiveIntegrand(grid=grid, values=it.values, expression=None)
+            integrand = AdditiveIntegrand(grid=grid, values=it.values)
             return result(Trajectory(grid=grid, theta=it.theta, chi=it.chi,
-                                     u=it.chi - partial_sums(path, integrand).values,
+                                     u=it.chi - partial_sums(path, integrand),
                                      reports=it.reports))
     if failure is not None:
         error, cause = failure

@@ -74,7 +74,6 @@ class AdditiveIntegrand:
 
     grid: TimeGrid
     values: np.ndarray = field(repr=False)
-    expression: str | None = None
 
 
 def discretize_integrand(expression, grid, ops):
@@ -93,19 +92,12 @@ def discretize_integrand(expression, grid, ops):
         g0 = expr(left + _GAUSS2[0] * grid.dt, coords)
         g1 = expr(left + _GAUSS2[1] * grid.dt, coords)
         values[n] = 0.5 * (g0 + g1)
-    return AdditiveIntegrand(grid=grid, values=values, expression=expr.text)
-
-
-@dataclass(frozen=True)
-class NoisePartialSums:
-    """Fields B_n = sum_{k=0}^{n-1} dw_k h_k for n = 0..N."""
-
-    grid: TimeGrid
-    values: np.ndarray = field(repr=False)
+    return AdditiveIntegrand(grid=grid, values=values)
 
 
 def partial_sums(path, integrand):
-    """Accumulate the left-endpoint stochastic sums of a path and integrand.
+    """The (N+1, P) fields B_n = sum_{k=0}^{n-1} dw_k h_k, n = 0..N, the
+    left-endpoint stochastic sums of a path and integrand.
 
     B_0 is the zero field and each later entry adds dw_n h_n, so consecutive
     differences reproduce the per-step noise terms by construction.
@@ -118,4 +110,4 @@ def partial_sums(path, integrand):
     terms = path.increments[:, None] * integrand.values
     values = np.zeros((path.grid.steps + 1, integrand.values.shape[1]))
     np.cumsum(terms, axis=0, out=values[1:])
-    return NoisePartialSums(grid=path.grid, values=values)
+    return values

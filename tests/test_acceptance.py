@@ -152,7 +152,7 @@ def test_criterion_4_constant_noise_closed_form(ops, nl):
         sums = bh.partial_sums(path, integrand)
         traj = bh.run_additive(np.ones(65), np.zeros(65), integrand, path, grid, ops, nl)
         for n in range(1, grid.steps + 1):
-            deviation = np.abs(traj.chi[n] - sums.values[n] - references[n - 1]).max()
+            deviation = np.abs(traj.chi[n] - sums[n] - references[n - 1]).max()
             worst = max(worst, deviation)
     criterion(
         "criterion 4 per-path closed form",

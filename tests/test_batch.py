@@ -311,8 +311,10 @@ class TestEstimatorBatches:
 
         def sample(seed, pid):
             fine = bh.sample_path(grids_[-1], seed, pid)
-            return [bh.energy_statistic(bh.simulate(setup, g, bh.aggregate_path(fine, 8 // g.steps)),
-                                        setup.ops) for g in grids_]
+            return [bh.energy_statistic(
+                bh.simulate(setup, g, bh.aggregate_path(fine, 8 // g.steps),
+                            bh.discretize_integrand(setup.integrand, g, setup.ops)),
+                setup.ops) for g in grids_]
 
         mean, se = bh.mc_expectation(sample, 5, 9)
         report = bh.energy_estimate_check(setup, 1.0, dts, 5, 9)

@@ -90,6 +90,12 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError, match="theta0"):
             parse_config(write_config(tmp_path, text))
 
+    def test_initial_data_of_time_degree_zero_accepted(self, tmp_path):
+        # t^0 has time degree 0, so t^0*x is constant in time: the field x.
+        text = MINIMAL.replace("theta0 = cos(pi*x)", "theta0 = t^0*x")
+        config = parse_config(write_config(tmp_path, text))
+        assert np.array_equal(config.theta0, config.ops.coordinates[:, 0])
+
     def test_bad_expression_rejected(self, tmp_path):
         text = MINIMAL.replace("expression = cos(pi*x)*(1+t)", "expression = sin(x)")
         with pytest.raises(ConfigValidationError, match="expression"):
@@ -374,17 +380,25 @@ class TestCli:
         assert run_cli("solve", "--config", config, "--out", outdir) == 1
         assert not os.path.exists(outdir)
 
-    @pytest.mark.parametrize("command, name", [
-        ("solve", "multiplicative.ini"),
-        ("picard", "additive.ini"),
-        ("stability", "multiplicative.ini"),
+    @pytest.mark.parametrize("command, name, flags", [
+        ("solve", "multiplicative.ini", []),
+        ("picard", "additive.ini", []),
+        ("stability", "multiplicative.ini", []),
+        ("mc", "additive.ini", ["--paths", "1"]),
+        ("converge", "additive.ini", ["--dt-list", "0.25,0.125"]),
+        ("mc", None, []),
     ])
-    def test_command_check_failure_leaves_no_directory(self, tmp_path, capsys, command, name):
-        # The config is valid, but the subcommand's own check rejects it.
-        config = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos", "configs", name)
+    def test_command_check_failure_leaves_no_directory(self, tmp_path, capsys, command, name,
+                                                       flags):
+        # The config is valid, but the subcommand or the estimator it calls
+        # rejects it before writing; None is a config without dt_levels.
+        config = (write_config(tmp_path, MINIMAL) if name is None else
+                  os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos", "configs", name))
         outdir = str(tmp_path / "never")
-        assert run_cli(command, "--config", config, "--out", outdir) == 1
-        assert "error: " in capsys.readouterr().err
+        assert run_cli(command, "--config", config, "--out", outdir, *flags) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1
         assert not os.path.exists(outdir)
 
     def test_constants_summary(self, tmp_path):

@@ -31,6 +31,14 @@ def test_polynomial_product(coords):
     assert expr.time_degree == 2
 
 
+@pytest.mark.parametrize("text", ["t^0", "(1+t)^0*x", "cos(pi*x*t^0)"])
+def test_time_to_the_zero_is_constant_in_time(coords, text):
+    expr = parse_expression(text)
+    assert expr.time_degree == 0
+    assert not expr.depends_on_time
+    assert np.array_equal(expr(0.7, coords), expr(0.0, coords))
+
+
 def test_standard_noisy_integrand(coords):
     expr = parse_expression("cos(pi*x)*(1+t)")
     assert np.allclose(expr(0.25, coords), np.cos(np.pi * coords[:, 0]) * 1.25, rtol=1e-15)

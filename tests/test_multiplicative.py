@@ -116,7 +116,7 @@ class TestPicardConfig:
             cos_field, cos_field, bh.affine_map(0.01), path,
             grid32, ops65, unit_nl, config,
         )
-        assert report.converged
+        assert report.w_differences[-1] <= config.tolerance
 
 
 class TestPicardSolve:

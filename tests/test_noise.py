@@ -107,7 +107,7 @@ class TestPartialSums:
         grid = bh.build_time_grid(1.0, 8)
         path = bh.sample_path(grid, 1, 0)
         sums = bh.partial_sums(path, bh.discretize_integrand("0", grid, ops_small))
-        assert np.all(sums.values == 0.0)
+        assert np.all(sums == 0.0)
 
     def test_unit_integrand_telescopes(self, ops_small):
         # With h = 1 the first value is forced to zero, so B_n collects the
@@ -115,11 +115,11 @@ class TestPartialSums:
         grid = bh.build_time_grid(1.0, 8)
         path = bh.sample_path(grid, 2, 0)
         sums = bh.partial_sums(path, bh.discretize_integrand("1", grid, ops_small))
-        assert np.all(sums.values[0] == 0.0)
-        assert np.all(sums.values[1] == 0.0)
+        assert np.all(sums[0] == 0.0)
+        assert np.all(sums[1] == 0.0)
         for n in range(2, 9):
             expected = path.increments[1:n].sum()
-            assert sums.values[n][0] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert sums[n][0] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_increment_identity(self, ops_small):
         grid = bh.build_time_grid(1.0, 8)
@@ -128,7 +128,7 @@ class TestPartialSums:
         sums = bh.partial_sums(path, integ)
         for n in range(8):
             expected = path.increments[n] * integ.values[n]
-            assert np.allclose(sums.values[n + 1] - sums.values[n], expected, atol=1e-15)
+            assert np.allclose(sums[n + 1] - sums[n], expected, atol=1e-15)
 
     def test_grid_mismatch(self, ops_small):
         path = bh.sample_path(bh.build_time_grid(1.0, 8), 0, 0)
@@ -166,9 +166,9 @@ def test_coupling_consistency(ops_small):
         count = 400
         for pid in range(count):
             fine_path = bh.sample_path(fine_grid, 31, pid)
-            fine_final = bh.partial_sums(fine_path, fine_integ).values[-1]
+            fine_final = bh.partial_sums(fine_path, fine_integ)[-1]
             coarse_path = bh.aggregate_path(fine_path, 64 // coarse_steps)
-            coarse_final = bh.partial_sums(coarse_path, integ).values[-1]
+            coarse_final = bh.partial_sums(coarse_path, integ)[-1]
             total += bh.l2_norm(fine_final - coarse_final, ops_small) ** 2
         defects.append(total / count)
     assert defects[0] > defects[1] > defects[2]

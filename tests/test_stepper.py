@@ -304,7 +304,7 @@ class TestRunAdditive:
             theta_ref /= 1.0 + grid.dt / 2.0
             v_ref += grid.dt * theta_ref / 2.0
             assert np.abs(traj.theta[n] - theta_ref).max() <= 1e-9
-            assert np.abs(traj.chi[n] - sums.values[n] - v_ref).max() <= 1e-9
+            assert np.abs(traj.chi[n] - sums[n] - v_ref).max() <= 1e-9
 
     def test_bitwise_determinism(self, ops65, unit_nl, cos_field):
         grid = bh.build_time_grid(1.0, 8)
