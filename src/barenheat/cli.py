@@ -45,9 +45,9 @@ from . import __version__
 from .config import parse_config
 from .diagnostics import (
     ENERGY_GROWTH_SLACK,
+    _level_table,
     energy_estimate_check,
     grid_difference_rates,
-    path_batches,
     self_convergence,
     simulate,
     stability_check,
@@ -55,15 +55,14 @@ from .diagnostics import (
     AdditiveSetup,
 )
 from .errors import InvalidConfigError
-from .grids import build_time_grid, h1_seminorm, l2_norm
-from .multiplicative import lipschitz_audit, picard_solve
+from .grids import build_time_grid, h1_seminorm, l2_norm, time_grid_of_step
+from .multiplicative import picard_solve
 from .noise import discretize_integrand, sample_path
 from .stepper import contraction_factor_bound
 from .theory import compute_stability_constant
 
 WEAK_IDENTITY_TOL = 1e-10
 FACTOR_SLACK = 1e-6
-NOISE_MAP_AUDIT_SAMPLES = 64
 
 SEED_ENV_VAR = "SOLVER_SEED"
 
@@ -156,7 +155,6 @@ _TRAJECTORY_HEADER = [
 
 
 def cmd_solve(args, config, outdir, seed):
-    _require(config.noise_kind == "additive", "solve needs an additive noise block")
     _require(config.steps is not None, "solve needs [time] steps")
     grid = build_time_grid(config.horizon, config.steps)
     setup = _setup(config)
@@ -171,14 +169,12 @@ def cmd_solve(args, config, outdir, seed):
     passed = worst <= WEAK_IDENTITY_TOL
     return passed, {
         "check_name": "weak_identities",
-        "pass": passed,
         "statistic": worst,
         "threshold": WEAK_IDENTITY_TOL,
     }, _solver_counters(traj.reports)
 
 
 def cmd_mc(args, config, outdir, seed):
-    _require(config.noise_kind == "additive", "mc needs an additive noise block")
     report = energy_estimate_check(_setup(config), config.horizon, config.dt_levels,
                                    config.paths, seed)
     rows = list(zip(report.dts, report.statistics, report.standard_errors))
@@ -186,7 +182,6 @@ def cmd_mc(args, config, outdir, seed):
                ["dt", "statistic", "standard_error"], rows)
     return report.passed, {
         "check_name": "energy_boundedness",
-        "pass": report.passed,
         "statistic": max(report.statistics),
         "threshold": f"growth < {ENERGY_GROWTH_SLACK:.0%} + 4 se per halving",
         "levels": rows,
@@ -194,7 +189,6 @@ def cmd_mc(args, config, outdir, seed):
 
 
 def cmd_converge(args, config, outdir, seed):
-    _require(config.noise_kind == "additive", "converge needs an additive noise block")
     runner = grid_difference_rates if config.study_kind == "grid_difference" else self_convergence
     study = runner(_setup(config), config.horizon, config.dt_levels,
                    config.paths, seed)
@@ -211,7 +205,6 @@ def cmd_converge(args, config, outdir, seed):
     passed = slope is not None and slope >= config.slope_threshold
     return passed, {
         "check_name": f"{config.study_kind}_rate",
-        "pass": passed,
         "statistic": slope,
         "threshold": config.slope_threshold,
         "theta_slope": study.theta.slope,
@@ -220,7 +213,6 @@ def cmd_converge(args, config, outdir, seed):
 
 
 def cmd_stability(args, config, outdir, seed):
-    _require(config.noise_kind == "additive", "stability needs an additive noise block")
     _require(config.integrand_hat is not None,
              "stability needs [noise] expression_hat, the second integrand")
     _require(config.steps is not None, "stability needs [time] steps")
@@ -235,40 +227,32 @@ def cmd_stability(args, config, outdir, seed):
                ["t", "lhs", "lhs_se", "rhs", "ratio"], rows)
     return report.passed, {
         "check_name": "continuous_dependence",
-        "pass": report.passed,
         "statistic": report.max_ratio,
         "threshold": "ratio <= 1 + 4 se",
         "stability_constant": report.constants.stability_constant,
     }, None
 
 
+def _worst_factor(grid, traj):
+    return max((max(r.contraction_factors, default=0.0) for r in traj.reports), default=0.0)
+
+
 def cmd_contraction(args, config, outdir, seed):
-    _require(config.noise_kind == "additive", "contraction needs an additive noise block")
     levels = config.dt_levels or ([config.horizon / config.steps] if config.steps else None)
     _require(levels, "contraction needs [time] dt_levels or steps")
     setup = _setup(config)
-    nl = config.nonlinearity
     rows = []
-    passed = True
     for dt in levels:
-        grid = build_time_grid(config.horizon, round(config.horizon / dt))
-        integrand = discretize_integrand(setup.integrand, grid, config.ops)
-        bound = contraction_factor_bound(nl, grid.dt)
-        worst = 0.0
-        for batch in path_batches(config.paths):
-            paths = [sample_path(grid, seed, pid) for pid in batch]
-            for traj in simulate(setup, grid, paths, integrand=integrand):
-                for report in traj.reports:
-                    if report.contraction_factors:
-                        worst = max(worst, max(report.contraction_factors))
-        level_ok = worst <= bound * (1.0 + FACTOR_SLACK)
-        passed = passed and level_ok
+        grid = time_grid_of_step(config.horizon, dt)
+        bound = contraction_factor_bound(config.nonlinearity, grid.dt)
+        # A table of this level alone draws its paths on this grid.
+        worst = float(_level_table(setup, [grid], config.paths, seed, _worst_factor).max())
         rows.append([grid.dt, bound, worst, config.paths, grid.steps])
+    passed = all(row[2] <= row[1] * (1.0 + FACTOR_SLACK) for row in rows)
     _write_csv(os.path.join(outdir, "contraction.csv"),
                ["dt", "factor_bound", "max_factor", "paths", "steps"], rows)
     return passed, {
         "check_name": "inner_contraction",
-        "pass": passed,
         "statistic": max(row[2] for row in rows),
         "threshold": f"factor <= bound * (1 + {FACTOR_SLACK})",
         "levels": [[row[0], row[1], row[2]] for row in rows],
@@ -276,7 +260,6 @@ def cmd_contraction(args, config, outdir, seed):
 
 
 def cmd_picard(args, config, outdir, seed):
-    _require(config.noise_kind == "multiplicative", "picard needs a multiplicative noise block")
     _require(config.steps is not None, "picard needs [time] steps")
     grid = build_time_grid(config.horizon, config.steps)
     path = sample_path(grid, seed, 0)
@@ -294,7 +277,6 @@ def cmd_picard(args, config, outdir, seed):
                _trajectory_rows(traj, config.ops))
     return True, {
         "check_name": "picard_convergence",
-        "pass": True,
         "statistic": report.w_differences[-1],
         "threshold": config.picard.tolerance,
         "iterations": report.iterations,
@@ -313,7 +295,6 @@ def cmd_constants(args, config, outdir, seed):
     print(f"stability_constant    = {constants.stability_constant!r}")
     return True, {
         "check_name": "stability_constants",
-        "pass": True,
         "statistic": constants.stability_constant,
         "threshold": None,
         "gronwall_exponent": constants.gronwall_exponent,
@@ -367,18 +348,10 @@ def main(argv=None):
             dt_levels=args.dt_list or None,
             override_picard_condition=args.override_picard_condition,
         )
-        seed = config.seed
-        warnings = []
-        if config.nonlinearity_report is not None and not config.nonlinearity_report.passed:
-            warnings.append("declared nonlinearity constants failed the sampled conformance "
-                            "check; contraction and stability bounds may not hold")
-        # An affine map's constant is exact; a pointwise map's is only declared.
-        noise_map = config.noise_map
-        if (noise_map is not None and noise_map.kind == "pointwise"
-                and lipschitz_audit(noise_map, config.ops, NOISE_MAP_AUDIT_SAMPLES, seed=0)
-                > noise_map.lipschitz):
-            warnings.append("declared noise-map lipschitz constant failed the sampled audit; "
-                            "the picard weight condition may not hold")
+        seed, warnings = config.seed, config.warnings
+        kind = {"picard": "multiplicative", "constants": config.noise_kind}.get(
+            args.command, "additive")
+        _require(config.noise_kind == kind, f"{args.command} needs [noise] kind = {kind}")
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)
         outdir = args.out or config.output_directory
@@ -421,7 +394,8 @@ def main(argv=None):
                 "row": getattr(exc, "row", None),
             })
             raise
-        _write_json(os.path.join(outdir, "summary.json"), {**summary, "warnings": warnings})
+        _write_json(os.path.join(outdir, "summary.json"),
+                    {**summary, "pass": passed, "warnings": warnings})
         write_manifest(**({} if solver is None else {"solver": solver}))
         return 0 if passed else 2
     except Exception as exc:  # invalid configs, solver failures, I/O, ...

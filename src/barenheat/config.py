@@ -62,8 +62,8 @@ import numpy as np
 from . import nonlinearity as nonlin
 from .errors import ConfigValidationError, ExpressionError, InvalidConfigError
 from .expressions import parse_expression
-from .grids import build_operators
-from .multiplicative import PicardConfig, _picard_threshold, affine_map, damped_map
+from .grids import build_operators, time_grid_of_step
+from .multiplicative import PicardConfig, _picard_threshold, affine_map, damped_map, lipschitz_audit
 from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, check_step_preconditions
 
 
@@ -86,6 +86,7 @@ def _ints(text):
 
 
 _ALPHA_PARAMETERS = ("c", "a", "inner_slope", "outer_slope", "knee")
+NOISE_MAP_AUDIT_SAMPLES = 64
 
 # Every key of every section: (parser, default).  A default of None means
 # the key is absent.
@@ -128,7 +129,7 @@ class RunConfig:
     theta0: np.ndarray = field(repr=False)
     chi0: np.ndarray = field(repr=False)
     nonlinearity: object
-    nonlinearity_report: object
+    warnings: list
     noise_kind: str
     integrand: str | None
     integrand_hat: str | None
@@ -228,36 +229,41 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
         except InvalidConfigError as exc:
             violations.append(f"nonlinearity: {exc}")
 
-    # Advisory conformance check on the declared constants.
-    nl_report = None if nl is None else nonlin.check_properties(
-        nl, sample_range=10.0, samples=2000, seed=0)
-
     # --- requested time steps vs stepper preconditions ---
-    if "time" not in malformed:
+    if "time" not in malformed and horizon > 0:
         requested_dts = [horizon / steps] if steps is not None and steps >= 1 else []
         for dt in dt_levels or []:
             requested_dts.append(dt)
-            count = horizon / dt if dt > 0 else math.inf
-            if not math.isfinite(count) or abs(round(count) * dt - horizon) > 1e-9 * horizon:
-                violations.append(f"dt level {dt} does not divide the horizon T = {horizon}")
+            try:
+                time_grid_of_step(horizon, dt)
+            except InvalidConfigError as exc:
+                violations.append(str(exc))
         for dt in requested_dts if nl is not None else ():
             try:
                 check_step_preconditions(dt, nl)
             except InvalidConfigError as exc:
                 violations.append(str(exc))
 
-    # --- initial data ---
-    initial = {}
-    for label in ("theta0", "chi0"):
-        text = value["initial", label]
+    def on_mesh(label, text, constant_in_time=True):
+        """The finite values of expression ``text`` at t = 0 on the mesh, or
+        None: without a mesh, or with one violation when it is unusable."""
         try:
             expr = parse_expression(text)
-            if expr.depends_on_time:
-                violations.append(f"initial data {label} must not depend on t: {text!r}")
+            if constant_in_time and expr.depends_on_time:
+                violations.append(f"{label} must not depend on t: {text!r}")
             elif ops is not None:
-                initial[label] = expr(0.0, ops.coordinates)
+                with np.errstate(all="ignore"):
+                    values = expr(0.0, ops.coordinates)
+                if np.all(np.isfinite(values)):
+                    return values
+                violations.append(f"{label} is not finite on the mesh: {text!r}")
         except ExpressionError as exc:
-            violations.append(f"initial data {label}: {exc}")
+            violations.append(f"{label}: {exc}")
+        return None
+
+    # --- initial data ---
+    initial = {label: on_mesh(f"initial data {label}", value["initial", label])
+               for label in ("theta0", "chi0")}
 
     # --- noise ---
     noise_kind = value["noise", "kind"]
@@ -265,31 +271,18 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
     if noise_kind == "additive":
         integrand, integrand_hat = value["noise", "expression"], value["noise", "expression_hat"]
         for label, text in (("expression", integrand), ("expression_hat", integrand_hat)):
-            if text is None:
-                continue
-            try:
-                parse_expression(text)
-            except ExpressionError as exc:
-                violations.append(f"noise {label}: {exc}")
+            if text is not None:
+                on_mesh(f"noise {label}", text, constant_in_time=False)
     elif noise_kind != "multiplicative":
         violations.append(f"noise kind must be additive or multiplicative, got {noise_kind!r}")
     elif "noise" not in malformed:
         map_kind, declared = value["noise", "map"], value["noise", "lipschitz"]
         try:
             if map_kind == "affine":
-                offset = None
-                if value["noise", "offset"] is not None and ops is not None:
-                    offset_expr = parse_expression(value["noise", "offset"])
-                    if offset_expr.depends_on_time:
-                        raise InvalidConfigError("affine offset must not depend on t")
-                    offset = offset_expr(0.0, ops.coordinates)
-                noise_map = affine_map(value["noise", "scale"], offset)
+                offset = value["noise", "offset"]
+                noise_map = affine_map(value["noise", "scale"],
+                                       None if offset is None else on_mesh("noise offset", offset))
                 if declared is not None:
-                    # |scale| is the exact constant; only a larger one is sound.
-                    if declared < noise_map.lipschitz:
-                        raise InvalidConfigError(
-                            f"declared lipschitz {declared} is below the affine map's exact "
-                            f"constant |scale| = {noise_map.lipschitz}")
                     noise_map = replace(noise_map, lipschitz=declared)
             elif map_kind == "damped":
                 noise_map = damped_map(value["noise", "gain"], lipschitz=declared)
@@ -301,7 +294,7 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
                 max_iterations=value["noise", "picard_max_iterations"],
                 override_condition=override_picard_condition,
             )
-        except (InvalidConfigError, ExpressionError) as exc:
+        except InvalidConfigError as exc:
             violations.append(f"noise: {exc}")
         if picard is not None and nl is not None and "time" not in malformed:
             try:
@@ -325,10 +318,22 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
     if violations:
         raise ConfigValidationError(violations)
 
+    # Advisory sampled audits of the declared constants.  An affine map's
+    # constant is exact; a pointwise map's is only declared.
+    warnings = []
+    if not nonlin.check_properties(nl, sample_range=10.0, samples=2000, seed=0).passed:
+        warnings.append("declared nonlinearity constants failed the sampled conformance "
+                        "check; contraction and stability bounds may not hold")
+    if (noise_map is not None and noise_map.kind == "pointwise"
+            and lipschitz_audit(noise_map, ops, NOISE_MAP_AUDIT_SAMPLES, seed=0)
+            > noise_map.lipschitz):
+        warnings.append("declared noise-map lipschitz constant failed the sampled audit; "
+                        "the picard weight condition may not hold")
+
     return RunConfig(
         ops=ops, horizon=horizon, steps=steps, dt_levels=dt_levels or None,
         theta0=initial.get("theta0"), chi0=initial.get("chi0"),
-        nonlinearity=nl, nonlinearity_report=nl_report, noise_kind=noise_kind,
+        nonlinearity=nl, warnings=warnings, noise_kind=noise_kind,
         integrand=integrand, integrand_hat=integrand_hat, noise_map=noise_map, picard=picard,
         paths=paths, seed=seed, inner_tol=inner_tol, newton_tol=newton_tol,
         study_kind=study_kind, slope_threshold=value["study", "slope_threshold"],

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError
-from .grids import build_time_grid, h1_seminorm, l2_norm
+from .grids import h1_seminorm, l2_norm, time_grid_of_step
 from .noise import aggregate_path, discretize_integrand, sample_path
 from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, run_additive
 from .theory import StabilityConstants, compute_stability_constant
@@ -114,12 +114,7 @@ def _level_grids(horizon, dts, minimum):
         raise InvalidConfigError(f"need at least {minimum} dt levels, got {len(dts)}")
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise InvalidConfigError(f"dt levels must be strictly decreasing, got {dts}")
-    grids = []
-    for dt in dts:
-        steps = round(horizon / dt)
-        if steps < 1 or abs(steps * dt - horizon) > 1e-9 * horizon:
-            raise InvalidConfigError(f"dt = {dt} does not divide the horizon T = {horizon}")
-        grids.append(build_time_grid(horizon, steps))
+    grids = [time_grid_of_step(horizon, dt) for dt in dts]
     for coarse, fine in zip(grids, grids[1:]):
         if fine.steps % coarse.steps != 0:
             raise InvalidConfigError(

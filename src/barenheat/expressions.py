@@ -49,7 +49,11 @@ class Expression:
     def __call__(self, t, coords):
         """Evaluate at time ``t`` on node coordinates ``coords`` of shape (P, d)."""
         coords = np.asarray(coords, dtype=float)
-        values = _evaluate(self._root, float(t), coords)
+        try:
+            values = _evaluate(self._root, float(t), coords)
+        except OverflowError as exc:
+            # Python's float power raises where numpy's returns inf.
+            raise ExpressionError(f"overflow in {self.text!r}: {exc}") from exc
         if np.ndim(values) == 0:
             values = np.full(coords.shape[0], float(values))
         return values
@@ -137,7 +141,7 @@ class _Parser:
         if kind == "op" and value == "^":
             self.advance()
             kind, value, pos = self.advance()
-            if kind != "number" or value != int(value) or value < 0:
+            if kind != "number" or not value.is_integer() or value < 0:
                 raise ExpressionError("exponent must be a nonnegative integer", position=pos)
             node = ("pow", node, int(value))
         return node

@@ -99,6 +99,14 @@ def build_time_grid(horizon, steps):
     return TimeGrid(horizon=float(horizon), steps=steps, dt=dt, nodes=nodes)
 
 
+def time_grid_of_step(horizon, dt):
+    """The uniform grid of [0, T] with step ``dt``, which must divide T to within 1e-9 T."""
+    count = horizon / dt if dt > 0 else math.inf
+    if not math.isfinite(count) or abs(round(count) * dt - horizon) > 1e-9 * horizon:
+        raise InvalidConfigError(f"dt level {dt} does not divide the horizon T = {horizon}")
+    return build_time_grid(horizon, round(count))
+
+
 class _TridiagonalFactors:
     """Bounded, thread-safe cache of ``dpttrf`` factors of diag + shift K.
 

@@ -43,8 +43,9 @@ class MultiplicativeMap:
     """Nodewise noise map chi -> H(chi) with a declared Lipschitz constant.
 
     ``affine`` maps are sigma * chi + offset and have exact constant
-    |sigma|; ``pointwise`` maps apply a scalar function nodewise and must
-    declare a constant that covers both the L2 and the H1 audits.
+    |sigma|, which a declared constant may exceed but not undercut;
+    ``pointwise`` maps apply a scalar function nodewise and must declare a
+    constant that covers both the L2 and the H1 audits.
     """
 
     kind: str
@@ -60,6 +61,11 @@ class MultiplicativeMap:
             raise InvalidConfigError(f"Lipschitz constant must be >= 0, got {self.lipschitz}")
         if self.kind == "pointwise" and self.psi is None:
             raise InvalidConfigError("pointwise maps need a scalar function")
+        # |scale| is an affine map's exact constant; only a larger one is sound.
+        if self.kind == "affine" and not self.lipschitz >= abs(self.scale):
+            raise InvalidConfigError(
+                f"declared lipschitz {self.lipschitz} is below the affine map's exact "
+                f"constant |scale| = {abs(self.scale)}")
 
 
 def affine_map(scale, offset=None):
@@ -100,10 +106,10 @@ def evaluate_H(noise_map, chi):
 def lipschitz_audit(noise_map, ops, samples, seed):
     """Sampled check that H moves fields by at most C_H in L2 and H1 seminorm.
 
-    Returns the worst observed quotient over both norms; exact (up to
-    rounding) for affine maps, advisory for pointwise ones.  The draws
-    spread their amplitudes evenly in log scale from 1e-3 to 1e1: the
-    quotients of a pointwise map depend on the size of the fields, and
+    Returns the worst observed quotient over both norms, inf for a NaN one;
+    exact (up to rounding) for affine maps, advisory for pointwise ones.
+    The draws spread their amplitudes evenly in log scale from 1e-3 to 1e1:
+    the quotients of a pointwise map depend on the size of the fields, and
     those of ``damped_map`` come near its gain only for small fields.
     """
     rng = np.random.default_rng(seed)
@@ -115,7 +121,9 @@ def lipschitz_audit(noise_map, ops, samples, seed):
         for norm in (l2_norm, h1_seminorm):
             denom = norm(u - v, ops)
             if denom > 0:
-                worst = max(worst, norm(image, ops) / denom)
+                quotient = norm(image, ops) / denom
+                # max() would keep ``worst`` over a NaN quotient.
+                worst = math.inf if math.isnan(quotient) else max(worst, quotient)
     return worst
 
 

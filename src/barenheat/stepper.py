@@ -24,7 +24,9 @@ from any start, so a warm start saves almost no iteration (3 of 379 on
 1D CSV and costs each inner iteration a residual at the start and a
 per-row Jacobian; with it the converge-1d-linear and picard-1d-affine
 benchmark workloads made about 16 % fewer path-steps/s (4 of 4 alternating
-10 s pairs each, on a 2-CPU host).  Alpha counts as linear when its declared Lipschitz and coercivity
+10 s pairs each, on a 2-CPU host).
+
+Alpha counts as linear when its declared Lipschitz and coercivity
 constants are equal, which with alpha(0) = 0 forces alpha = c x.
 
 Newton is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
@@ -64,9 +66,11 @@ zero difference.  A row whose difference meets ``tol`` while its Newton
 residual meets only the relaxed threshold is not accepted: it runs one
 more inner iteration at newton_tol, so the accepted iterate always meets
 the full tolerance.  Each row's tolerance reads only its own differences,
-so a batch row keeps the bits of a run on its own.  Linear alpha keeps newton_tol on every solve: its Newton needs
-one iteration, or two on some rows, and a looser tolerance would move
-their bits.
+so a batch row keeps the bits of a run on its own.
+
+Linear alpha keeps newton_tol on every solve: its Newton needs one
+iteration, or two on some rows, and a looser tolerance would move their
+bits.
 
 ``run_additive`` is the one public way to step.  It checks the
 preconditions and the shapes of its data once per run, and its inner loop

@@ -12,6 +12,7 @@ from barenheat import config as config_module
 from barenheat import stepper
 from barenheat.cli import main
 from barenheat.config import _KEYS, parse_config
+from barenheat.diagnostics import path_batches
 from barenheat.errors import ConfigValidationError, InvalidConfigError
 
 MINIMAL = """\
@@ -52,7 +53,7 @@ class TestParseConfig:
         assert config.inner_tol == 1e-11
         assert config.steps == 16
         assert config.nonlinearity.lipschitz == 1.0
-        assert config.nonlinearity_report.passed
+        assert config.warnings == []
         assert config.ops.node_count == 17
 
     def test_contraction_violation_named(self, tmp_path):
@@ -196,7 +197,7 @@ class TestKeyTable:
         nl = config.nonlinearity
         assert (nl.name, nl.lipschitz, nl.coercivity) == (
             "ramp(s_in=2.0, s_out=0.5, knee=0.7)", 2.5, 0.4)
-        assert config.nonlinearity_report.passed
+        assert config.warnings == []
         assert (config.noise_kind, config.integrand, config.integrand_hat) == (
             "multiplicative", None, None)
         noise_map = config.noise_map
@@ -280,6 +281,33 @@ def test_integrand_of_time_degree_four_fails_validation(tmp_path):
         parse_config(write_config(tmp_path, text))
     text = MINIMAL.replace("expression = cos(pi*x)*(1+t)", "expression = cos(pi*x)*t^3")
     assert parse_config(write_config(tmp_path, text)).integrand == "cos(pi*x)*t^3"
+
+
+MULTIPLICATIVE_NOISE = "kind = multiplicative\nmap = affine\nscale = 0.01\nweight = 1.0\n"
+
+
+@pytest.mark.parametrize("old, new, violation", [
+    # Both passed validation: solve failed with an error manifest, and the
+    # run met NonFiniteError at step 0.
+    ("expression = cos(pi*x)*(1+t)", "expression = cos(pi*y)*(1+t)",
+     "noise expression: 'y' is only available on 2D meshes"),
+    ("theta0 = cos(pi*x)", "theta0 = 1e400*x",
+     "initial data theta0 is not finite on the mesh: '1e400*x'"),
+    # Both exited with a bare OverflowError.
+    ("chi0 = cos(pi*x)", "chi0 = x^1e400",
+     "initial data chi0: exponent must be a nonnegative integer (column 3)"),
+    ("expression = cos(pi*x)*(1+t)", "expression = 10^400*t",
+     "noise expression: overflow in '10^400*t': "),
+    ("kind = additive\nexpression = cos(pi*x)*(1+t)\n", MULTIPLICATIVE_NOISE + "offset = t",
+     "noise offset must not depend on t: 't'"),
+    ("kind = additive\nexpression = cos(pi*x)*(1+t)\n", MULTIPLICATIVE_NOISE + "offset = y",
+     "noise offset: 'y' is only available on 2D meshes"),
+])
+def test_expression_unusable_on_the_mesh_is_one_named_violation(tmp_path, old, new, violation):
+    with pytest.raises(ConfigValidationError) as excinfo:
+        parse_config(write_config(tmp_path, MINIMAL.replace(old, new)))
+    assert len(excinfo.value.violations) == 1
+    assert excinfo.value.violations[0].startswith(violation)
 
 
 def rejection(call):
@@ -387,13 +415,19 @@ class TestCli:
         ("mc", "additive.ini", ["--paths", "1"]),
         ("converge", "additive.ini", ["--dt-list", "0.25,0.125"]),
         ("mc", None, []),
+        pytest.param("solve", MINIMAL.replace("cos(pi*x)*(1+t)", "cos(pi*y)*(1+t)"), [],
+                     id="solve-y-on-a-1D-mesh"),
+        pytest.param("solve", MINIMAL.replace("theta0 = cos(pi*x)", "theta0 = 1e400*x"), [],
+                     id="solve-non-finite-theta0"),
     ])
     def test_command_check_failure_leaves_no_directory(self, tmp_path, capsys, command, name,
                                                        flags):
-        # The config is valid, but the subcommand or the estimator it calls
-        # rejects it before writing; None is a config without dt_levels.
-        config = (write_config(tmp_path, MINIMAL) if name is None else
-                  os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos", "configs", name))
+        # The validation, the subcommand or the estimator it calls rejects
+        # the config before writing.  A name is a demo config, other text a
+        # config of its own, and None is MINIMAL, which has no dt_levels.
+        demos = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos", "configs")
+        config = (os.path.join(demos, name) if name and name.endswith(".ini")
+                  else write_config(tmp_path, name or MINIMAL))
         outdir = str(tmp_path / "never")
         assert run_cli(command, "--config", config, "--out", outdir, *flags) == 1
         errors = [line for line in capsys.readouterr().err.splitlines()
@@ -484,6 +518,32 @@ class TestCli:
         assert len(rows) == 3
         for row in rows[1:]:
             assert float(row[2]) <= float(row[1]) * (1 + 1e-6)
+
+    @pytest.mark.parametrize("dt_list", ["0.25,0.125", "0.25,0.1"])
+    def test_contraction_factors_match_a_per_level_loop(self, tmp_path, dt_list):
+        # The command's Monte Carlo loop before it read _level_table, on
+        # nested and on non-nested levels.
+        text = MINIMAL.replace("kind = linear\nc = 1.0", "kind = saturating\na = 2.0")
+        config = write_config(tmp_path, text)
+        outdir = str(tmp_path / "out")
+        assert run_cli("contraction", "--config", config, "--out", outdir,
+                       "--dt-list", dt_list, "--paths", "3", "--seed", "7") == 0
+        parsed = parse_config(config)
+        setup = bh.AdditiveSetup(ops=parsed.ops, nonlinearity=parsed.nonlinearity,
+                                 theta0=parsed.theta0, chi0=parsed.chi0,
+                                 integrand=parsed.integrand)
+        rows = read_rows(os.path.join(outdir, "contraction.csv"))[1:]
+        for dt, row in zip(map(float, dt_list.split(",")), rows):
+            grid = bh.build_time_grid(1.0, round(1.0 / dt))
+            integrand = bh.discretize_integrand(setup.integrand, grid, parsed.ops)
+            worst = 0.0
+            for batch in path_batches(3):
+                paths = [bh.sample_path(grid, 7, pid) for pid in batch]
+                for traj in bh.simulate(setup, grid, paths, integrand=integrand):
+                    for report in traj.reports:
+                        if report.contraction_factors:
+                            worst = max(worst, max(report.contraction_factors))
+            assert row[2] == repr(worst) and worst > 0.0
 
     def test_picard_command(self, tmp_path):
         text = MINIMAL.replace(
@@ -627,6 +687,13 @@ class TestCli:
                               name="honest.ini")
         assert run_cli("constants", "--config", honest, "--out", outdir) == 0
         assert json.load(open(os.path.join(outdir, "summary.json")))["warnings"] == []
+
+    def test_parse_config_returns_both_audit_warnings(self, tmp_path):
+        text = self.multiplicative_text("map = damped\ngain = 0.08\nlipschitz = 0.02").replace(
+            "kind = linear\nc = 1.0", "kind = saturating\na = 2.0\nlipschitz = 1.5")
+        warnings = parse_config(write_config(tmp_path, text)).warnings
+        assert len(warnings) == 2
+        assert "conformance" in warnings[0] and "noise-map lipschitz" in warnings[1]
 
     def test_audit_samples_small_fields(self, tmp_path):
         # Fields of amplitude 1 give damped_map quotients of about half its

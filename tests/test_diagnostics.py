@@ -176,6 +176,17 @@ def test_missing_dt_levels_is_a_config_error(noisy_setup, estimator):
         getattr(bh, estimator)(noisy_setup, 1.0, None, 4, 0)
 
 
+@pytest.mark.parametrize("estimator", ["energy_estimate_check", "grid_difference_rates",
+                                       "self_convergence"])
+@pytest.mark.parametrize("dt", [0.0, 1e-320, math.nan])
+def test_dt_level_that_cannot_divide_is_a_config_error(noisy_setup, estimator, dt):
+    # These levels raised a bare ZeroDivisionError, OverflowError and
+    # ValueError before the estimators shared the config's rule.
+    with pytest.raises(InvalidConfigError,
+                       match=f"dt level {dt} does not divide the horizon T = 1.0"):
+        getattr(bh, estimator)(noisy_setup, 1.0, [0.5, 0.25, dt], 4, 0)
+
+
 class TestSelfConvergence:
     def test_constant_data_closed_form(self, ops_small):
         # Spatially constant data with constant additive noise: theta is the

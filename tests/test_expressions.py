@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barenheat as bh
 from barenheat.errors import ExpressionError
@@ -101,3 +103,31 @@ def test_cubic_in_time_is_averaged_exactly():
     # h_1 averages t^3 over [0, 0.5]: 0.5^4 / 4 / 0.5 = 0.03125.
     values = bh.discretize_integrand(expr, grid, ops).values
     assert values[1] == pytest.approx(np.full(3, 0.03125), rel=1e-15)
+
+
+# Text over the grammar's alphabet: sentences of the grammar, whose
+# exponents may be fractional or overflow, and strings of its pieces.  At
+# most 24 pieces, or 8 leaves, bound the nesting far below the recursion
+# limit.
+_NUMBERS = ["0", "2", "0.5", "10", "400", "1e400", "1e-9"]
+_SENTENCES = st.recursive(
+    st.sampled_from(["x", "y", "t", "pi", *_NUMBERS]),
+    lambda inner: st.one_of(st.builds("({}{}{})".format, inner, st.sampled_from("+-*"), inner),
+                            st.builds("{}^{}".format, inner, st.sampled_from(_NUMBERS)),
+                            st.builds("cos({})".format, inner), st.builds("-{}".format, inner)),
+    max_leaves=8)
+_PIECES = ["x", "y", "t", "pi", "cos", "(", ")", "+", "-", "*", "^", "/", " ", ".", "e",
+           *_NUMBERS]
+_COORDS = np.array([[0.0, 0.0], [0.5, 1.0], [2.0, 3.0]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_SENTENCES, st.lists(st.sampled_from(_PIECES), max_size=24).map("".join)),
+       st.sampled_from([0.0, 0.75, 2.0]))
+def test_any_text_parses_and_evaluates_or_raises_expression_error(text, t):
+    try:
+        with np.errstate(all="ignore"):
+            values = parse_expression(text)(t, _COORDS)
+    except ExpressionError:
+        return
+    assert values.shape == (len(_COORDS),)

@@ -1,4 +1,6 @@
+import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +73,26 @@ class TestEvaluateH:
             image = bh.evaluate_H(noise_map, u) - bh.evaluate_H(noise_map, v)
             assert bh.l2_norm(image, ops65) <= 0.5 * bh.l2_norm(u - v, ops65) + 1e-12
         assert bh.lipschitz_audit(noise_map, ops65, samples=40, seed=3) <= noise_map.lipschitz
+
+
+class TestDeclaredConstant:
+    def test_affine_constant_below_scale_is_rejected_by_the_map(self):
+        # picard_solve accepted this map and reported a modulus of 0.0067,
+        # while the ratios of its W differences reached 0.198.
+        with pytest.raises(InvalidConfigError, match=r"exact constant \|scale\| = 0.9"):
+            replace(bh.affine_map(0.9), lipschitz=0.01)
+        with pytest.raises(InvalidConfigError, match="declared lipschitz 0.5 is below"):
+            bh.MultiplicativeMap(kind="affine", lipschitz=0.5, scale=-0.9)
+        assert replace(bh.affine_map(-0.9), lipschitz=0.95).lipschitz == 0.95
+
+    def test_nan_quotient_fails_the_audit(self, ops65):
+        # max() kept the finite worst over a NaN quotient, so this map
+        # passed its audit at exactly its declared constant.
+        def psi(v):
+            return np.where(np.abs(v) > 1.0, np.nan, 0.05 * v)
+
+        noise_map = bh.MultiplicativeMap(kind="pointwise", lipschitz=0.05, psi=psi)
+        assert bh.lipschitz_audit(noise_map, ops65, 64, seed=0) == math.inf
 
 
 class TestWeightedNorm:
