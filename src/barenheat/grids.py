@@ -37,8 +37,8 @@ conjugate-gradient preconditioner, row by row, whose iteration count does
 not grow with the mesh.  The conjugate gradient, ``cg``, is a short loop
 with the arithmetic of ``scipy.sparse.linalg.cg`` and without its
 operator dispatch; a caller may hand each row an absolute residual target,
-capped inside the residual gate, so that an inexact Newton correction is
-solved only as far as Newton needs.
+so that an inexact Newton correction is solved only as far as Newton
+needs, and the residual gate of such a row follows its target.
 """
 
 import math
@@ -99,12 +99,18 @@ def build_time_grid(horizon, steps):
     return TimeGrid(horizon=float(horizon), steps=steps, dt=dt, nodes=nodes)
 
 
-def time_grid_of_step(horizon, dt):
-    """The uniform grid of [0, T] with step ``dt``, which must divide T to within 1e-9 T."""
+def step_count(horizon, dt):
+    """The step count N = T / dt of a step ``dt`` that divides T to within
+    1e-9 T; validates a step without building its N + 1 nodes."""
     count = horizon / dt if dt > 0 else math.inf
     if not math.isfinite(count) or abs(round(count) * dt - horizon) > 1e-9 * horizon:
         raise InvalidConfigError(f"dt level {dt} does not divide the horizon T = {horizon}")
-    return build_time_grid(horizon, round(count))
+    return round(count)
+
+
+def time_grid_of_step(horizon, dt):
+    """The uniform grid of [0, T] with step ``dt``, which ``step_count`` validates."""
+    return build_time_grid(horizon, step_count(horizon, dt))
 
 
 class _TridiagonalFactors:
@@ -424,27 +430,28 @@ def cg(matvec, b, psolve, rtol, atol=0.0, callback=None):
     return x, maxiter
 
 
-def _solve_2d(ops, diagonal, shift, rhs, targets, rtol):
+def _solve_2d(ops, diagonal, shift, rhs, targets):
     """Solve the rows of ``rhs`` in 2D; ``targets`` are the (M,) absolute
-    residual targets of the rows, zero for a full solve."""
+    residual targets of the rows, zero for a full solve.  Returns the
+    solution and the (M,) floors of the rows' residual gates: twice the
+    target of a conjugate-gradient row, zero for a direct solve."""
     ratio = diagonal / ops.lumped_mass
     low, high = float(ratio.min()), float(ratio.max())
     direct_solve = _fast_diagonalization(ops, 0.5 * (low + high), shift)
     if low == high:
-        return direct_solve(rhs)
+        return direct_solve(rhs), np.zeros(len(rhs))
 
     def matvec(v):
         return apply_shifted(ops, diagonal, shift, v)
 
     def conjugate_gradient(b, target):
-        target = min(float(target), 0.5 * rtol * (1.0 + math.sqrt(b.dot(b))))
         x, info = cg(matvec, b, direct_solve, CG_RTOL, target)
         if info != 0:
             residual = float(np.linalg.norm(matvec(x) - b))
             raise NumericalError("conjugate gradient did not converge", residual=residual)
         return x
 
-    return _by_row(conjugate_gradient, rhs, targets)
+    return _by_row(conjugate_gradient, rhs, targets), 2.0 * targets
 
 
 def _by_row(solve, *batches):
@@ -459,8 +466,9 @@ def _by_row(solve, *batches):
     return np.stack(rows)
 
 
-def _check_residual(ops, diagonal, shift, x, rhs, rtol):
-    """Raise unless every row of the block meets |A x - rhs| <= rtol (1 + |rhs|).
+def _check_residual(ops, diagonal, shift, x, rhs, rtol, floors=0.0):
+    """Raise unless every row i of the block meets
+    |A x - rhs_i| <= max(rtol (1 + |rhs_i|), floors_i).
 
     One dot product over the whole residual settles the common case: every
     row norm is at most the block norm and every limit is at least rtol, so
@@ -474,7 +482,7 @@ def _check_residual(ops, diagonal, shift, x, rhs, rtol):
     if math.sqrt(flat.dot(flat)) <= 0.5 * rtol:
         return
     norms = np.sqrt(_row_dots(residual, residual))
-    passed = norms <= rtol * (1.0 + np.sqrt(_row_dots(rhs, rhs)))
+    passed = norms <= np.maximum(rtol * (1.0 + np.sqrt(_row_dots(rhs, rhs))), floors)
     if passed.all():
         return
     row = int(passed.argmin())
@@ -509,16 +517,17 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
     ``atol``, None or an (M,) array (one entry for a field), is an absolute
     residual target per row that a caller such as inexact Newton may ask
     for instead of a full solve.  A conjugate-gradient row i stops once its
-    residual is below max(CG_RTOL |b_i|, min(atol_i, rtol (1 + |b_i|) / 2)):
-    the cap keeps every stop well inside the residual gate below, so a
-    target can never make the gate fail.  Direct solves, all of 1D and the
-    2D mass multiples, ignore ``atol``; with ``atol`` None every row runs to
-    ``CG_RTOL`` and has the bits of ``scipy.sparse.linalg.cg``.
+    residual is below max(CG_RTOL |b_i|, atol_i), and its residual gate is
+    max(rtol (1 + |b_i|), 2 atol_i): every stop lies inside half its own
+    gate.  Direct solves, all of 1D and the 2D mass multiples, ignore
+    ``atol`` and keep the gate rtol (1 + |b_i|); with ``atol`` None every
+    row runs to ``CG_RTOL``, has the bits of ``scipy.sparse.linalg.cg`` and
+    keeps that gate.
 
     Raises NumericalError if the operator is not positive definite or
-    the relative residual of a row exceeds ``rtol``, and NonFiniteError if
-    it is NaN or infinite; the error's ``row`` names the row of a block,
-    and is None for a field.
+    the residual of a row exceeds its gate, and NonFiniteError if it is
+    NaN or infinite; the error's ``row`` names the row of a block, and is
+    None for a field.
     """
     rhs = np.asarray(rhs, dtype=float)
     block = rhs[None] if rhs.ndim == 1 else rhs
@@ -526,6 +535,7 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
     shift = float(shift)
     if diagonal.ndim == 2 and (diagonal == diagonal[0]).all():
         diagonal = diagonal[0]
+    floors = 0.0
     try:
         if ops.dimension == 1:
             if diagonal.ndim == 1:
@@ -536,11 +546,17 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
         else:
             targets = np.zeros(len(block)) if atol is None else np.reshape(atol, -1)
             if diagonal.ndim == 1:
-                x = _solve_2d(ops, diagonal, shift, block, targets, rtol)
+                x, floors = _solve_2d(ops, diagonal, shift, block, targets)
             else:
-                x = _by_row(lambda d, r, a: _solve_2d(ops, d, shift, r, a, rtol)[0],
-                            diagonal, block[:, None], targets[:, None])
-        _check_residual(ops, diagonal, shift, x, block, rtol)
+                floors = np.zeros(len(block))
+
+                def solve_row(row, d, r):
+                    x, floors[row:row + 1] = _solve_2d(ops, d, shift, r[None],
+                                                        targets[row:row + 1])
+                    return x[0]
+
+                x = _by_row(solve_row, range(len(block)), diagonal, block)
+        _check_residual(ops, diagonal, shift, x, block, rtol, floors)
     except NumericalError as exc:
         if rhs.ndim == 1:
             exc.row = None

@@ -15,10 +15,17 @@ factors each once and reuses the factor for every inner iteration, step and
 path; the noise h_n dw_n, the shift s = chi_n + h_n dw_n and the load K s
 are computed once per step.
 
-For nonlinear alpha, Newton starts each inner iteration from the u of the
-current chi iterate, (chi_k - s) / dt: successive iterates differ by less
-and less, so it needs about half the iterations of a start from u = 0.
-Linear alpha keeps the start u = 0: there Newton's first step is exact
+For nonlinear alpha the first chi iterate of a step is the shift s, not
+chi_n: chi_{n+1} - s = dt u is O(dt), while chi_{n+1} - chi_n also carries
+the O(sqrt dt) noise increment.  The first Newton solve thus starts at
+u = 0, where the Jacobian is a multiple of the lumped mass, which 2D solves
+directly; on ``perfbench/configs/solve2d.ini`` (seeds 7, 99 and 1234) this
+start alone cut the conjugate-gradient iterations from 2457 to 1746, and a
+start at s + dt u_{n-1} cut them only to 1980.  Every later inner
+iteration starts Newton from the u of the current chi iterate,
+(chi_k - s) / dt: successive iterates differ by less and less, so it needs
+about half the iterations of a start from u = 0.  Linear alpha keeps the
+first iterate chi_n and the start u = 0: there Newton's first step is exact
 from any start, so a warm start saves almost no iteration (3 of 379 on
 ``solve`` of ``demos/configs/additive.ini``, seed 7), while it moves every
 1D CSV and costs each inner iteration a residual at the start and a
@@ -32,10 +39,12 @@ constants are equal, which with alpha(0) = 0 forces alpha = c x.
 Newton is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
 1982): each correction's linear solve may stop once its residual is below
 ``NEWTON_FORCING`` = 0.1 times the row's Newton threshold
-newton_tol (1 + |rhs|).  The Newton residual after a step is that linear
-residual plus a term quadratic in the step, so solving further buys no
-Newton iteration.  Only the 2D conjugate-gradient solves stop early; the
-direct solves, all of 1D, are exact and keep their bits.
+newton_tol (1 + |rhs|), or of its relaxed threshold below.  The Newton
+residual after a step is that linear residual plus a term quadratic in the
+step, so solving further buys no Newton iteration.  Only the 2D
+conjugate-gradient solves stop early, and ``solve_shifted`` gates each at
+twice its target when that is above its ``rtol`` gate; the direct solves,
+all of 1D, are exact and keep their bits.
 
 For nonlinear alpha the inner iteration is inexact as well: only its limit
 is the step's solution, so an iterate needs to be accurate only relative to
@@ -372,12 +381,14 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
     stiffness_shift = apply_stiffness(ops, shift)
     # Equal declared constants and alpha(0) = 0 make alpha linear, and
     # Newton then converges in one iteration from u = 0; every other alpha
-    # starts from the u of the current chi iterate.
+    # starts from the u of the current chi iterate, 0 for the first.
     warm_start = nl.lipschitz != nl.coercivity
     # Relative Newton tolerance of each path's next solve, relaxed while the
     # chi iterates still move (nonlinear alpha only).
     newton_tols = [_inner_newton_tol(newton_tol, math.inf)] * count if warm_start else None
-    chi = chi_n
+    # Nonlinear alpha starts from the shift s, whose u is 0: chi_{n+1} - s is
+    # O(dt), while chi_{n+1} - chi_n also carries the noise increment.
+    chi = shift if warm_start else chi_n
     differences = [[] for _ in range(count)]
     factors = [[] for _ in range(count)]
     inner = [0] * count
@@ -388,14 +399,14 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
     active = list(range(count))
     rows = None
     sub = (theta_n, chi_n, noise, shift, stiffness_shift)
-    for _ in range(max_inner):
+    for iteration in range(max_inner):
         chi_iterate = _take(chi, rows)
         sub_theta_n, sub_chi_n, sub_noise, sub_shift, sub_stiffness_shift = sub
         try:
             theta = _solve_theta(chi_iterate, sub_theta_n, sub_chi_n, sub_noise, dt, ops)
             u, newton = _newton(
                 ops, nl, dt, ops.lumped_mass * theta - sub_stiffness_shift, newton_tol,
-                (chi_iterate - sub_shift) / dt if warm_start else None,
+                (chi_iterate - sub_shift) / dt if warm_start and iteration else None,
                 [newton_tols[row] for row in active] if warm_start else None,
             )
         except NumericalError as exc:

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import barenheat as bh
 
@@ -158,6 +159,83 @@ def test_criterion_4_constant_noise_closed_form(ops, nl):
         "criterion 4 per-path closed form",
         worst <= 1e-9,
         f"worst pathwise deviation {worst:.3e} <= 1e-9 over 32 paths",
+    )
+
+
+# 2D counterparts of criteria 3 and 4: a small rectangle and saturating
+# alpha, so the nonlinear start at the noise shift is exercised.  Spatially
+# constant data keep K out of both equations, and each step reduces to the
+# scalar equation alphatilde(u) + dt u = theta_n with theta_{n+1} =
+# theta_n - dt u, solved here by scipy's brentq, without barenheat.
+GAIN_2D = 2.0
+
+
+@pytest.fixture(scope="module")
+def ops_2d():
+    return bh.build_operators(2, (6, 5), (1.0, 1.5))
+
+
+def scalar_step(theta, dt):
+    """The u of one step for spatially constant data, from the formula
+    alphatilde(u) = u + alpha(u) with alpha(u) = u + a u / (1 + |u|)."""
+
+    def equation(u):
+        return 2.0 * u + GAIN_2D * u / (1.0 + abs(u)) + dt * u - theta
+
+    bound = abs(theta) + 1.0
+    return brentq(equation, -bound, bound, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+
+
+def scalar_references(steps, dt):
+    """theta_n and chi_n - B_n, n = 1..N, from theta_0 = 1, chi_0 = 0."""
+    theta, v, references = 1.0, 0.0, []
+    for _ in range(steps):
+        u = scalar_step(theta, dt)
+        theta -= dt * u
+        v += dt * u
+        references.append((theta, v))
+    return references
+
+
+def test_criterion_3_ode_reduction_2d(ops_2d):
+    """Constant data without noise follow the scalar recursion in 2D."""
+    sat = bh.saturating(GAIN_2D)
+    ones, zeros = np.ones(ops_2d.node_count), np.zeros(ops_2d.node_count)
+    worst = 0.0
+    for steps in (16, 32, 64):
+        grid = bh.build_time_grid(1.0, steps)
+        integrand = bh.discretize_integrand("0", grid, ops_2d)
+        traj = bh.run_additive(ones, zeros, integrand, bh.sample_path(grid, 1, 0), grid,
+                               ops_2d, sat)
+        for n, (theta_ref, chi_ref) in enumerate(scalar_references(steps, grid.dt), 1):
+            worst = max(worst, np.abs(traj.theta[n] - theta_ref).max(),
+                        np.abs(traj.chi[n] - chi_ref).max())
+    criterion(
+        "criterion 3 ODE-reduction oracle, 2D saturating",
+        worst <= 1e-9,
+        f"recursion defect {worst:.3e} <= 1e-9 on 6x5 cells, N in (16, 32, 64)",
+    )
+
+
+def test_criterion_4_constant_noise_closed_form_2d(ops_2d):
+    """chi_N - B_N follows the scalar recursion on every path in 2D."""
+    sat = bh.saturating(GAIN_2D)
+    ones, zeros = np.ones(ops_2d.node_count), np.zeros(ops_2d.node_count)
+    grid = bh.build_time_grid(1.0, 64)
+    integrand = bh.discretize_integrand("1", grid, ops_2d)
+    references = scalar_references(grid.steps, grid.dt)
+    paths = [bh.sample_path(grid, 11, pid) for pid in range(8)]
+    worst = 0.0
+    for path, traj in zip(paths, bh.run_additive(ones, zeros, integrand, paths, grid, ops_2d,
+                                                 sat)):
+        sums = bh.partial_sums(path, integrand)
+        for n, (theta_ref, v_ref) in enumerate(references, 1):
+            worst = max(worst, np.abs(traj.theta[n] - theta_ref).max(),
+                        np.abs(traj.chi[n] - sums[n] - v_ref).max())
+    criterion(
+        "criterion 4 per-path closed form, 2D saturating",
+        worst <= 1e-9,
+        f"worst pathwise deviation {worst:.3e} <= 1e-9 over 8 paths on 6x5 cells",
     )
 
 

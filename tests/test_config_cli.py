@@ -3,6 +3,8 @@ import json
 import os
 
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +272,22 @@ def test_dt_level_that_cannot_divide_is_a_violation(tmp_path, dt):
         f"dt level {float(dt)} does not divide the horizon T = 1.0"]
 
 
+def test_validation_does_not_build_the_time_grids(tmp_path):
+    # dt = 1e-7 asks for 1e7 steps, whose nodes would take 80 MB; validating
+    # it must not allocate them.  (A smaller dt would make a regression ask
+    # for gigabytes instead of failing this bound.)
+    text = MINIMAL.replace("steps = 16", "steps = 16\ndt_levels = 0.25, 1e-7")
+    path = write_config(tmp_path, text)
+    tracemalloc.start()
+    try:
+        config = parse_config(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert config.dt_levels == [0.25, 1e-7]
+    assert peak < 4 * 2**20
+
+
 def test_zero_steps_is_a_violation(tmp_path):
     with pytest.raises(ConfigValidationError, match="steps must be >= 1, got 0"):
         parse_config(write_config(tmp_path, MINIMAL.replace("steps = 16", "steps = 0")))
@@ -433,6 +451,19 @@ class TestCli:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error: ")]
         assert len(errors) == 1
+        assert not os.path.exists(outdir)
+
+    def test_overflowing_noise_fails_before_the_first_step(self, tmp_path, capsys):
+        # 1e308 (1 + t) passes validation at t = 0; the sum of its two Gauss
+        # points overflows at step 1, which used to fail inside the solve.
+        config = write_config(tmp_path, MINIMAL.replace("cos(pi*x)*(1+t)", "1e308*(1+t)"))
+        outdir = str(tmp_path / "never")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("solve", "--config", config, "--out", outdir) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err == (
+            "error: noise expression '1e308*(1+t)' is not finite at step 1\n")
         assert not os.path.exists(outdir)
 
     def test_constants_summary(self, tmp_path):

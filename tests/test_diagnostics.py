@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ def test_dt_level_that_cannot_divide_is_a_config_error(noisy_setup, estimator, d
     with pytest.raises(InvalidConfigError,
                        match=f"dt level {dt} does not divide the horizon T = 1.0"):
         getattr(bh, estimator)(noisy_setup, 1.0, [0.5, 0.25, dt], 4, 0)
+
+
+@pytest.mark.parametrize("estimator", ["energy_estimate_check", "grid_difference_rates",
+                                       "self_convergence"])
+def test_ladder_is_rejected_before_its_grids_are_built(noisy_setup, estimator):
+    # 4 steps do not divide the finer 10**7 + 2: the ladder fails on its
+    # step counts, without building the 10**7 + 3 nodes of the finer grid.
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfigError,
+                           match="level with 4 steps does not divide the finer 10000002"):
+            getattr(bh, estimator)(noisy_setup, 1.0, [0.5, 0.25, 1.0 / (10**7 + 2)], 4, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 class TestSelfConvergence:

@@ -643,14 +643,46 @@ class TestConjugateGradient:
             residual = np.linalg.norm(grids.apply_shifted(ops, d, 0.3, alone) - b)
             assert residual <= max(target, grids.CG_RTOL * np.linalg.norm(b)) * 1.01
 
-    def test_target_is_capped_inside_the_residual_gate(self):
+    def test_target_stops_inside_the_gate_it_sets(self):
+        # A conjugate-gradient row with target atol is gated at
+        # max(rtol (1 + |b|), 2 atol) and stops inside half of it; a row
+        # without a target keeps the gate rtol (1 + |b|) and stops inside
+        # half of that, the former cap.
         ops, diagonal, rng = self.problem((16, 16), 34)
         rtol = 1e-10
         for scale in (1e-8, 1.0, 1e8):
             b = scale * rng.standard_normal(ops.node_count)
-            x = grids.solve_shifted(ops, diagonal, 0.3, b, rtol=rtol, atol=np.array([np.inf]))
-            residual = np.linalg.norm(grids.apply_shifted(ops, diagonal, 0.3, x) - b)
-            assert 0.0 < residual <= 0.5 * rtol * (1.0 + np.linalg.norm(b)) * 1.01
+            bnorm = np.linalg.norm(b)
+            for target in (1e-4 * bnorm, 1e-3 * rtol * (1.0 + bnorm), None):
+                atol = None if target is None else np.array([target])
+                x = grids.solve_shifted(ops, diagonal, 0.3, b, rtol=rtol, atol=atol)
+                residual = np.linalg.norm(grids.apply_shifted(ops, diagonal, 0.3, x) - b)
+                gate = max(rtol * (1.0 + bnorm), 2.0 * (target or 0.0))
+                assert 0.0 < residual <= 0.5 * gate * 1.01
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_row_that_misses_its_relaxed_gate_is_named(self, monkeypatch, per_row):
+        # The conjugate gradient of row 1 returns zero and claims success:
+        # its residual |b| is above its relaxed gate 2 atol = |b| / 2.
+        ops, diagonal, rng = self.problem((16, 16), 37)
+        rhs = rng.standard_normal((2, ops.node_count))
+        diag = np.stack([diagonal, 1.5 * diagonal]) if per_row else diagonal
+        atol = 0.25 * np.sqrt((rhs * rhs).sum(axis=1))
+        real_cg = grids.cg
+        calls = []
+
+        def missing_cg(matvec, b, psolve, rtol, atol=0.0, callback=None):
+            calls.append(atol)
+            if len(calls) == 2:
+                return np.zeros(b.shape), 0
+            return real_cg(matvec, b, psolve, rtol, atol, callback=callback)
+
+        monkeypatch.setattr(grids, "cg", missing_cg)
+        with pytest.raises(NumericalError) as info:
+            grids.solve_shifted(ops, diag, 0.3, rhs, rtol=1e-10, atol=atol)
+        assert type(info.value) is NumericalError and info.value.row == 1
+        assert info.value.residual == pytest.approx(np.linalg.norm(rhs[1]))
+        assert calls == list(atol)
 
     def test_direct_solves_ignore_targets(self):
         # All of 1D and the 2D mass multiples are solved directly.

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,17 @@ class TestDiscretizeIntegrand:
         for n in range(1, 4):
             a, b = grid.nodes[n - 1], grid.nodes[n]
             assert integ.values[n][0] == pytest.approx((b**4 - a**4) / (4 * (b - a)), rel=1e-13)
+
+    def test_non_finite_value_names_its_first_step(self, ops_small):
+        # On [0, 4] with dt = 1 the Gauss points of step 1 give a finite
+        # sum 1e308 (t0 + t1) = 1e308; those of step 2 overflow it.
+        grid = bh.build_time_grid(4.0, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError,
+                               match=r"noise expression '1e308\*t' is not finite at step 2$"):
+                bh.discretize_integrand("1e308*t", grid, ops_small)
+            assert np.isfinite(bh.discretize_integrand("1e307*t", grid, ops_small).values).all()
 
     def test_spatial_cosine(self, ops_small):
         grid = bh.build_time_grid(1.0, 4)

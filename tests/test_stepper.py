@@ -241,6 +241,44 @@ class TestStep:
         assert report.newton_iterations > reports[-1].iterations
         assert report.line_search_halvings == max(r.line_search_halvings for r in reports)
 
+    @pytest.mark.parametrize("nonlinear", [True, False], ids=["saturating", "linear"])
+    def test_nonlinear_alpha_starts_at_the_noise_shift(self, ops65, cos_field, monkeypatch,
+                                                      one_step, nonlinear):
+        # Nonlinear alpha takes s = chi_n + h_n dw_n as its first chi
+        # iterate, so Newton starts at u = 0 and the first difference is
+        # measured from s; linear alpha starts from chi_n.
+        nl = bh.saturating(2.0) if nonlinear else bh.linear(1.0)
+        dt, dw = 0.25, 0.4
+        chi_n = 0.5 * cos_field
+        shift = chi_n + cos_field * dw
+        candidates, newton_calls = [], []
+        real_theta, real_newton = stepper._solve_theta, stepper._newton
+
+        def recording_theta(chi_candidate, *args):
+            candidates.append(chi_candidate.copy())
+            return real_theta(chi_candidate, *args)
+
+        def recording_newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
+            started = None if start is None else start.copy()
+            u, report = real_newton(ops, nl, dt, rhs, tol, start, relaxed)
+            newton_calls.append((started, u.copy()))
+            return u, report
+
+        monkeypatch.setattr(stepper, "_solve_theta", recording_theta)
+        monkeypatch.setattr(stepper, "_newton", recording_newton)
+        _, _, report = one_step(cos_field, chi_n, cos_field, dw, dt, ops65, nl)
+        first, other = (shift, chi_n) if nonlinear else (chi_n, shift)
+        assert np.array_equal(candidates[0], first[None])
+        started, u = newton_calls[0]
+        assert started is None
+        chi_1 = shift + dt * u[0]
+        assert report.chi_differences[0] == pytest.approx(bh.l2_norm(chi_1 - first, ops65),
+                                                          rel=1e-12)
+        # The noise increment, 0.4 cos(pi x), separates the two candidates.
+        assert abs(bh.l2_norm(chi_1 - other, ops65) - report.chi_differences[0]) > 0.1
+        if nonlinear:
+            assert all(start is not None for start, _ in newton_calls[1:])
+
     @pytest.mark.parametrize("paths", [1, 4])
     def test_linear_alpha_takes_one_newton_iteration_per_inner_iteration(
         self, ops65, cos_field, paths
@@ -488,11 +526,15 @@ class TestNonFiniteValues:
 
 class TestInexactNewton:
     """2D Newton corrections stop at NEWTON_FORCING times the row's Newton
-    threshold: the run keeps its iteration counts and, to round-off, its
-    fields, with fewer conjugate-gradient iterations."""
+    threshold, relaxed or not: the run keeps, to round-off, its fields, and
+    every accepted iterate meets newton_tol, with fewer conjugate-gradient
+    iterations."""
 
     @staticmethod
-    def run(monkeypatch, scale=1.0, exact=False):
+    def run(monkeypatch, scale=1.0, exact=False, met=None):
+        """Trajectories of two paths and the CG iterations run; ``met``, a
+        list, gets per ``_newton`` call whether each row's residual meets
+        newton_tol."""
         ops = bh.build_operators(2, (12, 12), (1.0, 1.0))
         grid = bh.build_time_grid(0.5, 8)
         integ = bh.discretize_integrand("cos(pi*x)*(1+cos(2*pi*y))*(1+t)", grid, ops)
@@ -500,7 +542,7 @@ class TestInexactNewton:
         theta0 = scale * bh.evaluate_on_mesh("cos(pi*x)*(2+cos(pi*y))", ops)
         chi0 = scale * bh.evaluate_on_mesh("cos(pi*x)*cos(pi*y)", ops)
         iterations = [0]
-        real_cg = grids.cg
+        real_cg, real_newton = grids.cg, stepper._newton
 
         def counting_cg(*args, callback=None, **kwargs):
             def counted(xk):
@@ -508,8 +550,16 @@ class TestInexactNewton:
 
             return real_cg(*args, callback=counted, **kwargs)
 
+        def recording_newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
+            u, report = real_newton(ops, nl, dt, rhs, tol, start, relaxed)
+            if met is not None:
+                met.append([residual <= stepper.DEFAULT_NEWTON_TOL * (1.0 + norm)
+                            for residual, norm in zip(report.residual, grids.row_norms(rhs))])
+            return u, report
+
         with monkeypatch.context() as patch:
             patch.setattr(grids, "cg", counting_cg)
+            patch.setattr(stepper, "_newton", recording_newton)
             if exact:
                 patch.setattr(stepper, "solve_shifted",
                               lambda *args, atol=None, **kwargs: grids.solve_shifted(*args, **kwargs))
@@ -517,14 +567,30 @@ class TestInexactNewton:
         return trajectories, iterations[0]
 
     @staticmethod
-    def counts(trajectories):
-        return [[(r.inner_iterations, r.newton_iterations, r.line_search_halvings)
-                 for r in traj.reports] for traj in trajectories]
+    def accepted_meet_newton_tol(trajectories, met):
+        """Whether the last ``_newton`` row of every path and step, the
+        accepted iterate's, met newton_tol.  A path runs in the batch while
+        it has inner iterations left, so call k of a step holds, in order,
+        the paths with more than k inner iterations."""
+        calls = iter(met)
+        for step in range(len(trajectories[0].reports)):
+            inner = [traj.reports[step].inner_iterations for traj in trajectories]
+            for k in range(max(inner)):
+                rows = next(calls)
+                active = [path for path, count in enumerate(inner) if count > k]
+                assert len(rows) == len(active)
+                if not all(ok for path, ok in zip(active, rows) if inner[path] == k + 1):
+                    return False
+        assert next(calls, None) is None
+        return True
 
-    def test_same_iterations_fewer_cg_iterations(self, monkeypatch):
-        inexact, cg_inexact = self.run(monkeypatch)
-        exact, cg_exact = self.run(monkeypatch, exact=True)
-        assert self.counts(inexact) == self.counts(exact)
+    def test_fewer_cg_iterations_same_fields(self, monkeypatch):
+        # The relaxed gate lets a relaxed correction stop above the
+        # former cap, so a step may take another number of inner
+        # iterations than with exact corrections; the fields agree.
+        met_inexact, met_exact = [], []
+        inexact, cg_inexact = self.run(monkeypatch, met=met_inexact)
+        exact, cg_exact = self.run(monkeypatch, exact=True, met=met_exact)
         assert sum(r.newton_iterations for t in exact for r in t.reports) > \
             sum(r.inner_iterations for t in exact for r in t.reports)
         for ours, full in zip(inexact, exact):
@@ -532,11 +598,13 @@ class TestInexactNewton:
                 a, b = getattr(ours, field), getattr(full, field)
                 assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
         assert 0 < cg_inexact < cg_exact
+        assert self.accepted_meet_newton_tol(inexact, met_inexact)
+        assert self.accepted_meet_newton_tol(exact, met_exact)
 
     def test_large_data_stay_inside_the_residual_gate(self, monkeypatch):
         # |rhs| of order 1e5 makes NEWTON_FORCING times the Newton threshold
-        # larger than the residual gate of a small correction allows; the
-        # cap in solve_shifted keeps every stop inside the gate.
+        # larger than rtol (1 + |b|) for a small correction b; the gate of
+        # solve_shifted follows the target, and every stop stays inside it.
         trajectories, cg_iterations = self.run(monkeypatch, scale=1e5)
         assert cg_iterations > 0
         assert all(np.isfinite(traj.chi).all() for traj in trajectories)
