@@ -192,13 +192,8 @@ def cmd_converge(args, config, outdir, seed):
     runner = grid_difference_rates if config.study_kind == "grid_difference" else self_convergence
     study = runner(_setup(config), config.horizon, config.dt_levels,
                    config.paths, seed)
-    rows = [
-        [dt, et, set_, ec, sec]
-        for dt, et, set_, ec, sec in zip(
-            study.theta.dts, study.theta.errors, study.theta.standard_errors,
-            study.chi.errors, study.chi.standard_errors,
-        )
-    ]
+    rows = zip(study.theta.dts, study.theta.errors, study.theta.standard_errors,
+               study.chi.errors, study.chi.standard_errors)
     _write_csv(os.path.join(outdir, "rates.csv"),
                ["dt", "error_theta", "se_theta", "error_chi", "se_chi"], rows)
     slope = study.chi.slope
@@ -219,10 +214,8 @@ def cmd_stability(args, config, outdir, seed):
     grid = build_time_grid(config.horizon, config.steps)
     report = stability_check(_setup(config), config.integrand_hat, grid,
                              config.paths, seed)
-    rows = []
-    for n in range(grid.steps + 1):
-        ratio = report.lhs[n] / report.rhs[n] if report.rhs[n] > 0 else 0.0
-        rows.append([report.times[n], report.lhs[n], report.lhs_se[n], report.rhs[n], ratio])
+    rows = [[t, lhs, se, rhs, lhs / rhs if rhs > 0 else 0.0]
+            for t, lhs, se, rhs in zip(report.times, report.lhs, report.lhs_se, report.rhs)]
     _write_csv(os.path.join(outdir, "stability.csv"),
                ["t", "lhs", "lhs_se", "rhs", "ratio"], rows)
     return report.passed, {
@@ -266,11 +259,9 @@ def cmd_picard(args, config, outdir, seed):
     traj, report = picard_solve(config.theta0, config.chi0, config.noise_map, path,
                                 grid, config.ops, config.nonlinearity, config.picard,
                                 tol=config.inner_tol, newton_tol=config.newton_tol)
-    rows = []
-    for idx, wdiff in enumerate(report.w_differences, start=1):
-        ratio = report.ratios[idx - 2] if idx >= 2 else 0.0
-        wall = report.wall_times[idx - 1] if args.timings else 0.0
-        rows.append([idx, wdiff, ratio, wall])
+    walls = report.wall_times if args.timings else [0.0] * report.iterations
+    rows = zip(range(1, report.iterations + 1), report.w_differences, [0.0] + report.ratios,
+               walls)
     _write_csv(os.path.join(outdir, "picard.csv"),
                ["iteration", "W_difference", "ratio", "wall_time"], rows)
     _write_csv(os.path.join(outdir, "trajectory.csv"), _TRAJECTORY_HEADER,

@@ -62,7 +62,7 @@ import numpy as np
 from . import nonlinearity as nonlin
 from .errors import ConfigValidationError, ExpressionError, InvalidConfigError
 from .expressions import parse_expression
-from .grids import build_operators, step_count
+from .grids import build_operators, time_grid_of_step
 from .multiplicative import PicardConfig, _picard_threshold, affine_map, damped_map, lipschitz_audit
 from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, check_step_preconditions
 
@@ -235,7 +235,7 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
         for dt in dt_levels or []:
             requested_dts.append(dt)
             try:
-                step_count(horizon, dt)
+                time_grid_of_step(horizon, dt)
             except InvalidConfigError as exc:
                 violations.append(str(exc))
         for dt in requested_dts if nl is not None else ():

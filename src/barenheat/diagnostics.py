@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError
-from .grids import build_time_grid, h1_seminorm, l2_norm, step_count
+from .grids import h1_seminorm, l2_norm, time_grid_of_step
 from .noise import aggregate_path, discretize_integrand, sample_path
 from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, run_additive
 from .theory import StabilityConstants, compute_stability_constant
@@ -109,20 +109,19 @@ def simulate(setup, grid, path, integrand):
 def _level_grids(horizon, dts, minimum):
     """Validate a decreasing dt ladder of at least ``minimum`` levels, where
     each level divides the finer ones, and build its grids; ``dts`` None has
-    no levels.  A ladder is validated on step counts, before any grid's
-    nodes are built."""
+    no levels."""
     dts = [] if dts is None else [float(dt) for dt in dts]
     if len(dts) < minimum:
         raise InvalidConfigError(f"need at least {minimum} dt levels, got {len(dts)}")
     if any(b >= a for a, b in zip(dts, dts[1:])):
         raise InvalidConfigError(f"dt levels must be strictly decreasing, got {dts}")
-    counts = [step_count(horizon, dt) for dt in dts]
-    for coarse, fine in zip(counts, counts[1:]):
-        if fine % coarse != 0:
+    grids = [time_grid_of_step(horizon, dt) for dt in dts]
+    for coarse, fine in zip(grids, grids[1:]):
+        if fine.steps % coarse.steps != 0:
             raise InvalidConfigError(
-                f"level with {coarse} steps does not divide the finer {fine}"
+                f"level with {coarse.steps} steps does not divide the finer {fine.steps}"
             )
-    return [build_time_grid(horizon, count) for count in counts]
+    return grids
 
 
 def _level_table(setup, grids, paths, seed, statistic):

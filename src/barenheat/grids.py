@@ -45,6 +45,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,46 +72,37 @@ FACTOR_CACHE_SIZE = 16
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform mesh of [0, T] with N steps of size dt = T/N."""
+    """Uniform mesh of [0, T] with N steps of size dt = T/N; its N + 1 nodes
+    t_n = n * (T/N) are computed on first read of ``nodes`` and kept, so
+    building a grid allocates nothing of size N."""
 
     horizon: float
     steps: int
     dt: float
-    nodes: np.ndarray = field(repr=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, TimeGrid):
-            return NotImplemented
-        return self.horizon == other.horizon and self.steps == other.steps
-
-    def __hash__(self):
-        return hash((self.horizon, self.steps))
+    @cached_property
+    def nodes(self):
+        return np.linspace(0.0, self.horizon, self.steps + 1)
 
 
 def build_time_grid(horizon, steps):
-    """Build the uniform time grid with nodes t_n = n * (T/N), n = 0..N."""
+    """Build the uniform time grid of [0, T] with N = ``steps`` steps."""
     if not horizon > 0:
         raise InvalidConfigError(f"time horizon must be positive, got {horizon}")
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise InvalidConfigError(f"step count must be an integer >= 1, got {steps}")
     steps = int(steps)
-    dt = horizon / steps
-    nodes = np.linspace(0.0, horizon, steps + 1)
-    return TimeGrid(horizon=float(horizon), steps=steps, dt=dt, nodes=nodes)
-
-
-def step_count(horizon, dt):
-    """The step count N = T / dt of a step ``dt`` that divides T to within
-    1e-9 T; validates a step without building its N + 1 nodes."""
-    count = horizon / dt if dt > 0 else math.inf
-    if not math.isfinite(count) or abs(round(count) * dt - horizon) > 1e-9 * horizon:
-        raise InvalidConfigError(f"dt level {dt} does not divide the horizon T = {horizon}")
-    return round(count)
+    return TimeGrid(horizon=float(horizon), steps=steps, dt=horizon / steps)
 
 
 def time_grid_of_step(horizon, dt):
-    """The uniform grid of [0, T] with step ``dt``, which ``step_count`` validates."""
-    return build_time_grid(horizon, step_count(horizon, dt))
+    """The uniform grid of [0, T] with step ``dt``; raises InvalidConfigError
+    unless N = T / dt is an integer to within 1e-9 T.  Builds no nodes, so
+    it validates a step of any size."""
+    count = horizon / dt if 0.0 < dt < math.inf else math.inf
+    if not math.isfinite(count) or abs(round(count) * dt - horizon) > 1e-9 * horizon:
+        raise InvalidConfigError(f"dt level {dt} does not divide the horizon T = {horizon}")
+    return build_time_grid(horizon, round(count))
 
 
 class _TridiagonalFactors:
@@ -430,16 +422,32 @@ def cg(matvec, b, psolve, rtol, atol=0.0, callback=None):
     return x, maxiter
 
 
-def _solve_2d(ops, diagonal, shift, rhs, targets):
-    """Solve the rows of ``rhs`` in 2D; ``targets`` are the (M,) absolute
-    residual targets of the rows, zero for a full solve.  Returns the
-    solution and the (M,) floors of the rows' residual gates: twice the
-    target of a conjugate-gradient row, zero for a direct solve."""
+def _cg_targets(atol, count):
+    """``solve_shifted``'s ``atol`` as the targets of a block of ``count``
+    rows, zero for None; an infinite target would pass a row at x = 0, and
+    a NaN one would run the conjugate gradient past convergence."""
+    if atol is None:
+        return np.zeros(count)
+    targets = np.asarray(atol, dtype=float).reshape(-1)
+    if len(targets) != count:
+        raise FieldShapeError(f"atol has {len(targets)} entries for a block of {count} rows")
+    if not all(0.0 <= target < math.inf for target in targets.tolist()):
+        raise InvalidConfigError(f"atol entries must be finite and >= 0, got {targets.tolist()}")
+    return targets
+
+
+def _solve_2d(ops, diagonal, shift, rhs, targets_of, rows=slice(None)):
+    """Solve the rows of ``rhs`` in 2D; ``targets_of()[rows]`` are their (M,)
+    absolute residual targets, zero for a full solve, read only when a row
+    runs the conjugate gradient.  Returns the solution and the (M,) floors
+    of the rows' residual gates: twice the target of a conjugate-gradient
+    row, zero for a direct solve."""
     ratio = diagonal / ops.lumped_mass
     low, high = float(ratio.min()), float(ratio.max())
     direct_solve = _fast_diagonalization(ops, 0.5 * (low + high), shift)
     if low == high:
         return direct_solve(rhs), np.zeros(len(rhs))
+    targets = targets_of()[rows]
 
     def matvec(v):
         return apply_shifted(ops, diagonal, shift, v)
@@ -522,7 +530,9 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
     gate.  Direct solves, all of 1D and the 2D mass multiples, ignore
     ``atol`` and keep the gate rtol (1 + |b_i|); with ``atol`` None every
     row runs to ``CG_RTOL``, has the bits of ``scipy.sparse.linalg.cg`` and
-    keeps that gate.
+    keeps that gate.  Where a conjugate-gradient row reads ``atol``, it
+    raises FieldShapeError unless ``atol`` has one entry per row, and
+    InvalidConfigError unless every entry is finite and >= 0.
 
     Raises NumericalError if the operator is not positive definite or
     the residual of a row exceeds its gate, and NonFiniteError if it is
@@ -544,15 +554,15 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
                 x = _by_row(lambda d, r: ops.tridiagonal.solve_once(d, shift, r)[0],
                             diagonal, block[:, None])
         else:
-            targets = np.zeros(len(block)) if atol is None else np.reshape(atol, -1)
+            targets_of = partial(_cg_targets, atol, len(block))
             if diagonal.ndim == 1:
-                x, floors = _solve_2d(ops, diagonal, shift, block, targets)
+                x, floors = _solve_2d(ops, diagonal, shift, block, targets_of)
             else:
                 floors = np.zeros(len(block))
 
                 def solve_row(row, d, r):
-                    x, floors[row:row + 1] = _solve_2d(ops, d, shift, r[None],
-                                                        targets[row:row + 1])
+                    x, floors[row:row + 1] = _solve_2d(ops, d, shift, r[None], targets_of,
+                                                        slice(row, row + 1))
                     return x[0]
 
                 x = _by_row(solve_row, range(len(block)), diagonal, block)

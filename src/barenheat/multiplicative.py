@@ -8,8 +8,10 @@ field, matching the additive convention that the integrand vanishes before
 time zero, so a constant map reduces bit-for-bit to the additive solver).
 Freezing at the left endpoint keeps every integrand value measurable at the
 time it multiplies the increment.  It also means that step n of iterate
-k + 1 reads iterate k only at t_n, so ``picard_solve`` runs iterate 1 on
-its own and every later iterate one or more steps behind its predecessor,
+k + 1 reads iterate k only at t_n, and that iterates k and k + 1 agree at
+nodes 0..k: both read the same integrand before step k.  So ``picard_solve``
+runs iterate 1 on its own, and every later iterate k + 1 starts at step k
+from copies of its predecessor's first k steps, level with or behind it,
 all running iterates advancing together as one batch.  An iterate starts
 only once the part of its predecessor's weighted difference summed so far
 exceeds the tolerance, so no iterate runs that the sequential iteration
@@ -33,8 +35,7 @@ import numpy as np
 from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError, NumericalError
 from .grids import h1_seminorm, l2_norm
 from .noise import AdditiveIntegrand, partial_sums
-from .stepper import (DEFAULT_INNER_TOL, DEFAULT_MAX_INNER, DEFAULT_NEWTON_TOL, Trajectory,
-                      _advance, run_additive)
+from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, Trajectory, _advance, run_additive
 from .theory import compute_stability_constant
 
 
@@ -200,28 +201,28 @@ class PicardReport:
 class _Iterate:
     """A Picard iterate while it runs: its fields up to node ``step``, the
     integrand values it has read from its predecessor's chi ``previous``,
-    and the running sum of its weighted-norm terms."""
+    its step reports, and the running sum of its weighted-norm terms."""
 
     number: int
     previous: np.ndarray = field(repr=False)
     theta: np.ndarray = field(repr=False)
     chi: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
-    started: float
-    reports: list = field(default_factory=list, repr=False)
-    step: int = 0
+    reports: list = field(repr=False)
+    step: int
+    started: float = field(default_factory=time.perf_counter)
     partial: float = 0.0
-    successor: bool = False
 
 
-def _start_iterate(number, previous, theta0, chi0, grid, ops):
-    shape = (grid.steps + 1, ops.node_count)
-    theta, chi = np.empty(shape), np.empty(shape)
-    theta[0] = theta0
-    chi[0] = chi0
-    # h_0 stays the zero field; h_n = H(previous[n]) is filled in at step n.
-    return _Iterate(number, previous, theta, chi, np.zeros((grid.steps, ops.node_count)),
-                    time.perf_counter())
+def _successor(k, theta, chi, values, reports):
+    """Iterate k + 1 at step k, from iterate k's fields, integrand rows and
+    step reports: the two agree at nodes 0..k, so it starts from copies of
+    them there and before step k.  Its weighted-norm terms at those nodes
+    are 0.0, so its running sum starts at 0.0."""
+    theta_next, chi_next, values_next = (np.empty_like(a) for a in (theta, chi, values))
+    theta_next[:k + 1], chi_next[:k + 1] = theta[:k + 1], chi[:k + 1]
+    values_next[:k] = values[:k]
+    return _Iterate(k + 1, chi, theta_next, chi_next, values_next, reports[:k], step=k)
 
 
 def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
@@ -236,14 +237,15 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     Iterate 1 is one ``run_additive`` call.  Step n of iterate k + 1 reads
     iterate k only at node n, so later iterates run staggered: every running
     iterate takes one step per ``_advance`` call on their common batch, each
-    at its own step.  Iterate k + 1 starts once the square root of the
-    running sum of iterate k's weighted-norm terms exceeds the tolerance:
-    the terms are non-negative, so iterate k can no longer converge, and
-    every iterate that runs is one the sequential iteration runs too.  The
-    rows of a batch are independent, so the trajectory, reports and errors
-    are bit for bit those of the sequential iteration: a NumericalError
-    names the step and path of the lowest failing iterate, and no iterate
-    past it runs on.
+    at its own step.  Iterates k and k + 1 agree at nodes 0..k, so iterate
+    k + 1 inherits iterate k's first k steps and runs only steps k..N-1.  It
+    starts once the square root of the running sum of iterate k's
+    weighted-norm terms exceeds the tolerance: the terms are non-negative,
+    so iterate k can no longer converge, and every iterate that runs is one
+    the sequential iteration runs too.  The rows of a batch are independent,
+    so the trajectory, reports and errors are bit for bit those of the
+    sequential iteration: a NumericalError names the step and path of the
+    lowest failing iterate, and no iterate past it runs on.
     """
     threshold = _picard_threshold(nl, noise_map, grid.horizon, config.weight,
                                   config.override_condition)
@@ -264,34 +266,38 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
         return diff <= config.tolerance
 
     def result(trajectory):
-        return trajectory, PicardReport(
-            iterations=len(w_diffs),
-            w_differences=w_diffs,
-            ratios=ratios,
-            wall_times=wall_times,
-            modulus=modulus,
-        )
+        return trajectory, PicardReport(len(w_diffs), w_diffs, ratios, wall_times, modulus)
 
     started = time.perf_counter()
-    iterate = np.tile(chi0, (grid.steps + 1, 1))
     values = np.zeros((grid.steps, ops.node_count))
-    values[1:] = evaluate_H(noise_map, iterate[1:grid.steps])
+    values[1:] = evaluate_H(noise_map, chi0)
     integrand = AdditiveIntegrand(grid=grid, values=values)
     first = run_additive(
         theta0, chi0, integrand, path, grid, ops, nl, tol=tol, newton_tol=newton_tol
     )
-    if converged(weighted_norm(first.chi - iterate, grid, ops, config.weight), started):
+    if converged(weighted_norm(first.chi - chi0, grid, ops, config.weight), started):
         return result(first)
     running = []
     failure = None
+    newest = 2  # iterates start in order, so only the newest has no successor
     if config.max_iterations > 1:
-        running.append(_start_iterate(2, first.chi, theta0, chi0, grid, ops))
+        running.append(_successor(1, first.theta, first.chi, values, first.reports))
     while running:
-        reading = [it for it in running if it.step]
-        if reading:
-            images = evaluate_H(noise_map, np.array([it.previous[it.step] for it in reading]))
-            for it, image in zip(reading, images):
-                it.values[it.step] = image
+        # Iterate k + 1 never passes iterate k, so the finished iterates are
+        # the oldest; one that starts at step N has no step left to run.
+        while running and running[0].step == grid.steps:
+            it = running.pop(0)
+            # The running sum is bit for bit the sum in weighted_norm.
+            if converged(math.sqrt(it.partial), it.started):
+                integrand = AdditiveIntegrand(grid=grid, values=it.values)
+                return result(Trajectory(grid=grid, theta=it.theta, chi=it.chi,
+                                         u=it.chi - partial_sums(path, integrand),
+                                         reports=it.reports))
+        if not running:
+            break
+        images = evaluate_H(noise_map, np.array([it.previous[it.step] for it in running]))
+        for it, image in zip(running, images):
+            it.values[it.step] = image
         advanced = None
         while running and advanced is None:
             try:
@@ -300,7 +306,7 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
                     np.array([it.chi[it.step] for it in running]),
                     path.increments[[it.step for it in running]][:, None],
                     np.array([it.values[it.step] for it in running]),
-                    grid, ops, nl, tol, DEFAULT_MAX_INNER, newton_tol,
+                    grid, ops, nl, tol, newton_tol,
                 )
             except NumericalError as exc:
                 # Drop the failing iterate and its successors, which read
@@ -322,20 +328,10 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
                             grid.nodes[[it.step for it in running]], grid, ops, config.weight)
         for it, term in zip(list(running), terms):
             it.partial += term
-            if (not it.successor and it.number < config.max_iterations
+            if (it.number == newest < config.max_iterations
                     and math.sqrt(it.partial) > config.tolerance):
-                it.successor = True
-                running.append(_start_iterate(it.number + 1, it.chi, theta0, chi0, grid, ops))
-        # Iterates start one step or more apart, so only the oldest can finish.
-        if running[0].step < grid.steps:
-            continue
-        it = running.pop(0)
-        # The running sum is bit for bit the sum in weighted_norm.
-        if converged(math.sqrt(it.partial), it.started):
-            integrand = AdditiveIntegrand(grid=grid, values=it.values)
-            return result(Trajectory(grid=grid, theta=it.theta, chi=it.chi,
-                                     u=it.chi - partial_sums(path, integrand),
-                                     reports=it.reports))
+                newest += 1
+                running.append(_successor(it.number, it.theta, it.chi, it.values, it.reports))
     if failure is not None:
         error, cause = failure
         raise error from cause

@@ -79,7 +79,10 @@ so a batch row keeps the bits of a run on its own.
 
 Linear alpha keeps newton_tol on every solve: its Newton needs one
 iteration, or two on some rows, and a looser tolerance would move their
-bits.
+bits.  It also keeps the solve without relaxed tolerances: per-row lists
+whose entries are all newton_tol keep every bit, but made a 1D linear step
+at M = 4 about 9-15 % slower (523-562 us against 474-481 us, best of 8
+alternating runs on a 2-CPU host).
 
 ``run_additive`` is the one public way to step.  It checks the
 preconditions and the shapes of its data once per run, and its inner loop
@@ -139,10 +142,11 @@ DEFAULT_MAX_INNER = 500
 class StepReport:
     """Inner-iteration diagnostics of one coupled step of one path.
 
-    ``contraction_factors`` are ratios of successive *squared* discrete-L2
-    chi-iterate differences, the quantity the theoretical factor
-    ``factor_bound`` = 1 / (2 (tilde_coercivity/dt - 1/2)) bounds; the first
-    difference has no predecessor and yields no factor.
+    ``chi_differences`` holds the discrete-L2 chi-iterate difference of each
+    inner iteration; ``inner_iterations`` is their number and
+    ``contraction_factors`` the ratios of successive *squared* differences
+    after each nonzero one, the quantity the theoretical factor
+    ``factor_bound`` = 1 / (2 (tilde_coercivity/dt - 1/2)) bounds.
     ``newton_iterations`` totals the Newton iterations of every inner
     iteration, and ``line_search_halvings`` is the most halvings any of
     them took; ``newton_residual`` is the residual of the last Newton
@@ -165,13 +169,13 @@ class NewtonReport:
     ``met_tol`` is None for a solve without relaxed tolerances, whose rows
     all meet it.
 
-    Each is an array with one entry per row of the batch.
+    Each is a list of Python values with one entry per row of the batch.
     """
 
-    residual: np.ndarray
-    iterations: np.ndarray
-    line_search_halvings: np.ndarray
-    met_tol: np.ndarray | None = None
+    residual: list
+    iterations: list
+    line_search_halvings: list
+    met_tol: list | None = None
 
 
 def _check_initial_shapes(ops, **fields):
@@ -333,9 +337,9 @@ def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
             "Newton did not reach tolerance on the nonlinear sub-problem",
             norms[row], met_non_finite[row], row,
         )
-    report = NewtonReport(np.array(norms), np.array(iterations), np.array(halvings))
+    report = NewtonReport(norms, iterations, halvings)
     if relaxed is not None:
-        report.met_tol = np.array([norm <= gate for norm, gate in zip(norms, gates)])
+        report.met_tol = [norm <= gate for norm, gate in zip(norms, gates)]
     return u, report
 
 
@@ -362,7 +366,7 @@ def _inner_newton_tol(newton_tol, difference):
     return max(newton_tol, min(LOOSEST_NEWTON_TOL, INNER_FORCING * difference))
 
 
-def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol):
+def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, newton_tol):
     """One coupled step of every path of a batch.
 
     ``theta_n`` and ``chi_n`` are (M, P) blocks and ``dw`` the (M, 1) column
@@ -372,7 +376,9 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
     Returns the next theta and chi blocks and one StepReport per path.  A
     NumericalError's ``row`` names the failing path.  The callers have
     checked the preconditions and the shapes once per run, so the inner
-    loop calls the solve kernels without repeating the checks.
+    loop calls the solve kernels without repeating the checks.  A path
+    that takes more than ``DEFAULT_MAX_INNER`` inner iterations raises
+    NonConvergenceError.
     """
     count = len(chi_n)
     dt = grid.dt
@@ -390,8 +396,6 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
     # O(dt), while chi_{n+1} - chi_n also carries the noise increment.
     chi = shift if warm_start else chi_n
     differences = [[] for _ in range(count)]
-    factors = [[] for _ in range(count)]
-    inner = [0] * count
     newton_iterations = [0] * count
     halvings = [0] * count
     newton_residuals = [0.0] * count
@@ -399,7 +403,7 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
     active = list(range(count))
     rows = None
     sub = (theta_n, chi_n, noise, shift, stiffness_shift)
-    for iteration in range(max_inner):
+    for iteration in range(DEFAULT_MAX_INNER):
         chi_iterate = _take(chi, rows)
         sub_theta_n, sub_chi_n, sub_noise, sub_shift, sub_stiffness_shift = sub
         try:
@@ -415,16 +419,11 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
         chi_next = sub_shift + dt * u
         diffs = l2_norm(chi_next - chi_iterate, ops).tolist()
         remaining = []
-        met = newton.met_tol.tolist() if warm_start else [True] * len(active)
+        met = newton.met_tol if warm_start else [True] * len(active)
         for row, diff, its, most, residual, met_tol in zip(
-            active, diffs, newton.iterations.tolist(), newton.line_search_halvings.tolist(),
-            newton.residual.tolist(), met,
+            active, diffs, newton.iterations, newton.line_search_halvings, newton.residual, met,
         ):
-            previous = differences[row]
-            if previous and previous[-1] > 0.0:
-                factors[row].append((diff / previous[-1]) ** 2)
-            previous.append(diff)
-            inner[row] += 1
+            differences[row].append(diff)
             newton_iterations[row] += its
             halvings[row] = max(halvings[row], most)
             newton_residuals[row] = residual
@@ -449,7 +448,7 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
     else:
         row = active[0]
         raise NonConvergenceError(
-            f"inner fixed point did not reach tol={tol} in {max_inner} iterations",
+            f"inner fixed point did not reach tol={tol} in {DEFAULT_MAX_INNER} iterations",
             residual=differences[row][-1] if differences[row] else math.inf,
             row=row,
         )
@@ -459,15 +458,16 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, max_inner, newton_tol)
     bound = contraction_factor_bound(nl, dt)
     reports = [
         StepReport(
-            inner_iterations=inner[row],
-            chi_differences=differences[row],
-            contraction_factors=factors[row],
+            inner_iterations=len(diffs),
+            chi_differences=diffs,
+            contraction_factors=[(b / a) ** 2 for a, b in zip(diffs, diffs[1:]) if a > 0.0],
             factor_bound=bound,
-            newton_residual=newton_residuals[row],
-            newton_iterations=newton_iterations[row],
-            line_search_halvings=halvings[row],
+            newton_residual=residual,
+            newton_iterations=its,
+            line_search_halvings=most,
         )
-        for row in range(count)
+        for diffs, residual, its, most in zip(differences, newton_residuals, newton_iterations,
+                                              halvings)
     ]
     return theta, chi, reports
 
@@ -496,7 +496,6 @@ def run_additive(
     ops,
     nl,
     tol=DEFAULT_INNER_TOL,
-    max_inner=DEFAULT_MAX_INNER,
     newton_tol=DEFAULT_NEWTON_TOL,
 ):
     """Run the additive-noise scheme along one Brownian path or a batch.
@@ -529,7 +528,7 @@ def run_additive(
         try:
             theta[:, n + 1], chi[:, n + 1], step_reports = _advance(
                 theta[:, n], chi[:, n], increments[:, n:n + 1], integrand.values[n], grid, ops,
-                nl, tol, max_inner, newton_tol,
+                nl, tol, newton_tol,
             )
         except NumericalError as exc:
             raise type(exc)(

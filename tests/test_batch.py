@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import barenheat as bh
-from barenheat import diagnostics, grids
+from barenheat import diagnostics, grids, stepper
 from barenheat.errors import FieldShapeError, NonConvergenceError, NonFiniteError
 from barenheat.stepper import (
-    DEFAULT_INNER_TOL, DEFAULT_MAX_INNER, DEFAULT_NEWTON_TOL, _advance, _newton,
+    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _advance, _newton,
 )
 
 PATHS = 5
@@ -108,7 +108,7 @@ class TestBatchEqualsSingleRuns:
         rhs = ops65.lumped_mass * theta - grids.apply_stiffness(ops65, chi + cos_field * dws)
         nl = bh.saturating(2.0)
         u, report = _newton(ops65, nl, grid16.dt, rhs, DEFAULT_NEWTON_TOL)
-        assert len(set(report.iterations.tolist())) > 1
+        assert len(set(report.iterations)) > 1
         for row in range(PATHS):
             alone, single = _newton(ops65, nl, grid16.dt, rhs[row:row + 1], DEFAULT_NEWTON_TOL)
             assert np.array_equal(u[row], alone[0])
@@ -133,8 +133,7 @@ class TestBatchEqualsSingleRuns:
         dws = 0.2 * rng.standard_normal((PATHS, 1))
         nl = bh.saturating(1.0)
         theta_next, chi_next, reports = _advance(theta, chi, dws, cos_field, grid16, ops65, nl,
-                                                 DEFAULT_INNER_TOL, DEFAULT_MAX_INNER,
-                                                 DEFAULT_NEWTON_TOL)
+                                                 DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL)
         assert len(reports) == PATHS
         for row in range(PATHS):
             alone_theta, alone_chi, report = one_step(theta[row], chi[row], cos_field,
@@ -163,7 +162,7 @@ class TestBatchEqualsSingleRuns:
             h = np.array([scale * base + 0.1 * n for scale in (0.2, -1.0, 3.0)])
             dw = np.sqrt(grid.dt) * rng.standard_normal((rows, 1))
             theta, chi, reports = _advance(theta, chi, dw, h, grid, ops, nl, DEFAULT_INNER_TOL,
-                                           DEFAULT_MAX_INNER, DEFAULT_NEWTON_TOL)
+                                           DEFAULT_NEWTON_TOL)
             for row in range(rows):
                 *singles[row], report = one_step(*singles[row], h[row], dw[row, 0], grid.dt,
                                                  ops, nl)
@@ -281,11 +280,12 @@ class TestFailuresNameTheirPath:
         assert alone.value.step == 5 and alone.value.reason == info.value.reason
         bh.run_additive(data, zero, integ, paths[:3] + paths[4:], grid16, ops, nl)
 
-    def test_inner_cap_names_path_and_step(self, ops65, grid16, cos_field):
+    def test_inner_cap_names_path_and_step(self, ops65, grid16, cos_field, monkeypatch):
         integ, paths = noisy_inputs(ops65, grid16)
+        monkeypatch.setattr(stepper, "DEFAULT_MAX_INNER", 2)
         with pytest.raises(NonConvergenceError) as info:
             bh.run_additive(cos_field, cos_field, integ, paths[2:], grid16, ops65,
-                            bh.linear(1.0), max_inner=2)
+                            bh.linear(1.0))
         assert info.value.step == 0 and info.value.path_id == 2
         assert "at step 0 of path 2" in str(info.value)
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -45,6 +46,39 @@ class TestTimeGrid:
         table = {grid: "coarse", bh.build_time_grid(1.0, 8): "fine"}
         assert table[same] == "coarse"
         assert len(table) == 2 and len({grid, same}) == 1
+
+    def test_nodes_read_keep_equality_and_hash(self):
+        grid, same = bh.build_time_grid(1.0, 4), bh.build_time_grid(1.0, 4)
+        assert grid.nodes is grid.nodes
+        assert grid == same and hash(grid) == hash(same)
+        assert grid != bh.build_time_grid(2.0, 4) and grid != bh.build_time_grid(1.0, 8)
+
+    def test_building_a_grid_allocates_no_nodes(self):
+        # A billion steps would take 8 GB of nodes, none of which is built
+        # until read.  A million steps (8 MB) run first, so a regression
+        # fails there instead of asking for 8 GB.
+        for steps in (10**6, 10**9):
+            tracemalloc.start()
+            try:
+                grid = bh.build_time_grid(1.0, steps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+            assert grid.steps == steps and grid.dt == 1.0 / steps
+            assert "nodes" not in vars(grid)
+
+    @pytest.mark.parametrize("horizon, dt, steps", [(1.0, 0.25, 4), (0.3, 0.1, 3),
+                                                    (1.0, 1e-9, 10**9)])
+    def test_time_grid_of_step(self, horizon, dt, steps):
+        grid = grids.time_grid_of_step(horizon, dt)
+        assert grid == bh.build_time_grid(horizon, steps)
+        assert "nodes" not in vars(grid)
+
+    @pytest.mark.parametrize("dt", [0.3, 0.0, -0.25, math.inf, math.nan, 2.0])
+    def test_time_grid_of_step_rejects_steps_that_do_not_divide(self, dt):
+        with pytest.raises(InvalidConfigError, match="does not divide"):
+            grids.time_grid_of_step(1.0, dt)
 
 
 class TestOperators1D:
@@ -696,6 +730,25 @@ class TestConjugateGradient:
             exact = grids.solve_shifted(ops, diagonal, 0.3, rhs)
             loose = grids.solve_shifted(ops, diagonal, 0.3, rhs, atol=np.array([1.0, 1.0]))
             assert exact.tobytes() == loose.tobytes()
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("atol, error", [
+        ([math.inf, 0.0], InvalidConfigError), ([0.0, math.nan], InvalidConfigError),
+        ([-1.0, 0.0], InvalidConfigError), ([0.0], FieldShapeError),
+        ([0.0, 0.0, 0.0], FieldShapeError),
+    ], ids=["inf", "nan", "negative", "short", "long"])
+    def test_conjugate_gradient_rows_validate_targets(self, per_row, atol, error):
+        # Conjugate-gradient rows read the targets, so they check them; the
+        # direct solve of a mass multiple ignores them.
+        ops, diagonal, rng = self.problem((8, 8), 38)
+        rhs = rng.standard_normal((2, ops.node_count))
+        diag = np.stack([diagonal, 1.5 * diagonal]) if per_row else diagonal
+        with pytest.raises(error):
+            grids.solve_shifted(ops, diag, 0.3, rhs, atol=np.array(atol))
+        mass_multiple = 2.0 * ops.lumped_mass
+        exact = grids.solve_shifted(ops, mass_multiple, 0.3, rhs)
+        ignored = grids.solve_shifted(ops, mass_multiple, 0.3, rhs, atol=np.array(atol))
+        assert exact.tobytes() == ignored.tobytes()
 
     @pytest.mark.parametrize("per_row", [False, True])
     def test_non_finite_rhs_fails_fast_and_names_its_row(self, monkeypatch, per_row):

@@ -8,7 +8,7 @@ import pytest
 import barenheat as bh
 from barenheat.config import parse_config
 from barenheat.errors import FieldShapeError, InvalidConfigError, NonConvergenceError
-from barenheat.stepper import DEFAULT_MAX_INNER, _advance
+from barenheat.stepper import _advance
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
                            "multiplicative.ini")
@@ -238,7 +238,7 @@ def causal_pass(theta0, chi0, noise_map, path, grid, ops, nl, tol, newton_tol):
         h = np.zeros(ops.node_count) if n == 0 else bh.evaluate_H(noise_map, chi[n])
         next_theta, next_chi, _ = _advance(theta[n][None], chi[n][None],
                                            path.increments[n:n + 1, None], h, grid, ops, nl,
-                                           tol, DEFAULT_MAX_INNER, newton_tol)
+                                           tol, newton_tol)
         theta[n + 1], chi[n + 1] = next_theta[0], next_chi[0]
     return chi
 

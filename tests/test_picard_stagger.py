@@ -132,6 +132,17 @@ class TestSameBitsAsSequential:
         report = assert_same_run(problem)
         assert report.iterations >= 3
 
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_iterates_past_the_step_count(self, ops33, cos33, steps):
+        # Iterate k + 1 starts at step k, so on a grid of N steps iterate
+        # N + 1 starts finished, equal to iterate N: W is exactly 0.0.
+        grid = bh.build_time_grid(0.5 * steps / 4, steps)
+        config = bh.PicardConfig(weight=8.0, tolerance=1e-14, max_iterations=15)
+        report = assert_same_run(problem_1d(ops33, grid, 30.0 * cos33, bh.affine_map(0.061),
+                                            1, config))
+        assert report.iterations == steps + 1
+        assert report.w_differences[-1] == 0.0
+
     def test_degenerate_scale(self, ops33, grid32, cos33):
         report = assert_same_run(
             problem_1d(ops33, grid32, cos33, bh.affine_map(0.0, cos33), 5))
@@ -246,7 +257,9 @@ class TestSameErrorsAsSequential:
 
 def test_iterate_one_runs_first_and_no_step_is_wasted(ops33, grid32, cos33, monkeypatch):
     # Benchmarks mark the end of set-up at the first run_additive call.
-    # Every later row step belongs to an iterate the sequential loop runs.
+    # Every later row step belongs to an iterate the sequential loop runs,
+    # and iterate k >= 2 inherits its first k - 1 steps from iterate k - 1,
+    # so it runs N - k + 1 steps: (K - 1) N - K (K - 1) / 2 over K iterates.
     calls = []
     real_run, real_advance = multiplicative.run_additive, multiplicative._advance
 
@@ -262,6 +275,7 @@ def test_iterate_one_runs_first_and_no_step_is_wasted(ops33, grid32, cos33, monk
     monkeypatch.setattr(multiplicative, "_advance", advance)
     _, report = bh.picard_solve(*problem_1d(ops33, grid32, cos33, bh.affine_map(0.061), 0))
     assert calls[0] == 0 and calls.count(0) == 1
-    assert sum(calls) == (report.iterations - 1) * grid32.steps
+    iterations = report.iterations
+    assert sum(calls) == (iterations - 1) * grid32.steps - iterations * (iterations - 1) // 2
     # The staggered iterates overlap: fewer batch steps than their steps.
-    assert len(calls) - 1 < (report.iterations - 1) * grid32.steps
+    assert len(calls) - 1 < (iterations - 1) * grid32.steps
