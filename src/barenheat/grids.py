@@ -11,11 +11,21 @@ implicit solves in the stepper are (diagonal + stiffness) SPD systems.
 Fields are nodal vectors of length P, and a batch of M fields (one per
 Monte Carlo path, or one per time node) is an (M, P) block whose rows are
 treated one by one, so every row gets the bits it would get on its own;
-``solve_shifted``, ``l2_norm`` and ``h1_seminorm`` solve or reduce one (P,)
-field as a one-row block.  Every row norm, the residual gate's included,
-comes from ``_row_dots``, which numpy hands row by row to the BLAS ``ddot``
-that ``row.dot(row)`` calls, never to a gemv (M, P) @ (P,) with M > 1,
-whose summation order differs.
+``solve_shifted`` solves one (P,) field as a one-row block, and ``l2_norm``
+and ``h1_seminorm`` reduce it by ``math.sqrt`` of one ``ddot``, with the
+bits of row 0 of that block and without its per-call overhead (about a
+third of the time at P = 65).  Every row norm of a block, the residual
+gate's included, comes from ``_row_dots``, which numpy hands row by row to
+the BLAS ``ddot`` that ``row.dot(row)`` calls, never to a gemv
+(M, P) @ (P,) with M > 1, whose summation order differs.
+
+Every shifted solve ends in a residual gate, which forms A x = diagonal x
++ shift K x.  ``_solve_shifted`` returns that K x with x, bit for bit
+``apply_stiffness(ops, x)``, so a caller that needs it (Newton's trial
+residual after a step from u = 0) does not form it a second time; it also
+takes ``atol`` through a function that only a conjugate-gradient row
+calls, so a caller builds its targets only where they are read.
+``solve_shifted`` is ``_solve_shifted`` without the product.
 
 In 1D those systems are symmetric positive-definite tridiagonal.  Each
 distinct (shift, diagonal) pair whose diagonal is a multiple of the lumped
@@ -45,7 +55,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -304,9 +314,9 @@ def l2_norm(v, ops):
     """Discrete L2 norm sqrt(sum_i M_i v_i^2): a float for one field (P,), an
     array of the M row norms for an (M, P) block."""
     v = _check_field(v, ops)
-    block = v.reshape(-1, ops.node_count)
-    norms = np.sqrt(_row_dots(block * block, ops.lumped_mass))
-    return float(norms[0]) if v.ndim == 1 else norms
+    if v.ndim == 1:
+        return math.sqrt((v * v).dot(ops.lumped_mass))
+    return np.sqrt(_row_dots(v * v, ops.lumped_mass))
 
 
 def row_norms(fields):
@@ -324,9 +334,9 @@ def h1_seminorm(v, ops):
     """Discrete H1 seminorm sqrt(v . K v), zero on constants: a float for one
     field (P,), an array of the M row seminorms for an (M, P) block."""
     v = _check_field(v, ops)
-    block = v.reshape(-1, ops.node_count)
-    norms = np.sqrt(np.maximum(_row_dots(block, apply_stiffness(ops, block)), 0.0))
-    return float(norms[0]) if v.ndim == 1 else norms
+    if v.ndim == 1:
+        return math.sqrt(max(v.dot(apply_stiffness(ops, v)), 0.0))
+    return np.sqrt(np.maximum(_row_dots(v, apply_stiffness(ops, v)), 0.0))
 
 
 def apply_stiffness(ops, fields):
@@ -476,7 +486,8 @@ def _by_row(solve, *batches):
 
 def _check_residual(ops, diagonal, shift, x, rhs, rtol, floors=0.0):
     """Raise unless every row i of the block meets
-    |A x - rhs_i| <= max(rtol (1 + |rhs_i|), floors_i).
+    |A x - rhs_i| <= max(rtol (1 + |rhs_i|), floors_i); return the K x that
+    A x = diagonal x + shift K x is formed from.
 
     One dot product over the whole residual settles the common case: every
     row norm is at most the block norm and every limit is at least rtol, so
@@ -485,14 +496,15 @@ def _check_residual(ops, diagonal, shift, x, rhs, rtol, floors=0.0):
     included, goes through the per-row test on ``_row_dots`` norms, which
     decides what is raised with the bits a row has on its own.
     """
-    residual = apply_shifted(ops, diagonal, shift, x) - rhs
+    stiffness_x = apply_stiffness(ops, x)
+    residual = (diagonal * x + shift * stiffness_x) - rhs
     flat = residual.ravel()
     if math.sqrt(flat.dot(flat)) <= 0.5 * rtol:
-        return
+        return stiffness_x
     norms = np.sqrt(_row_dots(residual, residual))
     passed = norms <= np.maximum(rtol * (1.0 + np.sqrt(_row_dots(rhs, rhs))), floors)
     if passed.all():
-        return
+        return stiffness_x
     row = int(passed.argmin())
     norm = float(norms[row])
     if not math.isfinite(norm):
@@ -539,6 +551,14 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
     NaN or infinite; the error's ``row`` names the row of a block, and is
     None for a field.
     """
+    return _solve_shifted(ops, diagonal, shift, rhs, rtol, lambda: atol)[0]
+
+
+def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=lambda: None):
+    """``solve_shifted`` returning ``(x, K x)``: K x is the product that the
+    residual gate formed, bit for bit ``apply_stiffness(ops, x)``.  Its
+    ``atol`` is ``atol_of()``, called only where a conjugate-gradient row
+    reads it, so a caller builds its targets only for such a row."""
     rhs = np.asarray(rhs, dtype=float)
     block = rhs[None] if rhs.ndim == 1 else rhs
     diagonal = np.asarray(diagonal, dtype=float)
@@ -554,7 +574,9 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
                 x = _by_row(lambda d, r: ops.tridiagonal.solve_once(d, shift, r)[0],
                             diagonal, block[:, None])
         else:
-            targets_of = partial(_cg_targets, atol, len(block))
+            def targets_of():
+                return _cg_targets(atol_of(), len(block))
+
             if diagonal.ndim == 1:
                 x, floors = _solve_2d(ops, diagonal, shift, block, targets_of)
             else:
@@ -566,9 +588,9 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
                     return x[0]
 
                 x = _by_row(solve_row, range(len(block)), diagonal, block)
-        _check_residual(ops, diagonal, shift, x, block, rtol, floors)
+        stiffness_x = _check_residual(ops, diagonal, shift, x, block, rtol, floors)
     except NumericalError as exc:
         if rhs.ndim == 1:
             exc.row = None
         raise
-    return x[0] if rhs.ndim == 1 else x
+    return (x[0], stiffness_x[0]) if rhs.ndim == 1 else (x, stiffness_x)

@@ -13,7 +13,19 @@ chi iterates stop moving:
 Both operators are fixed for linear alpha, so in 1D ``solve_shifted``
 factors each once and reuses the factor for every inner iteration, step and
 path; the noise h_n dw_n, the shift s = chi_n + h_n dw_n and the load K s
-are computed once per step.
+are computed once per step, and so are alphatilde(0), the Jacobian
+M alphatilde'(0) and whether it is finite (``_at_zero``), which every
+Newton solve from u = 0 reads.  Each product of an inner iteration is
+formed once: the residual gate of a Newton correction delta hands back the
+K delta it formed (``grids._solve_shifted``), which is the stiffness term
+of the trial residual after a step from u = 0; where alphatilde(0) is
+identically 0 the start residual is -rhs, whose row norms are those of
+rhs, so the first correction solves against rhs itself; the
+conjugate-gradient targets are built only where a 2D conjugate-gradient
+row reads them; and the chi difference of each row is one ``_row_dots``
+reduction.  A step at M = 4, P = 65 and dt = 1/256 with linear alpha
+became 1.23 times as fast (median of 40 interleaved rounds on a 2-CPU
+host; ``BENCH_inner_products_once.json``), with the same bits.
 
 For nonlinear alpha the first chi iterate of a step is the shift s, not
 chi_n: chi_{n+1} - s = dt u is O(dt), while chi_{n+1} - chi_n also carries
@@ -108,6 +120,7 @@ nonlinear one holds up to the stopping tolerance.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,7 +132,7 @@ from .errors import (
     NonFiniteError,
     NumericalError,
 )
-from .grids import TimeGrid, apply_stiffness, l2_norm, row_norms, solve_shifted
+from .grids import TimeGrid, _row_dots, _solve_shifted, apply_stiffness, row_norms, solve_shifted
 from .noise import BrownianPath, partial_sums
 
 DEFAULT_INNER_TOL = 1e-11
@@ -214,14 +227,38 @@ def _newton_failure(message, residual, met_non_finite, row):
     return NonConvergenceError(message, residual=residual, row=row)
 
 
-def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
+class _AtZero(NamedTuple):
+    """What Newton from u = 0 reads of alpha, evaluated on one (P,) field
+    shared by every row, so that a block gets the bits of its rows alone:
+    ``offset`` is M alphatilde(0) + 0.0, the start residual plus rhs, or
+    None where alphatilde(0) is identically 0 and the start residual is
+    exactly -rhs; ``jacobian`` is M alphatilde'(0), and ``finite`` whether
+    it is finite everywhere."""
+
+    offset: np.ndarray | None
+    jacobian: np.ndarray
+    finite: bool
+
+
+def _at_zero(ops, nl):
+    zero = np.zeros(ops.node_count)
+    alpha = nl.alpha_tilde(zero)
+    jacobian = ops.lumped_mass * nl.alpha_tilde_prime(zero)
+    # At u = 0 the stiffness term dt K u is +0.0 in every entry, and adding
+    # it is adding 0.0, so offset - rhs is the residual at u = 0 bit for bit.
+    offset = ops.lumped_mass * alpha + 0.0 if alpha.any() else None
+    return _AtZero(offset, jacobian, bool(np.isfinite(jacobian).all()))
+
+
+def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
     """Solve M alphatilde(u) + dt K u = rhs for each row of an (M, P) batch,
     Newton with backtracking from ``start``, or from u = 0 when it is None;
     ``start`` is updated in place.  Row i takes no iteration when its
     residual is at most tol (1 + |rhs_i|) at the start, and otherwise
     iterates until it is; ``relaxed``, None or a list of one relative
     tolerance per row, lets row i stop at relaxed_i (1 + |rhs_i|) instead,
-    once it has taken an iteration.
+    once it has taken an iteration.  A start from u = 0 reads ``at_zero``,
+    ``_at_zero(ops, nl)``, and evaluates it when it is None.
 
     Every row keeps its own threshold, step scale, iteration count and
     halvings, and a row leaves the iteration once it has converged, so its
@@ -237,25 +274,32 @@ def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
     mass = ops.lumped_mass
     count = len(rhs)
 
-    def residual(v, b):
-        return mass * nl.alpha_tilde(v) + dt * apply_stiffness(ops, v) - b
+    def residual(v, b, stiffness_v):
+        return mass * nl.alpha_tilde(v) + dt * stiffness_v - b
 
     rhs_norms = row_norms(rhs)
     thresholds = gates = [tol * (1.0 + norm) for norm in rhs_norms]
-    # From u = 0 every row has the same alphatilde and Jacobian, so both are
-    # evaluated on one (P,) field: the first solve then sees one shared
-    # diagonal.  The values, and so the bits, are those of the full block.
-    at_zero = start is None
-    if at_zero:
-        zero = np.zeros(mass.shape)
+    # From u = 0 the first correction solves against a Jacobian that is one
+    # (P,) field shared by every row, and its trial residual reuses the
+    # K delta that the solve's residual gate formed: K (0 + delta) and
+    # K delta differ at most in the sign of a zero entry of delta, which no
+    # sum of the product can carry.
+    from_zero = start is None
+    if from_zero:
+        if at_zero is None:
+            at_zero = _at_zero(ops, nl)
         u = np.zeros(rhs.shape)
-        # At u = 0 the stiffness term dt K u is +0.0 in every entry, and
-        # adding it is adding 0.0, so this is residual(u, rhs) bit for bit.
-        res = (mass * nl.alpha_tilde(zero) + 0.0) - rhs
+        if at_zero.offset is None:
+            # The start residual is -rhs: its row norms are those of rhs, and
+            # the first correction solves against rhs itself.
+            res, norms = None, list(rhs_norms)
+        else:
+            res = at_zero.offset - rhs
+            norms = row_norms(res)
     else:
         u = start
-        res = residual(u, rhs)
-    norms = row_norms(res)
+        res = residual(u, rhs, apply_stiffness(ops, u))
+        norms = row_norms(res)
     for row, norm in enumerate(norms):
         if not math.isfinite(norm):
             raise NonFiniteError("nonlinear sub-problem has a non-finite residual",
@@ -263,37 +307,55 @@ def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
     iterations = [0] * count
     halvings = [0] * count
     met_non_finite = [False] * count
-    active = [row for row in range(count) if norms[row] > gates[row]]
     if relaxed is None:
-        targets = NEWTON_FORCING * np.array(thresholds)
+        limits = thresholds
     else:
         thresholds = [t * (1.0 + norm) for t, norm in zip(relaxed, rhs_norms)]
         # A correction aims at a fraction of the row's threshold or, where
         # the residual is already below it (a row that then takes one
         # iteration), of the residual, so that it still moves u.
-        targets = NEWTON_FORCING * np.minimum(thresholds, norms)
+        limits = [min(threshold, norm) for threshold, norm in zip(thresholds, norms)]
+    # The iterating rows, as indices into the batch (None while that is all
+    # of them), and their iterate, right-hand side and residual, which is
+    # None while it is -rhs.
+    active = [row for row in range(count) if norms[row] > gates[row]]
+    rows = None if len(active) == count else np.array(active, dtype=np.intp)
+    u_active, rhs_active = _take(u, rows), _take(rhs, rows)
+    if res is not None:
+        res = _take(res, rows)
+
+    def correction_targets():
+        # Read only by a 2D conjugate-gradient row.
+        return _take(NEWTON_FORCING * np.array(limits), rows)
+
     for _ in range(MAX_NEWTON_ITERATIONS):
         if not active:
             break
-        rows = None if len(active) == count else np.array(active)
-        u_active, rhs_active = _take(u, rows), _take(rhs, rows)
-        jac_diag = mass * nl.alpha_tilde_prime(zero if at_zero else u_active)
-        at_zero = False
-        finite = np.isfinite(jac_diag)
-        if not finite.all():
-            bad = 0 if jac_diag.ndim == 1 else int(np.flatnonzero(~finite.all(axis=1))[0])
-            row = active[bad]
-            raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
-                                 residual=norms[row], row=row)
+        if from_zero:
+            jac_diag = at_zero.jacobian
+            if not at_zero.finite:
+                raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
+                                     residual=norms[active[0]], row=active[0])
+        else:
+            jac_diag = mass * nl.alpha_tilde_prime(u_active)
+            finite = np.isfinite(jac_diag)
+            if not finite.all():
+                bad = 0 if jac_diag.ndim == 1 else int(np.flatnonzero(~finite.all(axis=1))[0])
+                row = active[bad]
+                raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
+                                     residual=norms[row], row=row)
         try:
-            delta = solve_shifted(ops, jac_diag, dt, -_take(res, rows), rtol=1e-10,
-                                  atol=_take(targets, rows))
+            delta, stiffness_delta = _solve_shifted(ops, jac_diag, dt,
+                                                    rhs_active if res is None else -res, 1e-10,
+                                                    correction_targets)
         except NumericalError as exc:
             _lift(exc, rows)
             raise
         # Line search, per row: halve the step until the residual drops.
         trial = u_active + delta
-        trial_res = residual(trial, rhs_active)
+        trial_res = residual(trial, rhs_active,
+                             stiffness_delta if from_zero else apply_stiffness(ops, trial))
+        from_zero = False
         trial_norms = row_norms(trial_res)
         pending = [i for i, row in enumerate(active) if not trial_norms[i] < norms[row]]
         scale = 1.0
@@ -311,7 +373,7 @@ def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
             scale *= 0.5
             retrying = slice(None) if len(pending) == len(active) else pending
             retry = u_active[retrying] + scale * delta[retrying]
-            retry_res = residual(retry, rhs_active[retrying])
+            retry_res = residual(retry, rhs_active[retrying], apply_stiffness(ops, retry))
             trial[retrying] = retry
             trial_res[retrying] = retry_res
             still = []
@@ -323,14 +385,20 @@ def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
                     still.append(i)
             pending = still
         if rows is None:
-            u, res = trial, trial_res
+            u = trial
         else:
             u[rows] = trial
-            res[rows] = trial_res
         for i, row in enumerate(active):
             norms[row] = trial_norms[i]
             iterations[row] += 1
-        active = [row for row in active if norms[row] > thresholds[row]]
+        going = [i for i, row in enumerate(active) if norms[row] > thresholds[row]]
+        if len(going) < len(active):
+            active = [active[i] for i in going]
+            if not active:
+                break
+            rows = np.array(active, dtype=np.intp)
+            trial, trial_res, rhs_active = trial[going], trial_res[going], rhs_active[going]
+        u_active, res = trial, trial_res
     if active:
         row = active[0]
         raise _newton_failure(
@@ -385,6 +453,7 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, newton_tol):
     noise = h_n * dw
     shift = chi_n + noise
     stiffness_shift = apply_stiffness(ops, shift)
+    at_zero = _at_zero(ops, nl)
     # Equal declared constants and alpha(0) = 0 make alpha linear, and
     # Newton then converges in one iteration from u = 0; every other alpha
     # starts from the u of the current chi iterate, 0 for the first.
@@ -411,13 +480,14 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, newton_tol):
             u, newton = _newton(
                 ops, nl, dt, ops.lumped_mass * theta - sub_stiffness_shift, newton_tol,
                 (chi_iterate - sub_shift) / dt if warm_start and iteration else None,
-                [newton_tols[row] for row in active] if warm_start else None,
+                [newton_tols[row] for row in active] if warm_start else None, at_zero,
             )
         except NumericalError as exc:
             _lift(exc, rows)
             raise
         chi_next = sub_shift + dt * u
-        diffs = l2_norm(chi_next - chi_iterate, ops).tolist()
+        moved = chi_next - chi_iterate
+        diffs = np.sqrt(_row_dots(moved * moved, ops.lumped_mass)).tolist()
         remaining = []
         met = newton.met_tol if warm_start else [True] * len(active)
         for row, diff, its, most, residual, met_tol in zip(

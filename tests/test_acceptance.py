@@ -7,8 +7,10 @@ lines.  Tolerances are fixed here, not tuned at runtime.
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,21 +371,29 @@ picard_max_iterations = 20
 # prints their exit codes as the last line of standard output.
 _CLI_SESSION = (
     "import json, sys\n"
+    "import barenheat\n"
     "from barenheat.cli import main\n"
     "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-    "print(json.dumps(codes))\n"
+    "print(json.dumps([barenheat.__file__, codes]))\n"
 )
+
+# This checkout's sources, which the test process imports.
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run_cli_session(runs):
     """Run every (command, config, outdir, threads) of ``runs`` in one fresh
-    interpreter; returns the exit codes in order."""
+    interpreter that imports barenheat from this checkout's ``src``, as the
+    test process does; returns the exit codes in order."""
     argvs = [[command, "--config", str(config), "--out", str(outdir), "--threads", str(threads)]
              for command, config, outdir, threads in runs]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", _CLI_SESSION, json.dumps(argvs)],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0, f"CLI session failed: {result.stderr}"
-    codes = json.loads(result.stdout.splitlines()[-1])
+    imported, codes = json.loads(result.stdout.splitlines()[-1])
+    # An installed copy must not stand in for the tree under test.
+    assert Path(imported).resolve() == Path(bh.__file__).resolve()
     for (command, *_), code in zip(runs, codes):
         assert code in (0, 2), f"{command} failed (rc={code}): {result.stderr}"
     return codes

@@ -252,6 +252,20 @@ class TestBlockNormBits:
             assert not math.isfinite(values[2])
 
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+    def test_field_reads_as_its_one_row_block(self, ops65, value):
+        # A (P,) field takes a scalar path of its own: a float with the bits
+        # of row 0 of its block, for entries that overflow or are not finite.
+        field = np.linspace(-1.0, 2.0, ops65.node_count)
+        field[5] = value
+        with np.errstate(over="ignore"):
+            for norm in (bh.l2_norm, bh.h1_seminorm):
+                alone = norm(field, ops65)
+                assert type(alone) is float
+                assert _bits([alone]) == _bits(norm(field[None], ops65))
+
+
 def _outcome(check, *args):
     """What a residual gate does: None, or the class, row and residual it raises."""
     try:
@@ -422,6 +436,66 @@ class TestFieldIsOneRowBlock:
         assert [outcome[:2] for outcome in outcomes] == [
             (NumericalError, None), (NumericalError, 0), (NumericalError, 2)]
         assert outcomes[0][2] == outcomes[1][2] == outcomes[2][2]
+
+
+class TestGateProduct:
+    """``_solve_shifted`` returns the x of ``solve_shifted`` and the K x its
+    residual gate formed, bit for bit ``apply_stiffness(ops, x)``."""
+
+    MESHES = {"1d": (1, 40, 1.7), "2d": (2, (8, 6), (1.0, 0.75))}
+    SHIFT = 0.3
+    # (diagonal, rows of the right-hand side, None for a field); a field has
+    # one diagonal.
+    SHAPES = [(diagonal, rows) for diagonal in ("mass-multiple", "shared", "per-row")
+              for rows in (None, 1, 3) if rows or diagonal != "per-row"]
+
+    @pytest.fixture(scope="class")
+    def meshes(self):
+        return {name: bh.build_operators(*args) for name, args in self.MESHES.items()}
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("diagonal, rows", SHAPES)
+    @pytest.mark.parametrize("targets", [False, True], ids=["full", "atol"])
+    def test_product_is_that_of_the_solution(self, meshes, mesh, diagonal, rows, targets):
+        ops = meshes[mesh]
+        size = ops.node_count
+        rng = np.random.default_rng(size + (rows or 0))
+        rhs = rng.standard_normal(size if rows is None else (rows, size))
+        if diagonal == "mass-multiple":
+            diag = 2.0 * ops.lumped_mass
+        elif diagonal == "shared":
+            diag = rng.uniform(1.0, 3.0, size) * ops.lumped_mass
+        else:
+            diag = rng.uniform(1.0, 3.0, (rows, size)) * ops.lumped_mass
+        # Targets far above CG_RTOL |b|, so conjugate-gradient rows stop early.
+        atol = 1e-4 * rng.uniform(1.0, 2.0, rows or 1) if targets else None
+        x, stiffness_x = grids._solve_shifted(ops, diag, self.SHIFT, rhs, 1e-10, lambda: atol)
+        assert x.shape == stiffness_x.shape == rhs.shape
+        assert x.tobytes() == grids.solve_shifted(ops, diag, self.SHIFT, rhs, 1e-10,
+                                                  atol).tobytes()
+        assert stiffness_x.tobytes() == grids.apply_stiffness(ops, x).tobytes()
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    def test_targets_are_read_only_by_conjugate_gradient_rows(self, meshes, mesh):
+        # All of 1D and the 2D mass multiples are direct solves, which never
+        # ask for the targets; a 2D conjugate-gradient row asks once.
+        ops = meshes[mesh]
+        rng = np.random.default_rng(41)
+        rhs = rng.standard_normal((2, ops.node_count))
+        reads = []
+
+        def targets():
+            reads.append(1)
+            return np.array([1e-6, 1e-6])
+
+        varied = rng.uniform(1.0, 3.0, ops.node_count) * ops.lumped_mass
+        # Each diagonal with the reads a 2D solve makes: none for a mass
+        # multiple, one for a shared diagonal, one per row for per-row ones.
+        for diag, cg_reads in ((2.0 * ops.lumped_mass, 0), (varied, 1),
+                               (np.stack([varied, 1.5 * varied]), 2)):
+            del reads[:]
+            grids._solve_shifted(ops, diag, self.SHIFT, rhs, 1e-10, targets)
+            assert len(reads) == (0 if ops.dimension == 1 else cg_reads)
 
 
 class TestSolveShifted1D:

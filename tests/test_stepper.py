@@ -131,6 +131,56 @@ class TestNewtonFromZero:
         if rows > 1:
             assert report.iterations[1] == 0 and not u[1].any()
 
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_row_that_passes_at_the_start_leaves_a_row_subset(self, mesh, alpha, monkeypatch):
+        # Row 1 has rhs = 0, so its start residual -rhs passes; the first
+        # correction solves rows 0, 2 and 3 only, against the Jacobian and
+        # alphatilde at zero evaluated once, as a step hands them over.
+        ops, nl = bh.build_operators(*self.MESHES[mesh]), self.ALPHAS[alpha]
+        rhs = self.rhs_block(ops, 4)
+        solved = []
+        real_solve = stepper._solve_shifted
+
+        def recording_solve(ops, diagonal, shift, b, *args):
+            solved.append(len(b))
+            return real_solve(ops, diagonal, shift, b, *args)
+
+        monkeypatch.setattr(stepper, "_solve_shifted", recording_solve)
+        u, report = stepper._newton(ops, nl, self.DT, rhs, self.TOL,
+                                    at_zero=stepper._at_zero(ops, nl))
+        assert solved[0] == 3
+        assert (report.residual[1], report.iterations[1]) == (0.0, 0) and not u[1].any()
+        for row in range(4):
+            alone, single = stepper._newton(ops, nl, self.DT, rhs[row:row + 1], self.TOL)
+            assert u[row].tobytes() == alone[0].tobytes()
+            assert (report.residual[row], report.iterations[row],
+                    report.line_search_halvings[row]) == (
+                single.residual[0], single.iterations[0], single.line_search_halvings[0])
+
+    def test_alpha_not_zero_at_zero_keeps_the_start_residual(self, ops65):
+        # alphatilde(0) = 0.3 everywhere: the start residual is
+        # (M alphatilde(0) + 0.0) - rhs, not -rhs.  Row 1 meets it exactly
+        # and row 2 to below its threshold, so neither iterates; row 0 takes
+        # one exact step, alphatilde' = 2 being constant.
+        nl = bh.make_nonlinearity("offset", lambda x: np.asarray(x, dtype=float) + 0.3, 1.0,
+                                  1.0, alpha_prime=lambda x: np.ones(np.shape(x)))
+        mass, dt = ops65.lumped_mass, self.DT
+        offset = mass * nl.alpha_tilde(np.zeros(ops65.node_count)) + 0.0
+        rng = np.random.default_rng(43)
+        rhs = np.stack([rng.standard_normal(ops65.node_count), offset,
+                        offset + 1e-15 * rng.standard_normal(ops65.node_count)])
+        u, report = stepper._newton(ops65, nl, dt, rhs, self.TOL)
+        start = offset - rhs
+        step = grids.solve_shifted(ops65, 2.0 * mass, dt, -start[0], rtol=1e-10)
+        stepped = 0.0 + step
+        after = mass * nl.alpha_tilde(stepped) + dt * (ops65.stiffness @ stepped) - rhs[0]
+        assert u[0].tobytes() == stepped.tobytes() and not u[1:].any()
+        assert report.iterations == [1, 0, 0]
+        assert report.residual == [math.sqrt(after.dot(after)),
+                                   *(math.sqrt(r.dot(r)) for r in start[1:])]
+        assert report.residual[1] == 0.0 < report.residual[2]
+
     @pytest.mark.parametrize("rows", [1, 4])
     def test_non_finite_jacobian_names_the_first_active_row(self, ops65, rows):
         nl = bh.make_nonlinearity("nan-slope", lambda x: np.asarray(x, dtype=float), 1.0, 1.0,
@@ -209,17 +259,19 @@ class TestStep:
                                                       one_step):
         # Every Newton iteration makes one shifted solve and every heat solve
         # one more, so the solves counted outside the heat kernel
-        # _solve_theta are the Newton iterations actually run.
+        # _solve_theta are the Newton iterations actually run.  Newton calls
+        # the solve that also returns K x, so both names are counted.
         nl = bh.saturating(2.0)
         counts = {"shifted": 0, "theta": 0}
         reports = []
-        real_shifted, real_theta, real_newton = (
-            stepper.solve_shifted, stepper._solve_theta, stepper._newton
-        )
+        real_theta, real_newton = stepper._solve_theta, stepper._newton
 
-        def counting_shifted(*args, **kwargs):
-            counts["shifted"] += 1
-            return real_shifted(*args, **kwargs)
+        def counting(real_shifted):
+            def counting_shifted(*args, **kwargs):
+                counts["shifted"] += 1
+                return real_shifted(*args, **kwargs)
+
+            return counting_shifted
 
         def counting_theta(*args, **kwargs):
             counts["theta"] += 1
@@ -230,7 +282,8 @@ class TestStep:
             reports.append(report)
             return u, report
 
-        monkeypatch.setattr(stepper, "solve_shifted", counting_shifted)
+        for name in ("solve_shifted", "_solve_shifted"):
+            monkeypatch.setattr(stepper, name, counting(getattr(stepper, name)))
         monkeypatch.setattr(stepper, "_solve_theta", counting_theta)
         monkeypatch.setattr(stepper, "_newton", recording_newton)
         _, _, report = one_step(cos_field, 0.5 * cos_field, 3.0 * cos_field, 0.4, 0.25, ops65,
@@ -259,9 +312,9 @@ class TestStep:
             candidates.append(chi_candidate.copy())
             return real_theta(chi_candidate, *args)
 
-        def recording_newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
+        def recording_newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
             started = None if start is None else start.copy()
-            u, report = real_newton(ops, nl, dt, rhs, tol, start, relaxed)
+            u, report = real_newton(ops, nl, dt, rhs, tol, start, relaxed, at_zero)
             newton_calls.append((started, u.copy()))
             return u, report
 
@@ -448,6 +501,13 @@ class TestFactorReuse:
         grid, ops, integ, path = run_inputs
         cached = bh.run_additive(cos_field, 0.5 * cos_field, integ, path, grid, ops, nl)
         monkeypatch.setattr(stepper, "solve_shifted", reference_solve_1d)
+
+        def reference_pair(ops, diagonal, shift, rhs, rtol, atol_of):
+            # Newton's solve, which also returns K x.
+            x = reference_solve_1d(ops, diagonal, shift, rhs)
+            return x, grids.apply_stiffness(ops, x)
+
+        monkeypatch.setattr(stepper, "_solve_shifted", reference_pair)
         reference = bh.run_additive(cos_field, 0.5 * cos_field, integ, path, grid, ops, nl)
         assert np.array_equal(cached.theta, reference.theta)
         assert np.array_equal(cached.chi, reference.chi)
@@ -551,8 +611,8 @@ class TestInexactNewton:
 
             return real_cg(*args, callback=counted, **kwargs)
 
-        def recording_newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
-            u, report = real_newton(ops, nl, dt, rhs, tol, start, relaxed)
+        def recording_newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
+            u, report = real_newton(ops, nl, dt, rhs, tol, start, relaxed, at_zero)
             if met is not None:
                 met.append([residual <= stepper.DEFAULT_NEWTON_TOL * (1.0 + norm)
                             for residual, norm in zip(report.residual, grids.row_norms(rhs))])
@@ -562,8 +622,10 @@ class TestInexactNewton:
             patch.setattr(grids, "cg", counting_cg)
             patch.setattr(stepper, "_newton", recording_newton)
             if exact:
-                patch.setattr(stepper, "solve_shifted",
-                              lambda *args, atol=None, **kwargs: grids.solve_shifted(*args, **kwargs))
+                # Newton's corrections without their targets: full solves.
+                patch.setattr(stepper, "_solve_shifted",
+                              lambda ops, diagonal, shift, rhs, rtol, atol_of:
+                              grids._solve_shifted(ops, diagonal, shift, rhs, rtol))
             trajectories = bh.run_additive(theta0, chi0, integ, paths, grid, ops, bh.saturating(2.0))
         return trajectories, iterations[0]
 
@@ -637,8 +699,8 @@ class TestRelaxedInnerSolves:
         calls = []
         real_newton = stepper._newton
 
-        def recording_newton(ops, nl, dt, rhs, tol, start=None, relaxed=None):
-            u, report = real_newton(ops, nl, dt, rhs, tol, start, relaxed)
+        def recording_newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
+            u, report = real_newton(ops, nl, dt, rhs, tol, start, relaxed, at_zero)
             calls.append((tol, relaxed, grids.row_norms(rhs), report.residual))
             return u, report
 
