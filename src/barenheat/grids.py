@@ -34,7 +34,12 @@ solved by ``dpttrs`` against the stored factor, so the heat operator
 M + dt K is factored once per time step size and the linear-alpha Newton
 Jacobian once as well, and a batch that shares the diagonal is solved by
 one multi-column ``dpttrs`` call; the factors live in a small bounded cache
-owned by the operators.  Any other diagonal, such as a Newton Jacobian of
+owned by the operators, which ``solve_shifted`` looks up on every call,
+under a lock and keyed by the bytes of the diagonal.  A caller that solves
+against one operator many times binds it once with ``_bind_shifted``, which
+takes the factor from the cache once and then only solves and gates; the
+stepper binds its heat solve and its Newton solve from u = 0 so for each
+run.  Any other diagonal, such as a Newton Jacobian of
 nonlinear alpha, is factored and solved on the spot, row by row for a batch
 whose diagonal rows differ.  ``solveh_banded`` on a two-row band
 calls ``?ptsv``, which is exactly ``pttrf`` followed by ``pttrs``, so the
@@ -55,7 +60,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -157,8 +162,10 @@ class _TridiagonalFactors:
             raise NumericalError(f"tridiagonal solve rejected its arguments (info {info})")
         return x.T
 
-    def solve(self, diagonal, shift, rhs):
-        """Solve for every row of an (M, P) block."""
+    def factor(self, diagonal, shift):
+        """The factor of diag + shift K: the cached one for a bit-equal
+        diagonal, else a new one, which enters the cache when the diagonal
+        is a multiple of the lumped mass."""
         key = (shift, diagonal.tobytes())
         with self._lock:
             factor = self._factors.get(key)
@@ -172,7 +179,11 @@ class _TridiagonalFactors:
                     self._factors[key] = factor
                     while len(self._factors) > FACTOR_CACHE_SIZE:
                         self._factors.popitem(last=False)
-        return self._apply(factor, rhs)
+        return factor
+
+    def solve(self, diagonal, shift, rhs):
+        """Solve for every row of an (M, P) block."""
+        return self._apply(self.factor(diagonal, shift), rhs)
 
     def solve_once(self, diagonal, shift, rhs):
         """Factor and solve without the cache, for a diagonal used once."""
@@ -554,7 +565,11 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
     return _solve_shifted(ops, diagonal, shift, rhs, rtol, lambda: atol)[0]
 
 
-def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=lambda: None):
+def _no_atol():
+    return None
+
+
+def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=_no_atol):
     """``solve_shifted`` returning ``(x, K x)``: K x is the product that the
     residual gate formed, bit for bit ``apply_stiffness(ops, x)``.  Its
     ``atol`` is ``atol_of()``, called only where a conjugate-gradient row
@@ -594,3 +609,46 @@ def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=lambda: None):
             exc.row = None
         raise
     return (x[0], stiffness_x[0]) if rhs.ndim == 1 else (x, stiffness_x)
+
+
+def _bind_shifted(ops, diagonal, shift, rtol=1e-12):
+    """``_solve_shifted`` bound to one fixed (P,) ``diagonal`` and ``shift``:
+    a function ``solve(rhs, atol_of)`` of an (M, P) block that returns
+    ``(x, K x)`` with the bits, residual gate and errors of
+    ``_solve_shifted(ops, diagonal, shift, rhs, rtol, atol_of)``.
+
+    The operator is bound once.  In 1D that is its ``dpttrf`` factor, taken
+    through the cache of ``ops`` as the first ``_solve_shifted`` call would
+    take it; in 2D, for a multiple of the lumped mass, its
+    fast-diagonalization solve.  A call then makes no cache lookup, no
+    ``tobytes`` key and no dispatch: it solves and gates.  Anything else
+    stays with ``_solve_shifted`` on every call: a 2D diagonal that is no
+    mass multiple, whose rows run the conjugate gradient against their
+    targets, and an operator that cannot be factored, which raises where a
+    solve would.
+    """
+    diagonal = np.asarray(diagonal, dtype=float)
+    shift = float(shift)
+    direct = None
+    if ops.dimension == 1:
+        try:
+            factor = ops.tridiagonal.factor(diagonal, shift)
+        except NumericalError:
+            pass
+        else:
+            direct = partial(_TridiagonalFactors._apply, factor)
+    else:
+        ratio = diagonal / ops.lumped_mass
+        low, high = float(ratio.min()), float(ratio.max())
+        if low == high:
+            direct = _fast_diagonalization(ops, 0.5 * (low + high), shift)
+
+    if direct is None:
+        def solve(rhs, atol_of=_no_atol):
+            return _solve_shifted(ops, diagonal, shift, rhs, rtol, atol_of)
+    else:
+        def solve(rhs, atol_of=_no_atol):
+            x = direct(rhs)
+            return x, _check_residual(ops, diagonal, shift, x, rhs, rtol)
+
+    return solve

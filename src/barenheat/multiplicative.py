@@ -35,7 +35,9 @@ import numpy as np
 from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError, NumericalError
 from .grids import h1_seminorm, l2_norm
 from .noise import AdditiveIntegrand, partial_sums
-from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, Trajectory, _advance, run_additive
+from .stepper import (
+    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, Trajectory, _advance, _step_plan, run_additive,
+)
 from .theory import compute_stability_constant
 
 
@@ -277,6 +279,8 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     )
     if converged(weighted_norm(first.chi - chi0, grid, ops, config.weight), started):
         return result(first)
+    # The staggered iterates' steps; run_additive built iterate 1's.
+    plan = _step_plan(grid, ops, nl, tol, newton_tol)
     running = []
     failure = None
     newest = 2  # iterates start in order, so only the newest has no successor
@@ -302,11 +306,11 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
         while running and advanced is None:
             try:
                 advanced = _advance(
+                    plan,
                     np.array([it.theta[it.step] for it in running]),
                     np.array([it.chi[it.step] for it in running]),
                     path.increments[[it.step for it in running]][:, None],
                     np.array([it.values[it.step] for it in running]),
-                    grid, ops, nl, tol, newton_tol,
                 )
             except NumericalError as exc:
                 # Drop the failing iterate and its successors, which read

@@ -10,12 +10,21 @@ chi iterates stop moving:
   substitution chi = chi_n + dt u + h_n dw_n.  The Jacobian
   M diag(alphatilde'(u)) + dt K is SPD because alphatilde' >= 1.
 
-Both operators are fixed for linear alpha, so in 1D ``solve_shifted``
-factors each once and reuses the factor for every inner iteration, step and
-path; the noise h_n dw_n, the shift s = chi_n + h_n dw_n and the load K s
-are computed once per step, and so are alphatilde(0), the Jacobian
-M alphatilde'(0) and whether it is finite (``_at_zero``), which every
-Newton solve from u = 0 reads.  Each product of an inner iteration is
+The heat operator M + dt K is fixed for a run, and so is the Jacobian
+M alphatilde'(0) + dt K of every Newton solve from u = 0.  A run builds one
+plan (``_step_plan``) that binds both solves once (``grids._bind_shifted``:
+in 1D their ``dpttrf`` factors, taken from the operators' cache, in 2D the
+fast-diagonalization solve of a mass multiple) and holds alphatilde(0), the
+contraction bound and whether alpha is linear (``_at_zero``), so no step or
+solve evaluates, factors or looks up any of them again; each bound solve
+keeps the residual gate and errors of ``solve_shifted``.  ``run_additive``
+builds the plan once for all its paths, and ``picard_solve`` once more for
+its staggered iterates.  Against a lookup per solve and an ``_at_zero`` per
+step, a linear step at P = 65 and dt = 1/128 became 1.19 times as fast at
+M = 1 and 1.12 times at M = 4 (medians of 20 interleaved rounds on a 2-CPU
+host), with the same bits (``BENCH_run_plan.json``).
+The noise h_n dw_n, the shift s = chi_n + h_n dw_n and the load K s are
+computed once per step.  Each product of an inner iteration is
 formed once: the residual gate of a Newton correction delta hands back the
 K delta it formed (``grids._solve_shifted``), which is the stiffness term
 of the trial residual after a step from u = 0; where alphatilde(0) is
@@ -132,12 +141,15 @@ from .errors import (
     NonFiniteError,
     NumericalError,
 )
-from .grids import TimeGrid, _row_dots, _solve_shifted, apply_stiffness, row_norms, solve_shifted
+from .grids import TimeGrid, _bind_shifted, _row_dots, _solve_shifted, apply_stiffness, row_norms
 from .noise import BrownianPath, partial_sums
 
 DEFAULT_INNER_TOL = 1e-11
 DEFAULT_NEWTON_TOL = 1e-12
 MAX_NEWTON_ITERATIONS = 50
+# Residual gate of a Newton correction's linear solve; the heat solve keeps
+# the default gate of ``solve_shifted``.
+CORRECTION_RTOL = 1e-10
 # Forcing term of the inexact Newton solve (see the module docstring): the
 # fraction of a row's Newton threshold that its linear correction must meet.
 NEWTON_FORCING = 0.1
@@ -210,12 +222,11 @@ def _lift(exc, rows):
     exc.row = row if rows is None else int(rows[row])
 
 
-def _solve_theta(chi_candidate, theta_n, chi_n, noise, dt, ops):
+def _solve_theta(plan, chi_candidate, theta_n, chi_n, noise):
     """Solve the implicit heat sub-problem (M + dt K) theta =
     M (theta_n - chi~ + chi_n + noise) for a frozen chi candidate; ``noise``
     is h_n dw_n."""
-    rhs = ops.lumped_mass * (theta_n - chi_candidate + chi_n + noise)
-    return solve_shifted(ops, ops.lumped_mass, dt, rhs)
+    return plan.heat(plan.ops.lumped_mass * (theta_n - chi_candidate + chi_n + noise))[0]
 
 
 def _newton_failure(message, residual, met_non_finite, row):
@@ -232,33 +243,69 @@ class _AtZero(NamedTuple):
     shared by every row, so that a block gets the bits of its rows alone:
     ``offset`` is M alphatilde(0) + 0.0, the start residual plus rhs, or
     None where alphatilde(0) is identically 0 and the start residual is
-    exactly -rhs; ``jacobian`` is M alphatilde'(0), and ``finite`` whether
-    it is finite everywhere."""
+    exactly -rhs; ``solve`` is the correction solve against the Jacobian
+    M alphatilde'(0) + dt K, bound once (``grids._bind_shifted``), or None
+    where alphatilde'(0) is not finite everywhere."""
 
     offset: np.ndarray | None
-    jacobian: np.ndarray
-    finite: bool
+    solve: object
 
 
-def _at_zero(ops, nl):
+def _at_zero(ops, nl, dt):
     zero = np.zeros(ops.node_count)
     alpha = nl.alpha_tilde(zero)
     jacobian = ops.lumped_mass * nl.alpha_tilde_prime(zero)
     # At u = 0 the stiffness term dt K u is +0.0 in every entry, and adding
     # it is adding 0.0, so offset - rhs is the residual at u = 0 bit for bit.
     offset = ops.lumped_mass * alpha + 0.0 if alpha.any() else None
-    return _AtZero(offset, jacobian, bool(np.isfinite(jacobian).all()))
+    finite = bool(np.isfinite(jacobian).all())
+    return _AtZero(offset, _bind_shifted(ops, jacobian, dt, CORRECTION_RTOL) if finite else None)
 
 
-def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
+class _StepPlan(NamedTuple):
+    """What every step of a run reads and no step changes, built once per
+    run by ``_step_plan``: the operators, alpha, dt and both tolerances;
+    ``heat``, the solve of M + dt K bound once (``grids._bind_shifted``),
+    which returns ``(theta, K theta)``; ``at_zero``, what Newton from u = 0
+    reads (``_AtZero``); the contraction bound of the inner iteration; and
+    whether alpha is nonlinear, which switches on the warm start and the
+    relaxed Newton tolerances."""
+
+    ops: object
+    nl: object
+    dt: float
+    tol: float
+    newton_tol: float
+    heat: object
+    at_zero: _AtZero
+    factor_bound: float
+    nonlinear: bool
+
+
+def _step_plan(grid, ops, nl, tol, newton_tol):
+    """The plan of a run on ``grid``; raises unless its step meets
+    ``check_step_preconditions``."""
+    dt = grid.dt
+    check_step_preconditions(dt, nl)
+    return _StepPlan(
+        ops, nl, dt, tol, newton_tol,
+        heat=_bind_shifted(ops, ops.lumped_mass, dt),
+        at_zero=_at_zero(ops, nl, dt),
+        factor_bound=contraction_factor_bound(nl, dt),
+        # Equal declared constants and alpha(0) = 0 make alpha linear.
+        nonlinear=nl.lipschitz != nl.coercivity,
+    )
+
+
+def _newton(plan, rhs, start=None, relaxed=None):
     """Solve M alphatilde(u) + dt K u = rhs for each row of an (M, P) batch,
     Newton with backtracking from ``start``, or from u = 0 when it is None;
     ``start`` is updated in place.  Row i takes no iteration when its
-    residual is at most tol (1 + |rhs_i|) at the start, and otherwise
-    iterates until it is; ``relaxed``, None or a list of one relative
-    tolerance per row, lets row i stop at relaxed_i (1 + |rhs_i|) instead,
-    once it has taken an iteration.  A start from u = 0 reads ``at_zero``,
-    ``_at_zero(ops, nl)``, and evaluates it when it is None.
+    residual is at most tol (1 + |rhs_i|) at the start, tol being
+    ``plan.newton_tol``, and otherwise iterates until it is; ``relaxed``,
+    None or a list of one relative tolerance per row, lets row i stop at
+    relaxed_i (1 + |rhs_i|) instead, once it has taken an iteration.  A
+    start from u = 0 reads ``plan.at_zero``.
 
     Every row keeps its own threshold, step scale, iteration count and
     halvings, and a row leaves the iteration once it has converged, so its
@@ -271,6 +318,7 @@ def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
     ``NEWTON_FORCING`` times the row's threshold, or times its residual
     where that is smaller.
     """
+    ops, nl, dt, tol = plan.ops, plan.nl, plan.dt, plan.newton_tol
     mass = ops.lumped_mass
     count = len(rhs)
 
@@ -286,8 +334,7 @@ def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
     # sum of the product can carry.
     from_zero = start is None
     if from_zero:
-        if at_zero is None:
-            at_zero = _at_zero(ops, nl)
+        at_zero = plan.at_zero
         u = np.zeros(rhs.shape)
         if at_zero.offset is None:
             # The start residual is -rhs: its row norms are those of rhs, and
@@ -332,8 +379,7 @@ def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
         if not active:
             break
         if from_zero:
-            jac_diag = at_zero.jacobian
-            if not at_zero.finite:
+            if at_zero.solve is None:
                 raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
                                      residual=norms[active[0]], row=active[0])
         else:
@@ -345,9 +391,12 @@ def _newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
                 raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
                                      residual=norms[row], row=row)
         try:
-            delta, stiffness_delta = _solve_shifted(ops, jac_diag, dt,
-                                                    rhs_active if res is None else -res, 1e-10,
-                                                    correction_targets)
+            b = rhs_active if res is None else -res
+            if from_zero:
+                delta, stiffness_delta = at_zero.solve(b, correction_targets)
+            else:
+                delta, stiffness_delta = _solve_shifted(ops, jac_diag, dt, b, CORRECTION_RTOL,
+                                                        correction_targets)
         except NumericalError as exc:
             _lift(exc, rows)
             raise
@@ -434,8 +483,9 @@ def _inner_newton_tol(newton_tol, difference):
     return max(newton_tol, min(LOOSEST_NEWTON_TOL, INNER_FORCING * difference))
 
 
-def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, newton_tol):
-    """One coupled step of every path of a batch.
+def _advance(plan, theta_n, chi_n, dw, h_n):
+    """One coupled step of every path of a batch, under the run's plan
+    (``_step_plan``).
 
     ``theta_n`` and ``chi_n`` are (M, P) blocks and ``dw`` the (M, 1) column
     of the paths' increments; the integrand ``h_n`` is one (P,) field
@@ -449,15 +499,14 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, newton_tol):
     NonConvergenceError.
     """
     count = len(chi_n)
-    dt = grid.dt
+    ops, dt, tol, newton_tol = plan.ops, plan.dt, plan.tol, plan.newton_tol
     noise = h_n * dw
     shift = chi_n + noise
     stiffness_shift = apply_stiffness(ops, shift)
-    at_zero = _at_zero(ops, nl)
-    # Equal declared constants and alpha(0) = 0 make alpha linear, and
-    # Newton then converges in one iteration from u = 0; every other alpha
-    # starts from the u of the current chi iterate, 0 for the first.
-    warm_start = nl.lipschitz != nl.coercivity
+    # Newton converges in one iteration from u = 0 for linear alpha; every
+    # other alpha starts from the u of the current chi iterate, 0 for the
+    # first.
+    warm_start = plan.nonlinear
     # Relative Newton tolerance of each path's next solve, relaxed while the
     # chi iterates still move (nonlinear alpha only).
     newton_tols = [_inner_newton_tol(newton_tol, math.inf)] * count if warm_start else None
@@ -476,11 +525,11 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, newton_tol):
         chi_iterate = _take(chi, rows)
         sub_theta_n, sub_chi_n, sub_noise, sub_shift, sub_stiffness_shift = sub
         try:
-            theta = _solve_theta(chi_iterate, sub_theta_n, sub_chi_n, sub_noise, dt, ops)
+            theta = _solve_theta(plan, chi_iterate, sub_theta_n, sub_chi_n, sub_noise)
             u, newton = _newton(
-                ops, nl, dt, ops.lumped_mass * theta - sub_stiffness_shift, newton_tol,
+                plan, ops.lumped_mass * theta - sub_stiffness_shift,
                 (chi_iterate - sub_shift) / dt if warm_start and iteration else None,
-                [newton_tols[row] for row in active] if warm_start else None, at_zero,
+                [newton_tols[row] for row in active] if warm_start else None,
             )
         except NumericalError as exc:
             _lift(exc, rows)
@@ -524,8 +573,8 @@ def _advance(theta_n, chi_n, dw, h_n, grid, ops, nl, tol, newton_tol):
         )
     # Final heat solve so the linear equation holds exactly against the
     # accepted chi; the nonlinear equation then holds up to ``tol``.
-    theta = _solve_theta(chi, theta_n, chi_n, noise, dt, ops)
-    bound = contraction_factor_bound(nl, dt)
+    theta = _solve_theta(plan, chi, theta_n, chi_n, noise)
+    bound = plan.factor_bound
     reports = [
         StepReport(
             inner_iterations=len(diffs),
@@ -587,7 +636,7 @@ def run_additive(
     theta0 = np.asarray(theta0, dtype=float)
     chi0 = np.asarray(chi0, dtype=float)
     _check_initial_shapes(ops, theta0=theta0, chi0=chi0, h_0=integrand.values[0])
-    check_step_preconditions(grid.dt, nl)
+    plan = _step_plan(grid, ops, nl, tol, newton_tol)
     shape = (len(paths), grid.steps + 1, ops.node_count)
     theta, chi = np.empty(shape), np.empty(shape)
     theta[:, 0] = theta0
@@ -597,9 +646,7 @@ def run_additive(
     for n in range(grid.steps):
         try:
             theta[:, n + 1], chi[:, n + 1], step_reports = _advance(
-                theta[:, n], chi[:, n], increments[:, n:n + 1], integrand.values[n], grid, ops,
-                nl, tol, newton_tol,
-            )
+                plan, theta[:, n], chi[:, n], increments[:, n:n + 1], integrand.values[n])
         except NumericalError as exc:
             raise type(exc)(
                 exc.reason, residual=exc.residual, step=n,

@@ -13,7 +13,7 @@ import barenheat as bh
 from barenheat import diagnostics, grids, stepper
 from barenheat.errors import FieldShapeError, NonConvergenceError, NonFiniteError
 from barenheat.stepper import (
-    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _advance, _newton,
+    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _advance, _newton, _step_plan,
 )
 
 PATHS = 5
@@ -107,10 +107,11 @@ class TestBatchEqualsSingleRuns:
         dws = rng.standard_normal((PATHS, 1))
         rhs = ops65.lumped_mass * theta - grids.apply_stiffness(ops65, chi + cos_field * dws)
         nl = bh.saturating(2.0)
-        u, report = _newton(ops65, nl, grid16.dt, rhs, DEFAULT_NEWTON_TOL)
+        plan = _step_plan(grid16, ops65, nl, DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL)
+        u, report = _newton(plan, rhs)
         assert len(set(report.iterations)) > 1
         for row in range(PATHS):
-            alone, single = _newton(ops65, nl, grid16.dt, rhs[row:row + 1], DEFAULT_NEWTON_TOL)
+            alone, single = _newton(plan, rhs[row:row + 1])
             assert np.array_equal(u[row], alone[0])
             assert (report.residual[row], report.iterations[row],
                     report.line_search_halvings[row]) == (
@@ -132,8 +133,8 @@ class TestBatchEqualsSingleRuns:
         chi = 0.5 * cos_field + 0.1 * rng.standard_normal((PATHS, ops65.node_count))
         dws = 0.2 * rng.standard_normal((PATHS, 1))
         nl = bh.saturating(1.0)
-        theta_next, chi_next, reports = _advance(theta, chi, dws, cos_field, grid16, ops65, nl,
-                                                 DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL)
+        plan = _step_plan(grid16, ops65, nl, DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL)
+        theta_next, chi_next, reports = _advance(plan, theta, chi, dws, cos_field)
         assert len(reports) == PATHS
         for row in range(PATHS):
             alone_theta, alone_chi, report = one_step(theta[row], chi[row], cos_field,
@@ -158,11 +159,11 @@ class TestBatchEqualsSingleRuns:
         theta = base + 0.3 * rng.standard_normal((rows, ops.node_count))
         chi = 0.5 * base + 0.3 * rng.standard_normal((rows, ops.node_count))
         singles = [(theta[row], chi[row]) for row in range(rows)]
+        plan = _step_plan(grid, ops, nl, DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL)
         for n in range(4):
             h = np.array([scale * base + 0.1 * n for scale in (0.2, -1.0, 3.0)])
             dw = np.sqrt(grid.dt) * rng.standard_normal((rows, 1))
-            theta, chi, reports = _advance(theta, chi, dw, h, grid, ops, nl, DEFAULT_INNER_TOL,
-                                           DEFAULT_NEWTON_TOL)
+            theta, chi, reports = _advance(plan, theta, chi, dw, h)
             for row in range(rows):
                 *singles[row], report = one_step(*singles[row], h[row], dw[row, 0], grid.dt,
                                                  ops, nl)

@@ -498,6 +498,75 @@ class TestGateProduct:
             assert len(reads) == (0 if ops.dimension == 1 else cg_reads)
 
 
+class TestBindShifted:
+    """``_bind_shifted`` is ``_solve_shifted`` for one fixed diagonal and
+    shift: the same x, K x, gate and errors, with the operator bound once."""
+
+    MESHES = {"1d": (1, 40, 1.7), "2d": (2, (8, 6), (1.0, 0.75))}
+    SHIFT = 0.3
+
+    @pytest.fixture(scope="class")
+    def meshes(self):
+        return {name: bh.build_operators(*args) for name, args in self.MESHES.items()}
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("diagonal", ["mass-multiple", "varied"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("targets", [False, True], ids=["full", "atol"])
+    def test_bits_of_solve_shifted(self, meshes, mesh, diagonal, rows, targets):
+        ops = meshes[mesh]
+        rng = np.random.default_rng(ops.node_count + rows)
+        factor = 2.0 if diagonal == "mass-multiple" else rng.uniform(1.0, 3.0, ops.node_count)
+        diag = factor * ops.lumped_mass
+        solve = grids._bind_shifted(ops, diag, self.SHIFT, 1e-10)
+        # Targets far above CG_RTOL |b|, so conjugate-gradient rows stop early.
+        atol = 1e-4 * rng.uniform(1.0, 2.0, rows) if targets else None
+        for scale in (1.0, 1e-6, 1e6):
+            rhs = scale * rng.standard_normal((rows, ops.node_count))
+            x, stiffness_x = solve(rhs, lambda: atol)
+            want_x, want_stiffness_x = grids._solve_shifted(ops, diag, self.SHIFT, rhs, 1e-10,
+                                                            lambda: atol)
+            assert x.tobytes() == want_x.tobytes()
+            assert stiffness_x.tobytes() == want_stiffness_x.tobytes()
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    def test_factor_cache_as_a_first_solve_leaves_it(self, meshes, mesh):
+        # A mass multiple enters the 1D cache once, as a first solve would;
+        # a varied diagonal never does.  2D keeps no factors.
+        ops = bh.build_operators(*self.MESHES[mesh])
+        rhs = np.ones((2, ops.node_count))
+        varied = np.linspace(1.0, 2.0, ops.node_count) * ops.lumped_mass
+        for diag, entries in ((varied, 0), (3.0 * ops.lumped_mass, 1)):
+            solve = grids._bind_shifted(ops, diag, self.SHIFT)
+            solve(rhs)
+            grids._solve_shifted(ops, diag, self.SHIFT, rhs)
+            if ops.dimension == 1:
+                assert len(ops.tridiagonal) == entries
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_gate_names_the_row_of_a_non_finite_right_hand_side(self, meshes, rows):
+        ops = meshes["1d"]
+        rhs = np.ones((rows, ops.node_count))
+        rhs[rows - 1, 4] = np.nan
+        with pytest.raises(NonFiniteError) as bound:
+            grids._bind_shifted(ops, ops.lumped_mass, self.SHIFT)(rhs)
+        with pytest.raises(NonFiniteError) as direct:
+            grids._solve_shifted(ops, ops.lumped_mass, self.SHIFT, rhs)
+        assert bound.value.row == direct.value.row == rows - 1
+
+    def test_operator_that_cannot_be_factored_raises_when_solving(self, meshes):
+        # Binding does not raise; each solve raises as _solve_shifted does.
+        ops = meshes["1d"]
+        diag = -4.0 * ops.lumped_mass
+        solve = grids._bind_shifted(ops, diag, self.SHIFT)
+        rhs = np.ones((2, ops.node_count))
+        with pytest.raises(NumericalError, match="not positive definite") as bound:
+            solve(rhs)
+        with pytest.raises(NumericalError, match="not positive definite") as direct:
+            grids._solve_shifted(ops, diag, self.SHIFT, rhs)
+        assert bound.value.row == direct.value.row
+
+
 class TestSolveShifted1D:
     def test_bitwise_equal_to_refactoring_reference(self, reference_solve_1d):
         ops = bh.build_operators(1, 40, 1.7)

@@ -8,7 +8,7 @@ import pytest
 import barenheat as bh
 from barenheat.config import parse_config
 from barenheat.errors import FieldShapeError, InvalidConfigError, NonConvergenceError
-from barenheat.stepper import _advance
+from barenheat.stepper import _advance, _step_plan
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
                            "multiplicative.ini")
@@ -234,11 +234,11 @@ def causal_pass(theta0, chi0, noise_map, path, grid, ops, nl, tol, newton_tol):
     theta = np.empty((grid.steps + 1, ops.node_count))
     chi = np.empty_like(theta)
     theta[0], chi[0] = theta0, chi0
+    plan = _step_plan(grid, ops, nl, tol, newton_tol)
     for n in range(grid.steps):
         h = np.zeros(ops.node_count) if n == 0 else bh.evaluate_H(noise_map, chi[n])
-        next_theta, next_chi, _ = _advance(theta[n][None], chi[n][None],
-                                           path.increments[n:n + 1, None], h, grid, ops, nl,
-                                           tol, newton_tol)
+        next_theta, next_chi, _ = _advance(plan, theta[n][None], chi[n][None],
+                                           path.increments[n:n + 1, None], h)
         theta[n + 1], chi[n + 1] = next_theta[0], next_chi[0]
     return chi
 

@@ -212,9 +212,9 @@ class TestSameErrorsAsSequential:
         failing_batches = []
         real_advance = multiplicative._advance
 
-        def advance(theta_n, chi_n, *args):
+        def advance(step_plan, theta_n, chi_n, *args):
             try:
-                return real_advance(theta_n, chi_n, *args)
+                return real_advance(step_plan, theta_n, chi_n, *args)
             except NumericalError:
                 failing_batches.append(len(chi_n))
                 raise
@@ -241,12 +241,12 @@ class TestSameErrorsAsSequential:
         met = []
         real_advance = stepper._advance
 
-        def advance(theta_n, chi_n, dw, h, *args):
+        def advance(step_plan, theta_n, chi_n, dw, h):
             for row, h_row in enumerate(np.broadcast_to(h, np.shape(chi_n))):
                 if h_row.tobytes() in plan:
                     met.append(plan[h_row.tobytes()])
                     raise NonFiniteError("injected failure", residual=1.0, row=row)
-            return real_advance(theta_n, chi_n, dw, h, *args)
+            return real_advance(step_plan, theta_n, chi_n, dw, h)
 
         monkeypatch.setattr(stepper, "_advance", advance)
         monkeypatch.setattr(multiplicative, "_advance", advance)
@@ -267,9 +267,9 @@ def test_iterate_one_runs_first_and_no_step_is_wasted(ops33, grid32, cos33, monk
         calls.append(0)
         return real_run(*args, **kwargs)
 
-    def advance(theta_n, chi_n, *args):
+    def advance(step_plan, theta_n, chi_n, *args):
         calls.append(len(chi_n))
-        return real_advance(theta_n, chi_n, *args)
+        return real_advance(step_plan, theta_n, chi_n, *args)
 
     monkeypatch.setattr(multiplicative, "run_additive", run)
     monkeypatch.setattr(multiplicative, "_advance", advance)
@@ -279,3 +279,32 @@ def test_iterate_one_runs_first_and_no_step_is_wasted(ops33, grid32, cos33, monk
     assert sum(calls) == (iterations - 1) * grid32.steps - iterations * (iterations - 1) // 2
     # The staggered iterates overlap: fewer batch steps than their steps.
     assert len(calls) - 1 < (iterations - 1) * grid32.steps
+
+
+def test_step_plan_is_built_once_for_the_staggered_iterates(ops33, grid32, cos33, monkeypatch):
+    # Iterate 1's run_additive builds its plan, and the staggered iterates
+    # share one more; no step builds one.
+    built = []
+    real_plan, real_at_zero = stepper._step_plan, stepper._at_zero
+    real_advance = multiplicative._advance
+    advanced = []
+
+    def plan(*args):
+        built.append("plan")
+        return real_plan(*args)
+
+    def at_zero(*args):
+        built.append("at_zero")
+        return real_at_zero(*args)
+
+    def advance(*args):
+        advanced.append(1)
+        return real_advance(*args)
+
+    monkeypatch.setattr(stepper, "_step_plan", plan)
+    monkeypatch.setattr(multiplicative, "_step_plan", plan)
+    monkeypatch.setattr(stepper, "_at_zero", at_zero)
+    monkeypatch.setattr(multiplicative, "_advance", advance)
+    _, report = bh.picard_solve(*problem_1d(ops33, grid32, cos33, bh.affine_map(0.061), 0))
+    assert report.iterations > 2 and len(advanced) > grid32.steps // 2
+    assert built == ["plan", "at_zero"] * 2

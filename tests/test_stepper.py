@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 import barenheat as bh
 from barenheat import grids, stepper
+from barenheat.config import parse_config
 from barenheat.errors import (
     ContractionConditionError,
     InvalidConfigError,
@@ -15,13 +17,19 @@ from barenheat.errors import (
 DT = 1.0 / 16
 
 
+def plan_of(ops, nl, dt, newton_tol=stepper.DEFAULT_NEWTON_TOL):
+    """The step plan of a run with step ``dt``, as ``run_additive`` builds it."""
+    return stepper._step_plan(bh.build_time_grid(dt, 1), ops, nl, stepper.DEFAULT_INNER_TOL,
+                              newton_tol)
+
+
 def solve_chi(theta, chi_n, h, dw, dt, ops, nl, tol=stepper.DEFAULT_NEWTON_TOL):
     """The nonlinear sub-problem for a frozen theta, as ``_advance`` poses it
     to the Newton kernel: u = 0 start, chi = chi_n + h dw + dt u.  Takes and
     returns one field; the report holds the row's scalars."""
     shift = chi_n + h * dw
     rhs = ops.lumped_mass * theta - grids.apply_stiffness(ops, shift)
-    u, report = stepper._newton(ops, nl, dt, np.atleast_2d(rhs), tol)
+    u, report = stepper._newton(plan_of(ops, nl, dt, tol), np.atleast_2d(rhs))
     return shift + dt * u[0], stepper.NewtonReport(
         float(report.residual[0]), int(report.iterations[0]),
         int(report.line_search_halvings[0]))
@@ -29,8 +37,8 @@ def solve_chi(theta, chi_n, h, dw, dt, ops, nl, tol=stepper.DEFAULT_NEWTON_TOL):
 
 def solve_theta(chi_candidate, theta_n, chi_n, h, dw, dt, ops):
     """The heat kernel on one field, lifted to a one-row block."""
-    return stepper._solve_theta(chi_candidate[None], theta_n[None], chi_n[None], h * dw,
-                                dt, ops)[0]
+    return stepper._solve_theta(plan_of(ops, bh.linear(1.0), dt), chi_candidate[None],
+                                theta_n[None], chi_n[None], h * dw)[0]
 
 
 class TestSolveTheta:
@@ -116,14 +124,14 @@ class TestNewtonFromZero:
     def test_rows_get_the_bits_of_lone_solves(self, mesh, alpha, rows):
         ops, nl = bh.build_operators(*self.MESHES[mesh]), self.ALPHAS[alpha]
         rhs = self.rhs_block(ops, rows)
-        u, report = stepper._newton(ops, nl, self.DT, rhs, self.TOL)
-        zeros_u, zeros_report = stepper._newton(ops, nl, self.DT, rhs, self.TOL,
-                                                np.zeros(rhs.shape))
+        plan = plan_of(ops, nl, self.DT)
+        u, report = stepper._newton(plan, rhs)
+        zeros_u, zeros_report = stepper._newton(plan, rhs, np.zeros(rhs.shape))
         assert u.tobytes() == zeros_u.tobytes()
         for name in ("residual", "iterations", "line_search_halvings"):
             assert getattr(report, name) == getattr(zeros_report, name)
         for row in range(rows):
-            alone, single = stepper._newton(ops, nl, self.DT, rhs[row:row + 1], self.TOL)
+            alone, single = stepper._newton(plan, rhs[row:row + 1])
             assert u[row].tobytes() == alone[0].tobytes()
             assert (report.residual[row], report.iterations[row],
                     report.line_search_halvings[row]) == (
@@ -135,24 +143,24 @@ class TestNewtonFromZero:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_row_that_passes_at_the_start_leaves_a_row_subset(self, mesh, alpha, monkeypatch):
         # Row 1 has rhs = 0, so its start residual -rhs passes; the first
-        # correction solves rows 0, 2 and 3 only, against the Jacobian and
-        # alphatilde at zero evaluated once, as a step hands them over.
+        # correction solves rows 0, 2 and 3 only, with the run plan's solve
+        # against the Jacobian at zero.
         ops, nl = bh.build_operators(*self.MESHES[mesh]), self.ALPHAS[alpha]
         rhs = self.rhs_block(ops, 4)
         solved = []
-        real_solve = stepper._solve_shifted
+        plan = plan_of(ops, nl, self.DT)
+        real_solve = plan.at_zero.solve
 
-        def recording_solve(ops, diagonal, shift, b, *args):
+        def recording_solve(b, *args):
             solved.append(len(b))
-            return real_solve(ops, diagonal, shift, b, *args)
+            return real_solve(b, *args)
 
-        monkeypatch.setattr(stepper, "_solve_shifted", recording_solve)
-        u, report = stepper._newton(ops, nl, self.DT, rhs, self.TOL,
-                                    at_zero=stepper._at_zero(ops, nl))
+        u, report = stepper._newton(
+            plan._replace(at_zero=plan.at_zero._replace(solve=recording_solve)), rhs)
         assert solved[0] == 3
         assert (report.residual[1], report.iterations[1]) == (0.0, 0) and not u[1].any()
         for row in range(4):
-            alone, single = stepper._newton(ops, nl, self.DT, rhs[row:row + 1], self.TOL)
+            alone, single = stepper._newton(plan, rhs[row:row + 1])
             assert u[row].tobytes() == alone[0].tobytes()
             assert (report.residual[row], report.iterations[row],
                     report.line_search_halvings[row]) == (
@@ -170,7 +178,7 @@ class TestNewtonFromZero:
         rng = np.random.default_rng(43)
         rhs = np.stack([rng.standard_normal(ops65.node_count), offset,
                         offset + 1e-15 * rng.standard_normal(ops65.node_count)])
-        u, report = stepper._newton(ops65, nl, dt, rhs, self.TOL)
+        u, report = stepper._newton(plan_of(ops65, nl, dt), rhs)
         start = offset - rhs
         step = grids.solve_shifted(ops65, 2.0 * mass, dt, -start[0], rtol=1e-10)
         stepped = 0.0 + step
@@ -191,9 +199,10 @@ class TestNewtonFromZero:
             rhs[0] = 0.0
             first_active = 2
         raised = []
+        plan = plan_of(ops65, nl, self.DT)
         for start in (None, np.zeros(rhs.shape)):
             with pytest.raises(NonFiniteError, match="Jacobian") as excinfo:
-                stepper._newton(ops65, nl, self.DT, rhs, self.TOL, start)
+                stepper._newton(plan, rhs, start)
             raised.append((excinfo.value.row, repr(excinfo.value.residual)))
         assert raised[0] == raised[1]
         assert raised[0][0] == first_active
@@ -259,12 +268,14 @@ class TestStep:
                                                       one_step):
         # Every Newton iteration makes one shifted solve and every heat solve
         # one more, so the solves counted outside the heat kernel
-        # _solve_theta are the Newton iterations actually run.  Newton calls
-        # the solve that also returns K x, so both names are counted.
+        # _solve_theta are the Newton iterations actually run.  The heat
+        # solve and Newton's solve from u = 0 are the run plan's, every other
+        # Newton solve is _solve_shifted's, so all three are counted.
         nl = bh.saturating(2.0)
         counts = {"shifted": 0, "theta": 0}
         reports = []
-        real_theta, real_newton = stepper._solve_theta, stepper._newton
+        real_theta, real_newton, real_plan = (stepper._solve_theta, stepper._newton,
+                                              stepper._step_plan)
 
         def counting(real_shifted):
             def counting_shifted(*args, **kwargs):
@@ -272,6 +283,11 @@ class TestStep:
                 return real_shifted(*args, **kwargs)
 
             return counting_shifted
+
+        def counting_plan(*args):
+            plan = real_plan(*args)
+            return plan._replace(heat=counting(plan.heat),
+                                 at_zero=plan.at_zero._replace(solve=counting(plan.at_zero.solve)))
 
         def counting_theta(*args, **kwargs):
             counts["theta"] += 1
@@ -282,8 +298,8 @@ class TestStep:
             reports.append(report)
             return u, report
 
-        for name in ("solve_shifted", "_solve_shifted"):
-            monkeypatch.setattr(stepper, name, counting(getattr(stepper, name)))
+        monkeypatch.setattr(stepper, "_step_plan", counting_plan)
+        monkeypatch.setattr(stepper, "_solve_shifted", counting(stepper._solve_shifted))
         monkeypatch.setattr(stepper, "_solve_theta", counting_theta)
         monkeypatch.setattr(stepper, "_newton", recording_newton)
         _, _, report = one_step(cos_field, 0.5 * cos_field, 3.0 * cos_field, 0.4, 0.25, ops65,
@@ -308,13 +324,13 @@ class TestStep:
         candidates, newton_calls = [], []
         real_theta, real_newton = stepper._solve_theta, stepper._newton
 
-        def recording_theta(chi_candidate, *args):
+        def recording_theta(plan, chi_candidate, *args):
             candidates.append(chi_candidate.copy())
-            return real_theta(chi_candidate, *args)
+            return real_theta(plan, chi_candidate, *args)
 
-        def recording_newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
+        def recording_newton(plan, rhs, start=None, relaxed=None):
             started = None if start is None else start.copy()
-            u, report = real_newton(ops, nl, dt, rhs, tol, start, relaxed, at_zero)
+            u, report = real_newton(plan, rhs, start, relaxed)
             newton_calls.append((started, u.copy()))
             return u, report
 
@@ -355,6 +371,115 @@ class TestStep:
         monkeypatch.setattr(stepper, "DEFAULT_MAX_INNER", 3)
         with pytest.raises(NonConvergenceError, match="in 3 iterations"):
             one_step(cos_field, cos_field, cos_field, 0.3, DT, ops65, unit_nl, tol=0.0)
+
+
+class TestStepPlan:
+    """A run binds its fixed solves once: the plan's heat solve and Newton's
+    solve from u = 0 are ``_solve_shifted`` with their operators bound, and
+    the plan is built once per run, not per step or per solve."""
+
+    DT = 1.0 / 16
+    MESHES = {"1d-65": (1, 64, 1.0), "2d-9x7": (2, (8, 6), (1.0, 0.75))}
+    ALPHAS = {"linear": bh.linear(1.0), "saturating": bh.saturating(2.0)}
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_bound_solves_have_the_bits_of_solve_shifted(self, mesh, alpha, rows):
+        ops, nl = bh.build_operators(*self.MESHES[mesh]), self.ALPHAS[alpha]
+        plan = plan_of(ops, nl, self.DT)
+        jacobian = ops.lumped_mass * nl.alpha_tilde_prime(np.zeros(ops.node_count))
+        rng = np.random.default_rng(rows)
+        targets = 1e-6 * np.ones(rows)
+        for scale in (1.0, 1e-8, 1e8):
+            rhs = scale * rng.standard_normal((rows, ops.node_count))
+            for got, want in (
+                (plan.heat(rhs), grids._solve_shifted(ops, ops.lumped_mass, self.DT, rhs)),
+                (plan.at_zero.solve(rhs, lambda: targets),
+                 grids._solve_shifted(ops, jacobian, self.DT, rhs, stepper.CORRECTION_RTOL,
+                                      lambda: targets)),
+            ):
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_nan_increment_names_its_step_and_path(self, mesh, alpha):
+        ops, nl = bh.build_operators(*self.MESHES[mesh]), self.ALPHAS[alpha]
+        grid = bh.build_time_grid(0.25, 4)
+        integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops)
+        paths = [bh.sample_path(grid, 3, pid) for pid in (10, 11, 12)]
+        paths[1].increments[2] = np.nan
+        data = bh.evaluate_on_mesh("cos(pi*x)", ops)
+        with pytest.raises(NonFiniteError, match="shifted-operator solve") as info:
+            bh.run_additive(data, data, integ, paths, grid, ops, nl)
+        assert (info.value.step, info.value.path_id, info.value.row) == (2, 11, 1)
+        assert "at step 2 of path 11" in str(info.value)
+
+    @pytest.mark.parametrize("constants", [(1.0, 1.0), (2.0, 1.0)], ids=["linear", "nonlinear"])
+    def test_non_finite_jacobian_at_zero_raises_at_the_first_active_row(self, ops65,
+                                                                        cos_field, constants):
+        # alphatilde'(0) is NaN.  With zero data and no increment, path 0's
+        # first Newton solve starts converged, so path 1 is the first row
+        # that iterates; the plan is built all the same.
+        nl = bh.make_nonlinearity(
+            "nan-slope-at-zero", lambda x: np.asarray(x, dtype=float), *constants,
+            alpha_prime=lambda x: np.where(np.asarray(x) == 0.0, np.nan, 1.0))
+        assert plan_of(ops65, nl, DT).at_zero.solve is None
+        grid = bh.build_time_grid(0.25, 4)
+        integ = bh.AdditiveIntegrand(grid=grid, values=np.tile(cos_field, (grid.steps, 1)))
+        paths = [bh.BrownianPath(grid=grid, increments=np.array([0.0, 0.1, 0.1, 0.1]), seed=0,
+                                 path_id=20),
+                 bh.BrownianPath(grid=grid, increments=np.array([0.2, 0.1, 0.1, 0.1]), seed=0,
+                                 path_id=21)]
+        zeros = np.zeros(ops65.node_count)
+        with pytest.raises(NonFiniteError, match="Jacobian") as info:
+            bh.run_additive(zeros, zeros, integ, paths, grid, ops65, nl)
+        assert (info.value.step, info.value.path_id, info.value.row) == (0, 21, 1)
+
+    def test_built_once_per_run(self, ops65, cos_field, monkeypatch):
+        built = {"plan": 0, "at_zero": 0}
+        real_plan, real_at_zero = stepper._step_plan, stepper._at_zero
+        steps = []
+        real_advance = stepper._advance
+
+        def counting_plan(*args):
+            built["plan"] += 1
+            return real_plan(*args)
+
+        def counting_at_zero(*args):
+            built["at_zero"] += 1
+            return real_at_zero(*args)
+
+        def counting_advance(*args):
+            steps.append(1)
+            return real_advance(*args)
+
+        monkeypatch.setattr(stepper, "_step_plan", counting_plan)
+        monkeypatch.setattr(stepper, "_at_zero", counting_at_zero)
+        monkeypatch.setattr(stepper, "_advance", counting_advance)
+        grid = bh.build_time_grid(1.0, 16)
+        integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops65)
+        for nl in (bh.linear(1.0), bh.saturating(2.0)):
+            for count in (1, 4):
+                built.update(plan=0, at_zero=0)
+                del steps[:]
+                bh.run_additive(cos_field, cos_field, integ,
+                                [bh.sample_path(grid, 5, pid) for pid in range(count)],
+                                grid, ops65, nl)
+                assert built == {"plan": 1, "at_zero": 1}
+                assert len(steps) == grid.steps
+
+    def test_converge_keeps_the_factor_cache_of_a_lookup_per_solve(self):
+        # Five dt levels of linear alpha: the heat operator M + dt K and the
+        # Newton Jacobian at u = 0 per level, the factors that a lookup on
+        # every solve kept too.
+        config = parse_config(os.path.join(os.path.dirname(__file__), "..", "demos",
+                                              "configs", "additive.ini"))
+        assert len(config.dt_levels) == 5
+        setup = bh.AdditiveSetup(config.ops, config.nonlinearity, config.theta0, config.chi0,
+                                 config.integrand, config.inner_tol, config.newton_tol)
+        bh.grid_difference_rates(setup, config.horizon, config.dt_levels, 2, 7)
+        assert len(config.ops.tridiagonal) == 2 * len(config.dt_levels)
 
 
 class TestRunAdditive:
@@ -500,15 +625,28 @@ class TestFactorReuse:
     ):
         grid, ops, integ, path = run_inputs
         cached = bh.run_additive(cos_field, 0.5 * cos_field, integ, path, grid, ops, nl)
-        monkeypatch.setattr(stepper, "solve_shifted", reference_solve_1d)
+        bound = []
 
-        def reference_pair(ops, diagonal, shift, rhs, rtol, atol_of):
-            # Newton's solve, which also returns K x.
+        def reference_pair(ops, diagonal, shift, rhs, rtol=None, atol_of=None):
+            # A shifted solve that also returns K x.
             x = reference_solve_1d(ops, diagonal, shift, rhs)
             return x, grids.apply_stiffness(ops, x)
 
+        def reference_bind(ops, diagonal, shift, rtol=None):
+            # The run plan's heat solve and Newton's solve from u = 0.
+            def solve(rhs, atol_of=None):
+                bound.append(len(rhs))
+                return reference_pair(ops, diagonal, shift, rhs)
+
+            return solve
+
+        monkeypatch.setattr(stepper, "_bind_shifted", reference_bind)
         monkeypatch.setattr(stepper, "_solve_shifted", reference_pair)
         reference = bh.run_additive(cos_field, 0.5 * cos_field, integ, path, grid, ops, nl)
+        # A heat solve per inner iteration and step, and a Newton solve from
+        # u = 0 in each step at least, all of them the reference's.
+        inner = sum(r.inner_iterations for r in reference.reports)
+        assert len(bound) >= inner + 2 * grid.steps
         assert np.array_equal(cached.theta, reference.theta)
         assert np.array_equal(cached.chi, reference.chi)
         assert [r.inner_iterations for r in cached.reports] == [
@@ -611,8 +749,8 @@ class TestInexactNewton:
 
             return real_cg(*args, callback=counted, **kwargs)
 
-        def recording_newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
-            u, report = real_newton(ops, nl, dt, rhs, tol, start, relaxed, at_zero)
+        def recording_newton(plan, rhs, start=None, relaxed=None):
+            u, report = real_newton(plan, rhs, start, relaxed)
             if met is not None:
                 met.append([residual <= stepper.DEFAULT_NEWTON_TOL * (1.0 + norm)
                             for residual, norm in zip(report.residual, grids.row_norms(rhs))])
@@ -622,9 +760,14 @@ class TestInexactNewton:
             patch.setattr(grids, "cg", counting_cg)
             patch.setattr(stepper, "_newton", recording_newton)
             if exact:
-                # Newton's corrections without their targets: full solves.
+                # Newton's corrections without their targets: full solves,
+                # from u = 0 through the run plan's solve as well.
                 patch.setattr(stepper, "_solve_shifted",
                               lambda ops, diagonal, shift, rhs, rtol, atol_of:
+                              grids._solve_shifted(ops, diagonal, shift, rhs, rtol))
+                patch.setattr(stepper, "_bind_shifted",
+                              lambda ops, diagonal, shift, rtol=1e-12:
+                              lambda rhs, atol_of=None:
                               grids._solve_shifted(ops, diagonal, shift, rhs, rtol))
             trajectories = bh.run_additive(theta0, chi0, integ, paths, grid, ops, bh.saturating(2.0))
         return trajectories, iterations[0]
@@ -699,9 +842,9 @@ class TestRelaxedInnerSolves:
         calls = []
         real_newton = stepper._newton
 
-        def recording_newton(ops, nl, dt, rhs, tol, start=None, relaxed=None, at_zero=None):
-            u, report = real_newton(ops, nl, dt, rhs, tol, start, relaxed, at_zero)
-            calls.append((tol, relaxed, grids.row_norms(rhs), report.residual))
+        def recording_newton(plan, rhs, start=None, relaxed=None):
+            u, report = real_newton(plan, rhs, start, relaxed)
+            calls.append((plan.newton_tol, relaxed, grids.row_norms(rhs), report.residual))
             return u, report
 
         monkeypatch.setattr(stepper, "_newton", recording_newton)
@@ -775,8 +918,8 @@ class TestRelaxedInnerSolves:
         start = 0.5 * field
         exact = ops.lumped_mass * nl.alpha_tilde(start) + DT * grids.apply_stiffness(ops, start)
         for rhs, iterates in ((exact + 1e-11 * field, True), (exact, False)):
-            u, report = stepper._newton(ops, nl, DT, rhs, stepper.DEFAULT_NEWTON_TOL,
-                                        start.copy(), [stepper.LOOSEST_NEWTON_TOL])
+            u, report = stepper._newton(plan_of(ops, nl, DT), rhs, start.copy(),
+                                        [stepper.LOOSEST_NEWTON_TOL])
             assert (report.iterations[0] >= 1) == iterates
             assert np.array_equal(u, start) != iterates
             assert report.met_tol[0] == (report.residual[0] <= stepper.DEFAULT_NEWTON_TOL
