@@ -34,12 +34,11 @@ solved by ``dpttrs`` against the stored factor, so the heat operator
 M + dt K is factored once per time step size and the linear-alpha Newton
 Jacobian once as well, and a batch that shares the diagonal is solved by
 one multi-column ``dpttrs`` call; the factors live in a small bounded cache
-owned by the operators, which ``solve_shifted`` looks up on every call,
-under a lock and keyed by the bytes of the diagonal.  A caller that solves
-against one operator many times binds it once with ``_bind_shifted``, which
-takes the factor from the cache once and then only solves and gates; the
-stepper binds its heat solve and its Newton solve from u = 0 so for each
-run.  Any other diagonal, such as a Newton Jacobian of
+owned by the operators.  Every solve of a shared diagonal is
+``_bind_shifted``, which takes the factor from the cache once and then only
+solves and gates, so a caller that solves against one operator many times
+keeps the bound solve; the stepper binds its heat solve and its Newton
+solve from u = 0 once per run.  Any other diagonal, such as a Newton Jacobian of
 nonlinear alpha, is factored and solved on the spot, row by row for a batch
 whose diagonal rows differ.  ``solveh_banded`` on a two-row band
 calls ``?ptsv``, which is exactly ``pttrf`` followed by ``pttrs``, so the
@@ -457,18 +456,20 @@ def _cg_targets(atol, count):
     return targets
 
 
-def _solve_2d(ops, diagonal, shift, rhs, targets_of, rows=slice(None)):
-    """Solve the rows of ``rhs`` in 2D; ``targets_of()[rows]`` are their (M,)
-    absolute residual targets, zero for a full solve, read only when a row
-    runs the conjugate gradient.  Returns the solution and the (M,) floors
-    of the rows' residual gates: twice the target of a conjugate-gradient
-    row, zero for a direct solve."""
+def _bind_2d(ops, diagonal, shift):
+    """The 2D solve of one (P,) ``diagonal``: a function ``solve(rhs,
+    targets_of, rows)`` of a block that returns the solution and the (M,)
+    floors of the rows' residual gates.  A multiple of the lumped mass is
+    solved directly by fast diagonalization, with floor 0.  Any other
+    diagonal runs the conjugate gradient on each row, preconditioned by that
+    solve at the mean of the extremes of diagonal / lumped mass, to the
+    absolute targets ``targets_of()[rows]`` (zero for a full solve), which
+    are read only here; its floors are twice those targets."""
     ratio = diagonal / ops.lumped_mass
     low, high = float(ratio.min()), float(ratio.max())
     direct_solve = _fast_diagonalization(ops, 0.5 * (low + high), shift)
     if low == high:
-        return direct_solve(rhs), np.zeros(len(rhs))
-    targets = targets_of()[rows]
+        return lambda rhs, targets_of, rows=slice(None): (direct_solve(rhs), 0.0)
 
     def matvec(v):
         return apply_shifted(ops, diagonal, shift, v)
@@ -480,7 +481,11 @@ def _solve_2d(ops, diagonal, shift, rhs, targets_of, rows=slice(None)):
             raise NumericalError("conjugate gradient did not converge", residual=residual)
         return x
 
-    return _by_row(conjugate_gradient, rhs, targets), 2.0 * targets
+    def solve(rhs, targets_of, rows=slice(None)):
+        targets = targets_of()[rows]
+        return _by_row(conjugate_gradient, rhs, targets), 2.0 * targets
+
+    return solve
 
 
 def _by_row(solve, *batches):
@@ -573,37 +578,36 @@ def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=_no_atol):
     """``solve_shifted`` returning ``(x, K x)``: K x is the product that the
     residual gate formed, bit for bit ``apply_stiffness(ops, x)``.  Its
     ``atol`` is ``atol_of()``, called only where a conjugate-gradient row
-    reads it, so a caller builds its targets only for such a row."""
+    reads it, so a caller builds its targets only for such a row.  A
+    shared diagonal is solved by ``_bind_shifted``, a per-row one row by
+    row."""
     rhs = np.asarray(rhs, dtype=float)
     block = rhs[None] if rhs.ndim == 1 else rhs
     diagonal = np.asarray(diagonal, dtype=float)
     shift = float(shift)
     if diagonal.ndim == 2 and (diagonal == diagonal[0]).all():
         diagonal = diagonal[0]
-    floors = 0.0
     try:
-        if ops.dimension == 1:
-            if diagonal.ndim == 1:
-                x = ops.tridiagonal.solve(diagonal, shift, block)
-            else:
+        if diagonal.ndim == 1:
+            x, stiffness_x = _bind_shifted(ops, diagonal, shift, rtol)(block, atol_of)
+        else:
+            if ops.dimension == 1:
+                floors = 0.0
                 x = _by_row(lambda d, r: ops.tridiagonal.solve_once(d, shift, r)[0],
                             diagonal, block[:, None])
-        else:
-            def targets_of():
-                return _cg_targets(atol_of(), len(block))
-
-            if diagonal.ndim == 1:
-                x, floors = _solve_2d(ops, diagonal, shift, block, targets_of)
             else:
                 floors = np.zeros(len(block))
 
+                def targets_of():
+                    return _cg_targets(atol_of(), len(block))
+
                 def solve_row(row, d, r):
-                    x, floors[row:row + 1] = _solve_2d(ops, d, shift, r[None], targets_of,
-                                                        slice(row, row + 1))
+                    x, floors[row:row + 1] = _bind_2d(ops, d, shift)(
+                        r[None], targets_of, slice(row, row + 1))
                     return x[0]
 
                 x = _by_row(solve_row, range(len(block)), diagonal, block)
-        stiffness_x = _check_residual(ops, diagonal, shift, x, block, rtol, floors)
+            stiffness_x = _check_residual(ops, diagonal, shift, x, block, rtol, floors)
     except NumericalError as exc:
         if rhs.ndim == 1:
             exc.row = None
@@ -612,43 +616,36 @@ def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=_no_atol):
 
 
 def _bind_shifted(ops, diagonal, shift, rtol=1e-12):
-    """``_solve_shifted`` bound to one fixed (P,) ``diagonal`` and ``shift``:
-    a function ``solve(rhs, atol_of)`` of an (M, P) block that returns
-    ``(x, K x)`` with the bits, residual gate and errors of
-    ``_solve_shifted(ops, diagonal, shift, rhs, rtol, atol_of)``.
+    """``_solve_shifted`` for one fixed (P,) ``diagonal`` and ``shift``: a
+    function ``solve(rhs, atol_of)`` of an (M, P) block that returns
+    ``(x, K x)``, and the solve that ``_solve_shifted`` runs for every
+    shared diagonal.
 
     The operator is bound once.  In 1D that is its ``dpttrf`` factor, taken
-    through the cache of ``ops`` as the first ``_solve_shifted`` call would
-    take it; in 2D, for a multiple of the lumped mass, its
-    fast-diagonalization solve.  A call then makes no cache lookup, no
-    ``tobytes`` key and no dispatch: it solves and gates.  Anything else
-    stays with ``_solve_shifted`` on every call: a 2D diagonal that is no
-    mass multiple, whose rows run the conjugate gradient against their
-    targets, and an operator that cannot be factored, which raises where a
-    solve would.
+    through the cache of ``ops``; an operator that cannot be factored binds
+    a solve that factors it again and raises, so the error comes from the
+    solve.  In 2D it is ``_bind_2d``: the fast-diagonalization solve of a
+    mass multiple, or the conjugate gradient of any other diagonal.  A call
+    then solves and gates its rows; a caller that keeps the bound solve
+    makes no cache lookup per call.
     """
     diagonal = np.asarray(diagonal, dtype=float)
     shift = float(shift)
-    direct = None
-    if ops.dimension == 1:
-        try:
-            factor = ops.tridiagonal.factor(diagonal, shift)
-        except NumericalError:
-            pass
-        else:
-            direct = partial(_TridiagonalFactors._apply, factor)
-    else:
-        ratio = diagonal / ops.lumped_mass
-        low, high = float(ratio.min()), float(ratio.max())
-        if low == high:
-            direct = _fast_diagonalization(ops, 0.5 * (low + high), shift)
+    if ops.dimension == 2:
+        solve_2d = _bind_2d(ops, diagonal, shift)
 
-    if direct is None:
         def solve(rhs, atol_of=_no_atol):
-            return _solve_shifted(ops, diagonal, shift, rhs, rtol, atol_of)
-    else:
-        def solve(rhs, atol_of=_no_atol):
-            x = direct(rhs)
-            return x, _check_residual(ops, diagonal, shift, x, rhs, rtol)
+            x, floors = solve_2d(rhs, lambda: _cg_targets(atol_of(), len(rhs)))
+            return x, _check_residual(ops, diagonal, shift, x, rhs, rtol, floors)
+
+        return solve
+    try:
+        direct = partial(_TridiagonalFactors._apply, ops.tridiagonal.factor(diagonal, shift))
+    except NumericalError:
+        direct = partial(ops.tridiagonal.solve, diagonal, shift)
+
+    def solve(rhs, atol_of=_no_atol):
+        x = direct(rhs)
+        return x, _check_residual(ops, diagonal, shift, x, rhs, rtol)
 
     return solve

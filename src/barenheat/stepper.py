@@ -19,10 +19,7 @@ contraction bound and whether alpha is linear (``_at_zero``), so no step or
 solve evaluates, factors or looks up any of them again; each bound solve
 keeps the residual gate and errors of ``solve_shifted``.  ``run_additive``
 builds the plan once for all its paths, and ``picard_solve`` once more for
-its staggered iterates.  Against a lookup per solve and an ``_at_zero`` per
-step, a linear step at P = 65 and dt = 1/128 became 1.19 times as fast at
-M = 1 and 1.12 times at M = 4 (medians of 20 interleaved rounds on a 2-CPU
-host), with the same bits (``BENCH_run_plan.json``).
+its staggered iterates.
 The noise h_n dw_n, the shift s = chi_n + h_n dw_n and the load K s are
 computed once per step.  Each product of an inner iteration is
 formed once: the residual gate of a Newton correction delta hands back the

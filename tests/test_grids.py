@@ -500,7 +500,8 @@ class TestGateProduct:
 
 class TestBindShifted:
     """``_bind_shifted`` is ``_solve_shifted`` for one fixed diagonal and
-    shift: the same x, K x, gate and errors, with the operator bound once."""
+    shift: a bound solve called again and again keeps the x, K x, gate and
+    errors of a fresh ``_solve_shifted`` call."""
 
     MESHES = {"1d": (1, 40, 1.7), "2d": (2, (8, 6), (1.0, 0.75))}
     SHIFT = 0.3

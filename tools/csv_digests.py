@@ -1,8 +1,8 @@
 """SHA-256 of every CSV that the demo and benchmark runs write.
 
-    python tools/csv_digests.py [--root CHECKOUT] [--seed 7]
+    python tools/csv_digests.py [--root CHECKOUT]
 
-Runs, at the given seed and in a temporary directory, each CLI command below
+Runs, at seed 7 and in a temporary directory, each CLI command below
 on its config, importing barenheat from ``CHECKOUT/src`` (default: the
 checkout this script sits in), and prints one ``sha256  run/file`` line per
 CSV it wrote, in a fixed order:
@@ -29,6 +29,7 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SEED = 7
 
 RUNS = (
     ("solve", "demos/configs/additive.ini"),
@@ -52,17 +53,17 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-def digests(root, seed, workdir):
+def digests(root, workdir):
     """(label, sha256 hex) of every CSV of every run, in run order."""
     src = os.path.join(root, "src")
     env = dict(os.environ)
-    env.pop("SOLVER_SEED", None)  # it would override --seed
+    env.pop("SOLVER_SEED", None)  # it would override SEED
     found = []
     for command, config in RUNS:
         label = f"{command}-{os.path.splitext(os.path.basename(config))[0]}"
         outdir = os.path.join(workdir, label)
         argv = [sys.executable, "-c", CHILD, src, command, "--config",
-                os.path.join(root, config), "--out", outdir, "--seed", str(seed)]
+                os.path.join(root, config), "--out", outdir, "--seed", str(SEED)]
         result = subprocess.run(argv, env=env, capture_output=True, text=True)
         if result.returncode not in (0, 2):
             raise SystemExit(f"{label} exited with {result.returncode}:\n{result.stderr}")
@@ -79,11 +80,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=os.path.dirname(HERE),
                         help="checkout whose src/ and configs run (default: this one)")
-    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
     root = os.path.abspath(args.root)
     with tempfile.TemporaryDirectory(prefix="csv-digests-") as workdir:
-        for label, digest in digests(root, args.seed, workdir):
+        for label, digest in digests(root, workdir):
             print(f"{digest}  {label}")
 
 
