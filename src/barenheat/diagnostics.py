@@ -5,9 +5,11 @@ them over Brownian paths with deterministic seeding: path k is always drawn
 from the (seed, k) stream and the reduction runs in path-id order from a
 buffered table, so the results are bit-reproducible for a fixed (seed, M).
 The estimators advance up to ``BATCH_PATHS`` paths at a time as one batch
-of ``run_additive``; every path gets the bits of a run on its own, so the
-results do not depend on the batch size either.  All paths run in the
-calling thread.
+of ``run_additive``, and the dt levels of a study, or the two runs of
+``stability_check``, step side by side in that batch, one ``run_additive``
+call per batch; every path gets the bits of a run on its own, so the
+results do not depend on the batch size or on the other levels either.
+All paths run in the calling thread.
 
 Continuum norms are replaced by their discrete surrogates on the lumped
 mesh: squared space-time norms become sums of dt-weighted squared nodal
@@ -28,7 +30,10 @@ from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, run_additive
 from .theory import StabilityConstants, compute_stability_constant
 
 # Most paths advanced together as one batch; bounds the memory a batch's
-# trajectories take, and does not change any result.
+# trajectories take, and does not change any result.  A batch holds the
+# trajectories of every dt level still stepping, about twice those of the
+# finest level on a ladder that halves dt, and drops each level once it has
+# been reduced.
 BATCH_PATHS = 64
 
 # Energy growth per dt halving allowed beyond 4 standard errors (criterion 5).
@@ -129,19 +134,22 @@ def _level_table(setup, grids, paths, seed, statistic):
 
     Each path is drawn once on the finest grid and aggregated onto every
     level, which couples the levels.  A batch of up to BATCH_PATHS paths
-    runs as one ``run_additive`` per level, and only the statistics of a
-    level are kept, not its trajectories.
+    runs as one ``run_additive`` call over all levels, which step side by
+    side; each level is reduced to its statistics as soon as it reaches the
+    horizon and is then dropped, while the finer levels step on.
     """
     finest = grids[-1]
     integrands = [discretize_integrand(setup.integrand, g, setup.ops) for g in grids]
     rows = []
     for batch in path_batches(paths):
         fine_paths = [sample_path(finest, seed, pid) for pid in batch]
-        levels = []
-        for grid, integrand in zip(grids, integrands):
-            level_paths = [aggregate_path(p, finest.steps // grid.steps) for p in fine_paths]
-            levels.append([statistic(grid, traj) for traj in
-                           simulate(setup, grid, level_paths, integrand=integrand)])
+        level_paths = [[aggregate_path(p, finest.steps // grid.steps) for p in fine_paths]
+                       for grid in grids]
+        levels = [None] * len(grids)
+        for index, trajectories in simulate(setup, grids, level_paths, integrands):
+            levels[index] = [statistic(grids[index], traj) for traj in trajectories]
+            # Release the level before the finer ones step on.
+            del trajectories
         rows.extend(zip(*levels))
     return np.array(rows, dtype=float)
 
@@ -277,9 +285,9 @@ def stability_check(setup, integrand_hat, grid, paths, seed):
     table = np.empty((paths, grid.steps + 1))
     for batch in path_batches(paths):
         level_paths = [sample_path(grid, seed, pid) for pid in batch]
-        runs = zip(batch, simulate(setup, grid, level_paths, integrand=base),
-                   simulate(setup, grid, level_paths, integrand=other))
-        for pid, traj, traj_hat in runs:
+        # Both runs as one batch on the grid, which they share.
+        runs = dict(simulate(setup, [grid, grid], [level_paths, level_paths], [base, other]))
+        for pid, traj, traj_hat in zip(batch, runs[0], runs[1]):
             dtheta = traj.theta - traj_hat.theta
             dchi = traj.chi - traj_hat.chi
             table[pid] = [

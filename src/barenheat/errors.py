@@ -31,16 +31,19 @@ class ExpressionError(ValueError):
 class NumericalError(RuntimeError):
     """A linear or nonlinear solve failed to reach its tolerance.
 
-    ``step`` (the step from t_n to t_{n+1} is step n) and ``path_id`` say
-    where it happened; ``run_additive`` fills them in, and they are None on
-    errors raised by a single solve.  ``row`` is the row of the failing
-    field when a solve works on an (M, P) batch of fields.
+    ``step`` (the step from t_n to t_{n+1} is step n), ``path_id`` and
+    ``dt``, the step size of the path's grid, say where it happened;
+    ``run_additive`` fills them in, and they are None on errors raised by a
+    single solve.  ``row`` is the row of the failing field when a solve
+    works on an (M, P) batch of fields.
     """
 
-    def __init__(self, message, residual=None, step=None, path_id=None, row=None):
+    def __init__(self, message, residual=None, step=None, path_id=None, row=None, dt=None):
         self.reason = message
         if step is not None:
             message = f"{message} at step {step} of path {path_id}"
+        if dt is not None:
+            message = f"{message} with dt = {dt}"
         if residual is not None:
             message = f"{message} (residual {residual:.3e})"
         super().__init__(message)
@@ -48,6 +51,7 @@ class NumericalError(RuntimeError):
         self.step = step
         self.path_id = path_id
         self.row = row
+        self.dt = dt
 
 
 class NonConvergenceError(NumericalError):

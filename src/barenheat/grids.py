@@ -37,10 +37,13 @@ one multi-column ``dpttrs`` call; the factors live in a small bounded cache
 owned by the operators.  Every solve of a shared diagonal is
 ``_bind_shifted``, which takes the factor from the cache once and then only
 solves and gates, so a caller that solves against one operator many times
-keeps the bound solve; the stepper binds its heat solve and its Newton
-solve from u = 0 once per run.  Any other diagonal, such as a Newton Jacobian of
-nonlinear alpha, is factored and solved on the spot, row by row for a batch
-whose diagonal rows differ.  ``solveh_banded`` on a two-row band
+keeps the bound solve.  The stepper binds its heat solve and its Newton
+solve from u = 0 once per time grid, without the gate
+(``_bind_unchecked``), and gates them with ``_gated``, which also solves
+consecutive row spans of a block, each against its own shift, and gates
+the block once with the shifts as a column.  Any other diagonal, such as
+a Newton Jacobian of nonlinear alpha, is factored and solved on the spot,
+row by row for a batch whose diagonal rows differ.  ``solveh_banded`` on a two-row band
 calls ``?ptsv``, which is exactly ``pttrf`` followed by ``pttrs``, so the
 cached solve returns the same bits as refactoring on every call.  In 2D
 the mass and stiffness are Kronecker products of 1D ones, so fast
@@ -615,37 +618,92 @@ def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=_no_atol):
     return (x[0], stiffness_x[0]) if rhs.ndim == 1 else (x, stiffness_x)
 
 
+def _bind_unchecked(ops, diagonal, shift):
+    """The solve that ``_bind_shifted`` gates, bound once for one fixed
+    (P,) ``diagonal`` and ``shift``.
+
+    In 1D it is a function ``solve(rhs)`` of an (M, P) block, bound by the
+    operator's ``dpttrf`` factor, taken through the cache of ``ops``; an
+    operator that cannot be factored binds a solve that factors it again
+    and raises, so the error comes from the solve.  In 2D it is the solve of
+    ``_bind_2d``, ``solve(rhs, targets_of, rows)``, which also returns the
+    floors of the rows' residual gates.
+    """
+    diagonal = np.asarray(diagonal, dtype=float)
+    shift = float(shift)
+    if ops.dimension == 2:
+        return _bind_2d(ops, diagonal, shift)
+    try:
+        return partial(_TridiagonalFactors._apply, ops.tridiagonal.factor(diagonal, shift))
+    except NumericalError:
+        return partial(ops.tridiagonal.solve, diagonal, shift)
+
+
+def _gated(ops, diagonal, shift, rtol, spans):
+    """A function ``solve(rhs, atol_of)`` of an (M, P) block that returns
+    ``(x, K x)``: ``spans`` lists ``(start, stop, unchecked)`` in row order,
+    and the rows start:stop of the block are solved by ``unchecked``, a
+    solve of ``_bind_unchecked``; one residual gate then checks the whole
+    block against diag(``diagonal``) + ``shift`` K.  ``shift`` is a float,
+    or the (M, 1) column of each row's shift: the gate takes it elementwise,
+    so a row gets the bits of a gate with its own float shift.  A single
+    span solves every row, whatever its bounds."""
+    if ops.dimension == 1:
+        if len(spans) == 1:
+            direct = spans[0][2]
+
+            def solve(rhs, atol_of=_no_atol):
+                x = direct(rhs)
+                return x, _check_residual(ops, diagonal, shift, x, rhs, rtol)
+
+            return solve
+
+        def solve(rhs, atol_of=_no_atol):
+            x = np.concatenate([direct(rhs[start:stop]) for start, stop, direct in spans])
+            return x, _check_residual(ops, diagonal, shift, x, rhs, rtol)
+
+        return solve
+
+    if len(spans) == 1:
+        unchecked = spans[0][2]
+
+        def solve(rhs, atol_of=_no_atol):
+            x, floors = unchecked(rhs, lambda: _cg_targets(atol_of(), len(rhs)))
+            return x, _check_residual(ops, diagonal, shift, x, rhs, rtol, floors)
+
+        return solve
+
+    def solve(rhs, atol_of=_no_atol):
+        targets = []
+
+        def targets_of():
+            if not targets:
+                targets.append(_cg_targets(atol_of(), len(rhs)))
+            return targets[0]
+
+        parts = [unchecked(rhs[start:stop], targets_of, slice(start, stop))
+                 for start, stop, unchecked in spans]
+        x = np.concatenate([part for part, _ in parts])
+        # A conjugate-gradient span has one floor per row, a direct one 0.
+        floors = np.concatenate([np.broadcast_to(floor, (stop - start,)) for
+                                 (start, stop, _), (_, floor) in zip(spans, parts)])
+        return x, _check_residual(ops, diagonal, shift, x, rhs, rtol, floors)
+
+    return solve
+
+
 def _bind_shifted(ops, diagonal, shift, rtol=1e-12):
     """``_solve_shifted`` for one fixed (P,) ``diagonal`` and ``shift``: a
     function ``solve(rhs, atol_of)`` of an (M, P) block that returns
     ``(x, K x)``, and the solve that ``_solve_shifted`` runs for every
     shared diagonal.
 
-    The operator is bound once.  In 1D that is its ``dpttrf`` factor, taken
-    through the cache of ``ops``; an operator that cannot be factored binds
-    a solve that factors it again and raises, so the error comes from the
-    solve.  In 2D it is ``_bind_2d``: the fast-diagonalization solve of a
-    mass multiple, or the conjugate gradient of any other diagonal.  A call
-    then solves and gates its rows; a caller that keeps the bound solve
-    makes no cache lookup per call.
+    The operator is bound once by ``_bind_unchecked``: in 1D its ``dpttrf``
+    factor, in 2D the fast-diagonalization solve of a mass multiple or the
+    conjugate gradient of any other diagonal.  A call then solves and gates
+    its rows; a caller that keeps the bound solve makes no cache lookup per
+    call.
     """
     diagonal = np.asarray(diagonal, dtype=float)
-    shift = float(shift)
-    if ops.dimension == 2:
-        solve_2d = _bind_2d(ops, diagonal, shift)
-
-        def solve(rhs, atol_of=_no_atol):
-            x, floors = solve_2d(rhs, lambda: _cg_targets(atol_of(), len(rhs)))
-            return x, _check_residual(ops, diagonal, shift, x, rhs, rtol, floors)
-
-        return solve
-    try:
-        direct = partial(_TridiagonalFactors._apply, ops.tridiagonal.factor(diagonal, shift))
-    except NumericalError:
-        direct = partial(ops.tridiagonal.solve, diagonal, shift)
-
-    def solve(rhs, atol_of=_no_atol):
-        x = direct(rhs)
-        return x, _check_residual(ops, diagonal, shift, x, rhs, rtol)
-
-    return solve
+    return _gated(ops, diagonal, float(shift), rtol,
+                  ((0, None, _bind_unchecked(ops, diagonal, shift)),))

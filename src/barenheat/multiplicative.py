@@ -319,7 +319,7 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
                 # step gives the others' bits.
                 row = exc.row or 0
                 failure = (type(exc)(exc.reason, residual=exc.residual, step=running[row].step,
-                                     path_id=path.path_id, row=0), exc)
+                                     path_id=path.path_id, row=0, dt=grid.dt), exc)
                 running = running[:row]
         if advanced is None:
             break

@@ -10,16 +10,31 @@ chi iterates stop moving:
   substitution chi = chi_n + dt u + h_n dw_n.  The Jacobian
   M diag(alphatilde'(u)) + dt K is SPD because alphatilde' >= 1.
 
-The heat operator M + dt K is fixed for a run, and so is the Jacobian
-M alphatilde'(0) + dt K of every Newton solve from u = 0.  A run builds one
-plan (``_step_plan``) that binds both solves once (``grids._bind_shifted``:
-in 1D their ``dpttrf`` factors, taken from the operators' cache, in 2D the
-fast-diagonalization solve of a mass multiple) and holds alphatilde(0), the
-contraction bound and whether alpha is linear (``_at_zero``), so no step or
-solve evaluates, factors or looks up any of them again; each bound solve
-keeps the residual gate and errors of ``solve_shifted``.  ``run_additive``
-builds the plan once for all its paths, and ``picard_solve`` once more for
-its staggered iterates.
+The heat operator M + dt K is fixed for a grid, and so is the Jacobian
+M alphatilde'(0) + dt K of every Newton solve from u = 0.  ``_step_plan``
+builds one plan per grid that binds both solves once
+(``grids._bind_unchecked``: in 1D their ``dpttrf`` factors, taken from the
+operators' cache, in 2D the fast-diagonalization solve of a mass multiple),
+gates each with the residual gate and errors of ``solve_shifted``
+(``grids._gated``), and holds alphatilde(0), the contraction bound and
+whether alpha is linear (``_at_zero``), so no step or solve evaluates,
+factors or looks up any of them again.  ``run_additive`` builds one plan
+per distinct grid of a call, for all its paths, and ``picard_solve`` one
+more for its staggered iterates.
+
+A block whose rows step on several grids, such as the dt levels of a Monte
+Carlo study, has a plan made of spans (``_Spans``): one
+``(start, stop, plan)`` per run of consecutive rows on one grid, the rows
+ordered by entry.  Only the solves loop over spans: each span's bound heat
+solve and at-zero Newton solve, after which one residual gate checks the
+whole block with the shift as an (M, 1) column, and the per-row Jacobian
+solves of nonlinear alpha, through ``_solve_shifted`` with the span's
+scalar dt.  Everything else runs once per block, with dt an (M, 1) column
+in s + dt u, (chi - s) / dt and dt K u; elementwise, a row's entry of the
+column gives the bits of its scalar dt.  When rows leave, the plan narrows
+to the spans of the rows that remain (``take``), and a plan of one span is
+the grid's step plan itself, with a scalar dt.
+
 The noise h_n dw_n, the shift s = chi_n + h_n dw_n and the load K s are
 computed once per step.  Each product of an inner iteration is
 formed once: the residual gate of a Newton correction delta hands back the
@@ -29,9 +44,7 @@ identically 0 the start residual is -rhs, whose row norms are those of
 rhs, so the first correction solves against rhs itself; the
 conjugate-gradient targets are built only where a 2D conjugate-gradient
 row reads them; and the chi difference of each row is one ``_row_dots``
-reduction.  A step at M = 4, P = 65 and dt = 1/256 with linear alpha
-became 1.23 times as fast (median of 40 interleaved rounds on a 2-CPU
-host; ``BENCH_inner_products_once.json``), with the same bits.
+reduction.
 
 For nonlinear alpha the first chi iterate of a step is the shift s, not
 chi_n: chi_{n+1} - s = dt u is O(dt), while chi_{n+1} - chi_n also carries
@@ -103,17 +116,20 @@ at M = 4 about 9-15 % slower (523-562 us against 474-481 us, best of 8
 alternating runs on a 2-CPU host).
 
 ``run_additive`` is the one public way to step.  It checks the
-preconditions and the shapes of its data once per run, and its inner loop
+preconditions and the shapes of its data once per call, for every grid of
+the call before any step runs, and its inner loop
 calls the solve kernels without repeating them; ``parse_config`` checks the
 same preconditions for every time step a config requests.
 
 Fields are stored as (M, P) blocks, one row per Brownian path, and a single
 path is the batch M = 1, the only path through the kernels.
-``run_additive`` advances all paths of a grid together, so every solve and
-matrix product runs once per inner iteration for the whole batch.  Each
-path keeps its own Newton thresholds, line-search scales and iteration
-counts and its own inner convergence test; a path that has converged leaves
-the batch, so its numbers are bit for bit those of a run on its own.
+``run_additive`` advances all paths of all its grids together from t = 0,
+so every solve but the per-span ones and every matrix product runs once
+per inner iteration for the whole batch, and a grid's rows leave the batch
+at its horizon.  Each path keeps its own Newton thresholds, line-search
+scales and iteration counts and its own inner convergence test; a path
+that has converged leaves the batch, so its numbers are bit for bit those
+of a run on its own.
 
 The alternation is a strict contraction in the discrete L2 norm whenever
 dt < 1 + coercivity(alpha); the squared-difference ratio of successive
@@ -138,15 +154,18 @@ from .errors import (
     NonFiniteError,
     NumericalError,
 )
-from .grids import TimeGrid, _bind_shifted, _row_dots, _solve_shifted, apply_stiffness, row_norms
+from .grids import (
+    TimeGrid, _bind_unchecked, _gated, _row_dots, _solve_shifted, apply_stiffness, row_norms,
+)
 from .noise import BrownianPath, partial_sums
 
 DEFAULT_INNER_TOL = 1e-11
 DEFAULT_NEWTON_TOL = 1e-12
 MAX_NEWTON_ITERATIONS = 50
-# Residual gate of a Newton correction's linear solve; the heat solve keeps
-# the default gate of ``solve_shifted``.
+# Residual gates of a Newton correction's linear solve and of the heat
+# solve, which keeps the default gate of ``solve_shifted``.
 CORRECTION_RTOL = 1e-10
+HEAT_RTOL = 1e-12
 # Forcing term of the inexact Newton solve (see the module docstring): the
 # fraction of a row's Newton threshold that its linear correction must meet.
 NEWTON_FORCING = 0.1
@@ -240,12 +259,16 @@ class _AtZero(NamedTuple):
     shared by every row, so that a block gets the bits of its rows alone:
     ``offset`` is M alphatilde(0) + 0.0, the start residual plus rhs, or
     None where alphatilde(0) is identically 0 and the start residual is
-    exactly -rhs; ``solve`` is the correction solve against the Jacobian
-    M alphatilde'(0) + dt K, bound once (``grids._bind_shifted``), or None
-    where alphatilde'(0) is not finite everywhere."""
+    exactly -rhs; ``jacobian`` is the diagonal M alphatilde'(0); ``solve`` is
+    the correction solve against the Jacobian M alphatilde'(0) + dt K, bound
+    once, and ``unchecked`` that solve without its residual gate
+    (``grids._bind_unchecked``), both None where alphatilde'(0) is not
+    finite everywhere."""
 
     offset: np.ndarray | None
+    jacobian: np.ndarray
     solve: object
+    unchecked: object
 
 
 def _at_zero(ops, nl, dt):
@@ -255,18 +278,27 @@ def _at_zero(ops, nl, dt):
     # At u = 0 the stiffness term dt K u is +0.0 in every entry, and adding
     # it is adding 0.0, so offset - rhs is the residual at u = 0 bit for bit.
     offset = ops.lumped_mass * alpha + 0.0 if alpha.any() else None
-    finite = bool(np.isfinite(jacobian).all())
-    return _AtZero(offset, _bind_shifted(ops, jacobian, dt, CORRECTION_RTOL) if finite else None)
+    if not np.isfinite(jacobian).all():
+        return _AtZero(offset, jacobian, None, None)
+    unchecked = _bind_unchecked(ops, jacobian, dt)
+    return _AtZero(offset, jacobian,
+                   _gated(ops, jacobian, dt, CORRECTION_RTOL, ((0, None, unchecked),)), unchecked)
 
 
 class _StepPlan(NamedTuple):
-    """What every step of a run reads and no step changes, built once per
-    run by ``_step_plan``: the operators, alpha, dt and both tolerances;
-    ``heat``, the solve of M + dt K bound once (``grids._bind_shifted``),
-    which returns ``(theta, K theta)``; ``at_zero``, what Newton from u = 0
-    reads (``_AtZero``); the contraction bound of the inner iteration; and
-    whether alpha is nonlinear, which switches on the warm start and the
-    relaxed Newton tolerances."""
+    """What every step on one grid reads and no step changes, built once per
+    grid by ``_step_plan``: the operators, alpha, dt and both tolerances;
+    ``heat``, the solve of M + dt K bound once, which returns
+    ``(theta, K theta)``, and ``unchecked_heat``, that solve without its
+    residual gate (``grids._bind_unchecked``); ``at_zero``, what Newton from
+    u = 0 reads (``_AtZero``); the contraction bound of the inner iteration;
+    and whether alpha is nonlinear, which switches on the warm start and the
+    relaxed Newton tolerances.
+
+    A step plan is also the plan of a block that is one span: every row of
+    the block steps with its dt.  The unchecked solves serve a plan of
+    several spans (``_Spans``), which runs them span by span before one
+    gate."""
 
     ops: object
     nl: object
@@ -274,9 +306,21 @@ class _StepPlan(NamedTuple):
     tol: float
     newton_tol: float
     heat: object
+    unchecked_heat: object
     at_zero: _AtZero
     factor_bound: float
     nonlinear: bool
+
+    def take(self, rows):
+        """The plan of the rows ``rows`` of its block: itself."""
+        return self
+
+    def row_bounds(self, count):
+        return [self.factor_bound] * count
+
+    def correct(self, jacobian, b, targets_of):
+        """Newton's correction against a per-row Jacobian diagonal."""
+        return _solve_shifted(self.ops, jacobian, self.dt, b, CORRECTION_RTOL, targets_of)
 
 
 def _step_plan(grid, ops, nl, tol, newton_tol):
@@ -284,14 +328,81 @@ def _step_plan(grid, ops, nl, tol, newton_tol):
     ``check_step_preconditions``."""
     dt = grid.dt
     check_step_preconditions(dt, nl)
+    heat = _bind_unchecked(ops, ops.lumped_mass, dt)
     return _StepPlan(
         ops, nl, dt, tol, newton_tol,
-        heat=_bind_shifted(ops, ops.lumped_mass, dt),
+        heat=_gated(ops, ops.lumped_mass, dt, HEAT_RTOL, ((0, None, heat),)),
+        unchecked_heat=heat,
         at_zero=_at_zero(ops, nl, dt),
         factor_bound=contraction_factor_bound(nl, dt),
         # Equal declared constants and alpha(0) = 0 make alpha linear.
         nonlinear=nl.lipschitz != nl.coercivity,
     )
+
+
+class _Spans(NamedTuple):
+    """The plan of a block whose rows step on several grids: ``spans``
+    holds ``(start, stop, plan)`` for each run of consecutive rows that
+    share a ``_StepPlan``, in row order.  It reads as a step plan to
+    ``_advance`` and ``_newton``, with ``dt`` the (M, 1) column of the rows'
+    steps, so every operation of a step but the solves runs once on the
+    block; ``heat`` and ``at_zero.solve`` run each span's solve of its own
+    dt and gate the block once, and ``correct`` solves each span's rows
+    against their own dt.  Elementwise, a row's column entry gives the bits
+    of its scalar dt, so each row keeps the bits of a run on its grid."""
+
+    spans: tuple
+    ops: object
+    nl: object
+    dt: np.ndarray
+    tol: float
+    newton_tol: float
+    heat: object
+    at_zero: _AtZero
+    nonlinear: bool
+
+    def take(self, rows):
+        """The plan of the rows ``rows``, increasing indices into the block."""
+        cuts = np.searchsorted(rows, [start for start, _, _ in self.spans]
+                               + [self.spans[-1][1]]).tolist()
+        return _plan_of([(start, stop, plan) for start, stop, (_, _, plan)
+                         in zip(cuts, cuts[1:], self.spans) if stop > start])
+
+    def row_bounds(self, count):
+        return [plan.factor_bound for start, stop, plan in self.spans
+                for _ in range(stop - start)]
+
+    def correct(self, jacobian, b, targets_of):
+        """Newton's correction against a per-row Jacobian diagonal, through
+        ``_solve_shifted`` on each span with its scalar dt."""
+        parts = []
+        for start, stop, plan in self.spans:
+            try:
+                parts.append(plan.correct(jacobian[start:stop], b[start:stop],
+                                          lambda: targets_of()[start:stop]))
+            except NumericalError as exc:
+                exc.row = start + (exc.row or 0)
+                raise
+        return tuple(np.concatenate(blocks) for blocks in zip(*parts))
+
+
+def _plan_of(spans):
+    """The plan of a block of rows in ``spans``, ``(start, stop, plan)`` in
+    row order: the step plan itself for one span, else a ``_Spans``."""
+    if len(spans) == 1:
+        return spans[0][2]
+    first = spans[0][2]
+    ops = first.ops
+    dt = np.concatenate([np.full(stop - start, plan.dt) for start, stop, plan in spans])[:, None]
+    heat = _gated(ops, ops.lumped_mass, dt, HEAT_RTOL,
+                  [(start, stop, plan.unchecked_heat) for start, stop, plan in spans])
+    at_zero = first.at_zero
+    if at_zero.solve is not None:
+        at_zero = at_zero._replace(solve=_gated(
+            ops, at_zero.jacobian, dt, CORRECTION_RTOL,
+            [(start, stop, plan.at_zero.unchecked) for start, stop, plan in spans]))
+    return _Spans(tuple(spans), ops, first.nl, dt, first.tol, first.newton_tol, heat, at_zero,
+                  first.nonlinear)
 
 
 def _newton(plan, rhs, start=None, relaxed=None):
@@ -315,11 +426,11 @@ def _newton(plan, rhs, start=None, relaxed=None):
     ``NEWTON_FORCING`` times the row's threshold, or times its residual
     where that is smaller.
     """
-    ops, nl, dt, tol = plan.ops, plan.nl, plan.dt, plan.newton_tol
+    ops, nl, tol = plan.ops, plan.nl, plan.newton_tol
     mass = ops.lumped_mass
     count = len(rhs)
 
-    def residual(v, b, stiffness_v):
+    def residual(v, b, stiffness_v, dt):
         return mass * nl.alpha_tilde(v) + dt * stiffness_v - b
 
     rhs_norms = row_norms(rhs)
@@ -331,18 +442,17 @@ def _newton(plan, rhs, start=None, relaxed=None):
     # sum of the product can carry.
     from_zero = start is None
     if from_zero:
-        at_zero = plan.at_zero
         u = np.zeros(rhs.shape)
-        if at_zero.offset is None:
+        if plan.at_zero.offset is None:
             # The start residual is -rhs: its row norms are those of rhs, and
             # the first correction solves against rhs itself.
             res, norms = None, list(rhs_norms)
         else:
-            res = at_zero.offset - rhs
+            res = plan.at_zero.offset - rhs
             norms = row_norms(res)
     else:
         u = start
-        res = residual(u, rhs, apply_stiffness(ops, u))
+        res = residual(u, rhs, apply_stiffness(ops, u), plan.dt)
         norms = row_norms(res)
     for row, norm in enumerate(norms):
         if not math.isfinite(norm):
@@ -360,10 +470,11 @@ def _newton(plan, rhs, start=None, relaxed=None):
         # iteration), of the residual, so that it still moves u.
         limits = [min(threshold, norm) for threshold, norm in zip(thresholds, norms)]
     # The iterating rows, as indices into the batch (None while that is all
-    # of them), and their iterate, right-hand side and residual, which is
-    # None while it is -rhs.
+    # of them), their plan, and their iterate, right-hand side and
+    # residual, which is None while it is -rhs.
     active = [row for row in range(count) if norms[row] > gates[row]]
     rows = None if len(active) == count else np.array(active, dtype=np.intp)
+    sub = plan if rows is None or not active else plan.take(rows)
     u_active, rhs_active = _take(u, rows), _take(rhs, rows)
     if res is not None:
         res = _take(res, rows)
@@ -376,7 +487,7 @@ def _newton(plan, rhs, start=None, relaxed=None):
         if not active:
             break
         if from_zero:
-            if at_zero.solve is None:
+            if sub.at_zero.solve is None:
                 raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
                                      residual=norms[active[0]], row=active[0])
         else:
@@ -390,17 +501,17 @@ def _newton(plan, rhs, start=None, relaxed=None):
         try:
             b = rhs_active if res is None else -res
             if from_zero:
-                delta, stiffness_delta = at_zero.solve(b, correction_targets)
+                delta, stiffness_delta = sub.at_zero.solve(b, correction_targets)
             else:
-                delta, stiffness_delta = _solve_shifted(ops, jac_diag, dt, b, CORRECTION_RTOL,
-                                                        correction_targets)
+                delta, stiffness_delta = sub.correct(jac_diag, b, correction_targets)
         except NumericalError as exc:
             _lift(exc, rows)
             raise
         # Line search, per row: halve the step until the residual drops.
         trial = u_active + delta
         trial_res = residual(trial, rhs_active,
-                             stiffness_delta if from_zero else apply_stiffness(ops, trial))
+                             stiffness_delta if from_zero else apply_stiffness(ops, trial),
+                             sub.dt)
         from_zero = False
         trial_norms = row_norms(trial_res)
         pending = [i for i, row in enumerate(active) if not trial_norms[i] < norms[row]]
@@ -419,7 +530,8 @@ def _newton(plan, rhs, start=None, relaxed=None):
             scale *= 0.5
             retrying = slice(None) if len(pending) == len(active) else pending
             retry = u_active[retrying] + scale * delta[retrying]
-            retry_res = residual(retry, rhs_active[retrying], apply_stiffness(ops, retry))
+            retry_res = residual(retry, rhs_active[retrying], apply_stiffness(ops, retry),
+                                 sub.dt if isinstance(sub.dt, float) else sub.dt[retrying])
             trial[retrying] = retry
             trial_res[retrying] = retry_res
             still = []
@@ -443,6 +555,7 @@ def _newton(plan, rhs, start=None, relaxed=None):
             if not active:
                 break
             rows = np.array(active, dtype=np.intp)
+            sub = plan.take(rows)
             trial, trial_res, rhs_active = trial[going], trial_res[going], rhs_active[going]
         u_active, res = trial, trial_res
     if active:
@@ -496,7 +609,7 @@ def _advance(plan, theta_n, chi_n, dw, h_n):
     NonConvergenceError.
     """
     count = len(chi_n)
-    ops, dt, tol, newton_tol = plan.ops, plan.dt, plan.tol, plan.newton_tol
+    ops, tol, newton_tol = plan.ops, plan.tol, plan.newton_tol
     noise = h_n * dw
     shift = chi_n + noise
     stiffness_shift = apply_stiffness(ops, shift)
@@ -514,17 +627,19 @@ def _advance(plan, theta_n, chi_n, dw, h_n):
     newton_iterations = [0] * count
     halvings = [0] * count
     newton_residuals = [0.0] * count
-    # Paths whose chi iterates still move; rows is None while that is all.
+    # Paths whose chi iterates still move, and their plan; rows is None
+    # while that is all.
     active = list(range(count))
     rows = None
+    sub_plan, dt = plan, plan.dt
     sub = (theta_n, chi_n, noise, shift, stiffness_shift)
     for iteration in range(DEFAULT_MAX_INNER):
         chi_iterate = _take(chi, rows)
         sub_theta_n, sub_chi_n, sub_noise, sub_shift, sub_stiffness_shift = sub
         try:
-            theta = _solve_theta(plan, chi_iterate, sub_theta_n, sub_chi_n, sub_noise)
+            theta = _solve_theta(sub_plan, chi_iterate, sub_theta_n, sub_chi_n, sub_noise)
             u, newton = _newton(
-                plan, ops.lumped_mass * theta - sub_stiffness_shift,
+                sub_plan, ops.lumped_mass * theta - sub_stiffness_shift,
                 (chi_iterate - sub_shift) / dt if warm_start and iteration else None,
                 [newton_tols[row] for row in active] if warm_start else None,
             )
@@ -559,6 +674,8 @@ def _advance(plan, theta_n, chi_n, dw, h_n):
         if len(remaining) < len(active):
             active = remaining
             rows = np.array(active)
+            sub_plan = plan.take(rows)
+            dt = sub_plan.dt
             sub = tuple(block[rows] for block in
                         (theta_n, chi_n, noise, shift, stiffness_shift))
     else:
@@ -571,7 +688,6 @@ def _advance(plan, theta_n, chi_n, dw, h_n):
     # Final heat solve so the linear equation holds exactly against the
     # accepted chi; the nonlinear equation then holds up to ``tol``.
     theta = _solve_theta(plan, chi, theta_n, chi_n, noise)
-    bound = plan.factor_bound
     reports = [
         StepReport(
             inner_iterations=len(diffs),
@@ -582,8 +698,8 @@ def _advance(plan, theta_n, chi_n, dw, h_n):
             newton_iterations=its,
             line_search_halvings=most,
         )
-        for diffs, residual, its, most in zip(differences, newton_residuals, newton_iterations,
-                                              halvings)
+        for diffs, residual, its, most, bound in zip(
+            differences, newton_residuals, newton_iterations, halvings, plan.row_bounds(count))
     ]
     return theta, chi, reports
 
@@ -614,46 +730,149 @@ def run_additive(
     tol=DEFAULT_INNER_TOL,
     newton_tol=DEFAULT_NEWTON_TOL,
 ):
-    """Run the additive-noise scheme along one Brownian path or a batch.
+    """Run the additive-noise scheme along one Brownian path or a batch, on
+    one time grid or on several side by side.
 
-    ``path`` is one BrownianPath, which returns one Trajectory, or a
-    sequence of paths on ``grid``, which run as one batch and return one
-    Trajectory per path in the given order; every path gets the bits of a
-    run on its own.  ``theta0`` and ``chi0`` are (P,) fields, the initial
-    data of every path.  Each trajectory has N+1 field snapshots, with u set to
-    chi - B_n from the path's partial sums.  A NumericalError from a step is
-    re-raised with that step's index and the failing path's id.
+    On one grid, ``path`` is one BrownianPath, which returns one Trajectory,
+    or a sequence of paths on ``grid``, which run as one batch and return
+    one Trajectory per path in the given order.  ``theta0`` and ``chi0`` are
+    (P,) fields, the initial data of every path.  Each trajectory has N+1
+    field snapshots, with u set to chi - B_n from the path's partial sums.
+
+    ``grid`` may also be a sequence of entries, such as the dt levels of a
+    Monte Carlo study; ``integrand`` and ``path`` are then sequences too,
+    one integrand and one sequence of paths per entry.  Every entry's
+    preconditions and shapes are checked at the call, which then returns an
+    iterator of ``(index, trajectories)``, one list of trajectories per
+    entry.  All entries step from t = 0 as one batch, whose rows are
+    ordered by entry, and an entry leaves the batch at its horizon: the
+    iterator yields it then, so entries with fewer steps come first, and
+    entries that finish together come in index order.  The iterator keeps
+    no reference to an entry it has yielded, so a caller that reduces each
+    entry and drops it holds at most the entries still stepping.
+
+    Every path gets the bits of a run on its own.  A NumericalError from a
+    step is re-raised with that step's index, the failing path's id, its
+    row in its entry's paths and its entry's dt; across entries it is the
+    first failure in lock-step order.
     """
-    single = isinstance(path, BrownianPath)
-    paths = [path] if single else list(path)
-    if not paths:
+    single = isinstance(grid, TimeGrid)
+    if single:
+        one_path = isinstance(path, BrownianPath)
+        grid, integrand, path = [grid], [integrand], [[path] if one_path else path]
+    grids, integrands = list(grid), list(integrand)
+    path_lists = [list(paths) for paths in path]
+    if not len(grids) == len(integrands) == len(path_lists):
+        raise InvalidConfigError(
+            f"run_additive needs one integrand and one path sequence per grid, got "
+            f"{len(grids)} grids, {len(integrands)} integrands and {len(path_lists)} "
+            f"path sequences")
+    if not grids or not all(path_lists):
         raise InvalidConfigError("run_additive needs at least one path")
-    if integrand.grid != grid or any(p.grid != grid for p in paths):
-        raise FieldShapeError("path, integrand, and run must share one time grid")
+    for g, integ, paths in zip(grids, integrands, path_lists):
+        if integ.grid != g or any(p.grid != g for p in paths):
+            raise FieldShapeError("path, integrand, and run must share one time grid")
     theta0 = np.asarray(theta0, dtype=float)
     chi0 = np.asarray(chi0, dtype=float)
-    _check_initial_shapes(ops, theta0=theta0, chi0=chi0, h_0=integrand.values[0])
-    plan = _step_plan(grid, ops, nl, tol, newton_tol)
-    shape = (len(paths), grid.steps + 1, ops.node_count)
-    theta, chi = np.empty(shape), np.empty(shape)
-    theta[:, 0] = theta0
-    chi[:, 0] = chi0
-    increments = np.array([p.increments for p in paths])
-    reports = [[] for _ in paths]
-    for n in range(grid.steps):
+    _check_initial_shapes(ops, theta0=theta0, chi0=chi0)
+    for integ in integrands:
+        _check_initial_shapes(ops, h_0=integ.values[0])
+    plans = {}
+    for g in grids:
+        if g not in plans:
+            plans[g] = _step_plan(g, ops, nl, tol, newton_tol)
+    runs = _run_entries(theta0, chi0, integrands, path_lists, grids, plans)
+    if not single:
+        return runs
+    (_, trajectories), = runs
+    return trajectories[0] if one_path else trajectories
+
+
+def _run_entries(theta0, chi0, integrands, path_lists, grids, plans):
+    """The iterator of ``run_additive`` over checked entries, ``plans``
+    holding the step plan of each distinct grid."""
+    ops = plans[grids[0]].ops
+    steps = [g.steps for g in grids]
+    # The entries still stepping, as (index, start, stop, theta, chi): their
+    # rows start:stop in the block and their (M, N + 1, P) records.  The
+    # block's plan has one span per run of entries on one grid.
+    live, spans, count = [], [], 0
+    for index, paths in enumerate(path_lists):
+        stop = count + len(paths)
+        shape = (len(paths), steps[index] + 1, ops.node_count)
+        theta, chi = np.empty(shape), np.empty(shape)
+        theta[:, 0] = theta0
+        chi[:, 0] = chi0
+        live.append((index, count, stop, theta, chi))
+        plan = plans[grids[index]]
+        if spans and spans[-1][2] is plan:
+            spans[-1] = (spans[-1][0], stop, plan)
+        else:
+            spans.append((count, stop, plan))
+        count = stop
+    plan = _plan_of(spans)
+    theta = np.tile(theta0, (count, 1))
+    chi = np.tile(chi0, (count, 1))
+    increments = np.zeros((count, max(steps)))
+    for index, start, stop, _, _ in live:
+        increments[start:stop, :steps[index]] = [p.increments for p in path_lists[index]]
+    # One integrand shared by every row is one (P,) field per step; else
+    # each row reads its entry's from the stacked values, at ``offsets``.
+    values, offsets = integrands[0].values, None
+    if any(integ is not integrands[0] for integ in integrands):
+        values = np.concatenate([integ.values for integ in integrands])
+        firsts = np.cumsum([0] + [len(integ.values) for integ in integrands])
+        offsets = np.concatenate([np.full(stop - start, firsts[index], dtype=np.intp)
+                                  for index, start, stop, _, _ in live])
+    reports = [[] for _ in range(count)]
+    finish = min(steps)
+    for n in range(max(steps)):
         try:
-            theta[:, n + 1], chi[:, n + 1], step_reports = _advance(
-                plan, theta[:, n], chi[:, n], increments[:, n:n + 1], integrand.values[n])
+            theta, chi, step_reports = _advance(
+                plan, theta, chi, increments[:, n:n + 1],
+                values[n] if offsets is None else values[offsets + n])
         except NumericalError as exc:
+            row = exc.row or 0
+            index, start = next(entry[:2] for entry in live if entry[1] <= row < entry[2])
             raise type(exc)(
                 exc.reason, residual=exc.residual, step=n,
-                path_id=paths[exc.row or 0].path_id, row=exc.row,
+                path_id=path_lists[index][row - start].path_id, row=row - start,
+                dt=grids[index].dt,
             ) from exc
-        for path_reports, report in zip(reports, step_reports):
-            path_reports.append(report)
-    trajectories = [
-        Trajectory(grid=grid, theta=theta[k], chi=chi[k],
-                   u=chi[k] - partial_sums(p, integrand), reports=reports[k])
-        for k, p in enumerate(paths)
+        for _, start, stop, theta_record, chi_record in live:
+            theta_record[:, n + 1] = theta[start:stop]
+            chi_record[:, n + 1] = chi[start:stop]
+        for row_reports, report in zip(reports, step_reports):
+            row_reports.append(report)
+        if n + 1 < finish:
+            continue
+        # The finished entries leave the block; each is yielded as an
+        # argument only, so that no local keeps it once its caller drops it.
+        finished = [entry for entry in live if steps[entry[0]] == n + 1]
+        live = [entry for entry in live if steps[entry[0]] > n + 1]
+        while finished:
+            yield _finished(finished.pop(0), grids, integrands, path_lists, reports)
+        if not live:
+            return
+        finish = min(steps[entry[0]] for entry in live)
+        keep = np.concatenate([np.arange(start, stop) for _, start, stop, _, _ in live])
+        theta, chi, increments = theta[keep], chi[keep], increments[keep]
+        if offsets is not None:
+            offsets = offsets[keep]
+        reports = [reports[row] for row in keep.tolist()]
+        plan = plan.take(keep)
+        count = 0
+        for position, (index, start, stop, theta_record, chi_record) in enumerate(live):
+            live[position] = (index, count, count + stop - start, theta_record, chi_record)
+            count += stop - start
+
+
+def _finished(entry, grids, integrands, path_lists, reports):
+    """``(index, trajectories)`` of a finished entry of ``_run_entries``."""
+    index, start, _, theta, chi = entry
+    integrand = integrands[index]
+    return index, [
+        Trajectory(grid=grids[index], theta=theta[k], chi=chi[k],
+                   u=chi[k] - partial_sums(p, integrand), reports=reports[start + k])
+        for k, p in enumerate(path_lists[index])
     ]
-    return trajectories[0] if single else trajectories

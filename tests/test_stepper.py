@@ -632,15 +632,16 @@ class TestFactorReuse:
             x = reference_solve_1d(ops, diagonal, shift, rhs)
             return x, grids.apply_stiffness(ops, x)
 
-        def reference_bind(ops, diagonal, shift, rtol=None):
-            # The run plan's heat solve and Newton's solve from u = 0.
-            def solve(rhs, atol_of=None):
+        def reference_bind(ops, diagonal, shift):
+            # The run plan's heat solve and Newton's solve from u = 0, which
+            # the plan gates.
+            def solve(rhs):
                 bound.append(len(rhs))
-                return reference_pair(ops, diagonal, shift, rhs)
+                return reference_solve_1d(ops, diagonal, shift, rhs)
 
             return solve
 
-        monkeypatch.setattr(stepper, "_bind_shifted", reference_bind)
+        monkeypatch.setattr(stepper, "_bind_unchecked", reference_bind)
         monkeypatch.setattr(stepper, "_solve_shifted", reference_pair)
         reference = bh.run_additive(cos_field, 0.5 * cos_field, integ, path, grid, ops, nl)
         # A heat solve per inner iteration and step, and a Newton solve from
@@ -765,8 +766,8 @@ class TestInexactNewton:
                 patch.setattr(stepper, "_solve_shifted",
                               lambda ops, diagonal, shift, rhs, rtol, atol_of:
                               grids._solve_shifted(ops, diagonal, shift, rhs, rtol))
-                patch.setattr(stepper, "_bind_shifted",
-                              lambda ops, diagonal, shift, rtol=1e-12:
+                patch.setattr(stepper, "_gated",
+                              lambda ops, diagonal, shift, rtol, spans:
                               lambda rhs, atol_of=None:
                               grids._solve_shifted(ops, diagonal, shift, rhs, rtol))
             trajectories = bh.run_additive(theta0, chi0, integ, paths, grid, ops, bh.saturating(2.0))

@@ -11,7 +11,9 @@ CSV it wrote, in a fixed order:
   ``demos/configs/additive.ini``;
 * ``picard`` on ``demos/configs/multiplicative.ini`` and on
   ``perfbench/configs/picard.ini``, which is only read;
-* ``solve`` on ``perfbench/configs/solve2d.ini``.
+* ``solve`` on ``perfbench/configs/solve2d.ini``, and ``converge`` on it
+  at dt 1/8, 1/16 and 1/32 with two paths, the one run of coupled 2D dt
+  levels.
 
 CSV bodies are byte-reproducible for a fixed config and seed, so two
 checkouts that print the same listing wrote the same bits; ``diff`` the
@@ -31,15 +33,18 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 7
 
+# (command, config, extra flags)
 RUNS = (
-    ("solve", "demos/configs/additive.ini"),
-    ("mc", "demos/configs/additive.ini"),
-    ("converge", "demos/configs/additive.ini"),
-    ("stability", "demos/configs/additive.ini"),
-    ("contraction", "demos/configs/additive.ini"),
-    ("picard", "demos/configs/multiplicative.ini"),
-    ("picard", "perfbench/configs/picard.ini"),
-    ("solve", "perfbench/configs/solve2d.ini"),
+    ("solve", "demos/configs/additive.ini", ()),
+    ("mc", "demos/configs/additive.ini", ()),
+    ("converge", "demos/configs/additive.ini", ()),
+    ("stability", "demos/configs/additive.ini", ()),
+    ("contraction", "demos/configs/additive.ini", ()),
+    ("picard", "demos/configs/multiplicative.ini", ()),
+    ("picard", "perfbench/configs/picard.ini", ()),
+    ("solve", "perfbench/configs/solve2d.ini", ()),
+    ("converge", "perfbench/configs/solve2d.ini",
+     ("--dt-list", "0.125,0.0625,0.03125", "--paths", "2")),
 )
 
 # Runs the CLI of the barenheat under argv[1] and nowhere else.
@@ -59,11 +64,11 @@ def digests(root, workdir):
     env = dict(os.environ)
     env.pop("SOLVER_SEED", None)  # it would override SEED
     found = []
-    for command, config in RUNS:
+    for command, config, flags in RUNS:
         label = f"{command}-{os.path.splitext(os.path.basename(config))[0]}"
         outdir = os.path.join(workdir, label)
         argv = [sys.executable, "-c", CHILD, src, command, "--config",
-                os.path.join(root, config), "--out", outdir, "--seed", str(SEED)]
+                os.path.join(root, config), "--out", outdir, "--seed", str(SEED), *flags]
         result = subprocess.run(argv, env=env, capture_output=True, text=True)
         if result.returncode not in (0, 2):
             raise SystemExit(f"{label} exited with {result.returncode}:\n{result.stderr}")
