@@ -14,6 +14,12 @@ counts as constant), and time dependence is limited to polynomials of
 degree at most 3, so that the two-point Gauss quadrature used for the
 per-step averages is exact; ``parse_expression`` rejects a higher degree.
 Division is deliberately absent.
+
+An expression evaluates at one time or at a column of times with the bits
+of one evaluation per time: +, -, * and cos act elementwise, and a power of
+a subtree free of ``x`` and ``y`` is Python's float power of each time's
+value, which numpy's power differs from in the last bit of some values and
+which raises OverflowError where numpy's returns inf.
 """
 
 import re
@@ -40,6 +46,7 @@ class Expression:
     text: str
     _root: tuple = field(repr=False)
     time_degree: int = 0
+    _uses_y: bool = field(default=False, repr=False)
 
     @property
     def depends_on_time(self):
@@ -47,15 +54,24 @@ class Expression:
         return self.time_degree > 0
 
     def __call__(self, t, coords):
-        """Evaluate at time ``t`` on node coordinates ``coords`` of shape (P, d)."""
+        """Evaluate at time ``t`` on node coordinates ``coords`` of shape (P, d).
+
+        ``t`` may also be a 1-D array of K times; the result is then (K, P),
+        and row k holds bit for bit the values at the single time ``t[k]``.
+        """
         coords = np.asarray(coords, dtype=float)
+        if self._uses_y and coords.shape[1] < 2:
+            raise ExpressionError("'y' is only available on 2D meshes")
+        column = isinstance(t, np.ndarray) and t.ndim == 1
         try:
-            values = _evaluate(self._root, float(t), coords)
+            values = _evaluate(self._root, t.astype(float)[:, None] if column else float(t),
+                               coords)
         except OverflowError as exc:
             # Python's float power raises where numpy's returns inf.
             raise ExpressionError(f"overflow in {self.text!r}: {exc}") from exc
-        if np.ndim(values) == 0:
-            values = np.full(coords.shape[0], float(values))
+        shape = (len(t), len(coords)) if column else (len(coords),)
+        if getattr(values, "shape", None) != shape:
+            values = np.full(shape, values)
         return values
 
 
@@ -85,6 +101,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.uses_y = False
 
     def peek(self):
         return self.tokens[self.index]
@@ -154,6 +171,7 @@ class _Parser:
             if value == "pi":
                 return ("const", np.pi)
             if value in ("t", "x", "y"):
+                self.uses_y |= value == "y"
                 return (value,)
             if value == "cos":
                 self.expect_op("(")
@@ -185,7 +203,15 @@ def _time_degree(node):
     return max(_time_degree(node[1]), _time_degree(node[2]))
 
 
+def _contains(node, tags):
+    """True when the subtree ``node`` has a node tagged with one of ``tags``."""
+    return node[0] in tags or any(
+        isinstance(child, tuple) and _contains(child, tags) for child in node[1:])
+
+
 def _evaluate(node, t, coords):
+    """Values of ``node`` at the float ``t``, or at each time of a (K, 1)
+    column ``t``; subtrees free of x and y give scalars or columns."""
     tag = node[0]
     if tag == "const":
         return node[1]
@@ -194,15 +220,20 @@ def _evaluate(node, t, coords):
     if tag == "x":
         return coords[:, 0]
     if tag == "y":
-        if coords.shape[1] < 2:
-            raise ExpressionError("'y' is only available on 2D meshes")
         return coords[:, 1]
     if tag == "neg":
         return -_evaluate(node[1], t, coords)
     if tag == "cos":
         return np.cos(_evaluate(node[1], t, coords))
     if tag == "pow":
-        return _evaluate(node[1], t, coords) ** node[2]
+        base = _evaluate(node[1], t, coords)
+        if (isinstance(t, np.ndarray) and isinstance(base, np.ndarray)
+                and not _contains(node[1], ("x", "y"))):
+            # The power of each single time's value: a Python float, or a
+            # numpy float under cos.
+            items = base.ravel() if _contains(node[1], ("cos",)) else base.ravel().tolist()
+            return np.array([item ** node[2] for item in items]).reshape(base.shape)
+        return base ** node[2]
     left = _evaluate(node[1], t, coords)
     right = _evaluate(node[2], t, coords)
     if tag == "+":
@@ -217,7 +248,8 @@ def parse_expression(text):
     or without one when the time degree exceeds ``MAX_TIME_DEGREE``."""
     if isinstance(text, Expression):
         return text
-    root = _Parser(text).parse()
+    parser = _Parser(text)
+    root = parser.parse()
     degree = _time_degree(root)
     if degree > MAX_TIME_DEGREE:
         raise ExpressionError(
@@ -228,6 +260,7 @@ def parse_expression(text):
         text=text,
         _root=root,
         time_degree=degree,
+        _uses_y=parser.uses_y,
     )
 
 

@@ -13,11 +13,11 @@ Monte Carlo path, or one per time node) is an (M, P) block whose rows are
 treated one by one, so every row gets the bits it would get on its own;
 ``solve_shifted`` solves one (P,) field as a one-row block, and ``l2_norm``
 and ``h1_seminorm`` reduce it by ``math.sqrt`` of one ``ddot``, with the
-bits of row 0 of that block and without its per-call overhead (about a
-third of the time at P = 65).  Every row norm of a block, the residual
-gate's included, comes from ``_row_dots``, which numpy hands row by row to
-the BLAS ``ddot`` that ``row.dot(row)`` calls, never to a gemv
-(M, P) @ (P,) with M > 1, whose summation order differs.
+bits of row 0 of that block and without its per-call overhead.  Every row
+norm of a block, the residual gate's included, comes from ``_row_dots``,
+which numpy hands row by row to the BLAS ``ddot`` that ``row.dot(row)``
+calls, never to a gemv (M, P) @ (P,) with M > 1, whose summation order
+differs.
 
 Every shifted solve ends in a residual gate, which forms A x = diagonal x
 + shift K x.  ``_solve_shifted`` returns that K x with x, bit for bit

@@ -81,20 +81,20 @@ def discretize_integrand(expression, grid, ops):
 
     Uses two-point Gauss quadrature in time on each [t_{n-1}, t_n], exact
     for polynomials in t of degree at most 3, the most ``parse_expression``
-    accepts.  The convention that the integrand vanishes before time zero
-    forces the first value to be the zero field.  Raises InvalidConfigError,
-    naming the expression and the first step, when a value is not finite,
-    so the run fails before its first step.
+    accepts.  The expression is evaluated once per Gauss point, at the
+    column of that point's N - 1 times, which gives each step the bits of
+    its own evaluation.  The convention that the integrand vanishes before
+    time zero forces the first value to be the zero field.  Raises
+    InvalidConfigError, naming the expression and the first step, when a
+    value is not finite, so the run fails before its first step.
     """
     expr = parse_expression(expression)
     values = np.zeros((grid.steps, ops.node_count))
-    coords = ops.coordinates
-    with np.errstate(all="ignore"):
-        for n in range(1, grid.steps):
-            left = grid.nodes[n - 1]
-            g0 = expr(left + _GAUSS2[0] * grid.dt, coords)
-            g1 = expr(left + _GAUSS2[1] * grid.dt, coords)
-            values[n] = 0.5 * (g0 + g1)
+    if grid.steps > 1:
+        left = grid.nodes[:grid.steps - 1]
+        with np.errstate(all="ignore"):
+            g0, g1 = (expr(left + gauss * grid.dt, ops.coordinates) for gauss in _GAUSS2)
+            values[1:] = 0.5 * (g0 + g1)
     if not np.isfinite(values).all():
         step = int(np.flatnonzero(~np.isfinite(values).all(axis=1))[0])
         raise InvalidConfigError(

@@ -50,19 +50,13 @@ For nonlinear alpha the first chi iterate of a step is the shift s, not
 chi_n: chi_{n+1} - s = dt u is O(dt), while chi_{n+1} - chi_n also carries
 the O(sqrt dt) noise increment.  The first Newton solve thus starts at
 u = 0, where the Jacobian is a multiple of the lumped mass, which 2D solves
-directly; on ``perfbench/configs/solve2d.ini`` (seeds 7, 99 and 1234) this
-start alone cut the conjugate-gradient iterations from 2457 to 1746, and a
-start at s + dt u_{n-1} cut them only to 1980.  Every later inner
-iteration starts Newton from the u of the current chi iterate,
-(chi_k - s) / dt: successive iterates differ by less and less, so it needs
-about half the iterations of a start from u = 0.  Linear alpha keeps the
-first iterate chi_n and the start u = 0: there Newton's first step is exact
-from any start, so a warm start saves almost no iteration (3 of 379 on
-``solve`` of ``demos/configs/additive.ini``, seed 7), while it moves every
-1D CSV and costs each inner iteration a residual at the start and a
-per-row Jacobian; with it the converge-1d-linear and picard-1d-affine
-benchmark workloads made about 16 % fewer path-steps/s (4 of 4 alternating
-10 s pairs each, on a 2-CPU host).
+directly.  Every later inner iteration starts Newton from the u of the
+current chi iterate, (chi_k - s) / dt: successive iterates differ by less
+and less, so it needs about half the iterations of a start from u = 0.
+Linear alpha keeps the first iterate chi_n and the start u = 0: there
+Newton's first step is exact from any start, so a warm start would save
+almost no iteration, while it would move every 1D CSV and cost each inner
+iteration a residual at the start and a per-row Jacobian.
 
 Alpha counts as linear when its declared Lipschitz and coercivity
 constants are equal, which with alpha(0) = 0 forces alpha = c x.
@@ -111,9 +105,7 @@ so a batch row keeps the bits of a run on its own.
 Linear alpha keeps newton_tol on every solve: its Newton needs one
 iteration, or two on some rows, and a looser tolerance would move their
 bits.  It also keeps the solve without relaxed tolerances: per-row lists
-whose entries are all newton_tol keep every bit, but made a 1D linear step
-at M = 4 about 9-15 % slower (523-562 us against 474-481 us, best of 8
-alternating runs on a 2-CPU host).
+whose entries are all newton_tol would keep every bit but only add work.
 
 ``run_additive`` is the one public way to step.  It checks the
 preconditions and the shapes of its data once per call, for every grid of

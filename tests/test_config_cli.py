@@ -672,7 +672,7 @@ class TestCli:
         assert len(warnings) == 1 and "conformance" in warnings[0]
         assert f"warning: {warnings[0]}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["additive.ini", "multiplicative.ini"])
+    @pytest.mark.parametrize("name", ["additive.ini", "multiplicative.ini", "cubic_noise.ini"])
     def test_demo_configs_have_no_warnings(self, tmp_path, name):
         config = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos", "configs", name)
         outdir = str(tmp_path / "out")

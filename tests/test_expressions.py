@@ -123,11 +123,38 @@ _COORDS = np.array([[0.0, 0.0], [0.5, 1.0], [2.0, 3.0]])
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_SENTENCES, st.lists(st.sampled_from(_PIECES), max_size=24).map("".join)),
-       st.sampled_from([0.0, 0.75, 2.0]))
-def test_any_text_parses_and_evaluates_or_raises_expression_error(text, t):
-    try:
-        with np.errstate(all="ignore"):
-            values = parse_expression(text)(t, _COORDS)
-    except ExpressionError:
+       st.lists(st.sampled_from([0.0, 0.75, 2.0, 1e-3]), min_size=1, max_size=3))
+def test_any_text_parses_and_evaluates_or_raises_expression_error(text, times):
+    # Row by row at single times, and as one block at the column of times:
+    # the same bits, or the same ExpressionError.
+    outcomes = []
+    for evaluate in (lambda expr: np.array([expr(t, _COORDS) for t in times]),
+                     lambda expr: expr(np.array(times), _COORDS)):
+        try:
+            with np.errstate(all="ignore"):
+                outcomes.append(evaluate(parse_expression(text)))
+        except ExpressionError as exc:
+            outcomes.append(str(exc))
+    rows, block = outcomes
+    if isinstance(rows, str):
+        assert block == rows
         return
-    assert values.shape == (len(_COORDS),)
+    assert rows.shape == (len(times), len(_COORDS))
+    assert isinstance(block, np.ndarray) and block.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("text, formula", [
+    ("(x*t)^3 + t^3", lambda t, x: (x * t) ** 3 + t ** 3),
+    ("(x + t)^2 * cos(pi*x)", lambda t, x: (x + t) ** 2 * np.cos(np.pi * x)),
+    ("(t^0*x)^3", lambda t, x: (t ** 0 * x) ** 3),
+])
+def test_time_column_on_one_node(text, formula):
+    # With one node a spatial value at a column of times is (K, 1) like a
+    # time-only one, yet its power stays numpy's power of a node array, and
+    # a time-only power stays Python's power of a float.
+    coords = np.array([[0.7]])
+    times = np.linspace(0.0, 3.0, 2001)
+    expr = parse_expression(text)
+    rows = np.array([formula(t, coords[:, 0]) for t in times.tolist()])
+    assert np.array([expr(t, coords) for t in times]).tobytes() == rows.tobytes()
+    assert expr(times, coords).tobytes() == rows.tobytes()

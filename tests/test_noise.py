@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import barenheat as bh
-from barenheat.errors import FieldShapeError, InvalidConfigError
+from barenheat.errors import ExpressionError, FieldShapeError, InvalidConfigError
 
 
 class TestSamplePath:
@@ -113,6 +113,75 @@ class TestDiscretizeIntegrand:
         interpolant = np.cos(np.pi * ops_small.coordinates[:, 0])
         assert np.allclose(integ.values[2], interpolant, rtol=0, atol=1e-15)
         assert bh.h1_seminorm(integ.values[2], ops_small) > 0
+
+
+# Abscissae of the two-point Gauss rule on [0, 1], as the scheme defines them.
+_GAUSS_POINTS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+
+
+def _per_step_reference(text, grid, ops):
+    """h_n from one scalar evaluation per Gauss time, step after step."""
+    expr = bh.parse_expression(text)
+    values = np.zeros((grid.steps, ops.node_count))
+    with np.errstate(all="ignore"):
+        for n in range(1, grid.steps):
+            left = grid.nodes[n - 1]
+            g0, g1 = (expr(float(left + gauss * grid.dt), ops.coordinates)
+                      for gauss in _GAUSS_POINTS)
+            values[n] = 0.5 * (g0 + g1)
+    return values
+
+
+_MESHES = {"1d": (1, 16, 1.0), "2d": (2, (4, 4), (1.0, 1.0))}
+_BLOCK_CASES = [(text, mesh) for text in ["t^2", "(1+t)^3", "(x*t)^2", "(x*t)^3", "cos(t^0)*x",
+                                          "-t", "0", "2.5", "cos(pi*x)*(1+t)", "(t*cos(1))^3"]
+                for mesh in _MESHES] + [("cos(pi*x)*(1+cos(2*pi*y))*(1+t)^2", "2d"),
+                                        ("(x*y*t)^3 - y*t^3", "2d")]
+
+
+class TestBlockDiscretization:
+    """discretize_integrand evaluates each Gauss point at the column of all its
+    times; every step must keep the bits of its own scalar evaluation, above
+    all where a time-only power is Python's float power, not numpy's."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 257])
+    @pytest.mark.parametrize("text, mesh", _BLOCK_CASES)
+    def test_bitwise_equal_to_per_step_evaluation(self, text, mesh, steps):
+        ops = bh.build_operators(*_MESHES[mesh])
+        grid = bh.build_time_grid(1.3, steps)
+        values = bh.discretize_integrand(text, grid, ops).values
+        assert values.tobytes() == _per_step_reference(text, grid, ops).tobytes()
+
+    @pytest.mark.parametrize("text", ["cos(pi*x)*t^2", "cos(pi*x)*(1+t)^3", "(x*t)^2 + t^3"])
+    def test_bitwise_equal_on_a_fine_grid(self, ops65, text):
+        # numpy's power of a whole column moves some of these bits.
+        grid = bh.build_time_grid(1.0, 4096)
+        values = bh.discretize_integrand(text, grid, ops65).values
+        assert values.tobytes() == _per_step_reference(text, grid, ops65).tobytes()
+
+    @pytest.mark.parametrize("text, horizon", [("(1e200*t)^2", 1.0), ("(1e154*t)^2", 4.0)])
+    def test_python_power_overflow_is_an_expression_error(self, ops_small, text, horizon):
+        # The second overflows only at the Gauss times of the last step.
+        grid = bh.build_time_grid(horizon, 4)
+        message = f"overflow in {text!r}: (34, 'Numerical result out of range')"
+        with pytest.raises(ExpressionError) as info:
+            bh.discretize_integrand(text, grid, ops_small)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, step", [("(x*1e154*t)^2", 2), ("(1e200*cos(0)*t)^2", 1)])
+    def test_numpy_power_overflow_names_its_first_step(self, ops_small, text, step):
+        # A spatial base takes numpy's power, and so does a base under cos,
+        # whose value at one time is a numpy float: both return inf.
+        grid = bh.build_time_grid(4.0, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigError) as info:
+                bh.discretize_integrand(text, grid, ops_small)
+        assert str(info.value) == f"noise expression {text!r} is not finite at step {step}"
+
+    def test_y_on_a_one_dimensional_mesh_is_an_expression_error(self, ops_small):
+        with pytest.raises(ExpressionError, match=r"^'y' is only available on 2D meshes$"):
+            bh.discretize_integrand("y*t", bh.build_time_grid(1.0, 4), ops_small)
 
 
 class TestPartialSums:

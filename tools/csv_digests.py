@@ -13,13 +13,17 @@ CSV it wrote, in a fixed order:
   ``perfbench/configs/picard.ini``, which is only read;
 * ``solve`` on ``perfbench/configs/solve2d.ini``, and ``converge`` on it
   at dt 1/8, 1/16 and 1/32 with two paths, the one run of coupled 2D dt
-  levels.
+  levels;
+* ``solve`` on ``demos/configs/cubic_noise.ini``, whose noise has powers
+  of t alone and a power of x t.
 
 CSV bodies are byte-reproducible for a fixed config and seed, so two
 checkouts that print the same listing wrote the same bits; ``diff`` the
 listings of two commits to see which CSVs a change moves.  The configs are
-read from the checkout under test.  A command that exits with an error
-(exit code 1) stops the script with exit code 1; exit code 2, a failed
+read from the checkout under test; a run whose config that checkout lacks
+prints one ``absent  run`` line instead of its CSVs, so an older checkout
+lists the runs it cannot make.  A command that exits with an error (exit
+code 1) stops the script with exit code 1; exit code 2, a failed
 statistical check, still leaves its CSV and is accepted.
 """
 
@@ -45,6 +49,7 @@ RUNS = (
     ("solve", "perfbench/configs/solve2d.ini", ()),
     ("converge", "perfbench/configs/solve2d.ini",
      ("--dt-list", "0.125,0.0625,0.03125", "--paths", "2")),
+    ("solve", "demos/configs/cubic_noise.ini", ()),
 )
 
 # Runs the CLI of the barenheat under argv[1] and nowhere else.
@@ -59,13 +64,17 @@ sys.exit(cli.main(sys.argv[2:]))
 
 
 def digests(root, workdir):
-    """(label, sha256 hex) of every CSV of every run, in run order."""
+    """(label, sha256 hex) of every CSV of every run, in run order, or
+    (run label, "absent") for a run whose config ``root`` lacks."""
     src = os.path.join(root, "src")
     env = dict(os.environ)
     env.pop("SOLVER_SEED", None)  # it would override SEED
     found = []
     for command, config, flags in RUNS:
         label = f"{command}-{os.path.splitext(os.path.basename(config))[0]}"
+        if not os.path.exists(os.path.join(root, config)):
+            found.append((label, "absent"))
+            continue
         outdir = os.path.join(workdir, label)
         argv = [sys.executable, "-c", CHILD, src, command, "--config",
                 os.path.join(root, config), "--out", outdir, "--seed", str(SEED), *flags]
