@@ -72,6 +72,9 @@ class Expression:
         shape = (len(t), len(coords)) if column else (len(coords),)
         if getattr(values, "shape", None) != shape:
             values = np.full(shape, values)
+        elif self._root[0] in ("x", "y"):
+            # A bare coordinate is a view of ``coords``; the caller owns a copy.
+            values = values.copy()
         return values
 
 

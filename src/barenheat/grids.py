@@ -34,16 +34,16 @@ solved by ``dpttrs`` against the stored factor, so the heat operator
 M + dt K is factored once per time step size and the linear-alpha Newton
 Jacobian once as well, and a batch that shares the diagonal is solved by
 one multi-column ``dpttrs`` call; the factors live in a small bounded cache
-owned by the operators.  Every solve of a shared diagonal is
-``_bind_shifted``, which takes the factor from the cache once and then only
-solves and gates, so a caller that solves against one operator many times
-keeps the bound solve.  The stepper binds its heat solve and its Newton
-solve from u = 0 once per time grid, without the gate
-(``_bind_unchecked``), and gates them with ``_gated``, which also solves
-consecutive row spans of a block, each against its own shift, and gates
-the block once with the shifts as a column.  Any other diagonal, such as
-a Newton Jacobian of nonlinear alpha, is factored and solved on the spot,
-row by row for a batch whose diagonal rows differ.  ``solveh_banded`` on a two-row band
+owned by the operators.  A solve is bound once for one diagonal and shift,
+without its residual gate (``_bind_unchecked``; in 1D the factor, taken
+from the cache once), and ``_gated`` runs bound solves on consecutive row
+spans of a block, each span against its own shift, then gates the whole
+block once with the shifts as a column.  ``_solve_shifted`` binds a shared
+diagonal as one span, and in 2D a per-row one as one span per row; the
+stepper keeps its heat solve and its Newton solve from u = 0 bound for
+every step.  Any other diagonal, such as a Newton Jacobian of nonlinear
+alpha, is factored and solved on the spot, in 1D row by row for a batch
+whose diagonal rows differ.  ``solveh_banded`` on a two-row band
 calls ``?ptsv``, which is exactly ``pttrf`` followed by ``pttrs``, so the
 cached solve returns the same bits as refactoring on every call.  In 2D
 the mass and stiffness are Kronecker products of 1D ones, so fast
@@ -85,6 +85,9 @@ CG_RTOL = 1e-13
 # all of them.  A Jacobian of nonlinear alpha is never bit-equal again, so
 # it is factored and solved without entering the cache.
 FACTOR_CACHE_SIZE = 16
+
+# The rows of a single span of ``_gated``: all of them.
+_EVERY_ROW = slice(None)
 
 
 @dataclass(frozen=True)
@@ -157,12 +160,15 @@ class _TridiagonalFactors:
         return d, e
 
     @staticmethod
-    def _apply(factor, rhs):
+    def _apply(factor, rhs, targets_of=None, rows=None):
+        """``(x, None)``: every row of an (M, P) block solved against
+        ``factor``, with the floors of a direct solve, so that with
+        ``factor`` bound it is a bound solve of ``_gated``."""
         # The rows of a C-ordered batch are the columns that dpttrs solves.
         x, info = dpttrs(*factor, rhs.T)
         if info != 0:
             raise NumericalError(f"tridiagonal solve rejected its arguments (info {info})")
-        return x.T
+        return x.T, None
 
     def factor(self, diagonal, shift):
         """The factor of diag + shift K: the cached one for a bit-equal
@@ -183,13 +189,9 @@ class _TridiagonalFactors:
                         self._factors.popitem(last=False)
         return factor
 
-    def solve(self, diagonal, shift, rhs):
-        """Solve for every row of an (M, P) block."""
-        return self._apply(self.factor(diagonal, shift), rhs)
-
     def solve_once(self, diagonal, shift, rhs):
         """Factor and solve without the cache, for a diagonal used once."""
-        return self._apply(self._factor(diagonal, shift), rhs)
+        return self._apply(self._factor(diagonal, shift), rhs)[0]
 
 
 @dataclass(frozen=True)
@@ -445,10 +447,12 @@ def cg(matvec, b, psolve, rtol, atol=0.0, callback=None):
     return x, maxiter
 
 
-def _cg_targets(atol, count):
-    """``solve_shifted``'s ``atol`` as the targets of a block of ``count``
-    rows, zero for None; an infinite target would pass a row at x = 0, and
-    a NaN one would run the conjugate gradient past convergence."""
+def _cg_targets(atol_of, count):
+    """``solve_shifted``'s ``atol``, ``atol_of()``, as the targets of a
+    block of ``count`` rows, zero for None; an infinite target would pass a
+    row at x = 0, and a NaN one would run the conjugate gradient past
+    convergence."""
+    atol = atol_of()
     if atol is None:
         return np.zeros(count)
     targets = np.asarray(atol, dtype=float).reshape(-1)
@@ -457,38 +461,6 @@ def _cg_targets(atol, count):
     if not all(0.0 <= target < math.inf for target in targets.tolist()):
         raise InvalidConfigError(f"atol entries must be finite and >= 0, got {targets.tolist()}")
     return targets
-
-
-def _bind_2d(ops, diagonal, shift):
-    """The 2D solve of one (P,) ``diagonal``: a function ``solve(rhs,
-    targets_of, rows)`` of a block that returns the solution and the (M,)
-    floors of the rows' residual gates.  A multiple of the lumped mass is
-    solved directly by fast diagonalization, with floor 0.  Any other
-    diagonal runs the conjugate gradient on each row, preconditioned by that
-    solve at the mean of the extremes of diagonal / lumped mass, to the
-    absolute targets ``targets_of()[rows]`` (zero for a full solve), which
-    are read only here; its floors are twice those targets."""
-    ratio = diagonal / ops.lumped_mass
-    low, high = float(ratio.min()), float(ratio.max())
-    direct_solve = _fast_diagonalization(ops, 0.5 * (low + high), shift)
-    if low == high:
-        return lambda rhs, targets_of, rows=slice(None): (direct_solve(rhs), 0.0)
-
-    def matvec(v):
-        return apply_shifted(ops, diagonal, shift, v)
-
-    def conjugate_gradient(b, target):
-        x, info = cg(matvec, b, direct_solve, CG_RTOL, target)
-        if info != 0:
-            residual = float(np.linalg.norm(matvec(x) - b))
-            raise NumericalError("conjugate gradient did not converge", residual=residual)
-        return x
-
-    def solve(rhs, targets_of, rows=slice(None)):
-        targets = targets_of()[rows]
-        return _by_row(conjugate_gradient, rhs, targets), 2.0 * targets
-
-    return solve
 
 
 def _by_row(solve, *batches):
@@ -503,10 +475,11 @@ def _by_row(solve, *batches):
     return np.stack(rows)
 
 
-def _check_residual(ops, diagonal, shift, x, rhs, rtol, floors=0.0):
+def _check_residual(ops, diagonal, shift, x, rhs, rtol, floors=None):
     """Raise unless every row i of the block meets
-    |A x - rhs_i| <= max(rtol (1 + |rhs_i|), floors_i); return the K x that
-    A x = diagonal x + shift K x is formed from.
+    |A x - rhs_i| <= max(rtol (1 + |rhs_i|), floors_i), or the first bound
+    where ``floors`` is None; return the K x that A x = diagonal x + shift K x
+    is formed from.
 
     One dot product over the whole residual settles the common case: every
     row norm is at most the block norm and every limit is at least rtol, so
@@ -521,7 +494,8 @@ def _check_residual(ops, diagonal, shift, x, rhs, rtol, floors=0.0):
     if math.sqrt(flat.dot(flat)) <= 0.5 * rtol:
         return stiffness_x
     norms = np.sqrt(_row_dots(residual, residual))
-    passed = norms <= np.maximum(rtol * (1.0 + np.sqrt(_row_dots(rhs, rhs))), floors)
+    limits = rtol * (1.0 + np.sqrt(_row_dots(rhs, rhs)))
+    passed = norms <= (limits if floors is None else np.maximum(limits, floors))
     if passed.all():
         return stiffness_x
     row = int(passed.argmin())
@@ -582,8 +556,8 @@ def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=_no_atol):
     residual gate formed, bit for bit ``apply_stiffness(ops, x)``.  Its
     ``atol`` is ``atol_of()``, called only where a conjugate-gradient row
     reads it, so a caller builds its targets only for such a row.  A
-    shared diagonal is solved by ``_bind_shifted``, a per-row one row by
-    row."""
+    shared diagonal is one span of ``_gated``; per-row diagonals are one
+    span per row in 2D, and factored row by row for this call in 1D."""
     rhs = np.asarray(rhs, dtype=float)
     block = rhs[None] if rhs.ndim == 1 else rhs
     diagonal = np.asarray(diagonal, dtype=float)
@@ -591,26 +565,16 @@ def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=_no_atol):
     if diagonal.ndim == 2 and (diagonal == diagonal[0]).all():
         diagonal = diagonal[0]
     try:
-        if diagonal.ndim == 1:
-            x, stiffness_x = _bind_shifted(ops, diagonal, shift, rtol)(block, atol_of)
+        if diagonal.ndim == 2 and ops.dimension == 1:
+            x = _by_row(lambda d, r: ops.tridiagonal.solve_once(d, shift, r)[0],
+                        diagonal, block[:, None])
+            stiffness_x = _check_residual(ops, diagonal, shift, x, block, rtol)
         else:
-            if ops.dimension == 1:
-                floors = 0.0
-                x = _by_row(lambda d, r: ops.tridiagonal.solve_once(d, shift, r)[0],
-                            diagonal, block[:, None])
-            else:
-                floors = np.zeros(len(block))
-
-                def targets_of():
-                    return _cg_targets(atol_of(), len(block))
-
-                def solve_row(row, d, r):
-                    x, floors[row:row + 1] = _bind_2d(ops, d, shift)(
-                        r[None], targets_of, slice(row, row + 1))
-                    return x[0]
-
-                x = _by_row(solve_row, range(len(block)), diagonal, block)
-            stiffness_x = _check_residual(ops, diagonal, shift, x, block, rtol, floors)
+            # One span per row of the diagonal; a single span solves every row.
+            spans = [(row, row + 1, _bind_unchecked(ops, d, shift))
+                     for row, d in enumerate(np.atleast_2d(diagonal))]
+            x, stiffness_x = _gated(ops, diagonal, shift, rtol, spans, block,
+                                    partial(_cg_targets, atol_of, len(block)))
     except NumericalError as exc:
         if rhs.ndim == 1:
             exc.row = None
@@ -619,91 +583,84 @@ def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=_no_atol):
 
 
 def _bind_unchecked(ops, diagonal, shift):
-    """The solve that ``_bind_shifted`` gates, bound once for one fixed
-    (P,) ``diagonal`` and ``shift``.
+    """The solve of diag(``diagonal``) + ``shift`` K without its residual
+    gate, bound once for one (P,) ``diagonal``: a function ``solve(rhs,
+    targets_of, rows)`` of an (M, P) block, the rows ``rows`` of the block
+    that ``_gated`` solves, which returns the solution and the floors of
+    the rows' residual gates.
 
-    In 1D it is a function ``solve(rhs)`` of an (M, P) block, bound by the
-    operator's ``dpttrf`` factor, taken through the cache of ``ops``; an
-    operator that cannot be factored binds a solve that factors it again
-    and raises, so the error comes from the solve.  In 2D it is the solve of
-    ``_bind_2d``, ``solve(rhs, targets_of, rows)``, which also returns the
-    floors of the rows' residual gates.
+    In 1D it solves against the operator's ``dpttrf`` factor, taken through
+    the cache of ``ops``; an operator that cannot be factored binds a solve
+    that factors it again and raises, so the error comes from the solve.
+    In 2D a multiple of the lumped mass is solved directly by fast
+    diagonalization.  Direct solves have no floors (None).  Any other 2D
+    diagonal runs the conjugate gradient on each row, preconditioned by
+    that solve at the mean of the extremes of diagonal / lumped mass, to the
+    absolute targets ``targets_of()[rows]`` (zero where ``targets_of`` is
+    None), which are read only here; its floors are twice those targets.
     """
     diagonal = np.asarray(diagonal, dtype=float)
     shift = float(shift)
-    if ops.dimension == 2:
-        return _bind_2d(ops, diagonal, shift)
-    try:
-        return partial(_TridiagonalFactors._apply, ops.tridiagonal.factor(diagonal, shift))
-    except NumericalError:
-        return partial(ops.tridiagonal.solve, diagonal, shift)
-
-
-def _gated(ops, diagonal, shift, rtol, spans):
-    """A function ``solve(rhs, atol_of)`` of an (M, P) block that returns
-    ``(x, K x)``: ``spans`` lists ``(start, stop, unchecked)`` in row order,
-    and the rows start:stop of the block are solved by ``unchecked``, a
-    solve of ``_bind_unchecked``; one residual gate then checks the whole
-    block against diag(``diagonal``) + ``shift`` K.  ``shift`` is a float,
-    or the (M, 1) column of each row's shift: the gate takes it elementwise,
-    so a row gets the bits of a gate with its own float shift.  A single
-    span solves every row, whatever its bounds."""
     if ops.dimension == 1:
-        if len(spans) == 1:
-            direct = spans[0][2]
+        try:
+            factor = ops.tridiagonal.factor(diagonal, shift)
+        except NumericalError:
+            return lambda rhs, targets_of, rows: _TridiagonalFactors._apply(
+                ops.tridiagonal.factor(diagonal, shift), rhs)
+        return partial(_TridiagonalFactors._apply, factor)
+    ratio = diagonal / ops.lumped_mass
+    low, high = float(ratio.min()), float(ratio.max())
+    direct_solve = _fast_diagonalization(ops, 0.5 * (low + high), shift)
+    if low == high:
+        return lambda rhs, targets_of, rows: (direct_solve(rhs), None)
 
-            def solve(rhs, atol_of=_no_atol):
-                x = direct(rhs)
-                return x, _check_residual(ops, diagonal, shift, x, rhs, rtol)
+    def matvec(v):
+        return apply_shifted(ops, diagonal, shift, v)
 
-            return solve
+    def conjugate_gradient(b, target):
+        x, info = cg(matvec, b, direct_solve, CG_RTOL, target)
+        if info != 0:
+            residual = float(np.linalg.norm(matvec(x) - b))
+            raise NumericalError("conjugate gradient did not converge", residual=residual)
+        return x
 
-        def solve(rhs, atol_of=_no_atol):
-            x = np.concatenate([direct(rhs[start:stop]) for start, stop, direct in spans])
-            return x, _check_residual(ops, diagonal, shift, x, rhs, rtol)
-
-        return solve
-
-    if len(spans) == 1:
-        unchecked = spans[0][2]
-
-        def solve(rhs, atol_of=_no_atol):
-            x, floors = unchecked(rhs, lambda: _cg_targets(atol_of(), len(rhs)))
-            return x, _check_residual(ops, diagonal, shift, x, rhs, rtol, floors)
-
-        return solve
-
-    def solve(rhs, atol_of=_no_atol):
-        targets = []
-
-        def targets_of():
-            if not targets:
-                targets.append(_cg_targets(atol_of(), len(rhs)))
-            return targets[0]
-
-        parts = [unchecked(rhs[start:stop], targets_of, slice(start, stop))
-                 for start, stop, unchecked in spans]
-        x = np.concatenate([part for part, _ in parts])
-        # A conjugate-gradient span has one floor per row, a direct one 0.
-        floors = np.concatenate([np.broadcast_to(floor, (stop - start,)) for
-                                 (start, stop, _), (_, floor) in zip(spans, parts)])
-        return x, _check_residual(ops, diagonal, shift, x, rhs, rtol, floors)
+    def solve(rhs, targets_of, rows):
+        targets = np.zeros(len(rhs)) if targets_of is None else targets_of()[rows]
+        return _by_row(conjugate_gradient, rhs, targets), 2.0 * targets
 
     return solve
 
 
-def _bind_shifted(ops, diagonal, shift, rtol=1e-12):
-    """``_solve_shifted`` for one fixed (P,) ``diagonal`` and ``shift``: a
-    function ``solve(rhs, atol_of)`` of an (M, P) block that returns
-    ``(x, K x)``, and the solve that ``_solve_shifted`` runs for every
-    shared diagonal.
+def _gated(ops, diagonal, shift, rtol, spans, rhs, targets_of=None, solve=2):
+    """Solve the (M, P) block ``rhs`` span by span, gate it once, and return
+    ``(x, K x)``.
 
-    The operator is bound once by ``_bind_unchecked``: in 1D its ``dpttrf``
-    factor, in 2D the fast-diagonalization solve of a mass multiple or the
-    conjugate gradient of any other diagonal.  A call then solves and gates
-    its rows; a caller that keeps the bound solve makes no cache lookup per
-    call.
+    ``spans`` lists tuples ``(start, stop, ...)`` in row order, whose item
+    ``solve`` is a solve bound by ``_bind_unchecked``: it solves the rows
+    start:stop, and one residual gate then checks the whole block against
+    diag(``diagonal``) + ``shift`` K, ``diagonal`` (P,) or one row per
+    block row.  ``shift`` is a float, or the (M, 1) column of each row's
+    shift: the gate takes it elementwise, so a row gets the bits of a gate
+    with its own float shift.  A single span solves every row, whatever its
+    bounds, and costs no copy; a NumericalError of a span names its row in
+    the block.  ``targets_of``, called only by a conjugate-gradient span,
+    returns the (M,) finite and nonnegative absolute residual targets of
+    the block's rows; None asks for full solves.
     """
-    diagonal = np.asarray(diagonal, dtype=float)
-    return _gated(ops, diagonal, float(shift), rtol,
-                  ((0, None, _bind_unchecked(ops, diagonal, shift)),))
+    if len(spans) == 1:
+        x, floors = spans[0][solve](rhs, targets_of, _EVERY_ROW)
+    else:
+        parts, floors = [], None
+        for span in spans:
+            start, stop = span[0], span[1]
+            try:
+                part, floor = span[solve](rhs[start:stop], targets_of, slice(start, stop))
+            except NumericalError as exc:
+                exc.row = start + (exc.row or 0)
+                raise
+            parts.append(part)
+            if floor is not None:
+                floors = np.zeros(len(rhs)) if floors is None else floors
+                floors[start:stop] = floor
+        x = np.concatenate(parts)
+    return x, _check_residual(ops, diagonal, shift, x, rhs, rtol, floors)

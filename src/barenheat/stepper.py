@@ -11,29 +11,28 @@ chi iterates stop moving:
   M diag(alphatilde'(u)) + dt K is SPD because alphatilde' >= 1.
 
 The heat operator M + dt K is fixed for a grid, and so is the Jacobian
-M alphatilde'(0) + dt K of every Newton solve from u = 0.  ``_step_plan``
-builds one plan per grid that binds both solves once
-(``grids._bind_unchecked``: in 1D their ``dpttrf`` factors, taken from the
-operators' cache, in 2D the fast-diagonalization solve of a mass multiple),
-gates each with the residual gate and errors of ``solve_shifted``
-(``grids._gated``), and holds alphatilde(0), the contraction bound and
-whether alpha is linear (``_at_zero``), so no step or solve evaluates,
-factors or looks up any of them again.  ``run_additive`` builds one plan
-per distinct grid of a call, for all its paths, and ``picard_solve`` one
-more for its staggered iterates.
+M alphatilde'(0) + dt K of every Newton solve from u = 0.  A run's plan
+(``_Plan``) binds both once per dt (``grids._bind_unchecked``: in 1D their
+``dpttrf`` factors, taken from the operators' cache, in 2D the
+fast-diagonalization solve of a mass multiple) and holds alphatilde(0),
+the contraction bound and whether alpha is linear, so no step or solve
+evaluates, factors or looks up any of them again; each solve is gated by
+``grids._gated`` with the residual gate and errors of ``solve_shifted``.
+``run_additive`` builds one plan per distinct grid of a call
+(``_step_plan``), for all its paths, and ``picard_solve`` one more for its
+staggered iterates.
 
-A block whose rows step on several grids, such as the dt levels of a Monte
-Carlo study, has a plan made of spans (``_Spans``): one
-``(start, stop, plan)`` per run of consecutive rows on one grid, the rows
-ordered by entry.  Only the solves loop over spans: each span's bound heat
-solve and at-zero Newton solve, after which one residual gate checks the
+A plan is a tuple of spans (``_Span``), one per run of consecutive rows
+that step with one dt, such as the dt levels of a Monte Carlo study, the
+rows ordered by entry.  Only the solves loop over the spans: each span's
+bound heat and at-zero solves, after which one residual gate checks the
 whole block with the shift as an (M, 1) column, and the per-row Jacobian
 solves of nonlinear alpha, through ``_solve_shifted`` with the span's
-scalar dt.  Everything else runs once per block, with dt an (M, 1) column
-in s + dt u, (chi - s) / dt and dt K u; elementwise, a row's entry of the
-column gives the bits of its scalar dt.  When rows leave, the plan narrows
-to the spans of the rows that remain (``take``), and a plan of one span is
-the grid's step plan itself, with a scalar dt.
+float dt.  Everything else runs once per block, with dt a float for one
+span and an (M, 1) column otherwise, in s + dt u, (chi - s) / dt and
+dt K u; elementwise, a row's entry of the column gives the bits of its
+float dt.  When rows leave, ``take`` cuts the span bounds and indexes the
+dt column, and binds nothing.
 
 The noise h_n dw_n, the shift s = chi_n + h_n dw_n and the load K s are
 computed once per step.  Each product of an inner iteration is
@@ -232,9 +231,11 @@ def _lift(exc, rows):
 
 def _solve_theta(plan, chi_candidate, theta_n, chi_n, noise):
     """Solve the implicit heat sub-problem (M + dt K) theta =
-    M (theta_n - chi~ + chi_n + noise) for a frozen chi candidate; ``noise``
-    is h_n dw_n."""
-    return plan.heat(plan.ops.lumped_mass * (theta_n - chi_candidate + chi_n + noise))[0]
+    M (theta_n - chi~ + chi_n + noise) for a frozen chi candidate, with the
+    plan's bound heat solves; ``noise`` is h_n dw_n."""
+    mass = plan.ops.lumped_mass
+    return _gated(plan.ops, mass, plan.dt, HEAT_RTOL, plan.spans,
+                  mass * (theta_n - chi_candidate + chi_n + noise), solve=_HEAT)[0]
 
 
 def _newton_failure(message, residual, met_non_finite, row):
@@ -246,24 +247,15 @@ def _newton_failure(message, residual, met_non_finite, row):
     return NonConvergenceError(message, residual=residual, row=row)
 
 
-class _AtZero(NamedTuple):
+def _at_zero(ops, nl, dt):
     """What Newton from u = 0 reads of alpha, evaluated on one (P,) field
     shared by every row, so that a block gets the bits of its rows alone:
-    ``offset`` is M alphatilde(0) + 0.0, the start residual plus rhs, or
-    None where alphatilde(0) is identically 0 and the start residual is
-    exactly -rhs; ``jacobian`` is the diagonal M alphatilde'(0); ``solve`` is
-    the correction solve against the Jacobian M alphatilde'(0) + dt K, bound
-    once, and ``unchecked`` that solve without its residual gate
-    (``grids._bind_unchecked``), both None where alphatilde'(0) is not
-    finite everywhere."""
-
-    offset: np.ndarray | None
-    jacobian: np.ndarray
-    solve: object
-    unchecked: object
-
-
-def _at_zero(ops, nl, dt):
+    ``(offset, jacobian, solve)``.  ``offset`` is M alphatilde(0) + 0.0, the
+    start residual plus rhs, or None where alphatilde(0) is identically 0
+    and the start residual is exactly -rhs; ``jacobian`` is the diagonal
+    M alphatilde'(0) and ``solve`` the correction solve against
+    M alphatilde'(0) + dt K, bound once without its gate, both None where
+    alphatilde'(0) is not finite everywhere."""
     zero = np.zeros(ops.node_count)
     alpha = nl.alpha_tilde(zero)
     jacobian = ops.lumped_mass * nl.alpha_tilde_prime(zero)
@@ -271,130 +263,100 @@ def _at_zero(ops, nl, dt):
     # it is adding 0.0, so offset - rhs is the residual at u = 0 bit for bit.
     offset = ops.lumped_mass * alpha + 0.0 if alpha.any() else None
     if not np.isfinite(jacobian).all():
-        return _AtZero(offset, jacobian, None, None)
-    unchecked = _bind_unchecked(ops, jacobian, dt)
-    return _AtZero(offset, jacobian,
-                   _gated(ops, jacobian, dt, CORRECTION_RTOL, ((0, None, unchecked),)), unchecked)
+        return offset, None, None
+    return offset, jacobian, _bind_unchecked(ops, jacobian, dt)
 
 
-class _StepPlan(NamedTuple):
-    """What every step on one grid reads and no step changes, built once per
-    grid by ``_step_plan``: the operators, alpha, dt and both tolerances;
-    ``heat``, the solve of M + dt K bound once, which returns
-    ``(theta, K theta)``, and ``unchecked_heat``, that solve without its
-    residual gate (``grids._bind_unchecked``); ``at_zero``, what Newton from
-    u = 0 reads (``_AtZero``); the contraction bound of the inner iteration;
-    and whether alpha is nonlinear, which switches on the warm start and the
-    relaxed Newton tolerances.
+class _Span(NamedTuple):
+    """The rows start:stop of a block that step with one dt, and what every
+    such step binds once: ``heat``, the solve of M + dt K, and ``at_zero``,
+    Newton's correction solve from u = 0 (``_at_zero``), both bound by
+    ``grids._bind_unchecked`` without their residual gate; and the
+    contraction bound of the inner iteration.  The span of ``_step_plan``
+    has ``stop`` None and serves a block of any size."""
 
-    A step plan is also the plan of a block that is one span: every row of
-    the block steps with its dt.  The unchecked solves serve a plan of
-    several spans (``_Spans``), which runs them span by span before one
-    gate."""
-
-    ops: object
-    nl: object
+    start: int
+    stop: int | None
     dt: float
-    tol: float
-    newton_tol: float
     heat: object
-    unchecked_heat: object
-    at_zero: _AtZero
+    at_zero: object
     factor_bound: float
-    nonlinear: bool
-
-    def take(self, rows):
-        """The plan of the rows ``rows`` of its block: itself."""
-        return self
-
-    def row_bounds(self, count):
-        return [self.factor_bound] * count
-
-    def correct(self, jacobian, b, targets_of):
-        """Newton's correction against a per-row Jacobian diagonal."""
-        return _solve_shifted(self.ops, jacobian, self.dt, b, CORRECTION_RTOL, targets_of)
 
 
-def _step_plan(grid, ops, nl, tol, newton_tol):
-    """The plan of a run on ``grid``; raises unless its step meets
-    ``check_step_preconditions``."""
-    dt = grid.dt
-    check_step_preconditions(dt, nl)
-    heat = _bind_unchecked(ops, ops.lumped_mass, dt)
-    return _StepPlan(
-        ops, nl, dt, tol, newton_tol,
-        heat=_gated(ops, ops.lumped_mass, dt, HEAT_RTOL, ((0, None, heat),)),
-        unchecked_heat=heat,
-        at_zero=_at_zero(ops, nl, dt),
-        factor_bound=contraction_factor_bound(nl, dt),
-        # Equal declared constants and alpha(0) = 0 make alpha linear.
-        nonlinear=nl.lipschitz != nl.coercivity,
-    )
+# The items of a span that ``grids._gated`` solves with.
+_HEAT, _AT_ZERO = _Span._fields.index("heat"), _Span._fields.index("at_zero")
 
 
-class _Spans(NamedTuple):
-    """The plan of a block whose rows step on several grids: ``spans``
-    holds ``(start, stop, plan)`` for each run of consecutive rows that
-    share a ``_StepPlan``, in row order.  It reads as a step plan to
-    ``_advance`` and ``_newton``, with ``dt`` the (M, 1) column of the rows'
-    steps, so every operation of a step but the solves runs once on the
-    block; ``heat`` and ``at_zero.solve`` run each span's solve of its own
-    dt and gate the block once, and ``correct`` solves each span's rows
-    against their own dt.  Elementwise, a row's column entry gives the bits
-    of its scalar dt, so each row keeps the bits of a run on its grid."""
+class _Plan(NamedTuple):
+    """What every step of a block reads and no step changes.
+
+    ``spans`` holds a ``_Span`` for each run of consecutive rows that step
+    with one dt, in row order.  ``dt`` is the float dt of a plan of one
+    span and the (M, 1) column of the rows' steps otherwise.  The other
+    fields are shared by every row: the operators, alpha, both tolerances,
+    ``offset`` and ``jacobian`` of Newton from u = 0 (``_at_zero``), and
+    whether alpha is nonlinear, which switches on the warm start and the
+    relaxed Newton tolerances.  Only the solves loop over the spans, each
+    with its own dt; everything else takes ``dt`` elementwise, so every row
+    keeps the bits of a run on its own grid."""
 
     spans: tuple
+    dt: object
     ops: object
     nl: object
-    dt: np.ndarray
     tol: float
     newton_tol: float
-    heat: object
-    at_zero: _AtZero
+    offset: np.ndarray | None
+    jacobian: np.ndarray | None
     nonlinear: bool
-
-    def take(self, rows):
-        """The plan of the rows ``rows``, increasing indices into the block."""
-        cuts = np.searchsorted(rows, [start for start, _, _ in self.spans]
-                               + [self.spans[-1][1]]).tolist()
-        return _plan_of([(start, stop, plan) for start, stop, (_, _, plan)
-                         in zip(cuts, cuts[1:], self.spans) if stop > start])
-
-    def row_bounds(self, count):
-        return [plan.factor_bound for start, stop, plan in self.spans
-                for _ in range(stop - start)]
 
     def correct(self, jacobian, b, targets_of):
         """Newton's correction against a per-row Jacobian diagonal, through
-        ``_solve_shifted`` on each span with its scalar dt."""
+        ``_solve_shifted`` on each span with its float dt."""
+        if len(self.spans) == 1:
+            return _solve_shifted(self.ops, jacobian, self.dt, b, CORRECTION_RTOL, targets_of)
         parts = []
-        for start, stop, plan in self.spans:
+        for start, stop, dt, *_ in self.spans:
             try:
-                parts.append(plan.correct(jacobian[start:stop], b[start:stop],
-                                          lambda: targets_of()[start:stop]))
+                parts.append(_solve_shifted(self.ops, jacobian[start:stop], dt, b[start:stop],
+                                            CORRECTION_RTOL, lambda: targets_of()[start:stop]))
             except NumericalError as exc:
                 exc.row = start + (exc.row or 0)
                 raise
         return tuple(np.concatenate(blocks) for blocks in zip(*parts))
 
+    def take(self, rows):
+        """The plan of the rows ``rows``, increasing indices into the block:
+        the span bounds cut at ``rows`` and the dt column indexed by them,
+        with a float dt once one span is left.  It binds nothing."""
+        if len(self.spans) == 1:
+            return self
+        cuts = np.searchsorted(rows, [span.start for span in self.spans]
+                               + [self.spans[-1].stop]).tolist()
+        spans = tuple(_Span(start, stop, *span[2:])
+                      for start, stop, span in zip(cuts, cuts[1:], self.spans) if stop > start)
+        return _Plan(spans, spans[0].dt if len(spans) == 1 else self.dt[rows], *self[2:])
 
-def _plan_of(spans):
-    """The plan of a block of rows in ``spans``, ``(start, stop, plan)`` in
-    row order: the step plan itself for one span, else a ``_Spans``."""
-    if len(spans) == 1:
-        return spans[0][2]
-    first = spans[0][2]
-    ops = first.ops
-    dt = np.concatenate([np.full(stop - start, plan.dt) for start, stop, plan in spans])[:, None]
-    heat = _gated(ops, ops.lumped_mass, dt, HEAT_RTOL,
-                  [(start, stop, plan.unchecked_heat) for start, stop, plan in spans])
-    at_zero = first.at_zero
-    if at_zero.solve is not None:
-        at_zero = at_zero._replace(solve=_gated(
-            ops, at_zero.jacobian, dt, CORRECTION_RTOL,
-            [(start, stop, plan.at_zero.unchecked) for start, stop, plan in spans]))
-    return _Spans(tuple(spans), ops, first.nl, dt, first.tol, first.newton_tol, heat, at_zero,
-                  first.nonlinear)
+    def row_bounds(self, count):
+        """The contraction bound of each of the block's ``count`` rows."""
+        if len(self.spans) == 1:
+            return [self.spans[0].factor_bound] * count
+        return [span.factor_bound for span in self.spans for _ in range(span.stop - span.start)]
+
+
+def _step_plan(grid, ops, nl, tol, newton_tol):
+    """The one-span plan of a run on ``grid``; raises unless its step meets
+    ``check_step_preconditions``."""
+    dt = grid.dt
+    check_step_preconditions(dt, nl)
+    heat = _bind_unchecked(ops, ops.lumped_mass, dt)
+    offset, jacobian, at_zero = _at_zero(ops, nl, dt)
+    return _Plan(
+        (_Span(0, None, dt, heat, at_zero, contraction_factor_bound(nl, dt)),),
+        dt, ops, nl, tol, newton_tol, offset, jacobian,
+        # Equal declared constants and alpha(0) = 0 make alpha linear.
+        nonlinear=nl.lipschitz != nl.coercivity,
+    )
 
 
 def _newton(plan, rhs, start=None, relaxed=None):
@@ -405,7 +367,8 @@ def _newton(plan, rhs, start=None, relaxed=None):
     ``plan.newton_tol``, and otherwise iterates until it is; ``relaxed``,
     None or a list of one relative tolerance per row, lets row i stop at
     relaxed_i (1 + |rhs_i|) instead, once it has taken an iteration.  A
-    start from u = 0 reads ``plan.at_zero``.
+    start from u = 0 reads ``plan.offset`` and solves with the spans' bound
+    ``at_zero`` solves.
 
     Every row keeps its own threshold, step scale, iteration count and
     halvings, and a row leaves the iteration once it has converged, so its
@@ -435,12 +398,12 @@ def _newton(plan, rhs, start=None, relaxed=None):
     from_zero = start is None
     if from_zero:
         u = np.zeros(rhs.shape)
-        if plan.at_zero.offset is None:
+        if plan.offset is None:
             # The start residual is -rhs: its row norms are those of rhs, and
             # the first correction solves against rhs itself.
             res, norms = None, list(rhs_norms)
         else:
-            res = plan.at_zero.offset - rhs
+            res = plan.offset - rhs
             norms = row_norms(res)
     else:
         u = start
@@ -479,7 +442,7 @@ def _newton(plan, rhs, start=None, relaxed=None):
         if not active:
             break
         if from_zero:
-            if sub.at_zero.solve is None:
+            if sub.jacobian is None:
                 raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
                                      residual=norms[active[0]], row=active[0])
         else:
@@ -493,7 +456,8 @@ def _newton(plan, rhs, start=None, relaxed=None):
         try:
             b = rhs_active if res is None else -res
             if from_zero:
-                delta, stiffness_delta = sub.at_zero.solve(b, correction_targets)
+                delta, stiffness_delta = _gated(ops, sub.jacobian, sub.dt, CORRECTION_RTOL,
+                                                sub.spans, b, correction_targets, solve=_AT_ZERO)
             else:
                 delta, stiffness_delta = sub.correct(jac_diag, b, correction_targets)
         except NumericalError as exc:
@@ -796,13 +760,14 @@ def _run_entries(theta0, chi0, integrands, path_lists, grids, plans):
         theta[:, 0] = theta0
         chi[:, 0] = chi0
         live.append((index, count, stop, theta, chi))
-        plan = plans[grids[index]]
-        if spans and spans[-1][2] is plan:
-            spans[-1] = (spans[-1][0], stop, plan)
+        if index and grids[index] == grids[index - 1]:
+            spans[-1] = spans[-1]._replace(stop=stop)
         else:
-            spans.append((count, stop, plan))
+            spans.append(plans[grids[index]].spans[0]._replace(start=count, stop=stop))
         count = stop
-    plan = _plan_of(spans)
+    dt = spans[0].dt if len(spans) == 1 else np.repeat(
+        [span.dt for span in spans], [span.stop - span.start for span in spans])[:, None]
+    plan = plans[grids[0]]._replace(spans=tuple(spans), dt=dt)
     theta = np.tile(theta0, (count, 1))
     chi = np.tile(chi0, (count, 1))
     increments = np.zeros((count, max(steps)))

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import solveh_banded
 
 import barenheat as bh
+from barenheat import grids, stepper
 
 
 def _reference_solve_1d(ops, diagonal, shift, rhs, rtol=None, atol=None):
@@ -39,6 +40,26 @@ def _one_step(theta_n, chi_n, h_n, dw, dt, ops, nl, **kwargs):
 def one_step():
     """``run_additive`` over a single step with given data, noise and dt."""
     return _one_step
+
+
+def _plan_heat(plan, rhs):
+    """The plan's bound heat solves, gated once as ``stepper._solve_theta``
+    gates them: ``(theta, K theta)`` of (M + dt K) theta = rhs."""
+    return grids._gated(plan.ops, plan.ops.lumped_mass, plan.dt, stepper.HEAT_RTOL, plan.spans,
+                        rhs, solve=stepper._HEAT)
+
+
+def _plan_at_zero(plan, b, targets_of=None):
+    """The plan's bound Newton solves from u = 0, gated once as
+    ``stepper._newton`` gates them: ``(delta, K delta)``."""
+    return grids._gated(plan.ops, plan.jacobian, plan.dt, stepper.CORRECTION_RTOL, plan.spans,
+                        b, targets_of, solve=stepper._AT_ZERO)
+
+
+@pytest.fixture(scope="session")
+def plan_solves():
+    """The gated heat solve and Newton solve from u = 0 of a step plan."""
+    return _plan_heat, _plan_at_zero
 
 
 @pytest.fixture(scope="session")

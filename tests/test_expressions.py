@@ -58,6 +58,18 @@ def test_y_in_two_dimensions():
     assert np.allclose(values, ops.coordinates[:, 0] * ops.coordinates[:, 1], rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("text, mesh, axis", [("x", (1, 4, 1.0), 0),
+                                               ("y", (2, (3, 2), (1.0, 2.0)), 1)])
+def test_bare_coordinate_is_a_copy(text, mesh, axis):
+    # Writing into the values of a bare x or y leaves the mesh alone.
+    ops = bh.build_operators(*mesh)
+    before = ops.coordinates.copy()
+    values = bh.evaluate_on_mesh(text, ops)
+    assert np.array_equal(values, before[:, axis])
+    values[1] = 9.0
+    assert np.array_equal(ops.coordinates, before)
+
+
 def test_y_rejected_in_one_dimension(coords):
     expr = parse_expression("y")
     with pytest.raises(ExpressionError):

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 import barenheat as bh
-from barenheat import grids
+from barenheat import grids, stepper
 from barenheat.errors import FieldShapeError, InvalidConfigError, NonFiniteError, NumericalError
 
 
@@ -499,9 +499,10 @@ class TestGateProduct:
 
 
 class TestBindShifted:
-    """``_bind_shifted`` is ``_solve_shifted`` for one fixed diagonal and
-    shift: a bound solve called again and again keeps the x, K x, gate and
-    errors of a fresh ``_solve_shifted`` call."""
+    """A step plan binds its heat solve and its Newton solve from u = 0 once
+    (``grids._bind_unchecked``) and gates them on every call
+    (``grids._gated``): bound solves called again and again keep the x,
+    K x, gate and errors of a fresh ``_solve_shifted`` call."""
 
     MESHES = {"1d": (1, 40, 1.7), "2d": (2, (8, 6), (1.0, 0.75))}
     SHIFT = 0.3
@@ -510,61 +511,73 @@ class TestBindShifted:
     def meshes(self):
         return {name: bh.build_operators(*args) for name, args in self.MESHES.items()}
 
+    def plan(self, ops, factor):
+        """The plan of dt = SHIFT whose Jacobian at u = 0 is ``factor`` times
+        the lumped mass, ``factor`` a scalar or one value per node."""
+        nl = bh.make_nonlinearity("fixed-slope", lambda x: x, 1.0, 1.0,
+                                  alpha_prime=lambda x: factor - 1.0)
+        return stepper._step_plan(bh.build_time_grid(self.SHIFT, 1), ops, nl,
+                                  stepper.DEFAULT_INNER_TOL, stepper.DEFAULT_NEWTON_TOL)
+
     @pytest.mark.parametrize("mesh", MESHES)
     @pytest.mark.parametrize("diagonal", ["mass-multiple", "varied"])
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("targets", [False, True], ids=["full", "atol"])
-    def test_bits_of_solve_shifted(self, meshes, mesh, diagonal, rows, targets):
+    def test_bits_of_solve_shifted(self, meshes, mesh, diagonal, rows, targets, plan_solves):
+        heat, at_zero = plan_solves
         ops = meshes[mesh]
         rng = np.random.default_rng(ops.node_count + rows)
         factor = 2.0 if diagonal == "mass-multiple" else rng.uniform(1.0, 3.0, ops.node_count)
-        diag = factor * ops.lumped_mass
-        solve = grids._bind_shifted(ops, diag, self.SHIFT, 1e-10)
+        plan = self.plan(ops, factor)
+        assert np.array_equal(plan.jacobian, factor * ops.lumped_mass)
         # Targets far above CG_RTOL |b|, so conjugate-gradient rows stop early.
         atol = 1e-4 * rng.uniform(1.0, 2.0, rows) if targets else None
         for scale in (1.0, 1e-6, 1e6):
             rhs = scale * rng.standard_normal((rows, ops.node_count))
-            x, stiffness_x = solve(rhs, lambda: atol)
-            want_x, want_stiffness_x = grids._solve_shifted(ops, diag, self.SHIFT, rhs, 1e-10,
-                                                            lambda: atol)
-            assert x.tobytes() == want_x.tobytes()
-            assert stiffness_x.tobytes() == want_stiffness_x.tobytes()
+            for (x, stiffness_x), (want_x, want_stiffness_x) in (
+                (at_zero(plan, rhs, None if atol is None else lambda: atol),
+                 grids._solve_shifted(ops, plan.jacobian, self.SHIFT, rhs,
+                                      stepper.CORRECTION_RTOL, lambda: atol)),
+                (heat(plan, rhs), grids._solve_shifted(ops, ops.lumped_mass, self.SHIFT, rhs)),
+            ):
+                assert x.tobytes() == want_x.tobytes()
+                assert stiffness_x.tobytes() == want_stiffness_x.tobytes()
 
     @pytest.mark.parametrize("mesh", MESHES)
-    def test_factor_cache_as_a_first_solve_leaves_it(self, meshes, mesh):
+    def test_factor_cache_as_a_first_solve_leaves_it(self, meshes, mesh, plan_solves):
         # A mass multiple enters the 1D cache once, as a first solve would;
-        # a varied diagonal never does.  2D keeps no factors.
+        # a varied diagonal never does.  The heat operator M + dt K is the
+        # first entry.  2D keeps no factors.
         ops = bh.build_operators(*self.MESHES[mesh])
         rhs = np.ones((2, ops.node_count))
-        varied = np.linspace(1.0, 2.0, ops.node_count) * ops.lumped_mass
-        for diag, entries in ((varied, 0), (3.0 * ops.lumped_mass, 1)):
-            solve = grids._bind_shifted(ops, diag, self.SHIFT)
-            solve(rhs)
-            grids._solve_shifted(ops, diag, self.SHIFT, rhs)
+        for factor, entries in ((np.linspace(1.0, 2.0, ops.node_count), 1), (3.0, 2)):
+            plan = self.plan(ops, factor)
+            plan_solves[1](plan, rhs)
+            grids._solve_shifted(ops, plan.jacobian, self.SHIFT, rhs)
             if ops.dimension == 1:
                 assert len(ops.tridiagonal) == entries
 
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_gate_names_the_row_of_a_non_finite_right_hand_side(self, meshes, rows):
+    def test_gate_names_the_row_of_a_non_finite_right_hand_side(self, meshes, rows, plan_solves):
         ops = meshes["1d"]
         rhs = np.ones((rows, ops.node_count))
         rhs[rows - 1, 4] = np.nan
         with pytest.raises(NonFiniteError) as bound:
-            grids._bind_shifted(ops, ops.lumped_mass, self.SHIFT)(rhs)
+            plan_solves[0](self.plan(ops, 2.0), rhs)
         with pytest.raises(NonFiniteError) as direct:
             grids._solve_shifted(ops, ops.lumped_mass, self.SHIFT, rhs)
         assert bound.value.row == direct.value.row == rows - 1
 
-    def test_operator_that_cannot_be_factored_raises_when_solving(self, meshes):
-        # Binding does not raise; each solve raises as _solve_shifted does.
+    def test_operator_that_cannot_be_factored_raises_when_solving(self, meshes, plan_solves):
+        # Building the plan does not raise; each solve raises as
+        # _solve_shifted does.
         ops = meshes["1d"]
-        diag = -4.0 * ops.lumped_mass
-        solve = grids._bind_shifted(ops, diag, self.SHIFT)
+        plan = self.plan(ops, -4.0)
         rhs = np.ones((2, ops.node_count))
         with pytest.raises(NumericalError, match="not positive definite") as bound:
-            solve(rhs)
+            plan_solves[1](plan, rhs)
         with pytest.raises(NumericalError, match="not positive definite") as direct:
-            grids._solve_shifted(ops, diag, self.SHIFT, rhs)
+            grids._solve_shifted(ops, plan.jacobian, self.SHIFT, rhs)
         assert bound.value.row == direct.value.row
 
 

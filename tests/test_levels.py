@@ -212,7 +212,8 @@ def test_converge_steps_every_level_in_one_batch(ops_small, monkeypatch):
 def test_spans_gate_once_with_the_bits_of_each_shift(mesh, multiple):
     # Rows 0:2, 2:3 and 3:5 solve against their own shift; the block is
     # gated once with the shifts as a column, and each span gets the bits
-    # of the bound solve of its shift alone, K x included.
+    # of a solve of its shift alone, K x included.  A failure names its row
+    # in the block, also inside a span that does not start at row 0.
     ops = bh.build_operators(*mesh)
     rng = np.random.default_rng(5)
     diagonal = ops.lumped_mass * (2.0 if multiple else 1.0 + rng.random(ops.node_count))
@@ -221,12 +222,91 @@ def test_spans_gate_once_with_the_bits_of_each_shift(mesh, multiple):
     bounds = [(0, 2, 0.5), (2, 3, 0.25), (3, 5, 0.125)]
     shifts = np.array([[shift] for start, stop, shift in bounds
                        for _ in range(stop - start)])
-    solve = grids._gated(ops, diagonal, shifts, 1e-10,
-                         [(start, stop, grids._bind_unchecked(ops, diagonal, shift))
-                          for start, stop, shift in bounds])
-    x, stiffness_x = solve(rhs, lambda: targets)
+    spans = [(start, stop, grids._bind_unchecked(ops, diagonal, shift))
+             for start, stop, shift in bounds]
+    x, stiffness_x = grids._gated(ops, diagonal, shifts, 1e-10, spans, rhs, lambda: targets)
     for start, stop, shift in bounds:
-        alone, stiffness_alone = grids._bind_shifted(ops, diagonal, shift, 1e-10)(
-            rhs[start:stop], lambda: targets[start:stop])
+        alone, stiffness_alone = grids._solve_shifted(ops, diagonal, shift, rhs[start:stop],
+                                                      1e-10, lambda: targets[start:stop])
         assert x[start:stop].tobytes() == alone.tobytes()
         assert stiffness_x[start:stop].tobytes() == stiffness_alone.tobytes()
+    rhs[3, 2] = np.nan
+    with pytest.raises(NonFiniteError) as info:
+        grids._gated(ops, diagonal, shifts, 1e-10, spans, rhs, lambda: targets)
+    assert info.value.row == 3
+
+
+class TestTake:
+    """Narrowing a plan only slices it: the plan of the rows it keeps is the
+    plan built from scratch for those rows, and it binds nothing."""
+
+    STEPS = (1, 2, 4)
+    COUNTS = (2, 1, 2)
+
+    def built_plan(self, ops, counts, monkeypatch):
+        """The plan of the first step of a run with ``counts[k]`` paths on
+        the grid of ``STEPS[k]`` steps; a grid with no path is left out."""
+        plans = []
+        real_advance = stepper._advance
+
+        def recording_advance(plan, *args):
+            plans.append(plan)
+            return real_advance(plan, *args)
+
+        levels = [k for k, count in enumerate(counts) if count]
+        grids_, integrands, paths = ladder(ops, [self.STEPS[k] for k in levels], horizon=0.25)
+        data = bh.evaluate_on_mesh("cos(pi*x)", ops)
+        with monkeypatch.context() as patch:
+            patch.setattr(stepper, "_advance", recording_advance)
+            next(iter(bh.run_additive(data, data, integrands,
+                                      [paths[i][:counts[k]] for i, k in enumerate(levels)],
+                                      grids_, ops, bh.linear(1.0))))
+        return plans[0]
+
+    @pytest.mark.parametrize("rows", [[0, 1, 2, 3, 4], [0, 3, 4], [1, 2], [0, 4], [1, 2, 3],
+                                      [3, 4], [2], [0]])
+    def test_narrowed_plan_is_the_plan_of_its_rows(self, ops_small, rows, monkeypatch):
+        full = self.built_plan(ops_small, self.COUNTS, monkeypatch)
+        assert [(span.start, span.stop) for span in full.spans] == [(0, 2), (2, 3), (3, 5)]
+        rows = np.array(rows)
+        counts = [int(np.sum((start <= rows) & (rows < stop)))
+                  for start, stop in ((0, 2), (2, 3), (3, 5))]
+        narrowed = full.take(rows)
+        scratch = self.built_plan(ops_small, counts, monkeypatch)
+        assert [span[:3] for span in narrowed.spans] == [span[:3] for span in scratch.spans]
+        assert [span.factor_bound for span in narrowed.spans] == [
+            span.factor_bound for span in scratch.spans]
+        if len(narrowed.spans) == 1:
+            assert type(narrowed.dt) is float and narrowed.dt == scratch.dt
+        else:
+            assert narrowed.dt.shape == scratch.dt.shape == (len(rows), 1)
+            assert narrowed.dt.tobytes() == scratch.dt.tobytes()
+        assert narrowed.row_bounds(len(rows)) == scratch.row_bounds(len(rows))
+
+    @pytest.mark.parametrize("mesh", [(1, 16, 1.0), (2, (6, 4), (1.0, 1.5))], ids=["1d", "2d"])
+    def test_stepping_binds_no_solve(self, mesh, monkeypatch):
+        # The plans bind every solve at the call; the steps of all levels,
+        # as levels leave the block, bind no plan solve, factor nothing in
+        # 1D and build no fast-diagonalization solve in 2D.
+        ops = bh.build_operators(*mesh)
+        counts = {"bind": 0, "dpttrf": 0, "fast_diagonalization": 0}
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(stepper, "_bind_unchecked", counting("bind", stepper._bind_unchecked))
+        monkeypatch.setattr(grids, "dpttrf", counting("dpttrf", grids.dpttrf))
+        monkeypatch.setattr(grids, "_fast_diagonalization",
+                            counting("fast_diagonalization", grids._fast_diagonalization))
+        grids_, integrands, paths = ladder(ops, (2, 4, 8, 16))
+        data = bh.evaluate_on_mesh("cos(pi*x)", ops)
+        runs = bh.run_additive(data, data, integrands, paths, grids_, ops, bh.linear(1.0))
+        assert counts["bind"] == 8
+        assert counts["dpttrf" if ops.dimension == 1 else "fast_diagonalization"] > 0
+        counts.update(bind=0, dpttrf=0, fast_diagonalization=0)
+        assert [index for index, _ in runs] == [0, 1, 2, 3]
+        assert counts == {"bind": 0, "dpttrf": 0, "fast_diagonalization": 0}

@@ -149,14 +149,15 @@ class TestNewtonFromZero:
         rhs = self.rhs_block(ops, 4)
         solved = []
         plan = plan_of(ops, nl, self.DT)
-        real_solve = plan.at_zero.solve
+        span = plan.spans[0]
+        real_solve = span.at_zero
 
         def recording_solve(b, *args):
             solved.append(len(b))
             return real_solve(b, *args)
 
         u, report = stepper._newton(
-            plan._replace(at_zero=plan.at_zero._replace(solve=recording_solve)), rhs)
+            plan._replace(spans=(span._replace(at_zero=recording_solve),)), rhs)
         assert solved[0] == 3
         assert (report.residual[1], report.iterations[1]) == (0.0, 0) and not u[1].any()
         for row in range(4):
@@ -286,8 +287,9 @@ class TestStep:
 
         def counting_plan(*args):
             plan = real_plan(*args)
-            return plan._replace(heat=counting(plan.heat),
-                                 at_zero=plan.at_zero._replace(solve=counting(plan.at_zero.solve)))
+            span = plan.spans[0]
+            return plan._replace(spans=(span._replace(heat=counting(span.heat),
+                                                      at_zero=counting(span.at_zero)),))
 
         def counting_theta(*args, **kwargs):
             counts["theta"] += 1
@@ -385,7 +387,8 @@ class TestStepPlan:
     @pytest.mark.parametrize("mesh", MESHES)
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_bound_solves_have_the_bits_of_solve_shifted(self, mesh, alpha, rows):
+    def test_bound_solves_have_the_bits_of_solve_shifted(self, mesh, alpha, rows, plan_solves):
+        heat, at_zero = plan_solves
         ops, nl = bh.build_operators(*self.MESHES[mesh]), self.ALPHAS[alpha]
         plan = plan_of(ops, nl, self.DT)
         jacobian = ops.lumped_mass * nl.alpha_tilde_prime(np.zeros(ops.node_count))
@@ -394,8 +397,8 @@ class TestStepPlan:
         for scale in (1.0, 1e-8, 1e8):
             rhs = scale * rng.standard_normal((rows, ops.node_count))
             for got, want in (
-                (plan.heat(rhs), grids._solve_shifted(ops, ops.lumped_mass, self.DT, rhs)),
-                (plan.at_zero.solve(rhs, lambda: targets),
+                (heat(plan, rhs), grids._solve_shifted(ops, ops.lumped_mass, self.DT, rhs)),
+                (at_zero(plan, rhs, lambda: targets),
                  grids._solve_shifted(ops, jacobian, self.DT, rhs, stepper.CORRECTION_RTOL,
                                       lambda: targets)),
             ):
@@ -424,7 +427,7 @@ class TestStepPlan:
         nl = bh.make_nonlinearity(
             "nan-slope-at-zero", lambda x: np.asarray(x, dtype=float), *constants,
             alpha_prime=lambda x: np.where(np.asarray(x) == 0.0, np.nan, 1.0))
-        assert plan_of(ops65, nl, DT).at_zero.solve is None
+        assert plan_of(ops65, nl, DT).jacobian is None
         grid = bh.build_time_grid(0.25, 4)
         integ = bh.AdditiveIntegrand(grid=grid, values=np.tile(cos_field, (grid.steps, 1)))
         paths = [bh.BrownianPath(grid=grid, increments=np.array([0.0, 0.1, 0.1, 0.1]), seed=0,
@@ -635,9 +638,9 @@ class TestFactorReuse:
         def reference_bind(ops, diagonal, shift):
             # The run plan's heat solve and Newton's solve from u = 0, which
             # the plan gates.
-            def solve(rhs):
+            def solve(rhs, targets_of, rows):
                 bound.append(len(rhs))
-                return reference_solve_1d(ops, diagonal, shift, rhs)
+                return reference_solve_1d(ops, diagonal, shift, rhs), None
 
             return solve
 
@@ -767,8 +770,8 @@ class TestInexactNewton:
                               lambda ops, diagonal, shift, rhs, rtol, atol_of:
                               grids._solve_shifted(ops, diagonal, shift, rhs, rtol))
                 patch.setattr(stepper, "_gated",
-                              lambda ops, diagonal, shift, rtol, spans:
-                              lambda rhs, atol_of=None:
+                              lambda ops, diagonal, shift, rtol, spans, rhs, targets_of=None,
+                              solve=None:
                               grids._solve_shifted(ops, diagonal, shift, rhs, rtol))
             trajectories = bh.run_additive(theta0, chi0, integ, paths, grid, ops, bh.saturating(2.0))
         return trajectories, iterations[0]
