@@ -11,11 +11,13 @@ time it multiplies the increment.  It also means that step n of iterate
 k + 1 reads iterate k only at t_n, and that iterates k and k + 1 agree at
 nodes 0..k: both read the same integrand before step k.  So ``picard_solve``
 runs iterate 1 on its own, and every later iterate k + 1 starts at step k
-from copies of its predecessor's first k steps, level with or behind it,
-all running iterates advancing together as one batch.  An iterate starts
-only once the part of its predecessor's weighted difference summed so far
-exceeds the tolerance, so no iterate runs that the sequential iteration
-would not run.
+from copies of its predecessor's first k steps, level with or behind it.
+The running iterates are rows of one path of the stepper's step driver
+(``stepper._step_rows``), which moves them together, each from its own
+step; before each step an iterate fills its integrand row from its
+predecessor's chi.  An iterate starts only once the part of its
+predecessor's weighted difference summed so far exceeds the tolerance, so
+no iterate runs that the sequential iteration would not run.
 
 Convergence is measured in an exponentially weighted space-time norm
 
@@ -34,9 +36,9 @@ import numpy as np
 
 from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError, NumericalError
 from .grids import h1_seminorm, l2_norm
-from .noise import AdditiveIntegrand, partial_sums
+from .noise import AdditiveIntegrand
 from .stepper import (
-    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, Trajectory, _advance, _step_plan, run_additive,
+    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _Row, _step_plan, _step_rows, run_additive,
 )
 from .theory import compute_stability_constant
 
@@ -199,32 +201,30 @@ class PicardReport:
     modulus: float
 
 
-@dataclass
-class _Iterate:
-    """A Picard iterate while it runs: its fields up to node ``step``, the
-    integrand values it has read from its predecessor's chi ``previous``,
-    its step reports, and the running sum of its weighted-norm terms."""
+# eq=False keeps the identity comparison of ``_Row``.
+@dataclass(eq=False)
+class _Iterate(_Row):
+    """A Picard iterate while it runs: a row of one path, whose integrand
+    values it reads from its predecessor's chi ``previous``, with its
+    number and the running sum of its weighted-norm terms."""
 
     number: int
-    previous: np.ndarray = field(repr=False)
-    theta: np.ndarray = field(repr=False)
-    chi: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    reports: list = field(repr=False)
-    step: int
+    previous: np.ndarray = field(default=None, repr=False)
     started: float = field(default_factory=time.perf_counter)
     partial: float = 0.0
 
 
-def _successor(k, theta, chi, values, reports):
-    """Iterate k + 1 at step k, from iterate k's fields, integrand rows and
-    step reports: the two agree at nodes 0..k, so it starts from copies of
-    them there and before step k.  Its weighted-norm terms at those nodes
-    are 0.0, so its running sum starts at 0.0."""
-    theta_next, chi_next, values_next = (np.empty_like(a) for a in (theta, chi, values))
-    theta_next[:k + 1], chi_next[:k + 1] = theta[:k + 1], chi[:k + 1]
-    values_next[:k] = values[:k]
-    return _Iterate(k + 1, chi, theta_next, chi_next, values_next, reports[:k], step=k)
+def _successor(it):
+    """Iterate k + 1 at step k, from iterate k: the two agree at nodes
+    0..k, so it starts from copies of k's fields there and of its integrand
+    rows and step reports before step k.  Its weighted-norm terms at those
+    nodes are 0.0, so its running sum starts at 0.0."""
+    k = it.number
+    theta, chi, values = (np.empty_like(a) for a in (it.theta, it.chi, it.values))
+    theta[:, :k + 1], chi[:, :k + 1] = it.theta[:, :k + 1], it.chi[:, :k + 1]
+    values[:k] = it.values[:k]
+    return _Iterate(theta, chi, it.increments, values, [it.reports[0][:k]], step=k,
+                    number=k + 1, previous=it.chi[0])
 
 
 def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
@@ -238,16 +238,18 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
 
     Iterate 1 is one ``run_additive`` call.  Step n of iterate k + 1 reads
     iterate k only at node n, so later iterates run staggered: every running
-    iterate takes one step per ``_advance`` call on their common batch, each
-    at its own step.  Iterates k and k + 1 agree at nodes 0..k, so iterate
-    k + 1 inherits iterate k's first k steps and runs only steps k..N-1.  It
-    starts once the square root of the running sum of iterate k's
-    weighted-norm terms exceeds the tolerance: the terms are non-negative,
-    so iterate k can no longer converge, and every iterate that runs is one
-    the sequential iteration runs too.  The rows of a batch are independent,
+    iterate takes one step per call of the step driver on their common
+    batch, each at its own step.  Iterates k and k + 1 agree at nodes 0..k,
+    so iterate k + 1 inherits iterate k's first k steps and runs only steps
+    k..N-1.  It starts once the square root of the running sum of iterate
+    k's weighted-norm terms exceeds the tolerance: the terms are
+    non-negative, so iterate k can no longer converge, and every iterate
+    that runs is one the sequential iteration runs too.  The rows of a batch are independent,
     so the trajectory, reports and errors are bit for bit those of the
     sequential iteration: a NumericalError names the step and path of the
-    lowest failing iterate, and no iterate past it runs on.
+    lowest failing iterate, and no iterate past it runs on.  A failed step
+    moves no iterate, so the step reruns without the failing iterate and
+    its successors.
     """
     threshold = _picard_threshold(nl, noise_map, grid.horizon, config.weight,
                                   config.override_condition)
@@ -283,9 +285,12 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     plan = _step_plan(grid, ops, nl, tol, newton_tol)
     running = []
     failure = None
+    last = None
     newest = 2  # iterates start in order, so only the newest has no successor
     if config.max_iterations > 1:
-        running.append(_successor(1, first.theta, first.chi, values, first.reports))
+        running.append(_successor(_Iterate(first.theta[None], first.chi[None],
+                                           path.increments[None], values, [first.reports],
+                                           step=grid.steps, number=1)))
     while running:
         # Iterate k + 1 never passes iterate k, so the finished iterates are
         # the oldest; one that starts at step N has no step left to run.
@@ -293,25 +298,16 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
             it = running.pop(0)
             # The running sum is bit for bit the sum in weighted_norm.
             if converged(math.sqrt(it.partial), it.started):
-                integrand = AdditiveIntegrand(grid=grid, values=it.values)
-                return result(Trajectory(grid=grid, theta=it.theta, chi=it.chi,
-                                         u=it.chi - partial_sums(path, integrand),
-                                         reports=it.reports))
+                return result(it.trajectories(grid, [path])[0])
         if not running:
             break
         images = evaluate_H(noise_map, np.array([it.previous[it.step] for it in running]))
         for it, image in zip(running, images):
             it.values[it.step] = image
-        advanced = None
-        while running and advanced is None:
+        while running:
             try:
-                advanced = _advance(
-                    plan,
-                    np.array([it.theta[it.step] for it in running]),
-                    np.array([it.chi[it.step] for it in running]),
-                    path.increments[[it.step for it in running]][:, None],
-                    np.array([it.values[it.step] for it in running]),
-                )
+                last = _step_rows(plan, running, last)
+                break
             except NumericalError as exc:
                 # Drop the failing iterate and its successors, which read
                 # its chi; the earlier ones all have successors, so none
@@ -321,21 +317,17 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
                 failure = (type(exc)(exc.reason, residual=exc.residual, step=running[row].step,
                                      path_id=path.path_id, row=0, dt=grid.dt), exc)
                 running = running[:row]
-        if advanced is None:
+        if not running:
             break
-        for it, theta_next, chi_next, report in zip(running, *advanced):
-            it.step += 1
-            it.theta[it.step] = theta_next
-            it.chi[it.step] = chi_next
-            it.reports.append(report)
-        terms = _norm_terms(np.array([it.chi[it.step] - it.previous[it.step] for it in running]),
-                            grid.nodes[[it.step for it in running]], grid, ops, config.weight)
+        terms = _norm_terms(last[2] - np.array([it.previous[it.step] for it in running]),
+                            grid.nodes[[it.step for it in running]], grid, ops,
+                            config.weight)
         for it, term in zip(list(running), terms):
             it.partial += term
             if (it.number == newest < config.max_iterations
                     and math.sqrt(it.partial) > config.tolerance):
                 newest += 1
-                running.append(_successor(it.number, it.theta, it.chi, it.values, it.reports))
+                running.append(_successor(it))
     if failure is not None:
         error, cause = failure
         raise error from cause

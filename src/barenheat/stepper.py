@@ -10,125 +10,78 @@ chi iterates stop moving:
   substitution chi = chi_n + dt u + h_n dw_n.  The Jacobian
   M diag(alphatilde'(u)) + dt K is SPD because alphatilde' >= 1.
 
-The heat operator M + dt K is fixed for a grid, and so is the Jacobian
-M alphatilde'(0) + dt K of every Newton solve from u = 0.  A run's plan
-(``_Plan``) binds both once per dt (``grids._bind_unchecked``: in 1D their
-``dpttrf`` factors, taken from the operators' cache, in 2D the
-fast-diagonalization solve of a mass multiple) and holds alphatilde(0),
-the contraction bound and whether alpha is linear, so no step or solve
-evaluates, factors or looks up any of them again; each solve is gated by
-``grids._gated`` with the residual gate and errors of ``solve_shifted``.
-``run_additive`` builds one plan per distinct grid of a call
-(``_step_plan``), for all its paths, and ``picard_solve`` one more for its
-staggered iterates.
+The alternation contracts in the discrete L2 norm whenever
+dt < 1 + coercivity(alpha): the ratio of successive squared differences is
+at most 1 / (2 (tilde_coercivity/dt - 1/2)), and each StepReport records
+the ratios against that bound.  A last heat solve realigns theta with the
+accepted chi, so the linear equation holds exactly and the nonlinear one up
+to the stopping tolerance.  Alpha counts as linear when its declared
+Lipschitz and coercivity constants are equal, which with alpha(0) = 0
+forces alpha = c x.
 
-A plan is a tuple of spans (``_Span``), one per run of consecutive rows
-that step with one dt, such as the dt levels of a Monte Carlo study, the
-rows ordered by entry.  Only the solves loop over the spans: each span's
-bound heat and at-zero solves, after which one residual gate checks the
-whole block with the shift as an (M, 1) column, and the per-row Jacobian
-solves of nonlinear alpha, through ``_solve_shifted`` with the span's
-float dt.  Everything else runs once per block, with dt a float for one
-span and an (M, 1) column otherwise, in s + dt u, (chi - s) / dt and
-dt K u; elementwise, a row's entry of the column gives the bits of its
-float dt.  When rows leave, ``take`` cuts the span bounds and indexes the
-dt column, and binds nothing.
+Fields are (M, P) blocks, one row per Brownian path; one path is the block
+M = 1, the only path through the kernels.  Every row keeps its own Newton
+thresholds, line search, iteration counts and inner convergence test, and
+leaves the iteration once it has converged, so a row of a batch gets the
+bits of a run on its own.
 
-The noise h_n dw_n, the shift s = chi_n + h_n dw_n and the load K s are
-computed once per step.  Each product of an inner iteration is
-formed once: the residual gate of a Newton correction delta hands back the
-K delta it formed (``grids._solve_shifted``), which is the stiffness term
-of the trial residual after a step from u = 0; where alphatilde(0) is
-identically 0 the start residual is -rhs, whose row norms are those of
-rhs, so the first correction solves against rhs itself; the
-conjugate-gradient targets are built only where a 2D conjugate-gradient
-row reads them; and the chi difference of each row is one ``_row_dots``
-reduction.
+Plans.  The heat operator M + dt K and the Jacobian M alphatilde'(0) + dt K
+of Newton from u = 0 are fixed per dt, so a plan (``_Plan``) binds both once
+(``grids._bind_unchecked``: 1D ``dpttrf`` factors, 2D fast
+diagonalization) together with alphatilde(0), the contraction bound and the
+linear switch; ``grids._gated`` runs each bound solve with the residual gate
+and errors of ``solve_shifted``.  A plan is a tuple of spans (``_Span``),
+one per run of rows that step with one dt.  Only the solves loop over the
+spans; everything else runs once per block with dt a float for one span and
+an (M, 1) column otherwise, which gives each row the bits of its float dt.
+``take`` narrows a plan to the rows still iterating and binds nothing.
 
-For nonlinear alpha the first chi iterate of a step is the shift s, not
-chi_n: chi_{n+1} - s = dt u is O(dt), while chi_{n+1} - chi_n also carries
-the O(sqrt dt) noise increment.  The first Newton solve thus starts at
-u = 0, where the Jacobian is a multiple of the lumped mass, which 2D solves
-directly.  Every later inner iteration starts Newton from the u of the
-current chi iterate, (chi_k - s) / dt: successive iterates differ by less
-and less, so it needs about half the iterations of a start from u = 0.
-Linear alpha keeps the first iterate chi_n and the start u = 0: there
-Newton's first step is exact from any start, so a warm start would save
-almost no iteration, while it would move every 1D CSV and cost each inner
-iteration a residual at the start and a per-row Jacobian.
+Rows.  ``_step_rows`` is the one driver of ``_advance``.  A ``_Row`` holds
+paths that step together from one step index along one (N, P) integrand
+table, with their records and reports; the driver stacks every row's
+fields at its own step, makes one ``_advance`` call and writes the results
+back, or on a failure leaves every row as it was.  While a caller moves
+the same rows, the driver reuses the blocks of its last call instead of
+stacking the records again.  ``run_additive`` steps one row per entry (a
+grid and its paths) in lock-step, and an entry leaves at its horizon;
+``picard_solve`` steps its staggered iterates as rows of one path at their
+own steps.
 
-Alpha counts as linear when its declared Lipschitz and coercivity
-constants are equal, which with alpha(0) = 0 forces alpha = c x.
+Work per step.  The noise h_n dw_n, the shift s = chi_n + h_n dw_n and K s
+are formed once per step, and each product of an inner iteration once: the
+residual gate of a Newton correction delta hands back K delta, the
+stiffness term of the trial residual after a step from u = 0; where
+alphatilde(0) is identically 0 the start residual is exactly -rhs; and each
+row's chi difference is one ``_row_dots`` reduction.
 
-Newton is inexact (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
-1982): each correction's linear solve may stop once its residual is below
-``NEWTON_FORCING`` = 0.1 times the row's Newton threshold
-newton_tol (1 + |rhs|), or of its relaxed threshold below.  The Newton
-residual after a step is that linear residual plus a term quadratic in the
-step, so solving further buys no Newton iteration.  Only the 2D
-conjugate-gradient solves stop early, and ``solve_shifted`` gates each at
-twice its target when that is above its ``rtol`` gate; the direct solves,
-all of 1D, are exact and keep their bits.
+Nonlinear alpha.  The first chi iterate of a step is the shift s, whose u
+is 0, where the 2D Jacobian is a mass multiple solved directly:
+chi_{n+1} - s is O(dt), while chi_{n+1} - chi_n carries the O(sqrt dt)
+noise.  Later inner iterations start Newton from the u of the current
+iterate, (chi_k - s) / dt, which about halves the Newton iterations.  Linear
+alpha keeps the first iterate chi_n and the start u = 0: its first Newton
+step is exact from any start, and a warm start would move its bits.
 
-For nonlinear alpha the inner iteration is inexact as well: only its limit
-is the step's solution, so an iterate needs to be accurate only relative to
-the distance still left to go.  In inner iteration k a row's Newton solve
-stops at the relative tolerance max(newton_tol, min(LOOSEST_NEWTON_TOL,
-INNER_FORCING d_{k-1})), where d_{k-1} is the row's last chi difference and
-the first solve uses LOOSEST_NEWTON_TOL = 1e-6.  The size of these
-constants follows from coercivity: alphatilde' >= tilde_coercivity and
-K is positive semidefinite, so testing the Newton equation with the error
-e = u - u* gives tilde_coercivity |e|_M^2 <= e . r, and a Newton residual r
-moves chi = s + dt u by at most dt |r| / (tilde_coercivity sqrt(min M)) in
-the discrete L2 norm.  A relaxed solve thus moves the next difference by at
-most INNER_FORCING (1 + |rhs|) dt / (tilde_coercivity sqrt(min M)) times
-d_{k-1}.  On the 33 x 33 mesh of ``perfbench/configs/solve2d.ini``
-(dt = 1/32, tilde_coercivity = 2, sqrt(min M) = 1/64, |rhs| <= 0.45) that
-is at most 1.5e-3 d_{k-1}, against the ratio sqrt(factor_bound) = 0.089
-that the contraction bound allows per iteration and the ratio of about
-0.007 observed; Newton's quadratic convergence leaves most residuals far
-below their threshold, so the measured contraction factors move by a few
-percent.  The cap keeps the first iterations, whose differences are still
-of the size of the whole step, at 1e-6: there an uncapped INNER_FORCING d_1
-of about 1e-4 would allow the second iterate an error of a fifth of d_2.
-A row whose residual at the warm start already meets newton_tol takes no
-Newton iteration; any other row takes at least one, whose correction aims
-at a tenth of its residual when that is below the relaxed threshold, so
-an inner iteration never stalls on its own iterate and reads that as a
-zero difference.  A row whose difference meets ``tol`` while its Newton
-residual meets only the relaxed threshold is not accepted: it runs one
-more inner iteration at newton_tol, so the accepted iterate always meets
-the full tolerance.  Each row's tolerance reads only its own differences,
-so a batch row keeps the bits of a run on its own.
-
-Linear alpha keeps newton_tol on every solve: its Newton needs one
-iteration, or two on some rows, and a looser tolerance would move their
-bits.  It also keeps the solve without relaxed tolerances: per-row lists
-whose entries are all newton_tol would keep every bit but only add work.
+Inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+1982).  A correction's linear solve may stop below ``NEWTON_FORCING`` times
+the row's Newton threshold; only 2D conjugate-gradient solves stop early,
+and the direct solves, all of 1D, keep their bits.  For nonlinear alpha
+the inner iteration is inexact too: inner iteration k solves Newton to
+max(newton_tol, min(LOOSEST_NEWTON_TOL, INNER_FORCING d_{k-1})), d_{k-1}
+being the row's last chi difference.  By coercivity a Newton residual r
+moves chi by at most dt |r| / (tilde_coercivity sqrt(min M)), so a relaxed
+solve moves the next difference by at most INNER_FORCING (1 + |rhs|) dt /
+(tilde_coercivity sqrt(min M)) times d_{k-1}: 1.5e-3 on
+``perfbench/configs/solve2d.ini``, against the 0.089 the contraction bound
+allows.  A row takes at least one Newton iteration unless its warm start
+meets newton_tol, and an iterate that meets ``tol`` after a relaxed solve
+runs once more at newton_tol, so the accepted iterate always meets it.
+Linear alpha keeps newton_tol on every solve.
 
 ``run_additive`` is the one public way to step.  It checks the
-preconditions and the shapes of its data once per call, for every grid of
-the call before any step runs, and its inner loop
-calls the solve kernels without repeating them; ``parse_config`` checks the
-same preconditions for every time step a config requests.
-
-Fields are stored as (M, P) blocks, one row per Brownian path, and a single
-path is the batch M = 1, the only path through the kernels.
-``run_additive`` advances all paths of all its grids together from t = 0,
-so every solve but the per-span ones and every matrix product runs once
-per inner iteration for the whole batch, and a grid's rows leave the batch
-at its horizon.  Each path keeps its own Newton thresholds, line-search
-scales and iteration counts and its own inner convergence test; a path
-that has converged leaves the batch, so its numbers are bit for bit those
-of a run on its own.
-
-The alternation is a strict contraction in the discrete L2 norm whenever
-dt < 1 + coercivity(alpha); the squared-difference ratio of successive
-iterates is bounded by 1 / (2 (tilde_coercivity/dt - 1/2)), and the step
-records those empirical ratios so the harness can audit the bound.  After
-convergence one extra heat solve realigns theta with the accepted chi, so
-the linear equation holds exactly against the returned state and the
-nonlinear one holds up to the stopping tolerance.
+preconditions and shapes of every grid of a call before any step runs, so
+the inner loop calls the kernels without repeating them; ``parse_config``
+checks the same preconditions for every time step a config requests.
 """
 
 import math
@@ -148,7 +101,7 @@ from .errors import (
 from .grids import (
     TimeGrid, _bind_unchecked, _gated, _row_dots, _solve_shifted, apply_stiffness, row_norms,
 )
-from .noise import BrownianPath, partial_sums
+from .noise import AdditiveIntegrand, BrownianPath, partial_sums
 
 DEFAULT_INNER_TOL = 1e-11
 DEFAULT_NEWTON_TOL = 1e-12
@@ -716,6 +669,13 @@ def run_additive(
     if single:
         one_path = isinstance(path, BrownianPath)
         grid, integrand, path = [grid], [integrand], [[path] if one_path else path]
+    else:
+        path = [path] if isinstance(path, BrownianPath) else list(path)
+        if isinstance(integrand, AdditiveIntegrand):
+            raise InvalidConfigError("run_additive on grids needs integrand to be a sequence")
+        if any(isinstance(paths, BrownianPath) for paths in path):
+            raise InvalidConfigError("run_additive on grids needs path to be a sequence of "
+                                     "path sequences")
     grids, integrands = list(grid), list(integrand)
     path_lists = [list(paths) for paths in path]
     if not len(grids) == len(integrands) == len(path_lists):
@@ -744,22 +704,83 @@ def run_additive(
     return trajectories[0] if one_path else trajectories
 
 
+# Rows compare by identity: ``_step_rows`` reuses its blocks for the same rows.
+@dataclass(eq=False)
+class _Row:
+    """Paths that step together through ``_step_rows``, from one step index
+    and along one integrand table: their (m, N + 1, P) theta and chi
+    records, their (m, N) increments, the (N, P) integrand table, one list
+    of StepReports per path, and ``step``, the node their records end at,
+    N at the horizon."""
+
+    theta: np.ndarray = field(repr=False)
+    chi: np.ndarray = field(repr=False)
+    increments: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    reports: list = field(repr=False)
+    step: int
+
+    @classmethod
+    def start(cls, theta0, chi0, increments, values):
+        """The row at step 0 of paths with these increments, all starting
+        from the (P,) fields theta0 and chi0."""
+        shape = (len(increments), increments.shape[1] + 1, len(theta0))
+        theta, chi = np.empty(shape), np.empty(shape)
+        theta[:, 0], chi[:, 0] = theta0, chi0
+        return cls(theta, chi, increments, values, [[] for _ in increments], step=0)
+
+    def trajectories(self, grid, paths):
+        """One Trajectory per path of a row that has reached the horizon of
+        ``grid``, the grid of its ``paths``."""
+        integrand = AdditiveIntegrand(grid=grid, values=self.values)
+        return [Trajectory(grid=grid, theta=self.theta[k], chi=self.chi[k],
+                           u=self.chi[k] - partial_sums(p, integrand), reports=self.reports[k])
+                for k, p in enumerate(paths)]
+
+
+def _step_rows(plan, rows, last=None):
+    """Move every row one step from its own step in one ``_advance`` call,
+    the paths of each row taking consecutive rows of the batch.
+
+    Writes the new fields into the records, appends the reports and
+    returns ``(rows, theta, chi)``: a copy of ``rows`` and the new blocks.
+    ``last``, what the previous call returned, saves stacking the records
+    when it moved the same rows.  A NumericalError leaves every row as it
+    was, and its ``row`` indexes the paths of the batch, so for rows of one
+    path each the rows passed in."""
+    if last is None or last[0] != rows:
+        last = (rows, np.concatenate([row.theta[:, row.step] for row in rows]),
+                np.concatenate([row.chi[:, row.step] for row in rows]))
+    _, theta, chi = last
+    dw, h = np.empty((len(theta), 1)), np.empty(theta.shape)
+    start = 0
+    for row in rows:
+        stop = start + len(row.theta)
+        dw[start:stop, 0], h[start:stop] = row.increments[:, row.step], row.values[row.step]
+        start = stop
+    theta, chi, reports = _advance(plan, theta, chi, dw, h)
+    start, reports = 0, iter(reports)
+    for row in rows:
+        stop = start + len(row.theta)
+        row.step = n = row.step + 1
+        row.theta[:, n], row.chi[:, n] = theta[start:stop], chi[start:stop]
+        for path_reports in row.reports:
+            path_reports.append(next(reports))
+        start = stop
+    return list(rows), theta, chi
+
+
 def _run_entries(theta0, chi0, integrands, path_lists, grids, plans):
     """The iterator of ``run_additive`` over checked entries, ``plans``
-    holding the step plan of each distinct grid."""
-    ops = plans[grids[0]].ops
-    steps = [g.steps for g in grids]
-    # The entries still stepping, as (index, start, stop, theta, chi): their
-    # rows start:stop in the block and their (M, N + 1, P) records.  The
-    # block's plan has one span per run of entries on one grid.
+    holding the step plan of each distinct grid: one ``_Row`` per entry,
+    in lock-step, and an entry leaves at its horizon."""
+    # The entries still stepping, as (index, row).  The block's plan has
+    # one span per run of entries on one grid.
     live, spans, count = [], [], 0
     for index, paths in enumerate(path_lists):
         stop = count + len(paths)
-        shape = (len(paths), steps[index] + 1, ops.node_count)
-        theta, chi = np.empty(shape), np.empty(shape)
-        theta[:, 0] = theta0
-        chi[:, 0] = chi0
-        live.append((index, count, stop, theta, chi))
+        live.append((index, _Row.start(theta0, chi0, np.array([p.increments for p in paths]),
+                                       integrands[index].values)))
         if index and grids[index] == grids[index - 1]:
             spans[-1] = spans[-1]._replace(stop=stop)
         else:
@@ -768,68 +789,37 @@ def _run_entries(theta0, chi0, integrands, path_lists, grids, plans):
     dt = spans[0].dt if len(spans) == 1 else np.repeat(
         [span.dt for span in spans], [span.stop - span.start for span in spans])[:, None]
     plan = plans[grids[0]]._replace(spans=tuple(spans), dt=dt)
-    theta = np.tile(theta0, (count, 1))
-    chi = np.tile(chi0, (count, 1))
-    increments = np.zeros((count, max(steps)))
-    for index, start, stop, _, _ in live:
-        increments[start:stop, :steps[index]] = [p.increments for p in path_lists[index]]
-    # One integrand shared by every row is one (P,) field per step; else
-    # each row reads its entry's from the stacked values, at ``offsets``.
-    values, offsets = integrands[0].values, None
-    if any(integ is not integrands[0] for integ in integrands):
-        values = np.concatenate([integ.values for integ in integrands])
-        firsts = np.cumsum([0] + [len(integ.values) for integ in integrands])
-        offsets = np.concatenate([np.full(stop - start, firsts[index], dtype=np.intp)
-                                  for index, start, stop, _, _ in live])
-    reports = [[] for _ in range(count)]
-    finish = min(steps)
-    for n in range(max(steps)):
-        try:
-            theta, chi, step_reports = _advance(
-                plan, theta, chi, increments[:, n:n + 1],
-                values[n] if offsets is None else values[offsets + n])
-        except NumericalError as exc:
-            row = exc.row or 0
-            index, start = next(entry[:2] for entry in live if entry[1] <= row < entry[2])
-            raise type(exc)(
-                exc.reason, residual=exc.residual, step=n,
-                path_id=path_lists[index][row - start].path_id, row=row - start,
-                dt=grids[index].dt,
-            ) from exc
-        for _, start, stop, theta_record, chi_record in live:
-            theta_record[:, n + 1] = theta[start:stop]
-            chi_record[:, n + 1] = chi[start:stop]
-        for row_reports, report in zip(reports, step_reports):
-            row_reports.append(report)
-        if n + 1 < finish:
-            continue
+    last = None
+    while True:
+        # The entries step in lock-step up to the nearest horizon.
+        for _ in range(min(row.increments.shape[1] - row.step for _, row in live)):
+            try:
+                last = _step_rows(plan, [row for _, row in live], last)
+            except NumericalError as exc:
+                row = exc.row or 0
+                for index, entry in live:
+                    if row < len(entry.theta):
+                        break
+                    row -= len(entry.theta)
+                raise type(exc)(
+                    exc.reason, residual=exc.residual, step=entry.step,
+                    path_id=path_lists[index][row].path_id, row=row, dt=grids[index].dt,
+                ) from exc
         # The finished entries leave the block; each is yielded as an
-        # argument only, so that no local keeps it once its caller drops it.
-        finished = [entry for entry in live if steps[entry[0]] == n + 1]
-        live = [entry for entry in live if steps[entry[0]] > n + 1]
+        # argument only, and ``last`` is dropped, so that no local keeps it
+        # once its caller drops it.
+        going = [row.step < row.increments.shape[1] for _, row in live]
+        keep = np.flatnonzero(np.repeat(going, [len(row.theta) for _, row in live]))
+        finished = [entry for entry, go in zip(live, going) if not go]
+        live, last = [entry for entry, go in zip(live, going) if go], None
         while finished:
-            yield _finished(finished.pop(0), grids, integrands, path_lists, reports)
+            yield _finished(*finished.pop(0), grids, path_lists)
         if not live:
             return
-        finish = min(steps[entry[0]] for entry in live)
-        keep = np.concatenate([np.arange(start, stop) for _, start, stop, _, _ in live])
-        theta, chi, increments = theta[keep], chi[keep], increments[keep]
-        if offsets is not None:
-            offsets = offsets[keep]
-        reports = [reports[row] for row in keep.tolist()]
         plan = plan.take(keep)
-        count = 0
-        for position, (index, start, stop, theta_record, chi_record) in enumerate(live):
-            live[position] = (index, count, count + stop - start, theta_record, chi_record)
-            count += stop - start
 
 
-def _finished(entry, grids, integrands, path_lists, reports):
-    """``(index, trajectories)`` of a finished entry of ``_run_entries``."""
-    index, start, _, theta, chi = entry
-    integrand = integrands[index]
-    return index, [
-        Trajectory(grid=grids[index], theta=theta[k], chi=chi[k],
-                   u=chi[k] - partial_sums(p, integrand), reports=reports[start + k])
-        for k, p in enumerate(path_lists[index])
-    ]
+def _finished(index, row, grids, path_lists):
+    """``(index, trajectories)`` of an entry of ``_run_entries`` that has
+    reached its horizon."""
+    return index, row.trajectories(grids[index], path_lists[index])

@@ -13,7 +13,7 @@ import barenheat as bh
 from barenheat import diagnostics, grids, stepper
 from barenheat.errors import FieldShapeError, NonConvergenceError, NonFiniteError
 from barenheat.stepper import (
-    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _advance, _newton, _step_plan,
+    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _advance, _newton, _Row, _step_plan, _step_rows,
 )
 
 PATHS = 5
@@ -170,6 +170,72 @@ class TestBatchEqualsSingleRuns:
                 assert np.array_equal(theta[row], singles[row][0])
                 assert np.array_equal(chi[row], singles[row][1])
                 assert report_fields(reports[row]) == report_fields(report)
+
+
+class TestStepRows:
+    """The step driver moves rows at their own steps as one batch: a row of
+    two paths along a fixed table, one of one path along another, and one
+    whose integrand it fills from the second row's chi, as a Picard
+    successor does."""
+
+    @pytest.fixture
+    def setup(self):
+        ops = bh.build_operators(1, 32, 1.0)
+        grid = bh.build_time_grid(0.5, 8)
+        plan = _step_plan(grid, ops, bh.saturating(2.0), DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL)
+        data = bh.evaluate_on_mesh("cos(pi*x)", ops)
+        tables = [bh.discretize_integrand(expr, grid, ops).values
+                  for expr in ("cos(pi*x)*(1+t)", "0.5*cos(2*pi*x)")]
+        paths = [bh.sample_path(grid, 3, pid) for pid in range(4)]
+        fixed = _Row.start(data, data, np.array([p.increments for p in paths[:2]]), tables[0])
+        leader = _Row.start(data, 0.5 * data, paths[2].increments[None], tables[1])
+        follower = _Row.start(data, 0.5 * data, paths[3].increments[None],
+                              np.zeros((grid.steps, ops.node_count)))
+        for row, steps in ((fixed, 3), (leader, 5), (follower, 1)):
+            for _ in range(steps):
+                _step_rows(plan, [row])
+        return plan, [leader, follower, fixed]
+
+    @staticmethod
+    def fill(follower, leader):
+        """The follower's integrand at its step, read from the leader's chi."""
+        follower.values[follower.step] = 0.3 * leader.chi[0, follower.step]
+
+    @staticmethod
+    def state(row):
+        return (row.step, row.theta.tobytes(), row.chi.tobytes(), row.values.tobytes(),
+                [[report_fields(r) for r in reports] for reports in row.reports])
+
+    def test_each_row_gets_the_bits_of_a_step_on_its_own(self, setup):
+        plan, rows = setup
+        alone = [dataclasses.replace(row, theta=row.theta.copy(), chi=row.chi.copy(),
+                                     values=row.values.copy(),
+                                     reports=[list(r) for r in row.reports]) for row in rows]
+        last = None
+        for _ in range(2):
+            # The second step reuses the blocks of the first.
+            self.fill(rows[1], rows[0])
+            last = _step_rows(plan, rows, last)
+            self.fill(alone[1], alone[0])
+            for row in alone:
+                _step_rows(plan, [row])
+        assert [self.state(row) for row in rows] == [self.state(row) for row in alone]
+        assert [row.step for row in rows] == [7, 3, 5]
+        assert last[0] == rows and last[0] is not rows
+        assert np.array_equal(last[2], np.concatenate([row.chi[:, row.step] for row in rows]))
+
+    @pytest.mark.parametrize("failing, path, batch_row", [(1, 0, 1), (2, 1, 3)])
+    def test_a_failure_moves_no_row(self, setup, failing, path, batch_row):
+        # A NaN increment fails one path: a whole row of one path, or the
+        # second path of the two-path row, batch row 3.
+        plan, rows = setup
+        self.fill(rows[1], rows[0])
+        rows[failing].increments[path, rows[failing].step] = np.nan
+        before = [self.state(row) for row in rows]
+        with pytest.raises(NonFiniteError) as info:
+            _step_rows(plan, rows)
+        assert info.value.row == batch_row
+        assert [self.state(row) for row in rows] == before
 
 
 class TestInitialData:

@@ -171,6 +171,13 @@ class TestFailures:
         with pytest.raises(bh.InvalidConfigError, match="at least one path"):
             bh.run_additive(cos_field, cos_field, integrands, [paths[0], []], grids, ops65,
                             bh.linear(1.0))
+        with pytest.raises(bh.InvalidConfigError, match="needs integrand to be a sequence"):
+            bh.run_additive(cos_field, cos_field, integrands[0], paths, grids, ops65,
+                            bh.linear(1.0))
+        for flat in (paths[0], paths[0][0]):
+            with pytest.raises(bh.InvalidConfigError, match="needs path to be a sequence"):
+                bh.run_additive(cos_field, cos_field, integrands, flat, grids, ops65,
+                                bh.linear(1.0))
 
 
 def test_a_yielded_level_is_released(ops65, cos_field):
@@ -180,9 +187,11 @@ def test_a_yielded_level_is_released(ops65, cos_field):
     index, trajectories = next(runs)
     assert index == 0
     theta = weakref.ref(trajectories[0].theta)
+    record = weakref.ref(trajectories[0].theta.base)
     del trajectories
     gc.collect()
     assert theta() is None
+    assert record() is None
     assert [index for index, _ in runs] == [1, 2]
 
 

@@ -8,7 +8,7 @@ import pytest
 import barenheat as bh
 from barenheat.config import parse_config
 from barenheat.errors import FieldShapeError, InvalidConfigError, NonConvergenceError
-from barenheat.stepper import _advance, _step_plan
+from barenheat.stepper import _Row, _step_plan, _step_rows
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
                            "multiplicative.ini")
@@ -230,17 +230,16 @@ class TestPicardSolve:
 
 def causal_pass(theta0, chi0, noise_map, path, grid, ops, nl, tol, newton_tol):
     """One forward pass that computes h_n = H(chi_n) just before step n
-    (h_0 = 0): the discrete fixed point the Picard iteration converges to."""
-    theta = np.empty((grid.steps + 1, ops.node_count))
-    chi = np.empty_like(theta)
-    theta[0], chi[0] = theta0, chi0
+    (h_0 = 0): the discrete fixed point the Picard iteration converges to.
+    One row of the step driver, whose integrand it fills from its own chi."""
+    row = _Row.start(theta0, chi0, path.increments[None],
+                     np.zeros((grid.steps, ops.node_count)))
     plan = _step_plan(grid, ops, nl, tol, newton_tol)
     for n in range(grid.steps):
-        h = np.zeros(ops.node_count) if n == 0 else bh.evaluate_H(noise_map, chi[n])
-        next_theta, next_chi, _ = _advance(plan, theta[n][None], chi[n][None],
-                                           path.increments[n:n + 1, None], h)
-        theta[n + 1], chi[n + 1] = next_theta[0], next_chi[0]
-    return chi
+        if n:
+            row.values[n] = bh.evaluate_H(noise_map, row.chi[0, n])
+        _step_rows(plan, [row])
+    return row.chi[0]
 
 
 @pytest.mark.parametrize("seed", [7, 11, 2024])

@@ -210,16 +210,16 @@ class TestSameErrorsAsSequential:
             kind="pointwise", lipschitz=0.061,
             psi=lambda v: np.where(v > cut, np.nan, 0.061 * v))
         failing_batches = []
-        real_advance = multiplicative._advance
+        real_step_rows = multiplicative._step_rows
 
-        def advance(step_plan, theta_n, chi_n, *args):
+        def step_rows(step_plan, rows, *args):
             try:
-                return real_advance(step_plan, theta_n, chi_n, *args)
+                return real_step_rows(step_plan, rows, *args)
             except NumericalError:
-                failing_batches.append(len(chi_n))
+                failing_batches.append(len(rows))
                 raise
 
-        monkeypatch.setattr(multiplicative, "_advance", advance)
+        monkeypatch.setattr(multiplicative, "_step_rows", step_rows)
         error = self.assert_same_failure(
             (cos33, zero, noise_map, path, grid32, ops33, nl, CONFIG))
         assert isinstance(error, NonFiniteError)
@@ -239,17 +239,18 @@ class TestSameErrorsAsSequential:
         plan = {bh.evaluate_H(noise_map, chis[k - 1][n]).tobytes(): (k, n)
                 for k, n in ((3, grid32.steps - 1), (4, 5))}
         met = []
-        real_advance = stepper._advance
+        real_step_rows = stepper._step_rows
 
-        def advance(step_plan, theta_n, chi_n, dw, h):
-            for row, h_row in enumerate(np.broadcast_to(h, np.shape(chi_n))):
+        def step_rows(step_plan, rows, *args):
+            for index, row in enumerate(rows):
+                h_row = row.values[row.step]
                 if h_row.tobytes() in plan:
                     met.append(plan[h_row.tobytes()])
-                    raise NonFiniteError("injected failure", residual=1.0, row=row)
-            return real_advance(step_plan, theta_n, chi_n, dw, h)
+                    raise NonFiniteError("injected failure", residual=1.0, row=index)
+            return real_step_rows(step_plan, rows, *args)
 
-        monkeypatch.setattr(stepper, "_advance", advance)
-        monkeypatch.setattr(multiplicative, "_advance", advance)
+        monkeypatch.setattr(stepper, "_step_rows", step_rows)
+        monkeypatch.setattr(multiplicative, "_step_rows", step_rows)
         error = self.assert_same_failure(problem)
         assert error.step == grid32.steps - 1
         assert met == [(3, grid32.steps - 1), (4, 5), (3, grid32.steps - 1)]
@@ -261,18 +262,18 @@ def test_iterate_one_runs_first_and_no_step_is_wasted(ops33, grid32, cos33, monk
     # and iterate k >= 2 inherits its first k - 1 steps from iterate k - 1,
     # so it runs N - k + 1 steps: (K - 1) N - K (K - 1) / 2 over K iterates.
     calls = []
-    real_run, real_advance = multiplicative.run_additive, multiplicative._advance
+    real_run, real_step_rows = multiplicative.run_additive, multiplicative._step_rows
 
     def run(*args, **kwargs):
         calls.append(0)
         return real_run(*args, **kwargs)
 
-    def advance(step_plan, theta_n, chi_n, *args):
-        calls.append(len(chi_n))
-        return real_advance(step_plan, theta_n, chi_n, *args)
+    def step_rows(step_plan, rows, *args):
+        calls.append(len(rows))
+        return real_step_rows(step_plan, rows, *args)
 
     monkeypatch.setattr(multiplicative, "run_additive", run)
-    monkeypatch.setattr(multiplicative, "_advance", advance)
+    monkeypatch.setattr(multiplicative, "_step_rows", step_rows)
     _, report = bh.picard_solve(*problem_1d(ops33, grid32, cos33, bh.affine_map(0.061), 0))
     assert calls[0] == 0 and calls.count(0) == 1
     iterations = report.iterations
@@ -286,7 +287,7 @@ def test_step_plan_is_built_once_for_the_staggered_iterates(ops33, grid32, cos33
     # share one more; no step builds one.
     built = []
     real_plan, real_at_zero = stepper._step_plan, stepper._at_zero
-    real_advance = multiplicative._advance
+    real_step_rows = multiplicative._step_rows
     advanced = []
 
     def plan(*args):
@@ -297,14 +298,14 @@ def test_step_plan_is_built_once_for_the_staggered_iterates(ops33, grid32, cos33
         built.append("at_zero")
         return real_at_zero(*args)
 
-    def advance(*args):
+    def step_rows(*args):
         advanced.append(1)
-        return real_advance(*args)
+        return real_step_rows(*args)
 
     monkeypatch.setattr(stepper, "_step_plan", plan)
     monkeypatch.setattr(multiplicative, "_step_plan", plan)
     monkeypatch.setattr(stepper, "_at_zero", at_zero)
-    monkeypatch.setattr(multiplicative, "_advance", advance)
+    monkeypatch.setattr(multiplicative, "_step_rows", step_rows)
     _, report = bh.picard_solve(*problem_1d(ops33, grid32, cos33, bh.affine_map(0.061), 0))
     assert report.iterations > 2 and len(advanced) > grid32.steps // 2
     assert built == ["plan", "at_zero"] * 2
