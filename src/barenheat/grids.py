@@ -19,48 +19,33 @@ which numpy hands row by row to the BLAS ``ddot`` that ``row.dot(row)``
 calls, never to a gemv (M, P) @ (P,) with M > 1, whose summation order
 differs.
 
-Every shifted solve ends in a residual gate, which forms A x = diagonal x
-+ shift K x.  ``_solve_shifted`` returns that K x with x, bit for bit
+Shifted solves of diag(d) + shift K are bound once for one (P,) diagonal
+and shift, without their residual gate (``_bind_unchecked``), and
+``_gated`` runs bound solves on consecutive row spans of a block, each
+span with its own shift, then gates the whole block once.  The gate forms
+A x = d x + shift K x and hands that K x back with x, bit for bit
 ``apply_stiffness(ops, x)``, so a caller that needs it (Newton's trial
-residual after a step from u = 0) does not form it a second time; it also
-takes ``atol`` through a function that only a conjugate-gradient row
-calls, so a caller builds its targets only where they are read.
-``solve_shifted`` is ``_solve_shifted`` without the product.
+residual after a step from u = 0) does not form it again.
+``_solve_shifted`` binds a shared diagonal as one span and per-row
+diagonals as one span per row; ``solve_shifted`` is it without K x.
 
-In 1D those systems are symmetric positive-definite tridiagonal.  Each
-distinct (shift, diagonal) pair whose diagonal is a multiple of the lumped
-mass is factored once by LAPACK ``dpttrf`` and every right-hand side is
-solved by ``dpttrs`` against the stored factor, so the heat operator
-M + dt K is factored once per time step size and the linear-alpha Newton
-Jacobian once as well, and a batch that shares the diagonal is solved by
-one multi-column ``dpttrs`` call; the factors live in a small bounded cache
-owned by the operators.  A solve is bound once for one diagonal and shift,
-without its residual gate (``_bind_unchecked``; in 1D the factor, taken
-from the cache once), and ``_gated`` runs bound solves on consecutive row
-spans of a block, each span against its own shift, then gates the whole
-block once with the shifts as a column.  ``_solve_shifted`` binds a shared
-diagonal as one span, and in 2D a per-row one as one span per row; the
-stepper keeps its heat solve and its Newton solve from u = 0 bound for
-every step.  Any other diagonal, such as a Newton Jacobian of nonlinear
-alpha, is factored and solved on the spot, in 1D row by row for a batch
-whose diagonal rows differ.  ``solveh_banded`` on a two-row band
-calls ``?ptsv``, which is exactly ``pttrf`` followed by ``pttrs``, so the
-cached solve returns the same bits as refactoring on every call.  In 2D
-the mass and stiffness are Kronecker products of 1D ones, so fast
-diagonalization (Lynch, Rice & Thomas 1964) solves (a M + c K) x = r
-exactly with four small matrix products, on a whole batch at once; a
-diagonal that is not a multiple of the mass uses that solve as a
-conjugate-gradient preconditioner, row by row, whose iteration count does
-not grow with the mesh.  The conjugate gradient, ``cg``, is a short loop
-with the arithmetic of ``scipy.sparse.linalg.cg`` and without its
-operator dispatch; a caller may hand each row an absolute residual target,
-so that an inexact Newton correction is solved only as far as Newton
-needs, and the residual gate of such a row follows its target.
+In 1D the systems are SPD tridiagonal: a bind factors the operator with
+LAPACK ``dpttrf``, and its solve runs every row of a span through one
+multi-column ``dpttrs`` call.  ``solveh_banded`` on the two-row band calls
+``?ptsv``, which is exactly ``pttrf`` followed by ``pttrs``, so a bound
+solve has its bits.  In 2D the mass and stiffness are Kronecker products
+of 1D ones, so fast diagonalization (Lynch, Rice & Thomas 1964) solves
+(a M + c K) x = r exactly with four small matrix products, on a whole
+batch at once; any other diagonal uses that solve as a conjugate-gradient
+preconditioner, row by row, whose iteration count does not grow with the
+mesh.  The conjugate gradient, ``cg``, has the arithmetic of
+``scipy.sparse.linalg.cg`` without its operator dispatch.  A row may get an
+absolute residual target, which only a conjugate-gradient row reads and
+whose gate then follows it, so that an inexact Newton correction is solved
+only as far as Newton needs.
 """
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -77,14 +62,6 @@ from .errors import FieldShapeError, InvalidConfigError, NonFiniteError, Numeric
 # Relative tolerance of the preconditioned conjugate gradient used for 2D
 # solves whose diagonal is not a multiple of the lumped mass.
 CG_RTOL = 1e-13
-
-# Tridiagonal factors kept per 1D operator set.  Only shared operators are
-# kept, those whose diagonal is a multiple of the lumped mass: each time step
-# size needs one for the heat operator and, with linear alpha, one for the
-# Newton Jacobian, so a Monte Carlo study over up to eight dt levels keeps
-# all of them.  A Jacobian of nonlinear alpha is never bit-equal again, so
-# it is factored and solved without entering the cache.
-FACTOR_CACHE_SIZE = 16
 
 # The rows of a single span of ``_gated``: all of them.
 _EVERY_ROW = slice(None)
@@ -125,75 +102,6 @@ def time_grid_of_step(horizon, dt):
     return build_time_grid(horizon, round(count))
 
 
-class _TridiagonalFactors:
-    """Bounded, thread-safe cache of ``dpttrf`` factors of diag + shift K.
-
-    Keyed by the shift and the diagonal's bytes, so a factor is reused only
-    for a bit-equal diagonal; a factor enters the cache only when its
-    diagonal is a multiple of the lumped mass ``mass``.  Callers may share
-    one operator set between threads; every access to the dict holds the
-    lock, and the factorization itself runs outside it (two threads may
-    factor the same key; both results are identical).
-    """
-
-    def __init__(self, main, off, mass):
-        self.main = main
-        self.off = off
-        self.mass = mass
-        self._factors = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __reduce__(self):
-        # Locks do not pickle or deep-copy; a copy starts with no factors.
-        return type(self), (self.main, self.off, self.mass)
-
-    def __len__(self):
-        with self._lock:
-            return len(self._factors)
-
-    def _factor(self, diagonal, shift):
-        d, e, info = dpttrf(diagonal + shift * self.main, shift * self.off)
-        if info != 0:
-            raise NumericalError(
-                f"shifted operator is not positive definite (leading minor {info})"
-            )
-        return d, e
-
-    @staticmethod
-    def _apply(factor, rhs, targets_of=None, rows=None):
-        """``(x, None)``: every row of an (M, P) block solved against
-        ``factor``, with the floors of a direct solve, so that with
-        ``factor`` bound it is a bound solve of ``_gated``."""
-        # The rows of a C-ordered batch are the columns that dpttrs solves.
-        x, info = dpttrs(*factor, rhs.T)
-        if info != 0:
-            raise NumericalError(f"tridiagonal solve rejected its arguments (info {info})")
-        return x.T, None
-
-    def factor(self, diagonal, shift):
-        """The factor of diag + shift K: the cached one for a bit-equal
-        diagonal, else a new one, which enters the cache when the diagonal
-        is a multiple of the lumped mass."""
-        key = (shift, diagonal.tobytes())
-        with self._lock:
-            factor = self._factors.get(key)
-            if factor is not None:
-                self._factors.move_to_end(key)
-        if factor is None:
-            factor = self._factor(diagonal, shift)
-            ratio = diagonal / self.mass
-            if ratio.min() == ratio.max():
-                with self._lock:
-                    self._factors[key] = factor
-                    while len(self._factors) > FACTOR_CACHE_SIZE:
-                        self._factors.popitem(last=False)
-        return factor
-
-    def solve_once(self, diagonal, shift, rhs):
-        """Factor and solve without the cache, for a diagonal used once."""
-        return self._apply(self._factor(diagonal, shift), rhs)[0]
-
-
 @dataclass(frozen=True)
 class SpatialOperators:
     """Lumped mass and Neumann stiffness of a uniform P1 grid.
@@ -212,6 +120,8 @@ class SpatialOperators:
         V^T M_axis V = I; empty in 1D.
     eigenvalue_sums : in 2D, the (nx, ny) table lx_i + ly_j of the axis
         eigenvalues, the spectrum of K in the basis Vx (x) Vy; None in 1D.
+    stiffness_band : in 1D, the main and first off diagonal of K, (P,) and
+        (P - 1,), which every tridiagonal factorization reads; empty in 2D.
     """
 
     dimension: int
@@ -222,7 +132,7 @@ class SpatialOperators:
     coordinates: np.ndarray = field(repr=False)
     axis_eigenpairs: tuple = field(default=(), repr=False)
     eigenvalue_sums: np.ndarray | None = field(default=None, repr=False, compare=False)
-    tridiagonal: _TridiagonalFactors | None = field(default=None, repr=False, compare=False)
+    stiffness_band: tuple = field(default=(), repr=False, compare=False)
 
 
 def _operators_1d(cells, length):
@@ -281,7 +191,7 @@ def build_operators(dimension, cells, lengths):
             lumped_mass=mass,
             stiffness=stiffness,
             coordinates=coords.reshape(-1, 1),
-            tridiagonal=_TridiagonalFactors(stiffness.diagonal(), stiffness.diagonal(1), mass),
+            stiffness_band=(stiffness.diagonal(), stiffness.diagonal(1)),
         )
 
     mx, kx, cx = _operators_1d(int(cells[0]), float(lengths[0]))
@@ -513,14 +423,11 @@ def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
     field (P,), solved as the one-row block whose row 0 is returned;
     ``diagonal`` is (P,), shared by every row, or (M, P), one per row, and a
     block whose diagonal rows are all equal counts as shared.
-    In 1D the system is tridiagonal: the ``dpttrf`` factor of each distinct
-    (shift, diagonal) whose diagonal is a multiple of the lumped mass is
-    computed once, kept on ``ops``, and reused by ``dpttrs`` whenever the
-    diagonal is bit-equal to the cached one; any other diagonal is factored
-    for this call only, per row when the rows differ; a shared diagonal
-    solves the whole block with one multi-column call.  The
-    bits equal those of ``solveh_banded`` on the two-row band, which runs
-    ``?ptsv`` = ``pttrf`` + ``pttrs`` on the same inputs.  In 2D a
+    In 1D the system is tridiagonal and factored by ``dpttrf`` for this
+    call, once for a shared diagonal, whose block ``dpttrs`` then solves in
+    one multi-column call, and once per row otherwise.  The bits equal those
+    of ``solveh_banded`` on the two-row band, which runs ``?ptsv`` =
+    ``pttrf`` + ``pttrs`` on the same inputs.  In 2D a
     diagonal that is a scalar multiple of the lumped mass is solved directly
     by fast diagonalization; any other diagonal runs the conjugate gradient
     ``cg`` on each row, preconditioned by the fast-diagonalization solve of
@@ -556,30 +463,41 @@ def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=_no_atol):
     residual gate formed, bit for bit ``apply_stiffness(ops, x)``.  Its
     ``atol`` is ``atol_of()``, called only where a conjugate-gradient row
     reads it, so a caller builds its targets only for such a row.  A
-    shared diagonal is one span of ``_gated``; per-row diagonals are one
-    span per row in 2D, and factored row by row for this call in 1D."""
+    shared diagonal is one span of ``_gated``, and per-row diagonals are
+    one span per row."""
     rhs = np.asarray(rhs, dtype=float)
     block = rhs[None] if rhs.ndim == 1 else rhs
     diagonal = np.asarray(diagonal, dtype=float)
     shift = float(shift)
     if diagonal.ndim == 2 and (diagonal == diagonal[0]).all():
         diagonal = diagonal[0]
+    # One span per row of the diagonal; a single span solves every row.
+    spans = [(row, row + 1, _bind_unchecked(ops, d, shift))
+             for row, d in enumerate(np.atleast_2d(diagonal))]
     try:
-        if diagonal.ndim == 2 and ops.dimension == 1:
-            x = _by_row(lambda d, r: ops.tridiagonal.solve_once(d, shift, r)[0],
-                        diagonal, block[:, None])
-            stiffness_x = _check_residual(ops, diagonal, shift, x, block, rtol)
-        else:
-            # One span per row of the diagonal; a single span solves every row.
-            spans = [(row, row + 1, _bind_unchecked(ops, d, shift))
-                     for row, d in enumerate(np.atleast_2d(diagonal))]
-            x, stiffness_x = _gated(ops, diagonal, shift, rtol, spans, block,
-                                    partial(_cg_targets, atol_of, len(block)))
+        x, stiffness_x = _gated(ops, diagonal, shift, rtol, spans, block,
+                                partial(_cg_targets, atol_of, len(block)))
     except NumericalError as exc:
         if rhs.ndim == 1:
             exc.row = None
         raise
     return (x[0], stiffness_x[0]) if rhs.ndim == 1 else (x, stiffness_x)
+
+
+def _tridiagonal_solve(factor, rhs, targets_of, rows):
+    """``(x, None)``: every row of an (M, P) block solved against
+    ``factor``, the ``(d, e, info)`` of ``dpttrf``, with the floors of a
+    direct solve, so that with ``factor`` bound it is a bound solve of
+    ``_gated``.  Raises NumericalError where ``dpttrf`` met a leading minor
+    that is not positive."""
+    d, e, info = factor
+    if info != 0:
+        raise NumericalError(f"shifted operator is not positive definite (leading minor {info})")
+    # The rows of a C-ordered batch are the columns that dpttrs solves.
+    x, info = dpttrs(d, e, rhs.T)
+    if info != 0:
+        raise NumericalError(f"tridiagonal solve rejected its arguments (info {info})")
+    return x.T, None
 
 
 def _bind_unchecked(ops, diagonal, shift):
@@ -589,9 +507,9 @@ def _bind_unchecked(ops, diagonal, shift):
     that ``_gated`` solves, which returns the solution and the floors of
     the rows' residual gates.
 
-    In 1D it solves against the operator's ``dpttrf`` factor, taken through
-    the cache of ``ops``; an operator that cannot be factored binds a solve
-    that factors it again and raises, so the error comes from the solve.
+    In 1D it solves against the ``dpttrf`` factor of the operator, taken
+    here; where the operator cannot be factored the bound solve raises, so
+    the error comes from the solve.
     In 2D a multiple of the lumped mass is solved directly by fast
     diagonalization.  Direct solves have no floors (None).  Any other 2D
     diagonal runs the conjugate gradient on each row, preconditioned by
@@ -602,12 +520,8 @@ def _bind_unchecked(ops, diagonal, shift):
     diagonal = np.asarray(diagonal, dtype=float)
     shift = float(shift)
     if ops.dimension == 1:
-        try:
-            factor = ops.tridiagonal.factor(diagonal, shift)
-        except NumericalError:
-            return lambda rhs, targets_of, rows: _TridiagonalFactors._apply(
-                ops.tridiagonal.factor(diagonal, shift), rhs)
-        return partial(_TridiagonalFactors._apply, factor)
+        main, off = ops.stiffness_band
+        return partial(_tridiagonal_solve, dpttrf(diagonal + shift * main, shift * off))
     ratio = diagonal / ops.lumped_mass
     low, high = float(ratio.min()), float(ratio.max())
     direct_solve = _fast_diagonalization(ops, 0.5 * (low + high), shift)

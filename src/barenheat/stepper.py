@@ -35,6 +35,9 @@ one per run of rows that step with one dt.  Only the solves loop over the
 spans; everything else runs once per block with dt a float for one span and
 an (M, 1) column otherwise, which gives each row the bits of its float dt.
 ``take`` narrows a plan to the rows still iterating and binds nothing.
+Every other Newton correction binds the Jacobian of each row, with the
+row's float dt, as one span of its own, and ``grids._gated`` gates them
+the same way.
 
 Rows.  ``_step_rows`` is the one driver of ``_advance``.  A ``_Row`` holds
 paths that step together from one step index along one (N, P) integrand
@@ -99,7 +102,7 @@ from .errors import (
     NumericalError,
 )
 from .grids import (
-    TimeGrid, _bind_unchecked, _gated, _row_dots, _solve_shifted, apply_stiffness, row_norms,
+    TimeGrid, _bind_unchecked, _gated, _row_dots, apply_stiffness, row_norms,
 )
 from .noise import AdditiveIntegrand, BrownianPath, partial_sums
 
@@ -263,21 +266,6 @@ class _Plan(NamedTuple):
     jacobian: np.ndarray | None
     nonlinear: bool
 
-    def correct(self, jacobian, b, targets_of):
-        """Newton's correction against a per-row Jacobian diagonal, through
-        ``_solve_shifted`` on each span with its float dt."""
-        if len(self.spans) == 1:
-            return _solve_shifted(self.ops, jacobian, self.dt, b, CORRECTION_RTOL, targets_of)
-        parts = []
-        for start, stop, dt, *_ in self.spans:
-            try:
-                parts.append(_solve_shifted(self.ops, jacobian[start:stop], dt, b[start:stop],
-                                            CORRECTION_RTOL, lambda: targets_of()[start:stop]))
-            except NumericalError as exc:
-                exc.row = start + (exc.row or 0)
-                raise
-        return tuple(np.concatenate(blocks) for blocks in zip(*parts))
-
     def take(self, rows):
         """The plan of the rows ``rows``, increasing indices into the block:
         the span bounds cut at ``rows`` and the dt column indexed by them,
@@ -330,7 +318,7 @@ def _newton(plan, rhs, start=None, relaxed=None):
     line search or the iteration cap fails after trial steps met non-finite
     residuals; backtracking out of such trials is allowed, since it keeps u
     where alphatilde is finite.  The error's ``row`` names the failing row.
-    Each correction asks ``solve_shifted`` for a residual below
+    Each correction asks its solve for a residual below
     ``NEWTON_FORCING`` times the row's threshold, or times its residual
     where that is smaller.
     """
@@ -412,7 +400,11 @@ def _newton(plan, rhs, start=None, relaxed=None):
                 delta, stiffness_delta = _gated(ops, sub.jacobian, sub.dt, CORRECTION_RTOL,
                                                 sub.spans, b, correction_targets, solve=_AT_ZERO)
             else:
-                delta, stiffness_delta = sub.correct(jac_diag, b, correction_targets)
+                dts = [sub.dt] * len(b) if isinstance(sub.dt, float) else sub.dt[:, 0].tolist()
+                spans = [(row, row + 1, _bind_unchecked(ops, jacobian, dt))
+                         for row, (jacobian, dt) in enumerate(zip(jac_diag, dts))]
+                delta, stiffness_delta = _gated(ops, jac_diag, sub.dt, CORRECTION_RTOL, spans, b,
+                                                correction_targets)
         except NumericalError as exc:
             _lift(exc, rows)
             raise
@@ -691,8 +683,11 @@ def run_additive(
     theta0 = np.asarray(theta0, dtype=float)
     chi0 = np.asarray(chi0, dtype=float)
     _check_initial_shapes(ops, theta0=theta0, chi0=chi0)
-    for integ in integrands:
-        _check_initial_shapes(ops, h_0=integ.values[0])
+    for index, (g, integ) in enumerate(zip(grids, integrands)):
+        if np.shape(integ.values) != (g.steps, ops.node_count):
+            raise FieldShapeError(
+                f"integrand{'' if single else f' {index}'} has shape {np.shape(integ.values)}, "
+                f"a run of {g.steps} steps expects ({g.steps}, {ops.node_count})")
     plans = {}
     for g in grids:
         if g not in plans:

@@ -20,7 +20,7 @@ def _reference_solve_1d(ops, diagonal, shift, rhs, rtol=None, atol=None):
 
 @pytest.fixture(scope="session")
 def reference_solve_1d():
-    """Refactoring 1D solve that the cached ``solve_shifted`` must match bit for bit."""
+    """Refactoring 1D solve that every bound 1D solve must match bit for bit."""
     return _reference_solve_1d
 
 

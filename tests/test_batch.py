@@ -252,7 +252,9 @@ class TestInitialData:
 
     def test_integrand_of_another_mesh_is_rejected(self, ops65, grid16, cos_field):
         integ = bh.discretize_integrand("cos(pi*x)", grid16, bh.build_operators(1, 16, 1.0))
-        with pytest.raises(FieldShapeError, match=r"h_0 has shape \(17,\)"):
+        with pytest.raises(FieldShapeError,
+                           match=r"integrand has shape \(16, 17\), a run of 16 steps expects "
+                                 r"\(16, 65\)"):
             bh.run_additive(cos_field, cos_field, integ, bh.sample_path(grid16, 1, 0), grid16,
                             ops65, bh.linear(1.0))
 
@@ -283,9 +285,9 @@ class TestFactorsInBatches:
         assert (ops.node_count, PATHS) in solved
 
     def test_saturating_batch_factors_heat_once_per_dt(self, cos_field, monkeypatch):
-        # Jacobians of nonlinear alpha differ per row and per iteration and
-        # are factored without entering the cache, so they cannot evict the
-        # heat factor.
+        # Each run_additive call factors the heat operator and the Jacobian
+        # at u = 0, which every path shares, once; Jacobians of nonlinear
+        # alpha differ per row and per iteration and are factored per row.
         ops = bh.build_operators(1, 64, 1.0)
         grid = bh.build_time_grid(1.0, 64)
         integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops)
@@ -299,17 +301,21 @@ class TestFactorsInBatches:
             return real_dpttrf(d, e, *args, **kwargs)
 
         monkeypatch.setattr(grids, "dpttrf", recording_dpttrf)
+        band = grid.dt * ops.stiffness_band[0]
+        fixed = (ops.lumped_mass + band,
+                 ops.lumped_mass * nl.alpha_tilde_prime(np.zeros(ops.node_count)) + band)
+
+        def factored_once_per_call(calls):
+            return all(sum(np.array_equal(d, f) for d in factored) == calls for f in fixed)
+
         batch = bh.run_additive(cos_field, cos_field, integ, paths, grid, ops, nl)
-        heat = ops.lumped_mass + grid.dt * ops.tridiagonal.main
-        assert sum(np.array_equal(d, heat) for d in factored) == 1
-        assert len(factored) > grids.FACTOR_CACHE_SIZE
-        # Besides the heat factor the cache holds one Jacobian: the one at
-        # u = 0 that every path shares in step 0, where h_0 = 0.
-        assert len(ops.tridiagonal) == 2
+        assert factored_once_per_call(1)
+        assert len(factored) > 2 * len(paths)
         for pid in (0, len(paths) - 1):
             alone = bh.run_additive(cos_field, cos_field, integ, paths[pid], grid, ops, nl)
             assert np.array_equal(batch[pid].theta, alone.theta)
             assert np.array_equal(batch[pid].chi, alone.chi)
+        assert factored_once_per_call(3)
 
 
 def nan_beyond(limit):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -543,20 +545,6 @@ class TestBindShifted:
                 assert x.tobytes() == want_x.tobytes()
                 assert stiffness_x.tobytes() == want_stiffness_x.tobytes()
 
-    @pytest.mark.parametrize("mesh", MESHES)
-    def test_factor_cache_as_a_first_solve_leaves_it(self, meshes, mesh, plan_solves):
-        # A mass multiple enters the 1D cache once, as a first solve would;
-        # a varied diagonal never does.  The heat operator M + dt K is the
-        # first entry.  2D keeps no factors.
-        ops = bh.build_operators(*self.MESHES[mesh])
-        rhs = np.ones((2, ops.node_count))
-        for factor, entries in ((np.linspace(1.0, 2.0, ops.node_count), 1), (3.0, 2)):
-            plan = self.plan(ops, factor)
-            plan_solves[1](plan, rhs)
-            grids._solve_shifted(ops, plan.jacobian, self.SHIFT, rhs)
-            if ops.dimension == 1:
-                assert len(ops.tridiagonal) == entries
-
     @pytest.mark.parametrize("rows", [1, 3])
     def test_gate_names_the_row_of_a_non_finite_right_hand_side(self, meshes, rows, plan_solves):
         ops = meshes["1d"]
@@ -581,6 +569,27 @@ class TestBindShifted:
         assert bound.value.row == direct.value.row
 
 
+class TestCopiedOperators:
+    """Operators that went through ``copy.deepcopy`` or a ``pickle`` round
+    trip solve with the bits of the originals."""
+
+    MESHES = {"1d": (1, 40, 1.7), "2d": (2, (8, 6), (1.0, 0.75))}
+    COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda ops: pickle.loads(pickle.dumps(ops))}
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    @pytest.mark.parametrize("how", COPIES)
+    def test_copy_solves_bit_equal(self, mesh, how):
+        ops = bh.build_operators(*self.MESHES[mesh])
+        twin = self.COPIES[how](ops)
+        assert twin is not ops
+        rng = np.random.default_rng(17)
+        rhs = rng.standard_normal((3, ops.node_count))
+        varied = rng.uniform(1.0, 3.0, (3, ops.node_count)) * ops.lumped_mass
+        for diagonal in (2.0 * ops.lumped_mass, varied):
+            x = grids.solve_shifted(ops, diagonal, 0.3, rhs)
+            assert grids.solve_shifted(twin, diagonal, 0.3, rhs).tobytes() == x.tobytes()
+
+
 class TestSolveShifted1D:
     def test_bitwise_equal_to_refactoring_reference(self, reference_solve_1d):
         ops = bh.build_operators(1, 40, 1.7)
@@ -589,43 +598,18 @@ class TestSolveShifted1D:
         for trial in range(40):
             diagonal = mass * (rng.uniform(1.0, 6.0, mass.size) if trial % 2 else 1.0)
             shift = float(rng.uniform(1e-3, 1.0))
-            # Repeated solves hit the cached factor; each must still match.
+            # Each solve factors again; every one must match.
             for _ in range(5):
                 rhs = rng.standard_normal(mass.size) * 10.0 ** rng.uniform(-6, 6)
                 x = grids.solve_shifted(ops, diagonal, shift, rhs)
                 assert np.array_equal(x, reference_solve_1d(ops, diagonal, shift, rhs))
 
-    def test_reuses_factor_only_for_bit_equal_diagonal(self, monkeypatch, reference_solve_1d):
-        ops = bh.build_operators(1, 16, 1.0)
-        calls = []
-        real_dpttrf = grids.dpttrf
-
-        def counting_dpttrf(*args, **kwargs):
-            calls.append(1)
-            return real_dpttrf(*args, **kwargs)
-
-        monkeypatch.setattr(grids, "dpttrf", counting_dpttrf)
-        rhs = np.linspace(-1.0, 1.0, ops.node_count)
-        diagonal = 2.0 * ops.lumped_mass
-        grids.solve_shifted(ops, diagonal, 0.1, rhs)
-        grids.solve_shifted(ops, diagonal.copy(), 0.1, 2.0 * rhs)
-        assert len(calls) == 1
-        nudged = diagonal.copy()
-        nudged[3] = np.nextafter(nudged[3], np.inf)
-        x = grids.solve_shifted(ops, nudged, 0.1, rhs)
-        assert len(calls) == 2
-        assert np.array_equal(x, reference_solve_1d(ops, nudged, 0.1, rhs))
-        grids.solve_shifted(ops, diagonal, 0.2, rhs)
-        assert len(calls) == 3
-
     def test_threads_sharing_one_operator_set_match_serial_runs(self):
-        # Four threads step on one operator set and its factor cache.  Nine
-        # step sizes each need a heat factor and a linear-alpha Jacobian
-        # factor, more than the cache keeps, so the threads evict each
-        # other's factors, and saturating-alpha runs factor their Jacobians
-        # in between.  A lost or mixed-up factor would change some run's bits.
+        # Four threads step on one operator set.  Nine step sizes each bind
+        # a heat factor and a linear-alpha Jacobian factor, and
+        # saturating-alpha runs factor their Jacobians in between.  A factor
+        # shared by mistake would change some run's bits.
         time_grids = [bh.build_time_grid(0.5, steps) for steps in range(4, 13)]
-        assert 2 * len(time_grids) > grids.FACTOR_CACHE_SIZE
         nls = (bh.linear(1.0), bh.saturating(2.0))
         jobs = [(grid, nl, pid) for pid in range(2) for grid in time_grids for nl in nls]
 
@@ -658,6 +642,22 @@ class TestSolveShifted1D:
         diagonal[4] = -1.0
         with pytest.raises(NumericalError):
             grids.solve_shifted(ops, diagonal, 0.01, np.ones(ops.node_count))
+
+    def test_per_row_operator_that_cannot_be_factored_names_its_row(self):
+        # Row 2 of three per-row diagonals is not positive definite; the
+        # other rows are solved as they are alone.
+        ops = bh.build_operators(1, 8, 1.0)
+        rng = np.random.default_rng(5)
+        diagonals = rng.uniform(1.0, 3.0, (3, ops.node_count)) * ops.lumped_mass
+        diagonals[2, 4] = -1.0
+        rhs = rng.standard_normal((3, ops.node_count))
+        with pytest.raises(NumericalError, match="not positive definite") as info:
+            grids.solve_shifted(ops, diagonals, 0.01, rhs)
+        assert info.value.row == 2
+        block = grids.solve_shifted(ops, diagonals[:2], 0.01, rhs[:2])
+        for row in range(2):
+            alone = grids.solve_shifted(ops, diagonals[row], 0.01, rhs[row])
+            assert block[row].tobytes() == alone.tobytes()
 
     def test_non_finite_rhs_raises(self):
         ops = bh.build_operators(1, 8, 1.0)

@@ -160,7 +160,24 @@ class TestFailures:
                             bh.linear(0.25))
         assert not advanced
 
-    def test_shapes_are_checked_at_the_call(self, ops65, cos_field):
+    def test_shapes_are_checked_at_the_call(self, ops65, cos_field, monkeypatch):
+        advanced = []
+        monkeypatch.setattr(stepper, "_advance", lambda *args: advanced.append(1))
+        # An integrand table needs one row per step: 5 rows used to run 5
+        # steps of 8 and then fail on an index, 12 rows to fail only after
+        # the run.
+        grids, integrands, paths = ladder(ops65, [4, 8])
+        for rows in (5, 12):
+            short = bh.AdditiveIntegrand(grid=grids[1], values=np.tile(cos_field, (rows, 1)))
+            with pytest.raises(bh.FieldShapeError,
+                               match=rf"^integrand has shape \({rows}, 65\), a run of 8 steps"):
+                bh.run_additive(cos_field, cos_field, short, paths[1], grids[1], ops65,
+                                bh.linear(1.0))
+            with pytest.raises(bh.FieldShapeError,
+                               match=rf"^integrand 1 has shape \({rows}, 65\), a run of 8 steps"):
+                bh.run_additive(cos_field, cos_field, [integrands[0], short], paths, grids,
+                                ops65, bh.linear(1.0))
+        assert not advanced
         grids, integrands, paths = ladder(ops65, [2, 4])
         with pytest.raises(bh.FieldShapeError, match="share one time grid"):
             bh.run_additive(cos_field, cos_field, integrands[::-1], paths, grids, ops65,

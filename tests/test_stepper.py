@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import barenheat as bh
-from barenheat import grids, stepper
+from barenheat import diagnostics, grids, stepper
 from barenheat.config import parse_config
 from barenheat.errors import (
     ContractionConditionError,
@@ -269,27 +269,16 @@ class TestStep:
                                                       one_step):
         # Every Newton iteration makes one shifted solve and every heat solve
         # one more, so the solves counted outside the heat kernel
-        # _solve_theta are the Newton iterations actually run.  The heat
-        # solve and Newton's solve from u = 0 are the run plan's, every other
-        # Newton solve is _solve_shifted's, so all three are counted.
+        # _solve_theta are the Newton iterations actually run.  Every solve,
+        # heat or Newton, is gated by one _gated call, so all are counted.
         nl = bh.saturating(2.0)
         counts = {"shifted": 0, "theta": 0}
         reports = []
-        real_theta, real_newton, real_plan = (stepper._solve_theta, stepper._newton,
-                                              stepper._step_plan)
+        real_theta, real_newton, real_gated = stepper._solve_theta, stepper._newton, stepper._gated
 
-        def counting(real_shifted):
-            def counting_shifted(*args, **kwargs):
-                counts["shifted"] += 1
-                return real_shifted(*args, **kwargs)
-
-            return counting_shifted
-
-        def counting_plan(*args):
-            plan = real_plan(*args)
-            span = plan.spans[0]
-            return plan._replace(spans=(span._replace(heat=counting(span.heat),
-                                                      at_zero=counting(span.at_zero)),))
+        def counting_gated(*args, **kwargs):
+            counts["shifted"] += 1
+            return real_gated(*args, **kwargs)
 
         def counting_theta(*args, **kwargs):
             counts["theta"] += 1
@@ -300,8 +289,7 @@ class TestStep:
             reports.append(report)
             return u, report
 
-        monkeypatch.setattr(stepper, "_step_plan", counting_plan)
-        monkeypatch.setattr(stepper, "_solve_shifted", counting(stepper._solve_shifted))
+        monkeypatch.setattr(stepper, "_gated", counting_gated)
         monkeypatch.setattr(stepper, "_solve_theta", counting_theta)
         monkeypatch.setattr(stepper, "_newton", recording_newton)
         _, _, report = one_step(cos_field, 0.5 * cos_field, 3.0 * cos_field, 0.4, 0.25, ops65,
@@ -472,17 +460,29 @@ class TestStepPlan:
                 assert built == {"plan": 1, "at_zero": 1}
                 assert len(steps) == grid.steps
 
-    def test_converge_keeps_the_factor_cache_of_a_lookup_per_solve(self):
-        # Five dt levels of linear alpha: the heat operator M + dt K and the
-        # Newton Jacobian at u = 0 per level, the factors that a lookup on
-        # every solve kept too.
+    def test_converge_factors_each_operator_once_per_dt(self, monkeypatch):
+        # Five dt levels of linear alpha step in one run_additive call, which
+        # factors the heat operator M + dt K and the Newton Jacobian at
+        # u = 0 once per level.
         config = parse_config(os.path.join(os.path.dirname(__file__), "..", "demos",
                                               "configs", "additive.ini"))
         assert len(config.dt_levels) == 5
         setup = bh.AdditiveSetup(config.ops, config.nonlinearity, config.theta0, config.chi0,
                                  config.integrand, config.inner_tol, config.newton_tol)
+        counts = {"run_additive": 0, "dpttrf": 0}
+        real_run, real_dpttrf = stepper.run_additive, grids.dpttrf
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(diagnostics, "run_additive", counting("run_additive", real_run))
+        monkeypatch.setattr(grids, "dpttrf", counting("dpttrf", real_dpttrf))
         bh.grid_difference_rates(setup, config.horizon, config.dt_levels, 2, 7)
-        assert len(config.ops.tridiagonal) == 2 * len(config.dt_levels)
+        assert counts == {"run_additive": 1, "dpttrf": 2 * len(config.dt_levels)}
 
 
 class TestRunAdditive:
@@ -627,17 +627,13 @@ class TestFactorReuse:
         self, run_inputs, cos_field, nl, monkeypatch, reference_solve_1d
     ):
         grid, ops, integ, path = run_inputs
-        cached = bh.run_additive(cos_field, 0.5 * cos_field, integ, path, grid, ops, nl)
+        bound_solves = bh.run_additive(cos_field, 0.5 * cos_field, integ, path, grid, ops, nl)
         bound = []
 
-        def reference_pair(ops, diagonal, shift, rhs, rtol=None, atol_of=None):
-            # A shifted solve that also returns K x.
-            x = reference_solve_1d(ops, diagonal, shift, rhs)
-            return x, grids.apply_stiffness(ops, x)
-
         def reference_bind(ops, diagonal, shift):
-            # The run plan's heat solve and Newton's solve from u = 0, which
-            # the plan gates.
+            # Every shifted solve of the run: the plan's heat solve and
+            # Newton's solve from u = 0, and each row's Newton correction,
+            # all of which _gated gates.
             def solve(rhs, targets_of, rows):
                 bound.append(len(rhs))
                 return reference_solve_1d(ops, diagonal, shift, rhs), None
@@ -645,15 +641,14 @@ class TestFactorReuse:
             return solve
 
         monkeypatch.setattr(stepper, "_bind_unchecked", reference_bind)
-        monkeypatch.setattr(stepper, "_solve_shifted", reference_pair)
         reference = bh.run_additive(cos_field, 0.5 * cos_field, integ, path, grid, ops, nl)
         # A heat solve per inner iteration and step, and a Newton solve from
         # u = 0 in each step at least, all of them the reference's.
         inner = sum(r.inner_iterations for r in reference.reports)
         assert len(bound) >= inner + 2 * grid.steps
-        assert np.array_equal(cached.theta, reference.theta)
-        assert np.array_equal(cached.chi, reference.chi)
-        assert [r.inner_iterations for r in cached.reports] == [
+        assert np.array_equal(bound_solves.theta, reference.theta)
+        assert np.array_equal(bound_solves.chi, reference.chi)
+        assert [r.inner_iterations for r in bound_solves.reports] == [
             r.inner_iterations for r in reference.reports
         ]
 
@@ -671,38 +666,45 @@ class TestFactorReuse:
     def test_linear_run_factors_each_operator_once_per_dt(
         self, run_inputs, cos_field, monkeypatch
     ):
+        # Each run_additive call factors the heat operator M + dt K and the
+        # fixed Newton Jacobian once, and solves every step with them.
         grid, ops, integ, path = run_inputs
         factored = self._record_factorizations(monkeypatch)
         nl = bh.linear(1.0)
         traj = bh.run_additive(cos_field, cos_field, integ, path, grid, ops, nl)
         assert sum(r.inner_iterations for r in traj.reports) > 2 * grid.steps
-        # The heat operator M + dt K and the fixed Newton Jacobian.
         assert len(factored) == 2
-        heat = ops.lumped_mass + grid.dt * ops.tridiagonal.main
+        heat = ops.lumped_mass + grid.dt * ops.stiffness_band[0]
         assert np.array_equal(factored[0], heat)
         bh.run_additive(cos_field, cos_field, integ, bh.sample_path(grid, 31, 3), grid, ops, nl)
-        assert len(factored) == 2
+        assert len(factored) == 4
+        assert np.array_equal(factored[2], heat)
         finer = bh.build_time_grid(1.0, 64)
         finer_integ = bh.discretize_integrand("cos(pi*x)*(1+t)", finer, ops)
         bh.run_additive(cos_field, cos_field, finer_integ, bh.sample_path(finer, 31, 2),
                         finer, ops, nl)
-        assert len(factored) == 4
+        assert len(factored) == 6
+        assert np.array_equal(factored[4], ops.lumped_mass + finer.dt * ops.stiffness_band[0])
 
-    def test_saturating_run_keeps_cache_bounded_and_heat_factor(
+    def test_saturating_run_factors_heat_and_jacobian_at_zero_once(
         self, cos_field, monkeypatch
     ):
         ops = bh.build_operators(1, 64, 1.0)
         grid = bh.build_time_grid(1.0, 128)
         integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops)
         factored = self._record_factorizations(monkeypatch)
+        nl = bh.saturating(2.0)
         traj = bh.run_additive(cos_field, cos_field, integ, bh.sample_path(grid, 5, 0),
-                               grid, ops, bh.saturating(2.0))
-        # At most one factorization per Newton iteration plus the heat one.
+                               grid, ops, nl)
+        # The plan factors M + dt K and the Jacobian at u = 0 once; every
+        # Newton iteration but the first of a solve from u = 0 factors its
+        # own Jacobian, and each step makes one solve from u = 0.
         newton = sum(r.newton_iterations for r in traj.reports)
-        assert grids.FACTOR_CACHE_SIZE < len(factored) <= newton + 1
-        assert len(ops.tridiagonal) <= grids.FACTOR_CACHE_SIZE
-        heat = ops.lumped_mass + grid.dt * ops.tridiagonal.main
-        assert sum(np.array_equal(d, heat) for d in factored) == 1
+        assert newton + 2 - grid.steps <= len(factored) <= newton + 2
+        band = grid.dt * ops.stiffness_band[0]
+        zero = np.zeros(ops.node_count)
+        for diagonal in (ops.lumped_mass, ops.lumped_mass * nl.alpha_tilde_prime(zero)):
+            assert sum(np.array_equal(d, diagonal + band) for d in factored) == 1
 
 
 class TestNonFiniteValues:
@@ -766,13 +768,10 @@ class TestInexactNewton:
             if exact:
                 # Newton's corrections without their targets: full solves,
                 # from u = 0 through the run plan's solve as well.
-                patch.setattr(stepper, "_solve_shifted",
-                              lambda ops, diagonal, shift, rhs, rtol, atol_of:
-                              grids._solve_shifted(ops, diagonal, shift, rhs, rtol))
                 patch.setattr(stepper, "_gated",
                               lambda ops, diagonal, shift, rtol, spans, rhs, targets_of=None,
-                              solve=None:
-                              grids._solve_shifted(ops, diagonal, shift, rhs, rtol))
+                              solve=2:
+                              grids._gated(ops, diagonal, shift, rtol, spans, rhs, None, solve))
             trajectories = bh.run_additive(theta0, chi0, integ, paths, grid, ops, bh.saturating(2.0))
         return trajectories, iterations[0]
 

@@ -15,7 +15,10 @@ CSV it wrote, in a fixed order:
   at dt 1/8, 1/16 and 1/32 with two paths, the one run of coupled 2D dt
   levels;
 * ``solve`` on ``demos/configs/cubic_noise.ini``, whose noise has powers
-  of t alone and a power of x t.
+  of t alone and a power of x t;
+* ``converge`` and ``solve`` on ``demos/configs/ramp.ini``, the one 1D run
+  of nonlinear alpha on several paths, whose Newton corrections solve
+  against a Jacobian of their own on every row.
 
 CSV bodies are byte-reproducible for a fixed config and seed, so two
 checkouts that print the same listing wrote the same bits; ``diff`` the
@@ -50,6 +53,8 @@ RUNS = (
     ("converge", "perfbench/configs/solve2d.ini",
      ("--dt-list", "0.125,0.0625,0.03125", "--paths", "2")),
     ("solve", "demos/configs/cubic_noise.ini", ()),
+    ("converge", "demos/configs/ramp.ini", ()),
+    ("solve", "demos/configs/ramp.ini", ()),
 )
 
 # Runs the CLI of the barenheat under argv[1] and nowhere else.
