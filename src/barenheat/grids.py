@@ -11,23 +11,21 @@ implicit solves in the stepper are (diagonal + stiffness) SPD systems.
 Fields are nodal vectors of length P, and a batch of M fields (one per
 Monte Carlo path, or one per time node) is an (M, P) block whose rows are
 treated one by one, so every row gets the bits it would get on its own;
-``solve_shifted`` solves one (P,) field as a one-row block, and ``l2_norm``
-and ``h1_seminorm`` reduce it by ``math.sqrt`` of one ``ddot``, with the
-bits of row 0 of that block and without its per-call overhead.  Every row
-norm of a block, the residual gate's included, comes from ``_row_dots``,
-which numpy hands row by row to the BLAS ``ddot`` that ``row.dot(row)``
-calls, never to a gemv (M, P) @ (P,) with M > 1, whose summation order
-differs.
+``l2_norm`` and ``h1_seminorm`` reduce one (P,) field by ``math.sqrt`` of
+one ``ddot``, with the bits of row 0 of its one-row block and without its
+per-call overhead.  Every row norm of a block, the residual gate's
+included, comes from ``_row_dots``, which numpy hands row by row to the
+BLAS ``ddot`` that ``row.dot(row)`` calls, never to a gemv (M, P) @ (P,)
+with M > 1, whose summation order differs.
 
-Shifted solves of diag(d) + shift K are bound once for one (P,) diagonal
-and shift, without their residual gate (``_bind_unchecked``), and
-``_gated`` runs bound solves on consecutive row spans of a block, each
-span with its own shift, then gates the whole block once.  The gate forms
-A x = d x + shift K x and hands that K x back with x, bit for bit
+Shifted solves of diag(d) + shift K have one API, a bind and a gate.
+``_bind_unchecked`` binds a solve once for one (P,) diagonal and shift,
+without its residual gate; ``_gated`` runs bound solves on consecutive row
+spans of a block, each span with its own shift (rows with diagonals of
+their own are one span each), then gates the whole block once.  The gate
+forms A x = d x + shift K x and hands that K x back with x, bit for bit
 ``apply_stiffness(ops, x)``, so a caller that needs it (Newton's trial
 residual after a step from u = 0) does not form it again.
-``_solve_shifted`` binds a shared diagonal as one span and per-row
-diagonals as one span per row; ``solve_shifted`` is it without K x.
 
 In 1D the systems are SPD tridiagonal: a bind factors the operator with
 LAPACK ``dpttrf``, and its solve runs every row of a span through one
@@ -102,9 +100,10 @@ def time_grid_of_step(horizon, dt):
     return build_time_grid(horizon, round(count))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatialOperators:
-    """Lumped mass and Neumann stiffness of a uniform P1 grid.
+    """Lumped mass and Neumann stiffness of a uniform P1 grid, equal only to
+    itself (identity), so that an operator set is hashable.
 
     Attributes
     ----------
@@ -131,8 +130,8 @@ class SpatialOperators:
     stiffness: sp.csr_matrix = field(repr=False)
     coordinates: np.ndarray = field(repr=False)
     axis_eigenpairs: tuple = field(default=(), repr=False)
-    eigenvalue_sums: np.ndarray | None = field(default=None, repr=False, compare=False)
-    stiffness_band: tuple = field(default=(), repr=False, compare=False)
+    eigenvalue_sums: np.ndarray | None = field(default=None, repr=False)
+    stiffness_band: tuple = field(default=(), repr=False)
 
 
 def _operators_1d(cells, length):
@@ -357,22 +356,6 @@ def cg(matvec, b, psolve, rtol, atol=0.0, callback=None):
     return x, maxiter
 
 
-def _cg_targets(atol_of, count):
-    """``solve_shifted``'s ``atol``, ``atol_of()``, as the targets of a
-    block of ``count`` rows, zero for None; an infinite target would pass a
-    row at x = 0, and a NaN one would run the conjugate gradient past
-    convergence."""
-    atol = atol_of()
-    if atol is None:
-        return np.zeros(count)
-    targets = np.asarray(atol, dtype=float).reshape(-1)
-    if len(targets) != count:
-        raise FieldShapeError(f"atol has {len(targets)} entries for a block of {count} rows")
-    if not all(0.0 <= target < math.inf for target in targets.tolist()):
-        raise InvalidConfigError(f"atol entries must be finite and >= 0, got {targets.tolist()}")
-    return targets
-
-
 def _by_row(solve, *batches):
     """Stack ``solve`` over the rows of the batches; a failure names its row."""
     rows = []
@@ -414,74 +397,6 @@ def _check_residual(ops, diagonal, shift, x, rhs, rtol, floors=None):
         raise NonFiniteError("shifted-operator solve produced a non-finite residual",
                              residual=norm, row=row)
     raise NumericalError("shifted-operator solve missed its tolerance", residual=norm, row=row)
-
-
-def solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol=None):
-    """Solve (diag(diagonal) + shift * K) x = rhs for an SPD combination.
-
-    ``rhs`` is a block (M, P) whose rows are solved as if one by one, or one
-    field (P,), solved as the one-row block whose row 0 is returned;
-    ``diagonal`` is (P,), shared by every row, or (M, P), one per row, and a
-    block whose diagonal rows are all equal counts as shared.
-    In 1D the system is tridiagonal and factored by ``dpttrf`` for this
-    call, once for a shared diagonal, whose block ``dpttrs`` then solves in
-    one multi-column call, and once per row otherwise.  The bits equal those
-    of ``solveh_banded`` on the two-row band, which runs ``?ptsv`` =
-    ``pttrf`` + ``pttrs`` on the same inputs.  In 2D a
-    diagonal that is a scalar multiple of the lumped mass is solved directly
-    by fast diagonalization; any other diagonal runs the conjugate gradient
-    ``cg`` on each row, preconditioned by the fast-diagonalization solve of
-    (a M + shift K) with a between the extremes of diagonal / lumped mass,
-    which bounds the condition number by their ratio on every mesh.
-
-    ``atol``, None or an (M,) array (one entry for a field), is an absolute
-    residual target per row that a caller such as inexact Newton may ask
-    for instead of a full solve.  A conjugate-gradient row i stops once its
-    residual is below max(CG_RTOL |b_i|, atol_i), and its residual gate is
-    max(rtol (1 + |b_i|), 2 atol_i): every stop lies inside half its own
-    gate.  Direct solves, all of 1D and the 2D mass multiples, ignore
-    ``atol`` and keep the gate rtol (1 + |b_i|); with ``atol`` None every
-    row runs to ``CG_RTOL``, has the bits of ``scipy.sparse.linalg.cg`` and
-    keeps that gate.  Where a conjugate-gradient row reads ``atol``, it
-    raises FieldShapeError unless ``atol`` has one entry per row, and
-    InvalidConfigError unless every entry is finite and >= 0.
-
-    Raises NumericalError if the operator is not positive definite or
-    the residual of a row exceeds its gate, and NonFiniteError if it is
-    NaN or infinite; the error's ``row`` names the row of a block, and is
-    None for a field.
-    """
-    return _solve_shifted(ops, diagonal, shift, rhs, rtol, lambda: atol)[0]
-
-
-def _no_atol():
-    return None
-
-
-def _solve_shifted(ops, diagonal, shift, rhs, rtol=1e-12, atol_of=_no_atol):
-    """``solve_shifted`` returning ``(x, K x)``: K x is the product that the
-    residual gate formed, bit for bit ``apply_stiffness(ops, x)``.  Its
-    ``atol`` is ``atol_of()``, called only where a conjugate-gradient row
-    reads it, so a caller builds its targets only for such a row.  A
-    shared diagonal is one span of ``_gated``, and per-row diagonals are
-    one span per row."""
-    rhs = np.asarray(rhs, dtype=float)
-    block = rhs[None] if rhs.ndim == 1 else rhs
-    diagonal = np.asarray(diagonal, dtype=float)
-    shift = float(shift)
-    if diagonal.ndim == 2 and (diagonal == diagonal[0]).all():
-        diagonal = diagonal[0]
-    # One span per row of the diagonal; a single span solves every row.
-    spans = [(row, row + 1, _bind_unchecked(ops, d, shift))
-             for row, d in enumerate(np.atleast_2d(diagonal))]
-    try:
-        x, stiffness_x = _gated(ops, diagonal, shift, rtol, spans, block,
-                                partial(_cg_targets, atol_of, len(block)))
-    except NumericalError as exc:
-        if rhs.ndim == 1:
-            exc.row = None
-        raise
-    return (x[0], stiffness_x[0]) if rhs.ndim == 1 else (x, stiffness_x)
 
 
 def _tridiagonal_solve(factor, rhs, targets_of, rows):

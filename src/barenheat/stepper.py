@@ -29,15 +29,14 @@ Plans.  The heat operator M + dt K and the Jacobian M alphatilde'(0) + dt K
 of Newton from u = 0 are fixed per dt, so a plan (``_Plan``) binds both once
 (``grids._bind_unchecked``: 1D ``dpttrf`` factors, 2D fast
 diagonalization) together with alphatilde(0), the contraction bound and the
-linear switch; ``grids._gated`` runs each bound solve with the residual gate
-and errors of ``solve_shifted``.  A plan is a tuple of spans (``_Span``),
-one per run of rows that step with one dt.  Only the solves loop over the
-spans; everything else runs once per block with dt a float for one span and
-an (M, 1) column otherwise, which gives each row the bits of its float dt.
-``take`` narrows a plan to the rows still iterating and binds nothing.
-Every other Newton correction binds the Jacobian of each row, with the
-row's float dt, as one span of its own, and ``grids._gated`` gates them
-the same way.
+linear switch; ``grids._gated`` runs the bound solves and gates the block
+once, the one way a shifted system is solved.  A plan is a tuple of spans
+(``_Span``), one per run of rows that step with one dt.  Only the solves
+loop over the spans; everything else runs once per block with dt a float
+for one span and an (M, 1) column otherwise, which gives each row the bits
+of its float dt.  ``take`` narrows a plan to the rows still iterating and
+binds nothing.  Every other Newton correction binds the Jacobian of each
+row, with the row's float dt, as one span of its own, gated the same way.
 
 Rows.  ``_step_rows`` is the one driver of ``_advance``.  A ``_Row`` holds
 paths that step together from one step index along one (N, P) integrand
@@ -109,8 +108,8 @@ from .noise import AdditiveIntegrand, BrownianPath, partial_sums
 DEFAULT_INNER_TOL = 1e-11
 DEFAULT_NEWTON_TOL = 1e-12
 MAX_NEWTON_ITERATIONS = 50
-# Residual gates of a Newton correction's linear solve and of the heat
-# solve, which keeps the default gate of ``solve_shifted``.
+# Residual gates rtol (1 + |b|) of a Newton correction's linear solve and of
+# the heat solve.
 CORRECTION_RTOL = 1e-10
 HEAT_RTOL = 1e-12
 # Forcing term of the inexact Newton solve (see the module docstring): the

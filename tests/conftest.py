@@ -6,12 +6,11 @@ import barenheat as bh
 from barenheat import grids, stepper
 
 
-def _reference_solve_1d(ops, diagonal, shift, rhs, rtol=None, atol=None):
+def _reference_solve_1d(ops, diagonal, shift, rhs):
     """The former per-call 1D shifted solve: build the two-row band,
     refactor and solve with ``solveh_banded`` on every call, for one field
     (P,) or for the rows of an (M, P) block, which are its columns.  The
-    diagonal is shared by every row.  ``rtol`` and ``atol`` are accepted
-    and ignored so that it can stand in for ``solve_shifted``."""
+    diagonal is shared by every row."""
     band = np.zeros((2, ops.node_count))
     band[1] = diagonal + shift * ops.stiffness.diagonal()
     band[0, 1:] = shift * ops.stiffness.diagonal(1)
@@ -22,6 +21,24 @@ def _reference_solve_1d(ops, diagonal, shift, rhs, rtol=None, atol=None):
 def reference_solve_1d():
     """Refactoring 1D solve that every bound 1D solve must match bit for bit."""
     return _reference_solve_1d
+
+
+def _shifted_solve(ops, diagonal, shift, rhs, rtol=1e-12, targets=None):
+    """``(x, K x)`` of (diag(diagonal) + shift K) x = rhs for an (M, P)
+    block, solved as the stepper solves: one span bound by
+    ``grids._bind_unchecked`` per row of ``diagonal`` ((P,) counts as one
+    row, shared by the block) and one ``grids._gated`` call, with the (M,)
+    conjugate-gradient ``targets`` if given."""
+    spans = [(row, row + 1, grids._bind_unchecked(ops, d, shift))
+             for row, d in enumerate(np.atleast_2d(diagonal))]
+    return grids._gated(ops, diagonal, shift, rtol, spans, rhs,
+                        None if targets is None else lambda: targets)
+
+
+@pytest.fixture(scope="session")
+def shifted_solve():
+    """The one shifted solve, bind and gate, on a block."""
+    return _shifted_solve
 
 
 def _one_step(theta_n, chi_n, h_n, dw, dt, ops, nl, **kwargs):

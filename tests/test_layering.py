@@ -1,4 +1,5 @@
-"""The solver layer imports nothing of the Monte Carlo harness or the CLI."""
+"""The solver layer imports nothing of the Monte Carlo harness or the CLI,
+and every public name of the package has a reader."""
 
 import ast
 import os
@@ -47,3 +48,56 @@ def test_the_reader_sees_every_kind_of_import(tmp_path):
 @pytest.mark.parametrize("name", SOLVER)
 def test_solver_module_imports_no_harness_module(name):
     assert not imported_modules(name) & HARNESS
+
+
+def names_read(node):
+    """The names that the syntax tree ``node`` reads: bare names, attributes
+    and the names of ``from`` imports."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        elif isinstance(child, ast.ImportFrom):
+            found |= {alias.name for alias in child.names}
+    return found
+
+
+def unread_public_names(package=PACKAGE):
+    """``module.name`` of each public top-level function or class of
+    ``package`` that ``__init__`` does not re-export (``_DIAGNOSTICS_NAMES``
+    included) and that no statement of the package other than its own
+    definition reads."""
+    trees = {}
+    for file in sorted(os.listdir(package)):
+        if file.endswith(".py"):
+            with open(os.path.join(package, file), encoding="utf-8") as handle:
+                trees[file[:-3]] = ast.parse(handle.read())
+    exported = names_read(trees["__init__"])
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.Assign) and "_DIAGNOSTICS_NAMES" in names_read(node):
+            exported |= set(ast.literal_eval(node.value))
+    reads = [(statement, names_read(statement))
+             for tree in trees.values() for statement in tree.body]
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in exported
+            and not any(node.name in names for statement, names in reads if statement is not node)]
+
+
+def test_the_unread_name_finder_sees_every_kind_of_reader(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "from .a import shown\n_DIAGNOSTICS_NAMES = ('lazy',)\n", encoding="utf-8")
+    (tmp_path / "a.py").write_text(
+        "def shown(): pass\ndef lazy(): pass\ndef local(): pass\nTABLE = {'k': local}\n"
+        "def imported(): pass\ndef called(): pass\n"
+        "def dead(): return dead()\nclass Dead: pass\ndef _private(): pass\n",
+        encoding="utf-8")
+    (tmp_path / "b.py").write_text("from .a import imported\nfrom . import a\na.called()\n",
+                                   encoding="utf-8")
+    assert unread_public_names(str(tmp_path)) == ["a.dead", "a.Dead"]
+
+
+def test_every_public_name_is_exported_or_read():
+    assert unread_public_names() == []

@@ -235,7 +235,7 @@ def test_converge_steps_every_level_in_one_batch(ops_small, monkeypatch):
 
 @pytest.mark.parametrize("mesh", [(1, 32, 1.0), (2, (7, 4), (1.0, 2.5))], ids=["1d", "2d"])
 @pytest.mark.parametrize("multiple", [True, False], ids=["mass-multiple", "varied"])
-def test_spans_gate_once_with_the_bits_of_each_shift(mesh, multiple):
+def test_spans_gate_once_with_the_bits_of_each_shift(mesh, multiple, shifted_solve):
     # Rows 0:2, 2:3 and 3:5 solve against their own shift; the block is
     # gated once with the shifts as a column, and each span gets the bits
     # of a solve of its shift alone, K x included.  A failure names its row
@@ -252,8 +252,8 @@ def test_spans_gate_once_with_the_bits_of_each_shift(mesh, multiple):
              for start, stop, shift in bounds]
     x, stiffness_x = grids._gated(ops, diagonal, shifts, 1e-10, spans, rhs, lambda: targets)
     for start, stop, shift in bounds:
-        alone, stiffness_alone = grids._solve_shifted(ops, diagonal, shift, rhs[start:stop],
-                                                      1e-10, lambda: targets[start:stop])
+        alone, stiffness_alone = shifted_solve(ops, diagonal, shift, rhs[start:stop], 1e-10,
+                                               targets[start:stop])
         assert x[start:stop].tobytes() == alone.tobytes()
         assert stiffness_x[start:stop].tobytes() == stiffness_alone.tobytes()
     rhs[3, 2] = np.nan

@@ -167,7 +167,7 @@ class TestNewtonFromZero:
                     report.line_search_halvings[row]) == (
                 single.residual[0], single.iterations[0], single.line_search_halvings[0])
 
-    def test_alpha_not_zero_at_zero_keeps_the_start_residual(self, ops65):
+    def test_alpha_not_zero_at_zero_keeps_the_start_residual(self, ops65, reference_solve_1d):
         # alphatilde(0) = 0.3 everywhere: the start residual is
         # (M alphatilde(0) + 0.0) - rhs, not -rhs.  Row 1 meets it exactly
         # and row 2 to below its threshold, so neither iterates; row 0 takes
@@ -181,7 +181,7 @@ class TestNewtonFromZero:
                         offset + 1e-15 * rng.standard_normal(ops65.node_count)])
         u, report = stepper._newton(plan_of(ops65, nl, dt), rhs)
         start = offset - rhs
-        step = grids.solve_shifted(ops65, 2.0 * mass, dt, -start[0], rtol=1e-10)
+        step = reference_solve_1d(ops65, 2.0 * mass, dt, -start[0])
         stepped = 0.0 + step
         after = mass * nl.alpha_tilde(stepped) + dt * (ops65.stiffness @ stepped) - rhs[0]
         assert u[0].tobytes() == stepped.tobytes() and not u[1:].any()
@@ -365,8 +365,9 @@ class TestStep:
 
 class TestStepPlan:
     """A run binds its fixed solves once: the plan's heat solve and Newton's
-    solve from u = 0 are ``_solve_shifted`` with their operators bound, and
-    the plan is built once per run, not per step or per solve."""
+    solve from u = 0 have the bits of a fresh bind and gate of their
+    operators, and the plan is built once per run, not per step or per
+    solve."""
 
     DT = 1.0 / 16
     MESHES = {"1d-65": (1, 64, 1.0), "2d-9x7": (2, (8, 6), (1.0, 0.75))}
@@ -375,7 +376,8 @@ class TestStepPlan:
     @pytest.mark.parametrize("mesh", MESHES)
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("rows", [1, 3])
-    def test_bound_solves_have_the_bits_of_solve_shifted(self, mesh, alpha, rows, plan_solves):
+    def test_bound_solves_have_the_bits_of_a_fresh_bind(self, mesh, alpha, rows, plan_solves,
+                                                         shifted_solve):
         heat, at_zero = plan_solves
         ops, nl = bh.build_operators(*self.MESHES[mesh]), self.ALPHAS[alpha]
         plan = plan_of(ops, nl, self.DT)
@@ -385,10 +387,9 @@ class TestStepPlan:
         for scale in (1.0, 1e-8, 1e8):
             rhs = scale * rng.standard_normal((rows, ops.node_count))
             for got, want in (
-                (heat(plan, rhs), grids._solve_shifted(ops, ops.lumped_mass, self.DT, rhs)),
+                (heat(plan, rhs), shifted_solve(ops, ops.lumped_mass, self.DT, rhs)),
                 (at_zero(plan, rhs, lambda: targets),
-                 grids._solve_shifted(ops, jacobian, self.DT, rhs, stepper.CORRECTION_RTOL,
-                                      lambda: targets)),
+                 shifted_solve(ops, jacobian, self.DT, rhs, stepper.CORRECTION_RTOL, targets)),
             ):
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -813,7 +814,8 @@ class TestInexactNewton:
     def test_large_data_stay_inside_the_residual_gate(self, monkeypatch):
         # |rhs| of order 1e5 makes NEWTON_FORCING times the Newton threshold
         # larger than rtol (1 + |b|) for a small correction b; the gate of
-        # solve_shifted follows the target, and every stop stays inside it.
+        # the correction's solve follows the target, and every stop stays
+        # inside it.
         trajectories, cg_iterations = self.run(monkeypatch, scale=1e5)
         assert cg_iterations > 0
         assert all(np.isfinite(traj.chi).all() for traj in trajectories)
@@ -952,3 +954,82 @@ class TestRelaxedInnerSolves:
                 assert max(report.contraction_factors) <= report.factor_bound + 1e-6
             conservation, balance = bh.weak_identity_defects(traj, path, integ, ops, nl)
             assert max(conservation.max(), balance.max()) <= 1e-10
+
+
+class TestCorrectionTargets:
+    """No solve checks the absolute targets it reads: the ones ``_newton``
+    hands its corrections, the only ones a run makes, are one finite,
+    nonnegative number per row of the solved block, NEWTON_FORCING times
+    the row's threshold or, where that is smaller, its residual."""
+
+    @pytest.mark.parametrize("paths", [1, 3])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+    @pytest.mark.parametrize("name", sorted(RELAXED_NONLINEAR))
+    def test_every_target_is_finite_nonnegative_and_one_per_row(self, monkeypatch, name,
+                                                                scale, paths):
+        shape, theta0, chi0, noise = RELAXED_MESHES["2d"]
+        ops = bh.build_operators(*shape)
+        grid = bh.build_time_grid(0.5, 8)
+        integ = bh.discretize_integrand(noise, grid, ops)
+        sampled = [bh.sample_path(grid, 19, pid) for pid in range(paths)]
+        real_newton, real_gated = stepper._newton, stepper._gated
+        bound, read = [None], []
+
+        def bounding_newton(plan, rhs, start=None, relaxed=None):
+            # A row's limit is at most its threshold t_i (1 + |rhs_i|).
+            tols = [plan.newton_tol] * len(rhs) if relaxed is None else relaxed
+            bound[0] = max(stepper.NEWTON_FORCING * (t * (1.0 + norm))
+                           for t, norm in zip(tols, grids.row_norms(rhs)))
+            return real_newton(plan, rhs, start, relaxed)
+
+        def reading_gated(ops, diagonal, shift, rtol, spans, rhs, targets_of=None, **kwargs):
+            if targets_of is not None:
+                read.append((len(rhs), targets_of(), bound[0]))
+            return real_gated(ops, diagonal, shift, rtol, spans, rhs, targets_of, **kwargs)
+
+        monkeypatch.setattr(stepper, "_newton", bounding_newton)
+        monkeypatch.setattr(stepper, "_gated", reading_gated)
+        bh.run_additive(scale * bh.evaluate_on_mesh(theta0, ops),
+                        scale * bh.evaluate_on_mesh(chi0, ops), integ, sampled, grid, ops,
+                        RELAXED_NONLINEAR[name])
+        assert read
+        for rows, targets, limit in read:
+            assert targets.shape == (rows,)
+            assert np.isfinite(targets).all() and (targets >= 0.0).all()
+            assert targets.max() <= limit
+
+    @pytest.mark.parametrize("relaxed", [None, [stepper.LOOSEST_NEWTON_TOL] * 4],
+                             ids=["exact", "relaxed"])
+    def test_targets_are_the_forcing_of_each_active_row(self, monkeypatch, relaxed):
+        # A warm start in 2D: the Jacobian is no mass multiple, so the
+        # corrections are conjugate-gradient solves.  Row 1 starts with a
+        # zero residual and takes no iteration; row 2's residual, about
+        # 1e-11, lies below its relaxed threshold.
+        shape, _, chi0, _ = RELAXED_MESHES["2d"]
+        ops = bh.build_operators(*shape)
+        nl = RELAXED_NONLINEAR["saturating"]
+        field = bh.evaluate_on_mesh(chi0, ops)
+        start = np.stack([0.5 * field, -0.3 * field, 0.4 * field, 0.2 * field])
+        exact = ops.lumped_mass * nl.alpha_tilde(start) + DT * grids.apply_stiffness(ops, start)
+        rhs = exact + np.array([1e-2, 0.0, 1e-11, 1e-4])[:, None] * field
+        plan = plan_of(ops, nl, DT)
+        res = ops.lumped_mass * nl.alpha_tilde(start) + DT * grids.apply_stiffness(
+            ops, start) - rhs
+        norms, rhs_norms = grids.row_norms(res), grids.row_norms(rhs)
+        tols = [plan.newton_tol] * 4 if relaxed is None else relaxed
+        thresholds = [t * (1.0 + norm) for t, norm in zip(tols, rhs_norms)]
+        limits = thresholds if relaxed is None else [min(t, n) for t, n in zip(thresholds, norms)]
+        assert norms[1] == 0.0 and (relaxed is None or limits[2] == norms[2] < thresholds[2])
+        real_gated, read = stepper._gated, []
+
+        def reading_gated(ops, diagonal, shift, rtol, spans, rhs, targets_of=None, **kwargs):
+            read.append(targets_of())
+            return real_gated(ops, diagonal, shift, rtol, spans, rhs, targets_of, **kwargs)
+
+        monkeypatch.setattr(stepper, "_gated", reading_gated)
+        u, report = stepper._newton(plan, rhs, start.copy(), relaxed)
+        assert report.iterations[1] == 0 and all(report.iterations[row] for row in (0, 2, 3))
+        expected = stepper.NEWTON_FORCING * np.array([limits[row] for row in (0, 2, 3)])
+        assert read and read[0].tobytes() == expected.tobytes()
+        # Later corrections read the same targets of the rows still active.
+        assert all(targets.size <= 3 and set(targets) <= set(expected) for targets in read)

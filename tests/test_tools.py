@@ -43,9 +43,17 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines():
 
 def test_code_lines_lists_every_module(capsys):
     assert load_tool("code_lines").main([]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    modules = sorted(name for name in os.listdir(os.path.join(ROOT, "src", "barenheat"))
-                     if name.endswith(".py"))
-    assert [line.split()[1] for line in lines] == modules + ["total"]
-    counts = [int(line.split()[0]) for line in lines]
-    assert counts[-1] == sum(counts[:-1])
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["code", "lines", "module"]
+    package = os.path.join(ROOT, "src", "barenheat")
+    modules = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert [line.split()[2] for line in lines] == modules + ["total"]
+    for column in (0, 1):
+        counts = [int(line.split()[column]) for line in lines]
+        assert counts[-1] == sum(counts[:-1])
+    # The physical lines are what `cat src/barenheat/*.py | wc -l` counts.
+    newlines = []
+    for name in modules:
+        with open(os.path.join(package, name), "rb") as handle:
+            newlines.append(handle.read().count(b"\n"))
+    assert [int(line.split()[1]) for line in lines] == newlines + [sum(newlines)]

@@ -1,13 +1,15 @@
-"""Code lines of each ``src/barenheat`` module.
+"""Code lines and physical lines of each ``src/barenheat`` module.
 
     python tools/code_lines.py [--root CHECKOUT]
 
-Prints one ``count  module`` line per module of ``CHECKOUT/src/barenheat``
-(default: the checkout this script sits in), then the total.  A code line
-is a line that holds a token of Python code: blank lines, comment lines and
-the lines of docstrings (a string literal that opens a module, class or
-function body) do not count, so a size gate measured with this script does
-not move when prose is added or trimmed.
+Prints a header, then one ``code  lines  module`` line per module of
+``CHECKOUT/src/barenheat`` (default: the checkout this script sits in),
+then the totals.  A code line is a line that holds a token of Python code:
+blank lines, comment lines and the lines of docstrings (a string literal
+that opens a module, class or function body) do not count, so a size gate
+measured with it does not move when prose is added or trimmed.  The
+physical lines are the newlines of the file, as ``wc -l`` counts them, so
+the total of that column is ``cat src/barenheat/*.py | wc -l``.
 """
 
 import argparse
@@ -50,14 +52,17 @@ def main(argv=None):
                         help="checkout whose src/barenheat is counted")
     args = parser.parse_args(argv)
     package = os.path.join(args.root, "src", "barenheat")
-    total = 0
+    total = physical = 0
+    print(f"{'code':>6}  {'lines':>6}  module")
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as handle:
-                count = code_lines(handle.read())
+            with open(os.path.join(package, name), encoding="utf-8", newline="") as handle:
+                source = handle.read()
+            count, lines = code_lines(source), source.count("\n")
             total += count
-            print(f"{count:6d}  {name}")
-    print(f"{total:6d}  total")
+            physical += lines
+            print(f"{count:6d}  {lines:6d}  {name}")
+    print(f"{total:6d}  {physical:6d}  total")
     return 0
 
 
