@@ -64,7 +64,9 @@ from .errors import ConfigValidationError, ExpressionError, InvalidConfigError
 from .expressions import parse_expression
 from .grids import build_operators, time_grid_of_step
 from .multiplicative import PicardConfig, _picard_threshold, affine_map, damped_map, lipschitz_audit
-from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, check_step_preconditions
+from .stepper import (
+    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, check_step_preconditions, check_tolerances,
+)
 
 
 def _float(text):
@@ -309,8 +311,10 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
     if not 0 <= seed < 2**64:
         violations.append(f"seed must be an unsigned 64-bit integer, got {seed}")
     inner_tol, newton_tol = value["tolerances", "inner"], value["tolerances", "newton"]
-    if inner_tol <= 0 or newton_tol <= 0:
-        violations.append("tolerances must be positive")
+    try:
+        check_tolerances(inner_tol, newton_tol)
+    except InvalidConfigError as exc:
+        violations.append(str(exc))
     study_kind = value["study", "kind"]
     if study_kind not in ("grid_difference", "self"):
         violations.append(f"study kind must be grid_difference or self, got {study_kind!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError
-from .grids import h1_seminorm, l2_norm, time_grid_of_step
+from .grids import _row_dots, h1_seminorm, l2_norm, time_grid_of_step
 from .noise import aggregate_path, discretize_integrand, sample_path
 from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, run_additive
 from .theory import StabilityConstants, compute_stability_constant
@@ -378,18 +378,12 @@ def weak_identity_defects(traj, path, integrand, ops, nl):
     1 + max(|lhs|, |rhs|).
     """
     mass = ops.lumped_mass
-    dt = traj.grid.dt
-    conservation = np.empty(traj.grid.steps)
-    balance = np.empty(traj.grid.steps)
-    for n in range(traj.grid.steps):
-        before = float(np.dot(mass, traj.theta[n] + traj.chi[n]))
-        after = float(np.dot(mass, traj.theta[n + 1] + traj.chi[n + 1]))
-        injected = float(path.increments[n]) * float(np.dot(mass, integrand.values[n]))
-        conservation[n] = abs(after - (before + injected)) / (
-            1.0 + max(abs(after), abs(before + injected))
-        )
-        u_next = (traj.u[n + 1] - traj.u[n]) / dt
-        lhs = float(np.dot(mass, nl.alpha_tilde(u_next)))
-        rhs = float(np.dot(mass, traj.theta[n + 1]))
-        balance[n] = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+    # Each node's mass total of theta + chi, formed once: the total after
+    # step n is the one before step n + 1.
+    totals = _row_dots(traj.theta + traj.chi, mass)
+    before, after = totals[:-1] + path.increments * _row_dots(integrand.values, mass), totals[1:]
+    conservation = np.abs(after - before) / (1.0 + np.maximum(np.abs(after), np.abs(before)))
+    lhs = _row_dots(nl.alpha_tilde(np.diff(traj.u, axis=0) / traj.grid.dt), mass)
+    rhs = _row_dots(traj.theta[1:], mass)
+    balance = np.abs(lhs - rhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
     return conservation, balance

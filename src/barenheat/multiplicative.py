@@ -142,10 +142,11 @@ class PicardConfig:
     override_condition: bool = False
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise InvalidConfigError(f"weight must be positive, got {self.weight}")
-        if not self.tolerance > 0:
-            raise InvalidConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.weight < math.inf:
+            raise InvalidConfigError(f"weight must be finite and positive, got {self.weight}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise InvalidConfigError(
+                f"tolerance must be finite and positive, got {self.tolerance}")
         if self.max_iterations < 1:
             raise InvalidConfigError("need at least one iteration")
 
@@ -285,7 +286,6 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     plan = _step_plan(grid, ops, nl, tol, newton_tol)
     running = []
     failure = None
-    last = None
     newest = 2  # iterates start in order, so only the newest has no successor
     if config.max_iterations > 1:
         running.append(_successor(_Iterate(first.theta[None], first.chi[None],
@@ -306,7 +306,7 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
             it.values[it.step] = image
         while running:
             try:
-                last = _step_rows(plan, running, last)
+                chi = _step_rows(plan, running)
                 break
             except NumericalError as exc:
                 # Drop the failing iterate and its successors, which read
@@ -319,7 +319,7 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
                 running = running[:row]
         if not running:
             break
-        terms = _norm_terms(last[2] - np.array([it.previous[it.step] for it in running]),
+        terms = _norm_terms(chi - np.array([it.previous[it.step] for it in running]),
                             grid.nodes[[it.step for it in running]], grid, ops,
                             config.weight)
         for it, term in zip(list(running), terms):

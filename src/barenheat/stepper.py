@@ -28,9 +28,9 @@ bits of a run on its own.
 Plans.  The heat operator M + dt K and the Jacobian M alphatilde'(0) + dt K
 of Newton from u = 0 are fixed per dt, so a plan (``_Plan``) binds both once
 (``grids._bind_unchecked``: 1D ``dpttrf`` factors, 2D fast
-diagonalization) together with alphatilde(0), the contraction bound and the
-linear switch; ``grids._gated`` runs the bound solves and gates the block
-once, the one way a shifted system is solved.  A plan is a tuple of spans
+diagonalization) together with alphatilde(0) and the linear switch;
+``grids._gated`` runs the bound solves and gates the block once, the one way
+a shifted system is solved.  A plan is a tuple of spans
 (``_Span``), one per run of rows that step with one dt.  Only the solves
 loop over the spans; everything else runs once per block with dt a float
 for one span and an (M, 1) column otherwise, which gives each row the bits
@@ -42,12 +42,10 @@ Rows.  ``_step_rows`` is the one driver of ``_advance``.  A ``_Row`` holds
 paths that step together from one step index along one (N, P) integrand
 table, with their records and reports; the driver stacks every row's
 fields at its own step, makes one ``_advance`` call and writes the results
-back, or on a failure leaves every row as it was.  While a caller moves
-the same rows, the driver reuses the blocks of its last call instead of
-stacking the records again.  ``run_additive`` steps one row per entry (a
-grid and its paths) in lock-step, and an entry leaves at its horizon;
-``picard_solve`` steps its staggered iterates as rows of one path at their
-own steps.
+back, or on a failure leaves every row as it was.  ``run_additive`` steps
+one row per entry (a grid and its paths) in lock-step, and an entry leaves
+at its horizon; ``picard_solve`` steps its staggered iterates as rows of one
+path at their own steps.
 
 Work per step.  The noise h_n dw_n, the shift s = chi_n + h_n dw_n and K s
 are formed once per step, and each product of an inner iteration once: the
@@ -80,14 +78,16 @@ meets newton_tol, and an iterate that meets ``tol`` after a relaxed solve
 runs once more at newton_tol, so the accepted iterate always meets it.
 Linear alpha keeps newton_tol on every solve.
 
-``run_additive`` is the one public way to step.  It checks the
-preconditions and shapes of every grid of a call before any step runs, so
-the inner loop calls the kernels without repeating them; ``parse_config``
-checks the same preconditions for every time step a config requests.
+``run_additive`` is the one public way to step.  It checks the tolerances
+and the preconditions and shapes of every grid of a call before any step
+runs, so the inner loop calls the kernels without repeating them;
+``parse_config`` checks the same tolerances and preconditions for every time
+step a config requests.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -130,23 +130,31 @@ class StepReport:
     """Inner-iteration diagnostics of one coupled step of one path.
 
     ``chi_differences`` holds the discrete-L2 chi-iterate difference of each
-    inner iteration; ``inner_iterations`` is their number and
-    ``contraction_factors`` the ratios of successive *squared* differences
-    after each nonzero one, the quantity the theoretical factor
-    ``factor_bound`` = 1 / (2 (tilde_coercivity/dt - 1/2)) bounds.
-    ``newton_iterations`` totals the Newton iterations of every inner
-    iteration, and ``line_search_halvings`` is the most halvings any of
-    them took; ``newton_residual`` is the residual of the last Newton
-    solve, the one of the accepted iterate, which always meets newton_tol.
+    inner iteration.  Two values are derived from it on read:
+    ``inner_iterations``, their number, and ``contraction_factors``, the
+    ratios of successive *squared* differences after each nonzero one, the
+    quantity the theoretical factor ``factor_bound`` =
+    1 / (2 (tilde_coercivity/dt - 1/2)) bounds.  ``newton_iterations``
+    totals the Newton iterations of every inner iteration, and
+    ``line_search_halvings`` is the most halvings any of them took;
+    ``newton_residual`` is the residual of the last Newton solve, the one of
+    the accepted iterate, which always meets newton_tol.
     """
 
-    inner_iterations: int
     chi_differences: list
-    contraction_factors: list
     factor_bound: float
     newton_residual: float
     newton_iterations: int
     line_search_halvings: int
+
+    @property
+    def inner_iterations(self):
+        return len(self.chi_differences)
+
+    @property
+    def contraction_factors(self):
+        diffs = self.chi_differences
+        return [(b / a) ** 2 for a, b in zip(diffs, diffs[1:]) if a > 0.0]
 
 
 @dataclass
@@ -226,16 +234,14 @@ class _Span(NamedTuple):
     """The rows start:stop of a block that step with one dt, and what every
     such step binds once: ``heat``, the solve of M + dt K, and ``at_zero``,
     Newton's correction solve from u = 0 (``_at_zero``), both bound by
-    ``grids._bind_unchecked`` without their residual gate; and the
-    contraction bound of the inner iteration.  The span of ``_step_plan``
-    has ``stop`` None and serves a block of any size."""
+    ``grids._bind_unchecked`` without their residual gate.  The span of
+    ``_step_plan`` has ``stop`` None and serves a block of any size."""
 
     start: int
     stop: int | None
     dt: float
     heat: object
     at_zero: object
-    factor_bound: float
 
 
 # The items of a span that ``grids._gated`` solves with.
@@ -277,12 +283,6 @@ class _Plan(NamedTuple):
                       for start, stop, span in zip(cuts, cuts[1:], self.spans) if stop > start)
         return _Plan(spans, spans[0].dt if len(spans) == 1 else self.dt[rows], *self[2:])
 
-    def row_bounds(self, count):
-        """The contraction bound of each of the block's ``count`` rows."""
-        if len(self.spans) == 1:
-            return [self.spans[0].factor_bound] * count
-        return [span.factor_bound for span in self.spans for _ in range(span.stop - span.start)]
-
 
 def _step_plan(grid, ops, nl, tol, newton_tol):
     """The one-span plan of a run on ``grid``; raises unless its step meets
@@ -292,7 +292,7 @@ def _step_plan(grid, ops, nl, tol, newton_tol):
     heat = _bind_unchecked(ops, ops.lumped_mass, dt)
     offset, jacobian, at_zero = _at_zero(ops, nl, dt)
     return _Plan(
-        (_Span(0, None, dt, heat, at_zero, contraction_factor_bound(nl, dt)),),
+        (_Span(0, None, dt, heat, at_zero),),
         dt, ops, nl, tol, newton_tol, offset, jacobian,
         # Equal declared constants and alpha(0) = 0 make alpha linear.
         nonlinear=nl.lipschitz != nl.coercivity,
@@ -471,7 +471,8 @@ def _newton(plan, rhs, start=None, relaxed=None):
 
 
 def contraction_factor_bound(nl, dt):
-    """Theoretical bound on squared-difference ratios of the inner iteration."""
+    """Theoretical bound on squared-difference ratios of the inner iteration:
+    a float for a float dt, and elementwise for an array of steps."""
     return 1.0 / (2.0 * (nl.tilde_coercivity / dt - 0.5))
 
 
@@ -485,6 +486,13 @@ def check_step_preconditions(dt, nl):
         )
     if not dt < 1.0:
         raise InvalidConfigError(f"dt = {dt} violates the solvability requirement dt < 1")
+
+
+def check_tolerances(tol, newton_tol):
+    """Raise unless the inner and Newton tolerances are finite and positive."""
+    for name, value in (("inner", tol), ("newton", newton_tol)):
+        if not 0.0 < value < math.inf:
+            raise InvalidConfigError(f"{name} tolerance must be finite and positive, got {value}")
 
 
 def _inner_newton_tol(newton_tol, difference):
@@ -588,35 +596,37 @@ def _advance(plan, theta_n, chi_n, dw, h_n):
     # Final heat solve so the linear equation holds exactly against the
     # accepted chi; the nonlinear equation then holds up to ``tol``.
     theta = _solve_theta(plan, chi, theta_n, chi_n, noise)
+    bound = contraction_factor_bound(plan.nl, plan.dt)
+    bounds = [bound] * count if isinstance(bound, float) else bound[:, 0].tolist()
     reports = [
-        StepReport(
-            inner_iterations=len(diffs),
-            chi_differences=diffs,
-            contraction_factors=[(b / a) ** 2 for a, b in zip(diffs, diffs[1:]) if a > 0.0],
-            factor_bound=bound,
-            newton_residual=residual,
-            newton_iterations=its,
-            line_search_halvings=most,
-        )
+        StepReport(chi_differences=diffs, factor_bound=bound, newton_residual=residual,
+                   newton_iterations=its, line_search_halvings=most)
         for diffs, residual, its, most, bound in zip(
-            differences, newton_residuals, newton_iterations, halvings, plan.row_bounds(count))
+            differences, newton_residuals, newton_iterations, halvings, bounds)
     ]
     return theta, chi, reports
 
 
 @dataclass
 class Trajectory:
-    """Dense record of one path: fields at every node plus step reports.
+    """Dense record of one path: fields at every node plus step reports,
+    and the path and integrand it ran on.
 
-    ``u`` stores chi - B_n, the field whose time increments feed the
-    nonlinearity.
+    ``u`` = chi - B_n, the field whose time increments feed the
+    nonlinearity, is derived on first read from the path's partial sums
+    (``noise.partial_sums``) and then kept.
     """
 
     grid: TimeGrid
     theta: np.ndarray = field(repr=False)
     chi: np.ndarray = field(repr=False)
-    u: np.ndarray = field(repr=False)
+    path: BrownianPath = field(repr=False)
+    integrand: AdditiveIntegrand = field(repr=False)
     reports: list = field(default_factory=list, repr=False)
+
+    @cached_property
+    def u(self):
+        return self.chi - partial_sums(self.path, self.integrand)
 
 
 def run_additive(
@@ -637,7 +647,7 @@ def run_additive(
     or a sequence of paths on ``grid``, which run as one batch and return
     one Trajectory per path in the given order.  ``theta0`` and ``chi0`` are
     (P,) fields, the initial data of every path.  Each trajectory has N+1
-    field snapshots, with u set to chi - B_n from the path's partial sums.
+    field snapshots; its u = chi - B_n is derived on first read.
 
     ``grid`` may also be a sequence of entries, such as the dt levels of a
     Monte Carlo study; ``integrand`` and ``path`` are then sequences too,
@@ -656,6 +666,7 @@ def run_additive(
     row in its entry's paths and its entry's dt; across entries it is the
     first failure in lock-step order.
     """
+    check_tolerances(tol, newton_tol)
     single = isinstance(grid, TimeGrid)
     if single:
         one_path = isinstance(path, BrownianPath)
@@ -698,7 +709,7 @@ def run_additive(
     return trajectories[0] if one_path else trajectories
 
 
-# Rows compare by identity: ``_step_rows`` reuses its blocks for the same rows.
+# Rows compare by identity: a generated __eq__ would compare their arrays.
 @dataclass(eq=False)
 class _Row:
     """Paths that step together through ``_step_rows``, from one step index
@@ -727,25 +738,21 @@ class _Row:
         """One Trajectory per path of a row that has reached the horizon of
         ``grid``, the grid of its ``paths``."""
         integrand = AdditiveIntegrand(grid=grid, values=self.values)
-        return [Trajectory(grid=grid, theta=self.theta[k], chi=self.chi[k],
-                           u=self.chi[k] - partial_sums(p, integrand), reports=self.reports[k])
+        return [Trajectory(grid=grid, theta=self.theta[k], chi=self.chi[k], path=p,
+                           integrand=integrand, reports=self.reports[k])
                 for k, p in enumerate(paths)]
 
 
-def _step_rows(plan, rows, last=None):
+def _step_rows(plan, rows):
     """Move every row one step from its own step in one ``_advance`` call,
     the paths of each row taking consecutive rows of the batch.
 
     Writes the new fields into the records, appends the reports and
-    returns ``(rows, theta, chi)``: a copy of ``rows`` and the new blocks.
-    ``last``, what the previous call returned, saves stacking the records
-    when it moved the same rows.  A NumericalError leaves every row as it
+    returns the new chi block.  A NumericalError leaves every row as it
     was, and its ``row`` indexes the paths of the batch, so for rows of one
     path each the rows passed in."""
-    if last is None or last[0] != rows:
-        last = (rows, np.concatenate([row.theta[:, row.step] for row in rows]),
-                np.concatenate([row.chi[:, row.step] for row in rows]))
-    _, theta, chi = last
+    theta = np.concatenate([row.theta[:, row.step] for row in rows])
+    chi = np.concatenate([row.chi[:, row.step] for row in rows])
     dw, h = np.empty((len(theta), 1)), np.empty(theta.shape)
     start = 0
     for row in rows:
@@ -761,7 +768,7 @@ def _step_rows(plan, rows, last=None):
         for path_reports in row.reports:
             path_reports.append(next(reports))
         start = stop
-    return list(rows), theta, chi
+    return chi
 
 
 def _run_entries(theta0, chi0, integrands, path_lists, grids, plans):
@@ -783,12 +790,11 @@ def _run_entries(theta0, chi0, integrands, path_lists, grids, plans):
     dt = spans[0].dt if len(spans) == 1 else np.repeat(
         [span.dt for span in spans], [span.stop - span.start for span in spans])[:, None]
     plan = plans[grids[0]]._replace(spans=tuple(spans), dt=dt)
-    last = None
     while True:
         # The entries step in lock-step up to the nearest horizon.
         for _ in range(min(row.increments.shape[1] - row.step for _, row in live)):
             try:
-                last = _step_rows(plan, [row for _, row in live], last)
+                _step_rows(plan, [row for _, row in live])
             except NumericalError as exc:
                 row = exc.row or 0
                 for index, entry in live:
@@ -800,12 +806,11 @@ def _run_entries(theta0, chi0, integrands, path_lists, grids, plans):
                     path_id=path_lists[index][row].path_id, row=row, dt=grids[index].dt,
                 ) from exc
         # The finished entries leave the block; each is yielded as an
-        # argument only, and ``last`` is dropped, so that no local keeps it
-        # once its caller drops it.
+        # argument only, so that no local keeps it once its caller drops it.
         going = [row.step < row.increments.shape[1] for _, row in live]
         keep = np.flatnonzero(np.repeat(going, [len(row.theta) for _, row in live]))
         finished = [entry for entry, go in zip(live, going) if not go]
-        live, last = [entry for entry, go in zip(live, going) if go], None
+        live = [entry for entry, go in zip(live, going) if go]
         while finished:
             yield _finished(*finished.pop(0), grids, path_lists)
         if not live:

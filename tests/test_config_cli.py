@@ -264,6 +264,14 @@ def test_non_finite_number_is_a_named_violation(tmp_path, section, key, sections
         f"key {key!r} in section [{section}]: {value!r} is not a finite number"]
 
 
+@pytest.mark.parametrize("key, value", [("inner", "0"), ("newton", "-1e-12")])
+def test_tolerance_that_is_not_positive_is_a_violation(tmp_path, key, value):
+    with pytest.raises(ConfigValidationError) as excinfo:
+        parse_config(write_config(tmp_path, MINIMAL + f"\n[tolerances]\n{key} = {value}\n"))
+    assert excinfo.value.violations == [
+        f"{key} tolerance must be finite and positive, got {float(value)}"]
+
+
 @pytest.mark.parametrize("dt", ["1e-320", "0", "-0.25"])
 def test_dt_level_that_cannot_divide_is_a_violation(tmp_path, dt):
     with pytest.raises(ConfigValidationError) as excinfo:

@@ -1,11 +1,16 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import barenheat as bh
+from barenheat import stepper
+from barenheat.config import parse_config
 from barenheat.errors import InvalidConfigError
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def reference_stability_constant(lipschitz, coercivity, horizon):
@@ -307,7 +312,57 @@ class TestEnergyCheck:
         assert report.passed
 
 
+@pytest.mark.parametrize("study", [
+    lambda setup: bh.grid_difference_rates(setup, 0.5, [2**-2, 2**-3, 2**-4], 2, 1),
+    lambda setup: bh.self_convergence(setup, 0.5, [2**-2, 2**-3], 2, 1),
+    lambda setup: bh.stability_check(setup, "0", bh.build_time_grid(0.5, 4), 2, 1),
+], ids=["grid_difference", "self_convergence", "stability"])
+def test_studies_that_read_no_u_form_no_partial_sums(noisy_setup, study, monkeypatch):
+    calls = []
+    monkeypatch.setattr(stepper, "partial_sums", lambda *args: calls.append(args))
+    study(noisy_setup)
+    assert calls == []
+
+
+def per_step_defects(traj, path, integrand, ops, nl):
+    """The weak-identity defects, one step at a time with one ``np.dot``
+    per mass total, as ``weak_identity_defects`` once computed them."""
+    mass = ops.lumped_mass
+    dt = traj.grid.dt
+    conservation = np.empty(traj.grid.steps)
+    balance = np.empty(traj.grid.steps)
+    for n in range(traj.grid.steps):
+        before = float(np.dot(mass, traj.theta[n] + traj.chi[n]))
+        after = float(np.dot(mass, traj.theta[n + 1] + traj.chi[n + 1]))
+        injected = float(path.increments[n]) * float(np.dot(mass, integrand.values[n]))
+        conservation[n] = abs(after - (before + injected)) / (
+            1.0 + max(abs(after), abs(before + injected))
+        )
+        u_next = (traj.u[n + 1] - traj.u[n]) / dt
+        lhs = float(np.dot(mass, nl.alpha_tilde(u_next)))
+        rhs = float(np.dot(mass, traj.theta[n + 1]))
+        balance[n] = abs(lhs - rhs) / (1.0 + max(abs(lhs), abs(rhs)))
+    return conservation, balance
+
+
 class TestWeakIdentityDefects:
+    @pytest.mark.parametrize("config", ["additive.ini", "ramp.ini", "solve2d.ini"])
+    def test_bits_of_the_per_step_loop(self, config):
+        directory = "perfbench" if config == "solve2d.ini" else "demos"
+        config = parse_config(os.path.join(ROOT, directory, "configs", config))
+        grid = bh.build_time_grid(config.horizon, config.steps)
+        path = bh.sample_path(grid, 7, 0)
+        integrand = bh.discretize_integrand(config.integrand, grid, config.ops)
+        setup = bh.AdditiveSetup(ops=config.ops, nonlinearity=config.nonlinearity,
+                                 theta0=config.theta0, chi0=config.chi0,
+                                 integrand=config.integrand, tol=config.inner_tol,
+                                 newton_tol=config.newton_tol)
+        traj = bh.simulate(setup, grid, path, integrand)
+        got = bh.weak_identity_defects(traj, path, integrand, config.ops, config.nonlinearity)
+        expected = per_step_defects(traj, path, integrand, config.ops, config.nonlinearity)
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape == (grid.steps,) and g.tobytes() == e.tobytes()
+
     def test_reported_defects_are_small(self, noisy_setup, ops65, unit_nl):
         grid = bh.build_time_grid(1.0, 16)
         path = bh.sample_path(grid, 9, 0)

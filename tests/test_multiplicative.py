@@ -114,6 +114,13 @@ class TestWeightedNorm:
 
 
 class TestPicardConfig:
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("name", ["weight", "tolerance"])
+    def test_weight_and_tolerance_must_be_finite_and_positive(self, name, value):
+        kwargs = {"weight": 8.0, name: value}
+        with pytest.raises(InvalidConfigError, match=f"{name} must be finite and positive"):
+            bh.PicardConfig(**kwargs)
+
     def test_invalid_values(self):
         with pytest.raises(InvalidConfigError):
             bh.PicardConfig(weight=0.0)

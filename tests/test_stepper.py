@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -359,8 +360,9 @@ class TestStep:
 
     def test_inner_iteration_cap(self, ops65, unit_nl, cos_field, one_step, monkeypatch):
         monkeypatch.setattr(stepper, "DEFAULT_MAX_INNER", 3)
+        # The smallest positive tolerance, which no three iterations meet.
         with pytest.raises(NonConvergenceError, match="in 3 iterations"):
-            one_step(cos_field, cos_field, cos_field, 0.3, DT, ops65, unit_nl, tol=0.0)
+            one_step(cos_field, cos_field, cos_field, 0.3, DT, ops65, unit_nl, tol=5e-324)
 
 
 class TestStepPlan:
@@ -1033,3 +1035,99 @@ class TestCorrectionTargets:
         assert read and read[0].tobytes() == expected.tobytes()
         # Later corrections read the same targets of the rows still active.
         assert all(targets.size <= 3 and set(targets) <= set(expected) for targets in read)
+
+
+class TestDerivedReportValues:
+    """A StepReport derives its inner-iteration count and its contraction
+    factors from its chi differences, with the formulas it once stored."""
+
+    @staticmethod
+    def stored(diffs):
+        return len(diffs), [(b / a) ** 2 for a, b in zip(diffs, diffs[1:]) if a > 0.0]
+
+    def test_derived_values_are_the_stored_formulas(self):
+        # The first step of a 1D ramp run from large data takes several inner
+        # iterations, and its last one moves chi by exactly 0.0.
+        ops = bh.build_operators(1, 16, 1.0)
+        data = 3.0 * bh.evaluate_on_mesh("cos(pi*x)", ops)
+        grid = bh.build_time_grid(0.5, 8)
+        traj = bh.run_additive(data, data, bh.discretize_integrand("0", grid, ops),
+                               bh.sample_path(grid, 3, 0), grid, ops, bh.ramp(1.0, 0.5, 1.0))
+        report = traj.reports[0]
+        diffs = report.chi_differences
+        assert len(diffs) > 2 and diffs[-1] == 0.0 and min(diffs[:-1]) > 0.0
+        # A zero difference before the last one has no factor after it.
+        inner_zero = dataclasses.replace(report, chi_differences=diffs[:2] + [0.0] + diffs[2:])
+        for r in (report, inner_zero):
+            count, factors = self.stored(r.chi_differences)
+            assert r.inner_iterations == count
+            assert r.contraction_factors == factors
+
+
+class TestTrajectoryU:
+    def test_u_is_formed_once_on_first_read(self, ops65, unit_nl, cos_field, monkeypatch):
+        grid = bh.build_time_grid(1.0, 8)
+        integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops65)
+        path = bh.sample_path(grid, 10, 5)
+        calls = []
+        real_partial_sums = stepper.partial_sums
+
+        def counting(*args):
+            calls.append(args)
+            return real_partial_sums(*args)
+
+        monkeypatch.setattr(stepper, "partial_sums", counting)
+        traj = bh.run_additive(cos_field, cos_field, integ, path, grid, ops65, unit_nl)
+        assert calls == []
+        u = traj.u
+        assert traj.u is u and len(calls) == 1
+        assert u.tobytes() == (traj.chi - real_partial_sums(path, integ)).tobytes()
+
+
+BAD_TOLERANCES = [math.nan, math.inf, 0.0, -1e-12]
+
+
+class TestToleranceValidation:
+    """Tolerances must be finite and positive; a bad one raises at the call,
+    before any step runs."""
+
+    @pytest.fixture
+    def problem(self, ops_small, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(stepper, "_advance", no_step)
+        grid = bh.build_time_grid(0.5, 4)
+        data = bh.evaluate_on_mesh("cos(pi*x)", ops_small)
+        return (grid, data, bh.discretize_integrand("cos(pi*x)", grid, ops_small),
+                bh.sample_path(grid, 1, 0))
+
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    @pytest.mark.parametrize("name", ["tol", "newton_tol"])
+    def test_run_additive(self, ops_small, problem, name, value):
+        grid, data, integ, path = problem
+        nl = bh.saturating(1.0)
+        with pytest.raises(InvalidConfigError, match="must be finite and positive"):
+            bh.run_additive(data, data, integ, path, grid, ops_small, nl, **{name: value})
+        # The form over several grids raises at the call, not on iteration.
+        with pytest.raises(InvalidConfigError, match="must be finite and positive"):
+            bh.run_additive(data, data, [integ], [[path]], [grid], ops_small, nl,
+                            **{name: value})
+
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    @pytest.mark.parametrize("name", ["tol", "newton_tol"])
+    def test_simulate(self, ops_small, problem, name, value):
+        grid, data, integ, path = problem
+        setup = bh.AdditiveSetup(ops=ops_small, nonlinearity=bh.linear(1.0), theta0=data,
+                                 chi0=data, **{name: value})
+        with pytest.raises(InvalidConfigError, match="must be finite and positive"):
+            bh.simulate(setup, grid, path, integ)
+
+    @pytest.mark.parametrize("value", BAD_TOLERANCES)
+    @pytest.mark.parametrize("name", ["tol", "newton_tol"])
+    def test_picard_solve(self, ops_small, problem, name, value):
+        grid, data, _, path = problem
+        config = bh.PicardConfig(weight=8.0, override_condition=True)
+        with pytest.raises(InvalidConfigError, match="must be finite and positive"):
+            bh.picard_solve(data, data, bh.affine_map(0.1), path, grid, ops_small,
+                            bh.linear(1.0), config, **{name: value})

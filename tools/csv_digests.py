@@ -16,9 +16,11 @@ CSV it wrote, in a fixed order:
   levels;
 * ``solve`` on ``demos/configs/cubic_noise.ini``, whose noise has powers
   of t alone and a power of x t;
-* ``converge`` and ``solve`` on ``demos/configs/ramp.ini``, the one 1D run
-  of nonlinear alpha on several paths, whose Newton corrections solve
-  against a Jacobian of their own on every row.
+* ``converge``, ``solve``, ``mc`` and ``contraction`` on
+  ``demos/configs/ramp.ini``, the 1D runs of nonlinear alpha: ``converge``
+  on several paths, whose Newton corrections solve against a Jacobian of
+  their own on every row, and ``mc`` and ``contraction``, which read u and
+  the contraction factors of those runs.
 
 CSV bodies are byte-reproducible for a fixed config and seed, so two
 checkouts that print the same listing wrote the same bits; ``diff`` the
@@ -55,6 +57,8 @@ RUNS = (
     ("solve", "demos/configs/cubic_noise.ini", ()),
     ("converge", "demos/configs/ramp.ini", ()),
     ("solve", "demos/configs/ramp.ini", ()),
+    ("mc", "demos/configs/ramp.ini", ()),
+    ("contraction", "demos/configs/ramp.ini", ()),
 )
 
 # Runs the CLI of the barenheat under argv[1] and nowhere else.
