@@ -33,7 +33,7 @@ for n in range(0, grid.steps + 1, 4):
         f"   {inner:3d}"
     )
 
-conservation, balance = bh.weak_identity_defects(traj, path, integrand, ops, nl)
+conservation, balance = bh.weak_identity_defects(traj, ops, nl)
 print(f"\nworst conservation defect: {conservation.max():.3e}")
 print(f"worst nonlinear balance defect: {balance.max():.3e}")
 print("(both should sit far below 1e-10)")

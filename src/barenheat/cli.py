@@ -163,8 +163,7 @@ def cmd_solve(args, config, outdir, seed):
     traj = simulate(setup, grid, path, integrand=integrand)
     _write_csv(os.path.join(outdir, "trajectory.csv"), _TRAJECTORY_HEADER,
                _trajectory_rows(traj, config.ops))
-    conservation, balance = weak_identity_defects(traj, path, integrand, config.ops,
-                                                  config.nonlinearity)
+    conservation, balance = weak_identity_defects(traj, config.ops, config.nonlinearity)
     worst = float(max(conservation.max(), balance.max())) if conservation.size else 0.0
     passed = worst <= WEAK_IDENTITY_TOL
     return passed, {

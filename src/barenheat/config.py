@@ -64,6 +64,7 @@ from .errors import ConfigValidationError, ExpressionError, InvalidConfigError
 from .expressions import parse_expression
 from .grids import build_operators, time_grid_of_step
 from .multiplicative import PicardConfig, _picard_threshold, affine_map, damped_map, lipschitz_audit
+from .noise import check_seed
 from .stepper import (
     DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, check_step_preconditions, check_tolerances,
 )
@@ -308,8 +309,10 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
     paths, seed = value["monte_carlo", "paths"], value["monte_carlo", "seed"]
     if paths < 1:
         violations.append(f"paths must be >= 1, got {paths}")
-    if not 0 <= seed < 2**64:
-        violations.append(f"seed must be an unsigned 64-bit integer, got {seed}")
+    try:
+        check_seed(seed)
+    except InvalidConfigError as exc:
+        violations.append(str(exc))
     inner_tol, newton_tol = value["tolerances", "inner"], value["tolerances", "newton"]
     try:
         check_tolerances(inner_tol, newton_tol)

@@ -369,19 +369,20 @@ def energy_estimate_check(setup, horizon, dts, paths, seed):
     )
 
 
-def weak_identity_defects(traj, path, integrand, ops, nl):
+def weak_identity_defects(traj, ops, nl):
     """Relative defects of the test-function-one identities at every step.
 
-    The first identity balances the mean of theta + chi against the injected
-    noise mass; the second balances the mean of alphatilde(u_{n+1}) against
-    the mean of theta_{n+1}.  Both are returned normalized by
-    1 + max(|lhs|, |rhs|).
+    The first identity balances the mean of theta + chi against the noise
+    mass injected along the trajectory's own path and integrand; the second
+    balances the mean of alphatilde(u_{n+1}) against the mean of
+    theta_{n+1}.  Both are returned normalized by 1 + max(|lhs|, |rhs|).
     """
     mass = ops.lumped_mass
     # Each node's mass total of theta + chi, formed once: the total after
     # step n is the one before step n + 1.
     totals = _row_dots(traj.theta + traj.chi, mass)
-    before, after = totals[:-1] + path.increments * _row_dots(integrand.values, mass), totals[1:]
+    injected = traj.path.increments * _row_dots(traj.integrand.values, mass)
+    before, after = totals[:-1] + injected, totals[1:]
     conservation = np.abs(after - before) / (1.0 + np.maximum(np.abs(after), np.abs(before)))
     lhs = _row_dots(nl.alpha_tilde(np.diff(traj.u, axis=0) / traj.grid.dt), mass)
     rhs = _row_dots(traj.theta[1:], mass)

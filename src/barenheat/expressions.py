@@ -24,6 +24,7 @@ which raises OverflowError where numpy's returns inf.
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,12 +42,17 @@ _TOKEN = re.compile(
 
 @dataclass(frozen=True)
 class Expression:
-    """Parsed expression; call with (t, coords) to evaluate nodewise."""
+    """Parsed expression; call with (t, coords) to evaluate nodewise.
+
+    Stores its text and its tree; ``time_degree``, the degree of the tree
+    as a polynomial in t, is derived on first read and kept."""
 
     text: str
     _root: tuple = field(repr=False)
-    time_degree: int = 0
-    _uses_y: bool = field(default=False, repr=False)
+
+    @cached_property
+    def time_degree(self):
+        return _time_degree(self._root)
 
     @property
     def depends_on_time(self):
@@ -60,7 +66,7 @@ class Expression:
         and row k holds bit for bit the values at the single time ``t[k]``.
         """
         coords = np.asarray(coords, dtype=float)
-        if self._uses_y and coords.shape[1] < 2:
+        if coords.shape[1] < 2 and _contains(self._root, ("y",)):
             raise ExpressionError("'y' is only available on 2D meshes")
         column = isinstance(t, np.ndarray) and t.ndim == 1
         try:
@@ -104,7 +110,6 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
-        self.uses_y = False
 
     def peek(self):
         return self.tokens[self.index]
@@ -174,7 +179,6 @@ class _Parser:
             if value == "pi":
                 return ("const", np.pi)
             if value in ("t", "x", "y"):
-                self.uses_y |= value == "y"
                 return (value,)
             if value == "cos":
                 self.expect_op("(")
@@ -251,22 +255,15 @@ def parse_expression(text):
     or without one when the time degree exceeds ``MAX_TIME_DEGREE``."""
     if isinstance(text, Expression):
         return text
-    parser = _Parser(text)
-    root = parser.parse()
-    degree = _time_degree(root)
-    if degree > MAX_TIME_DEGREE:
+    expression = Expression(text, _Parser(text).parse())
+    if expression.time_degree > MAX_TIME_DEGREE:
         raise ExpressionError(
-            f"time degree {degree} exceeds {MAX_TIME_DEGREE}, the highest that the "
-            f"two-point Gauss average integrates exactly: {text!r}"
+            f"time degree {expression.time_degree} exceeds {MAX_TIME_DEGREE}, the highest "
+            f"that the two-point Gauss average integrates exactly: {text!r}"
         )
-    return Expression(
-        text=text,
-        _root=root,
-        time_degree=degree,
-        _uses_y=parser.uses_y,
-    )
+    return expression
 
 
-def evaluate_on_mesh(expression, ops, t=0.0):
-    """Evaluate an expression (or string) on the mesh nodes at time ``t``."""
-    return parse_expression(expression)(t, ops.coordinates)
+def evaluate_on_mesh(expression, ops):
+    """Evaluate an expression (or string) on the mesh nodes at time 0."""
+    return parse_expression(expression)(0.0, ops.coordinates)

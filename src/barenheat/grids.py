@@ -82,8 +82,8 @@ class TimeGrid:
 
 def build_time_grid(horizon, steps):
     """Build the uniform time grid of [0, T] with N = ``steps`` steps."""
-    if not horizon > 0:
-        raise InvalidConfigError(f"time horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise InvalidConfigError(f"time horizon must be finite and positive, got {horizon}")
     if not isinstance(steps, (int, np.integer)) or steps < 1:
         raise InvalidConfigError(f"step count must be an integer >= 1, got {steps}")
     steps = int(steps)
@@ -107,31 +107,44 @@ class SpatialOperators:
 
     Attributes
     ----------
-    dimension : 1 or 2.
-    node_count : total number of nodes P.
-    domain_measure : |D|, the length or area of the domain.
-    lumped_mass : positive vector of length P; sums to |D|.
+    lumped_mass : positive vector of length P; sums to |D|, the length or
+        area of the domain.
     stiffness : symmetric positive-semidefinite sparse P x P operator whose
         kernel contains the constant field.
     coordinates : (P, dimension) node coordinates, x varying slowest in 2D.
     axis_eigenpairs : in 2D, per axis the generalized eigenpairs
         (values, vectors) of the 1D pencil (K_axis, M_axis), scaled so that
         V^T M_axis V = I; empty in 1D.
+
+    The rest is derived from these.  ``dimension`` (1 or 2, the columns of
+    ``coordinates``) and ``node_count`` (P, the length of ``lumped_mass``)
+    are set at construction, so that kernels read them as plain attributes.
+    Computed on first read and kept:
     eigenvalue_sums : in 2D, the (nx, ny) table lx_i + ly_j of the axis
         eigenvalues, the spectrum of K in the basis Vx (x) Vy; None in 1D.
     stiffness_band : in 1D, the main and first off diagonal of K, (P,) and
         (P - 1,), which every tridiagonal factorization reads; empty in 2D.
     """
 
-    dimension: int
-    node_count: int
-    domain_measure: float
+    dimension: int = field(init=False)
+    node_count: int = field(init=False)
     lumped_mass: np.ndarray = field(repr=False)
     stiffness: sp.csr_matrix = field(repr=False)
     coordinates: np.ndarray = field(repr=False)
     axis_eigenpairs: tuple = field(default=(), repr=False)
-    eigenvalue_sums: np.ndarray | None = field(default=None, repr=False)
-    stiffness_band: tuple = field(default=(), repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dimension", self.coordinates.shape[1])
+        object.__setattr__(self, "node_count", self.lumped_mass.size)
+
+    @cached_property
+    def eigenvalue_sums(self):
+        pairs = self.axis_eigenpairs
+        return np.add.outer(pairs[0][0], pairs[1][0]) if self.dimension == 2 else None
+
+    @cached_property
+    def stiffness_band(self):
+        return (self.stiffness.diagonal(), self.stiffness.diagonal(1)) if self.dimension == 1 else ()
 
 
 def _operators_1d(cells, length):
@@ -170,28 +183,21 @@ def build_operators(dimension, cells, lengths):
     """
     if dimension not in (1, 2):
         raise InvalidConfigError(f"dimension must be 1 or 2, got {dimension}")
-    cells = np.atleast_1d(np.asarray(cells, dtype=int))
+    cells = np.atleast_1d(np.asarray(cells))
     lengths = np.atleast_1d(np.asarray(lengths, dtype=float))
     if cells.size != dimension or lengths.size != dimension:
         raise InvalidConfigError(
             f"expected {dimension} cell count(s) and length(s), got {cells.size} and {lengths.size}"
         )
-    if np.any(cells < 1):
-        raise InvalidConfigError(f"each axis needs at least one cell, got {cells.tolist()}")
-    if np.any(lengths <= 0):
-        raise InvalidConfigError(f"axis lengths must be positive, got {lengths.tolist()}")
+    if cells.dtype.kind not in "iu" or np.any(cells < 1):
+        raise InvalidConfigError(
+            f"each axis needs an integer count of at least one cell, got {cells.tolist()}")
+    if not np.all((lengths > 0) & (lengths < math.inf)):
+        raise InvalidConfigError(f"axis lengths must be finite and positive, got {lengths.tolist()}")
 
     if dimension == 1:
         mass, stiffness, coords = _operators_1d(int(cells[0]), float(lengths[0]))
-        return SpatialOperators(
-            dimension=1,
-            node_count=mass.size,
-            domain_measure=float(lengths[0]),
-            lumped_mass=mass,
-            stiffness=stiffness,
-            coordinates=coords.reshape(-1, 1),
-            stiffness_band=(stiffness.diagonal(), stiffness.diagonal(1)),
-        )
+        return SpatialOperators(mass, stiffness, coords.reshape(-1, 1))
 
     mx, kx, cx = _operators_1d(int(cells[0]), float(lengths[0]))
     my, ky, cy = _operators_1d(int(cells[1]), float(lengths[1]))
@@ -199,17 +205,8 @@ def build_operators(dimension, cells, lengths):
     stiffness = (sp.kron(kx, sp.diags(my)) + sp.kron(sp.diags(mx), ky)).tocsr()
     xs, ys = np.meshgrid(cx, cy, indexing="ij")
     coords = np.column_stack([xs.ravel(), ys.ravel()])
-    eigenpairs = (_axis_eigenpairs(mx, kx), _axis_eigenpairs(my, ky))
-    return SpatialOperators(
-        dimension=2,
-        node_count=mass.size,
-        domain_measure=float(lengths[0] * lengths[1]),
-        lumped_mass=mass,
-        stiffness=stiffness,
-        coordinates=coords,
-        axis_eigenpairs=eigenpairs,
-        eigenvalue_sums=np.add.outer(eigenpairs[0][0], eigenpairs[1][0]),
-    )
+    return SpatialOperators(mass, stiffness, coords,
+                            (_axis_eigenpairs(mx, kx), _axis_eigenpairs(my, ky)))
 
 
 def _check_field(v, ops):

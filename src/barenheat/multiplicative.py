@@ -47,25 +47,25 @@ from .theory import compute_stability_constant
 class MultiplicativeMap:
     """Nodewise noise map chi -> H(chi) with a declared Lipschitz constant.
 
-    ``affine`` maps are sigma * chi + offset and have exact constant
-    |sigma|, which a declared constant may exceed but not undercut;
-    ``pointwise`` maps apply a scalar function nodewise and must declare a
-    constant that covers both the L2 and the H1 audits.
+    Its ``kind`` is derived: ``pointwise`` when it has a scalar function
+    ``psi``, which it applies nodewise, and ``affine`` otherwise.  Affine
+    maps are sigma * chi + offset and have exact constant |sigma|, which a
+    declared constant may exceed but not undercut; pointwise maps must
+    declare a constant that covers both the L2 and the H1 audits.
     """
 
-    kind: str
     lipschitz: float
     scale: float = 0.0
     offset: np.ndarray | None = field(default=None, repr=False)
     psi: callable = None
 
+    @property
+    def kind(self):
+        return "affine" if self.psi is None else "pointwise"
+
     def __post_init__(self):
-        if self.kind not in ("affine", "pointwise"):
-            raise InvalidConfigError(f"unknown map kind {self.kind!r}")
         if self.lipschitz < 0:
             raise InvalidConfigError(f"Lipschitz constant must be >= 0, got {self.lipschitz}")
-        if self.kind == "pointwise" and self.psi is None:
-            raise InvalidConfigError("pointwise maps need a scalar function")
         # |scale| is an affine map's exact constant; only a larger one is sound.
         if self.kind == "affine" and not self.lipschitz >= abs(self.scale):
             raise InvalidConfigError(
@@ -75,7 +75,7 @@ class MultiplicativeMap:
 
 def affine_map(scale, offset=None):
     """H(chi) = scale * chi + offset with exact Lipschitz constant |scale|."""
-    return MultiplicativeMap(kind="affine", lipschitz=abs(float(scale)), scale=float(scale),
+    return MultiplicativeMap(lipschitz=abs(float(scale)), scale=float(scale),
                              offset=None if offset is None else np.asarray(offset, dtype=float))
 
 
@@ -86,11 +86,8 @@ def damped_map(gain, lipschitz=None):
     def psi(v):
         return gain * v / (1.0 + np.abs(v))
 
-    return MultiplicativeMap(
-        kind="pointwise",
-        lipschitz=abs(gain) if lipschitz is None else float(lipschitz),
-        psi=psi,
-    )
+    return MultiplicativeMap(lipschitz=abs(gain) if lipschitz is None else float(lipschitz),
+                             psi=psi)
 
 
 def evaluate_H(noise_map, chi):
@@ -147,8 +144,9 @@ class PicardConfig:
         if not 0.0 < self.tolerance < math.inf:
             raise InvalidConfigError(
                 f"tolerance must be finite and positive, got {self.tolerance}")
-        if self.max_iterations < 1:
-            raise InvalidConfigError("need at least one iteration")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise InvalidConfigError(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations}")
 
 
 def _norm_terms(fields, times, grid, ops, weight):
@@ -192,14 +190,23 @@ class PicardReport:
 
     ``wall_times[k]`` runs from the start of iterate k + 1 to the end of its
     weighted difference.  From iterate 2 on the iterates overlap, so the
-    wall times no longer add up to the time of the run.
+    wall times no longer add up to the time of the run.  ``iterations`` and
+    ``ratios`` are derived from ``w_differences``.
     """
 
-    iterations: int
     w_differences: list
-    ratios: list
     wall_times: list
     modulus: float
+
+    @property
+    def iterations(self):
+        return len(self.w_differences)
+
+    @property
+    def ratios(self):
+        """Each difference over the one before; 0.0 after a zero one."""
+        w = self.w_differences
+        return [b / a if a > 0 else 0.0 for a, b in zip(w, w[1:])]
 
 
 # eq=False keeps the identity comparison of ``_Row``.
@@ -258,20 +265,17 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     theta0 = np.asarray(theta0, dtype=float)
     chi0 = np.asarray(chi0, dtype=float)
     w_diffs = []
-    ratios = []
     wall_times = []
 
     def converged(diff, started):
         """Record the weighted difference of a finished iterate; True when
         it meets the tolerance."""
         wall_times.append(time.perf_counter() - started)
-        if w_diffs:
-            ratios.append(diff / w_diffs[-1] if w_diffs[-1] > 0 else 0.0)
         w_diffs.append(diff)
         return diff <= config.tolerance
 
     def result(trajectory):
-        return trajectory, PicardReport(len(w_diffs), w_diffs, ratios, wall_times, modulus)
+        return trajectory, PicardReport(w_diffs, wall_times, modulus)
 
     started = time.perf_counter()
     values = np.zeros((grid.steps, ops.node_count))

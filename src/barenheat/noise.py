@@ -35,12 +35,21 @@ class BrownianPath:
     path_id: int
 
 
+def check_seed(value, name="seed"):
+    """Raise InvalidConfigError unless ``value`` is an unsigned 64-bit
+    integer, one half of a path's Philox key."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= int(value) < 2**64:
+        raise InvalidConfigError(f"{name} must be an unsigned 64-bit integer, got {value}")
+
+
 def sample_path(grid, seed, path_id):
     """Draw the N Gaussian increments of path ``path_id`` under ``seed``.
 
     Identical (seed, path_id) pairs give bit-identical paths; distinct pairs
-    give statistically independent streams.
+    give statistically independent streams.  Both must pass ``check_seed``.
     """
+    check_seed(seed)
+    check_seed(path_id, "path_id")
     key = np.array([seed, path_id], dtype=np.uint64)
     rng = Generator(Philox(key=key))
     increments = rng.standard_normal(grid.steps) * np.sqrt(grid.dt)

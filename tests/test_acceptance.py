@@ -51,8 +51,8 @@ def noisy_setup(ops, nl, cos_data):
     )
 
 
-def assert_weak_identities(traj, path, integrand, ops, nl, label):
-    conservation, balance = bh.weak_identity_defects(traj, path, integrand, ops, nl)
+def assert_weak_identities(traj, ops, nl, label):
+    conservation, balance = bh.weak_identity_defects(traj, ops, nl)
     worst = max(conservation.max(), balance.max()) if conservation.size else 0.0
     assert worst <= 1e-10, f"weak identity defect {worst:.2e} in {label}"
     return worst
@@ -76,7 +76,7 @@ def test_criterion_1_inner_contraction_bound(ops, nl, noisy_setup):
                     worst_excess = max(worst_excess, factor - bound)
             identity_worst = max(
                 identity_worst,
-                assert_weak_identities(traj, path, integrand, ops, nl, f"N={steps}"),
+                assert_weak_identities(traj, ops, nl, f"N={steps}"),
             )
     assert identity_worst <= 1e-10
     criterion(
@@ -95,19 +95,19 @@ def test_criterion_2_per_step_conservation(ops, nl, noisy_setup, cos_data):
     for pid in range(8):
         path = bh.sample_path(grid, 7, pid)
         traj = bh.simulate(noisy_setup, grid, path, integrand=integrand)
-        worst = max(worst, assert_weak_identities(traj, path, integrand, ops, nl, "noisy"))
+        worst = max(worst, assert_weak_identities(traj, ops, nl, "noisy"))
     # Deterministic and constant-noise runs.
     for expr in ("0", "1"):
         integrand = bh.discretize_integrand(expr, grid, ops)
         path = bh.sample_path(grid, 8, 0)
         traj = bh.run_additive(np.ones(65), np.zeros(65), integrand, path, grid, ops, nl)
-        worst = max(worst, assert_weak_identities(traj, path, integrand, ops, nl, expr))
+        worst = max(worst, assert_weak_identities(traj, ops, nl, expr))
     # Nonlinear saturating run.
     sat = bh.saturating(0.25)
     integrand = bh.discretize_integrand(noisy_setup.integrand, grid, ops)
     path = bh.sample_path(grid, 9, 0)
     traj = bh.run_additive(cos_data, cos_data, integrand, path, grid, ops, sat)
-    worst = max(worst, assert_weak_identities(traj, path, integrand, ops, sat, "saturating"))
+    worst = max(worst, assert_weak_identities(traj, ops, sat, "saturating"))
     criterion(
         "criterion 2 per-step conservation",
         worst <= 1e-10,

@@ -358,7 +358,7 @@ class TestWeakIdentityDefects:
                                  integrand=config.integrand, tol=config.inner_tol,
                                  newton_tol=config.newton_tol)
         traj = bh.simulate(setup, grid, path, integrand)
-        got = bh.weak_identity_defects(traj, path, integrand, config.ops, config.nonlinearity)
+        got = bh.weak_identity_defects(traj, config.ops, config.nonlinearity)
         expected = per_step_defects(traj, path, integrand, config.ops, config.nonlinearity)
         for g, e in zip(got, expected):
             assert g.shape == e.shape == (grid.steps,) and g.tobytes() == e.tobytes()
@@ -368,7 +368,7 @@ class TestWeakIdentityDefects:
         path = bh.sample_path(grid, 9, 0)
         integ = bh.discretize_integrand(noisy_setup.integrand, grid, ops65)
         traj = bh.simulate(noisy_setup, grid, path, integrand=integ)
-        conservation, balance = bh.weak_identity_defects(traj, path, integ, ops65, unit_nl)
+        conservation, balance = bh.weak_identity_defects(traj, ops65, unit_nl)
         assert conservation.shape == (16,)
         assert conservation.max() <= 1e-10
         assert balance.max() <= 1e-9

@@ -36,7 +36,9 @@ class TestTimeGrid:
         assert grid.nodes[0] == 0.0 and grid.nodes[-1] == horizon
         assert np.all(np.diff(grid.nodes) > 0)
 
-    @pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -2)])
+    # An infinite horizon once built a grid with dt = inf.
+    @pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -2),
+                                               (math.inf, 4)])
     def test_invalid_configs(self, horizon, steps):
         with pytest.raises(InvalidConfigError):
             bh.build_time_grid(horizon, steps)
@@ -112,12 +114,51 @@ class TestOperators1D:
 
     def test_mass_positive_and_sums_to_measure(self, ops65):
         assert np.all(ops65.lumped_mass > 0)
-        assert ops65.lumped_mass.sum() == pytest.approx(ops65.domain_measure, rel=1e-14)
+        assert ops65.lumped_mass.sum() == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("cells,length", [(0, 1.0), (3, 0.0), (3, -2.0)])
     def test_invalid_mesh(self, cells, length):
         with pytest.raises(InvalidConfigError):
             bh.build_operators(1, cells, length)
+
+
+@pytest.mark.parametrize("args, match", [
+    ((1, 2.5, 1.0), "integer count"),
+    ((2, (4, 2.7), (1.0, 1.0)), "integer count"),
+    ((1, 4, math.inf), "finite and positive"),
+    ((1, 4, math.nan), "finite and positive"),
+], ids=["fractional-1d", "fractional-2d", "infinite-length", "nan-length"])
+def test_build_operators_rejects_sizes_that_are_not_integers_or_not_finite(args, match):
+    # Fractional cell counts were truncated, and an infinite or NaN length
+    # gave an infinite or NaN lumped mass.
+    with pytest.raises(InvalidConfigError, match=match):
+        bh.build_operators(*args)
+
+
+@pytest.mark.parametrize("args", [(1, 12, 1.3), (2, (6, 5), (1.0, 1.5))], ids=["1d", "2d"])
+def test_hand_built_operators_derive_the_rest(args, shifted_solve):
+    # A set built from build_operators' stored arrays has its derived
+    # values, and its bound solves, bit for bit.
+    ops = bh.build_operators(*args)
+    hand = bh.SpatialOperators(ops.lumped_mass, ops.stiffness, ops.coordinates,
+                               ops.axis_eigenpairs)
+    assert (hand.dimension, hand.node_count) == (ops.dimension, ops.node_count) == (
+        args[0], ops.coordinates.shape[0])
+    assert repr(hand) == repr(ops)
+    if ops.dimension == 1:
+        assert hand.eigenvalue_sums is None
+        assert [a.tobytes() for a in hand.stiffness_band] == [
+            a.tobytes() for a in (ops.stiffness.diagonal(), ops.stiffness.diagonal(1))]
+    else:
+        (lx, _), (ly, _) = ops.axis_eigenpairs
+        assert hand.eigenvalue_sums.tobytes() == np.add.outer(lx, ly).tobytes()
+        assert hand.stiffness_band == ()
+    rng = np.random.default_rng(23)
+    rhs = rng.standard_normal((3, ops.node_count))
+    varied = rng.uniform(1.0, 3.0, (3, ops.node_count)) * ops.lumped_mass
+    for diagonal in (2.0 * ops.lumped_mass, varied):
+        ours = [a.tobytes() for a in shifted_solve(ops, diagonal, 0.3, rhs)]
+        assert [a.tobytes() for a in shifted_solve(hand, diagonal, 0.3, rhs)] == ours
 
 
 class TestOperators2D:

@@ -82,8 +82,13 @@ class TestDeclaredConstant:
         with pytest.raises(InvalidConfigError, match=r"exact constant \|scale\| = 0.9"):
             replace(bh.affine_map(0.9), lipschitz=0.01)
         with pytest.raises(InvalidConfigError, match="declared lipschitz 0.5 is below"):
-            bh.MultiplicativeMap(kind="affine", lipschitz=0.5, scale=-0.9)
+            bh.MultiplicativeMap(lipschitz=0.5, scale=-0.9)
         assert replace(bh.affine_map(-0.9), lipschitz=0.95).lipschitz == 0.95
+
+    def test_kind_follows_the_scalar_function(self):
+        assert bh.MultiplicativeMap(lipschitz=0.1, psi=np.tanh).kind == "pointwise"
+        assert bh.damped_map(0.1).kind == "pointwise"
+        assert bh.affine_map(0.1).kind == "affine"
 
     def test_nan_quotient_fails_the_audit(self, ops65):
         # max() kept the finite worst over a NaN quotient, so this map
@@ -91,8 +96,15 @@ class TestDeclaredConstant:
         def psi(v):
             return np.where(np.abs(v) > 1.0, np.nan, 0.05 * v)
 
-        noise_map = bh.MultiplicativeMap(kind="pointwise", lipschitz=0.05, psi=psi)
+        noise_map = bh.MultiplicativeMap(lipschitz=0.05, psi=psi)
         assert bh.lipschitz_audit(noise_map, ops65, 64, seed=0) == math.inf
+
+
+def test_picard_report_derives_iterations_and_ratios():
+    report = bh.PicardReport(w_differences=[2.0, 1.0, 0.0, 0.0], wall_times=[0.0] * 4,
+                             modulus=0.25)
+    assert report.iterations == 4
+    assert report.ratios == [0.5, 0.0, 0.0]
 
 
 class TestWeightedNorm:
@@ -128,6 +140,10 @@ class TestPicardConfig:
             bh.PicardConfig(weight=1.0, tolerance=0.0)
         with pytest.raises(InvalidConfigError):
             bh.PicardConfig(weight=1.0, max_iterations=0)
+
+    def test_fractional_iteration_cap_rejected(self):
+        with pytest.raises(InvalidConfigError, match="integer >= 1"):
+            bh.PicardConfig(weight=8.0, max_iterations=2.5)
 
     def test_weight_condition_enforced(self, ops65, unit_nl, cos_field, grid32):
         path = bh.sample_path(grid32, 0, 0)

@@ -43,6 +43,16 @@ class TestSamplePath:
         assert abs(values.mean()) <= 3 * np.sqrt(grid.dt / count)
 
 
+@pytest.mark.parametrize("seed, path_id", [(1.5, 0), (-1, 0), (2**64, 0), (0, -1), (0, 2**64)],
+                         ids=["fractional-seed", "negative-seed", "wide-seed",
+                              "negative-path", "wide-path"])
+def test_sample_path_keys_are_unsigned_64_bit_integers(seed, path_id):
+    # A fractional seed drew the stream of its integer part; an
+    # out-of-range one raised a bare OverflowError.
+    with pytest.raises(InvalidConfigError, match="must be an unsigned 64-bit integer"):
+        bh.sample_path(bh.build_time_grid(1.0, 4), seed, path_id)
+
+
 class TestAggregatePath:
     def test_factor_one_is_identity(self):
         grid = bh.build_time_grid(1.0, 8)

@@ -29,7 +29,9 @@ def reference_weighted_norm(values, grid, ops, weight):
 
 def sequential_picard(theta0, chi0, noise_map, path, grid, ops, nl, config,
                       tol=1e-11, newton_tol=1e-12, iterates=None):
-    """One iterate after the other; ``iterates`` collects every chi."""
+    """One iterate after the other; ``iterates`` collects every chi.
+    Returns the trajectory, the report, and the iteration count and
+    ratios counted here."""
     threshold = _picard_threshold(nl, noise_map, grid.horizon, config.weight,
                                   config.override_condition)
     modulus = threshold / config.weight
@@ -56,10 +58,9 @@ def sequential_picard(theta0, chi0, noise_map, path, grid, ops, nl, config,
         w_diffs.append(diff)
         iterate = trajectory.chi
         if diff <= config.tolerance:
-            return trajectory, bh.PicardReport(
-                iterations=iteration, w_differences=w_diffs, ratios=ratios,
-                wall_times=wall_times, modulus=modulus,
-            )
+            report = bh.PicardReport(w_differences=w_diffs, wall_times=wall_times,
+                                     modulus=modulus)
+            return trajectory, report, iteration, ratios
     raise NonConvergenceError(
         f"picard iteration did not converge in {config.max_iterations} iterations",
         residual=w_diffs[-1],
@@ -71,15 +72,15 @@ def report_fields(report):
 
 
 def assert_same_run(problem):
-    expected, expected_report = sequential_picard(*problem)
+    expected, expected_report, iterations, ratios = sequential_picard(*problem)
     got, report = bh.picard_solve(*problem)
     assert np.array_equal(got.theta, expected.theta)
     assert np.array_equal(got.chi, expected.chi)
     assert np.array_equal(got.u, expected.u)
     assert [report_fields(r) for r in got.reports] == [report_fields(r) for r in expected.reports]
     assert report.w_differences == expected_report.w_differences
-    assert report.ratios == expected_report.ratios
-    assert report.iterations == expected_report.iterations
+    assert report.ratios == ratios
+    assert report.iterations == iterations
     assert report.modulus == expected_report.modulus
     assert report.w_differences[-1] <= problem[7].tolerance
     assert len(report.wall_times) == report.iterations
@@ -184,8 +185,7 @@ class TestSameErrorsAsSequential:
         first = bh.run_additive(cos33, zero, integrand, path, grid32, ops33, bh.linear(1.0))
         cut = 0.5 * np.abs(first.chi[1:grid32.steps]).max()
         noise_map = bh.MultiplicativeMap(
-            kind="pointwise", lipschitz=0.061,
-            psi=lambda v: np.where(np.abs(v) > cut, np.nan, 0.061 * v))
+            lipschitz=0.061, psi=lambda v: np.where(np.abs(v) > cut, np.nan, 0.061 * v))
         error = self.assert_same_failure(
             (cos33, zero, noise_map, path, grid32, ops33, bh.linear(1.0), CONFIG))
         assert isinstance(error, NonFiniteError)
@@ -207,8 +207,7 @@ class TestSameErrorsAsSequential:
         assert k >= 3
         cut = 0.5 * (max(highs[:k]) + highs[k])
         noise_map = bh.MultiplicativeMap(
-            kind="pointwise", lipschitz=0.061,
-            psi=lambda v: np.where(v > cut, np.nan, 0.061 * v))
+            lipschitz=0.061, psi=lambda v: np.where(v > cut, np.nan, 0.061 * v))
         failing_batches = []
         real_step_rows = multiplicative._step_rows
 

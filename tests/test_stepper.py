@@ -556,7 +556,7 @@ class TestRunAdditive:
         integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops65)
         path = bh.sample_path(grid, 6, 3)
         traj = bh.run_additive(cos_field, cos_field, integ, path, grid, ops65, unit_nl)
-        conservation, balance = bh.weak_identity_defects(traj, path, integ, ops65, unit_nl)
+        conservation, balance = bh.weak_identity_defects(traj, ops65, unit_nl)
         assert conservation.max() <= 1e-10
         # The nonlinear identity holds up to the inner stopping tolerance,
         # because theta is re-solved once after the chi iterates settle.
@@ -568,7 +568,7 @@ class TestRunAdditive:
         integ = bh.discretize_integrand("cos(pi*x)*(1+t)", grid, ops65)
         path = bh.sample_path(grid, 13, 0)
         traj = bh.run_additive(cos_field, cos_field, integ, path, grid, ops65, nl)
-        conservation, _ = bh.weak_identity_defects(traj, path, integ, ops65, nl)
+        conservation, _ = bh.weak_identity_defects(traj, ops65, nl)
         assert conservation.max() <= 1e-10
         for report in traj.reports:
             if report.contraction_factors:
@@ -583,7 +583,7 @@ class TestRunAdditive:
         path = bh.sample_path(grid, 17, 0)
         data = bh.evaluate_on_mesh("cos(pi*x)", ops)
         traj = bh.run_additive(data, data, integ, path, grid, ops, nl)
-        conservation, balance = bh.weak_identity_defects(traj, path, integ, ops, nl)
+        conservation, balance = bh.weak_identity_defects(traj, ops, nl)
         assert conservation.max() <= 1e-10
         assert balance.max() <= 1e-9
         again = bh.run_additive(data, data, integ, path, grid, ops, nl)
@@ -954,7 +954,7 @@ class TestRelaxedInnerSolves:
             for report in traj.reports:
                 assert report.contraction_factors
                 assert max(report.contraction_factors) <= report.factor_bound + 1e-6
-            conservation, balance = bh.weak_identity_defects(traj, path, integ, ops, nl)
+            conservation, balance = bh.weak_identity_defects(traj, ops, nl)
             assert max(conservation.max(), balance.max()) <= 1e-10
 
 
