@@ -38,7 +38,8 @@ from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError, Nu
 from .grids import h1_seminorm, l2_norm
 from .noise import AdditiveIntegrand
 from .stepper import (
-    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _Row, _step_plan, _step_rows, run_additive,
+    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _check_initial_shapes, _Row, _step_plan, _step_rows,
+    run_additive,
 )
 from .theory import compute_stability_constant
 
@@ -64,8 +65,9 @@ class MultiplicativeMap:
         return "affine" if self.psi is None else "pointwise"
 
     def __post_init__(self):
-        if self.lipschitz < 0:
-            raise InvalidConfigError(f"Lipschitz constant must be >= 0, got {self.lipschitz}")
+        if not 0.0 <= self.lipschitz < math.inf:
+            raise InvalidConfigError(
+                f"Lipschitz constant must be finite and >= 0, got {self.lipschitz}")
         # |scale| is an affine map's exact constant; only a larger one is sound.
         if self.kind == "affine" and not self.lipschitz >= abs(self.scale):
             raise InvalidConfigError(
@@ -80,8 +82,11 @@ def affine_map(scale, offset=None):
 
 
 def damped_map(gain, lipschitz=None):
-    """H(chi) = gain * chi / (1 + |chi|) nodewise; derivative bounded by gain."""
+    """H(chi) = gain * chi / (1 + |chi|) nodewise; derivative bounded by
+    |gain|, which must be finite."""
     gain = float(gain)
+    if not math.isfinite(gain):
+        raise InvalidConfigError(f"damped gain must be finite, got {gain}")
 
     def psi(v):
         return gain * v / (1.0 + np.abs(v))
@@ -158,12 +163,17 @@ def _norm_terms(fields, times, grid, ops, weight):
 
 def weighted_norm(values, grid, ops, weight):
     """W(v) over a (N+1, P) array of nodal fields; node 0 carries no weight.
+    Raises FieldShapeError for a record of any other shape.
 
     The terms are added left to right, so a running sum over nodes 1..n is
     bit for bit a prefix of this sum.
     """
+    if np.shape(values) != (grid.steps + 1, ops.node_count):
+        raise FieldShapeError(
+            f"record has shape {np.shape(values)}, a run of {grid.steps} steps expects "
+            f"({grid.steps + 1}, {ops.node_count})")
     total = 0.0
-    for term in _norm_terms(values[1:grid.steps + 1], grid.nodes[1:], grid, ops, weight):
+    for term in _norm_terms(values[1:], grid.nodes[1:], grid, ops, weight):
         total += term
     return float(np.sqrt(total))
 
@@ -264,6 +274,7 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     modulus = threshold / config.weight
     theta0 = np.asarray(theta0, dtype=float)
     chi0 = np.asarray(chi0, dtype=float)
+    _check_initial_shapes(ops, theta0=theta0, chi0=chi0)
     w_diffs = []
     wall_times = []
 

@@ -9,6 +9,7 @@ quotients against the declarations; it is advisory at load time and asserted
 in the test suite.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,13 @@ def _fd_derivative(alpha):
 
 
 def make_nonlinearity(name, alpha, lipschitz, coercivity, alpha_prime=None):
-    """Wrap a scalar map with declared constants; derivative falls back to
-    a central finite difference with step 1e-6 * max(1, |x|)."""
-    if not lipschitz > 0 or not coercivity > 0:
+    """Wrap a scalar map with declared constants, both finite and positive;
+    derivative falls back to a central finite difference with step
+    1e-6 * max(1, |x|)."""
+    if not 0 < lipschitz < math.inf or not 0 < coercivity < math.inf:
         raise InvalidConfigError(
-            f"Lipschitz and coercivity constants must be positive, got {lipschitz}, {coercivity}"
-        )
+            f"Lipschitz and coercivity constants must be finite and positive, got {lipschitz}, "
+            f"{coercivity}")
     if alpha_prime is None:
         alpha_prime = _fd_derivative(alpha)
     return Nonlinearity(
@@ -70,8 +72,6 @@ def make_nonlinearity(name, alpha, lipschitz, coercivity, alpha_prime=None):
 
 def linear(slope):
     """alpha(x) = slope * x with exact constants slope, slope."""
-    if not slope > 0:
-        raise InvalidConfigError(f"linear slope must be positive, got {slope}")
     slope = float(slope)
     return make_nonlinearity(
         name=f"linear(c={slope})",
@@ -112,10 +112,12 @@ def saturating(gain):
 def ramp(inner_slope, outer_slope, knee):
     """Piecewise-linear odd map: slope ``inner_slope`` on [-knee, knee],
     ``outer_slope`` outside.  Kinks exercise the Newton line search."""
+    # The constants are the max and min of the slopes, which could hide a
+    # NaN slope, so the slopes are checked here.
     if not inner_slope > 0 or not outer_slope > 0:
         raise InvalidConfigError("ramp slopes must be positive")
-    if not knee > 0:
-        raise InvalidConfigError(f"ramp knee must be positive, got {knee}")
+    if not 0 < knee < math.inf:
+        raise InvalidConfigError(f"ramp knee must be finite and positive, got {knee}")
     inner_slope, outer_slope, knee = float(inner_slope), float(outer_slope), float(knee)
 
     def alpha(x):

@@ -28,15 +28,17 @@ bits of a run on its own.
 Plans.  The heat operator M + dt K and the Jacobian M alphatilde'(0) + dt K
 of Newton from u = 0 are fixed per dt, so a plan (``_Plan``) binds both once
 (``grids._bind_unchecked``: 1D ``dpttrf`` factors, 2D fast
-diagonalization) together with alphatilde(0) and the linear switch;
-``grids._gated`` runs the bound solves and gates the block once, the one way
-a shifted system is solved.  A plan is a tuple of spans
+diagonalization) together with alphatilde(0); ``grids._gated`` runs the
+bound solves and gates the block once, the one way a shifted system is
+solved.  A plan is a tuple of spans
 (``_Span``), one per run of rows that step with one dt.  Only the solves
 loop over the spans; everything else runs once per block with dt a float
 for one span and an (M, 1) column otherwise, which gives each row the bits
 of its float dt.  ``take`` narrows a plan to the rows still iterating and
-binds nothing.  Every other Newton correction binds the Jacobian of each
-row, with the row's float dt, as one span of its own, gated the same way.
+binds nothing.  A Newton correction takes one route: its Jacobian
+diagonal is checked for finite values once, then one ``grids._gated`` call
+solves with the spans' bound solves from u = 0, and otherwise with the
+Jacobian of each row bound with the row's float dt as a span of its own.
 
 Rows.  ``_step_rows`` is the one driver of ``_advance``.  A ``_Row`` holds
 paths that step together from one step index along one (N, P) integrand
@@ -255,11 +257,10 @@ class _Plan(NamedTuple):
     with one dt, in row order.  ``dt`` is the float dt of a plan of one
     span and the (M, 1) column of the rows' steps otherwise.  The other
     fields are shared by every row: the operators, alpha, both tolerances,
-    ``offset`` and ``jacobian`` of Newton from u = 0 (``_at_zero``), and
-    whether alpha is nonlinear, which switches on the warm start and the
-    relaxed Newton tolerances.  Only the solves loop over the spans, each
-    with its own dt; everything else takes ``dt`` elementwise, so every row
-    keeps the bits of a run on its own grid."""
+    and ``offset`` and ``jacobian`` of Newton from u = 0 (``_at_zero``).
+    Only the solves loop over the spans, each with its own dt; everything
+    else takes ``dt`` elementwise, so every row keeps the bits of a run on
+    its own grid."""
 
     spans: tuple
     dt: object
@@ -269,7 +270,6 @@ class _Plan(NamedTuple):
     newton_tol: float
     offset: np.ndarray | None
     jacobian: np.ndarray | None
-    nonlinear: bool
 
     def take(self, rows):
         """The plan of the rows ``rows``, increasing indices into the block:
@@ -291,12 +291,8 @@ def _step_plan(grid, ops, nl, tol, newton_tol):
     check_step_preconditions(dt, nl)
     heat = _bind_unchecked(ops, ops.lumped_mass, dt)
     offset, jacobian, at_zero = _at_zero(ops, nl, dt)
-    return _Plan(
-        (_Span(0, None, dt, heat, at_zero),),
-        dt, ops, nl, tol, newton_tol, offset, jacobian,
-        # Equal declared constants and alpha(0) = 0 make alpha linear.
-        nonlinear=nl.lipschitz != nl.coercivity,
-    )
+    return _Plan((_Span(0, None, dt, heat, at_zero),), dt, ops, nl, tol, newton_tol, offset,
+                 jacobian)
 
 
 def _newton(plan, rhs, start=None, relaxed=None):
@@ -306,9 +302,16 @@ def _newton(plan, rhs, start=None, relaxed=None):
     residual is at most tol (1 + |rhs_i|) at the start, tol being
     ``plan.newton_tol``, and otherwise iterates until it is; ``relaxed``,
     None or a list of one relative tolerance per row, lets row i stop at
-    relaxed_i (1 + |rhs_i|) instead, once it has taken an iteration.  A
-    start from u = 0 reads ``plan.offset`` and solves with the spans' bound
-    ``at_zero`` solves.
+    relaxed_i (1 + |rhs_i|) instead, once it has taken an iteration.
+
+    Each iteration checks the Jacobian diagonal once and solves for the
+    correction with one ``grids._gated`` call: from u = 0 the diagonal is
+    ``plan.jacobian`` and the solves the spans' bound ``at_zero`` ones (the
+    start residual reads ``plan.offset``), and from any other u each row's
+    diagonal is bound with its float dt as a span of its own.  The line
+    search then halves the step of every row whose residual has not
+    dropped, round after round, and records for each row the last round it
+    took part in.
 
     Every row keeps its own threshold, step scale, iteration count and
     halvings, and a row leaves the iteration once it has converged, so its
@@ -316,7 +319,8 @@ def _newton(plan, rhs, start=None, relaxed=None):
     residual or the Jacobian at an iterate is NaN or infinite, or when the
     line search or the iteration cap fails after trial steps met non-finite
     residuals; backtracking out of such trials is allowed, since it keeps u
-    where alphatilde is finite.  The error's ``row`` names the failing row.
+    where alphatilde is finite.  The error's ``row`` names the failing row,
+    for a Jacobian the first iterating row whose diagonal is not finite.
     Each correction asks its solve for a residual below
     ``NEWTON_FORCING`` times the row's threshold, or times its residual
     where that is smaller.
@@ -381,42 +385,41 @@ def _newton(plan, rhs, start=None, relaxed=None):
     for _ in range(MAX_NEWTON_ITERATIONS):
         if not active:
             break
+        # From u = 0 the Jacobian diagonal is the plan's one (P,) field, None
+        # where it is not finite.  It is checked before any solve is bound.
         if from_zero:
-            if sub.jacobian is None:
-                raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
-                                     residual=norms[active[0]], row=active[0])
+            jacobian, finite = sub.jacobian, [sub.jacobian is not None]
         else:
-            jac_diag = mass * nl.alpha_tilde_prime(u_active)
-            finite = np.isfinite(jac_diag)
-            if not finite.all():
-                bad = 0 if jac_diag.ndim == 1 else int(np.flatnonzero(~finite.all(axis=1))[0])
-                row = active[bad]
-                raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
-                                     residual=norms[row], row=row)
+            jacobian = mass * nl.alpha_tilde_prime(u_active)
+            finite = np.isfinite(jacobian).all(axis=1).tolist()
+        if not all(finite):
+            row = active[finite.index(False)]
+            raise NonFiniteError("Newton Jacobian alphatilde'(u) is not finite",
+                                 residual=norms[row], row=row)
+        if from_zero:
+            spans, solve = sub.spans, _AT_ZERO
+        else:
+            dts = [sub.dt] * len(jacobian) if isinstance(sub.dt, float) else sub.dt[:, 0].tolist()
+            spans, solve = [(i, i + 1, _bind_unchecked(ops, diagonal, dt))
+                            for i, (diagonal, dt) in enumerate(zip(jacobian, dts))], 2
         try:
-            b = rhs_active if res is None else -res
-            if from_zero:
-                delta, stiffness_delta = _gated(ops, sub.jacobian, sub.dt, CORRECTION_RTOL,
-                                                sub.spans, b, correction_targets, solve=_AT_ZERO)
-            else:
-                dts = [sub.dt] * len(b) if isinstance(sub.dt, float) else sub.dt[:, 0].tolist()
-                spans = [(row, row + 1, _bind_unchecked(ops, jacobian, dt))
-                         for row, (jacobian, dt) in enumerate(zip(jac_diag, dts))]
-                delta, stiffness_delta = _gated(ops, jac_diag, sub.dt, CORRECTION_RTOL, spans, b,
-                                                correction_targets)
+            delta, stiffness_delta = _gated(ops, jacobian, sub.dt, CORRECTION_RTOL, spans,
+                                            rhs_active if res is None else -res,
+                                            correction_targets, solve=solve)
         except NumericalError as exc:
             _lift(exc, rows)
             raise
-        # Line search, per row: halve the step until the residual drops.
+        # Line search, per row: halve the step of every row whose residual
+        # has not dropped, until each has.
         trial = u_active + delta
         trial_res = residual(trial, rhs_active,
                              stiffness_delta if from_zero else apply_stiffness(ops, trial),
                              sub.dt)
         from_zero = False
         trial_norms = row_norms(trial_res)
-        pending = [i for i, row in enumerate(active) if not trial_norms[i] < norms[row]]
         scale = 1.0
         for halving in range(1, MAX_LINE_SEARCH_HALVINGS + 2):
+            pending = [i for i, row in enumerate(active) if not trial_norms[i] < norms[row]]
             if not pending:
                 break
             for i in pending:
@@ -428,20 +431,14 @@ def _newton(plan, rhs, start=None, relaxed=None):
                     norms[row], met_non_finite[row], row,
                 )
             scale *= 0.5
-            retrying = slice(None) if len(pending) == len(active) else pending
-            retry = u_active[retrying] + scale * delta[retrying]
-            retry_res = residual(retry, rhs_active[retrying], apply_stiffness(ops, retry),
-                                 sub.dt if isinstance(sub.dt, float) else sub.dt[retrying])
-            trial[retrying] = retry
-            trial_res[retrying] = retry_res
-            still = []
+            retry = u_active[pending] + scale * delta[pending]
+            retry_res = residual(retry, rhs_active[pending], apply_stiffness(ops, retry),
+                                 sub.dt if isinstance(sub.dt, float) else sub.dt[pending])
+            trial[pending] = retry
+            trial_res[pending] = retry_res
             for i, norm in zip(pending, row_norms(retry_res)):
                 trial_norms[i] = norm
-                if norm < norms[active[i]]:
-                    halvings[active[i]] = max(halvings[active[i]], halving)
-                else:
-                    still.append(i)
-            pending = still
+                halvings[active[i]] = max(halvings[active[i]], halving)
         if rows is None:
             u = trial
         else:
@@ -523,8 +520,8 @@ def _advance(plan, theta_n, chi_n, dw, h_n):
     stiffness_shift = apply_stiffness(ops, shift)
     # Newton converges in one iteration from u = 0 for linear alpha; every
     # other alpha starts from the u of the current chi iterate, 0 for the
-    # first.
-    warm_start = plan.nonlinear
+    # first.  Equal declared constants and alpha(0) = 0 make alpha linear.
+    warm_start = plan.nl.lipschitz != plan.nl.coercivity
     # Relative Newton tolerance of each path's next solve, relaxed while the
     # chi iterates still move (nonlinear alpha only).
     newton_tols = [_inner_newton_tol(newton_tol, math.inf)] * count if warm_start else None

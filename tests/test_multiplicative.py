@@ -85,6 +85,18 @@ class TestDeclaredConstant:
             bh.MultiplicativeMap(lipschitz=0.5, scale=-0.9)
         assert replace(bh.affine_map(-0.9), lipschitz=0.95).lipschitz == 0.95
 
+    @pytest.mark.parametrize("build", [
+        lambda: bh.MultiplicativeMap(lipschitz=math.inf),
+        lambda: bh.MultiplicativeMap(lipschitz=math.nan, psi=np.tanh),
+        lambda: bh.affine_map(math.inf),
+        lambda: bh.damped_map(math.nan),
+        lambda: bh.damped_map(math.inf),
+        lambda: bh.damped_map(math.inf, lipschitz=1.0),
+    ], ids=["map-inf", "map-nan", "affine-inf", "damped-nan", "damped-inf", "damped-inf-declared"])
+    def test_non_finite_constants_rejected(self, build):
+        with pytest.raises(InvalidConfigError, match="finite"):
+            build()
+
     def test_kind_follows_the_scalar_function(self):
         assert bh.MultiplicativeMap(lipschitz=0.1, psi=np.tanh).kind == "pointwise"
         assert bh.damped_map(0.1).kind == "pointwise"
@@ -123,6 +135,21 @@ class TestWeightedNorm:
     def test_zero_on_identical_iterates(self, ops65, grid32):
         values = np.zeros((33, 65))
         assert bh.weighted_norm(values, grid32, ops65, 2.0) == 0.0
+
+    @pytest.mark.parametrize("shape", [(8, 9), (20, 9), (9, 8), (9,)],
+                             ids=["short", "long", "narrow", "one-field"])
+    def test_record_of_another_shape_rejected(self, ops_small, shape):
+        grid = bh.build_time_grid(1.0, 8)
+        with pytest.raises(FieldShapeError, match=r"expects \(9, 9\)"):
+            bh.weighted_norm(np.ones(shape), grid, ops_small, 1.0)
+
+    def test_record_of_every_node_keeps_its_sum(self, ops_small):
+        grid, values = bh.build_time_grid(1.0, 8), np.ones((9, 9))
+        total = 0.0
+        for n in range(1, 9):
+            total += grid.dt * np.exp(-grid.nodes[n]) * (
+                bh.l2_norm(values[n], ops_small) ** 2 + bh.h1_seminorm(values[n], ops_small) ** 2)
+        assert bh.weighted_norm(values, grid, ops_small, 1.0) == math.sqrt(total)
 
 
 class TestPicardConfig:
@@ -215,6 +242,18 @@ class TestPicardSolve:
         again = bh.run_additive(cos_field, cos_field, integ, path, grid32, ops65, unit_nl)
         drift = bh.weighted_norm(again.chi - fixed.chi, grid32, ops65, config.weight)
         assert drift <= config.tolerance / (1.0 - report.modulus)
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 9)], ids=["field-8", "block-2x9"])
+    @pytest.mark.parametrize("kind", ["affine", "affine-offset", "damped"])
+    def test_initial_shapes_checked_at_the_call(self, ops_small, unit_nl, kind, shape):
+        sigma, config = modulus_quarter_config()
+        noise_map = {"affine": bh.affine_map(sigma),
+                     "affine-offset": bh.affine_map(sigma, np.ones(9)),
+                     "damped": bh.damped_map(sigma)}[kind]
+        grid = bh.build_time_grid(1.0, 8)
+        with pytest.raises(FieldShapeError, match=r"chi0 has shape .*expect \(9,\)"):
+            bh.picard_solve(np.zeros(9), np.zeros(shape), noise_map, bh.sample_path(grid, 5, 0),
+                            grid, ops_small, unit_nl, config)
 
     def test_iteration_cap(self, ops65, unit_nl, cos_field, grid32):
         sigma, config = modulus_quarter_config(tolerance=1e-16, max_iterations=2)

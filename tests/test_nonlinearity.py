@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,15 @@ class TestFactories:
             bh.linear(0.0)
         with pytest.raises(InvalidConfigError):
             bh.make_nonlinearity("bad", alpha=lambda x: x, lipschitz=1.0, coercivity=0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: bh.linear(math.inf),
+        lambda: bh.saturating(math.inf),
+        lambda: bh.ramp(1.0, math.inf, 1.0),
+        lambda: bh.ramp(1.0, 2.0, math.inf),
+        lambda: bh.make_nonlinearity("x", lambda x: x, math.inf, 1.0),
+        lambda: bh.make_nonlinearity("x", lambda x: x, 1.0, math.inf),
+    ], ids=["linear", "saturating", "ramp-slope", "ramp-knee", "lipschitz", "coercivity"])
+    def test_non_finite_constants_rejected(self, build):
+        with pytest.raises(InvalidConfigError, match="finite and positive"):
+            build()

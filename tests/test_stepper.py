@@ -210,6 +210,32 @@ class TestNewtonFromZero:
         assert raised[0][0] == first_active
 
 
+class TestNewtonLineSearch:
+    """Rows of a warm-started batch halve their steps independently: a
+    kinked alpha with slopes 50 and 0.05 makes some rows of one draw
+    backtrack twice or more while others take full steps, and every row
+    keeps the bits of a solve on its own."""
+
+    MESHES = {"1d-17": (1, 16, 1.0), "2d-4x3": (2, (4, 3), (1.0, 0.75))}
+
+    @pytest.mark.parametrize("mesh", MESHES)
+    def test_rows_with_mixed_halvings_get_the_bits_of_lone_solves(self, mesh):
+        ops = bh.build_operators(*self.MESHES[mesh])
+        plan = stepper._step_plan(bh.build_time_grid(1.0, 2), ops, bh.ramp(50.0, 0.05, 0.1),
+                                  stepper.DEFAULT_INNER_TOL, stepper.DEFAULT_NEWTON_TOL)
+        rng = np.random.default_rng(0)
+        rhs, start = (rng.standard_normal((3, ops.node_count)) * 10.0 ** rng.uniform(-2, 3, (3, 1))
+                      for _ in range(2))
+        u, report = stepper._newton(plan, rhs, start.copy())
+        halvings = report.line_search_halvings
+        assert min(halvings) == 0 and max(halvings) >= 2, halvings
+        for row in range(3):
+            alone, single = stepper._newton(plan, rhs[row:row + 1], start[row:row + 1].copy())
+            assert u[row].tobytes() == alone[0].tobytes()
+            assert (report.residual[row], report.iterations[row], halvings[row]) == (
+                single.residual[0], single.iterations[0], single.line_search_halvings[0])
+
+
 class TestStep:
     """One coupled step, taken by ``run_additive`` on a one-step grid."""
 
