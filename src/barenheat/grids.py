@@ -20,9 +20,9 @@ with M > 1, whose summation order differs.
 
 Shifted solves of diag(d) + shift K have one API, a bind and a gate.
 ``_bind_unchecked`` binds a solve once for one (P,) diagonal and shift,
-without its residual gate; ``_gated`` runs bound solves on consecutive row
-spans of a block, each span with its own shift (rows with diagonals of
-their own are one span each), then gates the whole block once.  The gate
+without its residual gate; ``_solve_spans`` runs bound solves on row spans
+of a block, each with its own shift (rows with diagonals of their own are
+one span each), and ``_gated`` also gates the whole block once.  The gate
 forms A x = d x + shift K x and hands that K x back with x, bit for bit
 ``apply_stiffness(ops, x)``, so a caller that needs it (Newton's trial
 residual after a step from u = 0) does not form it again.
@@ -61,7 +61,7 @@ from .errors import FieldShapeError, InvalidConfigError, NonFiniteError, Numeric
 # solves whose diagonal is not a multiple of the lumped mass.
 CG_RTOL = 1e-13
 
-# The rows of a single span of ``_gated``: all of them.
+# The rows of a single span of ``_solve_spans``: all of them.
 _EVERY_ROW = slice(None)
 
 
@@ -457,36 +457,38 @@ def _bind_unchecked(ops, diagonal, shift):
     return solve
 
 
-def _gated(ops, diagonal, shift, rtol, spans, rhs, targets_of=None, solve=2):
-    """Solve the (M, P) block ``rhs`` span by span, gate it once, and return
-    ``(x, K x)``.
-
-    ``spans`` lists tuples ``(start, stop, ...)`` in row order, whose item
-    ``solve`` is a solve bound by ``_bind_unchecked``: it solves the rows
-    start:stop, and one residual gate then checks the whole block against
-    diag(``diagonal``) + ``shift`` K, ``diagonal`` (P,) or one row per
-    block row.  ``shift`` is a float, or the (M, 1) column of each row's
-    shift: the gate takes it elementwise, so a row gets the bits of a gate
-    with its own float shift.  A single span solves every row, whatever its
-    bounds, and costs no copy; a NumericalError of a span names its row in
-    the block.  ``targets_of``, called only by a conjugate-gradient span,
-    returns the (M,) finite and nonnegative absolute residual targets of
-    the block's rows; None asks for full solves.
-    """
+def _solve_spans(spans, rhs, targets_of=None, solve=2):
+    """Solve the (M, P) block ``rhs`` span by span: ``(x, floors)``, floors
+    of the rows' residual gates or None.  ``spans`` lists tuples ``(start,
+    stop, ...)`` in row order, whose item ``solve``, bound by
+    ``_bind_unchecked``, solves the rows start:stop; a single span solves
+    every row, whatever its bounds, and costs no copy, and a NumericalError
+    of a span names its row in the block.  ``targets_of``, called only by a
+    conjugate-gradient span, returns the (M,) finite and nonnegative
+    absolute residual targets of the block's rows; None asks for full
+    solves."""
     if len(spans) == 1:
-        x, floors = spans[0][solve](rhs, targets_of, _EVERY_ROW)
-    else:
-        parts, floors = [], None
-        for span in spans:
-            start, stop = span[0], span[1]
-            try:
-                part, floor = span[solve](rhs[start:stop], targets_of, slice(start, stop))
-            except NumericalError as exc:
-                exc.row = start + (exc.row or 0)
-                raise
-            parts.append(part)
-            if floor is not None:
-                floors = np.zeros(len(rhs)) if floors is None else floors
-                floors[start:stop] = floor
-        x = np.concatenate(parts)
+        return spans[0][solve](rhs, targets_of, _EVERY_ROW)
+    parts, floors = [], None
+    for span in spans:
+        start, stop = span[0], span[1]
+        try:
+            part, floor = span[solve](rhs[start:stop], targets_of, slice(start, stop))
+        except NumericalError as exc:
+            exc.row = start + (exc.row or 0)
+            raise
+        parts.append(part)
+        if floor is not None:
+            floors = np.zeros(len(rhs)) if floors is None else floors
+            floors[start:stop] = floor
+    return np.concatenate(parts), floors
+
+
+def _gated(ops, diagonal, shift, rtol, spans, rhs, targets_of=None, solve=2):
+    """``_solve_spans``, then one residual gate of the whole block against
+    diag(``diagonal``) + ``shift`` K, ``diagonal`` (P,) or one row per
+    block row; returns ``(x, K x)``.  ``shift`` is a float, or the (M, 1)
+    column of each row's shift: the gate takes it elementwise, so a row
+    gets the bits of a gate with its own float shift."""
+    x, floors = _solve_spans(spans, rhs, targets_of, solve)
     return x, _check_residual(ops, diagonal, shift, x, rhs, rtol, floors)

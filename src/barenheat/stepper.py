@@ -28,9 +28,9 @@ bits of a run on its own.
 Plans.  The heat operator M + dt K and the Jacobian M alphatilde'(0) + dt K
 of Newton from u = 0 are fixed per dt, so a plan (``_Plan``) binds both once
 (``grids._bind_unchecked``: 1D ``dpttrf`` factors, 2D fast
-diagonalization) together with alphatilde(0); ``grids._gated`` runs the
-bound solves and gates the block once, the one way a shifted system is
-solved.  A plan is a tuple of spans
+diagonalization) together with alphatilde(0); ``grids._solve_spans`` runs
+the bound solves, and ``grids._gated`` runs them and gates the block once,
+the one way a shifted system is solved.  A plan is a tuple of spans
 (``_Span``), one per run of rows that step with one dt.  Only the solves
 loop over the spans; everything else runs once per block with dt a float
 for one span and an (M, 1) column otherwise, which gives each row the bits
@@ -42,19 +42,20 @@ Jacobian of each row bound with the row's float dt as a span of its own.
 
 Rows.  ``_step_rows`` is the one driver of ``_advance``.  A ``_Row`` holds
 paths that step together from one step index along one (N, P) integrand
-table, with their records and reports; the driver stacks every row's
-fields at its own step, makes one ``_advance`` call and writes the results
-back, or on a failure leaves every row as it was.  ``run_additive`` steps
-one row per entry (a grid and its paths) in lock-step, and an entry leaves
-at its horizon; ``picard_solve`` steps its staggered iterates as rows of one
-path at their own steps.
+table, with their records and reports; ``_step_rows`` stacks every row's
+fields at its own step (a row alone passes views of its records), makes one
+``_advance`` call and writes the results back, or on a failure leaves every
+row as it was.  ``run_additive`` steps one row per entry (a grid and its
+paths) in lock-step, and an entry leaves at its horizon; ``picard_solve``
+steps its staggered iterates as rows of one path at their own steps.
 
 Work per step.  The noise h_n dw_n, the shift s = chi_n + h_n dw_n and K s
 are formed once per step, and each product of an inner iteration once: the
 residual gate of a Newton correction delta hands back K delta, the
-stiffness term of the trial residual after a step from u = 0; where
-alphatilde(0) is identically 0 the start residual is exactly -rhs; and each
-row's chi difference is one ``_row_dots`` reduction.
+stiffness term of the trial residual after a step from u = 0, and linear
+alpha, which skips that gate, forms K delta once for its true residual;
+where alphatilde(0) is identically 0 the start residual is exactly -rhs;
+and each row's chi difference is one ``_row_dots`` reduction.
 
 Nonlinear alpha.  The first chi iterate of a step is the shift s, whose u
 is 0, where the 2D Jacobian is a mass multiple solved directly:
@@ -62,7 +63,10 @@ chi_{n+1} - s is O(dt), while chi_{n+1} - chi_n carries the O(sqrt dt)
 noise.  Later inner iterations start Newton from the u of the current
 iterate, (chi_k - s) / dt, which about halves the Newton iterations.  Linear
 alpha keeps the first iterate chi_n and the start u = 0: its first Newton
-step is exact from any start, and a warm start would move its bits.
+step is exact from any start, and a warm start would move its bits.  That
+step is one run of the bound ``at_zero`` solves (``_solve_linear``) whose
+true residual meets each row's threshold, Newton's bits without its set-up,
+gate or second residual; otherwise the block goes to ``_newton``.
 
 Inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
 1982).  A correction's linear solve may stop below ``NEWTON_FORCING`` times
@@ -103,7 +107,7 @@ from .errors import (
     NumericalError,
 )
 from .grids import (
-    TimeGrid, _bind_unchecked, _gated, _row_dots, apply_stiffness, row_norms,
+    TimeGrid, _bind_unchecked, _gated, _row_dots, _solve_spans, apply_stiffness, row_norms,
 )
 from .noise import AdditiveIntegrand, BrownianPath, partial_sums
 
@@ -139,8 +143,8 @@ class StepReport:
     1 / (2 (tilde_coercivity/dt - 1/2)) bounds.  ``newton_iterations``
     totals the Newton iterations of every inner iteration, and
     ``line_search_halvings`` is the most halvings any of them took;
-    ``newton_residual`` is the residual of the last Newton solve, the one of
-    the accepted iterate, which always meets newton_tol.
+    ``newton_residual`` is the residual of the accepted iterate's solve,
+    Newton's or linear alpha's one bound solve, which always meets newton_tol.
     """
 
     chi_differences: list
@@ -162,9 +166,7 @@ class StepReport:
 @dataclass
 class NewtonReport:
     """Final residual, iterations and most halvings of a Newton solve, and
-    whether the residual meets the full tolerance, not only a relaxed one;
-    ``met_tol`` is None for a solve without relaxed tolerances, whose rows
-    all meet it.
+    whether the residual meets the full tolerance, not only a relaxed one.
 
     Each is a list of Python values with one entry per row of the batch.
     """
@@ -172,7 +174,7 @@ class NewtonReport:
     residual: list
     iterations: list
     line_search_halvings: list
-    met_tol: list | None = None
+    met_tol: list
 
 
 def _check_initial_shapes(ops, **fields):
@@ -300,8 +302,8 @@ def _newton(plan, rhs, start=None, relaxed=None):
     Newton with backtracking from ``start``, or from u = 0 when it is None;
     ``start`` is updated in place.  Row i takes no iteration when its
     residual is at most tol (1 + |rhs_i|) at the start, tol being
-    ``plan.newton_tol``, and otherwise iterates until it is; ``relaxed``,
-    None or a list of one relative tolerance per row, lets row i stop at
+    ``plan.newton_tol``, and otherwise iterates until it is; ``relaxed``, a
+    relative tolerance per row (None: tol on every row), lets row i stop at
     relaxed_i (1 + |rhs_i|) instead, once it has taken an iteration.
 
     Each iteration checks the Jacobian diagonal once and solves for the
@@ -333,7 +335,8 @@ def _newton(plan, rhs, start=None, relaxed=None):
         return mass * nl.alpha_tilde(v) + dt * stiffness_v - b
 
     rhs_norms = row_norms(rhs)
-    thresholds = gates = [tol * (1.0 + norm) for norm in rhs_norms]
+    gates = [tol * (1.0 + norm) for norm in rhs_norms]
+    thresholds = [t * (1.0 + norm) for t, norm in zip(relaxed or [tol] * count, rhs_norms)]
     # From u = 0 the first correction solves against a Jacobian that is one
     # (P,) field shared by every row, and its trial residual reuses the
     # K delta that the solve's residual gate formed: K (0 + delta) and
@@ -360,14 +363,10 @@ def _newton(plan, rhs, start=None, relaxed=None):
     iterations = [0] * count
     halvings = [0] * count
     met_non_finite = [False] * count
-    if relaxed is None:
-        limits = thresholds
-    else:
-        thresholds = [t * (1.0 + norm) for t, norm in zip(relaxed, rhs_norms)]
-        # A correction aims at a fraction of the row's threshold or, where
-        # the residual is already below it (a row that then takes one
-        # iteration), of the residual, so that it still moves u.
-        limits = [min(threshold, norm) for threshold, norm in zip(thresholds, norms)]
+    # A correction aims at a fraction of the row's threshold or, where the
+    # residual is already below it (a relaxed row that then takes one
+    # iteration), of the residual, so that it still moves u.
+    limits = [min(threshold, norm) for threshold, norm in zip(thresholds, norms)]
     # The iterating rows, as indices into the batch (None while that is all
     # of them), their plan, and their iterate, right-hand side and
     # residual, which is None while it is -rhs.
@@ -461,10 +460,32 @@ def _newton(plan, rhs, start=None, relaxed=None):
             "Newton did not reach tolerance on the nonlinear sub-problem",
             norms[row], met_non_finite[row], row,
         )
-    report = NewtonReport(norms, iterations, halvings)
-    if relaxed is not None:
-        report.met_tol = [norm <= gate for norm, gate in zip(norms, gates)]
-    return u, report
+    return u, NewtonReport(norms, iterations, halvings,
+                           [norm <= gate for norm, gate in zip(norms, gates)])
+
+
+def _solve_linear(plan, rhs):
+    """``_newton(plan, rhs)`` where that takes one iteration and no halving,
+    in one run of the spans' bound ``at_zero`` solves; else None.  No gate
+    runs: the true residual, Newton's trial residual with its arithmetic,
+    must meet each row's threshold, below |rhs_i|.  While that is at most
+    half the correction gate's, this check subsumes the gate: both test one
+    expression up to rounding where alpha is linear as declared, and a
+    misdeclared derivative fails the check."""
+    tol = plan.newton_tol
+    rhs_norms = row_norms(rhs)
+    thresholds = [tol * (1.0 + norm) for norm in rhs_norms]
+    if (plan.offset is not None or plan.jacobian is None or 2.0 * tol > CORRECTION_RTOL
+            or not all(norm > threshold for norm, threshold in zip(rhs_norms, thresholds))):
+        return None
+    # 0 + delta, Newton's first iterate; K u is K delta, as in ``_newton``.
+    u = _solve_spans(plan.spans, rhs, lambda: NEWTON_FORCING * np.array(thresholds),
+                     _AT_ZERO)[0] + 0.0
+    norms = row_norms(plan.ops.lumped_mass * plan.nl.alpha_tilde(u)
+                      + plan.dt * apply_stiffness(plan.ops, u) - rhs)
+    if not all(norm <= threshold for norm, threshold in zip(norms, thresholds)):
+        return None
+    return u, NewtonReport(norms, [1] * len(u), [0] * len(u), [True] * len(u))
 
 
 def contraction_factor_bound(nl, dt):
@@ -543,11 +564,10 @@ def _advance(plan, theta_n, chi_n, dw, h_n):
         sub_theta_n, sub_chi_n, sub_noise, sub_shift, sub_stiffness_shift = sub
         try:
             theta = _solve_theta(sub_plan, chi_iterate, sub_theta_n, sub_chi_n, sub_noise)
-            u, newton = _newton(
-                sub_plan, ops.lumped_mass * theta - sub_stiffness_shift,
-                (chi_iterate - sub_shift) / dt if warm_start and iteration else None,
-                [newton_tols[row] for row in active] if warm_start else None,
-            )
+            rhs = ops.lumped_mass * theta - sub_stiffness_shift
+            u, newton = (None if warm_start else _solve_linear(sub_plan, rhs)) or _newton(
+                sub_plan, rhs, (chi_iterate - sub_shift) / dt if warm_start and iteration else None,
+                [newton_tols[row] for row in active] if warm_start else None)
         except NumericalError as exc:
             _lift(exc, rows)
             raise
@@ -555,10 +575,9 @@ def _advance(plan, theta_n, chi_n, dw, h_n):
         moved = chi_next - chi_iterate
         diffs = np.sqrt(_row_dots(moved * moved, ops.lumped_mass)).tolist()
         remaining = []
-        met = newton.met_tol if warm_start else [True] * len(active)
         for row, diff, its, most, residual, met_tol in zip(
-            active, diffs, newton.iterations, newton.line_search_halvings, newton.residual, met,
-        ):
+                active, diffs, newton.iterations, newton.line_search_halvings, newton.residual,
+                newton.met_tol):
             differences[row].append(diff)
             newton_iterations[row] += its
             halvings[row] = max(halvings[row], most)
@@ -748,14 +767,18 @@ def _step_rows(plan, rows):
     returns the new chi block.  A NumericalError leaves every row as it
     was, and its ``row`` indexes the paths of the batch, so for rows of one
     path each the rows passed in."""
-    theta = np.concatenate([row.theta[:, row.step] for row in rows])
-    chi = np.concatenate([row.chi[:, row.step] for row in rows])
-    dw, h = np.empty((len(theta), 1)), np.empty(theta.shape)
-    start = 0
-    for row in rows:
-        stop = start + len(row.theta)
-        dw[start:stop, 0], h[start:stop] = row.increments[:, row.step], row.values[row.step]
-        start = stop
+    if len(rows) == 1:  # a row alone steps on views; ``_advance`` writes to no input
+        row, n = rows[0], rows[0].step
+        theta, chi, dw, h = row.theta[:, n], row.chi[:, n], row.increments[:, n:n + 1], row.values[n]
+    else:
+        theta = np.concatenate([row.theta[:, row.step] for row in rows])
+        chi = np.concatenate([row.chi[:, row.step] for row in rows])
+        dw, h = np.empty((len(theta), 1)), np.empty(theta.shape)
+        start = 0
+        for row in rows:
+            stop = start + len(row.theta)
+            dw[start:stop, 0], h[start:stop] = row.increments[:, row.step], row.values[row.step]
+            start = stop
     theta, chi, reports = _advance(plan, theta, chi, dw, h)
     start, reports = 0, iter(reports)
     for row in rows:

@@ -33,7 +33,7 @@ def solve_chi(theta, chi_n, h, dw, dt, ops, nl, tol=stepper.DEFAULT_NEWTON_TOL):
     u, report = stepper._newton(plan_of(ops, nl, dt, tol), np.atleast_2d(rhs))
     return shift + dt * u[0], stepper.NewtonReport(
         float(report.residual[0]), int(report.iterations[0]),
-        int(report.line_search_halvings[0]))
+        int(report.line_search_halvings[0]), bool(report.met_tol[0]))
 
 
 def solve_theta(chi_candidate, theta_n, chi_n, h, dw, dt, ops):
@@ -330,16 +330,18 @@ class TestStep:
 
     @pytest.mark.parametrize("nonlinear", [True, False], ids=["saturating", "linear"])
     def test_nonlinear_alpha_starts_at_the_noise_shift(self, ops65, cos_field, monkeypatch,
-                                                      one_step, nonlinear):
+                                                      one_step, plan_solves, nonlinear):
         # Nonlinear alpha takes s = chi_n + h_n dw_n as its first chi
         # iterate, so Newton starts at u = 0 and the first difference is
-        # measured from s; linear alpha starts from chi_n.
+        # measured from s; linear alpha starts from chi_n, and its one bound
+        # solve is Newton's step from u = 0.
         nl = bh.saturating(2.0) if nonlinear else bh.linear(1.0)
         dt, dw = 0.25, 0.4
         chi_n = 0.5 * cos_field
         shift = chi_n + cos_field * dw
         candidates, newton_calls = [], []
-        real_theta, real_newton = stepper._solve_theta, stepper._newton
+        real_theta, real_newton, real_linear = (stepper._solve_theta, stepper._newton,
+                                                stepper._solve_linear)
 
         def recording_theta(plan, chi_candidate, *args):
             candidates.append(chi_candidate.copy())
@@ -351,13 +353,23 @@ class TestStep:
             newton_calls.append((started, u.copy()))
             return u, report
 
+        def recording_linear(plan, rhs):
+            solved = real_linear(plan, rhs)
+            assert solved is not None
+            delta, _ = plan_solves[1](plan, rhs, lambda: None)
+            assert np.array_equal(solved[0], 0.0 + delta)
+            newton_calls.append((None, solved[0].copy()))
+            return solved
+
         monkeypatch.setattr(stepper, "_solve_theta", recording_theta)
         monkeypatch.setattr(stepper, "_newton", recording_newton)
+        monkeypatch.setattr(stepper, "_solve_linear", recording_linear)
         _, _, report = one_step(cos_field, chi_n, cos_field, dw, dt, ops65, nl)
         first, other = (shift, chi_n) if nonlinear else (chi_n, shift)
         assert np.array_equal(candidates[0], first[None])
         started, u = newton_calls[0]
         assert started is None
+        assert len(newton_calls) == report.inner_iterations
         chi_1 = shift + dt * u[0]
         assert report.chi_differences[0] == pytest.approx(bh.l2_norm(chi_1 - first, ops65),
                                                           rel=1e-12)
@@ -958,18 +970,6 @@ class TestRelaxedInnerSolves:
             assert report.met_tol[0] == (report.residual[0] <= stepper.DEFAULT_NEWTON_TOL
                                          * (1.0 + np.linalg.norm(rhs)))
 
-    @pytest.mark.parametrize("mesh", sorted(RELAXED_MESHES))
-    def test_linear_alpha_keeps_the_scalar_tolerance(self, monkeypatch, mesh):
-        tol = 1e-3
-        _, _, _, (traj,), calls = self.run(monkeypatch, mesh, bh.linear(1.0), tol=tol)
-        assert all(type(newton_tol) is float and newton_tol == stepper.DEFAULT_NEWTON_TOL
-                   and relaxed is None for newton_tol, relaxed, *_ in calls)
-        assert len(calls) == sum(r.inner_iterations for r in traj.reports)
-        # Accepted as soon as a difference meets tol: no extra iteration.
-        for report in traj.reports:
-            assert report.chi_differences[-1] <= tol
-            assert all(diff > tol for diff in report.chi_differences[:-1])
-
     @pytest.mark.parametrize("name", sorted(RELAXED_NONLINEAR))
     @pytest.mark.parametrize("mesh", sorted(RELAXED_MESHES))
     def test_contraction_bound_and_weak_identities(self, monkeypatch, mesh, name):
@@ -982,6 +982,143 @@ class TestRelaxedInnerSolves:
                 assert max(report.contraction_factors) <= report.factor_bound + 1e-6
             conservation, balance = bh.weak_identity_defects(traj, ops, nl)
             assert max(conservation.max(), balance.max()) <= 1e-10
+
+
+def misdeclared_linear(slope, error):
+    """alpha = slope x declared linear, whose derivative is off by ``error``."""
+    return bh.make_nonlinearity("misdeclared", lambda x: slope * x,
+                                lipschitz=slope, coercivity=slope,
+                                alpha_prime=lambda x: np.full_like(x, slope + error))
+
+
+def run_grids(ops, nl, levels, noise, paths=2, seed=5):
+    """Every trajectory of one ``run_additive`` call on the grids of
+    ``levels`` over [0, 0.5], ``paths`` paths each, in entry order."""
+    grid_list = [bh.build_time_grid(0.5, steps) for steps in levels]
+    runs = bh.run_additive(
+        bh.evaluate_on_mesh("2*cos(pi*x)", ops), bh.evaluate_on_mesh("cos(pi*x)", ops),
+        [bh.discretize_integrand(noise, grid, ops) for grid in grid_list],
+        [[bh.sample_path(grid, seed, pid) for pid in range(paths)] for grid in grid_list],
+        grid_list, ops, nl)
+    return [traj for _, trajs in sorted(runs, key=lambda run: run[0]) for traj in trajs]
+
+
+class TestLinearRoute:
+    """Linear alpha solves each inner iteration's sub-problem in one run of
+    the plan's bound solves from u = 0 (``stepper._solve_linear``), checked
+    by its true residual, and otherwise falls back to ``_newton``: a run gets
+    the bits of a run with the route off."""
+
+    # Additive.ini's alpha and noise on 33 nodes and three dt levels, and a
+    # 2D linear run whose 1 + c is not a power of two.
+    RUNS = {
+        "1d-grids": ((1, 32, 1.0), bh.linear(1.0), [8, 16, 32], "cos(pi*x)*(1+t)"),
+        "2d": ((2, (6, 5), (1.0, 1.5)), bh.linear(0.5), [8],
+               "cos(pi*x)*(1+cos(2*pi*y))*(1+t)"),
+    }
+
+    @staticmethod
+    def fields(trajectories):
+        return [(t.theta.tobytes(), t.chi.tobytes(), [repr(r) for r in t.reports])
+                for t in trajectories]
+
+    def run(self, monkeypatch, name, nl=None, route=True):
+        """The trajectories of a run and the number of ``_newton`` calls."""
+        shape, linear, levels, noise = self.RUNS[name]
+        calls, real_newton = [0], stepper._newton
+
+        def counting_newton(*args, **kwargs):
+            calls[0] += 1
+            return real_newton(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stepper, "_newton", counting_newton)
+            if not route:
+                patch.setattr(stepper, "_solve_linear", lambda plan, rhs: None)
+            trajectories = run_grids(bh.build_operators(*shape), nl or linear, levels, noise)
+        return trajectories, calls[0]
+
+    @pytest.mark.parametrize("mesh", sorted(RELAXED_MESHES))
+    def test_a_solve_is_newtons_or_declines(self, mesh):
+        ops = bh.build_operators(*RELAXED_MESHES[mesh][0])
+        nl = bh.linear(0.5)
+        rhs = np.random.default_rng(3).standard_normal((3, ops.node_count))
+        (u, report), (newton_u, newton) = (stepper._solve_linear(plan_of(ops, nl, DT), rhs),
+                                           stepper._newton(plan_of(ops, nl, DT), rhs))
+        assert u.tobytes() == newton_u.tobytes() and report == newton
+        # A row that starts converged, a non-finite row, and a Newton
+        # threshold above half the correction gate's leave it to Newton.
+        converged, broken = rhs.copy(), rhs.copy()
+        converged[1], broken[2, 4] = 0.0, math.nan
+        for block, newton_tol in ((converged, stepper.DEFAULT_NEWTON_TOL),
+                                  (broken, stepper.DEFAULT_NEWTON_TOL),
+                                  (rhs, stepper.CORRECTION_RTOL)):
+            assert stepper._solve_linear(plan_of(ops, nl, DT, newton_tol), block) is None
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_route_off_keeps_every_bit(self, monkeypatch, name):
+        on, newton_on = self.run(monkeypatch, name)
+        off, newton_off = self.run(monkeypatch, name, route=False)
+        assert newton_on == 0 < newton_off
+        assert self.fields(on) == self.fields(off)
+
+    def test_additive_data_never_call_newton(self, monkeypatch):
+        # The converge study of demos/configs/additive.ini on two paths:
+        # five dt levels of linear alpha in one batch.
+        config = parse_config(os.path.join(os.path.dirname(__file__), "..", "demos",
+                                           "configs", "additive.ini"))
+        setup = bh.AdditiveSetup(config.ops, config.nonlinearity, config.theta0, config.chi0,
+                                 config.integrand, config.inner_tol, config.newton_tol)
+
+        def no_newton(*args, **kwargs):
+            raise AssertionError("_newton was called")
+
+        monkeypatch.setattr(stepper, "_newton", no_newton)
+        bh.grid_difference_rates(setup, config.horizon, config.dt_levels, 2, 7)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_misdeclared_derivative_falls_back(self, monkeypatch, name):
+        # A Jacobian off by 1e-9 leaves a residual of about 1e-9 |rhs|: the
+        # check fails where that misses newton_tol, and Newton takes a second
+        # iteration from the same first step, as with the route off.
+        shape, linear, _, _ = self.RUNS[name]
+        nl = misdeclared_linear(linear.lipschitz, 1e-9)
+        on, newton_on = self.run(monkeypatch, name, nl)
+        off, newton_off = self.run(monkeypatch, name, nl, route=False)
+        assert newton_on == newton_off > 0
+        assert self.fields(on) == self.fields(off)
+        reports = [r for traj in on for r in traj.reports]
+        assert sum(r.newton_iterations for r in reports) > sum(
+            r.inner_iterations for r in reports)
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_each_inner_iteration_meets_newton_tol(self, monkeypatch, name):
+        shape, nl, levels, noise = self.RUNS[name]
+        ops = bh.build_operators(*shape)
+        real_linear, solved = stepper._solve_linear, []
+
+        def recording_linear(plan, rhs):
+            result = real_linear(plan, rhs)
+            solved.append((plan.dt, rhs, result))
+            return result
+
+        monkeypatch.setattr(stepper, "_solve_linear", recording_linear)
+        trajectories = run_grids(ops, nl, levels, noise)
+        # One row per inner iteration of each path, every one solved, and a
+        # path is accepted at its first difference that meets tol.
+        reports = [r for t in trajectories for r in t.reports]
+        assert sum(len(rhs) for _, rhs, _ in solved) == sum(r.inner_iterations for r in reports)
+        tol = stepper.DEFAULT_INNER_TOL
+        assert all(r.chi_differences[-1] <= tol < min(r.chi_differences[:-1], default=math.inf)
+                   for r in reports)
+        for dt, rhs, (u, report) in solved:
+            residual = (ops.lumped_mass * nl.alpha_tilde(u)
+                        + dt * grids.apply_stiffness(ops, u) - rhs)
+            for row, (res, b) in enumerate(zip(residual, rhs)):
+                limit = stepper.DEFAULT_NEWTON_TOL * (1.0 + np.linalg.norm(b))
+                assert np.linalg.norm(res) <= limit
+                assert report.residual[row] == pytest.approx(np.linalg.norm(res), rel=1e-12)
+            assert report.iterations == [1] * len(rhs) and not any(report.line_search_halvings)
 
 
 class TestCorrectionTargets:

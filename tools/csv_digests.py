@@ -20,7 +20,11 @@ CSV it wrote, in a fixed order:
   ``demos/configs/ramp.ini``, the 1D runs of nonlinear alpha: ``converge``
   on several paths, whose Newton corrections solve against a Jacobian of
   their own on every row, and ``mc`` and ``contraction``, which read u and
-  the contraction factors of those runs.
+  the contraction factors of those runs;
+* ``solve`` on ``demos/configs/linear2d.ini``, and ``converge`` on its
+  three dt levels with two paths: 2D linear alpha with c = 0.5, whose
+  1 + c is not a power of two, stepping in one bound solve per inner
+  iteration across dt spans.
 
 CSV bodies are byte-reproducible for a fixed config and seed, so two
 checkouts that print the same listing wrote the same bits; ``diff`` the
@@ -59,6 +63,8 @@ RUNS = (
     ("solve", "demos/configs/ramp.ini", ()),
     ("mc", "demos/configs/ramp.ini", ()),
     ("contraction", "demos/configs/ramp.ini", ()),
+    ("solve", "demos/configs/linear2d.ini", ()),
+    ("converge", "demos/configs/linear2d.ini", ("--paths", "2")),
 )
 
 # Runs the CLI of the barenheat under argv[1] and nowhere else.
