@@ -46,6 +46,7 @@ from .config import parse_config
 from .diagnostics import (
     ENERGY_GROWTH_SLACK,
     _level_table,
+    _WorstFactor,
     energy_estimate_check,
     grid_difference_rates,
     self_convergence,
@@ -58,7 +59,7 @@ from .errors import InvalidConfigError
 from .grids import build_time_grid, h1_seminorm, l2_norm, time_grid_of_step
 from .multiplicative import picard_solve
 from .noise import discretize_integrand, sample_path
-from .stepper import contraction_factor_bound
+from .stepper import _solver_counters, contraction_factor_bound
 from .theory import compute_stability_constant
 
 WEAK_IDENTITY_TOL = 1e-10
@@ -135,19 +136,6 @@ def _trajectory_rows(traj, ops):
             for n, (row, (inner, factors)) in enumerate(zip(norms, steps))]
 
 
-def _solver_counters(reports):
-    """Totals and extremes over the StepReports of one trajectory."""
-    return {
-        "inner_iterations": sum(r.inner_iterations for r in reports),
-        "newton_iterations": sum(r.newton_iterations for r in reports),
-        "max_line_search_halvings": max((r.line_search_halvings for r in reports), default=0),
-        "worst_factor_over_bound": max(
-            (max(r.contraction_factors, default=0.0) / r.factor_bound for r in reports),
-            default=0.0),
-        "worst_newton_residual": max((r.newton_residual for r in reports), default=0.0),
-    }
-
-
 _TRAJECTORY_HEADER = [
     "step", "t", "l2_theta", "h1semi_theta", "l2_chi", "h1semi_chi",
     "l2_u", "inner_iters", "max_contraction_factor",
@@ -184,7 +172,7 @@ def cmd_mc(args, config, outdir, seed):
         "statistic": max(report.statistics),
         "threshold": f"growth < {ENERGY_GROWTH_SLACK:.0%} + 4 se per halving",
         "levels": rows,
-    }, None
+    }, report.solver
 
 
 def cmd_converge(args, config, outdir, seed):
@@ -203,7 +191,7 @@ def cmd_converge(args, config, outdir, seed):
         "threshold": config.slope_threshold,
         "theta_slope": study.theta.slope,
         "chi_slope": study.chi.slope,
-    }, None
+    }, study.solver
 
 
 def cmd_stability(args, config, outdir, seed):
@@ -222,24 +210,20 @@ def cmd_stability(args, config, outdir, seed):
         "statistic": report.max_ratio,
         "threshold": "ratio <= 1 + 4 se",
         "stability_constant": report.constants.stability_constant,
-    }, None
-
-
-def _worst_factor(grid, traj):
-    return max((max(r.contraction_factors, default=0.0) for r in traj.reports), default=0.0)
+    }, report.solver
 
 
 def cmd_contraction(args, config, outdir, seed):
     levels = config.dt_levels or ([config.horizon / config.steps] if config.steps else None)
     _require(levels, "contraction needs [time] dt_levels or steps")
     setup = _setup(config)
-    rows = []
+    rows, solver = [], _solver_counters(())
     for dt in levels:
         grid = time_grid_of_step(config.horizon, dt)
         bound = contraction_factor_bound(config.nonlinearity, grid.dt)
         # A table of this level alone draws its paths on this grid.
-        worst = float(_level_table(setup, [grid], config.paths, seed, _worst_factor).max())
-        rows.append([grid.dt, bound, worst, config.paths, grid.steps])
+        worst = _level_table(setup, [grid], config.paths, seed, _WorstFactor, solver).max()
+        rows.append([grid.dt, bound, float(worst), config.paths, grid.steps])
     passed = all(row[2] <= row[1] * (1.0 + FACTOR_SLACK) for row in rows)
     _write_csv(os.path.join(outdir, "contraction.csv"),
                ["dt", "factor_bound", "max_factor", "paths", "steps"], rows)
@@ -248,7 +232,7 @@ def cmd_contraction(args, config, outdir, seed):
         "statistic": max(row[2] for row in rows),
         "threshold": f"factor <= bound * (1 + {FACTOR_SLACK})",
         "levels": [[row[0], row[1], row[2]] for row in rows],
-    }, None
+    }, solver
 
 
 def cmd_picard(args, config, outdir, seed):

@@ -1,15 +1,24 @@
 """Monte Carlo estimation and empirical checks of the scheme's estimates.
 
-Everything here reduces trajectories to scalars or small arrays and averages
-them over Brownian paths with deterministic seeding: path k is always drawn
-from the (seed, k) stream and the reduction runs in path-id order from a
-buffered table, so the results are bit-reproducible for a fixed (seed, M).
-The estimators advance up to ``BATCH_PATHS`` paths at a time as one batch
-of ``run_additive``, and the dt levels of a study, or the two runs of
-``stability_check``, step side by side in that batch, one ``run_additive``
-call per batch; every path gets the bits of a run on its own, so the
-results do not depend on the batch size or on the other levels either.
-All paths run in the calling thread.
+Everything here reduces runs to scalars or small arrays and averages them
+over Brownian paths with deterministic seeding: path k is always drawn from
+the (seed, k) stream and the average runs in path-id order over a buffered
+table of per-path results, so the results are bit-reproducible for a fixed
+(seed, M).  The estimators advance up to ``BATCH_PATHS`` paths at a time as
+one batch of ``run_additive``, and the dt levels of a study, or the two
+runs of ``stability_check``, step side by side in that batch, one
+``run_additive`` call per batch; every path gets the bits of a run on its
+own, so the results do not depend on the batch size or on the other levels
+either.  All paths run in the calling thread.
+
+The studies stream: ``run_additive`` hands each level's steps to a study
+record (``_Study``) instead of a trajectory.  A record keeps the fields of a
+short chunk of steps and one running sum per term of its statistic, added
+in step order, so that every statistic has the bits of the same sum over a
+whole trajectory, and it folds every StepReport into the study's solver
+counters.  The memory of a study therefore grows with the paths of a batch
+and the nodes of the mesh, not with the steps: ``BATCH_PATHS`` bounds it,
+and the per-path table holds one small result per path and level.
 
 Continuum norms are replaced by their discrete surrogates on the lumped
 mesh: squared space-time norms become sums of dt-weighted squared nodal
@@ -26,15 +35,19 @@ import numpy as np
 from .errors import InvalidConfigError
 from .grids import _row_dots, h1_seminorm, l2_norm, time_grid_of_step
 from .noise import aggregate_path, discretize_integrand, sample_path
-from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, run_additive
+from .stepper import DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _solver_counters, run_additive
 from .theory import StabilityConstants, compute_stability_constant
 
-# Most paths advanced together as one batch; bounds the memory a batch's
-# trajectories take, and does not change any result.  A batch holds the
-# trajectories of every dt level still stepping, about twice those of the
-# finest level on a ladder that halves dt, and drops each level once it has
-# been reduced.
+# Most paths advanced together as one batch; bounds the memory of a batch's
+# (M, P) working blocks, and does not change any result.  A study keeps no
+# trajectory, so a batch holds a few blocks per dt level still stepping,
+# however many steps the levels take.
 BATCH_PATHS = 64
+
+# Most steps, and most values of one field over its paths, that a study
+# record keeps between two reductions (see ``_Study``).
+CHUNK_STEPS = 16
+CHUNK_VALUES = 2**13
 
 # Energy growth per dt halving allowed beyond 4 standard errors (criterion 5).
 ENERGY_GROWTH_SLACK = 0.25
@@ -91,12 +104,12 @@ class AdditiveSetup:
     newton_tol: float = DEFAULT_NEWTON_TOL
 
 
-def simulate(setup, grid, path, integrand):
+def simulate(setup, grid, path, integrand, reducer=None):
     """Run the additive scheme for ``setup`` on ``grid`` along ``path``
     with the discretized ``integrand``.
 
-    ``path`` is one BrownianPath or a sequence of them, as in
-    ``run_additive``.
+    ``path`` is one BrownianPath or a sequence of them, and ``grid`` one
+    grid or a sequence with its ``reducer``, as in ``run_additive``.
     """
     return run_additive(
         setup.theta0,
@@ -108,6 +121,7 @@ def simulate(setup, grid, path, integrand):
         setup.nonlinearity,
         tol=setup.tol,
         newton_tol=setup.newton_tol,
+        reducer=reducer,
     )
 
 
@@ -129,14 +143,17 @@ def _level_grids(horizon, dts, minimum):
     return grids
 
 
-def _level_table(setup, grids, paths, seed, statistic):
-    """Array of ``statistic(grid, trajectory)`` indexed by [path id, level].
+def _level_table(setup, grids, paths, seed, record, counters):
+    """Array of per-path study results indexed by [path id, level]; the
+    solver counters of every path and level are folded into ``counters``.
 
-    Each path is drawn once on the finest grid and aggregated onto every
-    level, which couples the levels.  A batch of up to BATCH_PATHS paths
-    runs as one ``run_additive`` call over all levels, which step side by
-    side; each level is reduced to its statistics as soon as it reaches the
-    horizon and is then dropped, while the finer levels step on.
+    Each level of each batch keeps one study record ``record(ops, counters,
+    grid, theta, chi)`` (see ``_Study``), whose ``results()`` are the
+    per-path results of its level.  Each path is drawn once on the finest
+    grid and aggregated onto every level, which couples the levels.  A
+    batch of up to BATCH_PATHS paths runs as one ``run_additive`` call over
+    all levels, which step side by side; each level leaves the batch as
+    soon as it reaches the horizon, while the finer levels step on.
     """
     finest = grids[-1]
     integrands = [discretize_integrand(setup.integrand, g, setup.ops) for g in grids]
@@ -146,12 +163,201 @@ def _level_table(setup, grids, paths, seed, statistic):
         level_paths = [[aggregate_path(p, finest.steps // grid.steps) for p in fine_paths]
                        for grid in grids]
         levels = [None] * len(grids)
-        for index, trajectories in simulate(setup, grids, level_paths, integrands):
-            levels[index] = [statistic(grids[index], traj) for traj in trajectories]
-            # Release the level before the finer ones step on.
-            del trajectories
+        for index, results in simulate(
+                setup, grids, level_paths, integrands,
+                lambda index, theta, chi: record(setup.ops, counters, grids[index], theta, chi)):
+            levels[index] = results
         rows.extend(zip(*levels))
     return np.array(rows, dtype=float)
+
+
+def _squared_norms(norm, fields, ops):
+    """``norm(v, ops) ** 2`` for every field v of a (j, m, P) block, as a
+    (j, m) table.  The rows of one (j m, P) block get the bits of a norm of
+    their own, and ``float_power`` squares with the C ``pow`` of a scalar
+    ``** 2``, where an array's ``** 2`` multiplies, which rounds otherwise
+    about once in a thousand."""
+    return np.float_power(norm(fields.reshape(-1, fields.shape[-1]), ops), 2.0).reshape(
+        fields.shape[:-1])
+
+
+def _added(total, terms):
+    """total + terms[0] + terms[1] + ... per path, added in that order as a
+    running sum over the steps does: ``cumsum`` accumulates in order."""
+    return np.cumsum(np.concatenate((total[None], terms)), axis=0)[-1]
+
+
+class _Study:
+    """The record of one level of a Monte Carlo study, a ``run_additive``
+    reducer that keeps no trajectory.
+
+    It keeps the snapshots of the current chunk: the last node reduced, and
+    the nodes after it, up to ``CHUNK_STEPS`` of them, or fewer where the
+    chunk would hold more than ``CHUNK_VALUES`` values of one field.  Once
+    the chunk is full, or the level at its horizon, ``reduce(thetas, chis,
+    increments, values, start)`` reduces it in one call per quantity:
+    ``thetas`` and ``chis`` are the (j + 1, m, P) snapshots of nodes start
+    to start + j, and ``increments`` and ``values`` the (m, j) increments
+    and (j, P) integrand rows of the steps between them.  The running sums
+    a study keeps add their terms in step order, so every result has the
+    bits of the same sum over a whole trajectory.  Every StepReport is
+    folded into ``counters``, which the records of a study share.
+    """
+
+    def __init__(self, ops, counters, grid, theta, chi):
+        self.ops, self.counters, self.grid = ops, counters, grid
+        count = max(1, min(CHUNK_STEPS, grid.steps, CHUNK_VALUES // theta.size))
+        self.thetas = np.empty((count + 1,) + theta.shape)
+        self.chis = np.empty(self.thetas.shape)
+        self.thetas[0], self.chis[0] = theta, chi
+        self.filled = 0
+
+    def snapshot(self, step):
+        return self.thetas[self.filled], self.chis[self.filled]
+
+    def add(self, row, theta, chi, reports):
+        if self.filled == len(self.thetas) - 1:
+            # The last node of the chunk reduced at the last step starts
+            # the next one.  Rotating only now leaves the reduced chunk
+            # readable until this record's next step.
+            self.thetas[0], self.chis[0] = self.thetas[-1], self.chis[-1]
+            self.filled = 0
+        self.filled = j = self.filled + 1
+        self.thetas[j], self.chis[j] = theta, chi
+        self.counters.update(_solver_counters(reports, self.counters))
+        if j == len(self.thetas) - 1 or row.step == len(row.values):
+            start = row.step - j
+            self.reduce(self.thetas[:j + 1], self.chis[:j + 1],
+                        row.increments[:, start:row.step], row.values[start:row.step], start)
+
+    def reduce(self, thetas, chis, increments, values, start):
+        pass
+
+
+class _Gaps(_Study):
+    """Per path, (dt/3) sum_k ||theta_{k+1} - theta_k||^2 and the same sum
+    of the squared full H1 norms of the chi differences."""
+
+    def __init__(self, ops, counters, grid, theta, chi):
+        super().__init__(ops, counters, grid, theta, chi)
+        self.theta_sq = self.chi_sq = np.zeros(len(theta))
+
+    def reduce(self, thetas, chis, increments, values, start):
+        dtheta, dchi = np.diff(thetas, axis=0), np.diff(chis, axis=0)
+        self.theta_sq = _added(self.theta_sq, _squared_norms(l2_norm, dtheta, self.ops))
+        self.chi_sq = _added(self.chi_sq, _squared_norms(l2_norm, dchi, self.ops)
+                             + _squared_norms(h1_seminorm, dchi, self.ops))
+
+    def results(self):
+        scale = self.grid.dt / 3.0
+        return list(zip(scale * self.theta_sq, scale * self.chi_sq))
+
+
+class _Finals(_Study):
+    """Per path, the (2, P) stack of theta and chi at the horizon."""
+
+    def results(self):
+        return [np.stack(fields) for fields in zip(*self.snapshot(self.grid.steps))]
+
+
+class _WorstFactor(_Study):
+    """Per path, the largest contraction factor of any step."""
+
+    def __init__(self, ops, counters, grid, theta, chi):
+        super().__init__(ops, counters, grid, theta, chi)
+        self.worst = [0.0] * len(theta)
+
+    def add(self, row, theta, chi, reports):
+        super().add(row, theta, chi, reports)
+        self.worst = [max(worst, max(report.contraction_factors, default=0.0))
+                      for worst, report in zip(self.worst, reports)]
+
+    def results(self):
+        return self.worst
+
+
+class _Energy(_Study):
+    """Per path, the energy aggregate of ``energy_statistic``: four running
+    sums over the steps, and the terms of the fields at the horizon.
+
+    B_n, the partial sums of dw_k h_k, runs on as ``noise.partial_sums``'
+    ``cumsum`` accumulates it, from the zero field at node 0, and gives
+    u = chi - B_n."""
+
+    def __init__(self, ops, counters, grid, theta, chi):
+        super().__init__(ops, counters, grid, theta, chi)
+        self.sums = None
+        self.dtheta_sq = self.grad_theta_sq = self.du_sq = self.grad_dchi_sq = np.zeros(
+            len(theta))
+
+    def reduce(self, thetas, chis, increments, values, start):
+        ops = self.ops
+        noise = increments.T[:, :, None] * values[:, None]
+        if self.sums is None:
+            sums = np.concatenate((np.zeros((1,) + noise.shape[1:]), np.cumsum(noise, axis=0)))
+        else:
+            sums = np.cumsum(np.concatenate((self.sums[None], noise)), axis=0)
+        self.sums = sums[-1]
+        du = np.diff(chis - sums, axis=0) / self.grid.dt
+        self.dtheta_sq = _added(self.dtheta_sq,
+                                _squared_norms(l2_norm, np.diff(thetas, axis=0), ops))
+        self.grad_theta_sq = _added(self.grad_theta_sq,
+                                    _squared_norms(h1_seminorm, thetas[1:], ops))
+        self.du_sq = _added(self.du_sq, _squared_norms(l2_norm, du, ops))
+        self.grad_dchi_sq = _added(self.grad_dchi_sq,
+                                   _squared_norms(h1_seminorm, np.diff(chis, axis=0), ops))
+
+    def totals(self, theta, chi):
+        """The aggregate of each path, whose fields at the horizon are the
+        rows of the (m, P) blocks ``theta`` and ``chi``."""
+        ops, dt = self.ops, self.grid.dt
+        return [l2_norm(final_theta, ops) ** 2 + dtheta_sq + dt * grad_theta_sq + dt * du_sq
+                + h1_seminorm(final_chi, ops) ** 2 + 0.5 * grad_dchi_sq
+                for final_theta, final_chi, dtheta_sq, grad_theta_sq, du_sq, grad_dchi_sq
+                in zip(theta, chi, self.dtheta_sq, self.grad_theta_sq, self.du_sq,
+                       self.grad_dchi_sq)]
+
+    def results(self):
+        return self.totals(*self.snapshot(self.grid.steps))
+
+
+class _Leave(_Study):
+    """The record of the first of two coupled runs: it leaves each chunk for
+    the record of the second (``_Difference``), which reduces it in the
+    same lock-step call of the step driver."""
+
+    def reduce(self, thetas, chis, increments, values, start):
+        self.block = thetas, chis
+
+    def results(self):
+        return []
+
+
+class _Difference(_Study):
+    """The record of the second of two coupled runs: per path and node,
+    ||d_theta||^2 + ||grad d_theta||^2 + ||d_chi||^2 / 4 + ||grad d_chi||^2 / 4
+    of the differences d from the first run (``_Leave``), node 0 included."""
+
+    def __init__(self, ops, counters, grid, theta, chi, first):
+        super().__init__(ops, counters, grid, theta, chi)
+        self.first = first
+        self.table = np.empty((len(theta), grid.steps + 1))
+
+    def reduce(self, thetas, chis, increments, values, start):
+        ops = self.ops
+        # Node 0 is reduced with the first chunk; every later chunk starts
+        # at the last node of the one before.
+        skip = 1 if start else 0
+        first_thetas, first_chis = self.first.block
+        dtheta = first_thetas[skip:] - thetas[skip:]
+        dchi = first_chis[skip:] - chis[skip:]
+        terms = (_squared_norms(l2_norm, dtheta, ops) + _squared_norms(h1_seminorm, dtheta, ops)
+                 + 0.25 * _squared_norms(l2_norm, dchi, ops)
+                 + 0.25 * _squared_norms(h1_seminorm, dchi, ops))
+        self.table[:, start + skip:start + len(thetas)] = terms.T
+
+    def results(self):
+        return list(self.table)
 
 
 @dataclass
@@ -187,8 +393,12 @@ def _rate_report(dts, mean_squares, se_squares):
 
 @dataclass
 class ConvergenceStudy:
+    """Rates of theta and chi, and the solver counters of every path and
+    level (``manifest.json``'s ``solver``)."""
+
     theta: RateReport
     chi: RateReport
+    solver: dict = field(default_factory=dict)
 
 
 def grid_difference_rates(setup, horizon, dts, paths, seed):
@@ -202,21 +412,14 @@ def grid_difference_rates(setup, horizon, dts, paths, seed):
     """
     grids = _level_grids(horizon, dts, 3)
     _require_paths(paths)
-    ops = setup.ops
-
-    def gaps(grid, traj):
-        dtheta = np.diff(traj.theta, axis=0)
-        dchi = np.diff(traj.chi, axis=0)
-        theta_sq = sum(l2 ** 2 for l2 in l2_norm(dtheta, ops))
-        chi_sq = sum(l2 ** 2 + h1 ** 2
-                     for l2, h1 in zip(l2_norm(dchi, ops), h1_seminorm(dchi, ops)))
-        return grid.dt / 3.0 * theta_sq, grid.dt / 3.0 * chi_sq
-
-    mean, se = _path_statistics(_level_table(setup, grids, paths, seed, gaps))
+    counters = _solver_counters(())
+    table = _level_table(setup, grids, paths, seed, _Gaps, counters)
+    mean, se = _path_statistics(table)
     level_dts = [g.dt for g in grids]
     return ConvergenceStudy(
         theta=_rate_report(level_dts, mean[:, 0], se[:, 0]),
         chi=_rate_report(level_dts, mean[:, 1], se[:, 1]),
+        solver=counters,
     )
 
 
@@ -229,8 +432,8 @@ def self_convergence(setup, horizon, dts, paths, seed):
     grids = _level_grids(horizon, dts, 2)
     _require_paths(paths)
     ops = setup.ops
-    finals = _level_table(setup, grids, paths, seed,
-                          lambda grid, traj: np.stack((traj.theta[-1], traj.chi[-1])))
+    counters = _solver_counters(())
+    finals = _level_table(setup, grids, paths, seed, _Finals, counters)
     gaps = finals[:, :-1] - finals[:, 1:]
     norms = l2_norm(gaps.reshape(-1, ops.node_count), ops)
     table = np.array([norm ** 2 for norm in norms]).reshape(gaps.shape[:-1])
@@ -239,6 +442,7 @@ def self_convergence(setup, horizon, dts, paths, seed):
     return ConvergenceStudy(
         theta=_rate_report(pair_dts, mean[:, 0], se[:, 0]),
         chi=_rate_report(pair_dts, mean[:, 1], se[:, 1]),
+        solver=counters,
     )
 
 
@@ -253,6 +457,7 @@ class StabilityReport:
     max_ratio: float
     passed: bool
     constants: StabilityConstants
+    solver: dict = field(default_factory=dict)
 
 
 def stability_check(setup, integrand_hat, grid, paths, seed):
@@ -282,19 +487,20 @@ def stability_check(setup, integrand_hat, grid, paths, seed):
     rhs *= constants.stability_constant
 
     _require_paths(paths)
-    table = np.empty((paths, grid.steps + 1))
+    counters = _solver_counters(())
+    table = []
     for batch in path_batches(paths):
         level_paths = [sample_path(grid, seed, pid) for pid in batch]
+        records = []
+
+        def record(index, theta, chi):
+            records.append(_Leave(ops, counters, grid, theta, chi) if index == 0 else
+                           _Difference(ops, counters, grid, theta, chi, records[0]))
+            return records[-1]
+
         # Both runs as one batch on the grid, which they share.
-        runs = dict(simulate(setup, [grid, grid], [level_paths, level_paths], [base, other]))
-        for pid, traj, traj_hat in zip(batch, runs[0], runs[1]):
-            dtheta = traj.theta - traj_hat.theta
-            dchi = traj.chi - traj_hat.chi
-            table[pid] = [
-                a ** 2 + b ** 2 + 0.25 * c ** 2 + 0.25 * d ** 2
-                for a, b, c, d in zip(l2_norm(dtheta, ops), h1_seminorm(dtheta, ops),
-                                      l2_norm(dchi, ops), h1_seminorm(dchi, ops))
-            ]
+        table += dict(simulate(setup, [grid, grid], [level_paths, level_paths], [base, other],
+                               record))[1]
     lhs_mean, lhs_se = _path_statistics(table)
     active = rhs > 0
     ratios = np.divide(lhs_mean, rhs, out=np.zeros_like(rhs), where=active)
@@ -311,6 +517,7 @@ def stability_check(setup, integrand_hat, grid, paths, seed):
         max_ratio=max_ratio,
         passed=ok,
         constants=constants,
+        solver=counters,
     )
 
 
@@ -322,6 +529,7 @@ class EnergyReport:
     statistics: list
     standard_errors: list
     passed: bool
+    solver: dict = field(default_factory=dict)
 
 
 def energy_statistic(traj, ops):
@@ -332,17 +540,10 @@ def energy_statistic(traj, ops):
     + ||grad chi_N||^2 + (1/2) sum ||grad (chi_{k+1} - chi_k)||^2,
     with u the per-step time increment of chi - B.
     """
-    dt = traj.grid.dt
-    dtheta = np.diff(traj.theta, axis=0)
-    dchi = np.diff(traj.chi, axis=0)
-    du = np.diff(traj.u, axis=0) / dt
-    total = l2_norm(traj.theta[-1], ops) ** 2
-    total += sum(norm ** 2 for norm in l2_norm(dtheta, ops))
-    total += dt * sum(norm ** 2 for norm in h1_seminorm(traj.theta[1:], ops))
-    total += dt * sum(norm ** 2 for norm in l2_norm(du, ops))
-    total += h1_seminorm(traj.chi[-1], ops) ** 2
-    total += 0.5 * sum(norm ** 2 for norm in h1_seminorm(dchi, ops))
-    return total
+    theta, chi = traj.theta[:, None], traj.chi[:, None]
+    energy = _Energy(ops, _solver_counters(()), traj.grid, theta[0], chi[0])
+    energy.reduce(theta, chi, traj.path.increments[None], traj.integrand.values, 0)
+    return energy.totals(theta[-1], chi[-1])[0]
 
 
 def energy_estimate_check(setup, horizon, dts, paths, seed):
@@ -353,8 +554,8 @@ def energy_estimate_check(setup, horizon, dts, paths, seed):
     """
     grids = _level_grids(horizon, dts, 2)
     _require_paths(paths)
-    table = _level_table(setup, grids, paths, seed,
-                         lambda grid, traj: energy_statistic(traj, setup.ops))
+    counters = _solver_counters(())
+    table = _level_table(setup, grids, paths, seed, _Energy, counters)
     mean, se = _path_statistics(table)
     passed = True
     for idx in range(len(grids) - 1):
@@ -366,6 +567,7 @@ def energy_estimate_check(setup, horizon, dts, paths, seed):
         statistics=mean.tolist(),
         standard_errors=se.tolist(),
         passed=bool(passed),
+        solver=counters,
     )
 
 

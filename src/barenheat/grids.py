@@ -147,7 +147,9 @@ class SpatialOperators:
         return (self.stiffness.diagonal(), self.stiffness.diagonal(1)) if self.dimension == 1 else ()
 
 
-def _operators_1d(cells, length):
+def _axis(cells, length):
+    """One axis of ``cells`` uniform cells: its lumped mass, the main and
+    first off diagonal of its stiffness, and its node coordinates."""
     dx = length / cells
     n = cells + 1
     mass = np.full(n, dx)
@@ -155,21 +157,29 @@ def _operators_1d(cells, length):
     main = np.full(n, 2.0 / dx)
     main[0] = main[-1] = 1.0 / dx
     off = np.full(n - 1, -1.0 / dx)
-    stiffness = sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
-    coords = np.linspace(0.0, length, n)
-    return mass, stiffness, coords
+    return mass, main, off, np.linspace(0.0, length, n)
 
 
-def _axis_eigenpairs(mass, stiffness):
-    """Eigenpairs of K v = lam M v on one axis, scaled so that V^T M V = I.
+def _stencil_csr(columns, values, present):
+    """The CSR matrix whose row p holds ``values[p, k]`` at column
+    ``columns[p, k]`` for each k where ``present[p, k]``; each row's
+    columns increase with k, so the indices are sorted."""
+    size = len(columns)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((values[present], columns[present].astype(np.int32), indptr),
+                         shape=(size, size))
+
+
+def _axis_eigenpairs(mass, main, off):
+    """Eigenpairs of K v = lam M v on one axis, K the tridiagonal stiffness
+    with diagonals ``main`` and ``off``, scaled so that V^T M V = I.
 
     M^(-1/2) K M^(-1/2) is symmetric tridiagonal; its orthonormal
     eigenvectors W give V = M^(-1/2) W.
     """
     scale = 1.0 / np.sqrt(mass)
-    values, vectors = eigh_tridiagonal(
-        stiffness.diagonal() * scale**2, stiffness.diagonal(1) * scale[:-1] * scale[1:]
-    )
+    values, vectors = eigh_tridiagonal(main * scale**2, off * scale[:-1] * scale[1:])
     return values, scale[:, None] * vectors
 
 
@@ -179,7 +189,10 @@ def build_operators(dimension, cells, lengths):
     ``cells`` and ``lengths`` are scalars in 1D or length-2 sequences in 2D.
     The 2D operators are tensor products of the 1D ones: the stiffness is
     Kx (x) My + Mx (x) Ky with lumped cross masses, i.e. the standard
-    5-point zero-flux Laplacian scaled by cell volume.
+    5-point zero-flux Laplacian scaled by cell volume.  Both stiffness
+    matrices are built as CSR arrays straight from their stencils, with
+    the entries, sums and sorted columns of that Kronecker sum; the two
+    axes share their eigenpairs where they are alike.
     """
     if dimension not in (1, 2):
         raise InvalidConfigError(f"dimension must be 1 or 2, got {dimension}")
@@ -195,18 +208,35 @@ def build_operators(dimension, cells, lengths):
     if not np.all((lengths > 0) & (lengths < math.inf)):
         raise InvalidConfigError(f"axis lengths must be finite and positive, got {lengths.tolist()}")
 
+    axes = [_axis(int(c), float(length)) for c, length in zip(cells, lengths)]
     if dimension == 1:
-        mass, stiffness, coords = _operators_1d(int(cells[0]), float(lengths[0]))
+        mass, main, off, coords = axes[0]
+        k = np.arange(len(mass))
+        stiffness = _stencil_csr(
+            np.column_stack((k - 1, k, k + 1)),
+            np.column_stack((np.r_[0.0, off], main, np.r_[off, 0.0])),
+            np.column_stack((k > 0, k >= 0, k < len(mass) - 1)))
         return SpatialOperators(mass, stiffness, coords.reshape(-1, 1))
 
-    mx, kx, cx = _operators_1d(int(cells[0]), float(lengths[0]))
-    my, ky, cy = _operators_1d(int(cells[1]), float(lengths[1]))
-    mass = np.kron(mx, my)
-    stiffness = (sp.kron(kx, sp.diags(my)) + sp.kron(sp.diags(mx), ky)).tocsr()
+    (mx, kx, ox, cx), (my, ky, oy, cy) = axes
+    nx, ny = len(mx), len(my)
+    node = np.arange(nx * ny)
+    i, j = np.divmod(node, ny)
+    # Row (i, j) of Kx (x) My + Mx (x) Ky: the x neighbours i -/+ 1 read
+    # Kx, the y neighbours j -/+ 1 read Ky, and the diagonal is the sum
+    # kx_ii my_j + mx_i ky_jj.
+    stiffness = _stencil_csr(
+        np.column_stack((node - ny, node - 1, node, node + 1, node + ny)),
+        np.column_stack((np.r_[0.0, ox][i] * my[j], mx[i] * np.r_[0.0, oy][j],
+                         kx[i] * my[j] + mx[i] * ky[j],
+                         mx[i] * np.r_[oy, 0.0][j], np.r_[ox, 0.0][i] * my[j])),
+        np.column_stack((i > 0, j > 0, i >= 0, j < ny - 1, i < nx - 1)))
     xs, ys = np.meshgrid(cx, cy, indexing="ij")
     coords = np.column_stack([xs.ravel(), ys.ravel()])
-    return SpatialOperators(mass, stiffness, coords,
-                            (_axis_eigenpairs(mx, kx), _axis_eigenpairs(my, ky)))
+    pairs = _axis_eigenpairs(mx, kx, ox)
+    alike = cells[0] == cells[1] and lengths[0] == lengths[1]
+    return SpatialOperators(np.kron(mx, my), stiffness, coords,
+                            (pairs, pairs if alike else _axis_eigenpairs(my, ky, oy)))
 
 
 def _check_field(v, ops):

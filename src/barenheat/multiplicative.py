@@ -38,8 +38,8 @@ from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError, Nu
 from .grids import h1_seminorm, l2_norm
 from .noise import AdditiveIntegrand
 from .stepper import (
-    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _check_initial_shapes, _Row, _step_plan, _step_rows,
-    run_additive,
+    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _check_initial_shapes, _Dense, _Row, _step_plan,
+    _step_rows, run_additive,
 )
 from .theory import compute_stability_constant
 
@@ -222,9 +222,10 @@ class PicardReport:
 # eq=False keeps the identity comparison of ``_Row``.
 @dataclass(eq=False)
 class _Iterate(_Row):
-    """A Picard iterate while it runs: a row of one path, whose integrand
-    values it reads from its predecessor's chi ``previous``, with its
-    number and the running sum of its weighted-norm terms."""
+    """A Picard iterate while it runs: a row of one path with a dense
+    record, whose integrand values it reads from its predecessor's chi
+    ``previous``, with its number and the running sum of its weighted-norm
+    terms."""
 
     number: int
     previous: np.ndarray = field(default=None, repr=False)
@@ -237,12 +238,13 @@ def _successor(it):
     0..k, so it starts from copies of k's fields there and of its integrand
     rows and step reports before step k.  Its weighted-norm terms at those
     nodes are 0.0, so its running sum starts at 0.0."""
-    k = it.number
-    theta, chi, values = (np.empty_like(a) for a in (it.theta, it.chi, it.values))
-    theta[:, :k + 1], chi[:, :k + 1] = it.theta[:, :k + 1], it.chi[:, :k + 1]
+    k, record = it.number, it.record
+    theta, chi, values = (np.empty_like(a) for a in (record.theta, record.chi, it.values))
+    theta[:, :k + 1], chi[:, :k + 1] = record.theta[:, :k + 1], record.chi[:, :k + 1]
     values[:k] = it.values[:k]
-    return _Iterate(theta, chi, it.increments, values, [it.reports[0][:k]], step=k,
-                    number=k + 1, previous=it.chi[0])
+    dense = _Dense(theta, chi, [record.reports[0][:k]], record.grid, record.paths,
+                   AdditiveIntegrand(grid=record.grid, values=values))
+    return _Iterate(it.increments, values, dense, step=k, number=k + 1, previous=record.chi[0])
 
 
 def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
@@ -303,8 +305,9 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     failure = None
     newest = 2  # iterates start in order, so only the newest has no successor
     if config.max_iterations > 1:
-        running.append(_successor(_Iterate(first.theta[None], first.chi[None],
-                                           path.increments[None], values, [first.reports],
+        dense = _Dense(first.theta[None], first.chi[None], [first.reports], grid, [path],
+                       integrand)
+        running.append(_successor(_Iterate(path.increments[None], values, dense,
                                            step=grid.steps, number=1)))
     while running:
         # Iterate k + 1 never passes iterate k, so the finished iterates are
@@ -313,7 +316,7 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
             it = running.pop(0)
             # The running sum is bit for bit the sum in weighted_norm.
             if converged(math.sqrt(it.partial), it.started):
-                return result(it.trajectories(grid, [path])[0])
+                return result(it.record.results()[0])
         if not running:
             break
         images = evaluate_H(noise_map, np.array([it.previous[it.step] for it in running]))

@@ -42,12 +42,18 @@ Jacobian of each row bound with the row's float dt as a span of its own.
 
 Rows.  ``_step_rows`` is the one driver of ``_advance``.  A ``_Row`` holds
 paths that step together from one step index along one (N, P) integrand
-table, with their records and reports; ``_step_rows`` stacks every row's
-fields at its own step (a row alone passes views of its records), makes one
-``_advance`` call and writes the results back, or on a failure leaves every
-row as it was.  ``run_additive`` steps one row per entry (a grid and its
-paths) in lock-step, and an entry leaves at its horizon; ``picard_solve``
-steps its staggered iterates as rows of one path at their own steps.
+table, and one record, its reducer: the record hands out the fields of the
+row's current node and takes each step's new fields and StepReports.
+``_step_rows`` stacks every row's current fields (a row alone passes its
+record's blocks), makes one ``_advance`` call and hands each row its part
+of the result, or on a failure leaves every row as it was.  The dense
+record (``_Dense``) keeps every snapshot and report, from which it makes
+the trajectories of ``run_additive`` and of ``picard_solve``; a Monte Carlo
+study passes ``run_additive`` a reducer whose records keep only the fields
+and sums their statistics read on, so their memory does not grow with N.
+``run_additive`` steps one row per entry (a grid and its paths) in
+lock-step, and an entry leaves at its horizon; ``picard_solve`` steps its
+staggered iterates as rows of one path at their own steps.
 
 Work per step.  The noise h_n dw_n, the shift s = chi_n + h_n dw_n and K s
 are formed once per step, and each product of an inner iteration once: the
@@ -161,6 +167,32 @@ class StepReport:
     def contraction_factors(self):
         diffs = self.chi_differences
         return [(b / a) ** 2 for a, b in zip(diffs, diffs[1:]) if a > 0.0]
+
+
+def _solver_counters(reports, counters=None):
+    """The deterministic solver counters of ``manifest.json``: totals and
+    extremes over StepReports, folded into ``counters``, the dict of an
+    earlier call, when it is given."""
+    inner, newton, halvings, factor, residual = (
+        (0, 0, 0, 0.0, 0.0) if counters is None else counters.values())
+    # Each comparison keeps what max() keeps, the first of equal values.
+    for r in reports:
+        inner += len(r.chi_differences)
+        newton += r.newton_iterations
+        if r.line_search_halvings > halvings:
+            halvings = r.line_search_halvings
+        worst = max(r.contraction_factors, default=0.0) / r.factor_bound
+        if worst > factor:
+            factor = worst
+        if r.newton_residual > residual:
+            residual = r.newton_residual
+    return {
+        "inner_iterations": inner,
+        "newton_iterations": newton,
+        "max_line_search_halvings": halvings,
+        "worst_factor_over_bound": factor,
+        "worst_newton_residual": residual,
+    }
 
 
 @dataclass
@@ -655,6 +687,7 @@ def run_additive(
     nl,
     tol=DEFAULT_INNER_TOL,
     newton_tol=DEFAULT_NEWTON_TOL,
+    reducer=None,
 ):
     """Run the additive-noise scheme along one Brownian path or a batch, on
     one time grid or on several side by side.
@@ -669,13 +702,19 @@ def run_additive(
     Monte Carlo study; ``integrand`` and ``path`` are then sequences too,
     one integrand and one sequence of paths per entry.  Every entry's
     preconditions and shapes are checked at the call, which then returns an
-    iterator of ``(index, trajectories)``, one list of trajectories per
+    iterator of ``(index, results)``, one list of per-path results per
     entry.  All entries step from t = 0 as one batch, whose rows are
     ordered by entry, and an entry leaves the batch at its horizon: the
     iterator yields it then, so entries with fewer steps come first, and
     entries that finish together come in index order.  The iterator keeps
     no reference to an entry it has yielded, so a caller that reduces each
     entry and drops it holds at most the entries still stepping.
+
+    On grid sequences ``reducer`` makes each entry's record (see ``_Row``):
+    ``reducer(index, theta, chi)`` is called once per entry, in index
+    order, with the read-only (m, P) fields of its paths at node 0, and the
+    iterator yields ``record.results()``.  By default the record is dense
+    and the results are the entry's trajectories.
 
     Every path gets the bits of a run on its own.  A NumericalError from a
     step is re-raised with that step's index, the failing path's id, its
@@ -685,6 +724,8 @@ def run_additive(
     check_tolerances(tol, newton_tol)
     single = isinstance(grid, TimeGrid)
     if single:
+        if reducer is not None:
+            raise InvalidConfigError("run_additive takes a reducer on grid sequences only")
         one_path = isinstance(path, BrownianPath)
         grid, integrand, path = [grid], [integrand], [[path] if one_path else path]
     else:
@@ -718,90 +759,121 @@ def run_additive(
     for g in grids:
         if g not in plans:
             plans[g] = _step_plan(g, ops, nl, tol, newton_tol)
-    runs = _run_entries(theta0, chi0, integrands, path_lists, grids, plans)
+    if reducer is None:
+        def reducer(index, theta, chi):
+            return _Dense.start(theta, chi, grids[index], path_lists[index], integrands[index])
+
+    runs = _run_entries(theta0, chi0, integrands, path_lists, grids, plans, reducer)
     if not single:
         return runs
     (_, trajectories), = runs
     return trajectories[0] if one_path else trajectories
 
 
-# Rows compare by identity: a generated __eq__ would compare their arrays.
+# Rows and records compare by identity: a generated __eq__ would compare
+# their arrays.
 @dataclass(eq=False)
 class _Row:
     """Paths that step together through ``_step_rows``, from one step index
-    and along one integrand table: their (m, N + 1, P) theta and chi
-    records, their (m, N) increments, the (N, P) integrand table, one list
-    of StepReports per path, and ``step``, the node their records end at,
-    N at the horizon."""
+    and along one integrand table: their (m, N) increments, the (N, P)
+    integrand table, ``step``, the node they have reached (N at the
+    horizon), and ``record``, what they keep of their steps.
+
+    A record is the row's one reducer: ``snapshot(step)`` returns the
+    (theta, chi) blocks at node ``step``, which the next step starts from;
+    ``add(row, theta, chi, reports)`` takes the (m, P) blocks of the node
+    the row has just reached and the paths' StepReports; and ``results()``
+    returns one result per path.  ``_Dense`` keeps every snapshot; the
+    Monte Carlo studies keep running sums instead."""
+
+    increments: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    record: object = field(repr=False)
+    step: int
+
+
+@dataclass(eq=False)
+class _Dense:
+    """The record that keeps every snapshot: (m, N + 1, P) theta and chi
+    records and one list of StepReports per path, and the grid, paths and
+    integrand from which ``results`` makes one Trajectory per path."""
 
     theta: np.ndarray = field(repr=False)
     chi: np.ndarray = field(repr=False)
-    increments: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
     reports: list = field(repr=False)
-    step: int
+    grid: TimeGrid
+    paths: list = field(repr=False)
+    integrand: AdditiveIntegrand = field(repr=False)
 
     @classmethod
-    def start(cls, theta0, chi0, increments, values):
-        """The row at step 0 of paths with these increments, all starting
-        from the (P,) fields theta0 and chi0."""
-        shape = (len(increments), increments.shape[1] + 1, len(theta0))
-        theta, chi = np.empty(shape), np.empty(shape)
-        theta[:, 0], chi[:, 0] = theta0, chi0
-        return cls(theta, chi, increments, values, [[] for _ in increments], step=0)
+    def start(cls, theta, chi, grid, paths, integrand):
+        """The record of ``paths`` on ``grid`` at node 0, where they have
+        the (m, P) fields theta and chi."""
+        shape = (len(paths), grid.steps + 1, theta.shape[-1])
+        thetas, chis = np.empty(shape), np.empty(shape)
+        thetas[:, 0], chis[:, 0] = theta, chi
+        return cls(thetas, chis, [[] for _ in paths], grid, paths, integrand)
 
-    def trajectories(self, grid, paths):
-        """One Trajectory per path of a row that has reached the horizon of
-        ``grid``, the grid of its ``paths``."""
-        integrand = AdditiveIntegrand(grid=grid, values=self.values)
-        return [Trajectory(grid=grid, theta=self.theta[k], chi=self.chi[k], path=p,
-                           integrand=integrand, reports=self.reports[k])
-                for k, p in enumerate(paths)]
+    def snapshot(self, step):
+        return self.theta[:, step], self.chi[:, step]
+
+    def add(self, row, theta, chi, reports):
+        self.theta[:, row.step], self.chi[:, row.step] = theta, chi
+        for path_reports, report in zip(self.reports, reports):
+            path_reports.append(report)
+
+    def results(self):
+        return [Trajectory(grid=self.grid, theta=self.theta[k], chi=self.chi[k], path=p,
+                           integrand=self.integrand, reports=self.reports[k])
+                for k, p in enumerate(self.paths)]
 
 
 def _step_rows(plan, rows):
     """Move every row one step from its own step in one ``_advance`` call,
     the paths of each row taking consecutive rows of the batch.
 
-    Writes the new fields into the records, appends the reports and
-    returns the new chi block.  A NumericalError leaves every row as it
-    was, and its ``row`` indexes the paths of the batch, so for rows of one
-    path each the rows passed in."""
-    if len(rows) == 1:  # a row alone steps on views; ``_advance`` writes to no input
+    Hands each row's new fields and reports to its record and returns the
+    new chi block.  A NumericalError leaves every row as it was, and its
+    ``row`` indexes the paths of the batch, so for rows of one path each
+    the rows passed in."""
+    if len(rows) == 1:  # a row alone steps on its record's blocks; ``_advance`` writes to no input
         row, n = rows[0], rows[0].step
-        theta, chi, dw, h = row.theta[:, n], row.chi[:, n], row.increments[:, n:n + 1], row.values[n]
+        theta, chi = row.record.snapshot(n)
+        dw, h = row.increments[:, n:n + 1], row.values[n]
     else:
-        theta = np.concatenate([row.theta[:, row.step] for row in rows])
-        chi = np.concatenate([row.chi[:, row.step] for row in rows])
+        snapshots = [row.record.snapshot(row.step) for row in rows]
+        theta = np.concatenate([fields[0] for fields in snapshots])
+        chi = np.concatenate([fields[1] for fields in snapshots])
         dw, h = np.empty((len(theta), 1)), np.empty(theta.shape)
         start = 0
         for row in rows:
-            stop = start + len(row.theta)
+            stop = start + len(row.increments)
             dw[start:stop, 0], h[start:stop] = row.increments[:, row.step], row.values[row.step]
             start = stop
     theta, chi, reports = _advance(plan, theta, chi, dw, h)
-    start, reports = 0, iter(reports)
+    start = 0
     for row in rows:
-        stop = start + len(row.theta)
-        row.step = n = row.step + 1
-        row.theta[:, n], row.chi[:, n] = theta[start:stop], chi[start:stop]
-        for path_reports in row.reports:
-            path_reports.append(next(reports))
+        stop = start + len(row.increments)
+        row.step += 1
+        row.record.add(row, theta[start:stop], chi[start:stop], reports[start:stop])
         start = stop
     return chi
 
 
-def _run_entries(theta0, chi0, integrands, path_lists, grids, plans):
+def _run_entries(theta0, chi0, integrands, path_lists, grids, plans, reducer):
     """The iterator of ``run_additive`` over checked entries, ``plans``
-    holding the step plan of each distinct grid: one ``_Row`` per entry,
-    in lock-step, and an entry leaves at its horizon."""
+    holding the step plan of each distinct grid and ``reducer`` making the
+    record of each entry: one ``_Row`` per entry, in lock-step, and an
+    entry leaves at its horizon."""
     # The entries still stepping, as (index, row).  The block's plan has
     # one span per run of entries on one grid.
     live, spans, count = [], [], 0
     for index, paths in enumerate(path_lists):
         stop = count + len(paths)
-        live.append((index, _Row.start(theta0, chi0, np.array([p.increments for p in paths]),
-                                       integrands[index].values)))
+        shape = (len(paths), len(theta0))
+        record = reducer(index, np.broadcast_to(theta0, shape), np.broadcast_to(chi0, shape))
+        live.append((index, _Row(np.array([p.increments for p in paths]),
+                                 integrands[index].values, record, step=0)))
         if index and grids[index] == grids[index - 1]:
             spans[-1] = spans[-1]._replace(stop=stop)
         else:
@@ -818,9 +890,9 @@ def _run_entries(theta0, chi0, integrands, path_lists, grids, plans):
             except NumericalError as exc:
                 row = exc.row or 0
                 for index, entry in live:
-                    if row < len(entry.theta):
+                    if row < len(entry.increments):
                         break
-                    row -= len(entry.theta)
+                    row -= len(entry.increments)
                 raise type(exc)(
                     exc.reason, residual=exc.residual, step=entry.step,
                     path_id=path_lists[index][row].path_id, row=row, dt=grids[index].dt,
@@ -828,17 +900,17 @@ def _run_entries(theta0, chi0, integrands, path_lists, grids, plans):
         # The finished entries leave the block; each is yielded as an
         # argument only, so that no local keeps it once its caller drops it.
         going = [row.step < row.increments.shape[1] for _, row in live]
-        keep = np.flatnonzero(np.repeat(going, [len(row.theta) for _, row in live]))
+        keep = np.flatnonzero(np.repeat(going, [len(row.increments) for _, row in live]))
         finished = [entry for entry, go in zip(live, going) if not go]
         live = [entry for entry, go in zip(live, going) if go]
         while finished:
-            yield _finished(*finished.pop(0), grids, path_lists)
+            yield _finished(*finished.pop(0))
         if not live:
             return
         plan = plan.take(keep)
 
 
-def _finished(index, row, grids, path_lists):
-    """``(index, trajectories)`` of an entry of ``_run_entries`` that has
-    reached its horizon."""
-    return index, row.trajectories(grids[index], path_lists[index])
+def _finished(index, row):
+    """``(index, results)`` of an entry of ``_run_entries`` that has reached
+    its horizon."""
+    return index, row.record.results()

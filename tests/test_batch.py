@@ -13,7 +13,8 @@ import barenheat as bh
 from barenheat import diagnostics, grids, stepper
 from barenheat.errors import FieldShapeError, NonConvergenceError, NonFiniteError
 from barenheat.stepper import (
-    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _advance, _newton, _Row, _step_plan, _step_rows,
+    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _advance, _Dense, _newton, _Row, _step_plan,
+    _step_rows,
 )
 
 PATHS = 5
@@ -187,10 +188,17 @@ class TestStepRows:
         tables = [bh.discretize_integrand(expr, grid, ops).values
                   for expr in ("cos(pi*x)*(1+t)", "0.5*cos(2*pi*x)")]
         paths = [bh.sample_path(grid, 3, pid) for pid in range(4)]
-        fixed = _Row.start(data, data, np.array([p.increments for p in paths[:2]]), tables[0])
-        leader = _Row.start(data, 0.5 * data, paths[2].increments[None], tables[1])
-        follower = _Row.start(data, 0.5 * data, paths[3].increments[None],
-                              np.zeros((grid.steps, ops.node_count)))
+
+        def start(theta0, chi0, row_paths, values):
+            # A row of dense records at step 0, as run_additive starts one.
+            theta, chi = (np.tile(field, (len(row_paths), 1)) for field in (theta0, chi0))
+            record = _Dense.start(theta, chi, grid, row_paths,
+                                  bh.AdditiveIntegrand(grid=grid, values=values))
+            return _Row(np.array([p.increments for p in row_paths]), values, record, step=0)
+
+        fixed = start(data, data, paths[:2], tables[0])
+        leader = start(data, 0.5 * data, paths[2:3], tables[1])
+        follower = start(data, 0.5 * data, paths[3:], np.zeros((grid.steps, ops.node_count)))
         for row, steps in ((fixed, 3), (leader, 5), (follower, 1)):
             for _ in range(steps):
                 _step_rows(plan, [row])
@@ -199,18 +207,22 @@ class TestStepRows:
     @staticmethod
     def fill(follower, leader):
         """The follower's integrand at its step, read from the leader's chi."""
-        follower.values[follower.step] = 0.3 * leader.chi[0, follower.step]
+        follower.values[follower.step] = 0.3 * leader.record.chi[0, follower.step]
 
     @staticmethod
     def state(row):
-        return (row.step, row.theta.tobytes(), row.chi.tobytes(), row.values.tobytes(),
-                [[report_fields(r) for r in reports] for reports in row.reports])
+        record = row.record
+        return (row.step, record.theta.tobytes(), record.chi.tobytes(), row.values.tobytes(),
+                [[report_fields(r) for r in reports] for reports in record.reports])
 
     def test_each_row_gets_the_bits_of_a_step_on_its_own(self, setup):
         plan, rows = setup
-        alone = [dataclasses.replace(row, theta=row.theta.copy(), chi=row.chi.copy(),
-                                     values=row.values.copy(),
-                                     reports=[list(r) for r in row.reports]) for row in rows]
+        alone = [dataclasses.replace(
+            row, values=row.values.copy(),
+            record=dataclasses.replace(row.record, theta=row.record.theta.copy(),
+                                       chi=row.record.chi.copy(),
+                                       reports=[list(r) for r in row.record.reports]))
+            for row in rows]
         for _ in range(2):
             self.fill(rows[1], rows[0])
             chi = _step_rows(plan, rows)
@@ -219,7 +231,7 @@ class TestStepRows:
                 _step_rows(plan, [row])
         assert [self.state(row) for row in rows] == [self.state(row) for row in alone]
         assert [row.step for row in rows] == [7, 3, 5]
-        assert np.array_equal(chi, np.concatenate([row.chi[:, row.step] for row in rows]))
+        assert np.array_equal(chi, np.concatenate([row.record.chi[:, row.step] for row in rows]))
 
     @pytest.mark.parametrize("failing, path, batch_row", [(1, 0, 1), (2, 1, 3)])
     def test_a_failure_moves_no_row(self, setup, failing, path, batch_row):

@@ -135,6 +135,51 @@ def test_build_operators_rejects_sizes_that_are_not_integers_or_not_finite(args,
         bh.build_operators(*args)
 
 
+def scipy_operators(dimension, cells, lengths):
+    """The stiffness and axis eigenpairs as scipy.sparse assembled them:
+    tridiagonal axes by ``sp.diags``, and in 2D the Kronecker sum
+    Kx (x) My + Mx (x) Ky converted to CSR."""
+    from scipy.linalg import eigh_tridiagonal
+
+    def axis(count, length):
+        dx = length / count
+        mass = np.full(count + 1, dx)
+        mass[0] = mass[-1] = dx / 2.0
+        main = np.full(count + 1, 2.0 / dx)
+        main[0] = main[-1] = 1.0 / dx
+        off = np.full(count, -1.0 / dx)
+        stiffness = sp.diags([off, main, off], offsets=[-1, 0, 1], format="csr")
+        scale = 1.0 / np.sqrt(mass)
+        values, vectors = eigh_tridiagonal(stiffness.diagonal() * scale**2,
+                                           stiffness.diagonal(1) * scale[:-1] * scale[1:])
+        return mass, stiffness, (values, scale[:, None] * vectors)
+
+    if dimension == 1:
+        return axis(cells, lengths)[1], ()
+    (mx, kx, px), (my, ky, py) = axis(cells[0], lengths[0]), axis(cells[1], lengths[1])
+    return (sp.kron(kx, sp.diags(my)) + sp.kron(sp.diags(mx), ky)).tocsr(), (px, py)
+
+
+@pytest.mark.parametrize("args", [(1, 64, 1.0), (1, 1, 2.0), (2, (32, 32), (1.0, 1.0)),
+                                  (2, (12, 10), (1.0, 0.75)), (2, (1, 5), (0.3, 1.7)),
+                                  (2, (7, 1), (1.0, 2.5))],
+                         ids=["1d", "1d-one-cell", "2d-square", "2d-rectangle",
+                              "2d-one-cell-x", "2d-one-cell-y"])
+def test_stencil_operators_have_the_bits_of_the_scipy_assembly(args):
+    ops = bh.build_operators(*args)
+    stiffness, pairs = scipy_operators(*args)
+    # Where y has one cell, scipy's Kronecker product stored the zero
+    # off-diagonal entries of a dense 2 x 2 block; the stencil stores none.
+    stiffness.eliminate_zeros()
+    assert isinstance(ops.stiffness, sp.csr_matrix) and ops.stiffness.shape == stiffness.shape
+    for name in ("indptr", "indices", "data"):
+        ours, theirs = getattr(ops.stiffness, name), getattr(stiffness, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+    assert len(ops.axis_eigenpairs) == len(pairs)
+    for ours, theirs in zip(ops.axis_eigenpairs, pairs):
+        assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
+
+
 @pytest.mark.parametrize("args", [(1, 12, 1.3), (2, (6, 5), (1.0, 1.5))], ids=["1d", "2d"])
 def test_hand_built_operators_derive_the_rest(args, shifted_solve):
     # A set built from build_operators' stored arrays has its derived

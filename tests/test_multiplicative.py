@@ -8,7 +8,7 @@ import pytest
 import barenheat as bh
 from barenheat.config import parse_config
 from barenheat.errors import FieldShapeError, InvalidConfigError, NonConvergenceError
-from barenheat.stepper import _Row, _step_plan, _step_rows
+from barenheat.stepper import _Dense, _Row, _step_plan, _step_rows
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
                            "multiplicative.ini")
@@ -294,14 +294,16 @@ def causal_pass(theta0, chi0, noise_map, path, grid, ops, nl, tol, newton_tol):
     """One forward pass that computes h_n = H(chi_n) just before step n
     (h_0 = 0): the discrete fixed point the Picard iteration converges to.
     One row of the step driver, whose integrand it fills from its own chi."""
-    row = _Row.start(theta0, chi0, path.increments[None],
-                     np.zeros((grid.steps, ops.node_count)))
+    values = np.zeros((grid.steps, ops.node_count))
+    record = _Dense.start(theta0[None], chi0[None], grid, [path],
+                          bh.AdditiveIntegrand(grid=grid, values=values))
+    row = _Row(path.increments[None], values, record, step=0)
     plan = _step_plan(grid, ops, nl, tol, newton_tol)
     for n in range(grid.steps):
         if n:
-            row.values[n] = bh.evaluate_H(noise_map, row.chi[0, n])
+            row.values[n] = bh.evaluate_H(noise_map, record.chi[0, n])
         _step_rows(plan, [row])
-    return row.chi[0]
+    return record.chi[0]
 
 
 @pytest.mark.parametrize("seed", [7, 11, 2024])

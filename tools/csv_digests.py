@@ -24,7 +24,12 @@ CSV it wrote, in a fixed order:
 * ``solve`` on ``demos/configs/linear2d.ini``, and ``converge`` on its
   three dt levels with two paths: 2D linear alpha with c = 0.5, whose
   1 + c is not a power of two, stepping in one bound solve per inner
-  iteration across dt spans.
+  iteration across dt spans; then ``mc``, ``stability`` and
+  ``contraction`` on it, the 2D runs of the energy statistic, which reads
+  u, of the two coupled runs of the stability check and of the worst
+  contraction factor;
+* ``converge`` on ``demos/configs/self_convergence.ini``, the one
+  self-convergence study: final-time gaps between coupled levels.
 
 CSV bodies are byte-reproducible for a fixed config and seed, so two
 checkouts that print the same listing wrote the same bits; ``diff`` the
@@ -65,6 +70,10 @@ RUNS = (
     ("contraction", "demos/configs/ramp.ini", ()),
     ("solve", "demos/configs/linear2d.ini", ()),
     ("converge", "demos/configs/linear2d.ini", ("--paths", "2")),
+    ("mc", "demos/configs/linear2d.ini", ()),
+    ("stability", "demos/configs/linear2d.ini", ()),
+    ("contraction", "demos/configs/linear2d.ini", ()),
+    ("converge", "demos/configs/self_convergence.ini", ()),
 )
 
 # Runs the CLI of the barenheat under argv[1] and nowhere else.
