@@ -133,7 +133,6 @@ class RunConfig:
     chi0: np.ndarray = field(repr=False)
     nonlinearity: object
     warnings: list
-    noise_kind: str
     integrand: str | None
     integrand_hat: str | None
     noise_map: object
@@ -145,6 +144,11 @@ class RunConfig:
     study_kind: str
     slope_threshold: float
     output_directory: str
+
+    @property
+    def noise_kind(self):
+        """"multiplicative" when the run has a Picard iteration, else "additive"."""
+        return "additive" if self.picard is None else "multiplicative"
 
 
 def _read(parser, overrides):
@@ -340,7 +344,7 @@ def parse_config(path, *, paths=None, seed=None, dt_levels=None,
     return RunConfig(
         ops=ops, horizon=horizon, steps=steps, dt_levels=dt_levels or None,
         theta0=initial.get("theta0"), chi0=initial.get("chi0"),
-        nonlinearity=nl, warnings=warnings, noise_kind=noise_kind,
+        nonlinearity=nl, warnings=warnings,
         integrand=integrand, integrand_hat=integrand_hat, noise_map=noise_map, picard=picard,
         paths=paths, seed=seed, inner_tol=inner_tol, newton_tol=newton_tol,
         study_kind=study_kind, slope_threshold=value["study", "slope_threshold"],

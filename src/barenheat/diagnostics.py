@@ -20,6 +20,10 @@ counters.  The memory of a study therefore grows with the paths of a batch
 and the nodes of the mesh, not with the steps: ``BATCH_PATHS`` bounds it,
 and the per-path table holds one small result per path and level.
 
+The reports keep the statistics of a study and derive their verdicts, the
+fitted slope, the largest stability ratio and pass or fail, from them on
+read, so a report cannot pass on numbers that fail.
+
 Continuum norms are replaced by their discrete surrogates on the lumped
 mesh: squared space-time norms become sums of dt-weighted squared nodal
 norms, and differences between the piecewise-linear and piecewise-constant
@@ -268,6 +272,8 @@ class _WorstFactor(_Study):
         self.worst = [0.0] * len(theta)
 
     def add(self, row, theta, chi, reports):
+        # The counter fold of ``super().add`` builds each report's factors,
+        # which a report keeps; this reads the same lists.
         super().add(row, theta, chi, reports)
         self.worst = [max(worst, max(report.contraction_factors, default=0.0))
                       for worst, report in zip(self.worst, reports)]
@@ -362,12 +368,18 @@ class _Difference(_Study):
 
 @dataclass
 class RateReport:
-    """Per-level errors with a fitted log2 slope (None when degenerate)."""
+    """Per-level errors with their standard errors; ``slope`` is derived on
+    read."""
 
     dts: list
     errors: list
     standard_errors: list
-    slope: float | None
+
+    @property
+    def slope(self):
+        """The log2 slope fitted to the positive errors against their dts,
+        None when fewer than two errors are positive."""
+        return _fit_slope(self.dts, self.errors)
 
 
 def _fit_slope(dts, errors):
@@ -383,12 +395,7 @@ def _rate_report(dts, mean_squares, se_squares):
     errors = np.sqrt(np.maximum(mean_squares, 0.0))
     # Delta method: se of sqrt(X) is se(X) / (2 sqrt(X)).
     ses = np.where(errors > 0, se_squares / np.maximum(2.0 * errors, 1e-300), 0.0)
-    return RateReport(
-        dts=list(dts),
-        errors=errors.tolist(),
-        standard_errors=ses.tolist(),
-        slope=_fit_slope(dts, errors),
-    )
+    return RateReport(dts=list(dts), errors=errors.tolist(), standard_errors=ses.tolist())
 
 
 @dataclass
@@ -448,16 +455,34 @@ def self_convergence(setup, horizon, dts, paths, seed):
 
 @dataclass
 class StabilityReport:
-    """Monte Carlo check of the continuous-dependence inequality."""
+    """Monte Carlo check of the continuous-dependence inequality: the mean
+    ``lhs`` and its standard error ``lhs_se``, and the bound ``rhs``, at each
+    node of ``times``.  ``max_ratio`` and ``passed`` are derived on read.
+    """
 
     times: np.ndarray
     lhs: np.ndarray
     lhs_se: np.ndarray
     rhs: np.ndarray
-    max_ratio: float
-    passed: bool
     constants: StabilityConstants
     solver: dict = field(default_factory=dict)
+
+    @property
+    def max_ratio(self):
+        """The largest lhs / rhs over the nodes where rhs > 0, else 0."""
+        active = self.rhs > 0
+        ratios = np.divide(self.lhs, self.rhs, out=np.zeros_like(self.rhs), where=active)
+        return float(ratios.max()) if active.any() else 0.0
+
+    @property
+    def passed(self):
+        """Every node where rhs > 0 keeps lhs within rhs + 4 standard
+        errors, and every other node has lhs <= 1e-18: where the integrands
+        have not yet diverged the coupled runs are identical, so the left
+        side must vanish to solver precision."""
+        lhs, active = self.lhs, self.rhs > 0
+        return (bool(np.all(lhs[active] <= self.rhs[active] + 4.0 * self.lhs_se[active]))
+                and bool(np.all(lhs[~active] <= 1e-18)))
 
 
 def stability_check(setup, integrand_hat, grid, paths, seed):
@@ -471,7 +496,7 @@ def stability_check(setup, integrand_hat, grid, paths, seed):
 
     must stay below the stability constant times the accumulated squared H1
     norm of the integrand difference.  Passes when every node satisfies the
-    bound within four standard errors.
+    bound within four standard errors (see ``StabilityReport``).
     """
     ops = setup.ops
     nl = setup.nonlinearity
@@ -502,20 +527,11 @@ def stability_check(setup, integrand_hat, grid, paths, seed):
         table += dict(simulate(setup, [grid, grid], [level_paths, level_paths], [base, other],
                                record))[1]
     lhs_mean, lhs_se = _path_statistics(table)
-    active = rhs > 0
-    ratios = np.divide(lhs_mean, rhs, out=np.zeros_like(rhs), where=active)
-    max_ratio = float(ratios.max()) if active.any() else 0.0
-    ok = bool(np.all(lhs_mean[active] <= rhs[active] + 4.0 * lhs_se[active]))
-    # Where the integrands have not yet diverged the coupled runs are
-    # identical, so the left side must vanish to solver precision.
-    ok = ok and bool(np.all(lhs_mean[~active] <= 1e-18))
     return StabilityReport(
         times=grid.nodes.copy(),
         lhs=lhs_mean,
         lhs_se=lhs_se,
         rhs=rhs,
-        max_ratio=max_ratio,
-        passed=ok,
         constants=constants,
         solver=counters,
     )
@@ -523,13 +539,24 @@ def stability_check(setup, integrand_hat, grid, paths, seed):
 
 @dataclass
 class EnergyReport:
-    """Boundedness check of the discrete energy aggregate across dt levels."""
+    """Boundedness check of the discrete energy aggregate across dt levels:
+    the mean statistic of each level and its standard error.  ``passed`` is
+    derived on read."""
 
     dts: list
     statistics: list
     standard_errors: list
-    passed: bool
     solver: dict = field(default_factory=dict)
+
+    @property
+    def passed(self):
+        """Halving dt never grows the statistic by more than
+        ``ENERGY_GROWTH_SLACK`` (25%) plus four combined standard errors; a
+        NaN growth fails no halving."""
+        means, ses = self.statistics, self.standard_errors
+        return not any(
+            fine - coarse > ENERGY_GROWTH_SLACK * coarse + 4.0 * math.hypot(coarse_se, fine_se)
+            for coarse, fine, coarse_se, fine_se in zip(means, means[1:], ses, ses[1:]))
 
 
 def energy_statistic(traj, ops):
@@ -547,26 +574,17 @@ def energy_statistic(traj, ops):
 
 
 def energy_estimate_check(setup, horizon, dts, paths, seed):
-    """Monte Carlo estimate of the energy aggregate at each dt level.
-
-    Passes when halving dt never grows the statistic by more than
-    ``ENERGY_GROWTH_SLACK`` (25%) plus four combined standard errors.
-    """
+    """Monte Carlo estimate of the energy aggregate at each dt level (see
+    ``EnergyReport`` for when it passes)."""
     grids = _level_grids(horizon, dts, 2)
     _require_paths(paths)
     counters = _solver_counters(())
     table = _level_table(setup, grids, paths, seed, _Energy, counters)
     mean, se = _path_statistics(table)
-    passed = True
-    for idx in range(len(grids) - 1):
-        combined = math.hypot(se[idx], se[idx + 1])
-        if mean[idx + 1] - mean[idx] > ENERGY_GROWTH_SLACK * mean[idx] + 4.0 * combined:
-            passed = False
     return EnergyReport(
         dts=[g.dt for g in grids],
         statistics=mean.tolist(),
         standard_errors=se.tolist(),
-        passed=bool(passed),
         solver=counters,
     )
 

@@ -37,6 +37,7 @@ import numpy as np
 from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError, NumericalError
 from .grids import h1_seminorm, l2_norm
 from .noise import AdditiveIntegrand
+from .nonlinearity import check_sample_count
 from .stepper import (
     DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _check_initial_shapes, _Dense, _Row, _step_plan,
     _step_rows, run_additive,
@@ -118,7 +119,9 @@ def lipschitz_audit(noise_map, ops, samples, seed):
     The draws spread their amplitudes evenly in log scale from 1e-3 to 1e1:
     the quotients of a pointwise map depend on the size of the fields, and
     those of ``damped_map`` come near its gain only for small fields.
+    ``samples`` must pass ``check_sample_count``.
     """
+    check_sample_count(samples)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for amplitude in np.logspace(-3.0, 1.0, samples):

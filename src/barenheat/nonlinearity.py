@@ -6,7 +6,8 @@ shifted map x + alpha(x) then has coercivity 1 + coercivity, which is what
 bounds the inner fixed-point contraction factor.  Wrong declared constants
 silently break those bounds, so ``check_properties`` samples difference
 quotients against the declarations; it is advisory at load time and asserted
-in the test suite.
+in the test suite.  Its report keeps the measured quotients and the declared
+constants, and derives every verdict from them on read.
 """
 
 import math
@@ -164,47 +165,65 @@ def from_name(kind, **params):
 
 @dataclass(frozen=True)
 class ConformanceReport:
-    """Sampled worst-case difference quotients against declared constants."""
+    """Sampled worst-case difference quotients and alpha(0), and the declared
+    ``lipschitz`` and ``coercivity`` they were checked against; the verdicts
+    are derived from them on read.
+
+    The Lipschitz quotient passes at most the declared constant and the
+    coercivity quotient at least it, both with a 1e-9 relative slack, and
+    alpha(0) must be 0.  alpha is ``monotone`` when no quotient is negative:
+    a NaN quotient is not, and no sampled pair (an infinite coercivity
+    quotient) is.
+    """
 
     worst_lipschitz_quotient: float
     worst_coercivity_quotient: float
     alpha_at_zero: float
-    monotone: bool
-    lipschitz_ok: bool
-    coercivity_ok: bool
-    zero_ok: bool
+    lipschitz: float
+    coercivity: float
+
+    @property
+    def monotone(self):
+        return self.worst_coercivity_quotient >= 0.0
+
+    @property
+    def lipschitz_ok(self):
+        return self.worst_lipschitz_quotient <= self.lipschitz * (1.0 + 1e-9)
+
+    @property
+    def coercivity_ok(self):
+        return self.worst_coercivity_quotient >= self.coercivity * (1.0 - 1e-9)
+
+    @property
+    def zero_ok(self):
+        return self.alpha_at_zero == 0.0
 
     @property
     def passed(self):
         return self.lipschitz_ok and self.coercivity_ok and self.zero_ok
 
 
-def check_properties(nl, sample_range, samples, seed):
-    """Sample pairs in [-range, range]^2 and report worst difference quotients.
+def check_sample_count(samples):
+    """Raise InvalidConfigError unless ``samples``, the draws of a sampled
+    audit, is an integer of at least 1."""
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise InvalidConfigError(f"need an integer count of at least one sample, got {samples}")
 
-    Passes when the worst Lipschitz quotient stays below the declared
-    constant and the worst coercivity quotient stays above it, both with a
-    1e-9 relative slack, and alpha(0) = 0.
-    """
+
+def check_properties(nl, sample_range, samples, seed):
+    """Sample pairs in [-range, range]^2 and report worst difference quotients
+    against ``nl``'s declared constants (see ``ConformanceReport``)."""
     if not sample_range > 0:
         raise InvalidConfigError(f"sample range must be positive, got {sample_range}")
-    if samples < 1:
-        raise InvalidConfigError(f"need at least one sample, got {samples}")
+    check_sample_count(samples)
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-sample_range, sample_range, size=samples)
     ys = rng.uniform(-sample_range, sample_range, size=samples)
     keep = xs != ys
     xs, ys = xs[keep], ys[keep]
     quotients = (nl.alpha(xs) - nl.alpha(ys)) / (xs - ys)
-    worst_lip = float(np.max(np.abs(quotients))) if quotients.size else 0.0
-    worst_coer = float(np.min(quotients)) if quotients.size else np.inf
-    at_zero = float(nl.alpha(0.0))
+    # With no pair left, the worst quotients are 0 and inf.
     return ConformanceReport(
-        worst_lipschitz_quotient=worst_lip,
-        worst_coercivity_quotient=worst_coer,
-        alpha_at_zero=at_zero,
-        monotone=bool(quotients.size == 0 or np.min(quotients) >= 0.0),
-        lipschitz_ok=worst_lip <= nl.lipschitz * (1.0 + 1e-9),
-        coercivity_ok=worst_coer >= nl.coercivity * (1.0 - 1e-9),
-        zero_ok=at_zero == 0.0,
-    )
+        worst_lipschitz_quotient=float(np.max(np.abs(quotients), initial=0.0)),
+        worst_coercivity_quotient=float(np.min(quotients, initial=np.inf)),
+        alpha_at_zero=float(nl.alpha(0.0)), lipschitz=nl.lipschitz, coercivity=nl.coercivity)

@@ -146,11 +146,13 @@ class StepReport:
     ``inner_iterations``, their number, and ``contraction_factors``, the
     ratios of successive *squared* differences after each nonzero one, the
     quantity the theoretical factor ``factor_bound`` =
-    1 / (2 (tilde_coercivity/dt - 1/2)) bounds.  ``newton_iterations``
-    totals the Newton iterations of every inner iteration, and
-    ``line_search_halvings`` is the most halvings any of them took;
-    ``newton_residual`` is the residual of the accepted iterate's solve,
-    Newton's or linear alpha's one bound solve, which always meets newton_tol.
+    1 / (2 (tilde_coercivity/dt - 1/2)) bounds.  The factors are built on
+    first read and then kept, as the solver counters and the worst-factor
+    study both read them.  ``newton_iterations`` totals the Newton
+    iterations of every inner iteration, and ``line_search_halvings`` is the
+    most halvings any of them took; ``newton_residual`` is the residual of
+    the accepted iterate's solve, Newton's or linear alpha's one bound
+    solve, which always meets newton_tol.
     """
 
     chi_differences: list
@@ -163,7 +165,7 @@ class StepReport:
     def inner_iterations(self):
         return len(self.chi_differences)
 
-    @property
+    @cached_property
     def contraction_factors(self):
         diffs = self.chi_differences
         return [(b / a) ** 2 for a, b in zip(diffs, diffs[1:]) if a > 0.0]
@@ -660,17 +662,21 @@ class Trajectory:
     """Dense record of one path: fields at every node plus step reports,
     and the path and integrand it ran on.
 
-    ``u`` = chi - B_n, the field whose time increments feed the
-    nonlinearity, is derived on first read from the path's partial sums
-    (``noise.partial_sums``) and then kept.
+    ``grid`` is the path's grid, on which the run stepped.  ``u`` = chi - B_n,
+    the field whose time increments feed the nonlinearity, is derived on
+    first read from the path's partial sums (``noise.partial_sums``) and
+    then kept.
     """
 
-    grid: TimeGrid
     theta: np.ndarray = field(repr=False)
     chi: np.ndarray = field(repr=False)
     path: BrownianPath = field(repr=False)
     integrand: AdditiveIntegrand = field(repr=False)
     reports: list = field(default_factory=list, repr=False)
+
+    @property
+    def grid(self):
+        return self.path.grid
 
     @cached_property
     def u(self):
@@ -823,7 +829,7 @@ class _Dense:
             path_reports.append(report)
 
     def results(self):
-        return [Trajectory(grid=self.grid, theta=self.theta[k], chi=self.chi[k], path=p,
+        return [Trajectory(theta=self.theta[k], chi=self.chi[k], path=p,
                            integrand=self.integrand, reports=self.reports[k])
                 for k, p in enumerate(self.paths)]
 

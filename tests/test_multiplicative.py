@@ -111,6 +111,13 @@ class TestDeclaredConstant:
         noise_map = bh.MultiplicativeMap(lipschitz=0.05, psi=psi)
         assert bh.lipschitz_audit(noise_map, ops65, 64, seed=0) == math.inf
 
+    @pytest.mark.parametrize("samples", [0, -1, 2.5])
+    def test_audit_needs_an_integer_count_of_samples(self, ops65, samples):
+        # With 0 samples the audit drew nothing and returned 0.0, which
+        # passes any declared constant.
+        with pytest.raises(InvalidConfigError, match="at least one sample"):
+            bh.lipschitz_audit(bh.damped_map(0.5), ops65, samples, seed=0)
+
 
 def test_picard_report_derives_iterations_and_ratios():
     report = bh.PicardReport(w_differences=[2.0, 1.0, 0.0, 0.0], wall_times=[0.0] * 4,

@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 import barenheat as bh
+from barenheat.diagnostics import _path_statistics
 from barenheat.errors import ExpressionError, FieldShapeError, InvalidConfigError
 
 
@@ -33,6 +35,10 @@ class TestSamplePath:
             squares[pid] = bh.sample_path(grid, 123, pid).increments[0] ** 2
         stderr = grid.dt * np.sqrt(2.0 / count)
         assert abs(squares.mean() - grid.dt) <= 3 * stderr
+        # The square of a N(0, dt) draw has standard deviation sqrt(2) dt,
+        # which fixes the standard error the harness reports for the mean.
+        _, reported = _path_statistics(squares)
+        assert 0.95 <= reported / (math.sqrt(2.0) * grid.dt / math.sqrt(count)) <= 1.05
 
     def test_mean_is_zero(self):
         grid = bh.build_time_grid(0.01, 1)

@@ -74,6 +74,10 @@ class TestCheckProperties:
         with pytest.raises(InvalidConfigError):
             bh.check_properties(bh.linear(1.0), sample_range=1.0, samples=0, seed=0)
 
+    def test_fractional_sample_count_rejected(self):
+        with pytest.raises(InvalidConfigError, match="at least one sample"):
+            bh.check_properties(bh.linear(1.0), 1.0, 2.5, 0)
+
 
 class TestDerivatives:
     def test_finite_difference_fallback(self):

@@ -1,0 +1,73 @@
+"""Records derive their verdicts and derived constants from their own fields,
+so a hand-built or edited record cannot contradict its numbers."""
+
+import dataclasses
+import math
+import os
+
+import numpy as np
+
+import barenheat as bh
+from barenheat.config import parse_config
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
+
+
+def test_energy_report_that_grows_past_the_slack_fails():
+    # 1.0 -> 1.5 grows by 50%, past the 25% slack and 4 * hypot(0.01, 0.01).
+    report = bh.EnergyReport(dts=[0.5, 0.25], statistics=[1.0, 1.5],
+                             standard_errors=[0.01, 0.01])
+    assert report.passed is False
+    report.statistics = [1.0, 1.1]
+    assert report.passed is True
+
+
+def test_stability_report_needs_a_vanishing_lhs_where_rhs_is_zero():
+    constants = bh.compute_stability_constant(1.0, 1.0, 1.0)
+    report = bh.StabilityReport(
+        times=np.array([0.0, 0.5, 1.0]), lhs=np.array([1e-17, 0.2, 0.3]),
+        lhs_se=np.zeros(3), rhs=np.array([0.0, 1.0, 0.5]), constants=constants)
+    assert report.passed is False
+    assert report.max_ratio == 0.3 / 0.5
+    report.lhs[0] = 0.0
+    assert report.passed is True
+
+
+def test_conformance_report_with_a_nan_quotient_is_not_monotone():
+    report = bh.ConformanceReport(worst_lipschitz_quotient=1.0,
+                                  worst_coercivity_quotient=math.nan, alpha_at_zero=0.0,
+                                  lipschitz=1.0, coercivity=1.0)
+    assert not report.monotone
+    assert not report.coercivity_ok
+    assert not report.passed
+    # No sampled pair leaves an infinite coercivity quotient, which is monotone.
+    assert dataclasses.replace(report, worst_coercivity_quotient=math.inf).monotone
+
+
+def test_stability_constants_follow_their_inputs():
+    horizon = 0.75
+    constants = bh.StabilityConstants(1.0, 1.0, horizon)
+    # (1 + 1) / (2 + 1) + 2 by direct substitution.
+    assert constants.gronwall_exponent == 8.0 / 3.0
+    assert constants.stability_constant == bh.compute_stability_constant(
+        1.0, 1.0, horizon).stability_constant
+
+
+def test_noise_kind_follows_the_picard_iteration():
+    multiplicative = parse_config(os.path.join(CONFIGS, "multiplicative.ini"))
+    additive = parse_config(os.path.join(CONFIGS, "additive.ini"))
+    assert multiplicative.noise_kind == "multiplicative"
+    assert dataclasses.replace(multiplicative, picard=None).noise_kind == "additive"
+    assert dataclasses.replace(additive, picard=multiplicative.picard).noise_kind == (
+        "multiplicative")
+
+
+def test_trajectory_grid_is_its_path_grid(ops65):
+    grid = bh.build_time_grid(1.0, 4)
+    path = bh.sample_path(grid, 3, 0)
+    integrand = bh.discretize_integrand("cos(pi*x)", grid, ops65)
+    zeros = np.zeros(65)
+    traj = bh.run_additive(zeros, zeros, integrand, path, grid, ops65, bh.linear(1.0))
+    assert traj.grid == traj.path.grid
+    other = bh.sample_path(bh.build_time_grid(1.0, 8), 3, 0)
+    assert dataclasses.replace(traj, path=other).grid is other.grid

@@ -256,6 +256,12 @@ class TestStep:
         assert report.contraction_factors, "expected a multi-iteration step"
         assert max(report.contraction_factors) <= 1.0 / 3.0 + 1e-6
 
+    def test_contraction_factors_are_built_once(self, ops65, cos_field, one_step):
+        # The solver counters and the worst-factor study read the same list.
+        _, _, report = one_step(cos_field, cos_field, cos_field, 0.31, 0.75, ops65,
+                                bh.linear(0.5))
+        assert report.contraction_factors is report.contraction_factors
+
     @pytest.mark.parametrize(
         "nl", [bh.linear(1.0), bh.saturating(0.25), bh.ramp(0.5, 2.0, 0.3)],
         ids=["linear", "saturating", "ramp"],

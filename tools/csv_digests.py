@@ -1,11 +1,13 @@
-"""SHA-256 of every CSV that the demo and benchmark runs write.
+"""SHA-256 of every CSV that the demo and benchmark runs write, and of each
+run's verdict and solver counters.
 
     python tools/csv_digests.py [--root CHECKOUT]
 
 Runs, at seed 7 and in a temporary directory, each CLI command below
 on its config, importing barenheat from ``CHECKOUT/src`` (default: the
 checkout this script sits in), and prints one ``sha256  run/file`` line per
-CSV it wrote, in a fixed order:
+CSV it wrote, then one ``sha256  run/verdict`` line (see ``verdict_digest``),
+in a fixed order:
 
 * ``solve``, ``mc``, ``converge``, ``stability`` and ``contraction`` on
   ``demos/configs/additive.ini``;
@@ -31,9 +33,10 @@ CSV it wrote, in a fixed order:
 * ``converge`` on ``demos/configs/self_convergence.ini``, the one
   self-convergence study: final-time gaps between coupled levels.
 
-CSV bodies are byte-reproducible for a fixed config and seed, so two
-checkouts that print the same listing wrote the same bits; ``diff`` the
-listings of two commits to see which CSVs a change moves.  The configs are
+CSV bodies, verdicts and counters are byte-reproducible for a fixed config
+and seed, so two checkouts that print the same listing wrote the same bits
+and reached the same verdicts; ``diff`` the listings of two commits to see
+which CSVs, verdicts or counters a change moves.  The configs are
 read from the checkout under test; a run whose config that checkout lacks
 prints one ``absent  run`` line instead of its CSVs, so an older checkout
 lists the runs it cannot make.  A command that exits with an error (exit
@@ -43,6 +46,7 @@ statistical check, still leaves its CSV and is accepted.
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -87,9 +91,23 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
+def verdict_digest(outdir):
+    """SHA-256 hex of the JSON, with sorted keys, of the verdict and counters
+    of the run that wrote ``outdir``: ``summary.json``'s ``pass`` and
+    ``statistic`` and ``manifest.json``'s ``solver``.  Wall times and every
+    other key are left out, so the digest moves only with a result."""
+    with open(os.path.join(outdir, "summary.json"), encoding="utf-8") as handle:
+        summary = json.load(handle)
+    with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as handle:
+        solver = json.load(handle)["solver"]
+    verdict = {"pass": summary["pass"], "statistic": summary["statistic"], "solver": solver}
+    return hashlib.sha256(json.dumps(verdict, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def digests(root, workdir):
-    """(label, sha256 hex) of every CSV of every run, in run order, or
-    (run label, "absent") for a run whose config ``root`` lacks."""
+    """(label, sha256 hex) of every CSV of every run and then of its
+    verdict, in run order, or (run label, "absent") for a run whose config
+    ``root`` lacks."""
     src = os.path.join(root, "src")
     env = dict(os.environ)
     env.pop("SOLVER_SEED", None)  # it would override SEED
@@ -111,6 +129,7 @@ def digests(root, workdir):
         for name in names:
             with open(os.path.join(outdir, name), "rb") as handle:
                 found.append((f"{label}/{name}", hashlib.sha256(handle.read()).hexdigest()))
+        found.append((f"{label}/verdict", verdict_digest(outdir)))
     return found
 
 
