@@ -378,7 +378,7 @@ class RateReport:
     @property
     def slope(self):
         """The log2 slope fitted to the positive errors against their dts,
-        None when fewer than two errors are positive."""
+        None when fewer than two errors are positive or any is not finite."""
         return _fit_slope(self.dts, self.errors)
 
 
@@ -386,7 +386,7 @@ def _fit_slope(dts, errors):
     dts = np.asarray(dts, dtype=float)
     errors = np.asarray(errors, dtype=float)
     mask = errors > 0
-    if mask.sum() < 2:
+    if mask.sum() < 2 or not np.isfinite(errors).all():
         return None
     return float(np.polyfit(np.log2(dts[mask]), np.log2(errors[mask]), 1)[0])
 
@@ -550,11 +550,11 @@ class EnergyReport:
 
     @property
     def passed(self):
-        """Halving dt never grows the statistic by more than
-        ``ENERGY_GROWTH_SLACK`` (25%) plus four combined standard errors; a
-        NaN growth fails no halving."""
+        """Every statistic and standard error is finite, and halving dt never
+        grows the statistic by more than ``ENERGY_GROWTH_SLACK`` (25%) plus
+        four combined standard errors."""
         means, ses = self.statistics, self.standard_errors
-        return not any(
+        return all(map(math.isfinite, [*means, *ses])) and not any(
             fine - coarse > ENERGY_GROWTH_SLACK * coarse + 4.0 * math.hypot(coarse_se, fine_se)
             for coarse, fine, coarse_se, fine_se in zip(means, means[1:], ses, ses[1:]))
 

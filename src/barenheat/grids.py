@@ -1,5 +1,9 @@
 """Uniform time grids and spatial Neumann operators.
 
+A ``TimeGrid`` is its horizon T and step count N, which it checks when it
+is built, whether by ``build_time_grid``, its own constructor or
+``dataclasses.replace``; its step dt = T/N is derived on read.
+
 The spatial discretization is piecewise-linear finite elements on a uniform
 grid of a 1D interval or a 2D rectangle, with row-sum (diagonal) mass
 lumping.  The lumped mass vector defines the discrete L2 inner product and
@@ -67,13 +71,30 @@ _EVERY_ROW = slice(None)
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform mesh of [0, T] with N steps of size dt = T/N; its N + 1 nodes
+    """Uniform mesh of [0, T] with N steps; ``TimeGrid(T, N)`` is the grid.
+
+    Built any way, a grid has a finite, positive ``horizon`` T, stored as a
+    float, and an integer step count N >= 1, or InvalidConfigError is
+    raised.  Its step dt = T/N is derived on read, and its N + 1 nodes
     t_n = n * (T/N) are computed on first read of ``nodes`` and kept, so
-    building a grid allocates nothing of size N."""
+    building a grid allocates nothing of size N.
+    """
 
     horizon: float
     steps: int
-    dt: float
+
+    def __post_init__(self):
+        if not 0 < self.horizon < math.inf:
+            raise InvalidConfigError(
+                f"time horizon must be finite and positive, got {self.horizon}")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+            raise InvalidConfigError(f"step count must be an integer >= 1, got {self.steps}")
+        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "steps", int(self.steps))
+
+    @property
+    def dt(self):
+        return self.horizon / self.steps
 
     @cached_property
     def nodes(self):
@@ -81,13 +102,9 @@ class TimeGrid:
 
 
 def build_time_grid(horizon, steps):
-    """Build the uniform time grid of [0, T] with N = ``steps`` steps."""
-    if not 0 < horizon < math.inf:
-        raise InvalidConfigError(f"time horizon must be finite and positive, got {horizon}")
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise InvalidConfigError(f"step count must be an integer >= 1, got {steps}")
-    steps = int(steps)
-    return TimeGrid(horizon=float(horizon), steps=steps, dt=horizon / steps)
+    """The uniform time grid of [0, T] with N = ``steps`` steps, which
+    ``TimeGrid`` checks."""
+    return TimeGrid(horizon, steps)
 
 
 def time_grid_of_step(horizon, dt):

@@ -10,6 +10,12 @@ integrand h(t, x) is reduced to one nodal field per step,
 with h identically zero before time zero, so h_0 is always the zero field.
 The left-endpoint sums B_n = sum_{k<n} dw_k h_k accumulate the discrete
 stochastic integral that couples the two equations.
+
+A ``BrownianPath`` checks that it holds one increment per step of its
+grid, so a path built by ``sample_path``, ``aggregate_path``, its own
+constructor or ``dataclasses.replace`` fits its grid; ``sample_path``
+checks the seed and path id itself, because it keys Philox before the
+path exists.
 """
 
 from dataclasses import dataclass, field
@@ -27,12 +33,19 @@ _GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 @dataclass(frozen=True)
 class BrownianPath:
-    """Increments dw_n ~ Normal(0, dt) of one path on a time grid."""
+    """Increments dw_n ~ Normal(0, dt) of one path on a time grid: one per
+    step, or FieldShapeError is raised however the path is built."""
 
     grid: TimeGrid
     increments: np.ndarray = field(repr=False)
     seed: int
     path_id: int
+
+    def __post_init__(self):
+        if np.shape(self.increments) != (self.grid.steps,):
+            raise FieldShapeError(
+                f"path {self.path_id} has increments of shape {np.shape(self.increments)}, "
+                f"expected ({self.grid.steps},), one per step of its grid")
 
 
 def check_seed(value, name="seed"):

@@ -7,7 +7,9 @@ bounds the inner fixed-point contraction factor.  Wrong declared constants
 silently break those bounds, so ``check_properties`` samples difference
 quotients against the declarations; it is advisory at load time and asserted
 in the test suite.  Its report keeps the measured quotients and the declared
-constants, and derives every verdict from them on read.
+constants, and derives every verdict from them on read.  A ``Nonlinearity``
+rejects constants that are not finite and positive when it is built, by
+``make_nonlinearity``, its own constructor or ``dataclasses.replace``.
 """
 
 import math
@@ -22,13 +24,23 @@ _FD_STEP = 1e-6
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """A scalar nonlinearity with declared Lipschitz and coercivity constants."""
+    """A scalar nonlinearity with declared Lipschitz and coercivity constants,
+    stored as floats; however it is built, both must be finite and
+    positive, or InvalidConfigError is raised."""
 
     name: str
     alpha: callable
     alpha_prime: callable
     lipschitz: float
     coercivity: float
+
+    def __post_init__(self):
+        if not 0 < self.lipschitz < math.inf or not 0 < self.coercivity < math.inf:
+            raise InvalidConfigError(
+                "Lipschitz and coercivity constants must be finite and positive, got "
+                f"{self.lipschitz}, {self.coercivity}")
+        object.__setattr__(self, "lipschitz", float(self.lipschitz))
+        object.__setattr__(self, "coercivity", float(self.coercivity))
 
     @property
     def tilde_coercivity(self):
@@ -53,21 +65,17 @@ def _fd_derivative(alpha):
 
 
 def make_nonlinearity(name, alpha, lipschitz, coercivity, alpha_prime=None):
-    """Wrap a scalar map with declared constants, both finite and positive;
-    derivative falls back to a central finite difference with step
-    1e-6 * max(1, |x|)."""
-    if not 0 < lipschitz < math.inf or not 0 < coercivity < math.inf:
-        raise InvalidConfigError(
-            f"Lipschitz and coercivity constants must be finite and positive, got {lipschitz}, "
-            f"{coercivity}")
+    """Wrap a scalar map with declared constants, which ``Nonlinearity``
+    checks; the derivative falls back to a central finite difference with
+    step 1e-6 * max(1, |x|)."""
     if alpha_prime is None:
         alpha_prime = _fd_derivative(alpha)
     return Nonlinearity(
         name=name,
         alpha=alpha,
         alpha_prime=alpha_prime,
-        lipschitz=float(lipschitz),
-        coercivity=float(coercivity),
+        lipschitz=lipschitz,
+        coercivity=coercivity,
     )
 
 

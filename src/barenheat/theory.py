@@ -3,8 +3,9 @@
 Kept apart from the Monte Carlo harness in ``diagnostics`` so that the
 configuration loader and the multiplicative fixed point, which need the
 stability constant for the Picard weight condition, do not import it.
-The record keeps only the inputs of the estimate; its constants are derived
-from them on read, so a record cannot hold constants of other inputs.
+The record keeps only the inputs of the estimate and checks them when it is
+built, however it is built; its constants are derived from them on read, so
+a record cannot hold constants of other inputs or of invalid ones.
 """
 
 import math
@@ -18,12 +19,22 @@ class StabilityConstants:
     """Explicit constants of the continuous-dependence estimate.
 
     Only alpha's ``lipschitz`` and ``coercivity`` and the ``horizon`` T are
-    stored; the two constants are derived from them on read.
+    stored, as floats, and all three must be positive, or InvalidConfigError
+    is raised however the record is built; the two constants are derived
+    from them on read.
     """
 
     lipschitz: float
     coercivity: float
     horizon: float
+
+    def __post_init__(self):
+        if not (self.lipschitz > 0 and self.coercivity > 0 and self.horizon > 0):
+            raise InvalidConfigError(
+                "stability constants need positive lipschitz, coercivity, and horizon; "
+                f"got {self.lipschitz}, {self.coercivity}, {self.horizon}")
+        for name in ("lipschitz", "coercivity", "horizon"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def gronwall_exponent(self):
@@ -51,11 +62,5 @@ class StabilityConstants:
 
 def compute_stability_constant(lipschitz, coercivity, horizon):
     """The continuous-dependence constants of alpha's constants and T, all
-    of which must be positive."""
-    if not (lipschitz > 0 and coercivity > 0 and horizon > 0):
-        raise InvalidConfigError(
-            "stability constants need positive lipschitz, coercivity, and horizon; "
-            f"got {lipschitz}, {coercivity}, {horizon}"
-        )
-    return StabilityConstants(
-        lipschitz=float(lipschitz), coercivity=float(coercivity), horizon=float(horizon))
+    of which ``StabilityConstants`` checks to be positive."""
+    return StabilityConstants(lipschitz, coercivity, horizon)

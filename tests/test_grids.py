@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import sys
@@ -42,6 +43,24 @@ class TestTimeGrid:
     def test_invalid_configs(self, horizon, steps):
         with pytest.raises(InvalidConfigError):
             bh.build_time_grid(horizon, steps)
+
+    @pytest.mark.parametrize("build", [
+        lambda: bh.TimeGrid(1.0, 0),
+        lambda: bh.TimeGrid(math.inf, 4),
+        lambda: dataclasses.replace(bh.build_time_grid(1.0, 4), steps=0),
+    ], ids=["no-steps", "infinite-horizon", "replace"])
+    def test_a_grid_checks_itself_however_it_is_built(self, build):
+        with pytest.raises(InvalidConfigError):
+            build()
+
+    def test_dt_is_derived_from_horizon_and_steps(self):
+        grid = bh.TimeGrid(1, np.int64(4))
+        assert grid == bh.build_time_grid(1.0, 4)
+        assert type(grid.horizon) is float and type(grid.steps) is int
+        assert [f.name for f in dataclasses.fields(grid)] == ["horizon", "steps"]
+        assert dataclasses.replace(grid, steps=8).dt == 0.125
+        with pytest.raises(TypeError):
+            bh.TimeGrid(1.0, 4, 0.5)
 
     def test_hash_consistent_with_equality(self):
         grid, same = bh.build_time_grid(1.0, 4), bh.build_time_grid(1.0, 4)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -57,6 +58,18 @@ def test_sample_path_keys_are_unsigned_64_bit_integers(seed, path_id):
     # out-of-range one raised a bare OverflowError.
     with pytest.raises(InvalidConfigError, match="must be an unsigned 64-bit integer"):
         bh.sample_path(bh.build_time_grid(1.0, 4), seed, path_id)
+
+
+# A path of another length would leave the last nodes of a run unset, or
+# index past its increments mid-run.
+@pytest.mark.parametrize("count", [5, 12])
+def test_a_path_holds_one_increment_per_step(count):
+    grid = bh.build_time_grid(1.0, 8)
+    expected = rf"shape \({count},\), expected \(8,\)"
+    with pytest.raises(FieldShapeError, match=expected):
+        bh.BrownianPath(grid=grid, increments=np.zeros(count), seed=0, path_id=0)
+    with pytest.raises(FieldShapeError, match=expected):
+        dataclasses.replace(bh.sample_path(grid, 0, 0), increments=np.zeros(count))
 
 
 class TestAggregatePath:

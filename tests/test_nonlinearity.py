@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,15 @@ class TestFactories:
             bh.linear(0.0)
         with pytest.raises(InvalidConfigError):
             bh.make_nonlinearity("bad", alpha=lambda x: x, lipschitz=1.0, coercivity=0.0)
+
+    @pytest.mark.parametrize("lipschitz, coercivity", [
+        (math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -1.0)])
+    def test_constants_are_checked_however_alpha_is_built(self, lipschitz, coercivity):
+        message = "Lipschitz and coercivity constants must be finite and positive"
+        with pytest.raises(InvalidConfigError, match=message):
+            bh.Nonlinearity("direct", abs, abs, lipschitz, coercivity)
+        with pytest.raises(InvalidConfigError, match=message):
+            dataclasses.replace(bh.linear(1.0), lipschitz=lipschitz, coercivity=coercivity)
 
     @pytest.mark.parametrize("build", [
         lambda: bh.linear(math.inf),

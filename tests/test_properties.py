@@ -91,3 +91,13 @@ def test_identities_bound_and_mirror_symmetry(alphas, mesh, dt_fraction, steps, 
     for got, want in ((traj.theta, theta), (traj.chi, chi)):
         scale = max(float(np.abs(want).max()), 1.0)
         assert float(np.abs(got - want).max()) <= FIELD_RTOL * scale
+
+
+@settings(max_examples=50, deadline=None)
+@given(horizon=st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+       steps=st.integers(1, 10**4))
+def test_a_grid_built_directly_is_the_factory_grid(horizon, steps):
+    grid, built = bh.TimeGrid(horizon, steps), bh.build_time_grid(horizon, steps)
+    assert grid == built and hash(grid) == hash(built)
+    assert grid.dt.hex() == (horizon / steps).hex()
+    assert grid.nodes[-1] == horizon

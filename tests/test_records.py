@@ -6,9 +6,11 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 import barenheat as bh
 from barenheat.config import parse_config
+from barenheat.errors import InvalidConfigError
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
 
@@ -20,6 +22,25 @@ def test_energy_report_that_grows_past_the_slack_fails():
     assert report.passed is False
     report.statistics = [1.0, 1.1]
     assert report.passed is True
+
+
+# A NaN compares False, so the growth test alone passes a blown-up level.
+@pytest.mark.parametrize("statistics, standard_errors", [
+    ([1.0, math.nan], [0.0, 0.0]), ([math.nan], [0.0]), ([1.0, 1.1], [0.0, math.inf])])
+def test_energy_report_with_a_non_finite_number_fails(statistics, standard_errors):
+    report = bh.EnergyReport(dts=[0.5, 0.25][:len(statistics)], statistics=statistics,
+                             standard_errors=standard_errors)
+    assert report.passed is False
+
+
+def test_rate_report_with_a_nan_error_has_no_slope():
+    # The two finite levels alone would fit a passing slope of 1.0.
+    report = bh.RateReport(dts=[0.5, 0.25, 0.125], errors=[1.0, math.nan, 0.25],
+                           standard_errors=[0.0, 0.0, 0.0])
+    assert report.slope is None
+    # An exact zero stays out of the fit.
+    report.errors[1] = 0.0
+    assert report.slope == pytest.approx(1.0)
 
 
 def test_stability_report_needs_a_vanishing_lhs_where_rhs_is_zero():
@@ -51,6 +72,13 @@ def test_stability_constants_follow_their_inputs():
     assert constants.gronwall_exponent == 8.0 / 3.0
     assert constants.stability_constant == bh.compute_stability_constant(
         1.0, 1.0, horizon).stability_constant
+
+
+# Coercivity -0.5 divides by zero on read, and -1.0 gives a bound of -2.25.
+@pytest.mark.parametrize("coercivity", [-0.5, -1.0])
+def test_stability_constants_check_their_inputs(coercivity):
+    with pytest.raises(InvalidConfigError, match="stability constants need positive"):
+        bh.StabilityConstants(1.0, coercivity, 1.0)
 
 
 def test_noise_kind_follows_the_picard_iteration():
