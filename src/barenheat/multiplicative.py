@@ -9,15 +9,17 @@ time zero, so a constant map reduces bit-for-bit to the additive solver).
 Freezing at the left endpoint keeps every integrand value measurable at the
 time it multiplies the increment.  It also means that step n of iterate
 k + 1 reads iterate k only at t_n, and that iterates k and k + 1 agree at
-nodes 0..k: both read the same integrand before step k.  So ``picard_solve``
-runs iterate 1 on its own, and every later iterate k + 1 starts at step k
-from copies of its predecessor's first k steps, level with or behind it.
-The running iterates are rows of one path of the stepper's step driver
+nodes 0..k: both read the same integrand before step k.  So only step 0 of
+iterate 1, which no other iterate can take beside it, runs on its own, as
+``picard_solve``'s one ``run_additive`` call; iterate 1 then runs on from
+step 1, and every later iterate k + 1 starts at step k from copies of its
+predecessor's first k steps, level with or behind it.  The running
+iterates are rows of one path of the stepper's step driver
 (``stepper._step_rows``), which moves them together, each from its own
 step; before each step an iterate fills its integrand row from its
-predecessor's chi.  An iterate starts only once the part of its
-predecessor's weighted difference summed so far exceeds the tolerance, so
-no iterate runs that the sequential iteration would not run.
+predecessor's chi, iterate 1 from chi0.  An iterate starts only once the
+part of its predecessor's weighted difference summed so far exceeds the
+tolerance, so no iterate runs that the sequential iteration would not run.
 
 Convergence is measured in an exponentially weighted space-time norm
 
@@ -35,12 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldShapeError, InvalidConfigError, NonConvergenceError, NumericalError
-from .grids import h1_seminorm, l2_norm
-from .noise import AdditiveIntegrand
+from .grids import TimeGrid, h1_seminorm, l2_norm
+from .noise import AdditiveIntegrand, BrownianPath
 from .nonlinearity import check_sample_count
 from .stepper import (
-    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _check_initial_shapes, _Dense, _Row, _step_plan,
-    _step_rows, run_additive,
+    DEFAULT_INNER_TOL, DEFAULT_NEWTON_TOL, _Dense, _Row, _step_plan, _step_rows, run_additive,
 )
 from .theory import compute_stability_constant
 
@@ -202,7 +203,7 @@ class PicardReport:
     has converged: ``picard_solve`` raises NonConvergenceError otherwise.
 
     ``wall_times[k]`` runs from the start of iterate k + 1 to the end of its
-    weighted difference.  From iterate 2 on the iterates overlap, so the
+    weighted difference.  From iterate 1 on the iterates overlap, so the
     wall times no longer add up to the time of the run.  ``iterations`` and
     ``ratios`` are derived from ``w_differences``.
     """
@@ -259,67 +260,70 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
     k = 0), and W(chi^(k+1) - chi^(k)) measures its difference.  Requires the
     weight condition a > 4 * stability_constant * C_H^2 unless overridden.
 
-    Iterate 1 is one ``run_additive`` call.  Step n of iterate k + 1 reads
-    iterate k only at node n, so later iterates run staggered: every running
-    iterate takes one step per call of the step driver on their common
-    batch, each at its own step.  Iterates k and k + 1 agree at nodes 0..k,
-    so iterate k + 1 inherits iterate k's first k steps and runs only steps
-    k..N-1.  It starts once the square root of the running sum of iterate
-    k's weighted-norm terms exceeds the tolerance: the terms are
-    non-negative, so iterate k can no longer converge, and every iterate
-    that runs is one the sequential iteration runs too.  The rows of a batch are independent,
-    so the trajectory, reports and errors are bit for bit those of the
-    sequential iteration: a NumericalError names the step and path of the
-    lowest failing iterate, and no iterate past it runs on.  A failed step
-    moves no iterate, so the step reruns without the failing iterate and
-    its successors.
+    Step 0 reads the zero integrand row, so iterate 1 takes it alone, as one
+    ``run_additive`` call on the one-step grid, which checks the tolerances,
+    the step and the initial fields.  Step n of iterate k + 1 reads iterate
+    k only at node n, so from step 1 on the iterates run staggered: every
+    running iterate takes one step per call of the step driver on their
+    common batch, each at its own step, iterate 1 reading H(chi0).  Iterates
+    k and k + 1 agree at nodes 0..k, so iterate k + 1 inherits iterate k's
+    first k steps and runs only steps k..N-1.  It starts once the square
+    root of the running sum of iterate k's weighted-norm terms exceeds the
+    tolerance: the terms are non-negative, so iterate k can no longer
+    converge, and every iterate that runs is one the sequential iteration
+    runs too.  The rows of a batch are independent, so the trajectory,
+    reports and errors are bit for bit those of the sequential iteration: a
+    NumericalError names the step and path of the lowest failing iterate,
+    and no iterate past it runs on.  A failed step moves no iterate, so the
+    step reruns without the failing iterate and its successors.
     """
     threshold = _picard_threshold(nl, noise_map, grid.horizon, config.weight,
                                   config.override_condition)
     modulus = threshold / config.weight
-    theta0 = np.asarray(theta0, dtype=float)
-    chi0 = np.asarray(chi0, dtype=float)
-    _check_initial_shapes(ops, theta0=theta0, chi0=chi0)
+    # run_additive sees only the path's first increment, not its grid.
+    if path.grid != grid:
+        raise FieldShapeError("path, integrand, and run must share one time grid")
     w_diffs = []
     wall_times = []
-
-    def converged(diff, started):
-        """Record the weighted difference of a finished iterate; True when
-        it meets the tolerance."""
-        wall_times.append(time.perf_counter() - started)
-        w_diffs.append(diff)
-        return diff <= config.tolerance
-
-    def result(trajectory):
-        return trajectory, PicardReport(w_diffs, wall_times, modulus)
-
     started = time.perf_counter()
+    one = TimeGrid(grid.dt, 1)
+    first = run_additive(theta0, chi0,
+                         AdditiveIntegrand(grid=one, values=np.zeros((1, ops.node_count))),
+                         BrownianPath(one, path.increments[:1], path.seed, path.path_id), one,
+                         ops, nl, tol=tol, newton_tol=newton_tol)
+    shape = (1, grid.steps + 1, ops.node_count)
+    theta, chi = np.empty(shape), np.empty(shape)
+    theta[0, :2], chi[0, :2] = first.theta, first.chi
     values = np.zeros((grid.steps, ops.node_count))
-    values[1:] = evaluate_H(noise_map, chi0)
-    integrand = AdditiveIntegrand(grid=grid, values=values)
-    first = run_additive(
-        theta0, chi0, integrand, path, grid, ops, nl, tol=tol, newton_tol=newton_tol
-    )
-    if converged(weighted_norm(first.chi - chi0, grid, ops, config.weight), started):
-        return result(first)
-    # The staggered iterates' steps; run_additive built iterate 1's.
+    dense = _Dense(theta, chi, [list(first.reports)], grid, [path],
+                   AdditiveIntegrand(grid=grid, values=values))
+    # Iterate 1 reads chi0 at every node; it has taken step 0, whose
+    # weighted-norm term the loop adds first.
+    running = [_Iterate(path.increments[None], values, dense, step=1, number=1,
+                        previous=np.broadcast_to(first.chi[0], shape[1:]), started=started)]
     plan = _step_plan(grid, ops, nl, tol, newton_tol)
-    running = []
+    new_chi = first.chi[1:]
     failure = None
-    newest = 2  # iterates start in order, so only the newest has no successor
-    if config.max_iterations > 1:
-        dense = _Dense(first.theta[None], first.chi[None], [first.reports], grid, [path],
-                       integrand)
-        running.append(_successor(_Iterate(path.increments[None], values, dense,
-                                           step=grid.steps, number=1)))
-    while running:
+    newest = 1  # iterates start in order, so only the newest has no successor
+    while True:
+        terms = _norm_terms(new_chi - np.array([it.previous[it.step] for it in running]),
+                            grid.nodes[[it.step for it in running]], grid, ops,
+                            config.weight)
+        for it, term in zip(list(running), terms):
+            it.partial += term
+            if (it.number == newest < config.max_iterations
+                    and math.sqrt(it.partial) > config.tolerance):
+                newest += 1
+                running.append(_successor(it))
         # Iterate k + 1 never passes iterate k, so the finished iterates are
         # the oldest; one that starts at step N has no step left to run.
         while running and running[0].step == grid.steps:
             it = running.pop(0)
+            wall_times.append(time.perf_counter() - it.started)
             # The running sum is bit for bit the sum in weighted_norm.
-            if converged(math.sqrt(it.partial), it.started):
-                return result(it.record.results()[0])
+            w_diffs.append(math.sqrt(it.partial))
+            if w_diffs[-1] <= config.tolerance:
+                return it.record.results()[0], PicardReport(w_diffs, wall_times, modulus)
         if not running:
             break
         images = evaluate_H(noise_map, np.array([it.previous[it.step] for it in running]))
@@ -327,7 +331,7 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
             it.values[it.step] = image
         while running:
             try:
-                chi = _step_rows(plan, running)
+                new_chi = _step_rows(plan, running)
                 break
             except NumericalError as exc:
                 # Drop the failing iterate and its successors, which read
@@ -340,15 +344,6 @@ def picard_solve(theta0, chi0, noise_map, path, grid, ops, nl, config,
                 running = running[:row]
         if not running:
             break
-        terms = _norm_terms(chi - np.array([it.previous[it.step] for it in running]),
-                            grid.nodes[[it.step for it in running]], grid, ops,
-                            config.weight)
-        for it, term in zip(list(running), terms):
-            it.partial += term
-            if (it.number == newest < config.max_iterations
-                    and math.sqrt(it.partial) > config.tolerance):
-                newest += 1
-                running.append(_successor(it))
     if failure is not None:
         error, cause = failure
         raise error from cause

@@ -5,7 +5,10 @@ configuration loader and the multiplicative fixed point, which need the
 stability constant for the Picard weight condition, do not import it.
 The record keeps only the inputs of the estimate and checks them when it is
 built, however it is built; its constants are derived from them on read, so
-a record cannot hold constants of other inputs or of invalid ones.
+a record cannot hold constants of other inputs or of invalid ones.  Its
+inputs must be finite and its stability constant too: a horizon long
+enough for the constant, with its Gronwall factor exp(g T), to overflow is
+an invalid configuration, not a bound that every ratio passes.
 """
 
 import math
@@ -19,9 +22,10 @@ class StabilityConstants:
     """Explicit constants of the continuous-dependence estimate.
 
     Only alpha's ``lipschitz`` and ``coercivity`` and the ``horizon`` T are
-    stored, as floats, and all three must be positive, or InvalidConfigError
-    is raised however the record is built; the two constants are derived
-    from them on read.
+    stored, as floats.  All three must be positive and finite, and the
+    stability constant they give must be finite, or InvalidConfigError is
+    raised however the record is built; the two constants are derived from
+    them on read.
     """
 
     lipschitz: float
@@ -29,12 +33,24 @@ class StabilityConstants:
     horizon: float
 
     def __post_init__(self):
-        if not (self.lipschitz > 0 and self.coercivity > 0 and self.horizon > 0):
+        if not all(0 < value < math.inf
+                   for value in (self.lipschitz, self.coercivity, self.horizon)):
             raise InvalidConfigError(
-                "stability constants need positive lipschitz, coercivity, and horizon; "
+                "stability constants need positive, finite lipschitz, coercivity, and horizon; "
                 f"got {self.lipschitz}, {self.coercivity}, {self.horizon}")
         for name in ("lipschitz", "coercivity", "horizon"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        # Float arithmetic overflows to inf, but math.exp and ** raise.
+        exponent = constant = math.inf
+        try:
+            exponent = self.gronwall_exponent
+            constant = self.stability_constant
+        except OverflowError:
+            pass
+        if constant == math.inf:
+            raise InvalidConfigError(
+                f"the stability constant overflows: its Gronwall factor exp(g T) has exponent "
+                f"g = {exponent:.6g} and horizon T = {self.horizon:.6g}")
 
     @property
     def gronwall_exponent(self):
@@ -62,5 +78,5 @@ class StabilityConstants:
 
 def compute_stability_constant(lipschitz, coercivity, horizon):
     """The continuous-dependence constants of alpha's constants and T, all
-    of which ``StabilityConstants`` checks to be positive."""
+    of which ``StabilityConstants`` checks to be positive and finite."""
     return StabilityConstants(lipschitz, coercivity, horizon)

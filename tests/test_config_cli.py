@@ -680,7 +680,8 @@ class TestCli:
         assert len(warnings) == 1 and "conformance" in warnings[0]
         assert f"warning: {warnings[0]}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["additive.ini", "multiplicative.ini", "cubic_noise.ini"])
+    @pytest.mark.parametrize("name", ["additive.ini", "multiplicative.ini", "cubic_noise.ini",
+                                      "multiplicative2d.ini"])
     def test_demo_configs_have_no_warnings(self, tmp_path, name):
         config = os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos", "configs", name)
         outdir = str(tmp_path / "out")
@@ -713,6 +714,23 @@ class TestCli:
             text = self.multiplicative_text(f"map = affine\nscale = 0.061\nlipschitz = {declared}")
             noise_map = parse_config(write_config(tmp_path, text)).noise_map
             assert noise_map.lipschitz == float(declared)
+
+    @pytest.mark.parametrize("command", ["constants", "picard"])
+    def test_overflowing_stability_constant_is_a_violation(self, tmp_path, capsys, command):
+        # At horizon 400 exp(g T) overflows: both commands printed only
+        # "error: math range error".
+        text = self.multiplicative_text("map = affine\nscale = 0.061").replace(
+            "horizon = 1.0\nsteps = 16", "horizon = 400.0\nsteps = 6400")
+        with pytest.raises(ConfigValidationError) as raised:
+            parse_config(write_config(tmp_path, text))
+        assert raised.value.violations == [
+            "the stability constant overflows: its Gronwall factor exp(g T) has exponent "
+            "g = 2.66667 and horizon T = 400"]
+        outdir = tmp_path / "out"
+        assert run_cli(command, "--config", write_config(tmp_path, text),
+                       "--out", str(outdir)) == 1
+        assert "horizon T = 400" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_failed_noise_map_audit_is_a_summary_warning(self, tmp_path, capsys):
         text = self.multiplicative_text("map = damped\ngain = 0.08\nlipschitz = 0.02")

@@ -12,6 +12,7 @@ from barenheat.stepper import _Dense, _Row, _step_plan, _step_rows
 
 DEMO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "demos", "configs",
                            "multiplicative.ini")
+DEMO_CONFIG_2D = os.path.join(os.path.dirname(DEMO_CONFIG), "multiplicative2d.ini")
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +263,14 @@ class TestPicardSolve:
             bh.picard_solve(np.zeros(9), np.zeros(shape), noise_map, bh.sample_path(grid, 5, 0),
                             grid, ops_small, unit_nl, config)
 
+    def test_path_on_another_grid_is_rejected(self, ops_small, unit_nl):
+        sigma, config = modulus_quarter_config()
+        grid = bh.build_time_grid(1.0, 8)
+        for other in (bh.build_time_grid(2.0, 16), bh.build_time_grid(1.0, 4)):
+            with pytest.raises(FieldShapeError, match="must share one time grid"):
+                bh.picard_solve(np.zeros(9), np.zeros(9), bh.affine_map(sigma),
+                                bh.sample_path(other, 5, 0), grid, ops_small, unit_nl, config)
+
     def test_iteration_cap(self, ops65, unit_nl, cos_field, grid32):
         sigma, config = modulus_quarter_config(tolerance=1e-16, max_iterations=2)
         path = bh.sample_path(grid32, 8, 0)
@@ -326,6 +335,27 @@ def test_picard_limit_is_the_causal_pass(seed):
             config.nonlinearity)
     fixed, report = bh.picard_solve(*args, config.picard, tol=config.inner_tol,
                                     newton_tol=config.newton_tol)
+    causal = causal_pass(*args, config.inner_tol, config.newton_tol)
+    distance = bh.weighted_norm(fixed.chi - causal, grid, config.ops, config.picard.weight)
+    bound = report.modulus / (1.0 - report.modulus) * report.w_differences[-1]
+    assert distance <= bound + config.inner_tol
+
+
+def test_picard_on_the_2d_demo_config():
+    # Criterion 8's checks on a 2D mesh: decay against the modulus,
+    # convergence, and the limit against the causal pass.
+    config = parse_config(DEMO_CONFIG_2D)
+    assert config.ops.dimension == 2
+    grid = bh.build_time_grid(config.horizon, config.steps)
+    path = bh.sample_path(grid, 7, 0)
+    args = (config.theta0, config.chi0, config.noise_map, path, grid, config.ops,
+            config.nonlinearity)
+    fixed, report = bh.picard_solve(*args, config.picard, tol=config.inner_tol,
+                                    newton_tol=config.newton_tol)
+    assert report.iterations == 5
+    assert report.modulus == pytest.approx(0.25, abs=1e-3)
+    assert max(report.ratios) <= report.modulus
+    assert report.w_differences[-1] <= config.picard.tolerance
     causal = causal_pass(*args, config.inner_tol, config.newton_tol)
     distance = bh.weighted_norm(fixed.chi - causal, grid, config.ops, config.picard.weight)
     bound = report.modulus / (1.0 - report.modulus) * report.w_differences[-1]

@@ -254,17 +254,54 @@ class TestSameErrorsAsSequential:
         assert error.step == grid32.steps - 1
         assert met == [(3, grid32.steps - 1), (4, 5), (3, grid32.steps - 1)]
 
+    def test_iterate_one_fails_inside_the_batch(self, ops33, grid32, cos33, monkeypatch):
+        # Iterate 1 steps in the batch from step 1 on, beside its successors.
+        # Its integrand row there is H(chi0), which no later iterate reads
+        # at step 5, so that row at step 5 marks iterate 1's fifth step.
+        noise_map = bh.affine_map(0.061)
+        problem = problem_1d(ops33, grid32, cos33, noise_map, 0)
+        mark = bh.evaluate_H(noise_map, cos33).tobytes()
+        failing_batches = []
+        real_step_rows = stepper._step_rows
+
+        def step_rows(step_plan, rows, *args):
+            for index, row in enumerate(rows):
+                if row.step == 5 and row.values[row.step].tobytes() == mark:
+                    failing_batches.append(len(rows))
+                    raise NonFiniteError("injected failure", residual=1.0, row=index)
+            return real_step_rows(step_plan, rows, *args)
+
+        monkeypatch.setattr(stepper, "_step_rows", step_rows)
+        monkeypatch.setattr(multiplicative, "_step_rows", step_rows)
+        error = self.assert_same_failure(problem)
+        assert error.step == 5
+        # The sequential iterate 1 fails alone, the staggered one in a batch.
+        assert failing_batches[0] == 1 and failing_batches[1] > 1
+
+    def test_iterate_one_fails_at_step_zero(self, ops33, grid32, cos33):
+        # Step 0 is iterate 1's one run_additive call, on the one-step grid;
+        # its error names the step and dt of the whole grid.
+        theta0 = cos33.copy()
+        theta0[3] = np.nan
+        problem = problem_1d(ops33, grid32, cos33, bh.affine_map(0.061), 0)
+        error = self.assert_same_failure((theta0,) + problem[1:])
+        assert isinstance(error, NonFiniteError)
+        assert (error.step, error.dt) == (0, grid32.dt)
+
 
 def test_iterate_one_runs_first_and_no_step_is_wasted(ops33, grid32, cos33, monkeypatch):
-    # Benchmarks mark the end of set-up at the first run_additive call.
-    # Every later row step belongs to an iterate the sequential loop runs,
-    # and iterate k >= 2 inherits its first k - 1 steps from iterate k - 1,
-    # so it runs N - k + 1 steps: (K - 1) N - K (K - 1) / 2 over K iterates.
-    calls = []
+    # Benchmarks mark the end of set-up at the first run_additive call, which
+    # takes iterate 1's step 0 alone, on the one-step grid.  Every later row
+    # step belongs to an iterate the sequential loop runs: iterate 1 runs
+    # steps 1..N-1 in the batch, and iterate k >= 2 inherits its first k - 1
+    # steps from iterate k - 1, so it runs N - k + 1 steps:
+    # K N - 1 - K (K - 1) / 2 over K iterates.
+    calls, run_grids = [], []
     real_run, real_step_rows = multiplicative.run_additive, multiplicative._step_rows
 
     def run(*args, **kwargs):
         calls.append(0)
+        run_grids.append(args[4])
         return real_run(*args, **kwargs)
 
     def step_rows(step_plan, rows, *args):
@@ -275,8 +312,9 @@ def test_iterate_one_runs_first_and_no_step_is_wasted(ops33, grid32, cos33, monk
     monkeypatch.setattr(multiplicative, "_step_rows", step_rows)
     _, report = bh.picard_solve(*problem_1d(ops33, grid32, cos33, bh.affine_map(0.061), 0))
     assert calls[0] == 0 and calls.count(0) == 1
+    assert run_grids == [bh.TimeGrid(grid32.dt, 1)]
     iterations = report.iterations
-    assert sum(calls) == (iterations - 1) * grid32.steps - iterations * (iterations - 1) // 2
+    assert sum(calls) == iterations * grid32.steps - 1 - iterations * (iterations - 1) // 2
     # The staggered iterates overlap: fewer batch steps than their steps.
     assert len(calls) - 1 < (iterations - 1) * grid32.steps
 

@@ -4,6 +4,7 @@ so a hand-built or edited record cannot contradict its numbers."""
 import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,26 @@ def test_stability_constants_follow_their_inputs():
 def test_stability_constants_check_their_inputs(coercivity):
     with pytest.raises(InvalidConfigError, match="stability constants need positive"):
         bh.StabilityConstants(1.0, coercivity, 1.0)
+
+
+# An infinite input made an infinite bound, which every ratio passes.
+@pytest.mark.parametrize("inputs", [(1.0, 1.0, math.inf), (math.inf, 1.0, 1.0),
+                                    (1.0, math.inf, 1.0), (1.0, math.nan, 1.0)])
+def test_stability_constants_need_finite_inputs(inputs):
+    with pytest.raises(InvalidConfigError, match="need positive, finite lipschitz"):
+        bh.StabilityConstants(*inputs)
+
+
+# exp(g T) overflowed into a bare OverflowError past g T = 709.  The
+# constant overflows a little earlier: past T = 259.87 for linear alpha
+# with c = 1, whose g is 8/3.
+@pytest.mark.parametrize("lipschitz, horizon, exponent", [
+    (1.0, 400.0, "2.66667"), (1.0, 1e300, "2.66667"), (1e200, 1.0, "inf")])
+def test_stability_constant_that_overflows_names_its_horizon(lipschitz, horizon, exponent):
+    with pytest.raises(InvalidConfigError, match=re.escape(
+            f"exponent g = {exponent} and horizon T = {horizon:.6g}")):
+        bh.StabilityConstants(lipschitz, 1.0, horizon)
+    assert math.isfinite(bh.StabilityConstants(1.0, 1.0, 250.0).stability_constant)
 
 
 def test_noise_kind_follows_the_picard_iteration():

@@ -11,8 +11,9 @@ in a fixed order:
 
 * ``solve``, ``mc``, ``converge``, ``stability`` and ``contraction`` on
   ``demos/configs/additive.ini``;
-* ``picard`` on ``demos/configs/multiplicative.ini`` and on
-  ``perfbench/configs/picard.ini``, which is only read;
+* ``picard`` on ``demos/configs/multiplicative.ini``, on
+  ``perfbench/configs/picard.ini``, which is only read, and on
+  ``demos/configs/multiplicative2d.ini``, the one 2D Picard run;
 * ``solve`` on ``perfbench/configs/solve2d.ini``, and ``converge`` on it
   at dt 1/8, 1/16 and 1/32 with two paths, the one run of coupled 2D dt
   levels;
@@ -64,6 +65,7 @@ RUNS = (
     ("contraction", "demos/configs/additive.ini", ()),
     ("picard", "demos/configs/multiplicative.ini", ()),
     ("picard", "perfbench/configs/picard.ini", ()),
+    ("picard", "demos/configs/multiplicative2d.ini", ()),
     ("solve", "perfbench/configs/solve2d.ini", ()),
     ("converge", "perfbench/configs/solve2d.ini",
      ("--dt-list", "0.125,0.0625,0.03125", "--paths", "2")),
